@@ -163,7 +163,7 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
 
     # one oracle call per instance, shared across its rows
     optima = {
-        name: exact_mwis(g) if g.n <= oracle_limit else None
+        name: exact_mwis(g, size_limit=oracle_limit) if g.n <= oracle_limit else None
         for name, g, _, _ in instances
     }
     tasks = []

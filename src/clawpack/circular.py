@@ -84,17 +84,19 @@ def aux_edge_check(
 
     y1 must be anchored at the heaviest neighbor of u, y2 at the second one;
     disjointness and independence of {u} | y1 | y2 are the caller's promise.
+    Both sides are doubled and compared as sums of the integers `g.w2_int`,
+    which order exactly as the squared rational weights do.
     """
     v1 = maps.heaviest[u]
     v2 = maps.second[u]
-    w = g.weights
-    lhs = w[u] ** 2 + Fraction(1, 2) * (g.squared_weight_of(y1) + g.squared_weight_of(y2))
-    rhs = (w[v1] ** 2 + w[v2] ** 2) / 2
-    rhs += sum((w[x] ** 2 for x in maps.a_neighbors[u] if x != v1 and x != v2), Fraction(0))
+    w2 = g.w2_int
+    lhs = 2 * w2[u] + sum(w2[x] for x in y1) + sum(w2[x] for x in y2)
+    rhs = w2[v1] + w2[v2]
+    rhs += 2 * sum(w2[x] for x in maps.a_neighbors[u] if x != v1 and x != v2)
     for x in y1:
-        rhs += Fraction(1, 2) * sum((w[z] ** 2 for z in maps.a_neighbors[x] if z != v1), Fraction(0))
+        rhs += sum(w2[z] for z in maps.a_neighbors[x] if z != v1)
     for x in y2:
-        rhs += Fraction(1, 2) * sum((w[z] ** 2 for z in maps.a_neighbors[x] if z != v2), Fraction(0))
+        rhs += sum(w2[z] for z in maps.a_neighbors[x] if z != v2)
     return lhs > rhs
 
 

@@ -1,11 +1,13 @@
 """Core data model: packing instances, conflict graphs, solutions, improvements.
 
-Weights are exact rationals throughout; every comparison the solvers make is
-an exact Fraction comparison.
+Weights are exact rationals throughout, and every comparison the solvers make
+is exact: either between Fractions or between the integer-scaled squared
+weights `ConflictGraph.w2_int`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -141,6 +143,16 @@ class ConflictGraph:
     @cached_property
     def adj_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(nbrs) for nbrs in self.adj)
+
+    @cached_property
+    def w2_int(self) -> tuple[int, ...]:
+        """Squared weights times L**2, L the lcm of the weight denominators.
+
+        Every entry is an integer, and sums of them order exactly as the
+        Fraction sums of the squared weights do. Built on first use.
+        """
+        lcm = math.lcm(*(w.denominator for w in self.weights))
+        return tuple((w.numerator * (lcm // w.denominator)) ** 2 for w in self.weights)
 
     @cached_property
     def m(self) -> int:

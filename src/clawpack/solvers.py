@@ -109,14 +109,17 @@ def _resolve_d(g: ConflictGraph, cfg_d: Optional[int]) -> int:
 
 def greedy(g: ConflictGraph) -> Solution:
     """Pick the maximum-weight remaining vertex (ties to the lowest id) and
-    delete its closed neighborhood, until nothing remains."""
-    alive = set(range(g.n))
+    delete its closed neighborhood, until nothing remains.
+
+    One pass in (-w, id) order takes each vertex none of whose neighbors was
+    taken before it, which picks the same set.
+    """
     chosen: set[int] = set()
-    while alive:
-        v = max(alive, key=lambda u: (g.weights[u], -u))
-        chosen.add(v)
-        alive.discard(v)
-        alive -= g.adj_sets[v]
+    blocked: set[int] = set()
+    for v in sorted(range(g.n), key=lambda u: (-g.weights[u], u)):
+        if v not in blocked:
+            chosen.add(v)
+            blocked.update(g.adj[v])
     return Solution.of(g, chosen)
 
 
@@ -125,31 +128,40 @@ def find_claw_improvement(
     a: Solution,
     d: Optional[int] = None,
     budget: int = 50_000_000,
+    settled: Optional[set[int]] = None,
 ) -> Optional[Improvement]:
     """First claw-shaped improvement of w^2(A) under deterministic order, or None.
 
     Scans free vertices first (every one is the talon of an improving
     0-claw), then for each center in A, in ascending id order, the
     independent talon sets among the center's neighbors in lexicographic
-    order, up to d-1 talons.
+    order, up to d-1 talons. Squared weights are compared as the integers
+    `g.w2_int`, which order exactly as the rationals do.
+
+    `settled`, when given, holds centers known to have no improving talon
+    set: they are skipped, and every center searched without success is
+    added. A center's search reads only the membership of vertices within
+    distance 2 of it, so the caller keeps the set valid by dropping that
+    ball around x | removed after applying an improvement; the result is
+    then the same as a search from scratch. `budget` caps the talon-search
+    nodes of this call, which skipped centers do not use.
     """
     d_eff = _resolve_d(g, d)
     members = a.members
     for v in range(g.n):
         if v in members:
             continue
-        if not (g.adj_sets[v] & members):
+        if g.adj_sets[v].isdisjoint(members):
             return Improvement(frozenset((v,)), frozenset(), ClawShaped(center=None))
 
     nodes = 0
-    w2 = [w * w for w in g.weights]
+    w2 = g.w2_int
 
     def talons(center: int) -> Optional[frozenset[int]]:
         nonlocal nodes
         cands = [u for u in g.adj[center] if u not in members]
-        removed_w2: dict[int, Fraction] = {}
 
-        def extend(start: int, chosen: list[int], t_w2: Fraction, removed: set[int], r_w2: Fraction):
+        def extend(start: int, chosen: list[int], t_w2: int, removed: set[int], r_w2: int):
             nonlocal nodes
             for i in range(start, len(cands)):
                 u = cands[i]
@@ -160,7 +172,7 @@ def find_claw_improvement(
                     raise BudgetExceededError(f"claw search exceeded {budget} nodes")
                 new_removed = (g.adj_sets[u] & members) - removed
                 nt = t_w2 + w2[u]
-                nr = r_w2 + sum((w2[x] for x in new_removed), Fraction(0))
+                nr = r_w2 + sum(w2[x] for x in new_removed)
                 chosen.append(u)
                 if nt > nr:
                     return list(chosen)
@@ -173,15 +185,28 @@ def find_claw_improvement(
                 chosen.pop()
             return None
 
-        got = extend(0, [], Fraction(0), set(), Fraction(0))
+        got = extend(0, [], 0, set(), 0)
         return frozenset(got) if got else None
 
-    for c in sorted(members):
+    if settled is None:
+        settled = set()
+    for c in sorted(members - settled):
         got = talons(c)
         if got:
             removed = neighborhood(got, members, g)
             return Improvement(got, frozenset(removed), ClawShaped(center=c))
+        settled.add(c)
     return None
+
+
+def _within_two(g: ConflictGraph, vertices) -> set[int]:
+    """The vertices at distance at most 2 from `vertices`."""
+    ball = set(vertices)
+    frontier = ball
+    for _ in range(2):
+        frontier = {u for v in frontier for u in g.adj[v]} - ball
+        ball |= frontier
+    return ball
 
 
 def _loop(
@@ -189,7 +214,13 @@ def _loop(
     start: Optional[Solution],
     step: Callable[[Solution], Optional[Improvement]],
     keep_partial_on_budget: bool = False,
+    settled: Optional[set[int]] = None,
 ) -> RunTrace:
+    """Apply step's improvements until it returns None.
+
+    `settled` is the claw search's set of centers with no improving talon
+    set; every applied swap drops the centers its change can affect.
+    """
     a = start.copy() if start is not None else Solution.empty()
     records: list[ImprovementRecord] = []
     notes: tuple[str, ...] = ()
@@ -211,6 +242,8 @@ def _loop(
         if delta <= 0:
             raise RuntimeError(f"non-improving step {imp!r}")
         a.apply(g, imp)
+        if settled is not None:
+            settled -= _within_two(g, imp.x | imp.removed)
         records.append(ImprovementRecord(imp.kind_name(), imp.size, delta))
     return RunTrace(
         iterations=len(records),
@@ -225,7 +258,13 @@ def squareimp(g: ConflictGraph, cfg: SolverConfig, start: Optional[Solution] = N
     """Iterate the claw search to a fixed point, starting from the empty set
     (or an injected start solution, used to reproduce tight instances)."""
     d = _resolve_d(g, cfg.d)
-    return _loop(g, start, lambda a: find_claw_improvement(g, a, d, cfg.claw_budget))
+    settled: set[int] = set()
+    return _loop(
+        g,
+        start,
+        lambda a: find_claw_improvement(g, a, d, cfg.claw_budget, settled),
+        settled=settled,
+    )
 
 
 def logimp(
@@ -240,15 +279,16 @@ def logimp(
     params = cfg.circular if cfg.circular is not None else ColorCodingParams.defaults(g, inst)
     rng = random.Random(cfg.rng_seed)
     notes: set[str] = set()
+    settled: set[int] = set()
 
     def step(a: Solution) -> Optional[Improvement]:
-        imp = find_claw_improvement(g, a, d, cfg.claw_budget)
+        imp = find_claw_improvement(g, a, d, cfg.claw_budget, settled)
         if imp is not None:
             return imp
         maps = build_anchor_maps(g, a)
         return find_circular_improvement(g, a, maps, params, inst=inst, rng=rng, d=d)
 
-    trace = _loop(g, start, step)
+    trace = _loop(g, start, step, settled=settled)
     if params.y_cap < d - 1:
         notes.add(f"aux companion sets capped at {params.y_cap} (claw bound allows {d - 1})")
     trace.notes = tuple(sorted(notes))

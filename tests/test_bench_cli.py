@@ -109,6 +109,23 @@ def test_bench_jobs_matches_serial():
     assert a == b
 
 
+@pytest.mark.parametrize("oracle_limit, oracled", [(40, False), (45, True)])
+def test_bench_oracle_limit_above_default(oracle_limit, oracled):
+    # a 42-vertex cycle: above the oracle's default size limit of 40
+    config = {
+        "instances": [{"id": "cycle21", "gen": {"family": "cycle", "pairs": 21, "d": 5, "eps": "1/2"}}],
+        "algorithms": [{"algo": "greedy"}, {"algo": "squareimp"}, {"algo": "logimp"}],
+        "seeds": [0],
+        "oracle_limit": oracle_limit,
+    }
+    report = run_bench(config)
+    assert len(report.rows) == 3
+    for row in report.rows:
+        assert not row.error
+        assert row.final_w == 21
+        assert row.opt_w == (21 if oracled else None)
+
+
 def test_bench_row_error_recorded():
     config = {
         "instances": [{"id": "bad", "gen": {"family": "berman", "d": 4}}],
