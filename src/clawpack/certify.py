@@ -161,11 +161,14 @@ def compute_charges(g: ConflictGraph, a: Solution, astar: Solution, maps: Anchor
     return report
 
 
-def compute_contributions(g: ConflictGraph, a: Solution, astar: Solution) -> CertReport:
+def compute_contributions(
+    g: ConflictGraph, a: Solution, astar: Solution, maps: Optional[AnchorMaps] = None
+) -> CertReport:
     """contr(u,v) = max{0, (w^2(u) - w^2(N(u,A) minus v)) / w(v)} for incumbent
     neighbors v; per-vertex sums above w(v) certify a residual claw improvement
-    and are reported, never thrown."""
-    maps = build_anchor_maps(g, a)
+    and are reported, never thrown. `maps` are built for A when not given."""
+    if maps is None:
+        maps = build_anchor_maps(g, a)
     report = CertReport()
     for v in a.members:
         report.contr_sum[v] = Fraction(0)
@@ -287,7 +290,7 @@ def certify_local_optimum(
     """
     maps = build_anchor_maps(g, a)
     report = compute_charges(g, a, astar, maps)
-    contrib = compute_contributions(g, a, astar)
+    contrib = compute_contributions(g, a, astar, maps)
     report.contributions = contrib.contributions
     report.contr_sum = contrib.contr_sum
     report.contribution_bound_ok = contrib.contribution_bound_ok

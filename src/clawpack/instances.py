@@ -1,8 +1,8 @@
 """Core data model: packing instances, conflict graphs, solutions, improvements.
 
 Weights are exact rationals throughout, and every comparison the solvers make
-is exact: either between Fractions or between the integer-scaled squared
-weights `ConflictGraph.w2_int`.
+is exact: either between Fractions or between the integer-scaled weights
+`ConflictGraph.w_int` and their squares `ConflictGraph.w2_int`.
 """
 
 from __future__ import annotations
@@ -145,14 +145,19 @@ class ConflictGraph:
         return tuple(frozenset(nbrs) for nbrs in self.adj)
 
     @cached_property
-    def w2_int(self) -> tuple[int, ...]:
-        """Squared weights times L**2, L the lcm of the weight denominators.
+    def w_int(self) -> tuple[int, ...]:
+        """Weights times L, the lcm of the weight denominators.
 
         Every entry is an integer, and sums of them order exactly as the
-        Fraction sums of the squared weights do. Built on first use.
+        Fraction sums of the weights do. Built on first use.
         """
         lcm = math.lcm(*(w.denominator for w in self.weights))
-        return tuple((w.numerator * (lcm // w.denominator)) ** 2 for w in self.weights)
+        return tuple(w.numerator * (lcm // w.denominator) for w in self.weights)
+
+    @cached_property
+    def w2_int(self) -> tuple[int, ...]:
+        """Squared weights times L**2: the squares of `w_int`."""
+        return tuple(x * x for x in self.w_int)
 
     @cached_property
     def m(self) -> int:

@@ -5,6 +5,7 @@ subset enumeration over bitmasks or recursive walks, so that expected values
 are computed by a second route.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -168,6 +169,77 @@ def circular_improvement_exists_bruteforce(g, a, maps, d, positive_only=False, y
                     ):
                         return True
     return False
+
+
+def iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0, k >= 1."""
+    if n < 2 or k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
+    a probable-prime test above."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    r, m = 0, n - 1
+    while m % 2 == 0:
+        r, m = r + 1, m // 2
+    for b in bases:
+        x = pow(b, m, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class PrimeWeights:
+    """Rational weights whose denominators are pairwise distinct primes."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.used: set[int] = set()
+
+    def prime_above(self, bits: int) -> int:
+        p = self.rng.randrange(1 << bits, 1 << (bits + 1))
+        while not is_prime(p) or p in self.used:
+            p += 1
+        self.used.add(p)
+        return p
+
+    def magnitude(self, e: int) -> Fraction:
+        """A weight in [2**e, 2**(e+1)), e in -60..60."""
+        p = self.prime_above(max(2, 2 - e) + self.rng.randrange(8))
+        scaled = p * self.rng.randrange(1 << 20, 1 << 21)
+        num = scaled << e >> 20 if e >= 0 else scaled >> (20 - e)
+        if num % p == 0:
+            num += 1
+        return Fraction(num, p)
+
+    def near_root(self, target: Fraction, k: int, above: bool) -> Fraction:
+        """A weight whose k-th power (k != 0) is within about 2**-60
+        relative of target, on the requested side (or equal)."""
+        if k < 0:
+            return 1 / self.near_root(1 / target, -k, not above)
+        log2_root = (target.numerator.bit_length() - target.denominator.bit_length()) // k
+        q = self.prime_above(max(61, 61 - log2_root) + self.rng.randrange(8))
+        root = iroot(target.numerator * q ** k // target.denominator, k)
+        return Fraction(root + (1 if above else 0), q)
 
 
 @pytest.fixture

@@ -5,12 +5,12 @@ The reference implementations below are kept here on purpose: they are the
 plain rational-arithmetic forms of the same searches.
 """
 
-import math
 import random
 from fractions import Fraction
 from typing import Optional
 from unittest import mock
 
+from conftest import PrimeWeights
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,63 +190,6 @@ def test_verdict_set_across_circular_swaps():
 # ------------------------------------------------------------ integer path
 
 
-def is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
-    a probable-prime test above."""
-    if n < 2:
-        return False
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in bases:
-        if n % p == 0:
-            return n == p
-    r, m = 0, n - 1
-    while m % 2 == 0:
-        r, m = r + 1, m // 2
-    for b in bases:
-        x = pow(b, m, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-class PrimeWeights:
-    """Rational weights whose denominators are pairwise distinct primes."""
-
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-        self.used: set[int] = set()
-
-    def prime_above(self, bits: int) -> int:
-        p = self.rng.randrange(1 << bits, 1 << (bits + 1))
-        while not is_prime(p) or p in self.used:
-            p += 1
-        self.used.add(p)
-        return p
-
-    def magnitude(self, e: int) -> Fraction:
-        """A weight in [2**e, 2**(e+1)), e in -60..60."""
-        p = self.prime_above(max(2, 2 - e) + self.rng.randrange(8))
-        scaled = p * self.rng.randrange(1 << 20, 1 << 21)
-        num = scaled << e >> 20 if e >= 0 else scaled >> (20 - e)
-        if num % p == 0:
-            num += 1
-        return Fraction(num, p)
-
-    def near_sqrt(self, target: Fraction, above: bool) -> Fraction:
-        """A weight whose square is within about 2**-60 relative of target,
-        on the requested side (or equal)."""
-        log2_root = (target.numerator.bit_length() - target.denominator.bit_length()) // 2
-        q = self.prime_above(max(61, 61 - log2_root) + self.rng.randrange(8))
-        root = math.isqrt(target.numerator * q * q // target.denominator)
-        return Fraction(root + (1 if above else 0), q)
-
-
 def random_case(seed: int):
     rng = random.Random(seed)
     n = rng.randint(6, 16)
@@ -274,7 +217,7 @@ def test_integer_claw_search_is_exact():
             # above or below (or level with) the tie
             target = g.squared_weight_of(g.adj_sets[u] & a.members)
             weights = list(g.weights)
-            weights[u] = pw.near_sqrt(target, above=rng.random() < 0.5)
+            weights[u] = pw.near_root(target, 2, above=rng.random() < 0.5)
             graphs.append(g.reweighted(weights))
         for h in graphs:
             got = find_claw_improvement(h, a, 4)
@@ -302,7 +245,7 @@ def test_integer_aux_edge_check_is_exact():
                 continue
             for above in (False, True):
                 weights = list(g.weights)
-                weights[u] = pw.near_sqrt(target, above)
+                weights[u] = pw.near_root(target, 2, above)
                 h = g.reweighted(weights)
                 lhs, rhs = ref_aux_sides(u, y1, y2, h, maps)
                 got = aux_edge_check(u, y1, y2, h, a, maps)

@@ -1,0 +1,295 @@
+"""The integer branch and bound and the integer w**alpha search, checked
+against the Fraction versions they replaced and against a second oracle.
+
+The reference implementations below are kept here on purpose: they are the
+plain rational-arithmetic forms of the same searches, with the same branch
+order, so search trees, node counts and budget failures must agree.
+"""
+
+import math
+import random
+from fractions import Fraction
+from typing import Optional
+from unittest import mock
+
+import pytest
+from conftest import PrimeWeights
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clawpack import certify
+from clawpack.certify import AnalysisParams, certify_local_optimum, compute_contributions
+from clawpack.circular import build_anchor_maps
+from clawpack.generators import gen_random_packing
+from clawpack.instances import (
+    BudgetExceededError,
+    ConflictGraph,
+    Generic,
+    Improvement,
+    Solution,
+    build_conflict_graph,
+    neighborhood,
+)
+from clawpack.oracle import exact_mwis, exhaustive_improvement_search, power_weight_improves
+from clawpack.solvers import SolverConfig, greedy, squareimp
+
+ALPHAS = (-3, -1, 1, 2, 3)
+
+# ------------------------------------------------------------ references
+
+
+def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000):
+    """Branch and bound over Fraction weights and vertex lists.
+
+    Returns (best set, optimum, nodes), or raises BudgetExceededError whose
+    `partial` is that triple for the incumbent."""
+    nodes = 0
+    best_set: set[int] = set()
+    best_w = Fraction(0)
+
+    def search(cands: list[int], cur: set[int], cur_w: Fraction):
+        nonlocal nodes, best_set, best_w
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError("budget", partial=(set(best_set), best_w, nodes))
+        if cur_w > best_w:
+            best_w = cur_w
+            best_set = set(cur)
+        if not cands:
+            return
+        if cur_w + g.weight_of(cands) <= best_w:
+            return
+        cand_set = set(cands)
+        pick = max(cands, key=lambda v: (len(g.adj_sets[v] & cand_set), -v))
+        rest_in = [v for v in cands if v != pick and not g.has_edge(v, pick)]
+        cur.add(pick)
+        search(rest_in, cur, cur_w + g.weights[pick])
+        cur.remove(pick)
+        search([v for v in cands if v != pick], cur, cur_w)
+
+    search(list(range(g.n)), set(), Fraction(0))
+    return best_set, best_w, nodes
+
+
+def ref_improvement_search(
+    g: ConflictGraph, a: Solution, alpha: int, size_cap: int, budget: int = 100_000_000
+) -> Optional[Improvement]:
+    """The exhaustive w**alpha search in Fraction arithmetic, recomputing
+    N(X, A) at every node."""
+    outside = [v for v in range(g.n) if v not in a.members]
+    nodes = 0
+
+    def power_sum(vs) -> Fraction:
+        return sum((g.weights[v] ** alpha for v in vs), Fraction(0))
+
+    def extend(start: int, chosen: list[int]) -> Optional[Improvement]:
+        nonlocal nodes
+        for i in range(start, len(outside)):
+            v = outside[i]
+            if any(g.has_edge(v, u) for u in chosen):
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"improvement search exceeded {budget} nodes")
+            chosen.append(v)
+            removed = neighborhood(chosen, a.members, g)
+            if power_sum(chosen) > power_sum(removed):
+                return Improvement(frozenset(chosen), frozenset(removed), Generic(Fraction(alpha)))
+            if len(chosen) < size_cap:
+                found = extend(i + 1, chosen)
+                if found is not None:
+                    return found
+            chosen.pop()
+        return None
+
+    return extend(0, [])
+
+
+def outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except BudgetExceededError as exc:
+        return ("budget", str(exc))
+
+
+# ------------------------------------------------------------ inputs
+
+
+@st.composite
+def prime_weighted_graphs(draw, max_n: int = 14):
+    """Weights with pairwise distinct prime denominators and magnitudes
+    2**-60..2**60; optionally one vertex weighs the sum of its neighbors,
+    level with it or a hair (about 2**-60 relative) above or below."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n) if pairs else st.just([]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    pw = PrimeWeights(rng)
+    weights = [pw.magnitude(e) for e in draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))]
+    g = ConflictGraph.from_edges(n, edges, weights)
+    tie = draw(st.sampled_from((None, "level", "above", "below")))
+    v = draw(st.integers(0, n - 1))
+    if tie is not None and g.adj[v]:
+        weights[v] = g.weight_of(g.adj[v])
+        if tie != "level":
+            weights[v] = pw.near_root(weights[v], 1, above=tie == "above")
+        g = g.reweighted(weights)
+    return g
+
+
+@st.composite
+def tied_graphs(draw, max_n: int = 14):
+    """Weights from {1/2, 1, 3/2, 2}, so that exact ties are common."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n) if pairs else st.just([]))
+    weights = draw(st.lists(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]),
+                            min_size=n, max_size=n))
+    return ConflictGraph.from_edges(n, edges, weights)
+
+
+def maximal_solution(g: ConflictGraph, rng: random.Random) -> Solution:
+    order = list(range(g.n))
+    rng.shuffle(order)
+    members: set[int] = set()
+    for v in order:
+        if not (g.adj_sets[v] & members):
+            members.add(v)
+    return Solution.of(g, members)
+
+
+# ------------------------------------------------------------ exact_mwis
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(prime_weighted_graphs(), tied_graphs()))
+def test_exact_mwis_matches_fraction_branch_and_bound(g):
+    best, best_w, nodes = ref_exact_mwis(g)
+    res = exact_mwis(g)
+    assert res.best.members == best
+    assert res.optimum_w == best_w == res.best.total_w
+    assert isinstance(res.optimum_w, Fraction)
+    assert res.nodes_explored == nodes
+    assert res.optimal
+    for budget in (1, 2, 3, 5, 8, 13, 21):
+        if budget >= nodes:
+            assert exact_mwis(g, budget=budget).nodes_explored == nodes
+            continue
+        with pytest.raises(BudgetExceededError) as got:
+            exact_mwis(g, budget=budget)
+        with pytest.raises(BudgetExceededError) as want:
+            ref_exact_mwis(g, budget=budget)
+        partial = got.value.partial
+        assert (partial.best.members, partial.optimum_w, partial.nodes_explored) == want.value.partial
+        assert not partial.optimal
+
+
+def test_exact_mwis_empty_graph():
+    res = exact_mwis(ConflictGraph.from_edges(0, [], []))
+    assert res.best.members == set() and res.optimum_w == 0 and res.nodes_explored == 1
+
+
+def test_exact_mwis_matches_networkx_clique_on_complement():
+    nx = pytest.importorskip("networkx")
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(1, 16)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+        if seed % 2:
+            pw = PrimeWeights(rng)
+            weights = [pw.magnitude(rng.randint(-60, 60)) for _ in range(n)]
+        else:
+            weights = [Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(n)]
+        g = ConflictGraph.from_edges(n, edges, weights)
+        scale = math.lcm(*(w.denominator for w in g.weights))
+        graph = nx.Graph(g.edges())
+        graph.add_nodes_from(range(n))
+        comp = nx.complement(graph)
+        for v in range(n):
+            comp.nodes[v]["weight"] = g.w_int[v]
+        clique, clique_w = nx.max_weight_clique(comp, weight="weight")
+        assert g.is_independent(clique)
+        assert exact_mwis(g).optimum_w * scale == clique_w
+
+
+def test_integer_weights_are_scaled_by_lcm_and_built_on_first_use():
+    inst = gen_random_packing(12, 3, 9, weight_dist=("near-unit", Fraction(1, 10)), seed=3)
+    g = build_conflict_graph(inst)
+    assert "w_int" not in g.__dict__ and "w2_int" not in g.__dict__
+    scale = math.lcm(*(w.denominator for w in g.weights))
+    assert g.w_int == tuple(w * scale for w in g.weights)
+    assert g.w2_int == tuple(x * x for x in g.w_int)
+
+
+# ------------------------------------------------------------ w**alpha search
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(prime_weighted_graphs(max_n=12), tied_graphs(max_n=12)),
+    st.sampled_from(ALPHAS),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_improvement_search_matches_fraction_search(g, alpha, cap, data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    a = maximal_solution(g, rng)
+    outside = [v for v in range(g.n) if v not in a.members]
+    graphs = [g]
+    if outside:
+        # a single outside vertex against its solution neighborhood, a hair
+        # above or below (or level with) the tie in w**alpha
+        u = data.draw(st.sampled_from(outside))
+        target = sum((g.weights[x] ** alpha for x in g.adj_sets[u] & a.members), Fraction(0))
+        for above in (False, True):
+            weights = list(g.weights)
+            weights[u] = PrimeWeights(rng).near_root(target, alpha, above)
+            graphs.append(g.reweighted(weights))
+    for h in graphs:
+        want = ref_improvement_search(h, a, alpha, cap)
+        assert exhaustive_improvement_search(h, a, Fraction(alpha), cap) == want
+        for budget in (1, 2, 3, 5, 8):
+            assert outcome(exhaustive_improvement_search, h, a, Fraction(alpha), cap, budget) == outcome(
+                ref_improvement_search, h, a, alpha, cap, budget
+            )
+
+
+def test_improvement_search_from_greedy_and_squareimp():
+    found = set()
+    for seed in range(8):
+        inst = gen_random_packing(12, 3, 9, weight_dist=("near-unit", Fraction(1, 10)), seed=seed)
+        g = build_conflict_graph(inst)
+        for a in (greedy(g), squareimp(g, SolverConfig(mode="squareimp")).final):
+            for alpha in ALPHAS:
+                want = ref_improvement_search(g, a, alpha, 3)
+                assert exhaustive_improvement_search(g, a, Fraction(alpha), 3) == want
+                found.add(want is None)
+    assert found == {True, False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(prime_weighted_graphs(max_n=10), st.sampled_from(ALPHAS), st.data())
+def test_power_weight_improves_integer_alpha_is_exact(g, alpha, data):
+    x = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    nx = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    lhs = sum((g.weights[v] ** alpha for v in x), Fraction(0))
+    rhs = sum((g.weights[v] ** alpha for v in nx), Fraction(0))
+    assert power_weight_improves(g, Fraction(alpha), x, nx) == (lhs > rhs)
+
+
+# ------------------------------------------------------------ certificate
+
+
+def test_certificate_builds_anchor_maps_once():
+    for seed in range(6):
+        inst = gen_random_packing(12, 3, 9, seed=seed)
+        g = build_conflict_graph(inst)
+        a = squareimp(g, SolverConfig(mode="squareimp")).final
+        opt = exact_mwis(g).best
+        with mock.patch.object(certify, "build_anchor_maps", wraps=build_anchor_maps) as spy:
+            rep = certify_local_optimum(g, a, opt, AnalysisParams.from_delta(Fraction(1, 2)))
+        assert spy.call_count == 1
+        standalone = compute_contributions(g, a, opt)
+        given_maps = compute_contributions(g, a, opt, build_anchor_maps(g, a))
+        assert standalone.contributions == given_maps.contributions == rep.contributions
+        assert standalone.contr_sum == given_maps.contr_sum == rep.contr_sum
