@@ -6,6 +6,12 @@ inequality, then cycle detection. Cycles of length 2 (parallel edges) are
 scanned directly; longer cycles are found either by an exhaustive DFS
 (complete, deterministic) or by randomized color coding over the packing
 universe with a colorful-cycle dynamic program.
+
+The anchor maps rank by the integer weights `ConflictGraph.w_int`, and the
+aux-graph build compares sums of `w_int` and `w2_int` (their squares), which
+order exactly as the rational sums do. `charge_to_anchor` and
+`aux_edge_check` are the per-vertex and per-edge definitions those sums
+decide; `validate_circular` re-checks every returned improvement with them.
 """
 
 from __future__ import annotations
@@ -48,10 +54,16 @@ class AnchorMaps:
 
 
 def build_anchor_maps(g: ConflictGraph, a: Solution) -> AnchorMaps:
+    """Anchor maps of every vertex outside `a`, ranked by `g.w_int`.
+
+    `w_int` is the weights times one positive integer, so it ranks solution
+    neighbors exactly as the rational weights do.
+    """
     heaviest: dict[int, int] = {}
     second: dict[int, int] = {}
     a_nbrs: dict[int, tuple[int, ...]] = {}
     members = a.members
+    w = g.w_int
     for u in range(g.n):
         if u in members:
             continue
@@ -59,11 +71,10 @@ def build_anchor_maps(g: ConflictGraph, a: Solution) -> AnchorMaps:
         if not nu:
             raise ContractError(f"vertex {u} has no solution neighbor; solution not maximal")
         a_nbrs[u] = nu
-        best = max(nu, key=lambda v: (g.weights[v], -v))
-        heaviest[u] = best
-        rest = [v for v in nu if v != best]
-        if rest:
-            second[u] = max(rest, key=lambda v: (g.weights[v], -v))
+        ranked = sorted(nu, key=lambda v: (-w[v], v))
+        heaviest[u] = ranked[0]
+        if len(ranked) > 1:
+            second[u] = ranked[1]
     return AnchorMaps(heaviest, second, a_nbrs)
 
 
@@ -263,6 +274,15 @@ def build_aux_graph(
     there that send strictly positive charge; the full vertex set over all
     independent companion sets is infeasible, and the restriction preserves
     the improvements the fixed-point analysis constructs.
+
+    Only integers are compared. A vertex u sends positive charge iff
+    2 w_int(u) > w_int(N(u,A)). The doubled `aux_edge_check` inequality of
+    an edge induced by u between companion sets y1 (at v1) and y2 (at v2)
+    is split into a per-u base and a per-aux-vertex net, both `w2_int` sums:
+    base(u) = 2 w2(u) - w2(v1) - w2(v2) - 2 w2(N(u,A) - {v1, v2}) and
+    net(y at v) = sum over x in y of w2(N(x,A) - {v}) - w2(x). The net does
+    not depend on u because every x in y has v as its heaviest anchor. The
+    edge exists iff base(u) > net(y1) + net(y2).
     """
     d_eff = d if d is not None else (g.d if g.d is not None else g.n + 1)
     y_cap = min(params.y_cap, d_eff - 1)
@@ -270,16 +290,21 @@ def build_aux_graph(
     if y_cap < d_eff - 1:
         notes.append(f"aux companion sets capped at {y_cap} (claw bound allows {d_eff - 1})")
 
+    w, w2 = g.w_int, g.w2_int
+    a_nbrs = maps.a_neighbors
     anchored: dict[int, list[int]] = {}
     for u in sorted(maps.heaviest):
-        if charge_to_anchor(g, maps, u) > 0:
+        if 2 * w[u] > sum(w[x] for x in a_nbrs[u]):
             anchored.setdefault(maps.heaviest[u], []).append(u)
 
     h = AuxGraph(notes=tuple(notes))
     with_elements = inst is not None
     vid_by_anchor: dict[int, list[int]] = {}
+    net: list[int] = []
     for v in sorted(a.members):
-        subsets = _independent_subsets(g, anchored.get(v, []), y_cap)
+        cands = anchored.get(v, [])
+        spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
+        subsets = _independent_subsets(g, cands, y_cap)
         subsets.sort(key=lambda y: (-len(y), y))
         ids = []
         for y in subsets:
@@ -291,38 +316,39 @@ def build_aux_graph(
             if with_elements:
                 elems = frozenset(e for x in y for e in inst.sets[x])
             ids.append(h.add_vertex(AuxVertex(v, y), elems))
+            net.append(sum(spill[x] for x in y))
         vid_by_anchor[v] = ids
 
+    ys = [av.y for av in h.vertices]
+    adj = g.adj_sets
     checks = 0
     for u in sorted(maps.second):
         v1 = maps.heaviest[u]
         v2 = maps.second[u]
+        nbrs = adj[u]
+        # u is anchored at v1, so no companion set at v2 contains it.
+        side_b = [ib for ib in vid_by_anchor.get(v2, []) if nbrs.isdisjoint(ys[ib])]
+        if not side_b:
+            continue
+        base = 2 * w2[u] - w2[v1] - w2[v2]
+        base -= 2 * sum(w2[x] for x in a_nbrs[u] if x != v1 and x != v2)
+        elems = frozenset(inst.sets[u]) if with_elements else None
         for ia in vid_by_anchor.get(v1, []):
-            y1 = h.vertices[ia].y
-            if u in y1 or any(g.has_edge(u, x) for x in y1):
+            y1 = ys[ia]
+            if u in y1 or not nbrs.isdisjoint(y1):
                 continue
-            for ib in vid_by_anchor.get(v2, []):
-                y2 = h.vertices[ib].y
-                if u in y2 or any(g.has_edge(u, x) for x in y2):
-                    continue
-                if any(g.has_edge(x, z) for x in y1 for z in y2):
+            bound = base - net[ia]
+            for ib in side_b:
+                if y1 and any(not adj[x].isdisjoint(ys[ib]) for x in y1):
                     continue
                 checks += 1
                 if checks > params.max_aux_edge_checks:
                     raise SearchIncompleteError(
                         f"aux graph exceeded {params.max_aux_edge_checks} edge checks"
                     )
-                if aux_edge_check(u, y1, y2, g, a, maps):
-                    elems = frozenset(inst.sets[u]) if with_elements else None
+                if bound > net[ib]:
                     h.add_edge(ia, ib, u, elems)
     return h
-
-
-def _supports_compatible(g: ConflictGraph, support: set[int], new: Iterable[int]) -> bool:
-    for x in new:
-        if x in support or (g.adj_sets[x] & support):
-            return False
-    return True
 
 
 def _assemble(
@@ -347,12 +373,12 @@ def _assemble(
 
 
 def _two_cycle_candidates(g: ConflictGraph, h: AuxGraph) -> Iterator[tuple[list[int], list[int]]]:
-    for pair in sorted(h.parallel_groups().values(), key=lambda idxs: idxs[0]):
+    for pair in h.parallel_groups().values():
         for i in range(len(pair)):
             for j in range(i + 1, len(pair)):
                 e1, e2 = h.edges[pair[i]], h.edges[pair[j]]
                 support = set(h.vertices[e1.a].y) | set(h.vertices[e1.b].y) | {e1.inducer}
-                if not _supports_compatible(g, support, [e2.inducer]):
+                if not _supports_compatible_seq(g, support, [e2.inducer]):
                     continue
                 yield [e1.a, e1.b], [pair[i], pair[j]]
 
@@ -383,7 +409,7 @@ def _dfs_cycles(
             if ei in eseq:
                 continue
             if nxt == start:
-                if len(eseq) >= 2 and _supports_compatible(g, support, [e.inducer]):
+                if len(eseq) >= 2 and _supports_compatible_seq(g, support, [e.inducer]):
                     yield vseq[:], eseq + [ei]
                 continue
             if nxt < start or nxt in vseq:
@@ -517,6 +543,23 @@ def _reduce_to_simple_cycle(
         eseq = eseq[p:q]
 
 
+def _colorful_cycles(
+    h: AuxGraph,
+    coloring: Sequence[int],
+    max_len: int,
+    state_budget: int,
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Simple colorful cycles of length 3..max_len in H, in DP order."""
+    if h.elements_v is None or h.elements_e is None:
+        raise InputError("aux graph carries no element sets; colorful search unavailable")
+    vmask = [_color_mask(coloring, els) for els in h.elements_v]
+    emask = [_color_mask(coloring, els) for els in h.elements_e]
+    for vseq, eseq in _colorful_candidates(h, vmask, emask, max_len, state_budget):
+        cvseq, ceseq = _reduce_to_simple_cycle(vseq, eseq)
+        if 3 <= len(ceseq) <= max_len:
+            yield cvseq, ceseq
+
+
 def colorful_cycle_dp(
     h: AuxGraph,
     coloring: Sequence[int],
@@ -530,15 +573,7 @@ def colorful_cycle_dp(
     here and the sweep continues, so completeness for lengths 3..max_len is
     unaffected.
     """
-    if h.elements_v is None or h.elements_e is None:
-        raise InputError("aux graph carries no element sets; colorful search unavailable")
-    vmask = [_color_mask(coloring, els) for els in h.elements_v]
-    emask = [_color_mask(coloring, els) for els in h.elements_e]
-    for vseq, eseq in _colorful_candidates(h, vmask, emask, max_len, state_budget):
-        cvseq, ceseq = _reduce_to_simple_cycle(vseq, eseq)
-        if 3 <= len(ceseq) <= max_len:
-            return cvseq, ceseq
-    return None
+    return next(_colorful_cycles(h, coloring, max_len, state_budget), None)
 
 
 def run_color_coding(
@@ -549,33 +584,27 @@ def run_color_coding(
     inst: PackingInstance,
     rng: random.Random,
     h: Optional[AuxGraph] = None,
+    d: Optional[int] = None,
 ) -> Optional[Improvement]:
     """Randomized circular search: repeat (color universe, run the cycle DP).
 
     Sound in every trial; finds an existing improvement with probability at
-    least the injectivity bound per trial, amplified over repetitions.
+    least the injectivity bound per trial, amplified over repetitions. `d`
+    is the claw bound for the aux graph and for validation, as in
+    `find_circular_improvement`.
     """
     if inst is None:
         raise InputError("randomized circular search needs the packing instance")
     if h is None:
-        h = build_aux_graph(g, a, maps, params, inst=inst)
+        h = build_aux_graph(g, a, maps, params, inst=inst, d=d)
     if not h.edges:
         return None
     max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
-    vmask_src = h.elements_v
-    emask_src = h.elements_e
-    if vmask_src is None or emask_src is None:
-        raise InputError("aux graph carries no element sets; colorful search unavailable")
     for _ in range(params.repetitions):
         coloring = [rng.randrange(params.t) for _ in range(inst.universe_size)]
-        vmask = [_color_mask(coloring, els) for els in vmask_src]
-        emask = [_color_mask(coloring, els) for els in emask_src]
-        for vseq, eseq in _colorful_candidates(h, vmask, emask, max_len, params.max_dp_states):
-            cvseq, ceseq = _reduce_to_simple_cycle(vseq, eseq)
-            if not 3 <= len(ceseq) <= max_len:
-                continue
+        for cvseq, ceseq in _colorful_cycles(h, coloring, max_len, params.max_dp_states):
             imp = _assemble(g, a, h, cvseq, ceseq)
-            if validate_circular(g, a, maps, imp, d=g.d):
+            if validate_circular(g, a, maps, imp, d=d):
                 return imp
     return None
 
@@ -600,15 +629,15 @@ def find_circular_improvement(
     max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
     for vorder, eorder in _two_cycle_candidates(g, h):
         imp = _assemble(g, a, h, vorder, eorder)
-        if validate_circular(g, a, maps, imp, d=d if d is not None else g.d):
+        if validate_circular(g, a, maps, imp, d=d):
             return imp
     if params.mode == "rand":
         if inst is None:
             raise InputError("randomized circular search needs the packing instance")
-        return run_color_coding(g, a, maps, params, inst, rng or random.Random(0), h=h)
+        return run_color_coding(g, a, maps, params, inst, rng or random.Random(0), h=h, d=d)
     for vorder, eorder in _dfs_cycles(g, h, max_len, params.max_dfs_nodes):
         imp = _assemble(g, a, h, vorder, eorder)
-        if validate_circular(g, a, maps, imp, d=d if d is not None else g.d):
+        if validate_circular(g, a, maps, imp, d=d):
             return imp
     return None
 

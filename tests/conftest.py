@@ -171,6 +171,21 @@ def circular_improvement_exists_bruteforce(g, a, maps, d, positive_only=False, y
     return False
 
 
+def ref_aux_sides(u, y1, y2, g: ConflictGraph, maps) -> tuple[Fraction, Fraction]:
+    """Both sides of the per-edge inequality in Fraction arithmetic."""
+    v1 = maps.heaviest[u]
+    v2 = maps.second[u]
+    w = g.weights
+    lhs = w[u] ** 2 + Fraction(1, 2) * (g.squared_weight_of(y1) + g.squared_weight_of(y2))
+    rhs = (w[v1] ** 2 + w[v2] ** 2) / 2
+    rhs += sum((w[x] ** 2 for x in maps.a_neighbors[u] if x != v1 and x != v2), Fraction(0))
+    for x in y1:
+        rhs += Fraction(1, 2) * sum((w[z] ** 2 for z in maps.a_neighbors[x] if z != v1), Fraction(0))
+    for x in y2:
+        rhs += Fraction(1, 2) * sum((w[z] ** 2 for z in maps.a_neighbors[x] if z != v2), Fraction(0))
+    return lhs, rhs
+
+
 def iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 0, k >= 1."""
     if n < 2 or k == 1:

@@ -1,16 +1,24 @@
+import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from conftest import enumerate_colorful_cycles
+from conftest import PrimeWeights, enumerate_colorful_cycles, ref_aux_sides
 
+from clawpack import circular
 from clawpack.circular import (
+    AnchorMaps,
     AuxGraph,
     AuxVertex,
     ColorCodingParams,
+    SearchIncompleteError,
+    _independent_subsets,
     aux_edge_check,
     build_anchor_maps,
+    build_aux_graph,
+    charge_to_anchor,
     colorful_cycle_dp,
     find_circular_improvement,
     max_cycle_len_for,
@@ -29,6 +37,7 @@ from clawpack.instances import (
     build_conflict_graph,
 )
 from clawpack.oracle import exhaustive_improvement_search
+from clawpack.solvers import SolverConfig, logimp
 
 
 def berman_setup(d=4):
@@ -46,10 +55,10 @@ def test_anchor_maps_weighted():
 
 
 def test_anchor_maps_tie_to_lowest_id():
-    g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [5, 5, 1], d=3)
-    a = Solution.of(g, {0, 1})
+    g = ConflictGraph.from_edges(4, [(3, 0), (3, 1), (3, 2)], [5, 5, 5, 1], d=4)
+    a = Solution.of(g, {0, 1, 2})
     maps = build_anchor_maps(g, a)
-    assert maps.heaviest[2] == 0 and maps.second[2] == 1
+    assert maps.heaviest[3] == 0 and maps.second[3] == 1
 
 
 def test_anchor_maps_berman_pair():
@@ -363,3 +372,221 @@ def test_soundness_revalidation_fields():
     for u in k.u:
         assert aux_edge_check(u, y[maps.heaviest[u]], y[maps.second[u]], g, a, maps)
     assert g.squared_weight_of(imp.x) > g.squared_weight_of(imp.removed)
+
+
+# ------------------------------------------------- integer anchor maps and aux graph
+#
+# The references below are the rational-arithmetic forms of the anchor maps
+# and the aux-graph build that the integer code replaced; they are kept here
+# on purpose, as a second route to the same maps, vertices and edges.
+
+
+def ref_build_anchor_maps(g, a):
+    heaviest, second, a_nbrs = {}, {}, {}
+    for u in range(g.n):
+        if u in a.members:
+            continue
+        nu = tuple(v for v in g.adj[u] if v in a.members)
+        a_nbrs[u] = nu
+        best = max(nu, key=lambda v: (g.weights[v], -v))
+        heaviest[u] = best
+        rest = [v for v in nu if v != best]
+        if rest:
+            second[u] = max(rest, key=lambda v: (g.weights[v], -v))
+    return AnchorMaps(heaviest, second, a_nbrs)
+
+
+def ref_build_aux_graph(g, a, maps, params, inst=None):
+    """The aux-graph build with Fraction charges and edge checks; also
+    returns how many edge checks it made."""
+    d_eff = g.d if g.d is not None else g.n + 1
+    y_cap = min(params.y_cap, d_eff - 1)
+    anchored = {}
+    for u in sorted(maps.heaviest):
+        if g.weights[u] - g.weight_of(maps.a_neighbors[u]) / 2 > 0:
+            anchored.setdefault(maps.heaviest[u], []).append(u)
+    h = AuxGraph()
+    vid_by_anchor = {}
+    for v in sorted(a.members):
+        subsets = _independent_subsets(g, anchored.get(v, []), y_cap)
+        subsets.sort(key=lambda y: (-len(y), y))
+        ids = []
+        for y in subsets:
+            if len(h.vertices) >= params.max_aux_vertices:
+                raise SearchIncompleteError("vertices")
+            elems = frozenset(e for x in y for e in inst.sets[x]) if inst else None
+            ids.append(h.add_vertex(AuxVertex(v, y), elems))
+        vid_by_anchor[v] = ids
+    checks = 0
+    for u in sorted(maps.second):
+        v1, v2 = maps.heaviest[u], maps.second[u]
+        for ia in vid_by_anchor.get(v1, []):
+            y1 = h.vertices[ia].y
+            if u in y1 or any(g.has_edge(u, x) for x in y1):
+                continue
+            for ib in vid_by_anchor.get(v2, []):
+                y2 = h.vertices[ib].y
+                if u in y2 or any(g.has_edge(u, x) for x in y2):
+                    continue
+                if any(g.has_edge(x, z) for x in y1 for z in y2):
+                    continue
+                checks += 1
+                if checks > params.max_aux_edge_checks:
+                    raise SearchIncompleteError("edge checks")
+                lhs, rhs = ref_aux_sides(u, y1, y2, g, maps)
+                if lhs > rhs:
+                    h.add_edge(ia, ib, u, frozenset(inst.sets[u]) if inst else None)
+    return h, checks
+
+
+def weighted_case(seed: int, kind: str):
+    """A random graph (odd seeds) or k=3 packing (even seeds), a random
+    maximal solution, and weights of the given kind:
+
+    - "prime": distinct prime denominators, magnitudes 2**-60..2**60;
+    - "ties": on the solution, prime weights, copies of them and copies a
+      relative 2**-70 off; outside it, exact zero charges
+      (2 w(u) = w(N(u,A))), charges a relative 2**-70 off zero on either
+      side, and aux-edge near-ties for empty companion sets;
+    - "equal": weights from {1, 2} on the solution and {1, 3/2, 2} outside,
+      so anchors and aux-edge sums tie exactly.
+    """
+    rng = random.Random(seed)
+    if seed % 2:
+        n = rng.randint(8, 18)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        g, inst = ConflictGraph.from_edges(n, edges, [1] * n), None
+    else:
+        universe = rng.randint(10, 16)
+        sets = [rng.sample(range(universe), 3) for _ in range(rng.randint(10, 18))]
+        inst = PackingInstance.build(universe, sets, [1] * len(sets), k=3)
+        g = build_conflict_graph(inst)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    members: set[int] = set()
+    for v in order:
+        if not (g.adj_sets[v] & members):
+            members.add(v)
+    pw = PrimeWeights(rng)
+    low = rng.randint(-60, 57)
+    weights = [None] * g.n
+    placed: list[Fraction] = []
+    for v in sorted(members):
+        pick = rng.randrange(3) if kind == "ties" and placed else 0
+        if kind == "equal":
+            weights[v] = Fraction(rng.choice([1, 2]))
+        elif pick == 0:
+            weights[v] = pw.magnitude(low + rng.randint(0, 1))
+        elif pick == 1:
+            weights[v] = rng.choice(placed)
+        else:
+            weights[v] = rng.choice(placed) * (1 + Fraction(rng.choice([-1, 1]), pw.prime_above(70)))
+        placed.append(weights[v])
+    for u in range(g.n):
+        if u in members:
+            continue
+        nu = [v for v in g.adj[u] if v in members]
+        half = sum(weights[v] for v in nu) / 2
+        pick = rng.randrange(4)
+        if kind == "equal":
+            weights[u] = Fraction(rng.choice([2, 3, 4]), 2)
+        elif kind == "prime" or pick == 0:
+            weights[u] = pw.magnitude(low + rng.randint(-1, 3))
+        elif pick == 1:
+            weights[u] = half
+        elif pick == 2 or len(nu) < 2:
+            weights[u] = half * (1 + Fraction(rng.choice([-1, 1]), pw.prime_above(70)))
+        else:
+            v1, v2 = sorted(nu, key=lambda v: (-weights[v], v))[:2]
+            rest = sum(weights[v] ** 2 for v in nu if v not in (v1, v2))
+            target = (weights[v1] ** 2 + weights[v2] ** 2) / 2 + rest
+            weights[u] = pw.near_root(target, 2, rng.random() < 0.5)
+    return g.reweighted(weights), Solution.of(g, members), inst
+
+
+def aux_outcome(build, params):
+    try:
+        h = build(params)
+    except SearchIncompleteError:
+        return "incomplete"
+    return h.vertices, h.edges, h.elements_v, h.elements_e
+
+
+@pytest.mark.parametrize("kind", ["prime", "ties", "equal"])
+def test_integer_aux_graph_matches_fraction_build(kind):
+    seen = {"edges": 0, "companions": 0, "excluded": 0}
+    for seed in range(40):
+        g, a, inst = weighted_case(seed, kind)
+        maps = build_anchor_maps(g, a)
+        ref = ref_build_anchor_maps(g, a)
+        assert (maps.heaviest, maps.second, maps.a_neighbors) == (
+            ref.heaviest, ref.second, ref.a_neighbors
+        )
+        params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
+        want, checks = ref_build_aux_graph(g, a, ref, params, inst)
+        got = build_aux_graph(g, a, maps, params, inst)
+        assert (got.vertices, got.edges) == (want.vertices, want.edges)
+        assert (got.elements_v, got.elements_e) == (want.elements_v, want.elements_e)
+        for cap in {0, checks // 2, checks - 1, checks, checks + 1} - {-1}:
+            capped = dataclasses.replace(params, max_aux_edge_checks=cap)
+            expect = aux_outcome(lambda p: ref_build_aux_graph(g, a, ref, p, inst)[0], capped)
+            assert aux_outcome(lambda p: build_aux_graph(g, a, maps, p, inst), capped) == expect
+            assert (expect == "incomplete") == (cap < checks)
+        seen["edges"] += len(got.edges)
+        seen["companions"] += sum(1 for v in got.vertices if v.y)
+        seen["excluded"] += sum(
+            1 for u in maps.heaviest if 2 * g.weights[u] == g.weight_of(maps.a_neighbors[u])
+        )
+    assert seen["edges"] > 0 and seen["companions"] > 0
+    if kind == "ties":
+        assert seen["excluded"] > 0
+
+
+def test_zero_charge_joins_no_companion_set():
+    # w(3) = (w(0) + w(1)) / 2 exactly: zero charge, so 3 is in no Y; 4 is
+    # a hair heavier than that and joins the companion sets at anchor 0
+    eps = Fraction(1, 2 ** 80 + 13)
+    g = ConflictGraph.from_edges(
+        6, [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (5, 2)],
+        [Fraction(3), Fraction(1), Fraction(5), Fraction(2), 2 + eps, Fraction(7)], d=4,
+    )
+    a = Solution.of(g, {0, 1, 2})
+    maps = build_anchor_maps(g, a)
+    assert charge_to_anchor(g, maps, 3) == 0 and charge_to_anchor(g, maps, 4) > 0
+    h = build_aux_graph(g, a, maps, ColorCodingParams(t=1, repetitions=1, max_cycle_len=8))
+    ys = {x for v in h.vertices for x in v.y}
+    assert 3 not in ys and 4 in ys
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "rand"])
+def test_circular_modes_validate_with_the_configured_claw_bound(mode):
+    inst, g, a = berman_setup(4)
+    cfg = SolverConfig(
+        mode="logimp",
+        d=g.d + 1,
+        circular=ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode=mode),
+    )
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("d"))
+        return validate_circular(*args, **kwargs)
+
+    with mock.patch.object(circular, "validate_circular", spy):
+        trace = logimp(g, cfg, start=a, inst=inst)
+    assert "circular" in [r.kind for r in trace.improvements]
+    assert seen and set(seen) == {g.d + 1}
+
+
+def test_anchor_maps_and_aux_graph_build_no_fraction():
+    inst, g, a = berman_setup(5)
+    params = ColorCodingParams.defaults(g, inst)
+    g.w2_int  # the integer weights are built once per graph, with Fractions
+
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    with mock.patch.object(Fraction, "__new__", no_fraction):
+        maps = build_anchor_maps(g, a)
+        h = build_aux_graph(g, a, maps, params, inst)
+    assert h.edges

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 from unittest import mock
 
-from conftest import PrimeWeights
+from conftest import PrimeWeights, ref_aux_sides
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,21 +73,6 @@ def ref_find_claw_improvement(g: ConflictGraph, a: Solution, d: int) -> Optional
             removed = neighborhood(got, members, g)
             return Improvement(got, frozenset(removed), ClawShaped(center=c))
     return None
-
-
-def ref_aux_sides(u, y1, y2, g: ConflictGraph, maps) -> tuple[Fraction, Fraction]:
-    """Both sides of the per-edge inequality in Fraction arithmetic."""
-    v1 = maps.heaviest[u]
-    v2 = maps.second[u]
-    w = g.weights
-    lhs = w[u] ** 2 + Fraction(1, 2) * (g.squared_weight_of(y1) + g.squared_weight_of(y2))
-    rhs = (w[v1] ** 2 + w[v2] ** 2) / 2
-    rhs += sum((w[x] ** 2 for x in maps.a_neighbors[u] if x != v1 and x != v2), Fraction(0))
-    for x in y1:
-        rhs += Fraction(1, 2) * sum((w[z] ** 2 for z in maps.a_neighbors[x] if z != v1), Fraction(0))
-    for x in y2:
-        rhs += Fraction(1, 2) * sum((w[z] ** 2 for z in maps.a_neighbors[x] if z != v2), Fraction(0))
-    return lhs, rhs
 
 
 def ref_greedy(g: ConflictGraph) -> Solution:
