@@ -5,8 +5,8 @@ optima and certificates attached where feasible, emitted as CSV or JSON.
 from __future__ import annotations
 
 import json
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -141,21 +141,25 @@ def _run_row(
 def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     """Execute the instances x algorithms x seeds cross product.
 
-    Rows are assembled in index order regardless of completion order, so
-    reports are deterministic for fixed seeds (timings aside).
+    With `jobs` > 1 the rows run in up to min(jobs, CPU count, rows) worker
+    processes. Rows are assembled in index order regardless of completion
+    order, so reports are deterministic for fixed seeds (timings aside).
     """
     instances = []
     for inst_spec in config.get("instances", []):
-        name = inst_spec["id"]
-        if "path" in inst_spec:
-            obj = formats.load(inst_spec["path"])
-            if isinstance(obj, PackingInstance):
-                instances.append((name, build_conflict_graph(obj), obj, inst_spec))
+        try:
+            name = inst_spec["id"]
+            if "path" in inst_spec:
+                obj = formats.load(inst_spec["path"])
+                if isinstance(obj, PackingInstance):
+                    instances.append((name, build_conflict_graph(obj), obj, inst_spec))
+                else:
+                    instances.append((name, obj, None, inst_spec))
             else:
-                instances.append((name, obj, None, inst_spec))
-        else:
-            inst, g = instance_from_gen_spec(inst_spec["gen"])
-            instances.append((name, g, inst, inst_spec))
+                inst, g = instance_from_gen_spec(inst_spec["gen"])
+                instances.append((name, g, inst, inst_spec))
+        except KeyError as exc:
+            raise InputError(f"suite instance {inst_spec!r} lacks field {exc}") from exc
     algos = config.get("algorithms", [])
     seeds = [int(s) for s in config.get("seeds", [0])]
     oracle_limit = int(config.get("oracle_limit", 20))
@@ -171,19 +175,19 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
         for algo_spec in algos:
             start = algo_spec.get("start", inst_spec.get("start"))
             for seed in seeds:
-                tasks.append((name, g, inst, algo_spec, seed, start))
-    if jobs <= 1:
-        rows = [
-            _run_row(name, g, inst, spec, seed, optima[name], delta, start)
-            for name, g, inst, spec, seed, start in tasks
-        ]
+                tasks.append((name, g, inst, algo_spec, seed, optima[name], delta, start))
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        rows = [_run_row(*task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_row, name, g, inst, spec, seed, optima[name], delta, start)
-                for name, g, inst, spec, seed, start in tasks
-            ]
-            rows = [f.result() for f in futures]
+        # imported here, so the serial path does not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawned workers, since fork is unsafe in a process with threads; a
+        # chunk goes as one pickle, which sends a graph its rows share once
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            rows = list(pool.map(_run_row, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * workers))))
     return BenchReport(rows=rows)
 
 

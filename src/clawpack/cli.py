@@ -31,10 +31,31 @@ from .solvers import SolverConfig, solve
 
 
 def _load_graph(path: str) -> tuple[ConflictGraph, PackingInstance | None]:
-    obj = formats.load(path)
+    try:
+        obj = formats.load(path)
+    except InputError as exc:
+        raise click.ClickException(f"{path}: {exc}") from exc
     if isinstance(obj, PackingInstance):
         return build_conflict_graph(obj), obj
     return obj, None
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise click.ClickException(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _fraction(text: str | None, option: str) -> Fraction | None:
+    """An exact rational option value; a malformed one is a usage error."""
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.ClickException(f"{option}: not a rational number: {text!r}") from exc
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -49,7 +70,17 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=None, separators=(",", ":"), sort_keys=True) + "\n"
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports an InputError from any subcommand as `Error: ...`, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InputError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Solvers, certifiers, and generators for weighted set packing and the
     maximum weight independent set in claw-constrained graphs."""
@@ -104,9 +135,9 @@ def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
         )
     cfg = SolverConfig(
         mode=mode,
-        alpha=Fraction(alpha) if alpha is not None else None,
-        size_cap_factor=Fraction(cap_c),
-        scaling_n=Fraction(scale_n) if scale_n is not None else None,
+        alpha=_fraction(alpha, "--alpha"),
+        size_cap_factor=_fraction(cap_c, "--cap-c"),
+        scaling_n=_fraction(scale_n, "--scale-n"),
         rng_seed=seed,
         circular=circular,
         d=claw_d,
@@ -134,7 +165,7 @@ def gen_berman(d, out_path) -> None:
 @click.option("--eps", type=str, required=True)
 @click.option("--out", "out_path", required=True, type=str)
 def gen_cycle(pairs, d, eps, out_path) -> None:
-    g, _, _ = generators.gen_alternating_cycle(pairs, d, Fraction(eps))
+    g, _, _ = generators.gen_alternating_cycle(pairs, d, _fraction(eps, "--eps"))
     formats.dump(g, out_path)
 
 
@@ -149,10 +180,10 @@ def gen_cycle(pairs, d, eps, out_path) -> None:
 def gen_lowerbound(d, alpha, eps, girth_l, eps_d, seed, out_path) -> None:
     params = generators.LowerBoundParams(
         d=d,
-        alpha=Fraction(alpha),
-        eps=Fraction(eps),
+        alpha=_fraction(alpha, "--alpha"),
+        eps=_fraction(eps, "--eps"),
         target_girth=girth_l,
-        eps_d=Fraction(eps_d) if eps_d else None,
+        eps_d=_fraction(eps_d, "--eps-d") if eps_d else None,
     )
     base = generators.gen_high_girth_regular(d - 1, girth_l, seed=seed)
     g, _, _ = generators.gen_incidence_lowerbound(params, base)
@@ -181,15 +212,14 @@ def gen_random(n_sets, k, universe, seed, dist, out_path) -> None:
 def verify(in_path, sol_path, delta, out_path) -> None:
     """Certify a solution file against the exact optimum of an instance."""
     g, _ = _load_graph(in_path)
-    with open(sol_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    members = doc.get("final_members", doc.get("members"))
-    if members is None:
-        raise click.ClickException("solution JSON needs 'members' or 'final_members'")
+    doc = _read_json(sol_path)
+    members = doc.get("final_members", doc.get("members")) if isinstance(doc, dict) else None
+    if not isinstance(members, list) or not all(type(v) is int for v in members):
+        raise click.ClickException("solution JSON needs 'members' or 'final_members', a list of vertex ids")
     try:
         sol = Solution.of(g, members)
         opt = exact_mwis(g)
-        report = certify_local_optimum(g, sol, opt.best, AnalysisParams.from_delta(Fraction(delta)))
+        report = certify_local_optimum(g, sol, opt.best, AnalysisParams.from_delta(_fraction(delta, "--delta")))
     except (InputError, ContractError) as exc:
         raise click.ClickException(str(exc))
     _write_out(_json_dumps(report.to_json_obj()), out_path)
@@ -205,9 +235,9 @@ def verify(in_path, sol_path, delta, out_path) -> None:
 def constants_cmd(delta, eps_tilde, eps_prime, out_path) -> None:
     """Evaluate the fourteen threshold inequalities at the given delta."""
     report = check_constants(
-        Fraction(delta),
-        eps_tilde=Fraction(eps_tilde) if eps_tilde else None,
-        eps_prime=Fraction(eps_prime) if eps_prime else None,
+        _fraction(delta, "--delta"),
+        eps_tilde=_fraction(eps_tilde, "--eps-tilde") if eps_tilde else None,
+        eps_prime=_fraction(eps_prime, "--eps-prime") if eps_prime else None,
     )
     _write_out(_json_dumps(report.to_json_obj()), out_path)
     if not report.all_ok:
@@ -221,9 +251,7 @@ def constants_cmd(delta, eps_tilde, eps_prime, out_path) -> None:
 @click.option("--times", is_flag=True, help="emit measured wall times (breaks rerun byte-identity)")
 def bench_cmd(suite, jobs, out_path, times) -> None:
     """Run a benchmark suite; exit 0 iff no row errored and all certificates passed."""
-    with open(suite, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    report = bench_mod.run_bench(config, jobs=jobs)
+    report = bench_mod.run_bench(_read_json(suite), jobs=jobs)
     fmt = "json" if out_path.endswith(".json") else "csv"
     _write_out(bench_mod.emit_report(report, fmt=fmt, times=times), out_path)
     if not report.all_ok():

@@ -79,7 +79,7 @@ def parse_text(text: str) -> Parsed:
             raise InputError(f"header promises {n} sets, found {len(sets)}")
         return PackingInstance.build(universe, sets, set_weights, k)
     _, n, m = header
-    if sorted(vert_weights) != list(range(n)):
+    if len(vert_weights) != n or not all(0 <= v < n for v in vert_weights):
         raise InputError("vertex records must cover ids 0..n-1 exactly")
     if len(edges) != m:
         raise InputError(f"header promises {m} edges, found {len(edges)}")
@@ -124,19 +124,42 @@ def to_json_obj(obj: Parsed) -> dict:
     }
 
 
+def _field(doc: dict, name: str, kind: type, what: str):
+    """doc[name], which must be a `kind` (never a bool)."""
+    if name not in doc:
+        raise InputError(f"missing field {name!r}")
+    return _typed(doc[name], kind, what)
+
+
+def _typed(value, kind: type, what: str):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"{what} must be {'an integer' if kind is int else 'a list'}, got {value!r}")
+    return value
+
+
 def from_json_obj(doc: dict) -> Parsed:
+    """Build an instance from the JSON mirror; malformed documents raise
+    InputError."""
+    if not isinstance(doc, dict):
+        raise InputError(f"instance JSON must be an object, got {type(doc).__name__}")
     kind = doc.get("kind")
+    if kind not in ("ksp", "mwis"):
+        raise InputError(f"unknown kind {kind!r}")
+    weights = [_parse_weight(str(w)) for w in _field(doc, "weights", list, "weights")]
     if kind == "ksp":
+        sets = [
+            [_typed(e, int, "a set element") for e in _typed(s, list, "a set")]
+            for s in _field(doc, "sets", list, "sets")
+        ]
         return PackingInstance.build(
-            doc["universe"],
-            doc["sets"],
-            [_parse_weight(str(w)) for w in doc["weights"]],
-            doc["k"],
+            _field(doc, "universe", int, "universe"), sets, weights, _field(doc, "k", int, "k")
         )
-    if kind == "mwis":
-        weights = [_parse_weight(str(w)) for w in doc["weights"]]
-        return ConflictGraph.from_edges(len(weights), [tuple(e) for e in doc["edges"]], weights)
-    raise InputError(f"unknown kind {kind!r}")
+    edges = []
+    for e in _field(doc, "edges", list, "edges"):
+        if len(_typed(e, list, "an edge")) != 2:
+            raise InputError(f"an edge must have two endpoints, got {e!r}")
+        edges.append((_typed(e[0], int, "an endpoint"), _typed(e[1], int, "an endpoint")))
+    return ConflictGraph.from_edges(len(weights), edges, weights)
 
 
 def to_json(obj: Parsed) -> str:
@@ -148,7 +171,11 @@ def load(path: str) -> Parsed:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json"):
-        return from_json_obj(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"not valid JSON: {exc}") from exc
+        return from_json_obj(doc)
     return parse_text(text)
 
 

@@ -145,13 +145,19 @@ class ConflictGraph:
         return tuple(frozenset(nbrs) for nbrs in self.adj)
 
     @cached_property
+    def w_lcm(self) -> int:
+        """L, the lcm of the weight denominators (1 for an empty graph)."""
+        return math.lcm(*(w.denominator for w in self.weights))
+
+    @cached_property
     def w_int(self) -> tuple[int, ...]:
-        """Weights times L, the lcm of the weight denominators.
+        """Weights times `w_lcm`.
 
         Every entry is an integer, and sums of them order exactly as the
-        Fraction sums of the weights do. Built on first use.
+        Fraction sums of the weights do; a sum over L is the Fraction sum.
+        Built on first use.
         """
-        lcm = math.lcm(*(w.denominator for w in self.weights))
+        lcm = self.w_lcm
         return tuple(w.numerator * (lcm // w.denominator) for w in self.weights)
 
     @cached_property
@@ -225,13 +231,18 @@ class Solution:
     def copy(self) -> "Solution":
         return Solution(set(self.members), self.total_w, self.total_w2)
 
-    def apply(self, g: ConflictGraph, imp: "Improvement") -> None:
-        """Swap imp.x in and imp.removed out, keeping the caches coherent."""
-        for v in imp.removed:
-            self.members.discard(v)
+    def apply(self, g: ConflictGraph, imp: "Improvement", delta_w2: Optional[Fraction] = None) -> None:
+        """Swap imp.x in and imp.removed out, keeping the caches coherent.
+
+        The totals move by exact integer deltas: sums of `g.w_int` over L
+        and sums of `g.w2_int` over L**2. `delta_w2`, when given, is
+        `imp.delta_w2(g)` already computed by the caller.
+        """
+        self.members -= imp.removed
         self.members |= imp.x
-        self.total_w += g.weight_of(imp.x) - g.weight_of(imp.removed)
-        self.total_w2 += g.squared_weight_of(imp.x) - g.squared_weight_of(imp.removed)
+        w = g.w_int
+        self.total_w += Fraction(sum(w[v] for v in imp.x) - sum(w[v] for v in imp.removed), g.w_lcm)
+        self.total_w2 += imp.delta_w2(g) if delta_w2 is None else delta_w2
 
     def __contains__(self, v: int) -> bool:
         return v in self.members
@@ -290,7 +301,10 @@ class Improvement:
         return len(self.x)
 
     def delta_w2(self, g: ConflictGraph) -> Fraction:
-        return g.squared_weight_of(self.x) - g.squared_weight_of(self.removed)
+        """w^2(x) - w^2(removed), summed as the integers `g.w2_int`."""
+        w2 = g.w2_int
+        lcm = g.w_lcm
+        return Fraction(sum(w2[v] for v in self.x) - sum(w2[v] for v in self.removed), lcm * lcm)
 
     def kind_name(self) -> str:
         if isinstance(self.kind, ClawShaped):

@@ -8,11 +8,13 @@ improvement of the searched shape remains.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
 from .circular import (
@@ -29,7 +31,6 @@ from .instances import (
     InputError,
     PackingInstance,
     Solution,
-    neighborhood,
 )
 from .oracle import exhaustive_improvement_search, power_weight_gain
 
@@ -123,37 +124,97 @@ def greedy(g: ConflictGraph) -> Solution:
     return Solution.of(g, chosen)
 
 
+class ClawSearchState:
+    """What the claw search keeps between calls in one run, for one evolving
+    solution A.
+
+    `free` is the set of vertices outside A with no neighbor in A: each is
+    the talon of an improving 0-claw. `settled` holds centers in A known to
+    have no improving talon set. The search reads both and adds to
+    `settled`; `update` keeps both valid after each applied swap. Two heaps
+    hold every free vertex and every unsettled center (and stale entries,
+    dropped when they surface), so the lowest id of each is found without a
+    scan or a sort.
+    """
+
+    __slots__ = ("free", "settled", "_free_heap", "_center_heap")
+
+    def __init__(self, g: ConflictGraph, a: Solution):
+        members = a.members
+        self._free_heap = [v for v in range(g.n) if v not in members and g.adj_sets[v].isdisjoint(members)]
+        self.free = set(self._free_heap)
+        self.settled: set[int] = set()
+        self._center_heap = sorted(members)
+
+    def lowest_free(self) -> Optional[int]:
+        """The lowest-id free vertex, or None."""
+        heap, free = self._free_heap, self.free
+        while heap and heap[0] not in free:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def lowest_open_center(self, members: set[int]) -> Optional[int]:
+        """The lowest-id center in A that is not settled, or None."""
+        heap, settled = self._center_heap, self.settled
+        while heap and (heap[0] in settled or heap[0] not in members):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def update(self, g: ConflictGraph, a: Solution, imp: Improvement) -> None:
+        """Account for `imp`, already applied to `a`.
+
+        Every vertex of x | N(x) is now in A or next to it. A vertex becomes
+        free only when its last solution neighbor left, so only N(removed)
+        is re-tested. A center's talon search reads only the membership of
+        vertices within distance 2 of it, so the settled centers in that
+        ball around x | removed are reopened.
+        """
+        free = self.free
+        for v in imp.x:
+            free.discard(v)
+            free.difference_update(g.adj[v])
+        members = a.members
+        for r in imp.removed:
+            for v in g.adj[r]:
+                if v not in free and v not in members and g.adj_sets[v].isdisjoint(members):
+                    free.add(v)
+                    heapq.heappush(self._free_heap, v)
+        reopened = self.settled & _within_two(g, imp.x | imp.removed)
+        self.settled -= reopened
+        for c in chain(imp.x, reopened):
+            heapq.heappush(self._center_heap, c)
+
+
 def find_claw_improvement(
     g: ConflictGraph,
     a: Solution,
     d: Optional[int] = None,
     budget: int = 50_000_000,
-    settled: Optional[set[int]] = None,
+    state: Optional[ClawSearchState] = None,
 ) -> Optional[Improvement]:
     """First claw-shaped improvement of w^2(A) under deterministic order, or None.
 
-    Scans free vertices first (every one is the talon of an improving
-    0-claw), then for each center in A, in ascending id order, the
-    independent talon sets among the center's neighbors in lexicographic
-    order, up to d-1 talons. Squared weights are compared as the integers
-    `g.w2_int`, which order exactly as the rationals do.
+    The lowest-id free vertex comes first (every one is the talon of an
+    improving 0-claw); then, for each center in A in ascending id order,
+    the independent talon sets among the center's neighbors in
+    lexicographic order, up to d-1 talons. Squared weights are compared as
+    the integers `g.w2_int`, which order exactly as the rationals do.
 
-    `settled`, when given, holds centers known to have no improving talon
-    set: they are skipped, and every center searched without success is
-    added. A center's search reads only the membership of vertices within
-    distance 2 of it, so the caller keeps the set valid by dropping that
-    ball around x | removed after applying an improvement; the result is
-    then the same as a search from scratch. `budget` caps the talon-search
-    nodes of this call, which skipped centers do not use.
+    `state`, when given, is the run's `ClawSearchState` for `a`: its free
+    set replaces a scan of all n vertices, centers in its settled set are
+    skipped, and every center searched without success is added to it. The
+    result is the same as a search from scratch, which is what runs without
+    a state. `budget` caps the talon-search nodes of this call, which
+    skipped centers do not use. For a hit, removed = N(talons) & A.
     """
     d_eff = _resolve_d(g, d)
-    members = a.members
-    for v in range(g.n):
-        if v in members:
-            continue
-        if g.adj_sets[v].isdisjoint(members):
-            return Improvement(frozenset((v,)), frozenset(), ClawShaped(center=None))
+    if state is None:
+        state = ClawSearchState(g, a)
+    v = state.lowest_free()
+    if v is not None:
+        return Improvement(frozenset((v,)), frozenset(), ClawShaped(center=None))
 
+    members = a.members
     nodes = 0
     w2 = g.w2_int
 
@@ -188,14 +249,12 @@ def find_claw_improvement(
         got = extend(0, [], 0, set(), 0)
         return frozenset(got) if got else None
 
-    if settled is None:
-        settled = set()
-    for c in sorted(members - settled):
+    while (c := state.lowest_open_center(members)) is not None:
         got = talons(c)
         if got:
-            removed = neighborhood(got, members, g)
-            return Improvement(got, frozenset(removed), ClawShaped(center=c))
-        settled.add(c)
+            removed = frozenset(v for u in got for v in g.adj[u] if v in members)
+            return Improvement(got, removed, ClawShaped(center=c))
+        state.settled.add(c)
     return None
 
 
@@ -212,22 +271,25 @@ def _within_two(g: ConflictGraph, vertices) -> set[int]:
 def _loop(
     g: ConflictGraph,
     start: Optional[Solution],
-    step: Callable[[Solution], Optional[Improvement]],
+    step: Callable[[Solution, Optional[ClawSearchState]], Optional[Improvement]],
     keep_partial_on_budget: bool = False,
-    settled: Optional[set[int]] = None,
+    claw_state: bool = False,
 ) -> RunTrace:
     """Apply step's improvements until it returns None.
 
-    `settled` is the claw search's set of centers with no improving talon
-    set; every applied swap drops the centers its change can affect.
+    With `claw_state`, the loop builds the run's `ClawSearchState` for its
+    solution, passes it to every step (otherwise None) and updates it once
+    after each applied swap. Each swap's w^2 gain is summed once, as
+    integers, and handed to `Solution.apply`.
     """
     a = start.copy() if start is not None else Solution.empty()
+    state = ClawSearchState(g, a) if claw_state else None
     records: list[ImprovementRecord] = []
     notes: tuple[str, ...] = ()
     t0 = time.perf_counter()
     while True:
         try:
-            imp = step(a)
+            imp = step(a, state)
         except BudgetExceededError as exc:
             if not keep_partial_on_budget:
                 raise
@@ -235,15 +297,16 @@ def _loop(
             break
         if imp is None:
             break
+        delta_w2 = imp.delta_w2(g)
         if isinstance(imp.kind, Generic) and imp.kind.alpha != 2:
             delta = power_weight_gain(g, imp.kind.alpha, imp.x, imp.removed)
         else:
-            delta = imp.delta_w2(g)
+            delta = delta_w2
         if delta <= 0:
             raise RuntimeError(f"non-improving step {imp!r}")
-        a.apply(g, imp)
-        if settled is not None:
-            settled -= _within_two(g, imp.x | imp.removed)
+        a.apply(g, imp, delta_w2)
+        if state is not None:
+            state.update(g, a, imp)
         records.append(ImprovementRecord(imp.kind_name(), imp.size, delta))
     return RunTrace(
         iterations=len(records),
@@ -258,12 +321,11 @@ def squareimp(g: ConflictGraph, cfg: SolverConfig, start: Optional[Solution] = N
     """Iterate the claw search to a fixed point, starting from the empty set
     (or an injected start solution, used to reproduce tight instances)."""
     d = _resolve_d(g, cfg.d)
-    settled: set[int] = set()
     return _loop(
         g,
         start,
-        lambda a: find_claw_improvement(g, a, d, cfg.claw_budget, settled),
-        settled=settled,
+        lambda a, state: find_claw_improvement(g, a, d, cfg.claw_budget, state),
+        claw_state=True,
     )
 
 
@@ -279,16 +341,15 @@ def logimp(
     params = cfg.circular if cfg.circular is not None else ColorCodingParams.defaults(g, inst)
     rng = random.Random(cfg.rng_seed)
     notes: set[str] = set()
-    settled: set[int] = set()
 
-    def step(a: Solution) -> Optional[Improvement]:
-        imp = find_claw_improvement(g, a, d, cfg.claw_budget, settled)
+    def step(a: Solution, state: ClawSearchState) -> Optional[Improvement]:
+        imp = find_claw_improvement(g, a, d, cfg.claw_budget, state)
         if imp is not None:
             return imp
         maps = build_anchor_maps(g, a)
         return find_circular_improvement(g, a, maps, params, inst=inst, rng=rng, d=d)
 
-    trace = _loop(g, start, step, settled=settled)
+    trace = _loop(g, start, step, claw_state=True)
     if params.y_cap < d - 1:
         notes.add(f"aux companion sets capped at {params.y_cap} (claw bound allows {d - 1})")
     trace.notes = tuple(sorted(notes))
@@ -310,7 +371,7 @@ def parametrized_local_search(
     return _loop(
         g,
         start,
-        lambda a: exhaustive_improvement_search(g, a, alpha, cap, cfg.improvement_budget),
+        lambda a, _: exhaustive_improvement_search(g, a, alpha, cap, cfg.improvement_budget),
         keep_partial_on_budget=True,
     )
 

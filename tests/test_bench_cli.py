@@ -306,3 +306,42 @@ def test_cli_roundtrip_gen_outputs_deterministic(tmp_path, runner):
         assert runner.invoke(main, cmd + ["--out", str(f1)]).exit_code == 0
         assert runner.invoke(main, cmd + ["--out", str(f2)]).exit_code == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+BAD_INPUTS = {
+    "k0.ksp": "p ksp 1 0 3\ns 1 0\n",
+    "bad.json": '{"kind": "ksp",',
+    "list.json": "[]",
+    "path.mwis": "p mwis 2 1\nv 0 1\nv 1 2\ne 0 1\n",
+    "suite.json": json.dumps({"instances": [{"id": "x", "gen": {"family": "nope"}}]}),
+    "noid.json": json.dumps({"instances": [{"gen": {"family": "berman", "d": 4}}]}),
+    "strmembers.json": json.dumps({"members": ["a"]}),
+}
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--in", "k0.ksp"],
+    ["solve", "--in", "bad.json"],
+    ["solve", "--in", "list.json"],
+    ["solve", "--in", "path.mwis"],  # no claw bound
+    ["solve", "--in", "path.mwis", "--d", "3", "--algo", "param", "--alpha", "x"],
+    ["solve", "--in", "path.mwis", "--d", "3", "--algo", "param"],  # no alpha
+    ["solve", "--in", "path.mwis", "--d", "3", "--cap-c", "1/0"],
+    ["solve", "--in", "path.mwis", "--d", "3", "--cap-c", "-1"],
+    ["bench", "--suite", "suite.json", "--out", "out.csv"],
+    ["bench", "--suite", "noid.json", "--out", "out.csv"],
+    ["bench", "--suite", "bad.json", "--out", "out.csv"],
+    ["verify", "--in", "k0.ksp", "--solution", "bad.json"],
+    ["verify", "--in", "path.mwis", "--solution", "bad.json"],
+    ["verify", "--in", "path.mwis", "--solution", "strmembers.json"],
+    ["constants", "--delta", "5"],
+    ["gen", "berman", "--d", "2", "--out", "x.ksp"],
+])
+def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, runner, args):
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    r = runner.invoke(main, args, catch_exceptions=False)
+    assert r.exit_code == 1
+    assert r.output.startswith("Error: ")
+    assert "Traceback" not in r.output

@@ -1,15 +1,19 @@
-"""The integer claw search, its per-run verdict set, and the one-pass greedy,
-checked against the Fraction and repeated-max versions they replaced.
+"""The integer claw search, its per-run state, the integer swap bookkeeping
+and the one-pass greedy, checked against the Fraction, from-scratch and
+repeated-max versions they replaced.
 
 The reference implementations below are kept here on purpose: they are the
 plain rational-arithmetic forms of the same searches.
 """
 
 import random
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 from unittest import mock
 
+import pytest
 from conftest import PrimeWeights, ref_aux_sides
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +29,7 @@ from clawpack.instances import (
     Solution,
     build_conflict_graph,
     neighborhood,
+    verify_solution,
 )
 from clawpack.solvers import SolverConfig, find_claw_improvement, greedy, logimp, squareimp
 
@@ -87,23 +92,31 @@ def ref_greedy(g: ConflictGraph) -> Solution:
     return Solution.of(g, chosen)
 
 
-# ------------------------------------------------------------ verdict set
+# ------------------------------------------------------------ per-run state
+
+
+def scan_free(g: ConflictGraph, members: set[int]) -> set[int]:
+    """{v not in A : N(v) & A empty}, from scratch."""
+    return {v for v in range(g.n) if v not in members and not (g.adj_sets[v] & members)}
 
 
 class CheckedClawSearch:
-    """Stands in for solvers.find_claw_improvement: every call is compared
-    with a from-scratch search on the same solution before it returns."""
+    """Stands in for solvers.find_claw_improvement: at every call the run's
+    free set is compared with a scan of all vertices, and the result with
+    a from-scratch search and with the Fraction search."""
 
     def __init__(self):
         self.calls = 0
         self.skipped = 0
 
-    def __call__(self, g, a, d=None, budget=50_000_000, settled=None):
-        assert settled is not None, "the solver must pass its verdict set"
+    def __call__(self, g, a, d=None, budget=50_000_000, state=None):
+        assert state is not None, "the solver must pass its claw-search state"
+        assert state.free == scan_free(g, a.members)
+        assert state.settled <= a.members
         fresh = find_claw_improvement(g, a, d)
-        self.skipped += len(settled & a.members)
-        got = find_claw_improvement(g, a, d, budget, settled)
-        assert got == fresh
+        self.skipped += len(state.settled)
+        got = find_claw_improvement(g, a, d, budget, state)
+        assert got == fresh == ref_find_claw_improvement(g, a, d)
         self.calls += 1
         return got
 
@@ -142,9 +155,10 @@ def test_verdict_set_matches_fresh_search(inst, from_greedy):
     assert find_claw_improvement(g, lg.final) is None
 
 
-def tight_copies(d: int, copies: int, seed: int) -> tuple[PackingInstance, list[int]]:
-    """Disjoint copies of the tight instance with shuffled ids; returns the
-    instance and the copies' small sides."""
+def tight_copies(d: int, copies: int, seed: int, scales=None) -> tuple[PackingInstance, list[int]]:
+    """Disjoint copies of the tight instance with shuffled ids, copy c's
+    weights times scales[c] (1 by default); returns the instance and the
+    copies' small sides."""
     base = berman_tight_instance(d)
     n = len(base.sets)
     perm = list(range(n * copies))
@@ -154,7 +168,7 @@ def tight_copies(d: int, copies: int, seed: int) -> tuple[PackingInstance, list[
     for c in range(copies):
         for i, s in enumerate(base.sets):
             sets[perm[c * n + i]] = sorted(e + c * base.universe_size for e in s)
-            weights[perm[c * n + i]] = base.weights[i]
+            weights[perm[c * n + i]] = base.weights[i] * (scales[c] if scales else 1)
     small = sorted(perm[c * n + i] for c in range(copies) for i in range(d - 1))
     return PackingInstance.build(copies * base.universe_size, sets, weights, base.k), small
 
@@ -170,6 +184,18 @@ def test_verdict_set_across_circular_swaps():
         assert "circular" in kinds
         assert "claw-shaped" in kinds[kinds.index("circular"):]
         assert check.skipped > 0
+
+
+def test_claw_state_under_scaling():
+    rng = random.Random(5)
+    sets = [rng.sample(range(30), rng.randint(1, 3)) for _ in range(40)]
+    weights = [Fraction(rng.randint(1, 90), rng.randint(1, 9)) for _ in sets]
+    inst = PackingInstance.build(30, sets, weights, 3)
+    g = build_conflict_graph(inst)
+    for mode in ("squareimp", "logimp"):
+        cfg = SolverConfig(mode=mode, scaling_n=Fraction(3, 2))
+        trace, _ = run_checked(solvers.solve, g, cfg, inst=inst)
+        assert trace.scaled and trace.iterations > 0
 
 
 # ------------------------------------------------------------ integer path
@@ -254,3 +280,90 @@ def test_greedy_matches_repeated_max(data):
     ))
     g = ConflictGraph.from_edges(n, edges, weights)
     assert greedy(g).members == ref_greedy(g).members
+
+
+# ------------------------------------------------------------ swap bookkeeping
+
+
+@contextmanager
+def checked_apply():
+    """Wraps Solution.apply: every swap's delta_w2 and both totals are
+    compared with the Fraction sums of the weights. Yields the count of
+    checked swaps per kind."""
+    kinds: Counter = Counter()
+    original = Solution.apply
+
+    def apply(self, g, imp, delta_w2=None):
+        dw = g.weight_of(imp.x) - g.weight_of(imp.removed)
+        dw2 = g.squared_weight_of(imp.x) - g.squared_weight_of(imp.removed)
+        assert imp.delta_w2(g) == dw2
+        assert delta_w2 is None or delta_w2 == dw2
+        total_w, total_w2 = self.total_w, self.total_w2
+        original(self, g, imp, delta_w2)
+        assert self.total_w == total_w + dw
+        assert self.total_w2 == total_w2 + dw2
+        kinds[imp.kind_name()] += 1
+
+    with mock.patch.object(Solution, "apply", apply):
+        yield kinds
+
+
+def prime_weights(rng: random.Random, n: int) -> list[Fraction]:
+    """Distinct prime denominators at magnitudes 2**-60..2**60, with about
+    a quarter of the weights exact copies of earlier ones."""
+    pw = PrimeWeights(rng)
+    weights: list[Fraction] = []
+    for _ in range(n):
+        if weights and rng.random() < 0.25:
+            weights.append(rng.choice(weights))
+        else:
+            weights.append(pw.magnitude(rng.randint(-60, 60)))
+    return weights
+
+
+def prime_packing(seed: int) -> PackingInstance:
+    rng = random.Random(seed)
+    sets = [rng.sample(range(24), rng.randint(1, 3)) for _ in range(30)]
+    return PackingInstance.build(24, sets, prime_weights(rng, len(sets)), 3)
+
+
+def test_integer_bookkeeping_claw_swaps():
+    with checked_apply() as kinds:
+        for seed in range(6):
+            g = build_conflict_graph(prime_packing(seed))
+            for start in (None, greedy(g)):
+                assert verify_solution(g, squareimp(g, SolverConfig(), start=start).final)
+    assert kinds["claw-shaped"] > 0
+
+
+def test_integer_bookkeeping_circular_swaps():
+    pw = PrimeWeights(random.Random(3))
+    inst, small = tight_copies(5, 3, seed=4, scales=[pw.magnitude(e) for e in (-60, 7, 60)])
+    g = build_conflict_graph(inst)
+    assert len({w.denominator for w in g.weights}) == 3
+    with checked_apply() as kinds:
+        for mode in ("exhaustive", "rand"):
+            cfg = SolverConfig(mode="logimp", circular=ColorCodingParams.defaults(g, inst, mode=mode))
+            assert verify_solution(g, logimp(g, cfg, start=Solution.of(g, small), inst=inst).final)
+    assert kinds["circular"] > 0 and kinds["claw-shaped"] > 0
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(3), Fraction(-1)])
+def test_integer_bookkeeping_generic_swaps(alpha):
+    with checked_apply() as kinds:
+        for seed in range(4):
+            g = build_conflict_graph(prime_packing(seed))
+            cfg = SolverConfig(mode="parametrized", alpha=alpha, size_cap_factor=Fraction(1, 2))
+            assert verify_solution(g, solvers.parametrized_local_search(g, cfg).final)
+    assert kinds["generic"] > 0
+
+
+def test_apply_with_distinct_denominators():
+    g = ConflictGraph.from_edges(3, [(0, 1)], [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)])
+    assert g.w_lcm == 231
+    imp = Improvement(frozenset({1}), frozenset({0}), ClawShaped(center=0))
+    assert imp.delta_w2(g) == Fraction(4, 49) - Fraction(1, 9)
+    a = Solution.of(g, {0, 2})
+    a.apply(g, imp)
+    assert a.members == {1, 2}
+    assert (a.total_w, a.total_w2) == (g.weight_of({1, 2}), g.squared_weight_of({1, 2}))

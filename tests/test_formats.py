@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawpack import formats
 from clawpack.generators import (
@@ -89,3 +91,77 @@ def test_generated_families_round_trip():
             assert again.adj == obj.adj and again.weights == obj.weights
         else:
             assert again == obj
+
+
+# ------------------------------------------------------------ malformed input
+
+
+@pytest.mark.parametrize("doc", [
+    [],  # not an object
+    {"kind": "ksp", "k": 3, "sets": [[0]], "weights": ["1"]},  # no universe
+    {"kind": "mwis", "weights": ["1"], "edges": [[0]]},  # one endpoint
+    {"kind": "ksp", "k": 3, "universe": 2, "sets": [["a"]], "weights": ["1"]},
+    {"kind": "ksp", "k": True, "universe": 2, "sets": [[0]], "weights": ["1"]},
+    {"kind": "mwis", "weights": "1", "edges": []},
+    {"kind": "mwis", "weights": ["1"], "edges": None},
+])
+def test_malformed_json_documents(doc):
+    with pytest.raises(InputError):
+        formats.from_json_obj(doc)
+
+
+def test_invalid_json_text(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "ksp",', encoding="utf-8")
+    with pytest.raises(InputError):
+        formats.load(str(path))
+
+
+def test_huge_vertex_count_is_rejected_without_allocating():
+    with pytest.raises(InputError):
+        formats.parse_text("p mwis 99999999999999 0\nv 0 1\n")
+
+
+TOKENS = ["p", "ksp", "mwis", "s", "v", "e", "c", "0", "1", "2", "3", "-1", "7",
+          "1/2", "0/1", "1/0", "-1/2", "x", "1.5", "99999999999999", ""]
+
+
+@st.composite
+def near_text(draw):
+    """Documents of plausible records built from a small token pool."""
+    lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), max_size=6), max_size=8))
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=80), near_text()))
+def test_parse_text_raises_only_input_error(text):
+    try:
+        formats.parse_text(text)
+    except InputError:
+        pass
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.text(max_size=4)
+    | st.sampled_from(["1/2", "3", "0", "-1", "1/0"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+FIELDS = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["ksp", "mwis", "other"]) | JSON_VALUES,
+    "k": st.integers(-1, 4) | JSON_VALUES,
+    "universe": st.integers(-1, 6) | JSON_VALUES,
+    "sets": st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=4) | JSON_VALUES,
+    "weights": st.lists(st.sampled_from(["1", "1/2", "0", "-2", "a"]), max_size=4) | JSON_VALUES,
+    "edges": st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=4) | JSON_VALUES,
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(JSON_VALUES, FIELDS))
+def test_from_json_obj_raises_only_input_error(doc):
+    try:
+        formats.from_json_obj(doc)
+    except InputError:
+        pass
