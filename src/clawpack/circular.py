@@ -12,6 +12,16 @@ aux-graph build compares sums of `w_int` and `w2_int` (their squares), which
 order exactly as the rational sums do. `charge_to_anchor` and
 `aux_edge_check` are the per-vertex and per-edge definitions those sums
 decide; `validate_circular` re-checks every returned improvement with them.
+
+Both builds go through a `CircularState`. logimp keeps one per run, so at
+each claw fixed point only the anchor maps of the vertices next to the
+swaps since the last one, the vertex blocks (one per anchor) and the edge
+blocks (one per inducing vertex) whose inputs changed are recomputed, and
+the aux graph is reassembled from the blocks in the from-scratch order.
+Called without a state, `build_anchor_maps` and `build_aux_graph` use a
+fresh one, which builds everything. The colorful DP still builds its
+alive-edge tables for every coloring: they are a tenth of its time, and
+rand mode draws about one coloring per call, so there is nothing to reuse.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .instances import (
     BudgetExceededError,
@@ -45,7 +55,8 @@ class AnchorMaps:
 
     `heaviest` is total over V minus A (requires A maximal); `second` is
     defined where the vertex has at least two solution neighbors. Ties break
-    to the lowest id. `a_neighbors` caches N(u, A) for reuse.
+    to the lowest id. `a_neighbors` caches N(u, A) for reuse. Key order is
+    not part of the maps: a `CircularState` appends the vertices that left A.
     """
 
     heaviest: dict[int, int]
@@ -53,29 +64,18 @@ class AnchorMaps:
     a_neighbors: dict[int, tuple[int, ...]]
 
 
-def build_anchor_maps(g: ConflictGraph, a: Solution) -> AnchorMaps:
+def build_anchor_maps(g: ConflictGraph, a: Solution, state: Optional["CircularState"] = None) -> AnchorMaps:
     """Anchor maps of every vertex outside `a`, ranked by `g.w_int`.
 
     `w_int` is the weights times one positive integer, so it ranks solution
-    neighbors exactly as the rational weights do.
+    neighbors exactly as the rational weights do. With the run's
+    `CircularState`, only the vertices whose solution neighbors changed
+    since its last call are recomputed, and the state's own maps are
+    returned; without one, a fresh state builds them all.
     """
-    heaviest: dict[int, int] = {}
-    second: dict[int, int] = {}
-    a_nbrs: dict[int, tuple[int, ...]] = {}
-    members = a.members
-    w = g.w_int
-    for u in range(g.n):
-        if u in members:
-            continue
-        nu = tuple(v for v in g.adj[u] if v in members)
-        if not nu:
-            raise ContractError(f"vertex {u} has no solution neighbor; solution not maximal")
-        a_nbrs[u] = nu
-        ranked = sorted(nu, key=lambda v: (-w[v], v))
-        heaviest[u] = ranked[0]
-        if len(ranked) > 1:
-            second[u] = ranked[1]
-    return AnchorMaps(heaviest, second, a_nbrs)
+    if state is None:
+        state = CircularState(g)
+    return state.update_maps(a)
 
 
 def charge_to_anchor(g: ConflictGraph, maps: AnchorMaps, u: int) -> Fraction:
@@ -260,6 +260,257 @@ def _independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> li
     return out
 
 
+class _VertexBlock(NamedTuple):
+    """The aux vertices at one anchor, in their order: one per independent
+    companion set of at most y_cap candidates, with its net and elements."""
+
+    vertices: Sequence[AuxVertex]
+    ys: Sequence[tuple[int, ...]]
+    nets: Sequence[int]
+    elements: Optional[Sequence[frozenset[int]]]
+
+
+# The fields of a block at an anchor without candidates: only the empty set.
+_EMPTY_YS = ((),)
+_ZERO_NETS = (0,)
+_EMPTY_ELEMENTS = (frozenset(),)
+
+
+class _EdgeBlock(NamedTuple):
+    """The aux edges one inducer u makes, as (ia, ib) positions in the
+    blocks at its heaviest and second anchors, and the checks they took."""
+
+    pairs: list[tuple[int, int]]
+    checks: int
+    elements: Optional[frozenset[int]]
+
+
+class CircularState:
+    """What the circular search keeps between calls in one run, for one
+    evolving solution A over one graph.
+
+    The anchor maps are kept per vertex: a vertex's entries change only when
+    it or one of its neighbors changed membership since the last call, so
+    only `changed | N(changed)` is recomputed, `changed` being the symmetric
+    difference of A and the members seen at that call. The aux graph is
+    kept as blocks: a vertex block per anchor v (its companion sets, their
+    nets and element sets) and an edge block per inducer u (its edges and
+    its edge-check count). A vertex block is dropped when a candidate (an
+    outside vertex with v as heaviest anchor and positive charge) joins or
+    leaves v or has its solution neighbors changed; an edge block is
+    recomputed when u's anchors or solution neighbors change, or when the
+    block at either anchor was dropped. Each call reassembles
+    the `AuxGraph` from the blocks in the from-scratch order (sorted
+    anchors, then sorted inducers), so ids, incident lists, element sets and
+    the edge-check count are those of a fresh build.
+
+    The maps the state returns are its own and change at its next call.
+    """
+
+    def __init__(self, g: ConflictGraph, maps: Optional[AnchorMaps] = None):
+        self.g = g
+        self.maps = maps if maps is not None else AnchorMaps({}, {}, {})
+        self._members: Optional[set[int]] = None  # None: rebuild all maps next
+        self._remapped: set[int] = set(self.maps.heaviest)
+        self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
+        self._vblocks: dict[int, _VertexBlock] = {}
+        self._eblocks: dict[int, _EdgeBlock] = {}  # only blocks with checks
+        self._dirty_u: set[int] = set()
+        self.checks = 0  # edge checks the blocks hold: the last aux graph's count
+        self._key: Optional[tuple] = None
+
+    def update_maps(self, a: Solution) -> AnchorMaps:
+        """The anchor maps of `a`, recomputed where its membership changed."""
+        g = self.g
+        members = a.members
+        seen = self._members
+        self._members = None  # an error below leaves a full rebuild for next time
+        if seen is None:
+            self.maps = AnchorMaps({}, {}, {})
+            touched: Iterable[int] = range(g.n)
+        else:
+            changed = members ^ seen
+            touched = set(changed)
+            for v in changed:
+                touched.update(g.adj[v])
+        self._remapped.update(touched)
+        heaviest, second, a_nbrs = self.maps.heaviest, self.maps.second, self.maps.a_neighbors
+        w = g.w_int
+        for u in touched:
+            if u in members:
+                if u in a_nbrs:
+                    del heaviest[u], a_nbrs[u]
+                    second.pop(u, None)
+                continue
+            nu = tuple(v for v in g.adj[u] if v in members)
+            if not nu:
+                raise ContractError(f"vertex {u} has no solution neighbor; solution not maximal")
+            a_nbrs[u] = nu
+            ranked = sorted(nu, key=lambda v: (-w[v], v))
+            heaviest[u] = ranked[0]
+            if len(ranked) > 1:
+                second[u] = ranked[1]
+            else:
+                second.pop(u, None)
+        self._members = set(members)
+        return self.maps
+
+    def _reanchor(self, members: set[int]) -> None:
+        """Move every remapped vertex to its new anchor, drop the vertex
+        blocks at its old and new anchor, and mark its edge block dirty."""
+        heaviest, a_nbrs = self.maps.heaviest, self.maps.a_neighbors
+        w = self.g.w_int
+        anchor, vblocks = self._anchor, self._vblocks
+        remapped = self._remapped
+        for u in remapped:
+            old = anchor.pop(u, None)
+            if old in vblocks:
+                self._drop_block(old)
+            if u in members or u not in heaviest:
+                continue
+            vblocks.pop(u, None)  # u left A
+            if 2 * w[u] > sum(w[x] for x in a_nbrs[u]):
+                v1 = anchor[u] = heaviest[u]
+                if v1 in vblocks:
+                    self._drop_block(v1)
+        self._dirty_u |= remapped
+        remapped.clear()
+
+    def _drop_block(self, v: int) -> None:
+        """Drop the vertex block at anchor v and mark the edge blocks that
+        end at v dirty: their inducers are neighbors of v."""
+        del self._vblocks[v]
+        heaviest, second = self.maps.heaviest, self.maps.second
+        self._dirty_u.update(
+            u for u in self.g.adj[v] if u in second and (heaviest[u] == v or second[u] == v)
+        )
+
+    def _vertex_block(self, v: int, y_cap: int, inst: Optional[PackingInstance]) -> _VertexBlock:
+        g = self.g
+        anchor = self._anchor
+        cands = [u for u in g.adj[v] if anchor.get(u) == v]  # sorted, as g.adj[v] is
+        if not cands:
+            elements = None if inst is None else _EMPTY_ELEMENTS
+            return _VertexBlock((AuxVertex(v, ()),), _EMPTY_YS, _ZERO_NETS, elements)
+        w2 = g.w2_int
+        a_nbrs = self.maps.a_neighbors
+        spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
+        ys = _independent_subsets(g, cands, y_cap)
+        ys.sort(key=lambda y: (-len(y), y))
+        elements = None
+        if inst is not None:
+            elements = [frozenset(e for x in y for e in inst.sets[x]) for y in ys]
+        return _VertexBlock(
+            [AuxVertex(v, y) for y in ys], ys, [sum(spill[x] for x in y) for y in ys], elements
+        )
+
+    def _update_edge_blocks(self, cap: int, inst: Optional[PackingInstance]) -> None:
+        """Recompute the edge block of every dirty inducer. Raises
+        `SearchIncompleteError` once the checks of all blocks pass `cap`;
+        the inducers not yet recomputed stay dirty."""
+        g = self.g
+        w2 = g.w2_int
+        adj = g.adj_sets
+        heaviest, second, a_nbrs = self.maps.heaviest, self.maps.second, self.maps.a_neighbors
+        vblocks, eblocks, dirty = self._vblocks, self._eblocks, self._dirty_u
+        for u in dirty.intersection(eblocks):
+            self.checks -= eblocks.pop(u).checks
+        dirty.intersection_update(second)  # only inducers have edge blocks
+        total = self.checks
+        while dirty:
+            u = dirty.pop()
+            v1, v2 = heaviest[u], second[u]
+            b1, b2 = vblocks[v1], vblocks[v2]
+            nbrs = adj[u]
+            ys2, nets2 = b2.ys, b2.nets
+            # u is anchored at v1, so no companion set at v2 contains it.
+            side_b = [ib for ib, y in enumerate(ys2) if nbrs.isdisjoint(y)]
+            if not side_b:
+                continue
+            base = 2 * w2[u] - w2[v1] - w2[v2]
+            base -= 2 * sum(w2[x] for x in a_nbrs[u] if x != v1 and x != v2)
+            pairs = []
+            checks = 0
+            for ia, y1 in enumerate(b1.ys):
+                if u in y1 or not nbrs.isdisjoint(y1):
+                    continue
+                bound = base - b1.nets[ia]
+                for ib in side_b:
+                    if y1 and any(not adj[x].isdisjoint(ys2[ib]) for x in y1):
+                        continue
+                    checks += 1
+                    if total + checks > cap:
+                        dirty.add(u)
+                        self.checks = total
+                        raise SearchIncompleteError(f"aux graph exceeded {cap} edge checks")
+                    if bound > nets2[ib]:
+                        pairs.append((ia, ib))
+            if checks:
+                eblocks[u] = _EdgeBlock(pairs, checks, None if inst is None else frozenset(inst.sets[u]))
+                total += checks
+        self.checks = total
+
+    def aux_graph(
+        self,
+        a: Solution,
+        params: ColorCodingParams,
+        inst: Optional[PackingInstance] = None,
+        d: Optional[int] = None,
+    ) -> AuxGraph:
+        """The aux graph over `a` and the state's maps; see `build_aux_graph`."""
+        g = self.g
+        d_eff = d if d is not None else (g.d if g.d is not None else g.n + 1)
+        y_cap = min(params.y_cap, d_eff - 1)
+        notes = []
+        if y_cap < d_eff - 1:
+            notes.append(f"aux companion sets capped at {y_cap} (claw bound allows {d_eff - 1})")
+        if self._key is None or self._key[0] != y_cap or self._key[1] is not inst:
+            self._key = (y_cap, inst)
+            self._vblocks.clear()
+            self._dirty_u.update(self.maps.second)
+        members = a.members
+        self._reanchor(members)
+
+        h = AuxGraph(notes=tuple(notes))
+        vertices = h.vertices
+        elements_v: list[frozenset[int]] = []
+        offset: dict[int, int] = {}
+        vblocks = self._vblocks
+        for v in sorted(members):
+            block = vblocks.get(v)
+            if block is None:
+                block = vblocks[v] = self._vertex_block(v, y_cap, inst)
+            offset[v] = len(vertices)
+            vertices.extend(block.vertices)
+            if inst is not None:
+                elements_v.extend(block.elements)
+        # A cap is crossed when a count passes it; a count of 0 passes none.
+        if len(vertices) > max(params.max_aux_vertices, 0):
+            raise SearchIncompleteError(f"aux graph exceeded {params.max_aux_vertices} vertices")
+        cap = params.max_aux_edge_checks
+        self._update_edge_blocks(cap, inst)
+        if self.checks > max(cap, 0):
+            raise SearchIncompleteError(f"aux graph exceeded {cap} edge checks")
+
+        incident = h.incident = {i: [] for i in range(len(vertices))}
+        edges = h.edges
+        elements_e: list[frozenset[int]] = []
+        heaviest, second, eblocks = self.maps.heaviest, self.maps.second, self._eblocks
+        for u in sorted(eblocks):
+            block = eblocks[u]
+            o1, o2 = offset[heaviest[u]], offset[second[u]]
+            for ia, ib in block.pairs:
+                idx = len(edges)
+                edges.append(AuxEdge(o1 + ia, o2 + ib, u))
+                incident[o1 + ia].append(idx)
+                incident[o2 + ib].append(idx)
+            if inst is not None:
+                elements_e.extend([block.elements] * len(block.pairs))
+        h.elements_v = elements_v or None
+        h.elements_e = elements_e or None
+        return h
+
+
 def build_aux_graph(
     g: ConflictGraph,
     a: Solution,
@@ -267,6 +518,7 @@ def build_aux_graph(
     params: ColorCodingParams,
     inst: Optional[PackingInstance] = None,
     d: Optional[int] = None,
+    state: Optional[CircularState] = None,
 ) -> AuxGraph:
     """Materialize the restricted auxiliary multigraph.
 
@@ -283,72 +535,16 @@ def build_aux_graph(
     net(y at v) = sum over x in y of w2(N(x,A) - {v}) - w2(x). The net does
     not depend on u because every x in y has v as its heaviest anchor. The
     edge exists iff base(u) > net(y1) + net(y2).
+
+    With the run's `CircularState`, `maps` must be the maps it returned, and
+    only the blocks the last swaps touched are rebuilt; without one, a fresh
+    state builds every block from `maps`.
     """
-    d_eff = d if d is not None else (g.d if g.d is not None else g.n + 1)
-    y_cap = min(params.y_cap, d_eff - 1)
-    notes = []
-    if y_cap < d_eff - 1:
-        notes.append(f"aux companion sets capped at {y_cap} (claw bound allows {d_eff - 1})")
-
-    w, w2 = g.w_int, g.w2_int
-    a_nbrs = maps.a_neighbors
-    anchored: dict[int, list[int]] = {}
-    for u in sorted(maps.heaviest):
-        if 2 * w[u] > sum(w[x] for x in a_nbrs[u]):
-            anchored.setdefault(maps.heaviest[u], []).append(u)
-
-    h = AuxGraph(notes=tuple(notes))
-    with_elements = inst is not None
-    vid_by_anchor: dict[int, list[int]] = {}
-    net: list[int] = []
-    for v in sorted(a.members):
-        cands = anchored.get(v, [])
-        spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
-        subsets = _independent_subsets(g, cands, y_cap)
-        subsets.sort(key=lambda y: (-len(y), y))
-        ids = []
-        for y in subsets:
-            if len(h.vertices) >= params.max_aux_vertices:
-                raise SearchIncompleteError(
-                    f"aux graph exceeded {params.max_aux_vertices} vertices"
-                )
-            elems = None
-            if with_elements:
-                elems = frozenset(e for x in y for e in inst.sets[x])
-            ids.append(h.add_vertex(AuxVertex(v, y), elems))
-            net.append(sum(spill[x] for x in y))
-        vid_by_anchor[v] = ids
-
-    ys = [av.y for av in h.vertices]
-    adj = g.adj_sets
-    checks = 0
-    for u in sorted(maps.second):
-        v1 = maps.heaviest[u]
-        v2 = maps.second[u]
-        nbrs = adj[u]
-        # u is anchored at v1, so no companion set at v2 contains it.
-        side_b = [ib for ib in vid_by_anchor.get(v2, []) if nbrs.isdisjoint(ys[ib])]
-        if not side_b:
-            continue
-        base = 2 * w2[u] - w2[v1] - w2[v2]
-        base -= 2 * sum(w2[x] for x in a_nbrs[u] if x != v1 and x != v2)
-        elems = frozenset(inst.sets[u]) if with_elements else None
-        for ia in vid_by_anchor.get(v1, []):
-            y1 = ys[ia]
-            if u in y1 or not nbrs.isdisjoint(y1):
-                continue
-            bound = base - net[ia]
-            for ib in side_b:
-                if y1 and any(not adj[x].isdisjoint(ys[ib]) for x in y1):
-                    continue
-                checks += 1
-                if checks > params.max_aux_edge_checks:
-                    raise SearchIncompleteError(
-                        f"aux graph exceeded {params.max_aux_edge_checks} edge checks"
-                    )
-                if bound > net[ib]:
-                    h.add_edge(ia, ib, u, elems)
-    return h
+    if state is None:
+        state = CircularState(g, maps)
+    elif maps is not state.maps:
+        raise ContractError("anchor maps were not built with this circular state")
+    return state.aux_graph(a, params, inst, d)
 
 
 def _assemble(
@@ -617,6 +813,7 @@ def find_circular_improvement(
     inst: Optional[PackingInstance] = None,
     rng: Optional[random.Random] = None,
     d: Optional[int] = None,
+    state: Optional[CircularState] = None,
 ) -> Optional[Improvement]:
     """Search for a circular improvement of w^2(A).
 
@@ -624,8 +821,9 @@ def find_circular_improvement(
     then total). Parallel-edge 2-cycles are scanned first; longer cycles go
     through the exhaustive DFS or the color-coding search depending on
     params.mode. Every returned improvement is re-validated field by field.
+    `state`, when given, is the run's `CircularState` that built `maps`.
     """
-    h = build_aux_graph(g, a, maps, params, inst=inst, d=d)
+    h = build_aux_graph(g, a, maps, params, inst=inst, d=d, state=state)
     max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
     for vorder, eorder in _two_cycle_candidates(g, h):
         imp = _assemble(g, a, h, vorder, eorder)

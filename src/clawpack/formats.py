@@ -25,6 +25,13 @@ Parsed = Union[PackingInstance, ConflictGraph]
 
 
 def _parse_weight(token: str) -> Fraction:
+    """A positive rational weight: an integer, `num/den` or a decimal.
+
+    Exponent notation is rejected: `Fraction` expands it in full, so one
+    short token such as `1e4000000` would cost seconds and megabytes.
+    """
+    if "e" in token or "E" in token:
+        raise InputError(f"bad weight {token!r}: exponent notation is not accepted")
     try:
         w = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
@@ -69,6 +76,8 @@ def parse_text(text: str) -> Parsed:
                 edges.append((int(tok[1]), int(tok[2])))
             else:
                 raise InputError(f"unknown record {tok[0]!r}")
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
         except (IndexError, ValueError) as exc:
             raise InputError(f"line {lineno}: cannot parse {line!r}") from exc
     if header is None:

@@ -18,6 +18,7 @@ from itertools import chain
 from typing import Callable, Optional
 
 from .circular import (
+    CircularState,
     ColorCodingParams,
     build_anchor_maps,
     find_circular_improvement,
@@ -336,18 +337,23 @@ def logimp(
     inst: Optional[PackingInstance] = None,
 ) -> RunTrace:
     """Claw search first; at claw fixed points, search for a circular
-    improvement and continue until neither kind exists."""
+    improvement and continue until neither kind exists.
+
+    The run keeps one `CircularState`, so each fixed point recomputes only
+    the anchor maps and aux-graph blocks that the swaps since the last one
+    touched."""
     d = _resolve_d(g, cfg.d)
     params = cfg.circular if cfg.circular is not None else ColorCodingParams.defaults(g, inst)
     rng = random.Random(cfg.rng_seed)
     notes: set[str] = set()
+    circ = CircularState(g)
 
     def step(a: Solution, state: ClawSearchState) -> Optional[Improvement]:
         imp = find_claw_improvement(g, a, d, cfg.claw_budget, state)
         if imp is not None:
             return imp
-        maps = build_anchor_maps(g, a)
-        return find_circular_improvement(g, a, maps, params, inst=inst, rng=rng, d=d)
+        maps = build_anchor_maps(g, a, circ)
+        return find_circular_improvement(g, a, maps, params, inst=inst, rng=rng, d=d, state=circ)
 
     trace = _loop(g, start, step, claw_state=True)
     if params.y_cap < d - 1:

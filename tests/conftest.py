@@ -11,7 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from clawpack.instances import ConflictGraph
+from clawpack.generators import berman_tight_instance
+from clawpack.instances import ConflictGraph, PackingInstance
 
 
 def brute_force_mwis(g: ConflictGraph) -> tuple[Fraction, frozenset[int]]:
@@ -261,3 +262,21 @@ class PrimeWeights:
 def unit_path3():
     # path a-b-c with unit weights
     return ConflictGraph.from_edges(3, [(0, 1), (1, 2)], [1, 1, 1], d=3)
+
+
+def tight_copies(d: int, copies: int, seed: int, scales=None) -> tuple[PackingInstance, list[int]]:
+    """Disjoint copies of the tight instance with shuffled ids, copy c's
+    weights times scales[c] (1 by default); returns the instance and the
+    copies' small sides."""
+    base = berman_tight_instance(d)
+    n = len(base.sets)
+    perm = list(range(n * copies))
+    random.Random(seed).shuffle(perm)
+    sets: list = [None] * len(perm)
+    weights: list = [None] * len(perm)
+    for c in range(copies):
+        for i, s in enumerate(base.sets):
+            sets[perm[c * n + i]] = sorted(e + c * base.universe_size for e in s)
+            weights[perm[c * n + i]] = base.weights[i] * (scales[c] if scales else 1)
+    small = sorted(perm[c * n + i] for c in range(copies) for i in range(d - 1))
+    return PackingInstance.build(copies * base.universe_size, sets, weights, base.k), small

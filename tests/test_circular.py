@@ -5,13 +5,14 @@ from unittest import mock
 
 import pytest
 
-from conftest import PrimeWeights, enumerate_colorful_cycles, ref_aux_sides
+from conftest import PrimeWeights, enumerate_colorful_cycles, ref_aux_sides, tight_copies
 
 from clawpack import circular
 from clawpack.circular import (
     AnchorMaps,
     AuxGraph,
     AuxVertex,
+    CircularState,
     ColorCodingParams,
     SearchIncompleteError,
     _independent_subsets,
@@ -27,7 +28,7 @@ from clawpack.circular import (
     trial_success_bound,
     validate_circular,
 )
-from clawpack.generators import berman_tight_instance, gen_berman_tight
+from clawpack.generators import berman_tight_instance, gen_berman_tight, gen_random_packing
 from clawpack.instances import (
     ConflictGraph,
     ContractError,
@@ -37,7 +38,7 @@ from clawpack.instances import (
     build_conflict_graph,
 )
 from clawpack.oracle import exhaustive_improvement_search
-from clawpack.solvers import SolverConfig, logimp
+from clawpack.solvers import SolverConfig, greedy, logimp, solve
 
 
 def berman_setup(d=4):
@@ -590,3 +591,177 @@ def test_anchor_maps_and_aux_graph_build_no_fraction():
         maps = build_anchor_maps(g, a)
         h = build_aux_graph(g, a, maps, params, inst)
     assert h.edges
+
+
+# ------------------------------------------------- per-run circular state
+#
+# logimp keeps one CircularState per run. At every circular call its anchor
+# maps and aux graph must equal a from-scratch build, also when a cap was
+# crossed part-way through an earlier call. The maps' key order is not
+# compared: consumers sort the keys, and an incremental update appends the
+# vertices that left A.
+
+FRESH_MAPS = circular.build_anchor_maps
+FRESH_AUX = circular.build_aux_graph
+
+
+def aux_fields(h):
+    return h.vertices, h.edges, h.incident, h.elements_v, h.elements_e, h.notes
+
+
+def check_state_against_fresh(g, a, state, params, inst, d, call):
+    """The state's maps and aux graph for `a` against a fresh build, and the
+    outcome under caps below and at the vertex and edge-check totals, built
+    through the state. Even calls build uncapped first; odd calls try the
+    caps first, starting at a different one each time, so a cap crossed
+    part-way through the blocks, and a tight cap met exactly, come before
+    the uncapped build."""
+    fresh_maps = FRESH_MAPS(g, a)
+    maps = state.maps
+    assert (maps.heaviest, maps.second, maps.a_neighbors) == (
+        fresh_maps.heaviest, fresh_maps.second, fresh_maps.a_neighbors
+    )
+    fresh = CircularState(g, fresh_maps)
+    want = FRESH_AUX(g, a, fresh_maps, params, inst, d, state=fresh)
+    assert aux_fields(want) == aux_fields(FRESH_AUX(g, a, fresh_maps, params, inst, d))
+    n_vertices, n_checks = len(want.vertices), fresh.checks
+    caps = [dataclasses.replace(params, max_aux_vertices=n) for n in {n_vertices - 1, n_vertices} if n >= 0]
+    caps += [
+        dataclasses.replace(params, max_aux_edge_checks=n)
+        for n in sorted({n_checks // 2, n_checks - 1, n_checks}) if n >= 0
+    ]
+
+    def capped(order):
+        for p in order:
+            expect = aux_outcome(lambda q: FRESH_AUX(g, a, fresh_maps, q, inst, d), p)
+            got = aux_outcome(lambda q: FRESH_AUX(g, a, maps, q, inst, d, state=state), p)
+            assert got == expect
+            below = p.max_aux_vertices < n_vertices or p.max_aux_edge_checks < n_checks
+            assert (got == "incomplete") == below
+
+    if call % 2:
+        turn = (call // 2) % len(caps)
+        capped(caps[turn:] + caps[:turn])
+    got = FRESH_AUX(g, a, maps, params, inst, d, state=state)
+    assert aux_fields(got) == aux_fields(want)
+    assert state.checks == n_checks
+    if not call % 2:
+        capped(caps)
+    return got
+
+
+class CheckedAuxBuild:
+    """Stands in for circular.build_aux_graph in a logimp run and checks
+    every call against a from-scratch build (see check_state_against_fresh)."""
+
+    def __init__(self):
+        self.calls = 0
+        self.moved = 0  # members that changed between consecutive calls
+        self.last = None
+
+    def __call__(self, g, a, maps, params, inst=None, d=None, state=None):
+        assert state is not None and maps is state.maps, "logimp must pass its circular state"
+        if self.last is not None:
+            self.moved += len(a.members ^ self.last)
+        self.last = set(a.members)
+        got = check_state_against_fresh(g, a, state, params, inst, d, self.calls)
+        self.calls += 1
+        return got
+
+
+def run_checked_logimp(g, cfg, **kw):
+    check = CheckedAuxBuild()
+    with mock.patch.object(circular, "build_aux_graph", check):
+        trace = solve(g, cfg, **kw)
+    circulars = [r.kind for r in trace.improvements].count("circular")
+    assert check.calls == circulars + 1
+    return trace, check
+
+
+def tight_with_random_sets(seed: int, copies: int = 4, extra: int = 12):
+    """Shuffled tight d=5 copies plus random 3-sets over the same universe,
+    so the random sets' anchors move with the copies' swaps."""
+    rng = random.Random(seed)
+    inst, small = tight_copies(5, copies, seed)
+    u = inst.universe_size
+    sets = [sorted(s) for s in inst.sets] + [sorted(rng.sample(range(u), 3)) for _ in range(extra)]
+    weights = list(inst.weights) + [Fraction(rng.randint(1, 12), rng.randint(4, 12)) for _ in range(extra)]
+    return PackingInstance.build(u, sets, weights, inst.k), small
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "rand"])
+def test_circular_state_matches_fresh_build_in_logimp(mode):
+    pw = PrimeWeights(random.Random(7))
+    cases = [
+        tight_copies(5, 6, seed=11),
+        tight_copies(5, 3, seed=4, scales=[pw.magnitude(e) for e in (-60, 7, 60)]),
+        tight_with_random_sets(2, copies=6, extra=16),
+        tight_with_random_sets(5),
+    ]
+    calls = moved = 0
+    for inst, small in cases:
+        g = build_conflict_graph(inst)
+        cfg = SolverConfig(mode="logimp", circular=ColorCodingParams.defaults(g, inst, mode=mode))
+        trace, check = run_checked_logimp(g, cfg, inst=inst, start=Solution.of(g, small))
+        calls, moved = calls + check.calls, moved + check.moved
+    # random k=3 packings: one circular call per run, at the claw fixed point
+    for seed in range(4):
+        inst = gen_random_packing(40, 3, 30, seed=seed)
+        g = build_conflict_graph(inst)
+        params = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode=mode), repetitions=20)
+        cfg = SolverConfig(mode="logimp", circular=params)
+        run_checked_logimp(g, cfg, inst=inst)
+        run_checked_logimp(g, cfg, inst=inst, start=greedy(g))
+    assert calls > 10 and moved > 0
+
+
+def test_circular_state_under_scaling():
+    inst, _ = tight_with_random_sets(2)
+    g = build_conflict_graph(inst)
+    trace, check = run_checked_logimp(g, SolverConfig(mode="logimp", scaling_n=Fraction(3, 2)), inst=inst)
+    assert trace.scaled and check.calls >= 1
+
+
+def random_swap(rng, g, members):
+    """Swap up to three independent outside vertices in, drop their solution
+    neighbors, and add random free vertices until the set is maximal."""
+    outside = [u for u in range(g.n) if u not in members]
+    x = set()
+    for u in rng.sample(outside, min(len(outside), rng.randint(1, 3))):
+        if g.adj_sets[u].isdisjoint(x):
+            x.add(u)
+    members = (members - {v for u in x for v in g.adj[u]}) | x
+    order = list(range(g.n))
+    rng.shuffle(order)
+    for v in order:
+        if v not in members and g.adj_sets[v].isdisjoint(members):
+            members.add(v)
+    return members
+
+
+@pytest.mark.parametrize("kind", ["prime", "ties", "equal"])
+def test_circular_state_over_random_swaps(kind):
+    """Random walks over maximal solutions of random graphs and k=3 packings
+    (see `weighted_case`), several swaps between some calls."""
+    for seed in range(10):
+        g, a, inst = weighted_case(seed, kind)
+        rng = random.Random(seed)
+        params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
+        state = CircularState(g)
+        members = set(a.members)
+        for step in range(12):
+            for _ in range(rng.choice([1, 1, 2, 4])):
+                members = random_swap(rng, g, members)
+            sol = Solution.of(g, members)
+            maps = build_anchor_maps(g, sol, state)
+            assert maps is state.maps
+            check_state_against_fresh(g, sol, state, params, inst, None, step)
+
+
+def test_circular_state_rejects_foreign_maps():
+    _, g, a = berman_setup(5)
+    state = CircularState(g)
+    build_anchor_maps(g, a, state)
+    params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
+    with pytest.raises(ContractError):
+        build_aux_graph(g, a, build_anchor_maps(g, a), params, state=state)

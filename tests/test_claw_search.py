@@ -14,13 +14,12 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights, ref_aux_sides
+from conftest import PrimeWeights, ref_aux_sides, tight_copies
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawpack import solvers
 from clawpack.circular import ColorCodingParams, aux_edge_check, build_anchor_maps
-from clawpack.generators import berman_tight_instance
 from clawpack.instances import (
     ClawShaped,
     ConflictGraph,
@@ -153,24 +152,6 @@ def test_verdict_set_matches_fresh_search(inst, from_greedy):
     lg, _ = run_checked(logimp, g, SolverConfig(mode="logimp"), start=start, inst=inst)
     assert find_claw_improvement(g, sq.final) is None
     assert find_claw_improvement(g, lg.final) is None
-
-
-def tight_copies(d: int, copies: int, seed: int, scales=None) -> tuple[PackingInstance, list[int]]:
-    """Disjoint copies of the tight instance with shuffled ids, copy c's
-    weights times scales[c] (1 by default); returns the instance and the
-    copies' small sides."""
-    base = berman_tight_instance(d)
-    n = len(base.sets)
-    perm = list(range(n * copies))
-    random.Random(seed).shuffle(perm)
-    sets: list = [None] * len(perm)
-    weights: list = [None] * len(perm)
-    for c in range(copies):
-        for i, s in enumerate(base.sets):
-            sets[perm[c * n + i]] = sorted(e + c * base.universe_size for e in s)
-            weights[perm[c * n + i]] = base.weights[i] * (scales[c] if scales else 1)
-    small = sorted(perm[c * n + i] for c in range(copies) for i in range(d - 1))
-    return PackingInstance.build(copies * base.universe_size, sets, weights, base.k), small
 
 
 def test_verdict_set_across_circular_swaps():

@@ -62,6 +62,35 @@ def test_parse_errors():
         formats.parse_text("p ksp 1 2 3\ns 1/1 0 0\n")  # duplicate element
 
 
+EXPONENT_TOKENS = ["1e4000000", "1E3", "2.5e-3", "1e0", "-1e5"]
+
+
+@pytest.mark.parametrize("token", EXPONENT_TOKENS)
+def test_exponent_weight_rejected_on_text_path(token):
+    # Fraction would expand 1e4000000 into a 13 M-bit numerator
+    with pytest.raises(InputError, match="line 2: bad weight .*exponent"):
+        formats.parse_text(f"p ksp 1 2 3\ns {token} 0\n")
+    with pytest.raises(InputError, match="line 2: bad weight .*exponent"):
+        formats.parse_text(f"p mwis 1 0\nv 0 {token}\n")
+
+
+@pytest.mark.parametrize("weight", EXPONENT_TOKENS + [1e-05, 1e300])
+def test_exponent_weight_rejected_on_json_path(weight, tmp_path):
+    doc = {"kind": "ksp", "k": 3, "universe": 2, "sets": [[0]], "weights": [weight]}
+    with pytest.raises(InputError, match="exponent"):
+        formats.from_json_obj(doc)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match="exponent"):
+        formats.load(str(path))
+
+
+def test_decimal_weight_still_accepted():
+    assert formats.parse_text("p ksp 1 2 3\ns 1.25 0\n").weights == (Fraction(5, 4),)
+    doc = {"kind": "mwis", "weights": ["0.5", 2], "edges": [[0, 1]]}
+    assert formats.from_json_obj(doc).weights == (Fraction(1, 2), Fraction(2))
+
+
 def test_parse_then_build_graph_is_deterministic():
     inst = gen_random_packing(10, 3, 8, seed=3)
     text = formats.to_text(inst)
