@@ -103,6 +103,15 @@ def config_from_algo_spec(spec: dict, seed: int) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
+def _certify(g: ConflictGraph, final, opt, delta: Fraction) -> tuple[str, str]:
+    """(cert, error) of one final solution against the instance's optimum."""
+    try:
+        report = certify_local_optimum(g, final, opt.best, AnalysisParams.from_delta(delta))
+    except Exception as exc:  # recorded on every row that ends at this final
+        return "error", f"{type(exc).__name__}: {exc}"
+    return ("pass" if report.all_bounds_ok() else "fail"), ""
+
+
 def _run_row(
     name: str,
     g: ConflictGraph,
@@ -111,7 +120,8 @@ def _run_row(
     seed: int,
     opt,
     delta: Fraction,
-    start_members: Optional[list[int]] = None,
+    start_members: Optional[list[int]],
+    certs: dict,
 ) -> BenchRow:
     row = BenchRow(instance=name, algo=algo_spec["algo"], seed=seed)
     t0 = time.perf_counter()
@@ -129,8 +139,10 @@ def _run_row(
             row.opt_w = opt.optimum_w
             if row.final_w > 0:
                 row.ratio = row.opt_w / row.final_w
-            report = certify_local_optimum(g, trace.final, opt.best, AnalysisParams.from_delta(delta))
-            row.cert = "pass" if report.all_bounds_ok() else "fail"
+            key = frozenset(trace.final.members)
+            if key not in certs:
+                certs[key] = _certify(g, trace.final, opt, delta)
+            row.cert, row.error = certs[key]
     except Exception as exc:  # per-row failures recorded, run continues
         row.error = f"{type(exc).__name__}: {exc}"
         row.cert = "error"
@@ -138,12 +150,39 @@ def _run_row(
     return row
 
 
+def _run_instance(
+    name: str,
+    g: ConflictGraph,
+    inst: Optional[PackingInstance],
+    inst_spec: dict,
+    algos: list[dict],
+    seeds: list[int],
+    oracle_limit: int,
+    delta: Fraction,
+) -> list[BenchRow]:
+    """Every row of one instance, algorithms outer and seeds inner.
+
+    The oracle runs once, and each distinct final member set is certified
+    once; the rows that end at it share its verdict.
+    """
+    opt = exact_mwis(g, size_limit=oracle_limit) if g.n <= oracle_limit else None
+    certs: dict[frozenset[int], tuple[str, str]] = {}
+    rows = []
+    for algo_spec in algos:
+        start = algo_spec.get("start", inst_spec.get("start"))
+        for seed in seeds:
+            rows.append(_run_row(name, g, inst, algo_spec, seed, opt, delta, start, certs))
+    return rows
+
+
 def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     """Execute the instances x algorithms x seeds cross product.
 
-    With `jobs` > 1 the rows run in up to min(jobs, CPU count, rows) worker
-    processes. Rows are assembled in index order regardless of completion
-    order, so reports are deterministic for fixed seeds (timings aside).
+    Each instance is one task: its oracle call, its rows and its
+    certificates, one per distinct final solution. With `jobs` > 1 the
+    tasks run in up to min(jobs, CPU count, instances) worker processes.
+    Rows are assembled in index order regardless of completion order, so
+    reports are deterministic for fixed seeds (timings aside).
     """
     instances = []
     for inst_spec in config.get("instances", []):
@@ -165,30 +204,19 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     oracle_limit = int(config.get("oracle_limit", 20))
     delta = Fraction(str(config.get("delta", "1/2")))
 
-    # one oracle call per instance, shared across its rows
-    optima = {
-        name: exact_mwis(g, size_limit=oracle_limit) if g.n <= oracle_limit else None
-        for name, g, _, _ in instances
-    }
-    tasks = []
-    for name, g, inst, inst_spec in instances:
-        for algo_spec in algos:
-            start = algo_spec.get("start", inst_spec.get("start"))
-            for seed in seeds:
-                tasks.append((name, g, inst, algo_spec, seed, optima[name], delta, start))
+    tasks = [(*instance, algos, seeds, oracle_limit, delta) for instance in instances]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        rows = [_run_row(*task) for task in tasks]
+        per_instance = [_run_instance(*task) for task in tasks]
     else:
         # imported here, so the serial path does not load multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # spawned workers, since fork is unsafe in a process with threads; a
-        # chunk goes as one pickle, which sends a graph its rows share once
+        # spawned workers, since fork is unsafe in a process with threads
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            rows = list(pool.map(_run_row, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * workers))))
-    return BenchReport(rows=rows)
+            per_instance = list(pool.map(_run_instance, *zip(*tasks)))
+    return BenchReport(rows=[row for rows in per_instance for row in rows])
 
 
 def emit_report(report: BenchReport, fmt: str = "csv", times: bool = False) -> str:

@@ -4,9 +4,11 @@ Charges distribute the reference solution's weight over the incumbent;
 contributions bound what a claw centered at an incumbent vertex could
 recover. At a claw fixed point the per-vertex charge sums stay below half
 the vertex weight, contribution sums below the full weight, and the weight
-ratio below d/2; each bound is checked in exact arithmetic. The vertex
-classification behind the improved guarantee is evaluated with exact surd
-sign tests and reported informationally below its huge d threshold.
+ratio below d/2; each bound is checked exactly on the integer-scaled
+weights `w_int` and `w2_int`, cross-multiplied where a bound divides. The
+vertex classification behind the improved guarantee is evaluated with exact
+integer surd sign tests and reported informationally below its huge d
+threshold. `Fraction`s are built only for the values a `CertReport` holds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .circular import AnchorMaps, build_anchor_maps
-from .exactnum import surd_cmp
+from .exactnum import surd_sign
 from .instances import ConflictGraph, ContractError, InputError, Solution
 
 
@@ -128,36 +130,39 @@ def compute_charges(g: ConflictGraph, a: Solution, astar: Solution, maps: Anchor
     """Charge of each reference vertex to its heaviest incumbent neighbor.
 
     charge(u, n(u)) = w(u) - w(N(u,A))/2; a reference vertex inside the
-    incumbent is its own only neighbor, so it charges itself w(u)/2.
+    incumbent is its own only neighbor, so it charges itself w(u)/2. Every
+    check runs on the integers `g.w_int` and `g.w2_int`: 2L times a charge
+    is 2 w_int(u) - w_int(N(u,A)), and `Fraction`s are built only for the
+    reported charges and sums.
     """
+    w, w2, lcm = g.w_int, g.w2_int, g.w_lcm
     report = CertReport()
-    for v in a.members:
-        report.charge_sum_pos[v] = Fraction(0)
+    pos = {v: 0 for v in a.members}  # 2L times the positive charge sums
     pointwise = True
     t_sets: dict[int, list[int]] = {v: [] for v in a.members}
+    total = 0  # 2L times the sum of w(N(u,A))/2 + charge(u)
     for u in sorted(astar.members):
         nbrs = _solution_neighbors(g, a, maps, u)
         if not nbrs:
             raise ContractError(f"reference vertex {u} sees no incumbent vertex")
         anchor = _anchor(g, a, maps, u)
-        charge = g.weights[u] - g.weight_of(nbrs) / 2
-        report.charges[u] = (anchor, charge)
+        wn = sum(w[x] for x in nbrs)
+        charge = 2 * w[u] - wn
+        report.charges[u] = (anchor, Fraction(charge, 2 * lcm))
+        total += wn + charge
         if charge > 0:
-            report.charge_sum_pos[anchor] += charge
+            pos[anchor] += charge
             t_sets[anchor].append(u)
-            gap = g.weights[u] ** 2 - sum(
-                (g.weights[x] ** 2 for x in nbrs if x != anchor), Fraction(0)
-            )
-            if gap < 2 * charge * g.weights[anchor]:
+            # w2(u) - w2(N(u,A) - anchor) >= 2 charge w(anchor), times L**2
+            gap = w2[u] - sum(w2[x] for x in nbrs if x != anchor)
+            if gap < charge * w[anchor]:
                 pointwise = False
+    report.charge_sum_pos = {v: Fraction(c, 2 * lcm) for v, c in pos.items()}
     report.t_sets = {v: tuple(t) for v, t in t_sets.items()}
     report.pointwise_ok = pointwise
-    report.charge_bound_ok = all(
-        report.charge_sum_pos[v] <= g.weights[v] / 2 for v in a.members
-    )
-    total = sum((g.weight_of(_solution_neighbors(g, a, maps, u)) / 2 for u in astar.members), Fraction(0))
-    total += sum((report.charges[u][1] for u in astar.members), Fraction(0))
-    report.identity_ok = total == astar.total_w
+    report.charge_bound_ok = all(pos[v] <= w[v] for v in a.members)
+    ref = astar.total_w
+    report.identity_ok = total * ref.denominator == 2 * lcm * ref.numerator
     return report
 
 
@@ -166,24 +171,26 @@ def compute_contributions(
 ) -> CertReport:
     """contr(u,v) = max{0, (w^2(u) - w^2(N(u,A) minus v)) / w(v)} for incumbent
     neighbors v; per-vertex sums above w(v) certify a residual claw improvement
-    and are reported, never thrown. `maps` are built for A when not given."""
+    and are reported, never thrown. `maps` are built for A when not given.
+
+    Every contribution to v divides by the same w(v), so the bound compares
+    the sum of the integer gaps (in `g.w2_int`) with w2_int(v).
+    """
     if maps is None:
         maps = build_anchor_maps(g, a)
+    w, w2, lcm = g.w_int, g.w2_int, g.w_lcm
     report = CertReport()
-    for v in a.members:
-        report.contr_sum[v] = Fraction(0)
+    gaps = {v: 0 for v in a.members}  # L * w_int(v) times contr_sum(v)
     for u in sorted(astar.members):
         nbrs = _solution_neighbors(g, a, maps, u)
-        w2_all = sum((g.weights[x] ** 2 for x in nbrs), Fraction(0))
+        rest = w2[u] - sum(w2[x] for x in nbrs)
         for v in nbrs:
-            gap = g.weights[u] ** 2 - (w2_all - g.weights[v] ** 2)
-            contr = max(Fraction(0), gap / g.weights[v])
-            if contr:
-                report.contributions[(u, v)] = contr
-            report.contr_sum[v] += contr
-    report.contribution_bound_ok = all(
-        report.contr_sum[v] <= g.weights[v] for v in a.members
-    )
+            gap = rest + w2[v]
+            if gap > 0:
+                report.contributions[(u, v)] = Fraction(gap, lcm * w[v])
+                gaps[v] += gap
+    report.contr_sum = {v: Fraction(s, lcm * w[v]) for v, s in gaps.items()}
+    report.contribution_bound_ok = all(gaps[v] <= w2[v] for v in a.members)
     return report
 
 
@@ -191,15 +198,21 @@ def _classify_one(
     g: ConflictGraph,
     a: Solution,
     maps: AnchorMaps,
-    params: AnalysisParams,
+    eps: tuple[int, int],
     u: int,
 ) -> tuple[str, ...]:
-    w = g.weights
-    eps_p = params.eps_prime
+    """Class tags of u, with eps' = eps[0] / eps[1].
+
+    Each ratio test is multiplied by its positive denominator, so it reads
+    surd_sign(a, b, ., ., x), the sign of a + b sqrt(q) - x on integers.
+    """
+    w, w2 = g.w_int, g.w2_int
+    qn, qd = eps
     nbrs = _solution_neighbors(g, a, maps, u)
     v1 = _anchor(g, a, maps, u)
-    wn = g.weight_of(nbrs)
-    charge = w[u] - wn / 2
+    wu, w1 = w[u], w[v1]
+    wn = sum(w[x] for x in nbrs)
+    charge = 2 * wu - wn  # 2L times the charge
     v2 = None
     if u in a.members:
         pass
@@ -208,41 +221,38 @@ def _classify_one(
     tags = []
 
     # beta = sqrt(eps'): membership in T_v1 required for single and double.
-    q1 = eps_p
     if charge > 0:
-        r = w[u] / w[v1]
-        if surd_cmp(1, -1, q1, r) <= 0 and surd_cmp(1, 1, q1, r) >= 0:
-            if surd_cmp(1, 1, q1, wn / w[v1]) >= 0:
-                tags.append("single")
-        if v2 is not None:
-            r2 = w[v2] / w[v1]
-            if (
-                surd_cmp(1, -1, q1, r) <= 0
-                and surd_cmp(1, 1, q1, r) >= 0
-                and surd_cmp(1, -1, q1, r2) <= 0
-                and r2 <= 1
-                and surd_cmp(2, -1, q1, wn / w[v1]) <= 0
-                and wn < 2 * w[u]
-            ):
-                tags.append("double")
+        # 1 - beta <= w(u)/w(v1) <= 1 + beta
+        in_band = surd_sign(w1, -w1, qn, qd, wu) <= 0 and surd_sign(w1, w1, qn, qd, wu) >= 0
+        if in_band and surd_sign(w1, w1, qn, qd, wn) >= 0:
+            tags.append("single")
+        if (
+            v2 is not None
+            and in_band
+            and surd_sign(w1, -w1, qn, qd, w[v2]) <= 0
+            and w[v2] <= w1
+            and surd_sign(2 * w1, -w1, qn, qd, wn) <= 0
+            and wn < 2 * wu
+        ):
+            tags.append("double")
 
-    if wn >= (2 + eps_p) * w[u]:
+    if wn * qd >= (2 * qd + qn) * wu:
         tags.append("payback")
 
     # beta = sqrt(2*eps') for good vertices.
-    q2 = 2 * eps_p
-    if v2 is not None and 2 * w[u] <= wn:
+    q2n = 2 * qn
+    if v2 is not None and 2 * wu <= wn:
         if (
-            surd_cmp(2, 1, q2, wn / w[u]) >= 0
-            and surd_cmp(1, -1, q2, w[v2] / w[v1]) <= 0
-            and surd_cmp(1, -1, q2, w[u] / w[v1]) <= 0
-            and surd_cmp(0, w[u], q2, w[u] - w[v1]) >= 0
+            surd_sign(2 * wu, wu, q2n, qd, wn) >= 0
+            and surd_sign(w1, -w1, q2n, qd, w[v2]) <= 0
+            and surd_sign(w1, -w1, q2n, qd, wu) <= 0
+            and surd_sign(0, wu, q2n, qd, wu - w1) >= 0
         ):
             tags.append("good")
 
-    w2_rest = sum((w[x] ** 2 for x in nbrs if x != v1), Fraction(0))
-    contr_v1 = max(Fraction(0), (w[u] ** 2 - w2_rest) / w[v1])
-    if contr_v1 >= (eps_p / 2) * w[u] + 2 * max(Fraction(0), charge):
+    # contr(u, v1) >= (eps'/2) w(u) + 2 max(0, charge), times 2 qd L w(v1)
+    gap = w2[u] - sum(w2[x] for x in nbrs if x != v1)
+    if 2 * qd * max(0, gap) >= w1 * (qn * wu + 2 * qd * max(0, charge)):
         tags.append("contributive")
     return tuple(tags)
 
@@ -263,8 +273,9 @@ def classify_vertices(
     """
     report = CertReport()
     unclassified = []
+    eps = (params.eps_prime.numerator, params.eps_prime.denominator)
     for u in sorted(astar.members):
-        tags = _classify_one(g, a, maps, params, u)
+        tags = _classify_one(g, a, maps, eps, u)
         report.classes[u] = tags
         if not tags:
             unclassified.append(u)
@@ -300,11 +311,12 @@ def certify_local_optimum(
     report.classification_ok = cls.classification_ok
     d_eff = d if d is not None else g.d
     if d_eff is not None:
-        nb_total = sum(
-            (g.weight_of(_solution_neighbors(g, a, maps, u)) / 2 for u in astar.members),
-            Fraction(0),
-        )
-        report.neighborhood_bound_ok = nb_total <= Fraction(d_eff - 1, 2) * a.total_w
-        report.ratio_ok = astar.total_w <= Fraction(d_eff, 2) * a.total_w
+        # sum of w(N(u,A))/2 <= (d-1)/2 w(A) and w(A*) <= d/2 w(A), cross-multiplied
+        w = g.w_int
+        nb = sum(sum(w[x] for x in _solution_neighbors(g, a, maps, u)) for u in astar.members)
+        an, ad = a.total_w.numerator, a.total_w.denominator
+        sn, sd = astar.total_w.numerator, astar.total_w.denominator
+        report.neighborhood_bound_ok = nb * ad <= (d_eff - 1) * g.w_lcm * an
+        report.ratio_ok = 2 * sn * ad <= d_eff * an * sd
         report.classification_hypothesis_met = d_eff >= params.d_delta
     return report

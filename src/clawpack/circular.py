@@ -745,7 +745,10 @@ def _colorful_cycles(
     max_len: int,
     state_budget: int,
 ) -> Iterator[tuple[list[int], list[int]]]:
-    """Simple colorful cycles of length 3..max_len in H, in DP order."""
+    """Simple colorful cycles of length 3..max_len in H, in DP order, as
+    (vertex order, edge order). Parallel-edge 2-cycles are the caller's
+    separate scan; candidates that collapse to one are skipped and the
+    sweep continues, so completeness for lengths 3..max_len is unaffected."""
     if h.elements_v is None or h.elements_e is None:
         raise InputError("aux graph carries no element sets; colorful search unavailable")
     vmask = [_color_mask(coloring, els) for els in h.elements_v]
@@ -754,22 +757,6 @@ def _colorful_cycles(
         cvseq, ceseq = _reduce_to_simple_cycle(vseq, eseq)
         if 3 <= len(ceseq) <= max_len:
             yield cvseq, ceseq
-
-
-def colorful_cycle_dp(
-    h: AuxGraph,
-    coloring: Sequence[int],
-    max_len: int,
-    state_budget: int = 2_000_000,
-) -> Optional[tuple[list[int], list[int]]]:
-    """Find a colorful cycle of length 3..max_len in H under the coloring.
-
-    Returns (vertex order, edge order) or None. Parallel-edge 2-cycles are
-    the caller's separate scan; candidates that collapse to one are skipped
-    here and the sweep continues, so completeness for lengths 3..max_len is
-    unaffected.
-    """
-    return next(_colorful_cycles(h, coloring, max_len, state_budget), None)
 
 
 def run_color_coding(

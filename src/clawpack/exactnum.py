@@ -1,9 +1,10 @@
 """Exact decisions about expressions with square roots of rationals.
 
-Two tools: sign tests for a + b*sqrt(q) against a rational (all class
-thresholds in the fixed-point analysis have this shape, so no precision
-loop is ever needed there), and rational-endpoint interval arithmetic with
-directed-rounding square roots for the constants checker.
+Two tools: integer sign tests for a + b*sqrt(q) against x (all class
+thresholds in the fixed-point analysis have this shape once multiplied by
+a positive denominator, so no precision loop is ever needed there), and
+rational-endpoint interval arithmetic with directed-rounding square roots
+for the constants checker.
 """
 
 from __future__ import annotations
@@ -14,28 +15,23 @@ from fractions import Fraction
 from typing import Optional
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def surd_cmp(a: Fraction, b: Fraction, q: Fraction, x: Fraction) -> int:
-    """Sign of (a + b*sqrt(q)) - x, exactly; requires q >= 0."""
-    if q < 0:
+def surd_sign(a: int, b: int, qn: int, qd: int, x: int) -> int:
+    """Sign of (a + b*sqrt(qn/qd)) - x for integers a, b, x; requires
+    qn >= 0 and qd > 0. Decided by one integer comparison of squares."""
+    if qn < 0:
         raise ValueError("q must be non-negative")
     t = x - a
-    if b == 0 or q == 0:
-        return _sign(-t)
+    if b == 0 or qn == 0:
+        return (t < 0) - (t > 0)
     if b > 0:
-        if t < 0:
+        if t <= 0:
             return 1
-        if t == 0:
-            return 1
-        return _sign(b * b * q - t * t)
-    if t > 0:
-        return -1
-    if t == 0:
-        return -1
-    return _sign(t * t - b * b * q)
+        s = b * b * qn - t * t * qd
+    else:
+        if t >= 0:
+            return -1
+        s = t * t * qd - b * b * qn
+    return (s > 0) - (s < 0)
 
 
 def sqrt_bounds(x: Fraction, prec_bits: int) -> tuple[Fraction, Fraction]:

@@ -20,8 +20,8 @@ from clawpack.circular import (
     AuxGraph,
     AuxVertex,
     ColorCodingParams,
+    _colorful_cycles,
     build_anchor_maps,
-    colorful_cycle_dp,
     find_circular_improvement,
     repetitions_for,
     run_color_coding,
@@ -47,6 +47,8 @@ from clawpack.solvers import SolverConfig, find_claw_improvement, solve, squarei
 
 DELTA = Fraction(1, 2)
 PARAMS = AnalysisParams.from_delta(DELTA)
+
+DP_BUDGET = 2_000_000  # colorful DP states per coloring
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -184,7 +186,7 @@ def test_criterion_5_color_coding():
             vmask = [_mask(coloring, e) for e in h.elements_v]
             emask = [_mask(coloring, e) for e in h.elements_e]
             expect = [c for c in enumerate_colorful_cycles(h, vmask, emask, 8) if len(c) >= 3]
-            got = colorful_cycle_dp(h, coloring, max_len=8)
+            got = next(_colorful_cycles(h, coloring, 8, DP_BUDGET), None)
             assert (got is not None) == bool(expect)
             if got is not None:
                 vs, es = got

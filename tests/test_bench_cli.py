@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,9 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from clawpack import formats
-from clawpack.bench import emit_report, report_from_json, run_bench
+from clawpack.bench import emit_report, instance_from_gen_spec, report_from_json, run_bench
 from clawpack.cli import main
 from clawpack.generators import berman_tight_instance
+from clawpack.oracle import exact_mwis
 
 
 @pytest.fixture
@@ -136,6 +138,90 @@ def test_bench_row_error_recorded():
     assert len(report.rows) == 1
     assert report.rows[0].error
     assert not report.all_ok()
+
+
+# greedy rows on "nu" fail the certificate, the alpha-less parametrized rows
+# error, and most other finals repeat across algorithms and seeds
+MEMO_SUITE = {
+    "instances": [
+        {"id": "b4", "gen": {"family": "berman", "d": 4}, "start": [0, 1, 2]},
+        {"id": "r0", "gen": {"family": "random", "sets": 12, "k": 3, "universe": 9, "seed": 3}},
+        {"id": "nu", "gen": {"family": "random", "sets": 12, "k": 3, "universe": 8,
+                             "dist": "near-unit:1/20", "seed": 5}},
+        {"id": "cyc", "gen": {"family": "cycle", "pairs": 5, "d": 5, "eps": "1/2"}},
+    ],
+    "algorithms": [
+        {"algo": "greedy"},
+        {"algo": "squareimp"},
+        {"algo": "logimp"},
+        {"algo": "parametrized", "alpha": "2", "cap_c": "1/2"},
+        {"algo": "parametrized"},
+    ],
+    "seeds": [0, 1],
+}
+# sha1 of the default CSV and JSON reports of MEMO_SUITE as the per-row
+# Fraction certificate wrote them, before the memo and the integer layer
+MEMO_SUITE_SHA1 = {
+    "csv": "6abb18269e552c5c1805aa90d82de69b546c0294",
+    "json": "509729fe5e3b1dd6d7372002140c63d42b8f3fef",
+}
+
+
+def spy_bench(monkeypatch):
+    """Record (graph, final member set) per solved row and per certificate."""
+    import clawpack.bench as bench
+
+    solved, certified = [], []
+    real_solve, real_certify = bench.solve, bench.certify_local_optimum
+
+    def solve(g, cfg, **kwargs):
+        trace = real_solve(g, cfg, **kwargs)
+        solved.append((id(g), frozenset(trace.final.members)))
+        return trace
+
+    def certify(g, a, astar, params, d=None):
+        certified.append((id(g), frozenset(a.members)))
+        return real_certify(g, a, astar, params, d)
+
+    monkeypatch.setattr(bench, "solve", solve)
+    monkeypatch.setattr(bench, "certify_local_optimum", certify)
+    return solved, certified
+
+
+def test_bench_certifies_each_distinct_final_once(monkeypatch):
+    solved, certified = spy_bench(monkeypatch)
+    report = run_bench(MEMO_SUITE)
+    assert len(certified) == len(set(certified)) == len(set(solved))
+    assert set(certified) == set(solved)
+    assert len(solved) == 32 and len(certified) < len(solved)
+    assert sum(r.cert == "fail" for r in report.rows) == 4
+
+
+def test_bench_same_id_instances_certified_separately(monkeypatch):
+    solved, certified = spy_bench(monkeypatch)
+    config = {
+        "instances": [
+            {"id": "same", "gen": {"family": "berman", "d": 4}, "start": [0, 1, 2]},
+            {"id": "same", "gen": {"family": "random", "sets": 10, "k": 3, "universe": 8, "seed": 0}},
+        ],
+        "algorithms": [{"algo": "squareimp"}],
+        "seeds": [0],
+    }
+    report = run_bench(config)
+    assert len({gid for gid, _ in certified}) == 2
+    assert set(certified) == set(solved)
+    # each row carries its own instance's optimum
+    _, g0 = instance_from_gen_spec(config["instances"][0]["gen"])
+    _, g1 = instance_from_gen_spec(config["instances"][1]["gen"])
+    assert [r.opt_w for r in report.rows] == [exact_mwis(g0).optimum_w, exact_mwis(g1).optimum_w]
+    assert [r.cert for r in report.rows] == ["pass", "pass"]
+
+
+def test_bench_memo_output_bytes_pinned_across_jobs():
+    for jobs in (1, 2):
+        report = run_bench(MEMO_SUITE, jobs=jobs)
+        for fmt, digest in MEMO_SUITE_SHA1.items():
+            assert hashlib.sha1(emit_report(report, fmt=fmt).encode()).hexdigest() == digest, (jobs, fmt)
 
 
 def test_cli_gen_and_solve(tmp_path, runner):

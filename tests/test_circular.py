@@ -15,12 +15,12 @@ from clawpack.circular import (
     CircularState,
     ColorCodingParams,
     SearchIncompleteError,
+    _colorful_cycles,
     _independent_subsets,
     aux_edge_check,
     build_anchor_maps,
     build_aux_graph,
     charge_to_anchor,
-    colorful_cycle_dp,
     find_circular_improvement,
     max_cycle_len_for,
     repetitions_for,
@@ -39,6 +39,8 @@ from clawpack.instances import (
 )
 from clawpack.oracle import exhaustive_improvement_search
 from clawpack.solvers import SolverConfig, greedy, logimp, solve
+
+DP_BUDGET = 2_000_000  # colorful DP states per coloring
 
 
 def berman_setup(d=4):
@@ -156,7 +158,7 @@ def test_dp_triangle_disjoint_colors():
         e_elems=[{3}, {4}, {5}],
     )
     coloring = list(range(6))
-    got = colorful_cycle_dp(h, coloring, max_len=6)
+    got = next(_colorful_cycles(h, coloring, 6, DP_BUDGET), None)
     assert got is not None
     vs, es = got
     assert sorted(es) == [0, 1, 2]
@@ -170,7 +172,7 @@ def test_dp_shared_color_blocks():
         e_elems=[{3}, {4}, {3}],  # two edges share an element
     )
     coloring = list(range(5))
-    assert colorful_cycle_dp(h, coloring, max_len=6) is None
+    assert next(_colorful_cycles(h, coloring, 6, DP_BUDGET), None) is None
 
 
 def test_dp_skips_degenerate_walks_over_parallel_edges():
@@ -183,7 +185,7 @@ def test_dp_skips_degenerate_walks_over_parallel_edges():
         v_elems=[set(), set()],
         e_elems=[{0}, {1}, {2}, {3}],
     )
-    assert colorful_cycle_dp(h, [0, 1, 2, 3], max_len=8) is None
+    assert next(_colorful_cycles(h, [0, 1, 2, 3], 8, DP_BUDGET), None) is None
 
 
 def test_dp_agrees_with_enumeration_on_planted_cycles():
@@ -216,7 +218,7 @@ def test_dp_agrees_with_enumeration_on_planted_cycles():
         vmask = [_mask(coloring, h.elements_v[i]) for i in range(n)]
         emask = [_mask(coloring, h.elements_e[i]) for i in range(len(edges))]
         expect = [c for c in enumerate_colorful_cycles(h, vmask, emask, 8) if len(c) >= 3]
-        got = colorful_cycle_dp(h, coloring, max_len=8)
+        got = next(_colorful_cycles(h, coloring, 8, DP_BUDGET), None)
         assert (got is not None) == bool(expect)
         if got is not None:
             vs, es = got

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from clawpack.constants import CONST_NAMES, check_constants, check_constants_grid
-from clawpack.exactnum import RatInterval, sqrt_bounds, surd_cmp
+from clawpack.exactnum import RatInterval, sqrt_bounds, surd_sign
 
 
 def test_reference_point_half():
@@ -50,14 +50,14 @@ def test_sqrt_bounds_enclosure():
     assert hi - lo <= Fraction(1, 2 ** 39)
 
 
-def test_surd_cmp_signs():
+def test_surd_sign_signs():
     # 1 + 2*sqrt(2) vs 4: 3.828... < 4
-    assert surd_cmp(Fraction(1), Fraction(2), Fraction(2), Fraction(4)) == -1
-    # 1 - sqrt(1/4) = 1/2
-    assert surd_cmp(Fraction(1), Fraction(-1), Fraction(1, 4), Fraction(1, 2)) == 0
-    assert surd_cmp(Fraction(0), Fraction(1), Fraction(2), Fraction(1)) == 1
-    assert surd_cmp(Fraction(0), Fraction(-1), Fraction(2), Fraction(-2)) == 1
-    assert surd_cmp(Fraction(0), Fraction(-1), Fraction(2), Fraction(-1)) == -1
+    assert surd_sign(1, 2, 2, 1, 4) == -1
+    # 1 - sqrt(1/4) = 1/2, times 2
+    assert surd_sign(2, -2, 1, 4, 1) == 0
+    assert surd_sign(0, 1, 2, 1, 1) == 1
+    assert surd_sign(0, -1, 2, 1, -2) == 1
+    assert surd_sign(0, -1, 2, 1, -1) == -1
 
 
 def test_interval_arithmetic():
