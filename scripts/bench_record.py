@@ -1,12 +1,13 @@
 """Record one point of the performance trajectory: run clawbench on every
 workload, untraced and traced, and write the result lines to one file.
 
-    python3 scripts/bench_record.py --tag 7 [--seed 0] [--seconds 25]
+    python3 scripts/bench_record.py --tag 7
 
-Run it from anywhere; it runs `clawbench/run.py` from the repository root,
-one workload and mode at a time, and writes `BENCH_<tag>.json` there with
-the Python version, the CPU count (`nproc`) and, per run, the command's
-arguments, exit code and its last output line parsed as JSON.
+Run it from anywhere; it runs `clawbench/run.py` from the repository root
+with seed 0 and the benchmark's 25 s run length, one workload and mode at a
+time, and writes `BENCH_<tag>.json` there with the Python version, the CPU
+count (`nproc`) and, per run, the command's arguments, exit code and its
+last output line parsed as JSON, or the tail of its stderr if it failed.
 """
 
 import argparse
@@ -20,29 +21,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("rand-k3", "tight-union", "small-exact")
 
 
-def run_one(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+def run_one(workload: str, trace: int) -> dict:
+    args = ["--workload", workload, "--seed", "0", "--seconds", "25", "--trace", str(trace)]
     proc = subprocess.run(
         [sys.executable, os.path.join("clawbench", "run.py"), *args],
         cwd=ROOT, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
-    return {
-        "workload": workload,
-        "trace": trace,
-        "args": args,
-        "exit_code": proc.returncode,
-        "result": json.loads(lines[-1]) if proc.returncode == 0 and lines else None,
-    }
+    run = {"workload": workload, "trace": trace, "args": args, "exit_code": proc.returncode}
+    if proc.returncode == 0 and lines:
+        run["result"] = json.loads(lines[-1])
+    else:
+        run["result"] = None
+        run["stderr_tail"] = proc.stderr.strip().splitlines()[-10:]
+    return run
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True, help="file name suffix: BENCH_<tag>.json")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=25.0)
     opts = ap.parse_args()
-    runs = [run_one(w, opts.seed, opts.seconds, trace) for w in WORKLOADS for trace in (0, 1)]
+    runs = [run_one(w, trace) for w in WORKLOADS for trace in (0, 1)]
     doc = {
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import formats, generators
 from .certify import AnalysisParams, certify_local_optimum
-from .instances import ConflictGraph, InputError, PackingInstance, build_conflict_graph
+from .instances import ConflictGraph, InputError, PackingInstance, Solution, build_conflict_graph
 from .oracle import exact_mwis
 from .solvers import SolverConfig, solve
 
@@ -103,35 +103,27 @@ def config_from_algo_spec(spec: dict, seed: int) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _certify(g: ConflictGraph, final, opt, delta: Fraction) -> tuple[str, str]:
-    """(cert, error) of one final solution against the instance's optimum."""
-    try:
-        report = certify_local_optimum(g, final, opt.best, AnalysisParams.from_delta(delta))
-    except Exception as exc:  # recorded on every row that ends at this final
-        return "error", f"{type(exc).__name__}: {exc}"
-    return ("pass" if report.all_bounds_ok() else "fail"), ""
+def _optimum(g: ConflictGraph, oracle_limit: int):
+    return exact_mwis(g, size_limit=oracle_limit) if g.n <= oracle_limit else None
 
 
-def _run_row(
+def _solve_row(
     name: str,
     g: ConflictGraph,
     inst: Optional[PackingInstance],
     algo_spec: dict,
     seed: int,
     opt,
-    delta: Fraction,
     start_members: Optional[list[int]],
-    certs: dict,
-) -> BenchRow:
+) -> tuple[BenchRow, Optional[Solution]]:
+    """One row without its certificate, and the final solution to certify
+    (None when the row failed or the instance has no optimum)."""
     row = BenchRow(instance=name, algo=algo_spec["algo"], seed=seed)
+    final = None
     t0 = time.perf_counter()
     try:
         cfg = config_from_algo_spec(algo_spec, seed)
-        start = None
-        if start_members is not None:
-            from .instances import Solution
-
-            start = Solution.of(g, start_members)
+        start = None if start_members is None else Solution.of(g, start_members)
         trace = solve(g, cfg, inst=inst, start=start)
         row.final_w = trace.final.total_w
         row.iters = trace.iterations
@@ -139,50 +131,71 @@ def _run_row(
             row.opt_w = opt.optimum_w
             if row.final_w > 0:
                 row.ratio = row.opt_w / row.final_w
-            key = frozenset(trace.final.members)
-            if key not in certs:
-                certs[key] = _certify(g, trace.final, opt, delta)
-            row.cert, row.error = certs[key]
+            final = trace.final
     except Exception as exc:  # per-row failures recorded, run continues
         row.error = f"{type(exc).__name__}: {exc}"
         row.cert = "error"
     row.time_ms = int((time.perf_counter() - t0) * 1000)
-    return row
+    return row, final
 
 
-def _run_instance(
-    name: str,
-    g: ConflictGraph,
-    inst: Optional[PackingInstance],
-    inst_spec: dict,
-    algos: list[dict],
-    seeds: list[int],
-    oracle_limit: int,
-    delta: Fraction,
-) -> list[BenchRow]:
-    """Every row of one instance, algorithms outer and seeds inner.
+def _certify(g: ConflictGraph, final: Solution, opt, delta: Fraction) -> tuple[str, str, float]:
+    """(cert, error, seconds) of one final solution against the optimum."""
+    t0 = time.perf_counter()
+    try:
+        report = certify_local_optimum(g, final, opt.best, AnalysisParams.from_delta(delta))
+        cert, error = ("pass" if report.all_bounds_ok() else "fail"), ""
+    except Exception as exc:  # recorded on every row that ends at this final
+        cert, error = "error", f"{type(exc).__name__}: {exc}"
+    return cert, error, time.perf_counter() - t0
 
-    The oracle runs once, and each distinct final member set is certified
-    once; the rows that end at it share its verdict.
+
+def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_limit: int,
+                delta: Fraction, pmap) -> list[BenchRow]:
+    """Optima, then rows, then one certificate per distinct final.
+
+    `pmap(fn, tasks)` runs fn(*task) for every task and returns the results
+    in task order. A final is keyed by its instance's position, not its
+    user-supplied id, and its certificate time is added to the first row
+    that ends at it.
     """
-    opt = exact_mwis(g, size_limit=oracle_limit) if g.n <= oracle_limit else None
-    certs: dict[frozenset[int], tuple[str, str]] = {}
+    optima = pmap(_optimum, [(g, oracle_limit) for _, g, _, _ in instances])
+    tasks, positions = [], []
+    for pos, (name, g, inst, inst_spec) in enumerate(instances):
+        for algo_spec in algos:
+            start = algo_spec.get("start", inst_spec.get("start"))
+            for seed in seeds:
+                tasks.append((name, g, inst, algo_spec, seed, optima[pos], start))
+                positions.append(pos)
+    solved = pmap(_solve_row, tasks)
+    first: dict[tuple[int, frozenset[int]], tuple[BenchRow, Solution]] = {}
+    for pos, (row, final) in zip(positions, solved):
+        if final is not None:
+            first.setdefault((pos, frozenset(final.members)), (row, final))
+    verdicts = pmap(
+        _certify,
+        [(instances[pos][1], final, optima[pos], delta) for (pos, _), (_, final) in first.items()],
+    )
+    certs = dict(zip(first, verdicts))
+    for key, (row, _) in first.items():
+        row.time_ms += int(certs[key][2] * 1000)
     rows = []
-    for algo_spec in algos:
-        start = algo_spec.get("start", inst_spec.get("start"))
-        for seed in seeds:
-            rows.append(_run_row(name, g, inst, algo_spec, seed, opt, delta, start, certs))
+    for pos, (row, final) in zip(positions, solved):
+        if final is not None:
+            row.cert, row.error, _ = certs[pos, frozenset(final.members)]
+        rows.append(row)
     return rows
 
 
 def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     """Execute the instances x algorithms x seeds cross product.
 
-    Each instance is one task: its oracle call, its rows and its
-    certificates, one per distinct final solution. With `jobs` > 1 the
-    tasks run in up to min(jobs, CPU count, instances) worker processes.
-    Rows are assembled in index order regardless of completion order, so
-    reports are deterministic for fixed seeds (timings aside).
+    The oracle runs once per instance and each distinct final member set is
+    certified once per instance; the rows that end at it share its verdict.
+    With `jobs` > 1 the optima, the rows and the certificates each run in up
+    to min(jobs, CPU count, rows) worker processes. Rows are assembled in
+    index order regardless of completion order, so reports are
+    deterministic for fixed seeds (timings aside).
     """
     instances = []
     for inst_spec in config.get("instances", []):
@@ -204,19 +217,23 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     oracle_limit = int(config.get("oracle_limit", 20))
     delta = Fraction(str(config.get("delta", "1/2")))
 
-    tasks = [(*instance, algos, seeds, oracle_limit, delta) for instance in instances]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    workers = min(jobs, os.cpu_count() or 1, len(instances) * len(algos) * len(seeds))
+    args = (instances, algos, seeds, oracle_limit, delta)
     if workers <= 1:
-        per_instance = [_run_instance(*task) for task in tasks]
-    else:
-        # imported here, so the serial path does not load multiprocessing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        return BenchReport(rows=_run_phases(*args, lambda fn, tasks: [fn(*t) for t in tasks]))
+    # imported here, so the serial path does not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        # spawned workers, since fork is unsafe in a process with threads
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            per_instance = list(pool.map(_run_instance, *zip(*tasks)))
-    return BenchReport(rows=[row for rows in per_instance for row in rows])
+    # spawned workers, since fork is unsafe in a process with threads; a
+    # chunk goes as one pickle, which sends a graph its tasks share once
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+
+        def pmap(fn, tasks):
+            chunksize = max(1, len(tasks) // (4 * workers))
+            return list(pool.map(fn, *zip(*tasks), chunksize=chunksize)) if tasks else []
+
+        return BenchReport(rows=_run_phases(*args, pmap))
 
 
 def emit_report(report: BenchReport, fmt: str = "csv", times: bool = False) -> str:

@@ -224,6 +224,29 @@ def test_bench_memo_output_bytes_pinned_across_jobs():
             assert hashlib.sha1(emit_report(report, fmt=fmt).encode()).hexdigest() == digest, (jobs, fmt)
 
 
+def test_bench_parallel_tasks_are_rows():
+    """A one-instance suite still splits into one task per row, then one
+    per distinct final, so `--jobs` parallelises it."""
+    import clawpack.bench as bench
+
+    calls = []
+
+    def pmap(fn, tasks):
+        calls.append((fn.__name__, len(tasks)))
+        return [fn(*t) for t in tasks]
+
+    config = {"instances": MEMO_SUITE["instances"][:1], "algorithms": MEMO_SUITE["algorithms"],
+              "seeds": [0, 1, 2]}
+    name, spec = config["instances"][0]["id"], config["instances"][0]
+    inst, g = instance_from_gen_spec(spec["gen"])
+    rows = bench._run_phases([(name, g, inst, spec)], config["algorithms"], config["seeds"], 20,
+                             Fraction(1, 2), pmap)
+    assert [c[0] for c in calls] == ["_optimum", "_solve_row", "_certify"]
+    assert calls[0][1] == 1 and calls[1][1] == len(rows) == 15
+    assert 1 <= calls[2][1] < len(rows)
+    assert emit_report(bench.BenchReport(rows)) == emit_report(run_bench(config, jobs=2))
+
+
 def test_cli_gen_and_solve(tmp_path, runner):
     inst_path = tmp_path / "b4.ksp"
     out_path = tmp_path / "trace.json"
