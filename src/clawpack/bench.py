@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import formats, generators
 from .certify import AnalysisParams, certify_local_optimum
-from .instances import ConflictGraph, InputError, PackingInstance, Solution, build_conflict_graph
+from .instances import ConflictGraph, InputError, PackingInstance, Solution, build_conflict_graph, fmt_fraction
 from .oracle import exact_mwis
 from .solvers import SolverConfig, solve
 
@@ -40,12 +40,6 @@ class BenchReport:
 
     def all_ok(self) -> bool:
         return all(not r.error and r.cert != "fail" for r in self.rows)
-
-
-def _fr(x: Optional[Fraction]) -> str:
-    if x is None:
-        return ""
-    return f"{x.numerator}/{x.denominator}"
 
 
 def instance_from_gen_spec(spec: dict) -> tuple[Optional[PackingInstance], ConflictGraph]:
@@ -187,6 +181,16 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
     return rows
 
 
+def _suite_field(config: dict, name: str, convert, default):
+    """convert(config[name]), or convert(default) when the field is absent;
+    a value `convert` rejects is an InputError."""
+    value = config.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"suite field {name!r} is malformed: {value!r} ({exc})") from exc
+
+
 def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     """Execute the instances x algorithms x seeds cross product.
 
@@ -197,8 +201,10 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     index order regardless of completion order, so reports are
     deterministic for fixed seeds (timings aside).
     """
+    if not isinstance(config, dict):
+        raise InputError(f"suite JSON must be an object, got {type(config).__name__}")
     instances = []
-    for inst_spec in config.get("instances", []):
+    for inst_spec in _suite_field(config, "instances", list, []):
         try:
             name = inst_spec["id"]
             if "path" in inst_spec:
@@ -212,10 +218,17 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
                 instances.append((name, g, inst, inst_spec))
         except KeyError as exc:
             raise InputError(f"suite instance {inst_spec!r} lacks field {exc}") from exc
-    algos = config.get("algorithms", [])
-    seeds = [int(s) for s in config.get("seeds", [0])]
-    oracle_limit = int(config.get("oracle_limit", 20))
-    delta = Fraction(str(config.get("delta", "1/2")))
+        except InputError:
+            raise
+        except (OSError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"suite instance {inst_spec!r} is malformed: {exc}") from exc
+    algos = _suite_field(config, "algorithms", list, [])
+    if not all(isinstance(spec, dict) and "algo" in spec for spec in algos):
+        raise InputError("each suite algorithm must be an object with an 'algo' field")
+    seeds = _suite_field(config, "seeds", lambda v: [int(s) for s in v], [0])
+    oracle_limit = _suite_field(config, "oracle_limit", int, 20)
+    # from_delta rejects a delta outside (0, 1) before any row runs
+    delta = _suite_field(config, "delta", lambda v: AnalysisParams.from_delta(Fraction(str(v))).delta, "1/2")
 
     workers = min(jobs, os.cpu_count() or 1, len(instances) * len(algos) * len(seeds))
     args = (instances, algos, seeds, oracle_limit, delta)
@@ -239,62 +252,24 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
 def emit_report(report: BenchReport, fmt: str = "csv", times: bool = False) -> str:
     """Render with the stable column order; timings zeroed unless requested,
     keeping default output byte-identical across reruns."""
+    if fmt not in ("csv", "json"):
+        raise InputError(f"unknown report format {fmt!r}")
+    rows = [
+        {
+            "instance": r.instance,
+            "algo": r.algo,
+            "seed": r.seed,
+            "final_w": "" if r.final_w is None else fmt_fraction(r.final_w),
+            "opt_w": "" if r.opt_w is None else fmt_fraction(r.opt_w),
+            "ratio": "" if r.ratio is None else fmt_fraction(r.ratio),
+            "iters": r.iters,
+            "time_ms": r.time_ms if times else 0,
+            "cert": r.cert if not r.error else "error",
+            "error": r.error,
+        }
+        for r in report.rows
+    ]
     if fmt == "csv":
-        lines = [",".join(COLUMNS)]
-        for r in report.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.instance,
-                        r.algo,
-                        str(r.seed),
-                        _fr(r.final_w),
-                        _fr(r.opt_w),
-                        _fr(r.ratio),
-                        str(r.iters),
-                        str(r.time_ms if times else 0),
-                        r.cert if not r.error else "error",
-                    ]
-                )
-            )
+        lines = [",".join(COLUMNS)] + [",".join(str(row[c]) for c in COLUMNS) for row in rows]
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        rows = []
-        for r in report.rows:
-            rows.append(
-                {
-                    "instance": r.instance,
-                    "algo": r.algo,
-                    "seed": r.seed,
-                    "final_w": _fr(r.final_w),
-                    "opt_w": _fr(r.opt_w),
-                    "ratio": _fr(r.ratio),
-                    "iters": r.iters,
-                    "time_ms": r.time_ms if times else 0,
-                    "cert": r.cert if not r.error else "error",
-                    "error": r.error,
-                }
-            )
-        return json.dumps({"rows": rows}, indent=None, separators=(",", ":"), sort_keys=True) + "\n"
-    raise InputError(f"unknown report format {fmt!r}")
-
-
-def report_from_json(text: str) -> BenchReport:
-    doc = json.loads(text)
-    rows = []
-    for r in doc["rows"]:
-        rows.append(
-            BenchRow(
-                instance=r["instance"],
-                algo=r["algo"],
-                seed=int(r["seed"]),
-                final_w=Fraction(r["final_w"]) if r["final_w"] else None,
-                opt_w=Fraction(r["opt_w"]) if r["opt_w"] else None,
-                ratio=Fraction(r["ratio"]) if r["ratio"] else None,
-                iters=int(r["iters"]),
-                time_ms=int(r["time_ms"]),
-                cert=r["cert"],
-                error=r.get("error", ""),
-            )
-        )
-    return BenchReport(rows=rows)
+    return json.dumps({"rows": rows}, indent=None, separators=(",", ":"), sort_keys=True) + "\n"

@@ -20,45 +20,42 @@ from typing import Optional
 
 from .circular import AnchorMaps, build_anchor_maps
 from .exactnum import surd_sign
-from .instances import ConflictGraph, ContractError, InputError, Solution
+from .instances import ConflictGraph, ContractError, InputError, Solution, fmt_fraction
 
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    """delta in (0,1) plus the derived thresholds.
+    """delta in (0,1) plus the thresholds eps_tilde and eps_prime.
 
-    Defaults: eps_tilde = delta/2, eps_prime = delta^2/2500, and
-    d_delta = 200000/delta^3 + 1 rounded up to an integer. Overrides must
-    set custom=True.
+    Defaults: eps_tilde = delta/2 and eps_prime = delta^2/2500.
     """
 
     delta: Fraction
     eps_tilde: Fraction
     eps_prime: Fraction
-    d_delta: int
-    custom: bool = False
 
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise InputError("delta must lie in (0,1)")
-        if not self.custom:
-            if self.eps_tilde != self.delta / 2 or self.eps_prime != self.delta ** 2 / 2500:
-                raise InputError("non-default thresholds require custom=True")
 
     @staticmethod
     def from_delta(delta, eps_tilde=None, eps_prime=None) -> "AnalysisParams":
         delta = Fraction(delta)
-        if not 0 < delta < 1:
-            raise InputError("delta must lie in (0,1)")
-        d_delta = math.ceil(Fraction(200000) / delta ** 3 + 1)
-        custom = eps_tilde is not None or eps_prime is not None
         return AnalysisParams(
             delta=delta,
             eps_tilde=Fraction(eps_tilde) if eps_tilde is not None else delta / 2,
             eps_prime=Fraction(eps_prime) if eps_prime is not None else delta ** 2 / 2500,
-            d_delta=d_delta,
-            custom=custom,
         )
+
+    @property
+    def d_delta(self) -> int:
+        """200000/delta^3 + 1 rounded up: the d the improved ratio needs."""
+        return math.ceil(Fraction(200000) / self.delta ** 3 + 1)
+
+    @property
+    def custom(self) -> bool:
+        """Whether a threshold differs from its default."""
+        return self.eps_tilde != self.delta / 2 or self.eps_prime != self.delta ** 2 / 2500
 
 
 CLASS_TAGS = ("single", "double", "payback", "good", "contributive")
@@ -92,12 +89,9 @@ class CertReport:
         )
 
     def to_json_obj(self) -> dict:
-        def fr(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
         return {
-            "charge_sum_pos": {str(v): fr(s) for v, s in sorted(self.charge_sum_pos.items())},
-            "contr_sum": {str(v): fr(s) for v, s in sorted(self.contr_sum.items())},
+            "charge_sum_pos": {str(v): fmt_fraction(s) for v, s in sorted(self.charge_sum_pos.items())},
+            "contr_sum": {str(v): fmt_fraction(s) for v, s in sorted(self.contr_sum.items())},
             "t_sets": {str(v): list(t) for v, t in sorted(self.t_sets.items())},
             "classes": {str(u): list(tags) for u, tags in sorted(self.classes.items())},
             "unclassified": list(self.unclassified),

@@ -42,7 +42,13 @@ from .instances import (
     PackingInstance,
     Solution,
     neighborhood,
+    validate_improvement,
 )
+
+# Work caps of the cycle searches: colorful-DP states per coloring, and
+# DFS nodes per call.
+_MAX_DP_STATES = 2_000_000
+_MAX_DFS_NODES = 2_000_000
 
 
 class SearchIncompleteError(BudgetExceededError):
@@ -132,6 +138,14 @@ def repetitions_for(t: int, m: int, failure_prob: Fraction = Fraction(1, 1000)) 
     return max(1, reps)
 
 
+def _claw_bound(g: ConflictGraph, d: Optional[int]) -> int:
+    """The claw bound a circular search works with: `d`, else the graph's,
+    else n + 1, which no claw in the graph reaches."""
+    if d is not None:
+        return d
+    return g.d if g.d is not None else g.n + 1
+
+
 def max_cycle_len_for(n: int) -> int:
     """Largest L with 2**L <= n**4, the cycle-length bound at graph size n."""
     if n <= 1:
@@ -159,12 +173,10 @@ class ColorCodingParams:
     y_cap: int = 3
     max_aux_vertices: int = 200_000
     max_aux_edge_checks: int = 2_000_000
-    max_dp_states: int = 2_000_000
-    max_dfs_nodes: int = 2_000_000
 
     def __post_init__(self):
-        if self.t < 1 or self.max_cycle_len < 2 or self.repetitions < 1:
-            raise InputError("need t >= 1, max_cycle_len >= 2, repetitions >= 1")
+        if self.t < 1 or self.max_cycle_len < 2 or self.repetitions < 1 or self.y_cap < 0:
+            raise InputError("need t >= 1, max_cycle_len >= 2, repetitions >= 1, y_cap >= 0")
         if self.mode not in ("rand", "exhaustive"):
             raise InputError(f"unknown circular-search mode {self.mode!r}")
 
@@ -173,7 +185,6 @@ class ColorCodingParams:
         g: ConflictGraph,
         inst: Optional[PackingInstance] = None,
         mode: str = "exhaustive",
-        failure_prob: Fraction = Fraction(1, 1000),
     ) -> "ColorCodingParams":
         n = max(2, g.n)
         L = max_cycle_len_for(g.n)
@@ -185,7 +196,7 @@ class ColorCodingParams:
         t = max(1, min(t, in_use))
         # Support of a short planted cycle: about six k-sets.
         m = min(t, 6 * k)
-        reps = min(10_000, repetitions_for(t, m, failure_prob))
+        reps = min(10_000, repetitions_for(t, m))
         return ColorCodingParams(t=t, repetitions=reps, max_cycle_len=L, mode=mode)
 
 
@@ -211,7 +222,6 @@ class AuxGraph:
     incident: dict[int, list[int]] = field(default_factory=dict)
     elements_v: Optional[list[frozenset[int]]] = None
     elements_e: Optional[list[frozenset[int]]] = None
-    notes: tuple[str, ...] = ()
 
     def add_vertex(self, v: AuxVertex, elements: Optional[frozenset[int]] = None) -> int:
         idx = len(self.vertices)
@@ -233,12 +243,6 @@ class AuxGraph:
                 self.elements_e = []
             self.elements_e.append(elements)
         return idx
-
-    def parallel_groups(self) -> dict[frozenset[int], list[int]]:
-        groups: dict[frozenset[int], list[int]] = {}
-        for i, e in enumerate(self.edges):
-            groups.setdefault(frozenset((e.a, e.b)), []).append(i)
-        return groups
 
 
 def _independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> list[tuple[int, ...]]:
@@ -458,12 +462,7 @@ class CircularState:
         d: Optional[int] = None,
     ) -> AuxGraph:
         """The aux graph over `a` and the state's maps; see `build_aux_graph`."""
-        g = self.g
-        d_eff = d if d is not None else (g.d if g.d is not None else g.n + 1)
-        y_cap = min(params.y_cap, d_eff - 1)
-        notes = []
-        if y_cap < d_eff - 1:
-            notes.append(f"aux companion sets capped at {y_cap} (claw bound allows {d_eff - 1})")
+        y_cap = min(params.y_cap, _claw_bound(self.g, d) - 1)
         if self._key is None or self._key[0] != y_cap or self._key[1] is not inst:
             self._key = (y_cap, inst)
             self._vblocks.clear()
@@ -471,7 +470,7 @@ class CircularState:
         members = a.members
         self._reanchor(members)
 
-        h = AuxGraph(notes=tuple(notes))
+        h = AuxGraph()
         vertices = h.vertices
         elements_v: list[frozenset[int]] = []
         offset: dict[int, int] = {}
@@ -569,7 +568,10 @@ def _assemble(
 
 
 def _two_cycle_candidates(g: ConflictGraph, h: AuxGraph) -> Iterator[tuple[list[int], list[int]]]:
-    for pair in h.parallel_groups().values():
+    groups: dict[frozenset[int], list[int]] = {}
+    for i, e in enumerate(h.edges):
+        groups.setdefault(frozenset((e.a, e.b)), []).append(i)
+    for pair in groups.values():
         for i in range(len(pair)):
             for j in range(i + 1, len(pair)):
                 e1, e2 = h.edges[pair[i]], h.edges[pair[j]]
@@ -785,7 +787,7 @@ def run_color_coding(
     max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
     for _ in range(params.repetitions):
         coloring = [rng.randrange(params.t) for _ in range(inst.universe_size)]
-        for cvseq, ceseq in _colorful_cycles(h, coloring, max_len, params.max_dp_states):
+        for cvseq, ceseq in _colorful_cycles(h, coloring, max_len, _MAX_DP_STATES):
             imp = _assemble(g, a, h, cvseq, ceseq)
             if validate_circular(g, a, maps, imp, d=d):
                 return imp
@@ -817,10 +819,8 @@ def find_circular_improvement(
         if validate_circular(g, a, maps, imp, d=d):
             return imp
     if params.mode == "rand":
-        if inst is None:
-            raise InputError("randomized circular search needs the packing instance")
         return run_color_coding(g, a, maps, params, inst, rng or random.Random(0), h=h, d=d)
-    for vorder, eorder in _dfs_cycles(g, h, max_len, params.max_dfs_nodes):
+    for vorder, eorder in _dfs_cycles(g, h, max_len, _MAX_DFS_NODES):
         imp = _assemble(g, a, h, vorder, eorder)
         if validate_circular(g, a, maps, imp, d=d):
             return imp
@@ -836,18 +836,15 @@ def validate_circular(
 ) -> bool:
     """Re-validate a circular improvement field by field.
 
-    Checks the cycle structure over distinct solution vertices, the
-    companion-set decomposition and size bounds, the per-edge inequality,
-    and the strict squared-weight gain.
+    `validate_improvement` checks x, removed = N(x, A) and the strict
+    squared-weight gain; this adds the cycle structure over distinct
+    solution vertices, the companion-set decomposition and size bounds, and
+    the per-edge inequality.
     """
     kind = imp.kind
-    if not isinstance(kind, Circular):
+    if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):
         return False
     x = imp.x
-    if not x or (x & a.members) or not g.is_independent(x):
-        return False
-    if set(imp.removed) != neighborhood(x, a.members, g):
-        return False
     u_list = list(kind.u)
     if len(u_list) < 2 or len(set(u_list)) != len(u_list):
         return False
@@ -876,7 +873,7 @@ def validate_circular(
     y_map = kind.y_map()
     if set(y_map) != set(cyc):
         return False
-    d_eff = d if d is not None else (g.d if g.d is not None else g.n + 1)
+    d_eff = _claw_bound(g, d)
     rest = x - set(u_list)
     for v, ys in y_map.items():
         if len(ys) > d_eff - 1:
@@ -889,4 +886,4 @@ def validate_circular(
     for u in u_list:
         if not aux_edge_check(u, y_map[maps.heaviest[u]], y_map[maps.second[u]], g, a, maps):
             return False
-    return g.squared_weight_of(x) > g.squared_weight_of(imp.removed)
+    return True

@@ -25,6 +25,7 @@ from .instances import (
     PackingInstance,
     Solution,
     build_conflict_graph,
+    fmt_fraction,
 )
 from .oracle import exact_mwis
 from .solvers import SolverConfig, solve
@@ -114,7 +115,7 @@ def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
             _json_dumps(
                 {
                     "members": sorted(res.best.members),
-                    "weight": f"{res.optimum_w.numerator}/{res.optimum_w.denominator}",
+                    "weight": fmt_fraction(res.optimum_w),
                     "nodes": res.nodes_explored,
                     "optimal": res.optimal,
                 }

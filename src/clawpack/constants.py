@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from .certify import AnalysisParams
 from .exactnum import RatInterval, UndecidableError
+from .instances import fmt_fraction
 
 CONST_NAMES = tuple(f"const{i}" for i in range(14))
 _PREC_START = 64
@@ -33,9 +34,9 @@ class ConstantsReport:
     def to_json_obj(self) -> dict:
         p = self.params
         return {
-            "delta": f"{p.delta.numerator}/{p.delta.denominator}",
-            "eps_tilde": f"{p.eps_tilde.numerator}/{p.eps_tilde.denominator}",
-            "eps_prime": f"{p.eps_prime.numerator}/{p.eps_prime.denominator}",
+            "delta": fmt_fraction(p.delta),
+            "eps_tilde": fmt_fraction(p.eps_tilde),
+            "eps_prime": fmt_fraction(p.eps_prime),
             "d_delta": p.d_delta,
             "results": {name: self.results[name] for name in CONST_NAMES},
             "all_ok": self.all_ok,

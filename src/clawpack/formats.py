@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from typing import Union
 
-from .instances import ConflictGraph, InputError, PackingInstance
+from .instances import ConflictGraph, InputError, PackingInstance, fmt_fraction
 
 Parsed = Union[PackingInstance, ConflictGraph]
 
@@ -39,10 +39,6 @@ def _parse_weight(token: str) -> Fraction:
     if w <= 0:
         raise InputError(f"weight must be positive, got {token}")
     return w
-
-
-def _fmt_weight(w: Fraction) -> str:
-    return f"{w.numerator}/{w.denominator}"
 
 
 def parse_text(text: str) -> Parsed:
@@ -102,12 +98,12 @@ def to_text(obj: Parsed) -> str:
         lines.append(f"p ksp {obj.n} {obj.k} {obj.universe_size}")
         for s, w in zip(obj.sets, obj.weights):
             elems = " ".join(str(e) for e in sorted(s))
-            lines.append(f"s {_fmt_weight(w)} {elems}")
+            lines.append(f"s {fmt_fraction(w)} {elems}")
     else:
         edges = obj.edges()
         lines.append(f"p mwis {obj.n} {len(edges)}")
         for i, w in enumerate(obj.weights):
-            lines.append(f"v {i} {_fmt_weight(w)}")
+            lines.append(f"v {i} {fmt_fraction(w)}")
         for u, v in edges:
             lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"
@@ -120,7 +116,7 @@ def to_json_obj(obj: Parsed) -> dict:
             "k": obj.k,
             "universe": obj.universe_size,
             "sets": [sorted(s) for s in obj.sets],
-            "weights": [_fmt_weight(w) for w in obj.weights],
+            "weights": [fmt_fraction(w) for w in obj.weights],
             "edges": None,
         }
     return {
@@ -128,7 +124,7 @@ def to_json_obj(obj: Parsed) -> dict:
         "k": None,
         "universe": obj.n,
         "sets": None,
-        "weights": [_fmt_weight(w) for w in obj.weights],
+        "weights": [fmt_fraction(w) for w in obj.weights],
         "edges": [[u, v] for u, v in obj.edges()],
     }
 

@@ -39,6 +39,11 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def fmt_fraction(x: Fraction) -> str:
+    """The wire form of an exact rational: "num/den", also for integers."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 @dataclass(frozen=True)
 class PackingInstance:
     """A family of <=k-element sets over a universe 0..universe_size-1.
@@ -398,7 +403,9 @@ def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> boo
 
     Requires x independent and disjoint from A, removed = N(x, A), and the
     exponent criterion attached to the improvement's kind (alpha defaults
-    to 2 for claw-shaped and circular kinds).
+    to 2 for claw-shaped and circular kinds, compared as sums of
+    `g.w2_int`). `circular.validate_circular` calls it for every circular
+    candidate and adds the cycle checks.
     """
     if not imp.x or (imp.x & a.members):
         return False
@@ -420,4 +427,5 @@ def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> boo
                 return False
             if any(not g.has_edge(c, x) for x in imp.x):
                 return False
-    return g.squared_weight_of(imp.x) > g.squared_weight_of(imp.removed)
+    w2 = g.w2_int
+    return sum(w2[v] for v in imp.x) > sum(w2[v] for v in imp.removed)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -32,6 +31,7 @@ from .instances import (
     InputError,
     PackingInstance,
     Solution,
+    fmt_fraction,
 )
 from .oracle import exhaustive_improvement_search, power_weight_gain
 
@@ -47,8 +47,6 @@ class SolverConfig:
     rng_seed: int = 0
     circular: Optional[ColorCodingParams] = None
     d: Optional[int] = None
-    log_base: int = 2
-    claw_budget: int = 50_000_000
     improvement_budget: int = 100_000_000
 
     def __post_init__(self):
@@ -63,8 +61,6 @@ class SolverConfig:
                 raise InputError("parametrized mode needs alpha")
             if Fraction(self.alpha) == 0:
                 raise InputError("alpha=0 is rejected; use unit weights explicitly instead")
-        if self.log_base < 2:
-            raise InputError("log base must be >= 2")
 
 
 @dataclass
@@ -80,23 +76,25 @@ class ImprovementRecord:
 
 @dataclass
 class RunTrace:
-    iterations: int
     improvements: list[ImprovementRecord]
     final: Solution
     scaled: bool = False
-    wall_time: float = 0.0
     notes: tuple[str, ...] = ()
     iteration_bound: Optional[Fraction] = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.improvements)
 
     def to_json_obj(self) -> dict:
         return {
             "iterations": self.iterations,
             "improvements": [
-                {"kind": r.kind, "size": r.size, "delta_w2": f"{r.delta_w2.numerator}/{r.delta_w2.denominator}"}
+                {"kind": r.kind, "size": r.size, "delta_w2": fmt_fraction(r.delta_w2)}
                 for r in self.improvements
             ],
             "final_members": sorted(self.final.members),
-            "final_weight": f"{self.final.total_w.numerator}/{self.final.total_w.denominator}",
+            "final_weight": fmt_fraction(self.final.total_w),
         }
 
 
@@ -287,7 +285,6 @@ def _loop(
     state = ClawSearchState(g, a) if claw_state else None
     records: list[ImprovementRecord] = []
     notes: tuple[str, ...] = ()
-    t0 = time.perf_counter()
     while True:
         try:
             imp = step(a, state)
@@ -309,13 +306,7 @@ def _loop(
         if state is not None:
             state.update(g, a, imp)
         records.append(ImprovementRecord(imp.kind_name(), imp.size, delta))
-    return RunTrace(
-        iterations=len(records),
-        improvements=records,
-        final=a,
-        wall_time=time.perf_counter() - t0,
-        notes=notes,
-    )
+    return RunTrace(records, a, notes=notes)
 
 
 def squareimp(g: ConflictGraph, cfg: SolverConfig, start: Optional[Solution] = None) -> RunTrace:
@@ -325,7 +316,7 @@ def squareimp(g: ConflictGraph, cfg: SolverConfig, start: Optional[Solution] = N
     return _loop(
         g,
         start,
-        lambda a, state: find_claw_improvement(g, a, d, cfg.claw_budget, state),
+        lambda a, state: find_claw_improvement(g, a, d, state=state),
         claw_state=True,
     )
 
@@ -345,11 +336,10 @@ def logimp(
     d = _resolve_d(g, cfg.d)
     params = cfg.circular if cfg.circular is not None else ColorCodingParams.defaults(g, inst)
     rng = random.Random(cfg.rng_seed)
-    notes: set[str] = set()
     circ = CircularState(g)
 
     def step(a: Solution, state: ClawSearchState) -> Optional[Improvement]:
-        imp = find_claw_improvement(g, a, d, cfg.claw_budget, state)
+        imp = find_claw_improvement(g, a, d, state=state)
         if imp is not None:
             return imp
         maps = build_anchor_maps(g, a, circ)
@@ -357,8 +347,7 @@ def logimp(
 
     trace = _loop(g, start, step, claw_state=True)
     if params.y_cap < d - 1:
-        notes.add(f"aux companion sets capped at {params.y_cap} (claw bound allows {d - 1})")
-    trace.notes = tuple(sorted(notes))
+        trace.notes = (f"aux companion sets capped at {params.y_cap} (claw bound allows {d - 1})",)
     return trace
 
 
@@ -369,11 +358,11 @@ def parametrized_local_search(
 ) -> RunTrace:
     """Iterate the exhaustive w**alpha improvement search to a fixed point.
 
-    The size cap is floor(C * log(n)) in the configured log base, floored
-    at 1 so singleton insertions stay available on tiny instances.
+    The size cap is floor(C * log2(n)), floored at 1 so singleton
+    insertions stay available on tiny instances.
     """
     alpha = Fraction(cfg.alpha)
-    cap = max(1, math.floor(float(cfg.size_cap_factor) * math.log(max(2, g.n), cfg.log_base)))
+    cap = max(1, math.floor(float(cfg.size_cap_factor) * math.log(max(2, g.n), 2)))
     return _loop(
         g,
         start,
@@ -401,7 +390,7 @@ def scale_truncate_run(
     n_const = Fraction(cfg.scaling_n)
     d = _resolve_d(g, cfg.d)
     if g.n == 0:
-        return RunTrace(0, [], Solution.empty(), scaled=True)
+        return RunTrace([], Solution.empty(), scaled=True)
     a_prime = greedy(g)
     factor = n_const * g.n / a_prime.total_w
     floored = [math.floor(w * factor) for w in g.weights]
@@ -420,18 +409,15 @@ def scale_truncate_run(
             [Fraction(floored[v]) for v in keep],
             inst.k,
         )
-    t0 = time.perf_counter()
     trace = inner(sub, cfg, sub_inst)
     bound = (d - 1) ** 2 * n_const ** 2 * Fraction(g.n) ** 2
     if trace.iterations > bound:
         raise RuntimeError(f"iteration count {trace.iterations} exceeds scaling bound {bound}")
     final = Solution.of(g, {back[i] for i in trace.final.members})
     return RunTrace(
-        iterations=trace.iterations,
         improvements=trace.improvements,
         final=final,
         scaled=True,
-        wall_time=time.perf_counter() - t0,
         notes=trace.notes + (f"scaled by {factor} and truncated; {g.n - len(keep)} vertices dropped",),
         iteration_bound=bound,
     )
@@ -451,9 +437,7 @@ def solve(
     def run(graph: ConflictGraph, config: SolverConfig, instance: Optional[PackingInstance]) -> RunTrace:
         unscaled = graph is g
         if config.mode == "greedy":
-            t0 = time.perf_counter()
-            final = greedy(graph)
-            return RunTrace(0, [], final, wall_time=time.perf_counter() - t0)
+            return RunTrace([], greedy(graph))
         if config.mode == "squareimp":
             return squareimp(graph, config, start=start if unscaled else None)
         if config.mode == "logimp":

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from clawpack import formats
-from clawpack.bench import emit_report, instance_from_gen_spec, report_from_json, run_bench
+from clawpack.bench import emit_report, instance_from_gen_spec, run_bench
 from clawpack.cli import main
 from clawpack.generators import berman_tight_instance
 from clawpack.oracle import exact_mwis
@@ -89,14 +89,6 @@ def test_emit_csv_shape_and_rationals():
     first = lines[1].split(",")
     assert "/" in first[3] and "/" in first[5]
     assert first[7] == "0"  # timings zeroed by default
-
-
-def test_json_report_round_trip():
-    report = run_bench(suite_doc())
-    text = emit_report(report, fmt="json")
-    again = report_from_json(text)
-    assert [r.instance for r in again.rows] == [r.instance for r in report.rows]
-    assert [r.final_w for r in again.rows] == [r.final_w for r in report.rows]
 
 
 def test_bench_deterministic_rerun():
@@ -417,6 +409,12 @@ def test_cli_roundtrip_gen_outputs_deterministic(tmp_path, runner):
         assert f1.read_bytes() == f2.read_bytes()
 
 
+# A well-formed suite; each malformed one below changes one field of it.
+BAD_SUITE = {
+    "instances": [{"id": "b4", "gen": {"family": "berman", "d": 4}}],
+    "algorithms": [{"algo": "squareimp"}],
+}
+
 BAD_INPUTS = {
     "k0.ksp": "p ksp 1 0 3\ns 1 0\n",
     "bad.json": '{"kind": "ksp",',
@@ -425,6 +423,15 @@ BAD_INPUTS = {
     "suite.json": json.dumps({"instances": [{"id": "x", "gen": {"family": "nope"}}]}),
     "noid.json": json.dumps({"instances": [{"gen": {"family": "berman", "d": 4}}]}),
     "strmembers.json": json.dumps({"members": ["a"]}),
+    "seeds.json": json.dumps({**BAD_SUITE, "seeds": ["x"]}),
+    "limit.json": json.dumps({**BAD_SUITE, "oracle_limit": "abc"}),
+    "delta.json": json.dumps({**BAD_SUITE, "delta": "x"}),
+    "delta2.json": json.dumps({**BAD_SUITE, "delta": "2"}),
+    "nopath.json": json.dumps({**BAD_SUITE, "instances": [{"id": "x", "path": "missing.ksp"}]}),
+    "algo.json": json.dumps({**BAD_SUITE, "algorithms": ["squareimp"]}),
+    "noalgo.json": json.dumps({**BAD_SUITE, "algorithms": [{"alpha": "2"}]}),
+    "genfield.json": json.dumps({**BAD_SUITE, "instances": [
+        {"id": "r", "gen": {"family": "random", "sets": "x", "k": 3, "universe": 9}}]}),
 }
 
 
@@ -437,9 +444,19 @@ BAD_INPUTS = {
     ["solve", "--in", "path.mwis", "--d", "3", "--algo", "param"],  # no alpha
     ["solve", "--in", "path.mwis", "--d", "3", "--cap-c", "1/0"],
     ["solve", "--in", "path.mwis", "--d", "3", "--cap-c", "-1"],
+    ["solve", "--in", "path.mwis", "--d", "3", "--algo", "logimp", "--cc-ycap", "-1"],
     ["bench", "--suite", "suite.json", "--out", "out.csv"],
     ["bench", "--suite", "noid.json", "--out", "out.csv"],
     ["bench", "--suite", "bad.json", "--out", "out.csv"],
+    ["bench", "--suite", "list.json", "--out", "out.csv"],  # not an object
+    ["bench", "--suite", "seeds.json", "--out", "out.csv"],
+    ["bench", "--suite", "limit.json", "--out", "out.csv"],
+    ["bench", "--suite", "delta.json", "--out", "out.csv"],
+    ["bench", "--suite", "delta2.json", "--out", "out.csv"],  # outside (0, 1)
+    ["bench", "--suite", "nopath.json", "--out", "out.csv"],
+    ["bench", "--suite", "algo.json", "--out", "out.csv"],
+    ["bench", "--suite", "noalgo.json", "--out", "out.csv"],
+    ["bench", "--suite", "genfield.json", "--out", "out.csv"],
     ["verify", "--in", "k0.ksp", "--solution", "bad.json"],
     ["verify", "--in", "path.mwis", "--solution", "bad.json"],
     ["verify", "--in", "path.mwis", "--solution", "strmembers.json"],

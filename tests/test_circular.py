@@ -608,7 +608,7 @@ FRESH_AUX = circular.build_aux_graph
 
 
 def aux_fields(h):
-    return h.vertices, h.edges, h.incident, h.elements_v, h.elements_e, h.notes
+    return h.vertices, h.edges, h.incident, h.elements_v, h.elements_e
 
 
 def check_state_against_fresh(g, a, state, params, inst, d, call):

@@ -5,12 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawpack.instances import (
+    Circular,
+    ClawShaped,
     ConflictGraph,
+    Generic,
+    Improvement,
     InputError,
     PackingInstance,
     Solution,
     build_conflict_graph,
     neighborhood,
+    validate_improvement,
     verify_claw_free,
     verify_solution,
 )
@@ -169,3 +174,32 @@ def test_claw_search_budget_guard():
     # bound 5 actually searches the degree-5 side; a tiny budget trips
     with pytest.raises(BudgetExceededError):
         verify_claw_free(g, 5, budget=3)
+
+
+# A = {0}; 0 is the center of talons 1 and 2, 3 is free, and 4 hangs off 1.
+# Each invalid row breaks one rule of `validate_improvement` (an empty x
+# also gains nothing, since N(x, A) is empty too).
+VALIDATION_CASES = [
+    ("claw", {1, 2}, {0}, ClawShaped(0), True),
+    ("0-claw", {3}, set(), ClawShaped(None), True),
+    ("circular", {1, 2}, {0}, Circular(u=(1, 2), cycle_vertices=(0,), y=()), True),
+    ("alpha-2", {1, 2}, {0}, Generic(Fraction(2)), True),
+    ("alpha-minus-1", {1, 2}, {0}, Generic(Fraction(-1)), True),
+    ("empty-x", set(), set(), Generic(), False),
+    ("x-meets-A", {0, 3}, {0}, Generic(), False),
+    ("dependent-x", {1, 4}, {0}, Generic(), False),
+    ("removed-not-N(x,A)", {1, 2}, set(), ClawShaped(0), False),
+    ("0-claw-with-removed", {1}, {0}, ClawShaped(None), False),
+    ("center-outside-A", {1}, {0}, ClawShaped(4), False),
+    ("talon-off-center", {1, 3}, {0}, ClawShaped(0), False),
+    ("no-w2-gain", {2}, {0}, ClawShaped(0), False),
+]
+
+
+@pytest.mark.parametrize(
+    "x, removed, kind, ok", [case[1:] for case in VALIDATION_CASES], ids=[case[0] for case in VALIDATION_CASES]
+)
+def test_validate_improvement_table(x, removed, kind, ok):
+    g = ConflictGraph.from_edges(5, [(0, 1), (0, 2), (1, 4)], [2, 3, 2, 1, 1])
+    a = Solution.of(g, [0])
+    assert validate_improvement(g, a, Improvement(frozenset(x), frozenset(removed), kind)) is ok
