@@ -8,6 +8,8 @@ with seed 0 and the benchmark's 25 s run length, one workload and mode at a
 time, and writes `BENCH_<tag>.json` there with the Python version, the CPU
 count (`nproc`) and, per run, the command's arguments, exit code and its
 last output line parsed as JSON, or the tail of its stderr if it failed.
+It exits 1, naming the runs, if any run failed or reported `correct: false`;
+the file is written either way.
 """
 
 import argparse
@@ -52,7 +54,13 @@ def main() -> int:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(path)
-    return 0 if all(r["exit_code"] == 0 for r in runs) else 1
+    status = 0
+    for r in runs:
+        correct = (r["result"] or {}).get("correct")  # None when the run failed
+        if not correct:
+            print(f"{r['workload']} --trace {r['trace']}: exit {r['exit_code']}, correct: {correct}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

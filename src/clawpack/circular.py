@@ -19,9 +19,11 @@ swaps since the last one, the vertex blocks (one per anchor) and the edge
 blocks (one per inducing vertex) whose inputs changed are recomputed, and
 the aux graph is reassembled from the blocks in the from-scratch order.
 Called without a state, `build_anchor_maps` and `build_aux_graph` use a
-fresh one, which builds everything. The colorful DP still builds its
-alive-edge tables for every coloring: they are a tenth of its time, and
-rand mode draws about one coloring per call, so there is nothing to reuse.
+fresh one, which builds everything. The colorful DP builds its per-vertex
+step tables once per coloring (rand mode draws about one coloring per
+call, so there is nothing to reuse) and yields each candidate as soon as
+the state that closes it is built, so rand mode stops at the first
+candidate that validates instead of building the rest of its layer.
 """
 
 from __future__ import annotations
@@ -659,22 +661,33 @@ def _colorful_candidates(
 
     Path(s, t, C, i) is reachable iff a walk of i edges from s to t exists
     whose vertex and edge color sets are pairwise disjoint with union C;
-    backlinks recover the walk. Candidates are emitted when a closing edge
-    with fresh colors exists, then reduced to simple cycles by the caller.
+    backlinks recover the walk. Each state of layer i >= 2 is checked for
+    closing edges (s to t, colors fresh against C) as soon as it is built,
+    and its candidates are yielded then, before the rest of the layer is
+    built; states are built and checked in one fixed order, so the caller
+    sees the candidates a whole-layer sweep would give, in the same order,
+    and can stop at the first that validates. The caller reduces them to
+    simple cycles.
+
+    `state_budget` caps the states built: the state that would pass it
+    raises `SearchIncompleteError`, after the candidates of the states
+    built before it have been yielded.
     """
-    alive = [
-        i
-        for i, e in enumerate(h.edges)
-        if not (emask[i] & vmask[e.a]) and not (emask[i] & vmask[e.b])
-        and not (vmask[e.a] & vmask[e.b])
-    ]
-    by_endpoint: dict[frozenset[int], list[int]] = {}
-    incident: dict[int, list[int]] = {i: [] for i in range(len(h.vertices))}
-    for ei in alive:
-        e = h.edges[ei]
-        by_endpoint.setdefault(frozenset((e.a, e.b)), []).append(ei)
-        incident[e.a].append(ei)
-        incident[e.b].append(ei)
+    # Per vertex, its alive edges as steps (edge, other end, colors the step
+    # adds), in edge order.
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
+    for ei, e in enumerate(h.edges):
+        a, b, me = e.a, e.b, emask[ei]
+        ma, mb = vmask[a], vmask[b]
+        if me & ma or me & mb or ma & mb:
+            continue
+        steps[a].append((ei, b, me | mb))
+        steps[b].append((ei, a, me | ma))
+    # Per end t, built when a state ending at t is first extended at layer
+    # >= 2: the alive edges to each other end s (a self-loop closes no
+    # cycle), with their colors.
+    closers: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    no_closers: dict[int, list[tuple[int, int]]] = {}
 
     # states[(s, t, mask)] = (edge to next vertex, next vertex, previous mask)
     layer: dict[tuple[int, int, int], tuple[Optional[int], Optional[int], int]] = {}
@@ -695,29 +708,32 @@ def _colorful_candidates(
 
     for i in range(1, max_len):
         newlayer: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        all_layers.append(newlayer)  # before it fills: `recover` reads it
         for (v, t, cmask) in all_layers[i - 1]:
-            for ei in incident[v]:
-                e = h.edges[ei]
-                s = e.b if e.a == v else e.a
-                add = emask[ei] | vmask[s]
+            if i < 2:
+                to_t = no_closers  # a 2-cycle: the caller's separate scan
+            else:
+                to_t = closers.get(t)
+                if to_t is None:
+                    to_t = closers[t] = {}
+                    for ej, s, _ in steps[t]:
+                        if s != t:
+                            to_t.setdefault(s, []).append((ej, emask[ej]))
+            for ei, s, add in steps[v]:
                 if add & cmask:
                     continue
-                key = (s, t, cmask | add)
+                mask = cmask | add
+                key = (s, t, mask)
                 if key in newlayer:
                     continue
                 states += 1
                 if states > state_budget:
                     raise SearchIncompleteError(f"colorful DP exceeded {state_budget} states")
                 newlayer[key] = (ei, v, cmask)
-        all_layers.append(newlayer)
-        for (s, t, cmask) in newlayer:
-            if i < 2 or s == t:
-                continue
-            for ej in by_endpoint.get(frozenset((s, t)), []):
-                if emask[ej] & cmask:
-                    continue
-                vseq, eseq = recover(s, t, cmask, i)
-                yield vseq, eseq + [ej]
+                for ej, me in to_t.get(s, ()):
+                    if not me & mask:
+                        vseq, eseq = recover(s, t, mask, i)
+                        yield vseq, eseq + [ej]
         if not newlayer:
             break
 

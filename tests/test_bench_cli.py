@@ -471,3 +471,48 @@ def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, runner
     assert r.exit_code == 1
     assert r.output.startswith("Error: ")
     assert "Traceback" not in r.output
+
+
+def load_bench_record():
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "bench_record.py")
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (None, None),
+        (("tight-union", 1, 0), "tight-union --trace 1: exit 0, correct: False"),
+        (("small-exact", 0, 1), "small-exact --trace 0: exit 1, correct: None"),
+    ],
+)
+def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkeypatch, capsys):
+    """A run that exits 0 but reports `correct: false`, or that fails, fails
+    the record and is named on stderr; the file is still written."""
+    br = load_bench_record()
+
+    def fake_run_one(workload, trace):
+        if bad is None or (workload, trace) != bad[:2]:
+            return {"workload": workload, "trace": trace, "args": [], "exit_code": 0,
+                    "result": {"correct": True, "metrics": {}}}
+        code = bad[2]
+        return {"workload": workload, "trace": trace, "args": [], "exit_code": code,
+                "result": None if code else {"correct": False, "metrics": {}}}
+
+    monkeypatch.setattr(br, "run_one", fake_run_one)
+    monkeypatch.setattr(br, "ROOT", str(tmp_path))
+    monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
+    code = br.main()
+    err = capsys.readouterr().err
+    runs = json.loads((tmp_path / "BENCH_t.json").read_text())["runs"]
+    assert len(runs) == 6
+    if bad is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 1 and err.splitlines() == [message]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -15,8 +16,10 @@ from clawpack.circular import (
     CircularState,
     ColorCodingParams,
     SearchIncompleteError,
+    _assemble,
     _colorful_cycles,
     _independent_subsets,
+    _two_cycle_candidates,
     aux_edge_check,
     build_anchor_maps,
     build_aux_graph,
@@ -38,7 +41,7 @@ from clawpack.instances import (
     build_conflict_graph,
 )
 from clawpack.oracle import exhaustive_improvement_search
-from clawpack.solvers import SolverConfig, greedy, logimp, solve
+from clawpack.solvers import SolverConfig, greedy, logimp, solve, squareimp
 
 DP_BUDGET = 2_000_000  # colorful DP states per coloring
 
@@ -767,3 +770,235 @@ def test_circular_state_rejects_foreign_maps():
     params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
     with pytest.raises(ContractError):
         build_aux_graph(g, a, build_anchor_maps(g, a), params, state=state)
+
+
+def layered_colorful_candidates(h, vmask, emask, max_len, state_budget):
+    """The colorful DP as it was before candidates were yielded per state:
+    each layer is built whole, then its states are checked for closing
+    edges. Kept verbatim as the reference for the candidate order."""
+    alive = [
+        i
+        for i, e in enumerate(h.edges)
+        if not (emask[i] & vmask[e.a]) and not (emask[i] & vmask[e.b])
+        and not (vmask[e.a] & vmask[e.b])
+    ]
+    by_endpoint = {}
+    incident = {i: [] for i in range(len(h.vertices))}
+    for ei in alive:
+        e = h.edges[ei]
+        by_endpoint.setdefault(frozenset((e.a, e.b)), []).append(ei)
+        incident[e.a].append(ei)
+        incident[e.b].append(ei)
+
+    # states[(s, t, mask)] = (edge to next vertex, next vertex, previous mask)
+    layer = {}
+    for v in range(len(h.vertices)):
+        layer[(v, v, vmask[v])] = (None, None, 0)
+    states = 0
+    all_layers = [layer]
+
+    def recover(s, t, mask, i):
+        vseq, eseq = [s], []
+        cur, cmask = s, mask
+        for lvl in range(i, 0, -1):
+            ei, nxt, pmask = all_layers[lvl][(cur, t, cmask)]
+            eseq.append(ei)
+            vseq.append(nxt)
+            cur, cmask = nxt, pmask
+        return vseq, eseq
+
+    for i in range(1, max_len):
+        newlayer = {}
+        for (v, t, cmask) in all_layers[i - 1]:
+            for ei in incident[v]:
+                e = h.edges[ei]
+                s = e.b if e.a == v else e.a
+                add = emask[ei] | vmask[s]
+                if add & cmask:
+                    continue
+                key = (s, t, cmask | add)
+                if key in newlayer:
+                    continue
+                states += 1
+                if states > state_budget:
+                    raise SearchIncompleteError(f"colorful DP exceeded {state_budget} states")
+                newlayer[key] = (ei, v, cmask)
+        all_layers.append(newlayer)
+        for (s, t, cmask) in newlayer:
+            if i < 2 or s == t:
+                continue
+            for ej in by_endpoint.get(frozenset((s, t)), []):
+                if emask[ej] & cmask:
+                    continue
+                vseq, eseq = recover(s, t, cmask, i)
+                yield vseq, eseq + [ej]
+        if not newlayer:
+            break
+
+
+def random_synthetic_aux(rng):
+    """A small aux graph with empty vertex and edge element sets (zero
+    masks), parallel edges and few elements, so colors often collide."""
+    n = rng.randint(2, 9)
+    n_elems = rng.randint(1, 10)
+
+    def elems():
+        return set(rng.sample(range(n_elems), rng.randint(0, min(2, n_elems))))
+
+    edges = []
+    for _ in range(rng.randint(1, 3 * n)):
+        a, b = rng.sample(range(n), 2)
+        edges.extend([(a, b)] * rng.choice([1, 1, 1, 2, 3]))
+    return synthetic_aux(n, edges, [elems() for _ in range(n)], [elems() for _ in edges]), n_elems
+
+
+def masks(h, coloring):
+    return [_mask(coloring, els) for els in h.elements_v], [_mask(coloring, els) for els in h.elements_e]
+
+
+def test_dp_candidate_sequence_matches_layered_sweep():
+    """Every candidate, in order, equals the whole-layer sweep's, on random
+    synthetic aux graphs and on aux graphs of tight copies (with and without
+    random 3-sets) under seeded colorings."""
+    rng = random.Random(11)
+    total = with_candidates = 0
+
+    def compare(h, coloring, max_len):
+        nonlocal total, with_candidates
+        vmask, emask = masks(h, coloring)
+        expect = list(layered_colorful_candidates(h, vmask, emask, max_len, DP_BUDGET))
+        got = list(circular._colorful_candidates(h, vmask, emask, max_len, DP_BUDGET))
+        assert got == expect
+        total += len(got)
+        with_candidates += bool(got)
+
+    for _ in range(400):
+        h, n_elems = random_synthetic_aux(rng)
+        t = rng.randint(1, 2 * n_elems)
+        compare(h, [rng.randrange(t) for _ in range(n_elems)], rng.randint(2, 7))
+    cases = [tight_copies(5, 2, seed=1), tight_copies(4, 3, seed=2), tight_with_random_sets(3, copies=2, extra=6)]
+    for inst, small in cases:
+        g = build_conflict_graph(inst)
+        a = Solution.of(g, small)
+        params = ColorCodingParams.defaults(g, inst, mode="rand")
+        h = build_aux_graph(g, a, build_anchor_maps(g, a), params, inst=inst)
+        assert h.edges
+        for seed in range(6):
+            crng = random.Random(seed)
+            t = crng.choice([params.t, 24, 64])
+            compare(h, [crng.randrange(t) for _ in range(inst.universe_size)], 6)
+    assert total > 1000 and with_candidates > 100
+
+
+def test_dp_state_cap_without_colorful_cycle():
+    # the triangle's first and third edges share an element: no colorful cycle
+    h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)], v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {3}])
+    coloring = list(range(5))
+    assert list(_colorful_cycles(h, coloring, 6, DP_BUDGET)) == []
+    with pytest.raises(SearchIncompleteError):
+        list(_colorful_cycles(h, coloring, 6, 4))
+
+
+def test_dp_state_cap_counts_built_states_only():
+    """The triangle's DP builds 6 states at layer 1, then at layer 2 its 7th
+    state closes the first candidate, and the layer ends at 12 states. A cap
+    of 7 yields that candidate and raises at the 8th state; the whole-layer
+    sweep raised before yielding anything. Below the cap nothing changes."""
+    h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)], v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {5}])
+    coloring = list(range(6))
+    with pytest.raises(SearchIncompleteError):
+        next(_colorful_cycles(h, coloring, 6, 6))
+    it = _colorful_cycles(h, coloring, 6, 7)
+    vs, es = next(it)
+    assert sorted(vs) == [0, 1, 2] and sorted(es) == [0, 1, 2]
+    with pytest.raises(SearchIncompleteError):
+        next(it)
+    vmask, emask = masks(h, coloring)
+    with pytest.raises(SearchIncompleteError):
+        next(layered_colorful_candidates(h, vmask, emask, 6, 7))
+    full = list(circular._colorful_candidates(h, vmask, emask, 6, 12))
+    assert len(full) == 6
+    assert full == list(layered_colorful_candidates(h, vmask, emask, 6, 12))
+
+
+def perturbed_tight_with_random_sets(seed: int):
+    """One to three tight copies (d = 4 or 5) at integer scales, some of
+    their weights moved by up to 10 %, plus up to eight light random 3-sets
+    over their universe: the perturbation breaks some planted cycles."""
+    rng = random.Random(seed)
+    copies = rng.randint(1, 3)
+    d = rng.choice([4, 5])
+    inst, small = tight_copies(d, copies, seed, scales=[Fraction(rng.randint(1, 4)) for _ in range(copies)])
+    u = inst.universe_size
+    moved = rng.choice([0.1, 0.3, 0.6])
+    extra = rng.randint(0, 8)
+    sets = [sorted(s) for s in inst.sets] + [sorted(rng.sample(range(u), 3)) for _ in range(extra)]
+    weights = [w * (Fraction(rng.randint(90, 110), 100) if rng.random() < moved else 1) for w in inst.weights]
+    weights += [Fraction(rng.randint(1, 12), rng.randint(8, 24)) for _ in range(extra)]
+    inst = PackingInstance.build(u, sets, weights, inst.k)
+    g = build_conflict_graph(inst)
+    members = set(small)
+    for v in range(g.n):
+        if v not in members and g.adj_sets[v].isdisjoint(members):
+            members.add(v)
+    return inst, g, Solution.of(g, members)
+
+
+def test_rand_mode_agrees_with_exhaustive_at_claw_fixed_points():
+    """At claw fixed points of small packings, rand mode with 200 colorings
+    finds a circular improvement exactly when the exhaustive DFS does. The
+    planted cycles of the tight copies are longer than 2, so the 2-cycle
+    scan finds none of them and the colorful DP decides."""
+    cases = [perturbed_tight_with_random_sets(seed) for seed in range(120)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        inst = gen_random_packing(rng.randint(15, 40), 3, rng.randint(12, 30), seed=seed)
+        g = build_conflict_graph(inst)
+        cases.append((inst, g, greedy(g)))
+    found = dp_decided = negatives_with_edges = 0
+    for i, (inst, g, start) in enumerate(cases):
+        a = squareimp(g, SolverConfig(mode="squareimp"), start=start).final
+        maps = build_anchor_maps(g, a)
+        ex = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g, inst), inst=inst, d=g.d)
+        params = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode="rand"), repetitions=200)
+        rd = find_circular_improvement(g, a, maps, params, inst=inst, rng=random.Random(i), d=g.d)
+        assert (rd is not None) == (ex is not None), f"case {i}"
+        h = build_aux_graph(g, a, maps, params, inst=inst, d=g.d)
+        two = any(
+            validate_circular(g, a, maps, _assemble(g, a, h, vs, es), d=g.d)
+            for vs, es in _two_cycle_candidates(g, h)
+        )
+        found += ex is not None
+        dp_decided += ex is not None and not two
+        negatives_with_edges += ex is None and len(h.edges) >= 3
+    assert found >= 30 and dp_decided >= 30 and negatives_with_edges >= 20
+
+
+@pytest.mark.parametrize("t,m", [(4, 3), (6, 6), (8, 4), (16, 6), (32, 8)])
+def test_trial_success_bound_matches_injectivity_rate(t, m):
+    """`trial_success_bound(t, m)` is the chance that a uniform coloring into
+    t colors is injective on m fixed elements; the seeded rate over 20000
+    colorings, drawn as `run_color_coding` draws them, stays within 4.5
+    binomial standard deviations of it."""
+    rng = random.Random(1000 * t + m)
+    n = 20_000
+    injective = sum(len({rng.randrange(t) for _ in range(m)}) == m for _ in range(n))
+    p = trial_success_bound(t, m)
+    sd = math.sqrt(float(p * (1 - p)) / n)
+    assert abs(injective / n - float(p)) <= 4.5 * sd
+
+
+def test_repetitions_keep_total_miss_below_failure_prob():
+    """All `repetitions_for` trials missing has probability (1 - p)^reps,
+    checked exactly: at most failure_prob, and one repetition fewer would
+    exceed it."""
+    for t in (4, 8, 16, 32, 48):
+        for m in range(min(t, 8) + 1):
+            p = trial_success_bound(t, m)
+            for fail in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
+                reps = repetitions_for(t, m, fail)
+                if p == 1:
+                    assert reps == 1
+                    continue
+                assert (1 - p) ** reps <= fail
+                assert reps == 1 or (1 - p) ** (reps - 1) > fail
