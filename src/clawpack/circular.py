@@ -5,7 +5,10 @@ auxiliary multigraph whose edges certify a per-edge squared-weight
 inequality, then cycle detection. Cycles of length 2 (parallel edges) are
 scanned directly; longer cycles are found either by an exhaustive DFS
 (complete, deterministic) or by randomized color coding over the packing
-universe with a colorful-cycle dynamic program.
+universe with a colorful-cycle dynamic program. The aux graph is only its
+vertices and edges: the DFS derives its incident lists from the edges, and
+color coding the colors of a vertex or edge from the packing sets of its
+companion set or inducer.
 
 The anchor maps rank by the integer weights `ConflictGraph.w_int`, and the
 aux-graph build compares sums of `w_int` and `w2_int` (their squares), which
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -47,8 +50,10 @@ from .instances import (
     validate_improvement,
 )
 
-# Work caps of the cycle searches: colorful-DP states per coloring, and
-# DFS nodes per call.
+# Work caps of the circular search: aux vertices and edge checks per aux
+# graph, colorful-DP states per coloring, and DFS nodes per call.
+_MAX_AUX_VERTICES = 200_000
+_MAX_AUX_EDGE_CHECKS = 2_000_000
 _MAX_DP_STATES = 2_000_000
 _MAX_DFS_NODES = 2_000_000
 
@@ -173,8 +178,6 @@ class ColorCodingParams:
     max_cycle_len: int
     mode: str = "exhaustive"
     y_cap: int = 3
-    max_aux_vertices: int = 200_000
-    max_aux_edge_checks: int = 2_000_000
 
     def __post_init__(self):
         if self.t < 1 or self.max_cycle_len < 2 or self.repetitions < 1 or self.y_cap < 0:
@@ -219,32 +222,10 @@ class AuxEdge:
 
 @dataclass
 class AuxGraph:
-    vertices: list[AuxVertex] = field(default_factory=list)
-    edges: list[AuxEdge] = field(default_factory=list)
-    incident: dict[int, list[int]] = field(default_factory=dict)
-    elements_v: Optional[list[frozenset[int]]] = None
-    elements_e: Optional[list[frozenset[int]]] = None
+    """Aux vertices and edges; an edge's ends are positions in `vertices`."""
 
-    def add_vertex(self, v: AuxVertex, elements: Optional[frozenset[int]] = None) -> int:
-        idx = len(self.vertices)
-        self.vertices.append(v)
-        self.incident[idx] = []
-        if elements is not None:
-            if self.elements_v is None:
-                self.elements_v = []
-            self.elements_v.append(elements)
-        return idx
-
-    def add_edge(self, a: int, b: int, inducer: int, elements: Optional[frozenset[int]] = None) -> int:
-        idx = len(self.edges)
-        self.edges.append(AuxEdge(a, b, inducer))
-        self.incident[a].append(idx)
-        self.incident[b].append(idx)
-        if elements is not None:
-            if self.elements_e is None:
-                self.elements_e = []
-            self.elements_e.append(elements)
-        return idx
+    vertices: list[AuxVertex]
+    edges: list[AuxEdge]
 
 
 def _independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> list[tuple[int, ...]]:
@@ -268,18 +249,12 @@ def _independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> li
 
 class _VertexBlock(NamedTuple):
     """The aux vertices at one anchor, in their order: one per independent
-    companion set of at most y_cap candidates, with its net and elements."""
+    companion set of at most y_cap candidates, with its net."""
 
     vertices: Sequence[AuxVertex]
     ys: Sequence[tuple[int, ...]]
     nets: Sequence[int]
-    elements: Optional[Sequence[frozenset[int]]]
 
-
-# The fields of a block at an anchor without candidates: only the empty set.
-_EMPTY_YS = ((),)
-_ZERO_NETS = (0,)
-_EMPTY_ELEMENTS = (frozenset(),)
 
 
 class _EdgeBlock(NamedTuple):
@@ -288,7 +263,6 @@ class _EdgeBlock(NamedTuple):
 
     pairs: list[tuple[int, int]]
     checks: int
-    elements: Optional[frozenset[int]]
 
 
 class CircularState:
@@ -299,16 +273,16 @@ class CircularState:
     it or one of its neighbors changed membership since the last call, so
     only `changed | N(changed)` is recomputed, `changed` being the symmetric
     difference of A and the members seen at that call. The aux graph is
-    kept as blocks: a vertex block per anchor v (its companion sets, their
-    nets and element sets) and an edge block per inducer u (its edges and
-    its edge-check count). A vertex block is dropped when a candidate (an
+    kept as blocks: a vertex block per anchor v (its companion sets and
+    their nets) and an edge block per inducer u (its edges and its
+    edge-check count). A vertex block is dropped when a candidate (an
     outside vertex with v as heaviest anchor and positive charge) joins or
     leaves v or has its solution neighbors changed; an edge block is
     recomputed when u's anchors or solution neighbors change, or when the
     block at either anchor was dropped. Each call reassembles
     the `AuxGraph` from the blocks in the from-scratch order (sorted
-    anchors, then sorted inducers), so ids, incident lists, element sets and
-    the edge-check count are those of a fresh build.
+    anchors, then sorted inducers), so vertex and edge ids and the
+    edge-check count are those of a fresh build.
 
     The maps the state returns are its own and change at its next call.
     """
@@ -323,7 +297,7 @@ class CircularState:
         self._eblocks: dict[int, _EdgeBlock] = {}  # only blocks with checks
         self._dirty_u: set[int] = set()
         self.checks = 0  # edge checks the blocks hold: the last aux graph's count
-        self._key: Optional[tuple] = None
+        self._y_cap: Optional[int] = None  # the y_cap the blocks were built for
 
     def update_maps(self, a: Solution) -> AnchorMaps:
         """The anchor maps of `a`, recomputed where its membership changed."""
@@ -391,29 +365,24 @@ class CircularState:
             u for u in self.g.adj[v] if u in second and (heaviest[u] == v or second[u] == v)
         )
 
-    def _vertex_block(self, v: int, y_cap: int, inst: Optional[PackingInstance]) -> _VertexBlock:
+    def _vertex_block(self, v: int, y_cap: int) -> _VertexBlock:
         g = self.g
         anchor = self._anchor
         cands = [u for u in g.adj[v] if anchor.get(u) == v]  # sorted, as g.adj[v] is
         if not cands:
-            elements = None if inst is None else _EMPTY_ELEMENTS
-            return _VertexBlock((AuxVertex(v, ()),), _EMPTY_YS, _ZERO_NETS, elements)
+            return _VertexBlock((AuxVertex(v, ()),), ((),), (0,))  # only the empty set
         w2 = g.w2_int
         a_nbrs = self.maps.a_neighbors
         spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
         ys = _independent_subsets(g, cands, y_cap)
         ys.sort(key=lambda y: (-len(y), y))
-        elements = None
-        if inst is not None:
-            elements = [frozenset(e for x in y for e in inst.sets[x]) for y in ys]
-        return _VertexBlock(
-            [AuxVertex(v, y) for y in ys], ys, [sum(spill[x] for x in y) for y in ys], elements
-        )
+        return _VertexBlock([AuxVertex(v, y) for y in ys], ys, [sum(spill[x] for x in y) for y in ys])
 
-    def _update_edge_blocks(self, cap: int, inst: Optional[PackingInstance]) -> None:
+    def _update_edge_blocks(self) -> None:
         """Recompute the edge block of every dirty inducer. Raises
-        `SearchIncompleteError` once the checks of all blocks pass `cap`;
-        the inducers not yet recomputed stay dirty."""
+        `SearchIncompleteError` once the checks of all blocks pass
+        `_MAX_AUX_EDGE_CHECKS`; the inducers not yet recomputed stay dirty."""
+        cap = _MAX_AUX_EDGE_CHECKS
         g = self.g
         w2 = g.w2_int
         adj = g.adj_sets
@@ -452,64 +421,42 @@ class CircularState:
                     if bound > nets2[ib]:
                         pairs.append((ia, ib))
             if checks:
-                eblocks[u] = _EdgeBlock(pairs, checks, None if inst is None else frozenset(inst.sets[u]))
+                eblocks[u] = _EdgeBlock(pairs, checks)
                 total += checks
         self.checks = total
 
-    def aux_graph(
-        self,
-        a: Solution,
-        params: ColorCodingParams,
-        inst: Optional[PackingInstance] = None,
-        d: Optional[int] = None,
-    ) -> AuxGraph:
+    def aux_graph(self, a: Solution, params: ColorCodingParams, d: Optional[int] = None) -> AuxGraph:
         """The aux graph over `a` and the state's maps; see `build_aux_graph`."""
         y_cap = min(params.y_cap, _claw_bound(self.g, d) - 1)
-        if self._key is None or self._key[0] != y_cap or self._key[1] is not inst:
-            self._key = (y_cap, inst)
+        if self._y_cap != y_cap:
+            self._y_cap = y_cap
             self._vblocks.clear()
             self._dirty_u.update(self.maps.second)
         members = a.members
         self._reanchor(members)
 
-        h = AuxGraph()
-        vertices = h.vertices
-        elements_v: list[frozenset[int]] = []
+        vertices: list[AuxVertex] = []
         offset: dict[int, int] = {}
         vblocks = self._vblocks
         for v in sorted(members):
             block = vblocks.get(v)
             if block is None:
-                block = vblocks[v] = self._vertex_block(v, y_cap, inst)
+                block = vblocks[v] = self._vertex_block(v, y_cap)
             offset[v] = len(vertices)
             vertices.extend(block.vertices)
-            if inst is not None:
-                elements_v.extend(block.elements)
-        # A cap is crossed when a count passes it; a count of 0 passes none.
-        if len(vertices) > max(params.max_aux_vertices, 0):
-            raise SearchIncompleteError(f"aux graph exceeded {params.max_aux_vertices} vertices")
-        cap = params.max_aux_edge_checks
-        self._update_edge_blocks(cap, inst)
-        if self.checks > max(cap, 0):
-            raise SearchIncompleteError(f"aux graph exceeded {cap} edge checks")
+        # A cap is crossed when a count passes it.
+        if len(vertices) > _MAX_AUX_VERTICES:
+            raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
+        self._update_edge_blocks()
+        if self.checks > _MAX_AUX_EDGE_CHECKS:
+            raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_EDGE_CHECKS} edge checks")
 
-        incident = h.incident = {i: [] for i in range(len(vertices))}
-        edges = h.edges
-        elements_e: list[frozenset[int]] = []
+        edges: list[AuxEdge] = []
         heaviest, second, eblocks = self.maps.heaviest, self.maps.second, self._eblocks
         for u in sorted(eblocks):
-            block = eblocks[u]
             o1, o2 = offset[heaviest[u]], offset[second[u]]
-            for ia, ib in block.pairs:
-                idx = len(edges)
-                edges.append(AuxEdge(o1 + ia, o2 + ib, u))
-                incident[o1 + ia].append(idx)
-                incident[o2 + ib].append(idx)
-            if inst is not None:
-                elements_e.extend([block.elements] * len(block.pairs))
-        h.elements_v = elements_v or None
-        h.elements_e = elements_e or None
-        return h
+            edges.extend([AuxEdge(o1 + ia, o2 + ib, u) for ia, ib in eblocks[u].pairs])
+        return AuxGraph(vertices, edges)
 
 
 def build_aux_graph(
@@ -517,7 +464,6 @@ def build_aux_graph(
     a: Solution,
     maps: AnchorMaps,
     params: ColorCodingParams,
-    inst: Optional[PackingInstance] = None,
     d: Optional[int] = None,
     state: Optional[CircularState] = None,
 ) -> AuxGraph:
@@ -545,7 +491,7 @@ def build_aux_graph(
         state = CircularState(g, maps)
     elif maps is not state.maps:
         raise ContractError("anchor maps were not built with this circular state")
-    return state.aux_graph(a, params, inst, d)
+    return state.aux_graph(a, params, d)
 
 
 def _assemble(
@@ -570,9 +516,9 @@ def _assemble(
 
 
 def _two_cycle_candidates(g: ConflictGraph, h: AuxGraph) -> Iterator[tuple[list[int], list[int]]]:
-    groups: dict[frozenset[int], list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, e in enumerate(h.edges):
-        groups.setdefault(frozenset((e.a, e.b)), []).append(i)
+        groups.setdefault((e.a, e.b) if e.a < e.b else (e.b, e.a), []).append(i)
     for pair in groups.values():
         for i in range(len(pair)):
             for j in range(i + 1, len(pair)):
@@ -595,12 +541,16 @@ def _dfs_cycles(
     inducing vertices and companion sets must stay independent; both are
     checked incrementally so pruned prefixes cannot extend to valid cycles.
     """
+    incident: list[list[int]] = [[] for _ in h.vertices]
+    for ei, e in enumerate(h.edges):
+        incident[e.a].append(ei)
+        incident[e.b].append(ei)
     nodes = 0
 
     def walk(start: int, current: int, vseq: list[int], eseq: list[int],
              anchors: set[int], support: set[int]) -> Iterator[tuple[list[int], list[int]]]:
         nonlocal nodes
-        for ei in h.incident[current]:
+        for ei in incident[current]:
             nodes += 1
             if nodes > budget:
                 raise SearchIncompleteError(f"cycle DFS exceeded {budget} nodes")
@@ -643,11 +593,23 @@ def _supports_compatible_seq(g: ConflictGraph, support: set[int], new: Sequence[
     return True
 
 
-def _color_mask(coloring: Sequence[int], elements: frozenset[int]) -> int:
-    mask = 0
-    for e in elements:
-        mask |= 1 << coloring[e]
-    return mask
+def _color_masks(h: AuxGraph, inst: PackingInstance, coloring: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The color masks of the aux vertices and edges under a coloring of the
+    universe: a vertex has the colors of the sets in its companion set, an
+    edge those of its inducer's set."""
+    set_masks = []
+    for s in inst.sets:
+        mask = 0
+        for e in s:
+            mask |= 1 << coloring[e]
+        set_masks.append(mask)
+    vmask = []
+    for v in h.vertices:
+        mask = 0
+        for x in v.y:
+            mask |= set_masks[x]
+        vmask.append(mask)
+    return vmask, [set_masks[e.inducer] for e in h.edges]
 
 
 def _colorful_candidates(
@@ -759,18 +721,16 @@ def _reduce_to_simple_cycle(
 
 def _colorful_cycles(
     h: AuxGraph,
-    coloring: Sequence[int],
+    vmask: Sequence[int],
+    emask: Sequence[int],
     max_len: int,
     state_budget: int,
 ) -> Iterator[tuple[list[int], list[int]]]:
-    """Simple colorful cycles of length 3..max_len in H, in DP order, as
-    (vertex order, edge order). Parallel-edge 2-cycles are the caller's
-    separate scan; candidates that collapse to one are skipped and the
-    sweep continues, so completeness for lengths 3..max_len is unaffected."""
-    if h.elements_v is None or h.elements_e is None:
-        raise InputError("aux graph carries no element sets; colorful search unavailable")
-    vmask = [_color_mask(coloring, els) for els in h.elements_v]
-    emask = [_color_mask(coloring, els) for els in h.elements_e]
+    """Simple colorful cycles of length 3..max_len in H under the vertex and
+    edge color masks, in DP order, as (vertex order, edge order).
+    Parallel-edge 2-cycles are the caller's separate scan; candidates that
+    collapse to one are skipped and the sweep continues, so completeness for
+    lengths 3..max_len is unaffected."""
     for vseq, eseq in _colorful_candidates(h, vmask, emask, max_len, state_budget):
         cvseq, ceseq = _reduce_to_simple_cycle(vseq, eseq)
         if 3 <= len(ceseq) <= max_len:
@@ -797,13 +757,14 @@ def run_color_coding(
     if inst is None:
         raise InputError("randomized circular search needs the packing instance")
     if h is None:
-        h = build_aux_graph(g, a, maps, params, inst=inst, d=d)
+        h = build_aux_graph(g, a, maps, params, d=d)
     if not h.edges:
         return None
     max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
     for _ in range(params.repetitions):
         coloring = [rng.randrange(params.t) for _ in range(inst.universe_size)]
-        for cvseq, ceseq in _colorful_cycles(h, coloring, max_len, _MAX_DP_STATES):
+        vmask, emask = _color_masks(h, inst, coloring)
+        for cvseq, ceseq in _colorful_cycles(h, vmask, emask, max_len, _MAX_DP_STATES):
             imp = _assemble(g, a, h, cvseq, ceseq)
             if validate_circular(g, a, maps, imp, d=d):
                 return imp
@@ -828,7 +789,7 @@ def find_circular_improvement(
     params.mode. Every returned improvement is re-validated field by field.
     `state`, when given, is the run's `CircularState` that built `maps`.
     """
-    h = build_aux_graph(g, a, maps, params, inst=inst, d=d, state=state)
+    h = build_aux_graph(g, a, maps, params, d=d, state=state)
     max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
     for vorder, eorder in _two_cycle_candidates(g, h):
         imp = _assemble(g, a, h, vorder, eorder)

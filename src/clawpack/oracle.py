@@ -44,7 +44,6 @@ def exact_mwis(
     g: ConflictGraph,
     budget: int = DEFAULT_NODE_BUDGET,
     size_limit: int = DEFAULT_SIZE_LIMIT,
-    force: bool = False,
 ) -> OracleResult:
     """Branch and bound for the maximum-weight independent set.
 
@@ -55,8 +54,8 @@ def exact_mwis(
     sums of the integers `g.w_int`, which order exactly as the rational
     weights do; the result reports the optimum as a Fraction.
     """
-    if g.n > size_limit and not force:
-        raise InputError(f"n={g.n} exceeds oracle size limit {size_limit}; pass force=True")
+    if g.n > size_limit:
+        raise InputError(f"n={g.n} exceeds oracle size limit {size_limit}; pass a larger size_limit")
 
     w = g.w_int
     adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]

@@ -47,7 +47,6 @@ class SolverConfig:
     rng_seed: int = 0
     circular: Optional[ColorCodingParams] = None
     d: Optional[int] = None
-    improvement_budget: int = 100_000_000
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -366,7 +365,7 @@ def parametrized_local_search(
     return _loop(
         g,
         start,
-        lambda a, _: exhaustive_improvement_search(g, a, alpha, cap, cfg.improvement_budget),
+        lambda a, _: exhaustive_improvement_search(g, a, alpha, cap),
         keep_partial_on_budget=True,
     )
 

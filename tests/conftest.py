@@ -66,7 +66,10 @@ def enumerate_colorful_cycles(h, vmask, emask, max_len):
     edge color masks are pairwise disjoint. Returns a list of edge-index tuples."""
     found = []
     n = len(h.vertices)
-    incident = h.incident
+    incident = [[] for _ in range(n)]
+    for ei, e in enumerate(h.edges):
+        incident[e.a].append(ei)
+        incident[e.b].append(ei)
 
     def ok_to_add(used_mask, add):
         return not (used_mask & add)

@@ -17,6 +17,7 @@ from conftest import enumerate_colorful_cycles
 
 from clawpack.certify import AnalysisParams, certify_local_optimum
 from clawpack.circular import (
+    AuxEdge,
     AuxGraph,
     AuxVertex,
     ColorCodingParams,
@@ -139,30 +140,35 @@ def test_criterion_4_certificates(random_sweep):
     _report(4, f"charge/contribution/pointwise/identity exact at 400 fixed points ({time.perf_counter()-t0:.1f}s)")
 
 
-def _planted_aux(rng: random.Random) -> tuple[AuxGraph, int, list[int]]:
+def _planted_aux(rng: random.Random):
+    """A synthetic aux graph with a planted cycle, its number of elements,
+    the planted edges, and the element sets of its vertices and edges."""
     n = rng.randint(4, 12)
     next_el = 0
-    h = AuxGraph()
+    h = AuxGraph([], [])
+    v_elems, e_elems = [], []
     for i in range(n):
         els = frozenset(range(next_el, next_el + rng.randint(0, 2)))
         next_el += len(els)
-        h.add_vertex(AuxVertex(anchor=i, y=()), elements=els)
+        h.vertices.append(AuxVertex(anchor=i, y=()))
+        v_elems.append(els)
     cyc = rng.sample(range(n), rng.randint(3, min(6, n)))
     planted = []
     for i in range(len(cyc)):
         els = frozenset(range(next_el, next_el + rng.randint(1, 2)))
         next_el += len(els)
-        planted.append(
-            h.add_edge(cyc[i], cyc[(i + 1) % len(cyc)], inducer=1000 + i, elements=els)
-        )
+        planted.append(len(h.edges))
+        h.edges.append(AuxEdge(cyc[i], cyc[(i + 1) % len(cyc)], inducer=1000 + i))
+        e_elems.append(els)
     for extra in range(rng.randint(0, 4)):
         a, b = rng.randrange(n), rng.randrange(n)
         if a == b:
             continue
         els = frozenset(range(next_el, next_el + rng.randint(1, 2)))
         next_el += len(els)
-        h.add_edge(a, b, inducer=2000 + extra, elements=els)
-    return h, next_el, planted
+        h.edges.append(AuxEdge(a, b, inducer=2000 + extra))
+        e_elems.append(els)
+    return h, next_el, planted, v_elems, e_elems
 
 
 def _mask(coloring, els):
@@ -177,16 +183,16 @@ def test_criterion_5_color_coding():
     rng = random.Random(2024)
     graphs = 0
     while graphs < 50:
-        h, n_elems, planted = _planted_aux(rng)
+        h, n_elems, planted, v_elems, e_elems = _planted_aux(rng)
         colorings = [list(range(max(1, n_elems)))]  # injective: planted cycle colorful
         colorings += [
             [rng.randrange(max(2, n_elems)) for _ in range(max(1, n_elems))] for _ in range(2)
         ]
         for coloring in colorings:
-            vmask = [_mask(coloring, e) for e in h.elements_v]
-            emask = [_mask(coloring, e) for e in h.elements_e]
+            vmask = [_mask(coloring, e) for e in v_elems]
+            emask = [_mask(coloring, e) for e in e_elems]
             expect = [c for c in enumerate_colorful_cycles(h, vmask, emask, 8) if len(c) >= 3]
-            got = next(_colorful_cycles(h, coloring, 8, DP_BUDGET), None)
+            got = next(_colorful_cycles(h, vmask, emask, 8, DP_BUDGET), None)
             assert (got is not None) == bool(expect)
             if got is not None:
                 vs, es = got

@@ -11,6 +11,7 @@ from conftest import PrimeWeights, enumerate_colorful_cycles, ref_aux_sides, tig
 from clawpack import circular
 from clawpack.circular import (
     AnchorMaps,
+    AuxEdge,
     AuxGraph,
     AuxVertex,
     CircularState,
@@ -144,51 +145,44 @@ def test_parallel_edges_two_cycle():
     assert exhaustive_improvement_search(g, a, Fraction(2), 2) is not None
 
 
-def synthetic_aux(n_vertices, edges, v_elems, e_elems):
-    h = AuxGraph()
-    for i in range(n_vertices):
-        h.add_vertex(AuxVertex(anchor=i, y=()), elements=frozenset(v_elems[i]))
-    for (a, b), els in zip(edges, e_elems):
-        h.add_edge(a, b, inducer=100 + len(h.edges), elements=frozenset(els))
-    return h
+def synthetic_aux(n_vertices, edges):
+    return AuxGraph(
+        [AuxVertex(anchor=i, y=()) for i in range(n_vertices)],
+        [AuxEdge(a, b, inducer=100 + i) for i, (a, b) in enumerate(edges)],
+    )
+
+
+def element_masks(coloring, v_elems, e_elems):
+    """The color masks of a synthetic aux graph's vertex and edge element sets."""
+    return [_mask(coloring, els) for els in v_elems], [_mask(coloring, els) for els in e_elems]
 
 
 def test_dp_triangle_disjoint_colors():
-    h = synthetic_aux(
-        3,
-        [(0, 1), (1, 2), (2, 0)],
-        v_elems=[{0}, {1}, {2}],
-        e_elems=[{3}, {4}, {5}],
-    )
-    coloring = list(range(6))
-    got = next(_colorful_cycles(h, coloring, 6, DP_BUDGET), None)
+    h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)])
+    vmask, emask = element_masks(list(range(6)), v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {5}])
+    got = next(_colorful_cycles(h, vmask, emask, 6, DP_BUDGET), None)
     assert got is not None
     vs, es = got
     assert sorted(es) == [0, 1, 2]
 
 
 def test_dp_shared_color_blocks():
-    h = synthetic_aux(
-        3,
-        [(0, 1), (1, 2), (2, 0)],
+    h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)])
+    vmask, emask = element_masks(
+        list(range(5)),
         v_elems=[{0}, {1}, {2}],
         e_elems=[{3}, {4}, {3}],  # two edges share an element
     )
-    coloring = list(range(5))
-    assert next(_colorful_cycles(h, coloring, 6, DP_BUDGET), None) is None
+    assert next(_colorful_cycles(h, vmask, emask, 6, DP_BUDGET), None) is None
 
 
 def test_dp_skips_degenerate_walks_over_parallel_edges():
     # four parallel edges with pairwise fresh colors admit colorful closed
     # walks of length 4 but no simple cycle of length >= 3; the DP must not
     # report those walks (parallel pairs are the separate 2-cycle scan's job)
-    h = synthetic_aux(
-        2,
-        [(0, 1), (0, 1), (0, 1), (0, 1)],
-        v_elems=[set(), set()],
-        e_elems=[{0}, {1}, {2}, {3}],
-    )
-    assert next(_colorful_cycles(h, [0, 1, 2, 3], 8, DP_BUDGET), None) is None
+    h = synthetic_aux(2, [(0, 1), (0, 1), (0, 1), (0, 1)])
+    vmask, emask = element_masks([0, 1, 2, 3], v_elems=[set(), set()], e_elems=[{0}, {1}, {2}, {3}])
+    assert next(_colorful_cycles(h, vmask, emask, 8, DP_BUDGET), None) is None
 
 
 def test_dp_agrees_with_enumeration_on_planted_cycles():
@@ -215,13 +209,12 @@ def test_dp_agrees_with_enumeration_on_planted_cycles():
         for _ in edges:
             e_elems.append(set(range(next_el, next_el + rng.randint(1, elems_per))))
             next_el += elems_per
-        h = synthetic_aux(n, edges, v_elems, e_elems)
+        h = synthetic_aux(n, edges)
         t = max(1, next_el)
         coloring = [rng.randrange(t) for _ in range(next_el)]
-        vmask = [_mask(coloring, h.elements_v[i]) for i in range(n)]
-        emask = [_mask(coloring, h.elements_e[i]) for i in range(len(edges))]
+        vmask, emask = element_masks(coloring, v_elems, e_elems)
         expect = [c for c in enumerate_colorful_cycles(h, vmask, emask, 8) if len(c) >= 3]
-        got = next(_colorful_cycles(h, coloring, 8, DP_BUDGET), None)
+        got = next(_colorful_cycles(h, vmask, emask, 8, DP_BUDGET), None)
         assert (got is not None) == bool(expect)
         if got is not None:
             vs, es = got
@@ -354,14 +347,13 @@ def test_params_validation():
         ColorCodingParams(t=1, repetitions=1, max_cycle_len=4, mode="nope")
 
 
-def test_aux_budget_raises_search_incomplete():
+def test_aux_budget_raises_search_incomplete(monkeypatch):
     from clawpack.circular import SearchIncompleteError
 
     _, g, a = berman_setup(6)
     maps = build_anchor_maps(g, a)
-    params = ColorCodingParams(
-        t=1, repetitions=1, max_cycle_len=8, max_aux_vertices=2
-    )
+    params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
+    monkeypatch.setattr(circular, "_MAX_AUX_VERTICES", 2)
     with pytest.raises(SearchIncompleteError):
         find_circular_improvement(g, a, maps, params)
 
@@ -402,8 +394,9 @@ def ref_build_anchor_maps(g, a):
     return AnchorMaps(heaviest, second, a_nbrs)
 
 
-def ref_build_aux_graph(g, a, maps, params, inst=None):
-    """The aux-graph build with Fraction charges and edge checks; also
+def ref_build_aux_graph(g, a, maps, params):
+    """The aux-graph build with Fraction charges and edge checks, under the
+    caps `circular._MAX_AUX_VERTICES` and `_MAX_AUX_EDGE_CHECKS`; also
     returns how many edge checks it made."""
     d_eff = g.d if g.d is not None else g.n + 1
     y_cap = min(params.y_cap, d_eff - 1)
@@ -411,17 +404,17 @@ def ref_build_aux_graph(g, a, maps, params, inst=None):
     for u in sorted(maps.heaviest):
         if g.weights[u] - g.weight_of(maps.a_neighbors[u]) / 2 > 0:
             anchored.setdefault(maps.heaviest[u], []).append(u)
-    h = AuxGraph()
+    h = AuxGraph([], [])
     vid_by_anchor = {}
     for v in sorted(a.members):
         subsets = _independent_subsets(g, anchored.get(v, []), y_cap)
         subsets.sort(key=lambda y: (-len(y), y))
         ids = []
         for y in subsets:
-            if len(h.vertices) >= params.max_aux_vertices:
+            if len(h.vertices) >= circular._MAX_AUX_VERTICES:
                 raise SearchIncompleteError("vertices")
-            elems = frozenset(e for x in y for e in inst.sets[x]) if inst else None
-            ids.append(h.add_vertex(AuxVertex(v, y), elems))
+            ids.append(len(h.vertices))
+            h.vertices.append(AuxVertex(v, y))
         vid_by_anchor[v] = ids
     checks = 0
     for u in sorted(maps.second):
@@ -437,11 +430,11 @@ def ref_build_aux_graph(g, a, maps, params, inst=None):
                 if any(g.has_edge(x, z) for x in y1 for z in y2):
                     continue
                 checks += 1
-                if checks > params.max_aux_edge_checks:
+                if checks > circular._MAX_AUX_EDGE_CHECKS:
                     raise SearchIncompleteError("edge checks")
                 lhs, rhs = ref_aux_sides(u, y1, y2, g, maps)
                 if lhs > rhs:
-                    h.add_edge(ia, ib, u, frozenset(inst.sets[u]) if inst else None)
+                    h.edges.append(AuxEdge(ia, ib, u))
     return h, checks
 
 
@@ -510,33 +503,34 @@ def weighted_case(seed: int, kind: str):
     return g.reweighted(weights), Solution.of(g, members), inst
 
 
-def aux_outcome(build, params):
+def aux_outcome(build, cap, n):
+    """The vertices and edges `build()` returns with the cap `circular.<cap>`
+    set to n, or "incomplete" if it raises `SearchIncompleteError`."""
     try:
-        h = build(params)
+        with mock.patch.object(circular, cap, n):
+            h = build()
     except SearchIncompleteError:
         return "incomplete"
-    return h.vertices, h.edges, h.elements_v, h.elements_e
+    return h.vertices, h.edges
 
 
 @pytest.mark.parametrize("kind", ["prime", "ties", "equal"])
 def test_integer_aux_graph_matches_fraction_build(kind):
     seen = {"edges": 0, "companions": 0, "excluded": 0}
     for seed in range(40):
-        g, a, inst = weighted_case(seed, kind)
+        g, a, _ = weighted_case(seed, kind)
         maps = build_anchor_maps(g, a)
         ref = ref_build_anchor_maps(g, a)
         assert (maps.heaviest, maps.second, maps.a_neighbors) == (
             ref.heaviest, ref.second, ref.a_neighbors
         )
         params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
-        want, checks = ref_build_aux_graph(g, a, ref, params, inst)
-        got = build_aux_graph(g, a, maps, params, inst)
+        want, checks = ref_build_aux_graph(g, a, ref, params)
+        got = build_aux_graph(g, a, maps, params)
         assert (got.vertices, got.edges) == (want.vertices, want.edges)
-        assert (got.elements_v, got.elements_e) == (want.elements_v, want.elements_e)
         for cap in {0, checks // 2, checks - 1, checks, checks + 1} - {-1}:
-            capped = dataclasses.replace(params, max_aux_edge_checks=cap)
-            expect = aux_outcome(lambda p: ref_build_aux_graph(g, a, ref, p, inst)[0], capped)
-            assert aux_outcome(lambda p: build_aux_graph(g, a, maps, p, inst), capped) == expect
+            expect = aux_outcome(lambda: ref_build_aux_graph(g, a, ref, params)[0], "_MAX_AUX_EDGE_CHECKS", cap)
+            assert aux_outcome(lambda: build_aux_graph(g, a, maps, params), "_MAX_AUX_EDGE_CHECKS", cap) == expect
             assert (expect == "incomplete") == (cap < checks)
         seen["edges"] += len(got.edges)
         seen["companions"] += sum(1 for v in got.vertices if v.y)
@@ -594,7 +588,7 @@ def test_anchor_maps_and_aux_graph_build_no_fraction():
 
     with mock.patch.object(Fraction, "__new__", no_fraction):
         maps = build_anchor_maps(g, a)
-        h = build_aux_graph(g, a, maps, params, inst)
+        h = build_aux_graph(g, a, maps, params)
     assert h.edges
 
 
@@ -611,10 +605,10 @@ FRESH_AUX = circular.build_aux_graph
 
 
 def aux_fields(h):
-    return h.vertices, h.edges, h.incident, h.elements_v, h.elements_e
+    return h.vertices, h.edges
 
 
-def check_state_against_fresh(g, a, state, params, inst, d, call):
+def check_state_against_fresh(g, a, state, params, d, call):
     """The state's maps and aux graph for `a` against a fresh build, and the
     outcome under caps below and at the vertex and edge-check totals, built
     through the state. Even calls build uncapped first; odd calls try the
@@ -627,27 +621,24 @@ def check_state_against_fresh(g, a, state, params, inst, d, call):
         fresh_maps.heaviest, fresh_maps.second, fresh_maps.a_neighbors
     )
     fresh = CircularState(g, fresh_maps)
-    want = FRESH_AUX(g, a, fresh_maps, params, inst, d, state=fresh)
-    assert aux_fields(want) == aux_fields(FRESH_AUX(g, a, fresh_maps, params, inst, d))
+    want = FRESH_AUX(g, a, fresh_maps, params, d, state=fresh)
+    assert aux_fields(want) == aux_fields(FRESH_AUX(g, a, fresh_maps, params, d))
     n_vertices, n_checks = len(want.vertices), fresh.checks
-    caps = [dataclasses.replace(params, max_aux_vertices=n) for n in {n_vertices - 1, n_vertices} if n >= 0]
-    caps += [
-        dataclasses.replace(params, max_aux_edge_checks=n)
-        for n in sorted({n_checks // 2, n_checks - 1, n_checks}) if n >= 0
-    ]
+    caps = [("_MAX_AUX_VERTICES", n) for n in {n_vertices - 1, n_vertices} if n >= 0]
+    caps += [("_MAX_AUX_EDGE_CHECKS", n) for n in sorted({n_checks // 2, n_checks - 1, n_checks}) if n >= 0]
 
     def capped(order):
-        for p in order:
-            expect = aux_outcome(lambda q: FRESH_AUX(g, a, fresh_maps, q, inst, d), p)
-            got = aux_outcome(lambda q: FRESH_AUX(g, a, maps, q, inst, d, state=state), p)
+        for cap, n in order:
+            expect = aux_outcome(lambda: FRESH_AUX(g, a, fresh_maps, params, d), cap, n)
+            got = aux_outcome(lambda: FRESH_AUX(g, a, maps, params, d, state=state), cap, n)
             assert got == expect
-            below = p.max_aux_vertices < n_vertices or p.max_aux_edge_checks < n_checks
+            below = n < (n_vertices if cap == "_MAX_AUX_VERTICES" else n_checks)
             assert (got == "incomplete") == below
 
     if call % 2:
         turn = (call // 2) % len(caps)
         capped(caps[turn:] + caps[:turn])
-    got = FRESH_AUX(g, a, maps, params, inst, d, state=state)
+    got = FRESH_AUX(g, a, maps, params, d, state=state)
     assert aux_fields(got) == aux_fields(want)
     assert state.checks == n_checks
     if not call % 2:
@@ -664,12 +655,12 @@ class CheckedAuxBuild:
         self.moved = 0  # members that changed between consecutive calls
         self.last = None
 
-    def __call__(self, g, a, maps, params, inst=None, d=None, state=None):
+    def __call__(self, g, a, maps, params, d=None, state=None):
         assert state is not None and maps is state.maps, "logimp must pass its circular state"
         if self.last is not None:
             self.moved += len(a.members ^ self.last)
         self.last = set(a.members)
-        got = check_state_against_fresh(g, a, state, params, inst, d, self.calls)
+        got = check_state_against_fresh(g, a, state, params, d, self.calls)
         self.calls += 1
         return got
 
@@ -749,7 +740,7 @@ def test_circular_state_over_random_swaps(kind):
     """Random walks over maximal solutions of random graphs and k=3 packings
     (see `weighted_case`), several swaps between some calls."""
     for seed in range(10):
-        g, a, inst = weighted_case(seed, kind)
+        g, a, _ = weighted_case(seed, kind)
         rng = random.Random(seed)
         params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
         state = CircularState(g)
@@ -760,7 +751,7 @@ def test_circular_state_over_random_swaps(kind):
             sol = Solution.of(g, members)
             maps = build_anchor_maps(g, sol, state)
             assert maps is state.maps
-            check_state_against_fresh(g, sol, state, params, inst, None, step)
+            check_state_against_fresh(g, sol, state, params, None, step)
 
 
 def test_circular_state_rejects_foreign_maps():
@@ -838,7 +829,9 @@ def layered_colorful_candidates(h, vmask, emask, max_len, state_budget):
 
 def random_synthetic_aux(rng):
     """A small aux graph with empty vertex and edge element sets (zero
-    masks), parallel edges and few elements, so colors often collide."""
+    masks), parallel edges and few elements, so colors often collide.
+    Returns the graph, its vertex and edge element sets, and the number of
+    elements."""
     n = rng.randint(2, 9)
     n_elems = rng.randint(1, 10)
 
@@ -849,11 +842,15 @@ def random_synthetic_aux(rng):
     for _ in range(rng.randint(1, 3 * n)):
         a, b = rng.sample(range(n), 2)
         edges.extend([(a, b)] * rng.choice([1, 1, 1, 2, 3]))
-    return synthetic_aux(n, edges, [elems() for _ in range(n)], [elems() for _ in edges]), n_elems
+    return synthetic_aux(n, edges), [elems() for _ in range(n)], [elems() for _ in edges], n_elems
 
 
-def masks(h, coloring):
-    return [_mask(coloring, els) for els in h.elements_v], [_mask(coloring, els) for els in h.elements_e]
+def ref_color_masks(h, inst, coloring):
+    """The color masks of an aux graph of `inst`, as the element sets the aux
+    graph once stored gave them: a vertex's union of its companion sets'
+    elements, an edge's inducer's set."""
+    vmask = [_mask(coloring, frozenset(e for x in v.y for e in inst.sets[x])) for v in h.vertices]
+    return vmask, [_mask(coloring, inst.sets[e.inducer]) for e in h.edges]
 
 
 def test_dp_candidate_sequence_matches_layered_sweep():
@@ -863,9 +860,8 @@ def test_dp_candidate_sequence_matches_layered_sweep():
     rng = random.Random(11)
     total = with_candidates = 0
 
-    def compare(h, coloring, max_len):
+    def compare(h, vmask, emask, max_len):
         nonlocal total, with_candidates
-        vmask, emask = masks(h, coloring)
         expect = list(layered_colorful_candidates(h, vmask, emask, max_len, DP_BUDGET))
         got = list(circular._colorful_candidates(h, vmask, emask, max_len, DP_BUDGET))
         assert got == expect
@@ -873,30 +869,31 @@ def test_dp_candidate_sequence_matches_layered_sweep():
         with_candidates += bool(got)
 
     for _ in range(400):
-        h, n_elems = random_synthetic_aux(rng)
+        h, v_elems, e_elems, n_elems = random_synthetic_aux(rng)
         t = rng.randint(1, 2 * n_elems)
-        compare(h, [rng.randrange(t) for _ in range(n_elems)], rng.randint(2, 7))
+        coloring = [rng.randrange(t) for _ in range(n_elems)]
+        compare(h, *element_masks(coloring, v_elems, e_elems), rng.randint(2, 7))
     cases = [tight_copies(5, 2, seed=1), tight_copies(4, 3, seed=2), tight_with_random_sets(3, copies=2, extra=6)]
     for inst, small in cases:
         g = build_conflict_graph(inst)
         a = Solution.of(g, small)
         params = ColorCodingParams.defaults(g, inst, mode="rand")
-        h = build_aux_graph(g, a, build_anchor_maps(g, a), params, inst=inst)
+        h = build_aux_graph(g, a, build_anchor_maps(g, a), params)
         assert h.edges
         for seed in range(6):
             crng = random.Random(seed)
             t = crng.choice([params.t, 24, 64])
-            compare(h, [crng.randrange(t) for _ in range(inst.universe_size)], 6)
+            compare(h, *ref_color_masks(h, inst, [crng.randrange(t) for _ in range(inst.universe_size)]), 6)
     assert total > 1000 and with_candidates > 100
 
 
 def test_dp_state_cap_without_colorful_cycle():
     # the triangle's first and third edges share an element: no colorful cycle
-    h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)], v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {3}])
-    coloring = list(range(5))
-    assert list(_colorful_cycles(h, coloring, 6, DP_BUDGET)) == []
+    h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)])
+    vmask, emask = element_masks(list(range(5)), v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {3}])
+    assert list(_colorful_cycles(h, vmask, emask, 6, DP_BUDGET)) == []
     with pytest.raises(SearchIncompleteError):
-        list(_colorful_cycles(h, coloring, 6, 4))
+        list(_colorful_cycles(h, vmask, emask, 6, 4))
 
 
 def test_dp_state_cap_counts_built_states_only():
@@ -904,21 +901,110 @@ def test_dp_state_cap_counts_built_states_only():
     state closes the first candidate, and the layer ends at 12 states. A cap
     of 7 yields that candidate and raises at the 8th state; the whole-layer
     sweep raised before yielding anything. Below the cap nothing changes."""
-    h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)], v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {5}])
-    coloring = list(range(6))
+    h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)])
+    vmask, emask = element_masks(list(range(6)), v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {5}])
     with pytest.raises(SearchIncompleteError):
-        next(_colorful_cycles(h, coloring, 6, 6))
-    it = _colorful_cycles(h, coloring, 6, 7)
+        next(_colorful_cycles(h, vmask, emask, 6, 6))
+    it = _colorful_cycles(h, vmask, emask, 6, 7)
     vs, es = next(it)
     assert sorted(vs) == [0, 1, 2] and sorted(es) == [0, 1, 2]
     with pytest.raises(SearchIncompleteError):
         next(it)
-    vmask, emask = masks(h, coloring)
     with pytest.raises(SearchIncompleteError):
         next(layered_colorful_candidates(h, vmask, emask, 6, 7))
     full = list(circular._colorful_candidates(h, vmask, emask, 6, 12))
     assert len(full) == 6
     assert full == list(layered_colorful_candidates(h, vmask, emask, 6, 12))
+
+
+def packing_aux_graphs():
+    """Aux graphs of tight copies (with and without random 3-sets) from their
+    small sides and of random k=3 packings at greedy solutions, each with
+    its graph and instance."""
+    cases = []
+    for inst, small in [tight_copies(5, 2, seed=1), tight_copies(4, 3, seed=2), tight_with_random_sets(3, copies=2, extra=6)]:
+        g = build_conflict_graph(inst)
+        cases.append((inst, g, Solution.of(g, small)))
+    for seed in range(4):
+        inst = gen_random_packing(150, 3, 45, seed=seed)
+        g = build_conflict_graph(inst)
+        cases.append((inst, g, greedy(g)))
+    for inst, g, a in cases:
+        h = build_aux_graph(g, a, build_anchor_maps(g, a), ColorCodingParams.defaults(g, inst), d=g.d)
+        yield inst, g, h
+
+
+def test_color_masks_match_element_unions():
+    """The masks `_color_masks` derives from the packing sets equal those of
+    the element unions the aux graph once stored, under seeded colorings."""
+    companions = edges = 0
+    for inst, _, h in packing_aux_graphs():
+        companions += sum(1 for v in h.vertices if v.y)
+        edges += len(h.edges)
+        for seed in range(4):
+            crng = random.Random(seed)
+            t = crng.choice([4, 24, 64])
+            coloring = [crng.randrange(t) for _ in range(inst.universe_size)]
+            assert circular._color_masks(h, inst, coloring) == ref_color_masks(h, inst, coloring)
+    assert companions > 100 and edges > 100
+
+
+def ref_dfs_cycles(g, h, incident, max_len, budget):
+    """`_dfs_cycles` as it was when the aux graph carried its incident lists,
+    kept verbatim but for reading them from `incident`: the reference for
+    the candidate order."""
+    nodes = 0
+
+    def walk(start, current, vseq, eseq, anchors, support):
+        nonlocal nodes
+        for ei in incident[current]:
+            nodes += 1
+            if nodes > budget:
+                raise SearchIncompleteError(f"cycle DFS exceeded {budget} nodes")
+            e = h.edges[ei]
+            nxt = e.b if e.a == current else e.a
+            if ei in eseq:
+                continue
+            if nxt == start:
+                if len(eseq) >= 2 and circular._supports_compatible_seq(g, support, [e.inducer]):
+                    yield vseq[:], eseq + [ei]
+                continue
+            if nxt < start or nxt in vseq:
+                continue
+            av = h.vertices[nxt]
+            if av.anchor in anchors:
+                continue
+            new = [e.inducer] + [x for x in av.y]
+            if not circular._supports_compatible_seq(g, support, new):
+                continue
+            if len(eseq) + 1 >= max_len:
+                continue
+            anchors.add(av.anchor)
+            support.update(new)
+            yield from walk(start, nxt, vseq + [nxt], eseq + [ei], anchors, support)
+            anchors.remove(av.anchor)
+            support.difference_update(new)
+
+    for s in range(len(h.vertices)):
+        av = h.vertices[s]
+        yield from walk(s, s, [s], [], {av.anchor}, set(av.y))
+
+
+def test_dfs_candidate_sequence_matches_stored_incident_lists():
+    """`_dfs_cycles` builds its incident lists from the edges; every
+    candidate, in order, equals the DFS over the lists the aux graph once
+    stored (each edge appended at its ends in edge order)."""
+    total = 0
+    for _, g, h in packing_aux_graphs():
+        incident = {i: [] for i in range(len(h.vertices))}
+        for idx, e in enumerate(h.edges):
+            incident[e.a].append(idx)
+            incident[e.b].append(idx)
+        max_len = max_cycle_len_for(g.n)
+        expect = list(ref_dfs_cycles(g, h, incident, max_len, circular._MAX_DFS_NODES))
+        assert list(circular._dfs_cycles(g, h, max_len, circular._MAX_DFS_NODES)) == expect
+        total += len(expect)
+    assert total > 100
 
 
 def perturbed_tight_with_random_sets(seed: int):
@@ -963,7 +1049,7 @@ def test_rand_mode_agrees_with_exhaustive_at_claw_fixed_points():
         params = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode="rand"), repetitions=200)
         rd = find_circular_improvement(g, a, maps, params, inst=inst, rng=random.Random(i), d=g.d)
         assert (rd is not None) == (ex is not None), f"case {i}"
-        h = build_aux_graph(g, a, maps, params, inst=inst, d=g.d)
+        h = build_aux_graph(g, a, maps, params, d=g.d)
         two = any(
             validate_circular(g, a, maps, _assemble(g, a, h, vs, es), d=g.d)
             for vs, es in _two_cycle_candidates(g, h)

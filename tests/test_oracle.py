@@ -55,7 +55,7 @@ def test_size_limit_guard():
     g = ConflictGraph.from_edges(3, [], [1, 1, 1])
     with pytest.raises(InputError):
         exact_mwis(g, size_limit=2)
-    assert exact_mwis(g, size_limit=2, force=True).optimum_w == 3
+    assert exact_mwis(g, size_limit=3).optimum_w == 3
 
 
 def test_no_improvement_of_optimum_alpha_one():

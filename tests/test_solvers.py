@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from clawpack import solvers
 from clawpack.generators import (
     gen_alternating_cycle,
     gen_berman_tight,
@@ -179,10 +180,12 @@ def test_alpha_zero_rejected_in_config():
         SolverConfig(mode="parametrized", alpha=Fraction(0))
 
 
-def test_parametrized_budget_aborts_with_best_so_far():
+def test_parametrized_budget_aborts_with_best_so_far(monkeypatch):
     inst = gen_random_packing(12, 3, 9, seed=8)
     g = build_conflict_graph(inst)
-    cfg = SolverConfig(mode="parametrized", alpha=Fraction(2), improvement_budget=3)
+    search = solvers.exhaustive_improvement_search
+    monkeypatch.setattr(solvers, "exhaustive_improvement_search", lambda *args: search(*args, budget=3))
+    cfg = SolverConfig(mode="parametrized", alpha=Fraction(2))
     tr = parametrized_local_search(g, cfg)
     assert tr.notes and "budget" in tr.notes[0]
     # partial result is still a valid independent set

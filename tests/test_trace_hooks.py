@@ -87,5 +87,5 @@ def test_traced_logimp_counts_every_circular_build():
     assert [tracer.parents[i] for i in aux] == finds
     for members, i in zip(seen, aux):
         a = Solution.of(g, members)
-        h = build_aux_graph(g, a, build_anchor_maps(g, a), params, inst, g.d)
+        h = build_aux_graph(g, a, build_anchor_maps(g, a), params, g.d)
         assert tracer.counts[i] == {"vertices": len(h.vertices), "edges": len(h.edges)}
