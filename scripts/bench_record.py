@@ -1,5 +1,6 @@
 """Record one point of the performance trajectory: run clawbench on every
-workload, untraced and traced, and write the result lines to one file.
+workload, untraced and traced, time the scale curve, and write the results
+to one file.
 
     python3 scripts/bench_record.py --tag 7
 
@@ -8,6 +9,8 @@ with seed 0 and the benchmark's 25 s run length, one workload and mode at a
 time, and writes `BENCH_<tag>.json` there with the Python version, the CPU
 count (`nproc`) and, per run, the command's arguments, exit code and its
 last output line parsed as JSON, or the tail of its stderr if it failed.
+Under `scale` it lists one seed-0 `solve` timing per point of the scale
+curve, which clawbench does not cover (see `scale_curve`).
 It exits 1, naming the runs, if any run failed or reported `correct: false`;
 the file is written either way.
 """
@@ -18,9 +21,14 @@ import os
 import platform
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("rand-k3", "tight-union", "small-exact")
+# The scale curve: unions of this many shuffled tight copies
+# (`clawbench.workloads.tight_union`), and random k=3 packings of n sets.
+SCALE_COPIES = (40, 160, 640)
+SCALE_N = (400, 800, 1600, 3200, 6400)
 
 
 def run_one(workload: str, trace: int) -> dict:
@@ -39,6 +47,41 @@ def run_one(workload: str, trace: int) -> dict:
     return run
 
 
+def scale_curve() -> list[dict]:
+    """One seed-0 timing per point, in-process: logimp in both circular
+    modes on tight unions of `SCALE_COPIES` copies, started at the copies'
+    small sides, and squareimp and logimp from empty on random k=3 packings
+    of n = `SCALE_N` sets over a universe of n elements (the `rand-k3`
+    generator settings). Each point gives its suite, size, vertex count,
+    algorithm, iteration count and `solve` wall time."""
+    code = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(code, "src"), code]
+    import clawpack
+    from clawbench.workloads import TIGHT_UNION_D, tight_union
+
+    def point(suite, size, algo, g, cfg, inst, start=None):
+        t0 = time.perf_counter()
+        trace = clawpack.solve(g, cfg, inst=inst, start=start)
+        wall = time.perf_counter() - t0
+        return {"suite": suite, "size": size, "vertices": g.n, "algo": algo,
+                "iterations": trace.iterations, "wall_s": round(wall, 4)}
+
+    points = []
+    for copies in SCALE_COPIES:
+        inst, small = tight_union(0, copies, TIGHT_UNION_D)
+        g = clawpack.build_conflict_graph(inst)
+        for mode in ("exhaustive", "rand"):
+            params = clawpack.ColorCodingParams.defaults(g, inst, mode=mode)
+            cfg = clawpack.SolverConfig(mode="logimp", rng_seed=0, circular=params)
+            points.append(point("tight-union", copies, f"logimp-{mode}", g, cfg, inst, clawpack.Solution.of(g, small)))
+    for n in SCALE_N:
+        inst = clawpack.generators.gen_random_packing(n, 3, n, weight_dist=("uniform", 10), seed=0)
+        g = clawpack.build_conflict_graph(inst)
+        for algo in ("squareimp", "logimp"):
+            points.append(point("rand-k3", n, algo, g, clawpack.SolverConfig(mode=algo, rng_seed=0), inst))
+    return points
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True, help="file name suffix: BENCH_<tag>.json")
@@ -48,6 +91,7 @@ def main() -> int:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "runs": runs,
+        "scale": scale_curve(),
     }
     path = os.path.join(ROOT, f"BENCH_{opts.tag}.json")
     with open(path, "w") as fh:

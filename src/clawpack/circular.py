@@ -5,10 +5,11 @@ auxiliary multigraph whose edges certify a per-edge squared-weight
 inequality, then cycle detection. Cycles of length 2 (parallel edges) are
 scanned directly; longer cycles are found either by an exhaustive DFS
 (complete, deterministic) or by randomized color coding over the packing
-universe with a colorful-cycle dynamic program. The aux graph is only its
-vertices and edges: the DFS derives its incident lists from the edges, and
-color coding the colors of a vertex or edge from the packing sets of its
-companion set or inducer.
+universe with a colorful-cycle dynamic program. The aux graph is its
+vertices and edges and two lookups over them: each vertex's incident
+edges, and the edges that can have a parallel twin. Color coding derives
+the colors of a vertex or edge from the packing sets of its companion set
+or inducer.
 
 The anchor maps rank by the integer weights `ConflictGraph.w_int`, and the
 aux-graph build compares sums of `w_int` and `w2_int` (their squares), which
@@ -19,14 +20,18 @@ decide; `validate_circular` re-checks every returned improvement with them.
 Both builds go through a `CircularState`. logimp keeps one per run, so at
 each claw fixed point only the anchor maps of the vertices next to the
 swaps since the last one, the vertex blocks (one per anchor) and the edge
-blocks (one per inducing vertex) whose inputs changed are recomputed, and
-the aux graph is reassembled from the blocks in the from-scratch order.
-Called without a state, `build_anchor_maps` and `build_aux_graph` use a
-fresh one, which builds everything. The colorful DP builds its per-vertex
-step tables once per coloring (rand mode draws about one coloring per
-call, so there is nothing to reuse) and yields each candidate as soon as
-the state that closes it is built, so rand mode stops at the first
-candidate that validates instead of building the rest of its layer.
+blocks (one per inducing vertex) whose inputs changed are recomputed. An
+aux vertex keeps its id while its block lives, and an edge block keeps its
+edges over those ids, so a call only lists the blocks' existing vertices
+and edges in the from-scratch order; the 2-cycle scan reads only the
+anchor pairs that two or more inducers share. Called without a state,
+`build_anchor_maps` and `build_aux_graph` use a fresh one, which builds
+everything. The DFS and the colorful DP work out a vertex's incident
+edges, and the DP its color masks, step tables and first layer, only
+when they first reach that vertex, and the DP yields each candidate as
+soon as the state that closes it is built, so a search that stops at the
+first candidate that validates pays for little more than the prefix it
+read.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .instances import (
     BudgetExceededError,
@@ -56,6 +61,13 @@ _MAX_AUX_VERTICES = 200_000
 _MAX_AUX_EDGE_CHECKS = 2_000_000
 _MAX_DP_STATES = 2_000_000
 _MAX_DFS_NODES = 2_000_000
+
+# An aux vertex's id is its anchor shifted left by _ID_SHIFT plus its
+# position in the anchor's block, and an aux edge's id its inducer shifted
+# the same way plus its position in the inducer's block, so ids increase in
+# the from-scratch vertex and edge orders. No block comes near 2**32
+# vertices or edges: the caps below that are far lower.
+_ID_SHIFT = 32
 
 
 class SearchIncompleteError(BudgetExceededError):
@@ -222,10 +234,20 @@ class AuxEdge:
 
 @dataclass
 class AuxGraph:
-    """Aux vertices and edges; an edge's ends are positions in `vertices`."""
+    """Aux vertices and edges by id; an edge's ends are vertex ids.
 
-    vertices: list[AuxVertex]
-    edges: list[AuxEdge]
+    `vertices` holds the vertices in sorted-anchor order and `edges` the
+    edges in sorted-inducer order; ids increase along both orders.
+    `incident` maps a vertex id to the ids of its edges in edge order, and
+    `parallel` lists in edge order every edge that can share both ends
+    with another. A `CircularState` fills `incident` as the searches reach
+    the vertices, and its graph stays valid until the state's next call.
+    """
+
+    vertices: dict[int, AuxVertex]
+    edges: dict[int, AuxEdge]
+    incident: Mapping[int, list[int]]
+    parallel: Sequence[int]
 
 
 def _independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> list[tuple[int, ...]]:
@@ -248,21 +270,34 @@ def _independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> li
 
 
 class _VertexBlock(NamedTuple):
-    """The aux vertices at one anchor, in their order: one per independent
-    companion set of at most y_cap candidates, with its net."""
+    """The aux vertices at one anchor by id, in their order: one per
+    independent companion set of at most y_cap candidates, with its net."""
 
-    vertices: Sequence[AuxVertex]
+    vertices: dict[int, AuxVertex]
     ys: Sequence[tuple[int, ...]]
     nets: Sequence[int]
 
 
-
 class _EdgeBlock(NamedTuple):
-    """The aux edges one inducer u makes, as (ia, ib) positions in the
-    blocks at its heaviest and second anchors, and the checks they took."""
+    """The aux edges one inducer makes by id, from the block at its heaviest
+    anchor to the block at its second, the checks they took, and those two
+    anchors."""
 
-    pairs: list[tuple[int, int]]
+    edges: dict[int, AuxEdge]
     checks: int
+    anchors: tuple[int, int]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with `fn(key)` on first use."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class CircularState:
@@ -279,12 +314,24 @@ class CircularState:
     outside vertex with v as heaviest anchor and positive charge) joins or
     leaves v or has its solution neighbors changed; an edge block is
     recomputed when u's anchors or solution neighbors change, or when the
-    block at either anchor was dropped. Each call reassembles
-    the `AuxGraph` from the blocks in the from-scratch order (sorted
-    anchors, then sorted inducers), so vertex and edge ids and the
-    edge-check count are those of a fresh build.
+    block at either anchor was dropped.
 
-    The maps the state returns are its own and change at its next call.
+    A vertex's id comes from its anchor and its position in the block (see
+    `_ID_SHIFT`), so it stays fixed while the block lives, and an edge
+    block holds its `AuxEdge`s over those ids: it is recomputed whenever
+    the block at either end is dropped, so its edges never name a vertex
+    that is gone. Each call lists the blocks' vertices and edges in the
+    from-scratch order (sorted anchors, then sorted inducers) and builds
+    no vertex or edge of a block that did not change, so vertex ids, edge
+    ids and the edge-check count are those of a fresh build. For the
+    2-cycle scan the state keeps, per unordered anchor pair, the inducers
+    whose blocks have edges between them, and the pairs that two or more
+    inducers share: only those can carry parallel edges. The edge ids at
+    each vertex of an anchor are listed on first use and kept until a block
+    at that anchor changes.
+
+    The maps and the aux graph the state returns are its own and change at
+    its next call.
     """
 
     def __init__(self, g: ConflictGraph, maps: Optional[AnchorMaps] = None):
@@ -295,6 +342,9 @@ class CircularState:
         self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
         self._vblocks: dict[int, _VertexBlock] = {}
         self._eblocks: dict[int, _EdgeBlock] = {}  # only blocks with checks
+        self._pairs: dict[tuple[int, int], set[int]] = {}  # anchor pair -> inducers with edges
+        self._shared: set[tuple[int, int]] = set()  # the pairs with two or more inducers
+        self._incident: dict[int, dict[int, list[int]]] = {}  # anchor -> vertex id -> edge ids
         self._dirty_u: set[int] = set()
         self.checks = 0  # edge checks the blocks hold: the last aux graph's count
         self._y_cap: Optional[int] = None  # the y_cap the blocks were built for
@@ -369,27 +419,43 @@ class CircularState:
         g = self.g
         anchor = self._anchor
         cands = [u for u in g.adj[v] if anchor.get(u) == v]  # sorted, as g.adj[v] is
+        base = v << _ID_SHIFT
         if not cands:
-            return _VertexBlock((AuxVertex(v, ()),), ((),), (0,))  # only the empty set
+            return _VertexBlock({base: AuxVertex(v, ())}, ((),), (0,))  # only the empty set
         w2 = g.w2_int
         a_nbrs = self.maps.a_neighbors
         spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
         ys = _independent_subsets(g, cands, y_cap)
         ys.sort(key=lambda y: (-len(y), y))
-        return _VertexBlock([AuxVertex(v, y) for y in ys], ys, [sum(spill[x] for x in y) for y in ys])
+        vertices = {base + i: AuxVertex(v, y) for i, y in enumerate(ys)}
+        return _VertexBlock(vertices, ys, [sum(spill[x] for x in y) for y in ys])
 
     def _update_edge_blocks(self) -> None:
-        """Recompute the edge block of every dirty inducer. Raises
-        `SearchIncompleteError` once the checks of all blocks pass
-        `_MAX_AUX_EDGE_CHECKS`; the inducers not yet recomputed stay dirty."""
+        """Recompute the edge block of every dirty inducer, and the inducers
+        per anchor pair with it. Raises `SearchIncompleteError` once the
+        checks of all blocks pass `_MAX_AUX_EDGE_CHECKS`; the inducers not
+        yet recomputed stay dirty."""
         cap = _MAX_AUX_EDGE_CHECKS
         g = self.g
         w2 = g.w2_int
         adj = g.adj_sets
         heaviest, second, a_nbrs = self.maps.heaviest, self.maps.second, self.maps.a_neighbors
         vblocks, eblocks, dirty = self._vblocks, self._eblocks, self._dirty_u
+        pairs, shared, incident = self._pairs, self._shared, self._incident
         for u in dirty.intersection(eblocks):
-            self.checks -= eblocks.pop(u).checks
+            block = eblocks.pop(u)
+            self.checks -= block.checks
+            if block.edges:
+                v1, v2 = block.anchors
+                incident.pop(v1, None)
+                incident.pop(v2, None)
+                key = (v1, v2) if v1 < v2 else (v2, v1)
+                group = pairs[key]
+                group.remove(u)
+                if len(group) < 2:
+                    shared.discard(key)
+                if not group:
+                    del pairs[key]
         dirty.intersection_update(second)  # only inducers have edge blocks
         total = self.checks
         while dirty:
@@ -404,7 +470,8 @@ class CircularState:
                 continue
             base = 2 * w2[u] - w2[v1] - w2[v2]
             base -= 2 * sum(w2[x] for x in a_nbrs[u] if x != v1 and x != v2)
-            pairs = []
+            o1, o2, first = v1 << _ID_SHIFT, v2 << _ID_SHIFT, u << _ID_SHIFT
+            edges: dict[int, AuxEdge] = {}
             checks = 0
             for ia, y1 in enumerate(b1.ys):
                 if u in y1 or not nbrs.isdisjoint(y1):
@@ -419,10 +486,18 @@ class CircularState:
                         self.checks = total
                         raise SearchIncompleteError(f"aux graph exceeded {cap} edge checks")
                     if bound > nets2[ib]:
-                        pairs.append((ia, ib))
+                        edges[first + len(edges)] = AuxEdge(o1 + ia, o2 + ib, u)
             if checks:
-                eblocks[u] = _EdgeBlock(pairs, checks)
+                eblocks[u] = _EdgeBlock(edges, checks, (v1, v2))
                 total += checks
+            if edges:
+                incident.pop(v1, None)
+                incident.pop(v2, None)
+                key = (v1, v2) if v1 < v2 else (v2, v1)
+                group = pairs.setdefault(key, set())
+                group.add(u)
+                if len(group) == 2:
+                    shared.add(key)
         self.checks = total
 
     def aux_graph(self, a: Solution, params: ColorCodingParams, d: Optional[int] = None) -> AuxGraph:
@@ -435,15 +510,14 @@ class CircularState:
         members = a.members
         self._reanchor(members)
 
-        vertices: list[AuxVertex] = []
-        offset: dict[int, int] = {}
+        vertices: dict[int, AuxVertex] = {}
         vblocks = self._vblocks
         for v in sorted(members):
             block = vblocks.get(v)
             if block is None:
                 block = vblocks[v] = self._vertex_block(v, y_cap)
-            offset[v] = len(vertices)
-            vertices.extend(block.vertices)
+                self._incident.pop(v, None)
+            vertices.update(block.vertices)
         # A cap is crossed when a count passes it.
         if len(vertices) > _MAX_AUX_VERTICES:
             raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
@@ -451,12 +525,41 @@ class CircularState:
         if self.checks > _MAX_AUX_EDGE_CHECKS:
             raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_EDGE_CHECKS} edge checks")
 
-        edges: list[AuxEdge] = []
-        heaviest, second, eblocks = self.maps.heaviest, self.maps.second, self._eblocks
+        edges: dict[int, AuxEdge] = {}
+        eblocks = self._eblocks
         for u in sorted(eblocks):
-            o1, o2 = offset[heaviest[u]], offset[second[u]]
-            edges.extend([AuxEdge(o1 + ia, o2 + ib, u) for ia, ib in eblocks[u].pairs])
-        return AuxGraph(vertices, edges)
+            edges.update(eblocks[u].edges)
+        pairs = self._pairs
+        sharing = sorted({u for key in self._shared for u in pairs[key]})
+        parallel = [ei for u in sharing for ei in eblocks[u].edges]
+        at_anchor = self._incident
+
+        def incident(i: int) -> list[int]:
+            v = i >> _ID_SHIFT
+            lists = at_anchor.get(v)
+            if lists is None:
+                lists = at_anchor[v] = self._incident_at(v)
+            return lists[i]
+
+        return AuxGraph(vertices, edges, _Memo(incident), parallel)
+
+    def _incident_at(self, v: int) -> dict[int, list[int]]:
+        """The edge ids at each aux vertex of anchor v, in edge order: the
+        inducers of those edges are neighbors of v, read in sorted order."""
+        eblocks = self._eblocks
+        lists: dict[int, list[int]] = {i: [] for i in self._vblocks[v].vertices}
+        for u in self.g.adj[v]:
+            block = eblocks.get(u)
+            if block is None:
+                continue
+            v1, v2 = block.anchors
+            if v1 == v:
+                for ei, e in block.edges.items():
+                    lists[e.a].append(ei)
+            elif v2 == v:
+                for ei, e in block.edges.items():
+                    lists[e.b].append(ei)
+        return lists
 
 
 def build_aux_graph(
@@ -516,8 +619,12 @@ def _assemble(
 
 
 def _two_cycle_candidates(g: ConflictGraph, h: AuxGraph) -> Iterator[tuple[list[int], list[int]]]:
+    """Pairs of parallel edges whose supports are compatible, grouped by
+    their ends in the order of each group's first edge; only the edges in
+    `h.parallel` are read."""
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, e in enumerate(h.edges):
+    for i in h.parallel:
+        e = h.edges[i]
         groups.setdefault((e.a, e.b) if e.a < e.b else (e.b, e.a), []).append(i)
     for pair in groups.values():
         for i in range(len(pair)):
@@ -540,11 +647,10 @@ def _dfs_cycles(
     H-vertices on a cycle must carry distinct anchors, and the union of the
     inducing vertices and companion sets must stay independent; both are
     checked incrementally so pruned prefixes cannot extend to valid cycles.
+    Each cycle is found from its vertex of least id, so it is enumerated
+    once per direction.
     """
-    incident: list[list[int]] = [[] for _ in h.vertices]
-    for ei, e in enumerate(h.edges):
-        incident[e.a].append(ei)
-        incident[e.b].append(ei)
+    incident = h.incident
     nodes = 0
 
     def walk(start: int, current: int, vseq: list[int], eseq: list[int],
@@ -578,14 +684,19 @@ def _dfs_cycles(
             anchors.remove(av.anchor)
             support.difference_update(new)
 
-    for s in range(len(h.vertices)):
-        av = h.vertices[s]
-        yield from walk(s, s, [s], [], {av.anchor}, set(av.y))
+    try:
+        for s, av in h.vertices.items():
+            yield from walk(s, s, [s], [], {av.anchor}, set(av.y))
+    finally:
+        # `walk` refers to itself, so without this the cycle would keep `h`,
+        # and through `h.incident` the circular state, alive until the next
+        # cyclic garbage collection
+        del walk
 
 
 def _supports_compatible_seq(g: ConflictGraph, support: set[int], new: Sequence[int]) -> bool:
     for i, x in enumerate(new):
-        if x in support or (g.adj_sets[x] & support):
+        if x in support or not g.adj_sets[x].isdisjoint(support):
             return False
         for z in new[i + 1:]:
             if z == x or g.has_edge(x, z):
@@ -593,29 +704,34 @@ def _supports_compatible_seq(g: ConflictGraph, support: set[int], new: Sequence[
     return True
 
 
-def _color_masks(h: AuxGraph, inst: PackingInstance, coloring: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The color masks of the aux vertices and edges under a coloring of the
-    universe: a vertex has the colors of the sets in its companion set, an
-    edge those of its inducer's set."""
-    set_masks = []
-    for s in inst.sets:
+def _color_masks(h: AuxGraph, inst: PackingInstance, coloring: Sequence[int]) -> tuple[_Memo, _Memo]:
+    """The color masks of the aux vertices (by id) and edges (by id) under a
+    coloring of the universe, each computed on first use: a vertex has the
+    colors of the sets in its companion set, an edge those of its inducer's
+    set."""
+    sets = inst.sets
+
+    def set_mask(x: int) -> int:
         mask = 0
-        for e in s:
+        for e in sets[x]:
             mask |= 1 << coloring[e]
-        set_masks.append(mask)
-    vmask = []
-    for v in h.vertices:
+        return mask
+
+    set_masks = _Memo(set_mask)
+
+    def vertex_mask(i: int) -> int:
         mask = 0
-        for x in v.y:
+        for x in h.vertices[i].y:
             mask |= set_masks[x]
-        vmask.append(mask)
-    return vmask, [set_masks[e.inducer] for e in h.edges]
+        return mask
+
+    return _Memo(vertex_mask), _Memo(lambda ei: set_masks[h.edges[ei].inducer])
 
 
 def _colorful_candidates(
     h: AuxGraph,
-    vmask: Sequence[int],
-    emask: Sequence[int],
+    vmask: Mapping[int, int],
+    emask: Mapping[int, int],
     max_len: int,
     state_budget: int,
 ) -> Iterator[tuple[list[int], list[int]]]:
@@ -631,32 +747,41 @@ def _colorful_candidates(
     and can stop at the first that validates. The caller reduces them to
     simple cycles.
 
-    `state_budget` caps the states built: the state that would pass it
-    raises `SearchIncompleteError`, after the candidates of the states
-    built before it have been yielded.
+    A state's end t never changes along its walk, so layer 2 reads only the
+    layer-1 states of its own end: layer 1 is built one end at a time, in
+    vertex order, right before layer 2 extends it. A vertex's masks and
+    steps are computed when the DP first reaches it.
+
+    `state_budget` caps the states built, layer 1 included: the state that
+    would pass it raises `SearchIncompleteError`, after the candidates of
+    the states built before it have been yielded.
     """
-    # Per vertex, its alive edges as steps (edge, other end, colors the step
-    # adds), in edge order.
-    steps: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
-    for ei, e in enumerate(h.edges):
-        a, b, me = e.a, e.b, emask[ei]
-        ma, mb = vmask[a], vmask[b]
-        if me & ma or me & mb or ma & mb:
-            continue
-        steps[a].append((ei, b, me | mb))
-        steps[b].append((ei, a, me | ma))
+    incident, edges = h.incident, h.edges
+
+    def alive_steps(v: int) -> list[tuple[int, int, int]]:
+        # v's alive edges as steps (edge, other end, colors the step adds),
+        # in edge order
+        mv = vmask[v]
+        out = []
+        for ei in incident[v]:
+            e = edges[ei]
+            s = e.b if e.a == v else e.a
+            me, ms = emask[ei], vmask[s]
+            if not (me & mv or me & ms or mv & ms):
+                out.append((ei, s, me | ms))
+        return out
+
+    steps = _Memo(alive_steps)
     # Per end t, built when a state ending at t is first extended at layer
     # >= 2: the alive edges to each other end s (a self-loop closes no
     # cycle), with their colors.
     closers: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    no_closers: dict[int, list[tuple[int, int]]] = {}
 
-    # states[(s, t, mask)] = (edge to next vertex, next vertex, previous mask)
-    layer: dict[tuple[int, int, int], tuple[Optional[int], Optional[int], int]] = {}
-    for v in range(len(h.vertices)):
-        layer[(v, v, vmask[v])] = (None, None, 0)
+    # states[(s, t, mask)] = (edge to next vertex, next vertex, previous mask);
+    # layer 0, the states (t, t, vmask[t]), is never stored
+    layer1: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    all_layers: list[Optional[dict]] = [None, layer1]
     states = 0
-    all_layers = [layer]
 
     def recover(s: int, t: int, mask: int, i: int) -> tuple[list[int], list[int]]:
         vseq, eseq = [s], []
@@ -668,19 +793,34 @@ def _colorful_candidates(
             cur, cmask = nxt, pmask
         return vseq, eseq
 
-    for i in range(1, max_len):
+    def layer1_by_end() -> Iterator[tuple[int, int, int]]:
+        nonlocal states
+        for t in h.vertices:
+            tmask = vmask[t]
+            fresh = []
+            for ei, s, add in steps[t]:
+                if add & tmask:
+                    continue
+                key = (s, t, tmask | add)
+                if key in layer1:
+                    continue
+                states += 1
+                if states > state_budget:
+                    raise SearchIncompleteError(f"colorful DP exceeded {state_budget} states")
+                layer1[key] = (ei, t, tmask)
+                fresh.append(key)
+            yield from fresh
+
+    for i in range(2, max_len):
         newlayer: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         all_layers.append(newlayer)  # before it fills: `recover` reads it
-        for (v, t, cmask) in all_layers[i - 1]:
-            if i < 2:
-                to_t = no_closers  # a 2-cycle: the caller's separate scan
-            else:
-                to_t = closers.get(t)
-                if to_t is None:
-                    to_t = closers[t] = {}
-                    for ej, s, _ in steps[t]:
-                        if s != t:
-                            to_t.setdefault(s, []).append((ej, emask[ej]))
+        for (v, t, cmask) in (layer1_by_end() if i == 2 else all_layers[i - 1]):
+            to_t = closers.get(t)
+            if to_t is None:
+                to_t = closers[t] = {}
+                for ej, s, _ in steps[t]:
+                    if s != t:
+                        to_t.setdefault(s, []).append((ej, emask[ej]))
             for ei, s, add in steps[v]:
                 if add & cmask:
                     continue
@@ -737,6 +877,21 @@ def _colorful_cycles(
             yield cvseq, ceseq
 
 
+def _draw_coloring(rng: random.Random, t: int, n: int) -> list[int]:
+    """`[rng.randrange(t) for _ in range(n)]`, with the draw inlined as the
+    `getrandbits` rejection loop CPython 3.11 runs for it, so the stream and
+    the generator's state afterwards are the same."""
+    getrandbits = rng.getrandbits
+    k = t.bit_length()
+    coloring = []
+    for _ in range(n):
+        c = getrandbits(k)
+        while c >= t:
+            c = getrandbits(k)
+        coloring.append(c)
+    return coloring
+
+
 def run_color_coding(
     g: ConflictGraph,
     a: Solution,
@@ -762,7 +917,7 @@ def run_color_coding(
         return None
     max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
     for _ in range(params.repetitions):
-        coloring = [rng.randrange(params.t) for _ in range(inst.universe_size)]
+        coloring = _draw_coloring(rng, params.t, inst.universe_size)
         vmask, emask = _color_masks(h, inst, coloring)
         for cvseq, ceseq in _colorful_cycles(h, vmask, emask, max_len, _MAX_DP_STATES):
             imp = _assemble(g, a, h, cvseq, ceseq)

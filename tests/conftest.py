@@ -8,9 +8,11 @@ are computed by a second route.
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from clawpack.circular import AuxEdge, AuxGraph
 from clawpack.generators import berman_tight_instance
 from clawpack.instances import ConflictGraph, PackingInstance
 
@@ -59,6 +61,27 @@ def brute_force_improvement_exists(g: ConflictGraph, members: set[int], alpha: i
             if sum(map(power, combo), Fraction(0)) > sum(map(power, removed), Fraction(0)):
                 return True
     return False
+
+
+def aux_graph_of(vertices, edges):
+    """An `AuxGraph` over lists of aux vertices and edges whose edge ends are
+    positions in `vertices`: the positions are the ids, and every edge may
+    have a parallel twin."""
+    incident = {i: [] for i in range(len(vertices))}
+    for ei, e in enumerate(edges):
+        incident[e.a].append(ei)
+        incident[e.b].append(ei)
+    return AuxGraph(dict(enumerate(vertices)), dict(enumerate(edges)), incident, range(len(edges)))
+
+
+def positional(h):
+    """An `AuxGraph` as the lists it once was: vertices and edges in order,
+    an edge's ends being positions in the vertex list."""
+    rank = {v: i for i, v in enumerate(h.vertices)}
+    return SimpleNamespace(
+        vertices=list(h.vertices.values()),
+        edges=[AuxEdge(rank[e.a], rank[e.b], e.inducer) for e in h.edges.values()],
+    )
 
 
 def enumerate_colorful_cycles(h, vmask, emask, max_len):

@@ -13,12 +13,11 @@ from itertools import combinations
 import pytest
 from click.testing import CliRunner
 
-from conftest import enumerate_colorful_cycles
+from conftest import aux_graph_of, enumerate_colorful_cycles, positional
 
 from clawpack.certify import AnalysisParams, certify_local_optimum
 from clawpack.circular import (
     AuxEdge,
-    AuxGraph,
     AuxVertex,
     ColorCodingParams,
     _colorful_cycles,
@@ -145,20 +144,20 @@ def _planted_aux(rng: random.Random):
     the planted edges, and the element sets of its vertices and edges."""
     n = rng.randint(4, 12)
     next_el = 0
-    h = AuxGraph([], [])
+    vertices, edges = [], []
     v_elems, e_elems = [], []
     for i in range(n):
         els = frozenset(range(next_el, next_el + rng.randint(0, 2)))
         next_el += len(els)
-        h.vertices.append(AuxVertex(anchor=i, y=()))
+        vertices.append(AuxVertex(anchor=i, y=()))
         v_elems.append(els)
     cyc = rng.sample(range(n), rng.randint(3, min(6, n)))
     planted = []
     for i in range(len(cyc)):
         els = frozenset(range(next_el, next_el + rng.randint(1, 2)))
         next_el += len(els)
-        planted.append(len(h.edges))
-        h.edges.append(AuxEdge(cyc[i], cyc[(i + 1) % len(cyc)], inducer=1000 + i))
+        planted.append(len(edges))
+        edges.append(AuxEdge(cyc[i], cyc[(i + 1) % len(cyc)], inducer=1000 + i))
         e_elems.append(els)
     for extra in range(rng.randint(0, 4)):
         a, b = rng.randrange(n), rng.randrange(n)
@@ -166,9 +165,9 @@ def _planted_aux(rng: random.Random):
             continue
         els = frozenset(range(next_el, next_el + rng.randint(1, 2)))
         next_el += len(els)
-        h.edges.append(AuxEdge(a, b, inducer=2000 + extra))
+        edges.append(AuxEdge(a, b, inducer=2000 + extra))
         e_elems.append(els)
-    return h, next_el, planted, v_elems, e_elems
+    return aux_graph_of(vertices, edges), next_el, planted, v_elems, e_elems
 
 
 def _mask(coloring, els):
@@ -191,7 +190,7 @@ def test_criterion_5_color_coding():
         for coloring in colorings:
             vmask = [_mask(coloring, e) for e in v_elems]
             emask = [_mask(coloring, e) for e in e_elems]
-            expect = [c for c in enumerate_colorful_cycles(h, vmask, emask, 8) if len(c) >= 3]
+            expect = [c for c in enumerate_colorful_cycles(positional(h), vmask, emask, 8) if len(c) >= 3]
             got = next(_colorful_cycles(h, vmask, emask, 8, DP_BUDGET), None)
             assert (got is not None) == bool(expect)
             if got is not None:

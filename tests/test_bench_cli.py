@@ -506,6 +506,7 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
                 "result": None if code else {"correct": False, "metrics": {}}}
 
     monkeypatch.setattr(br, "run_one", fake_run_one)
+    monkeypatch.setattr(br, "scale_curve", lambda: [])
     monkeypatch.setattr(br, "ROOT", str(tmp_path))
     monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
     code = br.main()
@@ -516,3 +517,29 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
         assert code == 0 and err == ""
     else:
         assert code == 1 and err.splitlines() == [message]
+
+
+def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
+    """With tiny sizes, the file's `scale` key holds one timed point per
+    tight-union size and circular mode and per packing size and algorithm."""
+    br = load_bench_record()
+    monkeypatch.setattr(br, "SCALE_COPIES", (1, 2))
+    monkeypatch.setattr(br, "SCALE_N", (20, 40))
+    monkeypatch.setattr(br, "run_one", lambda workload, trace: {
+        "workload": workload, "trace": trace, "args": [], "exit_code": 0,
+        "result": {"correct": True, "metrics": {}}})
+    monkeypatch.setattr(br, "ROOT", str(tmp_path))
+    monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
+    assert br.main() == 0
+    scale = json.loads((tmp_path / "BENCH_t.json").read_text())["scale"]
+    keys = [(p["suite"], p["size"], p["algo"]) for p in scale]
+    assert keys == [
+        ("tight-union", 1, "logimp-exhaustive"), ("tight-union", 1, "logimp-rand"),
+        ("tight-union", 2, "logimp-exhaustive"), ("tight-union", 2, "logimp-rand"),
+        ("rand-k3", 20, "squareimp"), ("rand-k3", 20, "logimp"),
+        ("rand-k3", 40, "squareimp"), ("rand-k3", 40, "logimp"),
+    ]
+    for p in scale:
+        assert set(p) == {"suite", "size", "vertices", "algo", "iterations", "wall_s"}
+        assert p["vertices"] > 0 and p["iterations"] > 0 and p["wall_s"] >= 0
+    assert [p["vertices"] for p in scale[:4]] == [14, 14, 28, 28]

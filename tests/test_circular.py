@@ -1,12 +1,23 @@
 import dataclasses
+import gc
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Optional
 from unittest import mock
+from weakref import ref as weak_ref
 
 import pytest
 
-from conftest import PrimeWeights, enumerate_colorful_cycles, ref_aux_sides, tight_copies
+from conftest import (
+    PrimeWeights,
+    aux_graph_of,
+    enumerate_colorful_cycles,
+    positional,
+    ref_aux_sides,
+    tight_copies,
+)
 
 from clawpack import circular
 from clawpack.circular import (
@@ -146,7 +157,7 @@ def test_parallel_edges_two_cycle():
 
 
 def synthetic_aux(n_vertices, edges):
-    return AuxGraph(
+    return aux_graph_of(
         [AuxVertex(anchor=i, y=()) for i in range(n_vertices)],
         [AuxEdge(a, b, inducer=100 + i) for i, (a, b) in enumerate(edges)],
     )
@@ -213,7 +224,7 @@ def test_dp_agrees_with_enumeration_on_planted_cycles():
         t = max(1, next_el)
         coloring = [rng.randrange(t) for _ in range(next_el)]
         vmask, emask = element_masks(coloring, v_elems, e_elems)
-        expect = [c for c in enumerate_colorful_cycles(h, vmask, emask, 8) if len(c) >= 3]
+        expect = [c for c in enumerate_colorful_cycles(positional(h), vmask, emask, 8) if len(c) >= 3]
         got = next(_colorful_cycles(h, vmask, emask, 8, DP_BUDGET), None)
         assert (got is not None) == bool(expect)
         if got is not None:
@@ -404,7 +415,7 @@ def ref_build_aux_graph(g, a, maps, params):
     for u in sorted(maps.heaviest):
         if g.weights[u] - g.weight_of(maps.a_neighbors[u]) / 2 > 0:
             anchored.setdefault(maps.heaviest[u], []).append(u)
-    h = AuxGraph([], [])
+    h = SimpleNamespace(vertices=[], edges=[])
     vid_by_anchor = {}
     for v in sorted(a.members):
         subsets = _independent_subsets(g, anchored.get(v, []), y_cap)
@@ -505,13 +516,14 @@ def weighted_case(seed: int, kind: str):
 
 def aux_outcome(build, cap, n):
     """The vertices and edges `build()` returns with the cap `circular.<cap>`
-    set to n, or "incomplete" if it raises `SearchIncompleteError`."""
+    set to n (see `aux_fields`), or "incomplete" if it raises
+    `SearchIncompleteError`."""
     try:
         with mock.patch.object(circular, cap, n):
             h = build()
     except SearchIncompleteError:
         return "incomplete"
-    return h.vertices, h.edges
+    return aux_fields(h)
 
 
 @pytest.mark.parametrize("kind", ["prime", "ties", "equal"])
@@ -527,13 +539,13 @@ def test_integer_aux_graph_matches_fraction_build(kind):
         params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
         want, checks = ref_build_aux_graph(g, a, ref, params)
         got = build_aux_graph(g, a, maps, params)
-        assert (got.vertices, got.edges) == (want.vertices, want.edges)
+        assert aux_fields(positional(got)) == (want.vertices, want.edges)
         for cap in {0, checks // 2, checks - 1, checks, checks + 1} - {-1}:
             expect = aux_outcome(lambda: ref_build_aux_graph(g, a, ref, params)[0], "_MAX_AUX_EDGE_CHECKS", cap)
-            assert aux_outcome(lambda: build_aux_graph(g, a, maps, params), "_MAX_AUX_EDGE_CHECKS", cap) == expect
+            assert aux_outcome(lambda: positional(build_aux_graph(g, a, maps, params)), "_MAX_AUX_EDGE_CHECKS", cap) == expect
             assert (expect == "incomplete") == (cap < checks)
         seen["edges"] += len(got.edges)
-        seen["companions"] += sum(1 for v in got.vertices if v.y)
+        seen["companions"] += sum(1 for v in got.vertices.values() if v.y)
         seen["excluded"] += sum(
             1 for u in maps.heaviest if 2 * g.weights[u] == g.weight_of(maps.a_neighbors[u])
         )
@@ -554,7 +566,7 @@ def test_zero_charge_joins_no_companion_set():
     maps = build_anchor_maps(g, a)
     assert charge_to_anchor(g, maps, 3) == 0 and charge_to_anchor(g, maps, 4) > 0
     h = build_aux_graph(g, a, maps, ColorCodingParams(t=1, repetitions=1, max_cycle_len=8))
-    ys = {x for v in h.vertices for x in v.y}
+    ys = {x for v in h.vertices.values() for x in v.y}
     assert 3 not in ys and 4 in ys
 
 
@@ -605,6 +617,10 @@ FRESH_AUX = circular.build_aux_graph
 
 
 def aux_fields(h):
+    """The vertices and edges of an aux graph in order, with their ids if it
+    is an `AuxGraph`."""
+    if isinstance(h, AuxGraph):
+        return list(h.vertices.items()), list(h.edges.items())
     return h.vertices, h.edges
 
 
@@ -641,19 +657,219 @@ def check_state_against_fresh(g, a, state, params, d, call):
     got = FRESH_AUX(g, a, maps, params, d, state=state)
     assert aux_fields(got) == aux_fields(want)
     assert state.checks == n_checks
+    check_lookups(got)
     if not call % 2:
         capped(caps)
     return got
 
 
+def check_lookups(h):
+    """`h.incident` gives every vertex its edges in edge order, and
+    `h.parallel` lists, in edge order, at least every edge that shares both
+    ends with another."""
+    incident = {i: [] for i in h.vertices}
+    ends = {}
+    for ei, e in h.edges.items():
+        incident[e.a].append(ei)
+        incident[e.b].append(ei)
+        ends.setdefault(frozenset((e.a, e.b)), []).append(ei)
+    assert {i: h.incident[i] for i in h.vertices} == incident
+    twins = {ei for group in ends.values() if len(group) > 1 for ei in group}
+    assert list(h.parallel) == sorted(set(h.parallel)) and twins <= set(h.parallel)
+
+
+def check_searches_against_positional(g, h, fresh, max_len):
+    """The 2-cycle scan and the DFS over `h` yield the candidates, in order,
+    that the positional references yield over `fresh`, the positional form
+    of a fresh build. Returns how many of each there were."""
+    expect_two = candidate_outcome(ref_two_cycle_candidates(g, fresh))
+    assert candidate_outcome(circular._two_cycle_candidates(g, h), h) == expect_two
+    budget = circular._MAX_DFS_NODES
+    expect_dfs = candidate_outcome(ref_positional_dfs(g, fresh, max_len, budget))
+    assert candidate_outcome(circular._dfs_cycles(g, h, max_len, budget), h) == expect_dfs
+    return len(expect_two[0]), len(expect_dfs[0])
+
+
+def positional_candidates(h, candidates):
+    """Cycle candidates over the ids of `h`, with every vertex and edge id
+    replaced by its position in `h`'s order."""
+    vrank = {v: i for i, v in enumerate(h.vertices)}
+    erank = {e: i for i, e in enumerate(h.edges)}
+    return [([vrank[v] for v in vs], [erank[e] for e in es]) for vs, es in candidates]
+
+
+def candidate_outcome(candidates, h=None):
+    """The candidates up to the first `SearchIncompleteError`, and whether
+    one was raised; positions replace the ids of `h` if it is given."""
+    out = []
+    raised = False
+    try:
+        for vs, es in candidates:
+            out.append((vs, es))
+    except SearchIncompleteError:
+        raised = True
+    return (positional_candidates(h, out) if h is not None else out), raised
+
+
+# ------------------------------------------------- positional references
+#
+# The 2-cycle scan, the DFS, the color masks and the colorful DP as they
+# were when aux vertex and edge ids were positions in the aux graph's lists
+# and every call built all of them, kept verbatim (the module's
+# `_supports_compatible_seq` and exception aside). CheckedAuxBuild runs them
+# at every circular call on the fresh build's positional form.
+
+
+def ref_two_cycle_candidates(g, h):
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, e in enumerate(h.edges):
+        groups.setdefault((e.a, e.b) if e.a < e.b else (e.b, e.a), []).append(i)
+    for pair in groups.values():
+        for i in range(len(pair)):
+            for j in range(i + 1, len(pair)):
+                e1, e2 = h.edges[pair[i]], h.edges[pair[j]]
+                support = set(h.vertices[e1.a].y) | set(h.vertices[e1.b].y) | {e1.inducer}
+                if not circular._supports_compatible_seq(g, support, [e2.inducer]):
+                    continue
+                yield [e1.a, e1.b], [pair[i], pair[j]]
+
+
+def ref_positional_dfs(g, h, max_len, budget):
+    incident: list[list[int]] = [[] for _ in h.vertices]
+    for ei, e in enumerate(h.edges):
+        incident[e.a].append(ei)
+        incident[e.b].append(ei)
+    nodes = 0
+
+    def walk(start, current, vseq, eseq, anchors, support):
+        nonlocal nodes
+        for ei in incident[current]:
+            nodes += 1
+            if nodes > budget:
+                raise SearchIncompleteError(f"cycle DFS exceeded {budget} nodes")
+            e = h.edges[ei]
+            nxt = e.b if e.a == current else e.a
+            if ei in eseq:
+                continue
+            if nxt == start:
+                if len(eseq) >= 2 and circular._supports_compatible_seq(g, support, [e.inducer]):
+                    yield vseq[:], eseq + [ei]
+                continue
+            if nxt < start or nxt in vseq:
+                continue
+            av = h.vertices[nxt]
+            if av.anchor in anchors:
+                continue
+            new = [e.inducer] + [x for x in av.y]
+            if not circular._supports_compatible_seq(g, support, new):
+                continue
+            if len(eseq) + 1 >= max_len:
+                continue
+            anchors.add(av.anchor)
+            support.update(new)
+            yield from walk(start, nxt, vseq + [nxt], eseq + [ei], anchors, support)
+            anchors.remove(av.anchor)
+            support.difference_update(new)
+
+    for s in range(len(h.vertices)):
+        av = h.vertices[s]
+        yield from walk(s, s, [s], [], {av.anchor}, set(av.y))
+
+
+def ref_positional_color_masks(h, inst, coloring):
+    set_masks = []
+    for s in inst.sets:
+        mask = 0
+        for e in s:
+            mask |= 1 << coloring[e]
+        set_masks.append(mask)
+    vmask = []
+    for v in h.vertices:
+        mask = 0
+        for x in v.y:
+            mask |= set_masks[x]
+        vmask.append(mask)
+    return vmask, [set_masks[e.inducer] for e in h.edges]
+
+
+def ref_positional_dp(h, vmask, emask, max_len, state_budget):
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
+    for ei, e in enumerate(h.edges):
+        a, b, me = e.a, e.b, emask[ei]
+        ma, mb = vmask[a], vmask[b]
+        if me & ma or me & mb or ma & mb:
+            continue
+        steps[a].append((ei, b, me | mb))
+        steps[b].append((ei, a, me | ma))
+    closers: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    no_closers: dict[int, list[tuple[int, int]]] = {}
+
+    layer: dict[tuple[int, int, int], tuple[Optional[int], Optional[int], int]] = {}
+    for v in range(len(h.vertices)):
+        layer[(v, v, vmask[v])] = (None, None, 0)
+    states = 0
+    all_layers = [layer]
+
+    def recover(s, t, mask, i):
+        vseq, eseq = [s], []
+        cur, cmask = s, mask
+        for lvl in range(i, 0, -1):
+            ei, nxt, pmask = all_layers[lvl][(cur, t, cmask)]
+            eseq.append(ei)
+            vseq.append(nxt)
+            cur, cmask = nxt, pmask
+        return vseq, eseq
+
+    for i in range(1, max_len):
+        newlayer: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        all_layers.append(newlayer)
+        for (v, t, cmask) in all_layers[i - 1]:
+            if i < 2:
+                to_t = no_closers
+            else:
+                to_t = closers.get(t)
+                if to_t is None:
+                    to_t = closers[t] = {}
+                    for ej, s, _ in steps[t]:
+                        if s != t:
+                            to_t.setdefault(s, []).append((ej, emask[ej]))
+            for ei, s, add in steps[v]:
+                if add & cmask:
+                    continue
+                mask = cmask | add
+                key = (s, t, mask)
+                if key in newlayer:
+                    continue
+                states += 1
+                if states > state_budget:
+                    raise SearchIncompleteError(f"colorful DP exceeded {state_budget} states")
+                newlayer[key] = (ei, v, cmask)
+                for ej, me in to_t.get(s, ()):
+                    if not me & mask:
+                        vseq, eseq = recover(s, t, mask, i)
+                        yield vseq, eseq + [ej]
+        if not newlayer:
+            break
+
+
+REAL_COLOR_MASKS = circular._color_masks
+
+
 class CheckedAuxBuild:
     """Stands in for circular.build_aux_graph in a logimp run and checks
-    every call against a from-scratch build (see check_state_against_fresh)."""
+    every call against a from-scratch build (see check_state_against_fresh).
+    At every call, the 2-cycle scan and the DFS over the state's graph must
+    yield the candidates the positional references yield over the fresh
+    build's positional form, in order; with `masks` standing in for
+    circular._color_masks, so must the colorful DP under every coloring the
+    call draws."""
 
     def __init__(self):
         self.calls = 0
         self.moved = 0  # members that changed between consecutive calls
         self.last = None
+        self.current = None  # this call's graph, the fresh positional one, max_len
+        self.seen = {"two_cycle": 0, "dfs": 0, "dp": 0, "colorings": 0}
 
     def __call__(self, g, a, maps, params, d=None, state=None):
         assert state is not None and maps is state.maps, "logimp must pass its circular state"
@@ -662,12 +878,30 @@ class CheckedAuxBuild:
         self.last = set(a.members)
         got = check_state_against_fresh(g, a, state, params, d, self.calls)
         self.calls += 1
+        fresh = positional(FRESH_AUX(g, a, FRESH_MAPS(g, a), params, d))
+        max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
+        two, dfs = check_searches_against_positional(g, got, fresh, max_len)
+        self.seen["two_cycle"] += two
+        self.seen["dfs"] += dfs
+        self.current = got, fresh, max_len
         return got
+
+    def masks(self, h, inst, coloring):
+        got, fresh, max_len = self.current
+        assert h is got
+        budget = circular._MAX_DP_STATES
+        ref_masks = ref_positional_color_masks(fresh, inst, coloring)
+        expect = candidate_outcome(ref_positional_dp(fresh, *ref_masks, max_len, budget))
+        vmask, emask = REAL_COLOR_MASKS(h, inst, coloring)
+        assert candidate_outcome(circular._colorful_candidates(h, vmask, emask, max_len, budget), h) == expect
+        self.seen["dp"] += len(expect[0])
+        self.seen["colorings"] += 1
+        return REAL_COLOR_MASKS(h, inst, coloring)
 
 
 def run_checked_logimp(g, cfg, **kw):
     check = CheckedAuxBuild()
-    with mock.patch.object(circular, "build_aux_graph", check):
+    with mock.patch.object(circular, "build_aux_graph", check), mock.patch.object(circular, "_color_masks", check.masks):
         trace = solve(g, cfg, **kw)
     circulars = [r.kind for r in trace.improvements].count("circular")
     assert check.calls == circulars + 1
@@ -695,27 +929,41 @@ def test_circular_state_matches_fresh_build_in_logimp(mode):
         tight_with_random_sets(5),
     ]
     calls = moved = 0
+    seen = dict.fromkeys(["two_cycle", "dfs", "dp", "colorings"], 0)
     for inst, small in cases:
         g = build_conflict_graph(inst)
         cfg = SolverConfig(mode="logimp", circular=ColorCodingParams.defaults(g, inst, mode=mode))
         trace, check = run_checked_logimp(g, cfg, inst=inst, start=Solution.of(g, small))
         calls, moved = calls + check.calls, moved + check.moved
+        seen = {k: seen[k] + check.seen[k] for k in seen}
     # random k=3 packings: one circular call per run, at the claw fixed point
     for seed in range(4):
         inst = gen_random_packing(40, 3, 30, seed=seed)
         g = build_conflict_graph(inst)
         params = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode=mode), repetitions=20)
         cfg = SolverConfig(mode="logimp", circular=params)
-        run_checked_logimp(g, cfg, inst=inst)
-        run_checked_logimp(g, cfg, inst=inst, start=greedy(g))
-    assert calls > 10 and moved > 0
+        for start in (None, greedy(g)):
+            _, check = run_checked_logimp(g, cfg, inst=inst, start=start)
+            seen = {k: seen[k] + check.seen[k] for k in seen}
+    assert calls > 10 and moved > 0 and seen["dfs"] > 1000
+    assert (seen["dp"] > 1000 and seen["colorings"] > 100) == (mode == "rand")
 
 
-def test_circular_state_under_scaling():
-    inst, _ = tight_with_random_sets(2)
-    g = build_conflict_graph(inst)
-    trace, check = run_checked_logimp(g, SolverConfig(mode="logimp", scaling_n=Fraction(3, 2)), inst=inst)
-    assert trace.scaled and check.calls >= 1
+@pytest.mark.parametrize("mode", ["exhaustive", "rand"])
+def test_circular_state_under_scaling(mode):
+    """Scaled runs, whose second case makes two circular calls with DFS and
+    colorful-DP candidates to compare."""
+    calls = []
+    seen = dict.fromkeys(["dfs", "dp", "colorings"], 0)
+    for inst, _ in [tight_with_random_sets(2), tight_with_random_sets(3, copies=6, extra=16)]:
+        g = build_conflict_graph(inst)
+        params = ColorCodingParams.defaults(g, inst, mode=mode)
+        trace, check = run_checked_logimp(g, SolverConfig(mode="logimp", scaling_n=Fraction(3, 2), circular=params), inst=inst)
+        assert trace.scaled
+        calls.append(check.calls)
+        seen = {k: seen[k] + check.seen[k] for k in seen}
+    assert min(calls) >= 1 and max(calls) >= 2 and seen["dfs"] > 0
+    assert (seen["dp"] > 0 and seen["colorings"] > 0) == (mode == "rand")
 
 
 def random_swap(rng, g, members):
@@ -738,7 +986,9 @@ def random_swap(rng, g, members):
 @pytest.mark.parametrize("kind", ["prime", "ties", "equal"])
 def test_circular_state_over_random_swaps(kind):
     """Random walks over maximal solutions of random graphs and k=3 packings
-    (see `weighted_case`), several swaps between some calls."""
+    (see `weighted_case`), several swaps between some calls. The 2-cycle
+    scan and the DFS are checked at every call too."""
+    seen = {"two_cycle": 0, "dfs": 0, "parallel": 0}
     for seed in range(10):
         g, a, _ = weighted_case(seed, kind)
         rng = random.Random(seed)
@@ -751,7 +1001,33 @@ def test_circular_state_over_random_swaps(kind):
             sol = Solution.of(g, members)
             maps = build_anchor_maps(g, sol, state)
             assert maps is state.maps
-            check_state_against_fresh(g, sol, state, params, None, step)
+            h = check_state_against_fresh(g, sol, state, params, None, step)
+            fresh = positional(FRESH_AUX(g, sol, FRESH_MAPS(g, sol), params))
+            two, dfs = check_searches_against_positional(g, h, fresh, params.max_cycle_len)
+            seen["two_cycle"] += two
+            seen["dfs"] += dfs
+            seen["parallel"] += len(h.parallel)
+    assert seen["two_cycle"] > 20 and seen["parallel"] > 200
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "rand"])
+def test_circular_state_is_freed_without_cycle_collection(mode):
+    """A search that returns an improvement leaves no reference cycle
+    through its aux graph, which holds the state: the state is freed as
+    soon as the run drops it, which keeps a run's peak memory down."""
+    inst, g, a = berman_setup(5)
+    params = ColorCodingParams.defaults(g, inst, mode=mode)
+    gc.disable()
+    try:
+        state = CircularState(g)
+        maps = build_anchor_maps(g, a, state)
+        imp = find_circular_improvement(g, a, maps, params, inst=inst, rng=random.Random(0), state=state)
+        assert imp is not None
+        alive = weak_ref(state)
+        del state, maps
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_circular_state_rejects_foreign_maps():
@@ -862,8 +1138,9 @@ def test_dp_candidate_sequence_matches_layered_sweep():
 
     def compare(h, vmask, emask, max_len):
         nonlocal total, with_candidates
-        expect = list(layered_colorful_candidates(h, vmask, emask, max_len, DP_BUDGET))
-        got = list(circular._colorful_candidates(h, vmask, emask, max_len, DP_BUDGET))
+        expect = list(layered_colorful_candidates(positional(h), vmask, emask, max_len, DP_BUDGET))
+        vm, em = dict(zip(h.vertices, vmask)), dict(zip(h.edges, emask))
+        got = positional_candidates(h, circular._colorful_candidates(h, vm, em, max_len, DP_BUDGET))
         assert got == expect
         total += len(got)
         with_candidates += bool(got)
@@ -883,7 +1160,7 @@ def test_dp_candidate_sequence_matches_layered_sweep():
         for seed in range(6):
             crng = random.Random(seed)
             t = crng.choice([params.t, 24, 64])
-            compare(h, *ref_color_masks(h, inst, [crng.randrange(t) for _ in range(inst.universe_size)]), 6)
+            compare(h, *ref_color_masks(positional(h), inst, [crng.randrange(t) for _ in range(inst.universe_size)]), 6)
     assert total > 1000 and with_candidates > 100
 
 
@@ -897,24 +1174,33 @@ def test_dp_state_cap_without_colorful_cycle():
 
 
 def test_dp_state_cap_counts_built_states_only():
-    """The triangle's DP builds 6 states at layer 1, then at layer 2 its 7th
-    state closes the first candidate, and the layer ends at 12 states. A cap
-    of 7 yields that candidate and raises at the 8th state; the whole-layer
-    sweep raised before yielding anything. Below the cap nothing changes."""
+    """The triangle's DP builds layer 1 one end at a time: the 2 states of
+    end 0, then at layer 2 its 3rd state closes the first candidate and the
+    4th the second; ends 1 and 2 follow alike, 12 states in all. A cap of 3
+    yields that candidate and raises at the 4th state, and a cap of 6 (the
+    layer-1 states of ends 0 and 1 and two layer-2 states) yields the two
+    candidates of end 0 and raises at the 7th; the whole-layer sweep, which
+    built all 6 layer-1 states first, raised before yielding anything at
+    either cap. Below the cap nothing changes."""
     h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)])
     vmask, emask = element_masks(list(range(6)), v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {5}])
     with pytest.raises(SearchIncompleteError):
-        next(_colorful_cycles(h, vmask, emask, 6, 6))
-    it = _colorful_cycles(h, vmask, emask, 6, 7)
+        next(_colorful_cycles(h, vmask, emask, 6, 2))
+    it = _colorful_cycles(h, vmask, emask, 6, 3)
     vs, es = next(it)
     assert sorted(vs) == [0, 1, 2] and sorted(es) == [0, 1, 2]
     with pytest.raises(SearchIncompleteError):
         next(it)
+    it = circular._colorful_candidates(h, vmask, emask, 6, 6)
+    assert [next(it)[0][-1], next(it)[0][-1]] == [0, 0]
     with pytest.raises(SearchIncompleteError):
-        next(layered_colorful_candidates(h, vmask, emask, 6, 7))
+        next(it)
+    for cap in (3, 6, 7):
+        with pytest.raises(SearchIncompleteError):
+            next(layered_colorful_candidates(positional(h), vmask, emask, 6, cap))
     full = list(circular._colorful_candidates(h, vmask, emask, 6, 12))
     assert len(full) == 6
-    assert full == list(layered_colorful_candidates(h, vmask, emask, 6, 12))
+    assert full == list(layered_colorful_candidates(positional(h), vmask, emask, 6, 12))
 
 
 def packing_aux_graphs():
@@ -939,13 +1225,15 @@ def test_color_masks_match_element_unions():
     the element unions the aux graph once stored, under seeded colorings."""
     companions = edges = 0
     for inst, _, h in packing_aux_graphs():
-        companions += sum(1 for v in h.vertices if v.y)
+        companions += sum(1 for v in h.vertices.values() if v.y)
         edges += len(h.edges)
         for seed in range(4):
             crng = random.Random(seed)
             t = crng.choice([4, 24, 64])
             coloring = [crng.randrange(t) for _ in range(inst.universe_size)]
-            assert circular._color_masks(h, inst, coloring) == ref_color_masks(h, inst, coloring)
+            vmask, emask = circular._color_masks(h, inst, coloring)
+            got = [vmask[i] for i in h.vertices], [emask[i] for i in h.edges]
+            assert got == ref_color_masks(positional(h), inst, coloring)
     assert companions > 100 and edges > 100
 
 
@@ -996,13 +1284,14 @@ def test_dfs_candidate_sequence_matches_stored_incident_lists():
     stored (each edge appended at its ends in edge order)."""
     total = 0
     for _, g, h in packing_aux_graphs():
-        incident = {i: [] for i in range(len(h.vertices))}
-        for idx, e in enumerate(h.edges):
+        hp = positional(h)
+        incident = {i: [] for i in range(len(hp.vertices))}
+        for idx, e in enumerate(hp.edges):
             incident[e.a].append(idx)
             incident[e.b].append(idx)
         max_len = max_cycle_len_for(g.n)
-        expect = list(ref_dfs_cycles(g, h, incident, max_len, circular._MAX_DFS_NODES))
-        assert list(circular._dfs_cycles(g, h, max_len, circular._MAX_DFS_NODES)) == expect
+        expect = list(ref_dfs_cycles(g, hp, incident, max_len, circular._MAX_DFS_NODES))
+        assert positional_candidates(h, circular._dfs_cycles(g, h, max_len, circular._MAX_DFS_NODES)) == expect
         total += len(expect)
     assert total > 100
 
@@ -1088,3 +1377,13 @@ def test_repetitions_keep_total_miss_below_failure_prob():
                     continue
                 assert (1 - p) ** reps <= fail
                 assert reps == 1 or (1 - p) ** (reps - 1) > fail
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 8, 11, 24, 640])
+def test_coloring_draw_keeps_the_randrange_stream(t):
+    """`_draw_coloring` inlines CPython's `randrange(t)`: the same colors,
+    and the generator left in the same state."""
+    for seed in range(3):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert circular._draw_coloring(ours, t, 2000) == [ref.randrange(t) for _ in range(2000)]
+        assert ours.getstate() == ref.getstate()
