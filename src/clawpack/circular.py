@@ -20,24 +20,24 @@ decide; `validate_circular` re-checks every returned improvement with them.
 Both builds go through a `CircularState`. logimp keeps one per run, so at
 each claw fixed point only the anchor maps of the vertices next to the
 swaps since the last one, the vertex blocks (one per anchor) and the edge
-blocks (one per inducing vertex) whose inputs changed are recomputed. An
-aux vertex keeps its id while its block lives, and an edge block keeps its
-edges over those ids, so a call only lists the blocks' existing vertices
-and edges in the from-scratch order; the 2-cycle scan reads only the
-anchor pairs that two or more inducers share. Called without a state,
-`build_anchor_maps` and `build_aux_graph` use a fresh one, which builds
-everything. The DFS and the colorful DP work out a vertex's incident
-edges, and the DP its color masks, step tables and first layer, only
-when they first reach that vertex, and the DP yields each candidate as
-soon as the state that closes it is built, so a search that stops at the
-first candidate that validates pays for little more than the prefix it
-read.
+blocks (one per inducing vertex) whose inputs changed are recomputed. The
+state holds one aux graph by id, vertices, edges and each vertex's sorted
+incident edge ids, and changes it only where a block is built or dropped;
+ids sort in the from-scratch order, so a call returns that graph as it
+stands, and the 2-cycle scan reads only the anchor pairs that two or more
+inducers share. Called without a state, `build_anchor_maps` and
+`build_aux_graph` use a fresh one, which builds everything. The DP works
+out a vertex's color masks, step table and first layer only when it
+first reaches that vertex, and yields each candidate as soon as the
+state that closes it is built, so a search that stops at the first
+candidate that validates pays for little more than the prefix it read.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -236,17 +236,17 @@ class AuxEdge:
 class AuxGraph:
     """Aux vertices and edges by id; an edge's ends are vertex ids.
 
-    `vertices` holds the vertices in sorted-anchor order and `edges` the
-    edges in sorted-inducer order; ids increase along both orders.
-    `incident` maps a vertex id to the ids of its edges in edge order, and
-    `parallel` lists in edge order every edge that can share both ends
-    with another. A `CircularState` fills `incident` as the searches reach
-    the vertices, and its graph stays valid until the state's next call.
+    Ids sort in the from-scratch order: vertices by anchor, then place in
+    the anchor's block, and edges by inducer, then place in its block; the
+    dicts' own order means nothing. `incident` maps every vertex id to the
+    ids of its edges, sorted, and `parallel` lists, sorted, every edge that
+    can share both ends with another. The graph a `CircularState` returns
+    holds the state's own dicts, valid until its next call.
     """
 
     vertices: dict[int, AuxVertex]
     edges: dict[int, AuxEdge]
-    incident: Mapping[int, list[int]]
+    incident: dict[int, list[int]]
     parallel: Sequence[int]
 
 
@@ -270,20 +270,20 @@ def _independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> li
 
 
 class _VertexBlock(NamedTuple):
-    """The aux vertices at one anchor by id, in their order: one per
+    """The ids of the aux vertices at one anchor, in their order: one per
     independent companion set of at most y_cap candidates, with its net."""
 
-    vertices: dict[int, AuxVertex]
+    ids: range
     ys: Sequence[tuple[int, ...]]
     nets: Sequence[int]
 
 
 class _EdgeBlock(NamedTuple):
-    """The aux edges one inducer makes by id, from the block at its heaviest
-    anchor to the block at its second, the checks they took, and those two
-    anchors."""
+    """The ids of the aux edges one inducer makes, from the block at its
+    heaviest anchor to the block at its second, the checks they took, and
+    those two anchors."""
 
-    edges: dict[int, AuxEdge]
+    ids: range
     checks: int
     anchors: tuple[int, int]
 
@@ -317,21 +317,22 @@ class CircularState:
     block at either anchor was dropped.
 
     A vertex's id comes from its anchor and its position in the block (see
-    `_ID_SHIFT`), so it stays fixed while the block lives, and an edge
-    block holds its `AuxEdge`s over those ids: it is recomputed whenever
-    the block at either end is dropped, so its edges never name a vertex
-    that is gone. Each call lists the blocks' vertices and edges in the
-    from-scratch order (sorted anchors, then sorted inducers) and builds
-    no vertex or edge of a block that did not change, so vertex ids, edge
+    `_ID_SHIFT`), and an edge's from its inducer and its position in the
+    block, so the ids of a block stay fixed while it lives and sort in the
+    from-scratch order. The state keeps one aux graph by id: its vertices,
+    its edges, and each vertex's edge ids in sorted order. Only building or
+    dropping a block changes them. The dirty edge blocks are dropped before
+    any vertex block is rebuilt, so no edge ever names a vertex that is
+    gone, and a new edge block enters the graph only once it is complete,
+    so a cap crossed part-way leaves no trace of it. Each call thus builds
+    no vertex or edge of a block that did not change, and vertex ids, edge
     ids and the edge-check count are those of a fresh build. For the
     2-cycle scan the state keeps, per unordered anchor pair, the inducers
     whose blocks have edges between them, and the pairs that two or more
-    inducers share: only those can carry parallel edges. The edge ids at
-    each vertex of an anchor are listed on first use and kept until a block
-    at that anchor changes.
+    inducers share: only those can carry parallel edges.
 
-    The maps and the aux graph the state returns are its own and change at
-    its next call.
+    The maps and the aux graph's dicts the state returns are its own and
+    change at its next call.
     """
 
     def __init__(self, g: ConflictGraph, maps: Optional[AnchorMaps] = None):
@@ -342,9 +343,11 @@ class CircularState:
         self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
         self._vblocks: dict[int, _VertexBlock] = {}
         self._eblocks: dict[int, _EdgeBlock] = {}  # only blocks with checks
+        self._vertices: dict[int, AuxVertex] = {}
+        self._edges: dict[int, AuxEdge] = {}
+        self._incident: dict[int, list[int]] = {}  # vertex id -> its edge ids, sorted
         self._pairs: dict[tuple[int, int], set[int]] = {}  # anchor pair -> inducers with edges
         self._shared: set[tuple[int, int]] = set()  # the pairs with two or more inducers
-        self._incident: dict[int, dict[int, list[int]]] = {}  # anchor -> vertex id -> edge ids
         self._dirty_u: set[int] = set()
         self.checks = 0  # edge checks the blocks hold: the last aux graph's count
         self._y_cap: Optional[int] = None  # the y_cap the blocks were built for
@@ -398,7 +401,8 @@ class CircularState:
                 self._drop_block(old)
             if u in members or u not in heaviest:
                 continue
-            vblocks.pop(u, None)  # u left A
+            if u in vblocks:  # u left A
+                self._drop_block(u)
             if 2 * w[u] > sum(w[x] for x in a_nbrs[u]):
                 v1 = anchor[u] = heaviest[u]
                 if v1 in vblocks:
@@ -407,55 +411,70 @@ class CircularState:
         remapped.clear()
 
     def _drop_block(self, v: int) -> None:
-        """Drop the vertex block at anchor v and mark the edge blocks that
-        end at v dirty: their inducers are neighbors of v."""
-        del self._vblocks[v]
+        """Drop the vertex block at anchor v with its vertices and their
+        incident lists, and mark the edge blocks that end at v dirty: their
+        inducers are neighbors of v."""
+        vertices, incident = self._vertices, self._incident
+        for i in self._vblocks.pop(v).ids:
+            del vertices[i], incident[i]
         heaviest, second = self.maps.heaviest, self.maps.second
         self._dirty_u.update(
             u for u in self.g.adj[v] if u in second and (heaviest[u] == v or second[u] == v)
         )
 
-    def _vertex_block(self, v: int, y_cap: int) -> _VertexBlock:
+    def _add_vertex_block(self, v: int, y_cap: int) -> None:
         g = self.g
         anchor = self._anchor
         cands = [u for u in g.adj[v] if anchor.get(u) == v]  # sorted, as g.adj[v] is
-        base = v << _ID_SHIFT
-        if not cands:
-            return _VertexBlock({base: AuxVertex(v, ())}, ((),), (0,))  # only the empty set
         w2 = g.w2_int
         a_nbrs = self.maps.a_neighbors
         spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
         ys = _independent_subsets(g, cands, y_cap)
         ys.sort(key=lambda y: (-len(y), y))
-        vertices = {base + i: AuxVertex(v, y) for i, y in enumerate(ys)}
-        return _VertexBlock(vertices, ys, [sum(spill[x] for x in y) for y in ys])
+        base = v << _ID_SHIFT
+        ids = range(base, base + len(ys))
+        vertices, incident = self._vertices, self._incident
+        for i, y in zip(ids, ys):
+            vertices[i] = AuxVertex(v, y)
+            incident[i] = []
+        self._vblocks[v] = _VertexBlock(ids, ys, [sum(spill[x] for x in y) for y in ys])
+
+    def _drop_edge_blocks(self) -> None:
+        """Drop the edge block of every dirty inducer, with its edges."""
+        eblocks, edges, incident = self._eblocks, self._edges, self._incident
+        pairs, shared = self._pairs, self._shared
+        for u in self._dirty_u.intersection(eblocks):
+            block = eblocks.pop(u)
+            self.checks -= block.checks
+            for ei in block.ids:
+                e = edges.pop(ei)
+                for end in (e.a, e.b):
+                    if end in incident:  # else the block at that end was dropped
+                        incident[end].remove(ei)
+            if not block.ids:
+                continue
+            v1, v2 = block.anchors
+            key = (v1, v2) if v1 < v2 else (v2, v1)
+            group = pairs[key]
+            group.remove(u)
+            if len(group) < 2:
+                shared.discard(key)
+            if not group:
+                del pairs[key]
 
     def _update_edge_blocks(self) -> None:
-        """Recompute the edge block of every dirty inducer, and the inducers
-        per anchor pair with it. Raises `SearchIncompleteError` once the
-        checks of all blocks pass `_MAX_AUX_EDGE_CHECKS`; the inducers not
-        yet recomputed stay dirty."""
+        """Build the edge block of every dirty inducer, and the inducers per
+        anchor pair with it. Raises `SearchIncompleteError` once the checks
+        of all blocks pass `_MAX_AUX_EDGE_CHECKS`; the inducers not yet
+        built stay dirty."""
         cap = _MAX_AUX_EDGE_CHECKS
         g = self.g
         w2 = g.w2_int
         adj = g.adj_sets
         heaviest, second, a_nbrs = self.maps.heaviest, self.maps.second, self.maps.a_neighbors
         vblocks, eblocks, dirty = self._vblocks, self._eblocks, self._dirty_u
-        pairs, shared, incident = self._pairs, self._shared, self._incident
-        for u in dirty.intersection(eblocks):
-            block = eblocks.pop(u)
-            self.checks -= block.checks
-            if block.edges:
-                v1, v2 = block.anchors
-                incident.pop(v1, None)
-                incident.pop(v2, None)
-                key = (v1, v2) if v1 < v2 else (v2, v1)
-                group = pairs[key]
-                group.remove(u)
-                if len(group) < 2:
-                    shared.discard(key)
-                if not group:
-                    del pairs[key]
+        edges, incident = self._edges, self._incident
+        pairs, shared = self._pairs, self._shared
         dirty.intersection_update(second)  # only inducers have edge blocks
         total = self.checks
         while dirty:
@@ -470,8 +489,7 @@ class CircularState:
                 continue
             base = 2 * w2[u] - w2[v1] - w2[v2]
             base -= 2 * sum(w2[x] for x in a_nbrs[u] if x != v1 and x != v2)
-            o1, o2, first = v1 << _ID_SHIFT, v2 << _ID_SHIFT, u << _ID_SHIFT
-            edges: dict[int, AuxEdge] = {}
+            new: list[AuxEdge] = []
             checks = 0
             for ia, y1 in enumerate(b1.ys):
                 if u in y1 or not nbrs.isdisjoint(y1):
@@ -486,13 +504,18 @@ class CircularState:
                         self.checks = total
                         raise SearchIncompleteError(f"aux graph exceeded {cap} edge checks")
                     if bound > nets2[ib]:
-                        edges[first + len(edges)] = AuxEdge(o1 + ia, o2 + ib, u)
-            if checks:
-                eblocks[u] = _EdgeBlock(edges, checks, (v1, v2))
-                total += checks
-            if edges:
-                incident.pop(v1, None)
-                incident.pop(v2, None)
+                        new.append(AuxEdge(b1.ids[ia], b2.ids[ib], u))
+            if not checks:
+                continue
+            first = u << _ID_SHIFT
+            ids = range(first, first + len(new))
+            eblocks[u] = _EdgeBlock(ids, checks, (v1, v2))
+            total += checks
+            if new:
+                for ei, e in zip(ids, new):
+                    edges[ei] = e
+                    insort(incident[e.a], ei)
+                    insort(incident[e.b], ei)
                 key = (v1, v2) if v1 < v2 else (v2, v1)
                 group = pairs.setdefault(key, set())
                 group.add(u)
@@ -506,60 +529,24 @@ class CircularState:
         if self._y_cap != y_cap:
             self._y_cap = y_cap
             self._vblocks.clear()
+            self._vertices.clear()
+            self._incident.clear()
             self._dirty_u.update(self.maps.second)
         members = a.members
         self._reanchor(members)
-
-        vertices: dict[int, AuxVertex] = {}
-        vblocks = self._vblocks
-        for v in sorted(members):
-            block = vblocks.get(v)
-            if block is None:
-                block = vblocks[v] = self._vertex_block(v, y_cap)
-                self._incident.pop(v, None)
-            vertices.update(block.vertices)
+        self._drop_edge_blocks()
+        for v in members.difference(self._vblocks):
+            self._add_vertex_block(v, y_cap)
         # A cap is crossed when a count passes it.
-        if len(vertices) > _MAX_AUX_VERTICES:
+        if len(self._vertices) > _MAX_AUX_VERTICES:
             raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
         self._update_edge_blocks()
         if self.checks > _MAX_AUX_EDGE_CHECKS:
             raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_EDGE_CHECKS} edge checks")
-
-        edges: dict[int, AuxEdge] = {}
-        eblocks = self._eblocks
-        for u in sorted(eblocks):
-            edges.update(eblocks[u].edges)
-        pairs = self._pairs
+        eblocks, pairs = self._eblocks, self._pairs
         sharing = sorted({u for key in self._shared for u in pairs[key]})
-        parallel = [ei for u in sharing for ei in eblocks[u].edges]
-        at_anchor = self._incident
-
-        def incident(i: int) -> list[int]:
-            v = i >> _ID_SHIFT
-            lists = at_anchor.get(v)
-            if lists is None:
-                lists = at_anchor[v] = self._incident_at(v)
-            return lists[i]
-
-        return AuxGraph(vertices, edges, _Memo(incident), parallel)
-
-    def _incident_at(self, v: int) -> dict[int, list[int]]:
-        """The edge ids at each aux vertex of anchor v, in edge order: the
-        inducers of those edges are neighbors of v, read in sorted order."""
-        eblocks = self._eblocks
-        lists: dict[int, list[int]] = {i: [] for i in self._vblocks[v].vertices}
-        for u in self.g.adj[v]:
-            block = eblocks.get(u)
-            if block is None:
-                continue
-            v1, v2 = block.anchors
-            if v1 == v:
-                for ei, e in block.edges.items():
-                    lists[e.a].append(ei)
-            elif v2 == v:
-                for ei, e in block.edges.items():
-                    lists[e.b].append(ei)
-        return lists
+        parallel = [ei for u in sharing for ei in eblocks[u].ids]
+        return AuxGraph(self._vertices, self._edges, self._incident, parallel)
 
 
 def build_aux_graph(
@@ -685,12 +672,12 @@ def _dfs_cycles(
             support.difference_update(new)
 
     try:
-        for s, av in h.vertices.items():
+        for s in sorted(h.vertices):
+            av = h.vertices[s]
             yield from walk(s, s, [s], [], {av.anchor}, set(av.y))
     finally:
-        # `walk` refers to itself, so without this the cycle would keep `h`,
-        # and through `h.incident` the circular state, alive until the next
-        # cyclic garbage collection
+        # `walk` refers to itself, so without this the cycle would keep `h`
+        # and its dicts alive until the next cyclic garbage collection
         del walk
 
 
@@ -795,7 +782,7 @@ def _colorful_candidates(
 
     def layer1_by_end() -> Iterator[tuple[int, int, int]]:
         nonlocal states
-        for t in h.vertices:
+        for t in sorted(h.vertices):
             tmask = vmask[t]
             fresh = []
             for ei, s, add in steps[t]:
@@ -861,8 +848,8 @@ def _reduce_to_simple_cycle(
 
 def _colorful_cycles(
     h: AuxGraph,
-    vmask: Sequence[int],
-    emask: Sequence[int],
+    vmask: Mapping[int, int],
+    emask: Mapping[int, int],
     max_len: int,
     state_budget: int,
 ) -> Iterator[tuple[list[int], list[int]]]:
@@ -892,6 +879,17 @@ def _draw_coloring(rng: random.Random, t: int, n: int) -> list[int]:
     return coloring
 
 
+def _first_valid(g: ConflictGraph, a: Solution, maps: AnchorMaps, h: AuxGraph,
+                 candidates: Iterable[tuple[list[int], list[int]]], d: Optional[int]) -> Optional[Improvement]:
+    """The first candidate cycle of `h` that assembles into an improvement
+    `validate_circular` accepts, or None."""
+    for vorder, eorder in candidates:
+        imp = _assemble(g, a, h, vorder, eorder)
+        if validate_circular(g, a, maps, imp, d=d):
+            return imp
+    return None
+
+
 def run_color_coding(
     g: ConflictGraph,
     a: Solution,
@@ -919,10 +917,9 @@ def run_color_coding(
     for _ in range(params.repetitions):
         coloring = _draw_coloring(rng, params.t, inst.universe_size)
         vmask, emask = _color_masks(h, inst, coloring)
-        for cvseq, ceseq in _colorful_cycles(h, vmask, emask, max_len, _MAX_DP_STATES):
-            imp = _assemble(g, a, h, cvseq, ceseq)
-            if validate_circular(g, a, maps, imp, d=d):
-                return imp
+        imp = _first_valid(g, a, maps, h, _colorful_cycles(h, vmask, emask, max_len, _MAX_DP_STATES), d)
+        if imp is not None:
+            return imp
     return None
 
 
@@ -945,18 +942,13 @@ def find_circular_improvement(
     `state`, when given, is the run's `CircularState` that built `maps`.
     """
     h = build_aux_graph(g, a, maps, params, d=d, state=state)
-    max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
-    for vorder, eorder in _two_cycle_candidates(g, h):
-        imp = _assemble(g, a, h, vorder, eorder)
-        if validate_circular(g, a, maps, imp, d=d):
-            return imp
+    imp = _first_valid(g, a, maps, h, _two_cycle_candidates(g, h), d)
+    if imp is not None:
+        return imp
     if params.mode == "rand":
         return run_color_coding(g, a, maps, params, inst, rng or random.Random(0), h=h, d=d)
-    for vorder, eorder in _dfs_cycles(g, h, max_len, _MAX_DFS_NODES):
-        imp = _assemble(g, a, h, vorder, eorder)
-        if validate_circular(g, a, maps, imp, d=d):
-            return imp
-    return None
+    max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
+    return _first_valid(g, a, maps, h, _dfs_cycles(g, h, max_len, _MAX_DFS_NODES), d)
 
 
 def validate_circular(

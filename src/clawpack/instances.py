@@ -327,10 +327,12 @@ def neighborhood(u_set: Iterable[int], w_set: Iterable[int], g: ConflictGraph) -
     own neighbor.
     """
     us = set(u_set)
-    ws = set(w_set)
-    for x in us | ws:
-        if not 0 <= x < g.n:
-            raise InputError(f"vertex id {x} out of range")
+    ws = w_set if isinstance(w_set, (set, frozenset)) else set(w_set)
+    for s in (us, ws):
+        if s:
+            lo, hi = min(s), max(s)
+            if lo < 0 or hi >= g.n:
+                raise InputError(f"vertex id {lo if lo < 0 else hi} out of range")
     reach = set(us)
     for u in us:
         reach.update(g.adj[u])

@@ -77,10 +77,10 @@ def aux_graph_of(vertices, edges):
 def positional(h):
     """An `AuxGraph` as the lists it once was: vertices and edges in order,
     an edge's ends being positions in the vertex list."""
-    rank = {v: i for i, v in enumerate(h.vertices)}
+    rank = {v: i for i, v in enumerate(sorted(h.vertices))}
     return SimpleNamespace(
-        vertices=list(h.vertices.values()),
-        edges=[AuxEdge(rank[e.a], rank[e.b], e.inducer) for e in h.edges.values()],
+        vertices=[h.vertices[v] for v in sorted(h.vertices)],
+        edges=[AuxEdge(rank[e.a], rank[e.b], e.inducer) for _, e in sorted(h.edges.items())],
     )
 
 

@@ -620,7 +620,7 @@ def aux_fields(h):
     """The vertices and edges of an aux graph in order, with their ids if it
     is an `AuxGraph`."""
     if isinstance(h, AuxGraph):
-        return list(h.vertices.items()), list(h.edges.items())
+        return sorted(h.vertices.items()), sorted(h.edges.items())
     return h.vertices, h.edges
 
 
@@ -664,12 +664,15 @@ def check_state_against_fresh(g, a, state, params, d, call):
 
 
 def check_lookups(h):
-    """`h.incident` gives every vertex its edges in edge order, and
-    `h.parallel` lists, in edge order, at least every edge that shares both
-    ends with another."""
+    """`h.incident` gives every vertex, and no other id, its edges in edge
+    order, every edge ends at two vertices of `h`, and `h.parallel` lists,
+    in edge order, at least every edge that shares both ends with another."""
+    assert h.incident.keys() == h.vertices.keys()
+    assert all(a < b for ids in h.incident.values() for a, b in zip(ids, ids[1:]))
+    assert all(e.a in h.vertices and e.b in h.vertices for e in h.edges.values())
     incident = {i: [] for i in h.vertices}
     ends = {}
-    for ei, e in h.edges.items():
+    for ei, e in sorted(h.edges.items()):
         incident[e.a].append(ei)
         incident[e.b].append(ei)
         ends.setdefault(frozenset((e.a, e.b)), []).append(ei)
@@ -693,8 +696,8 @@ def check_searches_against_positional(g, h, fresh, max_len):
 def positional_candidates(h, candidates):
     """Cycle candidates over the ids of `h`, with every vertex and edge id
     replaced by its position in `h`'s order."""
-    vrank = {v: i for i, v in enumerate(h.vertices)}
-    erank = {e: i for i, e in enumerate(h.edges)}
+    vrank = {v: i for i, v in enumerate(sorted(h.vertices))}
+    erank = {e: i for i, e in enumerate(sorted(h.edges))}
     return [([vrank[v] for v in vs], [erank[e] for e in es]) for vs, es in candidates]
 
 
@@ -1013,8 +1016,9 @@ def test_circular_state_over_random_swaps(kind):
 @pytest.mark.parametrize("mode", ["exhaustive", "rand"])
 def test_circular_state_is_freed_without_cycle_collection(mode):
     """A search that returns an improvement leaves no reference cycle
-    through its aux graph, which holds the state: the state is freed as
-    soon as the run drops it, which keeps a run's peak memory down."""
+    through its aux graph, which holds the state's dicts: the state is
+    freed as soon as the run drops it, which keeps a run's peak memory
+    down."""
     inst, g, a = berman_setup(5)
     params = ColorCodingParams.defaults(g, inst, mode=mode)
     gc.disable()
@@ -1139,7 +1143,7 @@ def test_dp_candidate_sequence_matches_layered_sweep():
     def compare(h, vmask, emask, max_len):
         nonlocal total, with_candidates
         expect = list(layered_colorful_candidates(positional(h), vmask, emask, max_len, DP_BUDGET))
-        vm, em = dict(zip(h.vertices, vmask)), dict(zip(h.edges, emask))
+        vm, em = dict(zip(sorted(h.vertices), vmask)), dict(zip(sorted(h.edges), emask))
         got = positional_candidates(h, circular._colorful_candidates(h, vm, em, max_len, DP_BUDGET))
         assert got == expect
         total += len(got)
@@ -1232,7 +1236,7 @@ def test_color_masks_match_element_unions():
             t = crng.choice([4, 24, 64])
             coloring = [crng.randrange(t) for _ in range(inst.universe_size)]
             vmask, emask = circular._color_masks(h, inst, coloring)
-            got = [vmask[i] for i in h.vertices], [emask[i] for i in h.edges]
+            got = [vmask[i] for i in sorted(h.vertices)], [emask[i] for i in sorted(h.edges)]
             assert got == ref_color_masks(positional(h), inst, coloring)
     assert companions > 100 and edges > 100
 
