@@ -76,12 +76,19 @@ def instance_from_gen_spec(spec: dict) -> tuple[Optional[PackingInstance], Confl
 
 
 def parse_dist(text: str) -> tuple[str, object]:
+    """`uniform:W` (an integer W >= 1, default 10) or `near-unit:eta` (a
+    rational, default 1/20) as a `gen_random_packing` weight_dist."""
     kind, _, param = text.partition(":")
-    if kind == "uniform":
-        return ("uniform", int(param or 10))
-    if kind == "near-unit":
-        return ("near-unit", Fraction(param or "1/20"))
-    raise InputError(f"unknown weight distribution {text!r}")
+    try:
+        if kind == "uniform":
+            top = int(param or 10)
+            if top >= 1:
+                return ("uniform", top)
+        elif kind == "near-unit":
+            return ("near-unit", Fraction(param or "1/20"))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise InputError(f"bad weight distribution {text!r}: want uniform:W (integer W >= 1) or near-unit:eta (rational)")
 
 
 def config_from_algo_spec(spec: dict, seed: int) -> SolverConfig:

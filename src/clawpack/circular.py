@@ -13,9 +13,11 @@ or inducer.
 
 The anchor maps rank by the integer weights `ConflictGraph.w_int`, and the
 aux-graph build compares sums of `w_int` and `w2_int` (their squares), which
-order exactly as the rational sums do. `charge_to_anchor` and
-`aux_edge_check` are the per-vertex and per-edge definitions those sums
-decide; `validate_circular` re-checks every returned improvement with them.
+order exactly as the rational sums do. `aux_edge_check` is the per-edge
+definition those sums decide, and `validate_circular` re-checks every
+returned improvement with it. `charge_to_anchor` is the `Fraction`
+definition of the per-vertex charge that tests compare the integer charge
+test against.
 
 Both builds go through a `CircularState`. logimp keeps one per run, so at
 each claw fixed point only the anchor maps of the vertices next to the

@@ -19,6 +19,7 @@ from .certify import AnalysisParams, certify_local_optimum
 from .circular import ColorCodingParams
 from .constants import check_constants
 from .instances import (
+    BudgetExceededError,
     ConflictGraph,
     ContractError,
     InputError,
@@ -72,12 +73,13 @@ def _json_dumps(obj) -> str:
 
 
 class _Main(click.Group):
-    """Reports an InputError from any subcommand as `Error: ...`, exit 1."""
+    """Reports an InputError or BudgetExceededError from any subcommand as
+    `Error: ...`, exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except InputError as exc:
+        except (InputError, BudgetExceededError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

@@ -137,10 +137,6 @@ def projective_plane_incidence(q: int) -> ConflictGraph:
     return _unit_graph(2 * npts, edges)
 
 
-def heawood_graph() -> ConflictGraph:
-    return projective_plane_incidence(2)
-
-
 def _is_regular(g: ConflictGraph, k: int) -> bool:
     return all(g.degree(v) == k for v in range(g.n))
 

@@ -38,8 +38,8 @@ from clawpack.generators import (
     gen_incidence_lowerbound,
     gen_random_packing,
     girth,
-    heawood_graph,
     petersen_graph,
+    projective_plane_incidence,
 )
 from clawpack.instances import Solution, build_conflict_graph
 from clawpack.oracle import exact_mwis, exhaustive_improvement_search
@@ -252,7 +252,7 @@ def test_criterion_6_scaling_wrapper():
 
 def test_criterion_7_incidence_lower_bound():
     t0 = time.perf_counter()
-    for base, l in ((petersen_graph(), 5), (heawood_graph(), 6)):
+    for base, l in ((petersen_graph(), 5), (projective_plane_incidence(2), 6)):
         params = LowerBoundParams(d=4, alpha=Fraction(1), eps=Fraction(1, 2), target_girth=l)
         g, a, astar = gen_incidence_lowerbound(params, base)
         degs = [g.degree(v) for v in range(g.n)]

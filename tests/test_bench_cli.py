@@ -461,7 +461,14 @@ BAD_INPUTS = {
     ["verify", "--in", "path.mwis", "--solution", "bad.json"],
     ["verify", "--in", "path.mwis", "--solution", "strmembers.json"],
     ["constants", "--delta", "5"],
+    ["constants", "--delta", "1/2", "--eps-prime", "-1"],
+    ["constants", "--delta", "1/2", "--eps-prime", "0"],
     ["gen", "berman", "--d", "2", "--out", "x.ksp"],
+    ["gen", "random", "--sets", "5", "--k", "3", "--universe", "9", "--seed", "0", "--dist", "uniform:0",
+     "--out", "x.ksp"],
+    ["gen", "random", "--sets", "5", "--k", "3", "--universe", "9", "--seed", "0", "--dist", "uniform:x",
+     "--out", "x.ksp"],
+    ["gen", "lowerbound", "--d", "4", "--alpha", "1", "--eps", "1/2", "--girth", "9", "--out", "x.ksp"],
 ])
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, runner, args):
     monkeypatch.chdir(tmp_path)

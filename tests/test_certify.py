@@ -10,16 +10,7 @@ import pytest
 from conftest import PrimeWeights
 
 from clawpack import certify
-from clawpack.certify import (
-    AnalysisParams,
-    CertReport,
-    _anchor,
-    _solution_neighbors,
-    certify_local_optimum,
-    classify_vertices,
-    compute_charges,
-    compute_contributions,
-)
+from clawpack.certify import AnalysisParams, CertReport, certify_local_optimum
 from clawpack.circular import build_anchor_maps
 from clawpack.exactnum import surd_sign
 from clawpack.generators import berman_tight_instance, gen_berman_tight, gen_random_packing
@@ -32,15 +23,12 @@ PARAMS = AnalysisParams.from_delta(Fraction(1, 2))
 
 def two_vertex_case(w_u, w_v):
     g = ConflictGraph.from_edges(2, [(0, 1)], [w_v, w_u], d=3)
-    a = Solution.of(g, {0})
-    astar = Solution.of(g, {1})
-    maps = build_anchor_maps(g, a)
-    return g, a, astar, maps
+    return g, Solution.of(g, {0}), Solution.of(g, {1})
 
 
 def test_charge_simple_value():
-    g, a, astar, maps = two_vertex_case(w_u=3, w_v=2)
-    rep = compute_charges(g, a, astar, maps)
+    g, a, astar = two_vertex_case(w_u=3, w_v=2)
+    rep = certify_local_optimum(g, a, astar, PARAMS)
     assert rep.charges[1] == (0, Fraction(2))
     assert rep.charge_sum_pos[0] == 2
     assert rep.pointwise_ok and rep.identity_ok
@@ -52,8 +40,7 @@ def test_self_charge_half_weight():
     g = ConflictGraph.from_edges(2, [(0, 1)], [4, 1], d=3)
     a = Solution.of(g, {0})
     astar = Solution.of(g, {0})
-    maps = build_anchor_maps(g, a)
-    rep = compute_charges(g, a, astar, maps)
+    rep = certify_local_optimum(g, a, astar, PARAMS)
     assert rep.charges[0] == (0, Fraction(2))
 
 
@@ -61,8 +48,7 @@ def test_charge_zero_when_neighborhood_heavy():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [1, 1, 1], d=3)
     a = Solution.of(g, {0, 1})
     astar = Solution.of(g, {2})
-    maps = build_anchor_maps(g, a)
-    rep = compute_charges(g, a, astar, maps)
+    rep = certify_local_optimum(g, a, astar, PARAMS)
     assert rep.charges[2] == (0, Fraction(0))
     assert rep.charge_sum_pos[0] == 0
 
@@ -76,8 +62,8 @@ def test_charges_need_maximal_incumbent():
 
 
 def test_contribution_simple_value():
-    g, a, astar, _ = two_vertex_case(w_u=3, w_v=2)
-    rep = compute_contributions(g, a, astar)
+    g, a, astar = two_vertex_case(w_u=3, w_v=2)
+    rep = certify_local_optimum(g, a, astar, PARAMS)
     assert rep.contributions[(1, 0)] == Fraction(9, 2)
     assert not rep.contribution_bound_ok
 
@@ -86,13 +72,13 @@ def test_contribution_zero_case():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [1, 1, 1], d=3)
     a = Solution.of(g, {0, 1})
     astar = Solution.of(g, {2})
-    rep = compute_contributions(g, a, astar)
+    rep = certify_local_optimum(g, a, astar, PARAMS)
     assert rep.contr_sum[0] == 0 and rep.contr_sum[1] == 0
 
 
 def test_contribution_berman_boundary():
     g, a, b = gen_berman_tight(4)
-    rep = compute_contributions(g, a, b)
+    rep = certify_local_optimum(g, a, b, PARAMS)
     for v in a.members:
         assert rep.contr_sum[v] == g.weights[v]
     # singleton contributes its full squared weight; pair-sets contribute zero
@@ -104,7 +90,7 @@ def test_self_contribution_is_own_weight():
     g = ConflictGraph.from_edges(2, [(0, 1)], [4, 1], d=3)
     a = Solution.of(g, {0})
     astar = Solution.of(g, {0})
-    rep = compute_contributions(g, a, astar)
+    rep = certify_local_optimum(g, a, astar, PARAMS)
     assert rep.contributions[(0, 0)] == 4
 
 
@@ -114,9 +100,7 @@ def classify_pair(w_u, nbr_weights):
     g = ConflictGraph.from_edges(n, edges, [w_u] + list(nbr_weights), d=6)
     a = Solution.of(g, set(range(1, n)))
     astar = Solution.of(g, {0})
-    maps = build_anchor_maps(g, a)
-    rep = classify_vertices(g, a, astar, maps, PARAMS)
-    return rep.classes[0]
+    return certify_local_optimum(g, a, astar, PARAMS).classes[0]
 
 
 def test_classify_single():
@@ -226,8 +210,7 @@ def test_charge_identity_property_any_pair():
             alive -= g.adj_sets[v]
         a = Solution.of(g, a_members)
         astar = Solution.of(g, astar_members)
-        maps = build_anchor_maps(g, a)
-        rep = compute_charges(g, a, astar, maps)
+        rep = certify_local_optimum(g, a, astar, PARAMS)
         assert rep.identity_ok
         assert rep.pointwise_ok
 
@@ -250,14 +233,26 @@ def test_analysis_params_guard():
     p = AnalysisParams.from_delta(Fraction(1, 2))
     assert p.d_delta == 1_600_001
     custom = AnalysisParams.from_delta(Fraction(1, 2), eps_prime=Fraction(1, 5))
-    assert custom.custom
+    assert (custom.eps_tilde, custom.eps_prime) == (Fraction(1, 4), Fraction(1, 5))
+    for eps_prime in (Fraction(0), Fraction(-1)):
+        with pytest.raises(InputError):
+            AnalysisParams.from_delta(Fraction(1, 2), eps_prime=eps_prime)
 
 
 # --- Differential test against the Fraction certificate -------------------
 #
 # ref_* below are verbatim copies of the Fraction-arithmetic certificate that
-# the integer layer replaced (and of the Fraction `surd_cmp` it called). The
-# integer certificate must reproduce every reported value, class and flag.
+# the integer layer replaced (and of the Fraction `surd_cmp` it called), with
+# test-local copies of the N(u,A) and anchor lookups they read. The integer
+# certificate must reproduce every reported value, class and flag.
+
+
+def _solution_neighbors(g, a, maps, u):
+    return (u,) if u in a.members else maps.a_neighbors[u]
+
+
+def _anchor(g, a, maps, u):
+    return u if u in a.members else maps.heaviest[u]
 
 
 def _ref_sign(x: Fraction) -> int:
@@ -441,7 +436,7 @@ TIE_PARAMS = (
 
 def assert_same_certificate(g, a, astar, params, d=None):
     """Integer certificate == Fraction reference: values, classes, flags and
-    JSON bytes; the three layers compared one by one as well."""
+    JSON bytes."""
     got = certify_local_optimum(g, a, astar, params, d)
     ref = ref_certify(g, a, astar, params, d)
     assert got.charges == ref.charges
@@ -455,14 +450,6 @@ def assert_same_certificate(g, a, astar, params, d=None):
         assert getattr(got, flag) == getattr(ref, flag), flag
     assert json.dumps(got.to_json_obj()) == json.dumps(ref.to_json_obj())
     assert got.all_bounds_ok() == ref.all_bounds_ok()
-    maps = build_anchor_maps(g, a)
-    layers = (
-        (compute_charges(g, a, astar, maps), ref_compute_charges(g, a, astar, maps)),
-        (compute_contributions(g, a, astar), ref_compute_contributions(g, a, astar)),
-    )
-    for layer, ref_layer in layers:
-        assert json.dumps(layer.to_json_obj()) == json.dumps(ref_layer.to_json_obj())
-        assert (layer.charges, layer.contributions) == (ref_layer.charges, ref_layer.contributions)
     return got
 
 
@@ -622,9 +609,10 @@ def test_certificate_layers_build_fractions_only_for_report_fields():
     astar = exact_mwis(g).best
     g.w2_int  # built outside the profiled call
     layers = {
-        certify.compute_charges.__code__: "compute_charges",
-        certify.compute_contributions.__code__: "compute_contributions",
-        certify._classify_one.__code__: "_classify_one",
+        certify.certify_local_optimum.__code__: "certify_local_optimum",
+        certify._class_tags.__code__: "_class_tags",
+        # d_delta's own rational arithmetic is not the certificate's
+        AnalysisParams.d_delta.fget.__code__: None,
     }
     calls = collections.Counter()
 
@@ -634,7 +622,7 @@ def test_certificate_layers_build_fractions_only_for_report_fields():
         caller = frame.f_back
         while caller is not None and caller.f_code not in layers:
             caller = caller.f_back
-        if caller is not None:
+        if caller is not None and layers[caller.f_code] is not None:
             calls[(layers[caller.f_code], frame.f_code.co_name)] += 1
 
     sys.setprofile(profile)
@@ -643,10 +631,10 @@ def test_certificate_layers_build_fractions_only_for_report_fields():
     finally:
         sys.setprofile(None)
     assert rep.all_bounds_ok()
-    assert calls.pop(("compute_charges", "__new__")) == len(rep.charges) + len(rep.charge_sum_pos)
-    assert calls.pop(("compute_contributions", "__new__")) == len(rep.contributions) + len(rep.contr_sum)
-    # the identity reads the reference total's numerator and denominator once
-    assert calls == {("compute_charges", "numerator"): 1, ("compute_charges", "denominator"): 1}
+    fields = (rep.charges, rep.charge_sum_pos, rep.contributions, rep.contr_sum)
+    assert calls.pop(("certify_local_optimum", "__new__")) == sum(map(len, fields))
+    # numerator and denominator are read once each of eps', w(A) and w(A*)
+    assert calls == {("certify_local_optimum", "numerator"): 3, ("certify_local_optimum", "denominator"): 3}
 
 
 # --- Berman's d/2 guarantee at squareimp fixed points ---------------------

@@ -16,7 +16,6 @@ from clawpack.generators import (
     gen_incidence_lowerbound,
     gen_random_packing,
     girth,
-    heawood_graph,
     petersen_graph,
     projective_plane_incidence,
 )
@@ -71,7 +70,7 @@ def test_girth_values():
     c7 = ConflictGraph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)], [1] * 7)
     assert girth(c7) == 7
     assert girth(petersen_graph()) == 5
-    assert girth(heawood_graph()) == 6
+    assert girth(projective_plane_incidence(2)) == 6
     assert girth(complete_graph(4)) == 3
     assert girth(complete_bipartite(3)) == 4
 
