@@ -30,7 +30,8 @@ from .instances import ConflictGraph, InputError, Solution, fmt_fraction
 class AnalysisParams:
     """delta in (0,1) plus the thresholds eps_tilde and eps_prime.
 
-    Defaults: eps_tilde = delta/2 and eps_prime = delta^2/2500.
+    Defaults: eps_tilde = delta/2 and eps_prime = delta^2/2500. eps_prime
+    lies in (0, 1/2), so every threshold's 1 - sqrt(2 eps_prime) is positive.
     """
 
     delta: Fraction
@@ -40,8 +41,8 @@ class AnalysisParams:
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise InputError("delta must lie in (0,1)")
-        if self.eps_prime <= 0:
-            raise InputError("eps_prime must be positive")
+        if not 0 < self.eps_prime < Fraction(1, 2):
+            raise InputError("eps_prime must lie in (0,1/2)")
 
     @staticmethod
     def from_delta(delta, eps_tilde=None, eps_prime=None) -> "AnalysisParams":

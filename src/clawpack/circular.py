@@ -255,19 +255,18 @@ class AuxGraph:
 def _independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = [()]
 
-    def extend(start: int, chosen: list[int]):
-        for i in range(start, len(cands)):
-            v = cands[i]
-            if any(g.has_edge(v, u) for u in chosen):
-                continue
-            chosen.append(v)
-            out.append(tuple(chosen))
-            if len(chosen) < cap:
-                extend(i + 1, chosen)
-            chosen.pop()
+    def extend(cands: Sequence[int], chosen: tuple[int, ...]):
+        # cands: the candidates after the last chosen one that are adjacent
+        # to none of the chosen
+        for i, v in enumerate(cands):
+            y = chosen + (v,)
+            out.append(y)
+            if len(y) < cap:
+                nbrs = g.adj_sets[v]
+                extend([u for u in cands[i + 1:] if u not in nbrs], y)
 
     if cap >= 1:
-        extend(0, [])
+        extend(cands, ())
     return out
 
 

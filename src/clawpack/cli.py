@@ -73,13 +73,13 @@ def _json_dumps(obj) -> str:
 
 
 class _Main(click.Group):
-    """Reports an InputError or BudgetExceededError from any subcommand as
-    `Error: ...`, exit 1."""
+    """Reports an InputError, BudgetExceededError or file-system error from
+    any subcommand as `Error: ...`, exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (InputError, BudgetExceededError) as exc:
+        except (InputError, BudgetExceededError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

@@ -2,7 +2,9 @@
 
 Ground truth for approximation ratios on desk-scale instances. Both searches
 are complete within their explicit node budgets and deterministic under the
-documented tie-breaking.
+documented tie-breaking. The improvement search's independent-subset walk,
+`_first_improvement`, is also the claw search of `solvers`, run at one
+center with alpha = 2 and at most d-1 talons.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import count
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 import mpmath
 
@@ -190,20 +193,38 @@ def exhaustive_improvement_search(
         return None
     members = a.members
     p = _int_powers(g.w_int, alpha.numerator) if alpha.denominator == 1 else None
-    nodes = 0
+    outside = [v for v in range(g.n) if v not in members]
+    got = _first_improvement(g, members, outside, size_cap, p, budget, count(1), "improvement search", alpha)
+    return None if got is None else Improvement(*got, Generic(alpha))
 
-    def extend(cands: list[int], chosen: list[int], removed: set[int], x_p: int, r_p: int) -> Optional[Improvement]:
-        # cands: the outside vertices after the last chosen one that are
-        # adjacent to none of the chosen, in id order
-        nonlocal nodes
+
+def _first_improvement(
+    g: ConflictGraph, members: AbstractSet[int], cands: list[int], cap: int, p: Optional[Sequence[int]],
+    budget: int, nodes: Iterator[int], what: str, alpha: Optional[Fraction] = None,
+) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    """The first independent X of at most `cap` of the outside vertices
+    `cands` (in id order), in lexicographic order, that beats N(X, A), as
+    (X, N(X, A)); or None.
+
+    X beats N(X, A) in sums of the integers `p`, or, with `p` None, by
+    `power_weight_improves` at `alpha`. Each node (one independent
+    extension) draws from `nodes`, a counter from 1 that calls under one
+    budget share; a draw past `budget` raises "<what> exceeded <budget>
+    nodes". Each level's candidates are the last level's after the pick,
+    minus its neighbors.
+    """
+    adj_sets = g.adj_sets
+    chosen: list[int] = []
+    removed: set[int] = set()
+
+    def extend(cands: list[int], x_p: int, r_p: int) -> Optional[tuple[frozenset[int], frozenset[int]]]:
         for i, v in enumerate(cands):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(f"improvement search exceeded {budget} nodes")
-            nbrs = g.adj_sets[v]
+            if next(nodes) > budget:
+                raise BudgetExceededError(f"{what} exceeded {budget} nodes")
+            nbrs = adj_sets[v]
             new_removed = (nbrs & members) - removed
             chosen.append(v)
-            removed |= new_removed
+            removed.update(new_removed)
             if p is not None:
                 nx_p = x_p + p[v]
                 nr_p = r_p + sum(p[u] for u in new_removed)
@@ -212,13 +233,13 @@ def exhaustive_improvement_search(
                 nx_p = nr_p = 0
                 improves = power_weight_improves(g, alpha, chosen, removed)
             if improves:
-                return Improvement(frozenset(chosen), frozenset(removed), Generic(alpha))
-            if len(chosen) < size_cap:
-                found = extend([u for u in cands[i + 1:] if u not in nbrs], chosen, removed, nx_p, nr_p)
+                return frozenset(chosen), frozenset(removed)
+            if len(chosen) < cap:
+                found = extend([u for u in cands[i + 1:] if u not in nbrs], nx_p, nr_p)
                 if found is not None:
                     return found
-            removed -= new_removed
+            removed.difference_update(new_removed)
             chosen.pop()
         return None
 
-    return extend([v for v in range(g.n) if v not in members], [], set(), 0, 0)
+    return extend(cands, 0, 0)

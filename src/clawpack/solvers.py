@@ -3,7 +3,10 @@ variant, the parametrized w**alpha search, and the scaling/truncation wrapper.
 
 Every applied improvement strictly increases w^2(A) (or w^alpha(A) in
 parametrized mode) in exact arithmetic; fixed points certify that no
-improvement of the searched shape remains.
+improvement of the searched shape remains. The claw search and the w**alpha
+search run the same independent-subset search from `oracle`: the claw
+search at one center at a time, over its outside neighbors, with alpha = 2
+and at most d-1 talons.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Optional
 
 from .circular import (
@@ -33,7 +36,7 @@ from .instances import (
     Solution,
     fmt_fraction,
 )
-from .oracle import exhaustive_improvement_search, power_weight_gain
+from .oracle import _first_improvement, exhaustive_improvement_search, power_weight_gain
 
 MODES = ("greedy", "squareimp", "logimp", "parametrized")
 
@@ -194,16 +197,18 @@ def find_claw_improvement(
 
     The lowest-id free vertex comes first (every one is the talon of an
     improving 0-claw); then, for each center in A in ascending id order,
-    the independent talon sets among the center's neighbors in
-    lexicographic order, up to d-1 talons. Squared weights are compared as
-    the integers `g.w2_int`, which order exactly as the rationals do.
+    the shared improvement search of `oracle` over the center's outside
+    neighbors: independent talon sets in lexicographic order, up to d-1
+    talons, squared weights compared as the integers `g.w2_int`, which
+    order exactly as the rationals do.
 
     `state`, when given, is the run's `ClawSearchState` for `a`: its free
     set replaces a scan of all n vertices, centers in its settled set are
     skipped, and every center searched without success is added to it. The
     result is the same as a search from scratch, which is what runs without
-    a state. `budget` caps the talon-search nodes of this call, which
-    skipped centers do not use. For a hit, removed = N(talons) & A.
+    a state. `budget` caps the talon-search nodes of this call, counted
+    across its centers; skipped centers use none. For a hit, removed =
+    N(talons) & A.
     """
     d_eff = _resolve_d(g, d)
     if state is None:
@@ -213,45 +218,12 @@ def find_claw_improvement(
         return Improvement(frozenset((v,)), frozenset(), ClawShaped(center=None))
 
     members = a.members
-    nodes = 0
-    w2 = g.w2_int
-
-    def talons(center: int) -> Optional[frozenset[int]]:
-        nonlocal nodes
-        cands = [u for u in g.adj[center] if u not in members]
-
-        def extend(start: int, chosen: list[int], t_w2: int, removed: set[int], r_w2: int):
-            nonlocal nodes
-            for i in range(start, len(cands)):
-                u = cands[i]
-                if any(g.has_edge(u, x) for x in chosen):
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceededError(f"claw search exceeded {budget} nodes")
-                new_removed = (g.adj_sets[u] & members) - removed
-                nt = t_w2 + w2[u]
-                nr = r_w2 + sum(w2[x] for x in new_removed)
-                chosen.append(u)
-                if nt > nr:
-                    return list(chosen)
-                if len(chosen) < d_eff - 1:
-                    removed |= new_removed
-                    found = extend(i + 1, chosen, nt, removed, nr)
-                    if found is not None:
-                        return found
-                    removed -= new_removed
-                chosen.pop()
-            return None
-
-        got = extend(0, [], 0, set(), 0)
-        return frozenset(got) if got else None
-
+    nodes = count(1)
     while (c := state.lowest_open_center(members)) is not None:
-        got = talons(c)
-        if got:
-            removed = frozenset(v for u in got for v in g.adj[u] if v in members)
-            return Improvement(got, removed, ClawShaped(center=c))
+        cands = [u for u in g.adj[c] if u not in members]
+        got = _first_improvement(g, members, cands, d_eff - 1, g.w2_int, budget, nodes, "claw search")
+        if got is not None:
+            return Improvement(*got, ClawShaped(center=c))
         state.settled.add(c)
     return None
 

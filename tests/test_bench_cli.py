@@ -463,6 +463,10 @@ BAD_INPUTS = {
     ["constants", "--delta", "5"],
     ["constants", "--delta", "1/2", "--eps-prime", "-1"],
     ["constants", "--delta", "1/2", "--eps-prime", "0"],
+    ["constants", "--delta", "1/2", "--eps-prime", "1/2"],  # 1 - sqrt(2 eps') = 0
+    ["solve", "--in", "."],  # a directory
+    ["solve", "--in", "path.mwis", "--d", "3", "--out", "missing/x.json"],
+    ["gen", "berman", "--d", "4", "--out", "missing/x.ksp"],
     ["gen", "berman", "--d", "2", "--out", "x.ksp"],
     ["gen", "random", "--sets", "5", "--k", "3", "--universe", "9", "--seed", "0", "--dist", "uniform:0",
      "--out", "x.ksp"],

@@ -234,7 +234,7 @@ def test_analysis_params_guard():
     assert p.d_delta == 1_600_001
     custom = AnalysisParams.from_delta(Fraction(1, 2), eps_prime=Fraction(1, 5))
     assert (custom.eps_tilde, custom.eps_prime) == (Fraction(1, 4), Fraction(1, 5))
-    for eps_prime in (Fraction(0), Fraction(-1)):
+    for eps_prime in (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(1)):
         with pytest.raises(InputError):
             AnalysisParams.from_delta(Fraction(1, 2), eps_prime=eps_prime)
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from clawpack import solvers
 from clawpack.circular import ColorCodingParams, aux_edge_check, build_anchor_maps
 from clawpack.instances import (
+    BudgetExceededError,
     ClawShaped,
     ConflictGraph,
     Improvement,
@@ -37,22 +38,31 @@ from clawpack.solvers import SolverConfig, find_claw_improvement, greedy, logimp
 
 def ref_find_claw_improvement(g: ConflictGraph, a: Solution, d: int) -> Optional[Improvement]:
     """The claw search in Fraction arithmetic, without a verdict set."""
+    return ref_claw_search(g, a, d)[0]
+
+
+def ref_claw_search(g: ConflictGraph, a: Solution, d: int) -> tuple[Optional[Improvement], int]:
+    """The reference claw search's result and its talon-search nodes (one
+    per independent extension), counted across all centers it tried."""
     members = a.members
     for v in range(g.n):
         if v in members:
             continue
         if not (g.adj_sets[v] & members):
-            return Improvement(frozenset((v,)), frozenset(), ClawShaped(center=None))
+            return Improvement(frozenset((v,)), frozenset(), ClawShaped(center=None)), 0
     w2 = [w * w for w in g.weights]
+    nodes = 0
 
     def talons(center: int) -> Optional[frozenset[int]]:
         cands = [u for u in g.adj[center] if u not in members]
 
         def extend(start, chosen, t_w2, removed, r_w2):
+            nonlocal nodes
             for i in range(start, len(cands)):
                 u = cands[i]
                 if any(g.has_edge(u, x) for x in chosen):
                     continue
+                nodes += 1
                 new_removed = (g.adj_sets[u] & members) - removed
                 nt = t_w2 + w2[u]
                 nr = r_w2 + sum((w2[x] for x in new_removed), Fraction(0))
@@ -75,8 +85,8 @@ def ref_find_claw_improvement(g: ConflictGraph, a: Solution, d: int) -> Optional
         got = talons(c)
         if got:
             removed = neighborhood(got, members, g)
-            return Improvement(got, frozenset(removed), ClawShaped(center=c))
-    return None
+            return Improvement(got, frozenset(removed), ClawShaped(center=c)), nodes
+    return None, nodes
 
 
 def ref_greedy(g: ConflictGraph) -> Solution:
@@ -216,6 +226,22 @@ def test_integer_claw_search_is_exact():
             assert got == ref_find_claw_improvement(h, a, 4)
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def test_claw_budget_fires_below_the_reference_node_count():
+    fired, outcomes = 0, set()
+    for seed in range(30):
+        _, _, g, a = random_case(seed)
+        want, nodes = ref_claw_search(g, a, 4)
+        for budget in sorted({0, 1, nodes // 2, max(0, nodes - 1), nodes, nodes + 1}):
+            if budget < nodes:
+                with pytest.raises(BudgetExceededError, match=f"^claw search exceeded {budget} nodes$"):
+                    find_claw_improvement(g, a, 4, budget)
+                fired += 1
+            else:
+                assert find_claw_improvement(g, a, 4, budget) == want
+        outcomes.add(want is None)
+    assert fired > 0 and outcomes == {True, False}
 
 
 def test_integer_aux_edge_check_is_exact():
