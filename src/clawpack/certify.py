@@ -232,13 +232,13 @@ def certify_local_optimum(
     report.contribution_bound_ok = all(contr[v] <= w2[v] for v in a.members)
     report.pointwise_ok = pointwise
     report.classification_ok = not unclassified
-    sn, sd = astar.total_w.numerator, astar.total_w.denominator
-    report.identity_ok = total * sd == 2 * lcm * sn
+    s_a = sum(w[v] for v in a.members)  # L times w(A)
+    s_astar = sum(w[u] for u in astar.members)  # L times w(A*)
+    report.identity_ok = total == 2 * s_astar
     d_eff = d if d is not None else g.d
     if d_eff is not None:
-        # sum of w(N(u,A))/2 <= (d-1)/2 w(A) and w(A*) <= d/2 w(A), cross-multiplied
-        an, ad = a.total_w.numerator, a.total_w.denominator
-        report.neighborhood_bound_ok = nb * ad <= (d_eff - 1) * lcm * an
-        report.ratio_ok = 2 * sn * ad <= d_eff * an * sd
+        # sum of w(N(u,A))/2 <= (d-1)/2 w(A) and w(A*) <= d/2 w(A), times 2L
+        report.neighborhood_bound_ok = nb <= (d_eff - 1) * s_a
+        report.ratio_ok = 2 * s_astar <= d_eff * s_a
         report.classification_hypothesis_met = d_eff >= params.d_delta
     return report

@@ -7,6 +7,7 @@ reruns; bench timing is opt-in via --times.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -126,16 +127,16 @@ def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
         )
         return
     mode = "parametrized" if algo == "param" else algo
-    circular = None
-    if any(x is not None for x in (cc_t, cc_reps, cc_maxlen, cc_ycap, cc_mode)):
-        base = ColorCodingParams.defaults(g, inst, mode=cc_mode or "exhaustive")
-        circular = ColorCodingParams(
-            t=cc_t if cc_t is not None else base.t,
-            repetitions=cc_reps if cc_reps is not None else base.repetitions,
-            max_cycle_len=cc_maxlen if cc_maxlen is not None else base.max_cycle_len,
-            mode=cc_mode if cc_mode is not None else base.mode,
-            y_cap=cc_ycap if cc_ycap is not None else base.y_cap,
+    given = {
+        name: value
+        for name, value in (
+            ("t", cc_t), ("repetitions", cc_reps), ("max_cycle_len", cc_maxlen), ("mode", cc_mode), ("y_cap", cc_ycap)
         )
+        if value is not None
+    }
+    circular = None
+    if given:
+        circular = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode=cc_mode or "exhaustive"), **given)
     cfg = SolverConfig(
         mode=mode,
         alpha=_fraction(alpha, "--alpha"),

@@ -2,7 +2,8 @@
 
 Weights are exact rationals throughout, and every comparison the solvers make
 is exact: either between Fractions or between the integer-scaled weights
-`ConflictGraph.w_int` and their squares `ConflictGraph.w2_int`.
+`ConflictGraph.w_int` and their squares `ConflictGraph.w2_int`. A solution is
+a member set over one graph; its weight is summed from the graph when read.
 """
 
 from __future__ import annotations
@@ -206,22 +207,17 @@ class ConflictGraph:
 
 
 class Solution:
-    """An independent vertex set with cached total weight and squared weight.
+    """An independent vertex set of one graph: the graph and the member set.
 
-    Mutable and confined to a single solver run; the owning graph is shared
-    read-only.
+    Mutable and confined to a single solver run; the graph is shared
+    read-only. The weight is read from the graph, not kept.
     """
 
-    __slots__ = ("members", "total_w", "total_w2")
+    __slots__ = ("g", "members")
 
-    def __init__(self, members: set[int], total_w: Fraction, total_w2: Fraction):
+    def __init__(self, g: ConflictGraph, members: set[int]):
+        self.g = g
         self.members = members
-        self.total_w = total_w
-        self.total_w2 = total_w2
-
-    @staticmethod
-    def empty() -> "Solution":
-        return Solution(set(), Fraction(0), Fraction(0))
 
     @staticmethod
     def of(g: ConflictGraph, members: Iterable[int]) -> "Solution":
@@ -231,23 +227,18 @@ class Solution:
                 raise InputError(f"member id {v} out of range")
         if not g.is_independent(ms):
             raise InputError("members are not independent")
-        return Solution(ms, g.weight_of(ms), g.squared_weight_of(ms))
+        return Solution(g, ms)
 
-    def copy(self) -> "Solution":
-        return Solution(set(self.members), self.total_w, self.total_w2)
+    @property
+    def total_w(self) -> Fraction:
+        """w(A), summed as the integers `g.w_int` over L."""
+        w = self.g.w_int
+        return Fraction(sum(w[v] for v in self.members), self.g.w_lcm)
 
-    def apply(self, g: ConflictGraph, imp: "Improvement", delta_w2: Optional[Fraction] = None) -> None:
-        """Swap imp.x in and imp.removed out, keeping the caches coherent.
-
-        The totals move by exact integer deltas: sums of `g.w_int` over L
-        and sums of `g.w2_int` over L**2. `delta_w2`, when given, is
-        `imp.delta_w2(g)` already computed by the caller.
-        """
+    def apply(self, imp: "Improvement") -> None:
+        """Swap imp.x in and imp.removed out."""
         self.members -= imp.removed
         self.members |= imp.x
-        w = g.w_int
-        self.total_w += Fraction(sum(w[v] for v in imp.x) - sum(w[v] for v in imp.removed), g.w_lcm)
-        self.total_w2 += imp.delta_w2(g) if delta_w2 is None else delta_w2
 
     def __contains__(self, v: int) -> bool:
         return v in self.members
@@ -372,7 +363,7 @@ def verify_claw_free(g: ConflictGraph, d: int, budget: int = 10_000_000) -> tupl
         for i, v in enumerate(cands):
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError(f"claw search exceeded {budget} nodes")
+                raise BudgetExceededError(f"claw-free check exceeded {budget} nodes")
             chosen.append(v)
             rest = [x for x in cands[i + 1:] if not g.has_edge(x, v)]
             found = extend(center, rest, chosen)
@@ -391,13 +382,11 @@ def verify_claw_free(g: ConflictGraph, d: int, budget: int = 10_000_000) -> tupl
 
 
 def verify_solution(g: ConflictGraph, s: Solution) -> bool:
-    """True iff members are pairwise non-adjacent and the caches are coherent."""
+    """True iff every member is a vertex of g and no two are adjacent."""
     for v in s.members:
         if not 0 <= v < g.n:
             return False
-    if not g.is_independent(s.members):
-        return False
-    return s.total_w == g.weight_of(s.members) and s.total_w2 == g.squared_weight_of(s.members)
+    return g.is_independent(s.members)
 
 
 def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> bool:

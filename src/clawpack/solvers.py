@@ -114,11 +114,13 @@ def greedy(g: ConflictGraph) -> Solution:
     delete its closed neighborhood, until nothing remains.
 
     One pass in (-w, id) order takes each vertex none of whose neighbors was
-    taken before it, which picks the same set.
+    taken before it, which picks the same set; the integers `g.w_int` order
+    exactly as the weights do.
     """
     chosen: set[int] = set()
     blocked: set[int] = set()
-    for v in sorted(range(g.n), key=lambda u: (-g.weights[u], u)):
+    w = g.w_int
+    for v in sorted(range(g.n), key=lambda u: (-w[u], u)):
         if v not in blocked:
             chosen.add(v)
             blocked.update(g.adj[v])
@@ -249,10 +251,10 @@ def _loop(
 
     With `claw_state`, the loop builds the run's `ClawSearchState` for its
     solution, passes it to every step (otherwise None) and updates it once
-    after each applied swap. Each swap's w^2 gain is summed once, as
-    integers, and handed to `Solution.apply`.
+    after each applied swap. The run's solution is built over `g` from the
+    start's members, so a start over another graph weighs what it does in `g`.
     """
-    a = start.copy() if start is not None else Solution.empty()
+    a = Solution.of(g, start.members if start is not None else ())
     state = ClawSearchState(g, a) if claw_state else None
     records: list[ImprovementRecord] = []
     notes: tuple[str, ...] = ()
@@ -266,14 +268,13 @@ def _loop(
             break
         if imp is None:
             break
-        delta_w2 = imp.delta_w2(g)
         if isinstance(imp.kind, Generic) and imp.kind.alpha != 2:
             delta = power_weight_gain(g, imp.kind.alpha, imp.x, imp.removed)
         else:
-            delta = delta_w2
+            delta = imp.delta_w2(g)
         if delta <= 0:
             raise RuntimeError(f"non-improving step {imp!r}")
-        a.apply(g, imp, delta_w2)
+        a.apply(imp)
         if state is not None:
             state.update(g, a, imp)
         records.append(ImprovementRecord(imp.kind_name(), imp.size, delta))
@@ -361,7 +362,7 @@ def scale_truncate_run(
     n_const = Fraction(cfg.scaling_n)
     d = _resolve_d(g, cfg.d)
     if g.n == 0:
-        return RunTrace([], Solution.empty(), scaled=True)
+        return RunTrace([], Solution.of(g, ()), scaled=True)
     a_prime = greedy(g)
     factor = n_const * g.n / a_prime.total_w
     floored = [math.floor(w * factor) for w in g.weights]

@@ -570,17 +570,6 @@ def test_planted_charge_and_bound_ties():
         assert rep.contribution_bound_ok and rep.ratio_ok
 
 
-def test_integer_certificate_matches_fraction_on_stale_totals():
-    # the identity and the ratio bounds read the cached Solution totals; a
-    # total off by a little either way fails them in both implementations
-    g, a, b = gen_berman_tight(5)
-    for da, db in ((0, Fraction(1, 3)), (0, -Fraction(1, 3)), (Fraction(-1, 7), 0), (Fraction(1, 7), 0)):
-        a_off = Solution(set(a.members), a.total_w + da, a.total_w2)
-        b_off = Solution(set(b.members), b.total_w + db, b.total_w2)
-        rep = assert_same_certificate(g, a_off, b_off, PARAMS)
-        assert rep.identity_ok == (db == 0)
-        assert rep.ratio_ok == (da >= 0 and db <= 0)
-
 def test_surd_sign_matches_fraction_surd_cmp():
     # surd_sign on a, b, x scaled by their common denominator, q as a ratio
     rng = random.Random(5)
@@ -633,8 +622,8 @@ def test_certificate_layers_build_fractions_only_for_report_fields():
     assert rep.all_bounds_ok()
     fields = (rep.charges, rep.charge_sum_pos, rep.contributions, rep.contr_sum)
     assert calls.pop(("certify_local_optimum", "__new__")) == sum(map(len, fields))
-    # numerator and denominator are read once each of eps', w(A) and w(A*)
-    assert calls == {("certify_local_optimum", "numerator"): 3, ("certify_local_optimum", "denominator"): 3}
+    # numerator and denominator are read once each, of eps'
+    assert calls == {("certify_local_optimum", "numerator"): 1, ("certify_local_optimum", "denominator"): 1}
 
 
 # --- Berman's d/2 guarantee at squareimp fixed points ---------------------

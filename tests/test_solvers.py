@@ -8,7 +8,7 @@ from clawpack.generators import (
     gen_berman_tight,
     gen_random_packing,
 )
-from clawpack.instances import ConflictGraph, InputError, Solution, build_conflict_graph
+from clawpack.instances import ConflictGraph, InputError, Solution, build_conflict_graph, verify_solution
 from clawpack.oracle import exact_mwis
 from clawpack.solvers import (
     SolverConfig,
@@ -235,3 +235,12 @@ def test_run_trace_json_fields():
     assert set(doc) == {"iterations", "improvements", "final_members", "final_weight"}
     assert doc["final_weight"] == "6/1"
     assert doc["improvements"][0]["kind"] == "circular"
+
+
+def test_start_over_another_graph_weighs_in_the_run_graph():
+    g1 = build_conflict_graph(gen_random_packing(40, 3, 30, seed=1))
+    g2 = g1.reweighted([1] * g1.n)
+    tr = solve(g2, SolverConfig(mode="squareimp"), start=greedy(g1))
+    assert verify_solution(g2, tr.final)
+    assert tr.final.total_w == g2.weight_of(tr.final.members) == len(tr.final)
+    assert tr.to_json_obj()["final_weight"] == f"{len(tr.final)}/1"
