@@ -19,20 +19,20 @@ returned improvement with it. `charge_to_anchor` is the `Fraction`
 definition of the per-vertex charge that tests compare the integer charge
 test against.
 
-Both builds go through a `CircularState`. logimp keeps one per run, so at
-each claw fixed point only the anchor maps of the vertices next to the
-swaps since the last one, the vertex blocks (one per anchor) and the edge
-blocks (one per inducing vertex) whose inputs changed are recomputed. The
-state holds one aux graph by id, vertices, edges and each vertex's sorted
-incident edge ids, and changes it only where a block is built or dropped;
-ids sort in the from-scratch order, so a call returns that graph as it
-stands, and the 2-cycle scan reads only the anchor pairs that two or more
-inducers share. Called without a state, `build_anchor_maps` and
-`build_aux_graph` use a fresh one, which builds everything. The DP works
-out a vertex's color masks, step table and first layer only when it
-first reaches that vertex, and yields each candidate as soon as the
-state that closes it is built, so a search that stops at the first
-candidate that validates pays for little more than the prefix it read.
+Both builds go through a `CircularState`. logimp keeps one per run and hands
+it every swap, so at each claw fixed point only the anchor maps of the
+vertices next to the swaps since the last one, the vertex blocks (one per
+anchor) and the edge blocks (one per inducing vertex) whose inputs changed
+are recomputed. The state holds one aux graph by id, vertices, edges and
+each vertex's sorted incident edge ids, and changes it only where a block is
+built or dropped; ids sort in the from-scratch order, so a call returns that
+graph as it stands, and the 2-cycle scan reads only the anchor pairs that
+two or more inducers share. Called without a state, `build_anchor_maps` and
+`build_aux_graph` use a fresh one, which builds everything. The DP works out
+a vertex's color masks, step table and first layer only when it first
+reaches that vertex, and yields each candidate as soon as the state that
+closes it is built, so a search that stops at the first candidate that
+validates pays for little more than the prefix it read.
 """
 
 from __future__ import annotations
@@ -96,9 +96,11 @@ def build_anchor_maps(g: ConflictGraph, a: Solution, state: Optional["CircularSt
 
     `w_int` is the weights times one positive integer, so it ranks solution
     neighbors exactly as the rational weights do. With the run's
-    `CircularState`, only the vertices whose solution neighbors changed
-    since its last call are recomputed, and the state's own maps are
-    returned; without one, a fresh state builds them all.
+    `CircularState`, only the vertices next to the swaps since its last
+    call are recomputed, and the state's own maps are returned; without
+    one, a fresh state builds them all. A caller that passes a state must
+    hand it (`CircularState.update`) every swap applied to `a` since that
+    call; after a call that raised, the next recomputes every vertex.
     """
     if state is None:
         state = CircularState(g)
@@ -307,15 +309,15 @@ class CircularState:
 
     The anchor maps are kept per vertex: a vertex's entries change only when
     it or one of its neighbors changed membership since the last call, so
-    only `changed | N(changed)` is recomputed, `changed` being the symmetric
-    difference of A and the members seen at that call. The aux graph is
-    kept as blocks: a vertex block per anchor v (its companion sets and
-    their nets) and an edge block per inducer u (its edges and its
-    edge-check count). A vertex block is dropped when a candidate (an
-    outside vertex with v as heaviest anchor and positive charge) joins or
-    leaves v or has its solution neighbors changed; an edge block is
-    recomputed when u's anchors or solution neighbors change, or when the
-    block at either anchor was dropped.
+    only `moved | N(moved)` is recomputed, `moved` being x | removed over
+    every swap handed to `update` since that call. The aux graph is kept as
+    blocks: a vertex block per anchor v (its companion sets and their nets)
+    and an edge block per inducer u (its edges and its edge-check count).
+    A vertex block is dropped when a candidate (an outside vertex with v as
+    heaviest anchor and positive charge) joins or leaves v or has its
+    solution neighbors changed; an edge block is recomputed when u's
+    anchors or solution neighbors change, or when the block at either
+    anchor was dropped.
 
     A vertex's id comes from its anchor and its position in the block (see
     `_ID_SHIFT`), and an edge's from its inducer and its position in the
@@ -339,7 +341,7 @@ class CircularState:
     def __init__(self, g: ConflictGraph, maps: Optional[AnchorMaps] = None):
         self.g = g
         self.maps = maps if maps is not None else AnchorMaps({}, {}, {})
-        self._members: Optional[set[int]] = None  # None: rebuild all maps next
+        self._moved: Optional[set[int]] = None  # None: rebuild all maps next
         self._remapped: set[int] = set(self.maps.heaviest)
         self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
         self._vblocks: dict[int, _VertexBlock] = {}
@@ -353,19 +355,23 @@ class CircularState:
         self.checks = 0  # edge checks the blocks hold: the last aux graph's count
         self._y_cap: Optional[int] = None  # the y_cap the blocks were built for
 
+    def update(self, imp: Improvement) -> None:
+        """Note the vertices that `imp`, applied to A, moved in or out."""
+        if self._moved is not None:
+            self._moved.update(imp.x, imp.removed)
+
     def update_maps(self, a: Solution) -> AnchorMaps:
-        """The anchor maps of `a`, recomputed where its membership changed."""
+        """The anchor maps of `a`, recomputed next to the swaps since the last call."""
         g = self.g
         members = a.members
-        seen = self._members
-        self._members = None  # an error below leaves a full rebuild for next time
-        if seen is None:
+        moved = self._moved
+        self._moved = None  # an error below leaves a full rebuild for next time
+        if moved is None:
             self.maps = AnchorMaps({}, {}, {})
             touched: Iterable[int] = range(g.n)
         else:
-            changed = members ^ seen
-            touched = set(changed)
-            for v in changed:
+            touched = set(moved)
+            for v in moved:
                 touched.update(g.adj[v])
         self._remapped.update(touched)
         heaviest, second, a_nbrs = self.maps.heaviest, self.maps.second, self.maps.a_neighbors
@@ -386,7 +392,7 @@ class CircularState:
                 second[u] = ranked[1]
             else:
                 second.pop(u, None)
-        self._members = set(members)
+        self._moved = set()
         return self.maps
 
     def _reanchor(self, members: set[int]) -> None:

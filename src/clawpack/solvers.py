@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .circular import (
     CircularState,
@@ -129,7 +129,7 @@ def greedy(g: ConflictGraph) -> Solution:
 
 class ClawSearchState:
     """What the claw search keeps between calls in one run, for one evolving
-    solution A.
+    solution A, whose member set it shares.
 
     `free` is the set of vertices outside A with no neighbor in A: each is
     the talon of an improving 0-claw. `settled` holds centers in A known to
@@ -140,10 +140,11 @@ class ClawSearchState:
     scan or a sort.
     """
 
-    __slots__ = ("free", "settled", "_free_heap", "_center_heap")
+    __slots__ = ("g", "members", "free", "settled", "_free_heap", "_center_heap")
 
     def __init__(self, g: ConflictGraph, a: Solution):
-        members = a.members
+        self.g = g
+        self.members = members = a.members
         self._free_heap = [v for v in range(g.n) if v not in members and g.adj_sets[v].isdisjoint(members)]
         self.free = set(self._free_heap)
         self.settled: set[int] = set()
@@ -156,36 +157,42 @@ class ClawSearchState:
             heapq.heappop(heap)
         return heap[0] if heap else None
 
-    def lowest_open_center(self, members: set[int]) -> Optional[int]:
+    def lowest_open_center(self) -> Optional[int]:
         """The lowest-id center in A that is not settled, or None."""
-        heap, settled = self._center_heap, self.settled
+        heap, settled, members = self._center_heap, self.settled, self.members
         while heap and (heap[0] in settled or heap[0] not in members):
             heapq.heappop(heap)
         return heap[0] if heap else None
 
-    def update(self, g: ConflictGraph, a: Solution, imp: Improvement) -> None:
-        """Account for `imp`, already applied to `a`.
+    def update(self, imp: Improvement) -> None:
+        """Account for `imp`, already applied to A.
 
         Every vertex of x | N(x) is now in A or next to it. A vertex becomes
         free only when its last solution neighbor left, so only N(removed)
         is re-tested. A center's talon search reads only the membership of
-        vertices within distance 2 of it, so the settled centers in that
-        ball around x | removed are reopened.
+        vertices within distance 2 of it, so the walk two steps out from
+        each vertex of x | removed reopens every settled center it meets.
         """
-        free = self.free
+        g, members, free = self.g, self.members, self.free
+        adj = g.adj
         for v in imp.x:
             free.discard(v)
-            free.difference_update(g.adj[v])
-        members = a.members
+            free.difference_update(adj[v])
         for r in imp.removed:
-            for v in g.adj[r]:
+            for v in adj[r]:
                 if v not in free and v not in members and g.adj_sets[v].isdisjoint(members):
                     free.add(v)
                     heapq.heappush(self._free_heap, v)
-        reopened = self.settled & _within_two(g, imp.x | imp.removed)
-        self.settled -= reopened
-        for c in chain(imp.x, reopened):
-            heapq.heappush(self._center_heap, c)
+        settled, heap = self.settled, self._center_heap
+        for c in imp.x:
+            heapq.heappush(heap, c)
+        for s in chain(imp.x, imp.removed):
+            near = adj[s]
+            for ring in chain(((s,), near), (adj[v] for v in near)):  # s, N(s), N(N(s))
+                if not settled.isdisjoint(ring):
+                    for c in settled.intersection(ring):
+                        settled.remove(c)
+                        heapq.heappush(heap, c)
 
 
 def find_claw_improvement(
@@ -204,13 +211,13 @@ def find_claw_improvement(
     talons, squared weights compared as the integers `g.w2_int`, which
     order exactly as the rationals do.
 
-    `state`, when given, is the run's `ClawSearchState` for `a`: its free
-    set replaces a scan of all n vertices, centers in its settled set are
-    skipped, and every center searched without success is added to it. The
-    result is the same as a search from scratch, which is what runs without
-    a state. `budget` caps the talon-search nodes of this call, counted
-    across its centers; skipped centers use none. For a hit, removed =
-    N(talons) & A.
+    `state`, when given, is the run's `ClawSearchState`, built for `a` and
+    handed every swap applied to it since: its free set replaces a scan of
+    all n vertices, centers in its settled set are skipped, and every
+    center searched without success is added to it. The result is the same
+    as a search from scratch, which is what runs without a state. `budget`
+    caps the talon-search nodes of this call, counted across its centers;
+    skipped centers use none. For a hit, removed = N(talons) & A.
     """
     d_eff = _resolve_d(g, d)
     if state is None:
@@ -221,7 +228,7 @@ def find_claw_improvement(
 
     members = a.members
     nodes = count(1)
-    while (c := state.lowest_open_center(members)) is not None:
+    while (c := state.lowest_open_center()) is not None:
         cands = [u for u in g.adj[c] if u not in members]
         got = _first_improvement(g, members, cands, d_eff - 1, g.w2_int, budget, nodes, "claw search")
         if got is not None:
@@ -230,37 +237,24 @@ def find_claw_improvement(
     return None
 
 
-def _within_two(g: ConflictGraph, vertices) -> set[int]:
-    """The vertices at distance at most 2 from `vertices`."""
-    ball = set(vertices)
-    frontier = ball
-    for _ in range(2):
-        frontier = {u for v in frontier for u in g.adj[v]} - ball
-        ball |= frontier
-    return ball
-
-
 def _loop(
-    g: ConflictGraph,
-    start: Optional[Solution],
-    step: Callable[[Solution, Optional[ClawSearchState]], Optional[Improvement]],
+    a: Solution,
+    step: Callable[[], Optional[Improvement]],
+    states: Sequence[ClawSearchState | CircularState] = (),
     keep_partial_on_budget: bool = False,
-    claw_state: bool = False,
 ) -> RunTrace:
-    """Apply step's improvements until it returns None.
+    """Apply step's improvements to `a` until it returns None.
 
-    With `claw_state`, the loop builds the run's `ClawSearchState` for its
-    solution, passes it to every step (otherwise None) and updates it once
-    after each applied swap. The run's solution is built over `g` from the
-    start's members, so a start over another graph weighs what it does in `g`.
+    The loop applies each swap once and then hands it to every search
+    state in `states` (`update(imp)`), so what a search keeps between calls
+    follows A without looking at A again.
     """
-    a = Solution.of(g, start.members if start is not None else ())
-    state = ClawSearchState(g, a) if claw_state else None
+    g = a.g
     records: list[ImprovementRecord] = []
     notes: tuple[str, ...] = ()
     while True:
         try:
-            imp = step(a, state)
+            imp = step()
         except BudgetExceededError as exc:
             if not keep_partial_on_budget:
                 raise
@@ -275,22 +269,20 @@ def _loop(
         if delta <= 0:
             raise RuntimeError(f"non-improving step {imp!r}")
         a.apply(imp)
-        if state is not None:
-            state.update(g, a, imp)
+        for state in states:
+            state.update(imp)
         records.append(ImprovementRecord(imp.kind_name(), imp.size, delta))
     return RunTrace(records, a, notes=notes)
 
 
 def squareimp(g: ConflictGraph, cfg: SolverConfig, start: Optional[Solution] = None) -> RunTrace:
     """Iterate the claw search to a fixed point, starting from the empty set
-    (or an injected start solution, used to reproduce tight instances)."""
+    (or an injected start solution, used to reproduce tight instances; the
+    run's solution is its members over `g`)."""
     d = _resolve_d(g, cfg.d)
-    return _loop(
-        g,
-        start,
-        lambda a, state: find_claw_improvement(g, a, d, state=state),
-        claw_state=True,
-    )
+    a = Solution.of(g, start.members if start else ())
+    claw = ClawSearchState(g, a)
+    return _loop(a, lambda: find_claw_improvement(g, a, d, state=claw), [claw])
 
 
 def logimp(
@@ -302,22 +294,24 @@ def logimp(
     """Claw search first; at claw fixed points, search for a circular
     improvement and continue until neither kind exists.
 
-    The run keeps one `CircularState`, so each fixed point recomputes only
-    the anchor maps and aux-graph blocks that the swaps since the last one
-    touched."""
+    The run keeps one `ClawSearchState` and one `CircularState`, and the
+    loop hands each applied swap, of either kind, to both. So each fixed
+    point recomputes only the anchor maps and aux-graph blocks that the
+    swaps since the last one touched."""
     d = _resolve_d(g, cfg.d)
     params = cfg.circular if cfg.circular is not None else ColorCodingParams.defaults(g, inst)
     rng = random.Random(cfg.rng_seed)
-    circ = CircularState(g)
+    a = Solution.of(g, start.members if start else ())
+    claw, circ = ClawSearchState(g, a), CircularState(g)
 
-    def step(a: Solution, state: ClawSearchState) -> Optional[Improvement]:
-        imp = find_claw_improvement(g, a, d, state=state)
+    def step() -> Optional[Improvement]:
+        imp = find_claw_improvement(g, a, d, state=claw)
         if imp is not None:
             return imp
         maps = build_anchor_maps(g, a, circ)
         return find_circular_improvement(g, a, maps, params, inst=inst, rng=rng, d=d, state=circ)
 
-    trace = _loop(g, start, step, claw_state=True)
+    trace = _loop(a, step, [claw, circ])
     if params.y_cap < d - 1:
         trace.notes = (f"aux companion sets capped at {params.y_cap} (claw bound allows {d - 1})",)
     return trace
@@ -335,12 +329,8 @@ def parametrized_local_search(
     """
     alpha = Fraction(cfg.alpha)
     cap = max(1, math.floor(float(cfg.size_cap_factor) * math.log(max(2, g.n), 2)))
-    return _loop(
-        g,
-        start,
-        lambda a, _: exhaustive_improvement_search(g, a, alpha, cap),
-        keep_partial_on_budget=True,
-    )
+    a = Solution.of(g, start.members if start else ())
+    return _loop(a, lambda: exhaustive_improvement_search(g, a, alpha, cap), keep_partial_on_budget=True)
 
 
 def scale_truncate_run(
@@ -367,7 +357,6 @@ def scale_truncate_run(
     factor = n_const * g.n / a_prime.total_w
     floored = [math.floor(w * factor) for w in g.weights]
     keep = [v for v in range(g.n) if floored[v] >= 1]
-    back = {i: v for i, v in enumerate(keep)}
     fwd = {v: i for i, v in enumerate(keep)}
     sub_edges = [(fwd[u], fwd[v]) for u, v in g.edges() if u in fwd and v in fwd]
     sub = ConflictGraph.from_edges(
@@ -385,7 +374,7 @@ def scale_truncate_run(
     bound = (d - 1) ** 2 * n_const ** 2 * Fraction(g.n) ** 2
     if trace.iterations > bound:
         raise RuntimeError(f"iteration count {trace.iterations} exceeds scaling bound {bound}")
-    final = Solution.of(g, {back[i] for i in trace.final.members})
+    final = Solution.of(g, {keep[i] for i in trace.final.members})
     return RunTrace(
         improvements=trace.improvements,
         final=final,
@@ -407,14 +396,14 @@ def solve(
     """
 
     def run(graph: ConflictGraph, config: SolverConfig, instance: Optional[PackingInstance]) -> RunTrace:
-        unscaled = graph is g
+        begin = start if graph is g else None
         if config.mode == "greedy":
             return RunTrace([], greedy(graph))
         if config.mode == "squareimp":
-            return squareimp(graph, config, start=start if unscaled else None)
+            return squareimp(graph, config, start=begin)
         if config.mode == "logimp":
-            return logimp(graph, config, start=start if unscaled else None, inst=instance)
-        return parametrized_local_search(graph, config, start=start if unscaled else None)
+            return logimp(graph, config, start=begin, inst=instance)
+        return parametrized_local_search(graph, config, start=begin)
 
     if cfg.scaling_n is not None and cfg.mode != "greedy":
         return scale_truncate_run(g, cfg, run, inst=inst)

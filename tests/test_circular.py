@@ -47,6 +47,7 @@ from clawpack.generators import berman_tight_instance, gen_berman_tight, gen_ran
 from clawpack.instances import (
     ConflictGraph,
     ContractError,
+    Improvement,
     InputError,
     PackingInstance,
     Solution,
@@ -999,8 +1000,10 @@ def test_circular_state_over_random_swaps(kind):
         state = CircularState(g)
         members = set(a.members)
         for step in range(12):
+            old = members
             for _ in range(rng.choice([1, 1, 2, 4])):
                 members = random_swap(rng, g, members)
+            state.update(Improvement(frozenset(members - old), frozenset(old - members)))
             sol = Solution.of(g, members)
             maps = build_anchor_maps(g, sol, state)
             assert maps is state.maps
@@ -1011,6 +1014,36 @@ def test_circular_state_over_random_swaps(kind):
             seen["dfs"] += dfs
             seen["parallel"] += len(h.parallel)
     assert seen["two_cycle"] > 20 and seen["parallel"] > 200
+
+
+def test_circular_state_recovers_from_an_error():
+    """A swap, then the removal of the solution's lowest vertex r, are
+    handed to the state; the call over the non-maximal solution raises part
+    way through the vertices those two moved. The next call is handed only
+    the swap that fills the solution up again, r last, yet must recompute
+    every vertex and match a fresh build."""
+    params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
+    for seed in range(10):
+        g, a, _ = weighted_case(seed, "prime")
+        rng = random.Random(seed)
+        state = CircularState(g)
+        build_anchor_maps(g, a, state)
+        check_state_against_fresh(g, a, state, params, None, seed)
+        members = random_swap(rng, g, a.members)
+        state.update(Improvement(frozenset(members - a.members), frozenset(a.members - members)))
+        r = min(members)
+        broken = members - {r}
+        state.update(Improvement(frozenset(), frozenset({r})))
+        with pytest.raises(ContractError, match="not maximal"):
+            build_anchor_maps(g, Solution.of(g, broken), state)
+        members = set(broken)
+        for v in rng.sample(range(g.n), g.n) + [r]:
+            if v not in members and g.adj_sets[v].isdisjoint(members):
+                members.add(v)
+        state.update(Improvement(frozenset(members - broken), frozenset()))
+        sol = Solution.of(g, members)
+        assert build_anchor_maps(g, sol, state) is state.maps
+        check_state_against_fresh(g, sol, state, params, None, seed + 1)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "rand"])

@@ -31,7 +31,14 @@ from clawpack.instances import (
     neighborhood,
     verify_solution,
 )
-from clawpack.solvers import SolverConfig, find_claw_improvement, greedy, logimp, squareimp
+from clawpack.solvers import (
+    ClawSearchState,
+    SolverConfig,
+    find_claw_improvement,
+    greedy,
+    logimp,
+    squareimp,
+)
 
 # ------------------------------------------------------------ references
 
@@ -130,12 +137,49 @@ class CheckedClawSearch:
         return got
 
 
+def within_two(g: ConflictGraph, vertices) -> set[int]:
+    """The vertices at distance at most 2 from `vertices`."""
+    ball = set(vertices)
+    frontier = ball
+    for _ in range(2):
+        frontier = {u for v in frontier for u in g.adj[v]} - ball
+        ball |= frontier
+    return ball
+
+
+UPDATE = ClawSearchState.update  # the real one, which the stand-in below wraps
+
+
+class CheckedClawUpdate:
+    """Stands in for ClawSearchState.update: after every swap the settled
+    set must be the one from before it minus the radius-2 ball around
+    x | removed, so a state that reopens too many centers, or too few,
+    fails, and the free set must match a scan of all vertices."""
+
+    def __init__(self):
+        self.swaps = 0
+        self.reopened = 0
+
+    def __call__(self, state, imp):
+        before = set(state.settled)
+        UPDATE(state, imp)
+        want = before - within_two(state.g, imp.x | imp.removed)
+        assert state.settled == want
+        assert state.free == scan_free(state.g, state.members)
+        self.swaps += 1
+        self.reopened += len(before) - len(want)
+
+
 def run_checked(solver, g, cfg, **kw):
-    check = CheckedClawSearch()
-    with mock.patch.object(solvers, "find_claw_improvement", check):
+    check, update = CheckedClawSearch(), CheckedClawUpdate()
+    with (
+        mock.patch.object(solvers, "find_claw_improvement", check),
+        mock.patch.object(ClawSearchState, "update", lambda state, imp: update(state, imp)),
+    ):
         trace = solver(g, cfg, **kw)
     assert check.calls == trace.iterations + 1
-    return trace, check
+    assert update.swaps == trace.iterations
+    return trace, check, update
 
 
 @st.composite
@@ -158,8 +202,8 @@ def rational_packings(draw):
 def test_verdict_set_matches_fresh_search(inst, from_greedy):
     g = build_conflict_graph(inst)
     start = greedy(g) if from_greedy else None
-    sq, _ = run_checked(squareimp, g, SolverConfig(mode="squareimp"), start=start)
-    lg, _ = run_checked(logimp, g, SolverConfig(mode="logimp"), start=start, inst=inst)
+    sq, _, _ = run_checked(squareimp, g, SolverConfig(mode="squareimp"), start=start)
+    lg, _, _ = run_checked(logimp, g, SolverConfig(mode="logimp"), start=start, inst=inst)
     assert find_claw_improvement(g, sq.final) is None
     assert find_claw_improvement(g, lg.final) is None
 
@@ -170,11 +214,11 @@ def test_verdict_set_across_circular_swaps():
     for mode in ("exhaustive", "rand"):
         params = ColorCodingParams.defaults(g, inst, mode=mode)
         cfg = SolverConfig(mode="logimp", circular=params)
-        trace, check = run_checked(logimp, g, cfg, start=Solution.of(g, small), inst=inst)
+        trace, check, update = run_checked(logimp, g, cfg, start=Solution.of(g, small), inst=inst)
         kinds = [r.kind for r in trace.improvements]
         assert "circular" in kinds
         assert "claw-shaped" in kinds[kinds.index("circular"):]
-        assert check.skipped > 0
+        assert check.skipped > 0 and update.reopened > 0
 
 
 def test_claw_state_under_scaling():
@@ -185,7 +229,7 @@ def test_claw_state_under_scaling():
     g = build_conflict_graph(inst)
     for mode in ("squareimp", "logimp"):
         cfg = SolverConfig(mode=mode, scaling_n=Fraction(3, 2))
-        trace, _ = run_checked(solvers.solve, g, cfg, inst=inst)
+        trace, _, _ = run_checked(solvers.solve, g, cfg, inst=inst)
         assert trace.scaled and trace.iterations > 0
 
 
