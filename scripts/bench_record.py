@@ -10,7 +10,9 @@ time, and writes `BENCH_<tag>.json` there with the Python version, the CPU
 count (`nproc`) and, per run, the command's arguments, exit code and its
 last output line parsed as JSON, or the tail of its stderr if it failed.
 Under `scale` it lists one seed-0 `solve` timing per point of the scale
-curve, which clawbench does not cover (see `scale_curve`).
+curve, which clawbench does not cover (see `scale_curve`), and under
+`oracle` the nodes and time of `exact_mwis` past the sizes clawbench runs
+it at (see `oracle_curve`).
 It exits 1, naming the runs, if any run failed or reported `correct: false`;
 the file is written either way.
 """
@@ -24,11 +26,14 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 WORKLOADS = ("rand-k3", "tight-union", "small-exact")
 # The scale curve: unions of this many shuffled tight copies
 # (`clawbench.workloads.tight_union`), and random k=3 packings of n sets.
 SCALE_COPIES = (40, 160, 640)
 SCALE_N = (400, 800, 1600, 3200, 6400)
+# The oracle curve: random k=3 packings of n sets.
+ORACLE_N = (40, 60, 80)
 
 
 def run_one(workload: str, trace: int) -> dict:
@@ -54,8 +59,6 @@ def scale_curve() -> list[dict]:
     of n = `SCALE_N` sets over a universe of n elements (the `rand-k3`
     generator settings). Each point gives its suite, size, vertex count,
     algorithm, iteration count and `solve` wall time."""
-    code = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path[:0] = [os.path.join(code, "src"), code]
     import clawpack
     from clawbench.workloads import TIGHT_UNION_D, tight_union
 
@@ -82,6 +85,25 @@ def scale_curve() -> list[dict]:
     return points
 
 
+def oracle_curve() -> list[dict]:
+    """One seed-0 `exact_mwis` call per point, in-process, on random k=3
+    packings of n = `ORACLE_N` sets over a universe of n elements with
+    `uniform:10` weights. Each point gives n, the node count and the wall
+    time."""
+    import clawpack
+    from clawpack.generators import gen_random_packing
+
+    points = []
+    for n in ORACLE_N:
+        inst = gen_random_packing(n, 3, n, weight_dist=("uniform", 10), seed=0)
+        g = clawpack.build_conflict_graph(inst)
+        t0 = time.perf_counter()
+        res = clawpack.exact_mwis(g, size_limit=n)
+        wall = time.perf_counter() - t0
+        points.append({"n": n, "nodes": res.nodes_explored, "wall_s": round(wall, 4)})
+    return points
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True, help="file name suffix: BENCH_<tag>.json")
@@ -92,6 +114,7 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "runs": runs,
         "scale": scale_curve(),
+        "oracle": oracle_curve(),
     }
     path = os.path.join(ROOT, f"BENCH_{opts.tag}.json")
     with open(path, "w") as fh:

@@ -148,12 +148,3 @@ def check_constants(delta, eps_tilde=None, eps_prime=None) -> ConstantsReport:
         results[name] = verdict
     return ConstantsReport(params=params, results=results)
 
-
-def check_constants_grid(step: Fraction = Fraction(1, 20)) -> dict[Fraction, ConstantsReport]:
-    """Reports for delta on the grid {step, 2*step, ...} below 1."""
-    out = {}
-    delta = step
-    while delta < 1:
-        out[delta] = check_constants(delta)
-        delta += step
-    return out

@@ -2,9 +2,13 @@
 
 Ground truth for approximation ratios on desk-scale instances. Both searches
 are complete within their explicit node budgets and deterministic under the
-documented tie-breaking. The improvement search's independent-subset walk,
-`_first_improvement`, is also the claw search of `solvers`, run at one
-center with alpha = 2 and at most d-1 talons.
+documented tie-breaking. The branch and bound for the maximum-weight
+independent set prunes with a clique partition of V, built once per call:
+an independent set takes at most one vertex of each clique, so the sum of
+each part's heaviest remaining weight bounds what a subtree can add. The
+improvement search's independent-subset walk, `_first_improvement`, is also
+the claw search of `solvers`, run at one center with alpha = 2 and at most
+d-1 talons.
 """
 
 from __future__ import annotations
@@ -43,6 +47,26 @@ class OracleResult:
     optimal: bool = True
 
 
+def clique_partition(g: ConflictGraph) -> list[tuple[int, ...]]:
+    """A partition of V into cliques, each listed heaviest first.
+
+    Vertices are taken in (-w, id) order; each joins the first part all of
+    whose members it is adjacent to, or else starts a new part. The result
+    depends only on the graph.
+    """
+    w = g.w_int
+    parts: list[list[int]] = []
+    for v in sorted(range(g.n), key=lambda u: (-w[u], u)):
+        nbrs = g.adj_sets[v]
+        for part in parts:
+            if nbrs.issuperset(part):
+                part.append(v)
+                break
+        else:
+            parts.append([v])
+    return [tuple(part) for part in parts]
+
+
 def exact_mwis(
     g: ConflictGraph,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -51,17 +75,26 @@ def exact_mwis(
     """Branch and bound for the maximum-weight independent set.
 
     Branches on a remaining vertex of maximum degree (ties to the lowest
-    id), include-branch first; the bound adds all remaining weights. Only
-    strict improvements replace the incumbent, so the returned set is
-    deterministic. Vertex sets are int bitmasks and weights are compared as
-    sums of the integers `g.w_int`, which order exactly as the rational
-    weights do; the result reports the optimum as a Fraction.
+    id), include-branch first. A node is pruned when the current weight
+    plus all remaining weights, or else plus the heaviest remaining weight
+    of each part of `clique_partition(g)`, does not beat the incumbent;
+    since an independent set meets each clique at most once, a pruned
+    subtree holds nothing strictly better. Only strict improvements replace
+    the incumbent, so the returned set is deterministic. Vertex sets are int
+    bitmasks and weights are compared as sums of the integers `g.w_int`,
+    which order exactly as the rational weights do; the result reports the
+    optimum as a Fraction.
     """
     if g.n > size_limit:
         raise InputError(f"n={g.n} exceeds oracle size limit {size_limit}; pass a larger size_limit")
 
     w = g.w_int
     adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
+    # per part: its mask and its members as (bit, weight), heaviest first
+    parts = [
+        (sum(1 << v for v in part), [(1 << v, w[v]) for v in part])
+        for part in clique_partition(g)
+    ]
     nodes = 0
     best = 0
     best_w = 0
@@ -78,6 +111,18 @@ def exact_mwis(
             best_w = cur_w
             best = cur
         if not cands or cur_w + cand_w <= best_w:
+            return
+        # prune unless the partition bound beats the incumbent
+        bound = cur_w
+        for mask, members in parts:
+            if cands & mask:
+                for bit, wv in members:
+                    if cands & bit:
+                        bound += wv
+                        break
+                if bound > best_w:
+                    break
+        else:
             return
         pick, pick_deg = -1, -1
         m = cands

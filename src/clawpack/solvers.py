@@ -169,9 +169,12 @@ class ClawSearchState:
 
         Every vertex of x | N(x) is now in A or next to it. A vertex becomes
         free only when its last solution neighbor left, so only N(removed)
-        is re-tested. A center's talon search reads only the membership of
-        vertices within distance 2 of it, so the walk two steps out from
-        each vertex of x | removed reopens every settled center it meets.
+        is re-tested. A vertex joining A only enlarges N(T, A) for every
+        talon set T, and takes no candidate talon N(c) - A from a center c
+        that stays in A; so only a removed vertex within two steps of c (a
+        new candidate, or a member that left N(T, A)) can open c. The walk
+        two steps out from each removed vertex reopens every settled center
+        it meets, and the new members x start unsettled.
         """
         g, members, free = self.g, self.members, self.free
         adj = g.adj
@@ -184,9 +187,10 @@ class ClawSearchState:
                     free.add(v)
                     heapq.heappush(self._free_heap, v)
         settled, heap = self.settled, self._center_heap
+        settled.difference_update(imp.x)
         for c in imp.x:
             heapq.heappush(heap, c)
-        for s in chain(imp.x, imp.removed):
+        for s in imp.removed:
             near = adj[s]
             for ring in chain(((s,), near), (adj[v] for v in near)):  # s, N(s), N(N(s))
                 if not settled.isdisjoint(ring):

@@ -152,8 +152,8 @@ UPDATE = ClawSearchState.update  # the real one, which the stand-in below wraps
 
 class CheckedClawUpdate:
     """Stands in for ClawSearchState.update: after every swap the settled
-    set must be the one from before it minus the radius-2 ball around
-    x | removed, so a state that reopens too many centers, or too few,
+    set must be the one from before it minus x and minus the radius-2 ball
+    around removed, so a state that reopens too many centers, or too few,
     fails, and the free set must match a scan of all vertices."""
 
     def __init__(self):
@@ -163,7 +163,7 @@ class CheckedClawUpdate:
     def __call__(self, state, imp):
         before = set(state.settled)
         UPDATE(state, imp)
-        want = before - within_two(state.g, imp.x | imp.removed)
+        want = before - imp.x - within_two(state.g, imp.removed)
         assert state.settled == want
         assert state.free == scan_free(state.g, state.members)
         self.swaps += 1

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from clawpack.constants import CONST_NAMES, check_constants, check_constants_grid
+from clawpack.constants import CONST_NAMES, check_constants
 from clawpack.exactnum import RatInterval, sqrt_bounds, surd_sign
 
 
@@ -26,9 +26,9 @@ def test_overridden_eps_prime_fails_const1():
 
 
 def test_grid_all_pass():
-    grid = check_constants_grid(Fraction(1, 20))
-    assert len(grid) == 19
-    assert all(rep.all_ok for rep in grid.values())
+    # delta on the grid {1/20, 2/20, ...} below 1
+    grid = [Fraction(i, 20) for i in range(1, 20)]
+    assert all(check_constants(delta).all_ok for delta in grid)
 
 
 def test_json_shape():

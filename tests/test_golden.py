@@ -54,7 +54,7 @@ DIGESTS = {
     "solve/b5-small/logimp-exhaustive": "2faa9327486b2c930473055dd1129ca593db9511",
     "solve/b5-small/logimp-rand": "fd379596041dc220283d5c437ec8cc72590f2adb",
     "solve/b5-small/param-a2": "7e77c7335aa1ba3f35bab2f0caf278c284eb84de",
-    "solve/b4.ksp/exact": "7eb62e4dccfbcb14426ac808821f6a8f1fff0ef0",
+    "solve/b4.ksp/exact": "71e74d8fd657b8cc9ff28b056881cca8ada62923",
     "verify/b4.ksp": "8473e4227cec6958adf58790bc62900c5f8b67ab",
     "constants/1_2": "68537e70fba12761281e9d6615a9a2a563288941",
 }

@@ -9,6 +9,7 @@ order, so search trees, node counts and budget failures must agree.
 import math
 import random
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Optional
 from unittest import mock
 
@@ -26,11 +27,12 @@ from clawpack.instances import (
     ConflictGraph,
     Generic,
     Improvement,
+    PackingInstance,
     Solution,
     build_conflict_graph,
     neighborhood,
 )
-from clawpack.oracle import exact_mwis, exhaustive_improvement_search, power_weight_improves
+from clawpack.oracle import clique_partition, exact_mwis, exhaustive_improvement_search, power_weight_improves
 from clawpack.solvers import SolverConfig, greedy, squareimp
 
 ALPHAS = (-3, -1, 1, 2, 3)
@@ -38,11 +40,27 @@ ALPHAS = (-3, -1, 1, 2, 3)
 # ------------------------------------------------------------ references
 
 
-def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000):
+def ref_clique_partition(g: ConflictGraph) -> list[list[int]]:
+    """Cliques covering V: vertices in (-weight, id) order, each joining
+    the first clique it is adjacent to all of, or starting a new one."""
+    cliques: list[list[int]] = []
+    for v in sorted(range(g.n), key=lambda u: (-g.weights[u], u)):
+        home = next((c for c in cliques if all(g.has_edge(v, u) for u in c)), None)
+        if home is None:
+            cliques.append([v])
+        else:
+            home.append(v)
+    return cliques
+
+
+def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cliques=None):
     """Branch and bound over Fraction weights and vertex lists.
 
-    Returns (best set, optimum, nodes), or raises BudgetExceededError whose
-    `partial` is that triple for the incumbent."""
+    A node is pruned when the current weight plus all remaining weights
+    does not beat the incumbent; with `cliques` (disjoint cliques covering
+    V), also when the current weight plus the heaviest remaining weight of
+    each clique does not. Returns (best set, optimum, nodes), or raises
+    BudgetExceededError whose `partial` is that triple for the incumbent."""
     nodes = 0
     best_set: set[int] = set()
     best_w = Fraction(0)
@@ -60,6 +78,10 @@ def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000):
         if cur_w + g.weight_of(cands) <= best_w:
             return
         cand_set = set(cands)
+        if cliques is not None:
+            heaviest = [max(g.weights[v] for v in c if v in cand_set) for c in cliques if cand_set.intersection(c)]
+            if cur_w + sum(heaviest, Fraction(0)) <= best_w:
+                return
         pick = max(cands, key=lambda v: (len(g.adj_sets[v] & cand_set), -v))
         rest_in = [v for v in cands if v != pick and not g.has_edge(v, pick)]
         cur.add(pick)
@@ -164,13 +186,15 @@ def maximal_solution(g: ConflictGraph, rng: random.Random) -> Solution:
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(prime_weighted_graphs(), tied_graphs()))
 def test_exact_mwis_matches_fraction_branch_and_bound(g):
-    best, best_w, nodes = ref_exact_mwis(g)
+    best, best_w, _ = ref_exact_mwis(g)
     res = exact_mwis(g)
     assert res.best.members == best
     assert res.optimum_w == best_w == res.best.total_w
     assert isinstance(res.optimum_w, Fraction)
-    assert res.nodes_explored == nodes
     assert res.optimal
+    cliques = ref_clique_partition(g)
+    _, _, nodes = ref_exact_mwis(g, cliques=cliques)
+    assert res.nodes_explored == nodes
     for budget in (1, 2, 3, 5, 8, 13, 21):
         if budget >= nodes:
             assert exact_mwis(g, budget=budget).nodes_explored == nodes
@@ -178,10 +202,48 @@ def test_exact_mwis_matches_fraction_branch_and_bound(g):
         with pytest.raises(BudgetExceededError) as got:
             exact_mwis(g, budget=budget)
         with pytest.raises(BudgetExceededError) as want:
-            ref_exact_mwis(g, budget=budget)
+            ref_exact_mwis(g, budget=budget, cliques=cliques)
         partial = got.value.partial
         assert (partial.best.members, partial.optimum_w, partial.nodes_explored) == want.value.partial
         assert not partial.optimal
+
+
+@st.composite
+def tied_packing_graphs(draw, max_n: int = 16):
+    """Conflict graphs of k=3 packings whose weights all come from {1, 2}
+    or all from {1/2, 1, 3/2}, so that ties are planted everywhere."""
+    universe = draw(st.integers(3, 12))
+    n = draw(st.integers(1, max_n))
+    sets = draw(st.lists(
+        st.lists(st.integers(0, universe - 1), min_size=1, max_size=3, unique=True),
+        min_size=n, max_size=n,
+    ))
+    palette = draw(st.sampled_from(((1, 2), (Fraction(1, 2), 1, Fraction(3, 2)))))
+    weights = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    return build_conflict_graph(PackingInstance.build(universe, sets, weights, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tied_packing_graphs(), tied_graphs()))
+def test_partition_bound_keeps_the_returned_set(g):
+    best, best_w, sum_nodes = ref_exact_mwis(g)
+    _, _, nodes = ref_exact_mwis(g, cliques=ref_clique_partition(g))
+    res = exact_mwis(g)
+    assert res.best.members == best and res.optimum_w == best_w
+    assert res.nodes_explored == nodes <= sum_nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(prime_weighted_graphs(), tied_graphs(), tied_packing_graphs()))
+def test_clique_partition_is_a_partition_into_cliques(g):
+    parts = clique_partition(g)
+    assert sorted(chain.from_iterable(parts)) == list(range(g.n))
+    for part in parts:
+        assert all(g.has_edge(u, v) for u, v in combinations(part, 2))
+        assert [(-g.weights[v], v) for v in part] == sorted((-g.weights[v], v) for v in part)
+    assert parts == [tuple(c) for c in ref_clique_partition(g)]
+    same = ConflictGraph.from_edges(g.n, g.edges(), g.weights)
+    assert clique_partition(g) == clique_partition(same) == parts
 
 
 def test_exact_mwis_empty_graph():
