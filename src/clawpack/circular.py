@@ -15,9 +15,9 @@ The anchor maps rank by the integer weights `ConflictGraph.w_int`, and the
 aux-graph build compares sums of `w_int` and `w2_int` (their squares), which
 order exactly as the rational sums do. `aux_edge_check` is the per-edge
 definition those sums decide, and `validate_circular` re-checks every
-returned improvement with it. `charge_to_anchor` is the `Fraction`
-definition of the per-vertex charge that tests compare the integer charge
-test against.
+returned improvement with it. An anchor's companion sets are the
+independent subsets of its candidates, read from
+`instances.independent_subsets`, the package's one subset walk.
 
 Both builds go through a `CircularState`. logimp keeps one per run and hands
 it every swap, so at each claw fixed point only the anchor maps of the
@@ -53,6 +53,7 @@ from .instances import (
     InputError,
     PackingInstance,
     Solution,
+    independent_subsets,
     neighborhood,
     validate_improvement,
 )
@@ -105,11 +106,6 @@ def build_anchor_maps(g: ConflictGraph, a: Solution, state: Optional["CircularSt
     if state is None:
         state = CircularState(g)
     return state.update_maps(a)
-
-
-def charge_to_anchor(g: ConflictGraph, maps: AnchorMaps, u: int) -> Fraction:
-    """w(u) - w(N(u,A))/2, the charge u would send to its heaviest anchor."""
-    return g.weights[u] - g.weight_of(maps.a_neighbors[u]) / 2
 
 
 def aux_edge_check(
@@ -252,24 +248,6 @@ class AuxGraph:
     edges: dict[int, AuxEdge]
     incident: dict[int, list[int]]
     parallel: Sequence[int]
-
-
-def _independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-
-    def extend(cands: Sequence[int], chosen: tuple[int, ...]):
-        # cands: the candidates after the last chosen one that are adjacent
-        # to none of the chosen
-        for i, v in enumerate(cands):
-            y = chosen + (v,)
-            out.append(y)
-            if len(y) < cap:
-                nbrs = g.adj_sets[v]
-                extend([u for u in cands[i + 1:] if u not in nbrs], y)
-
-    if cap >= 1:
-        extend(cands, ())
-    return out
 
 
 class _VertexBlock(NamedTuple):
@@ -436,7 +414,7 @@ class CircularState:
         w2 = g.w2_int
         a_nbrs = self.maps.a_neighbors
         spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
-        ys = _independent_subsets(g, cands, y_cap)
+        ys = [(), *independent_subsets(g, cands, y_cap)]
         ys.sort(key=lambda y: (-len(y), y))
         base = v << _ID_SHIFT
         ids = range(base, base + len(ys))

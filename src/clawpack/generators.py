@@ -19,7 +19,6 @@ from .instances import (
     InputError,
     PackingInstance,
     Solution,
-    build_conflict_graph,
 )
 
 
@@ -44,15 +43,6 @@ def berman_tight_instance(d: int) -> PackingInstance:
     b_sets = [[tags[(a, b_idx)] for a in label] for b_idx, label in enumerate(b_labels)]
     sets = a_sets + b_sets
     return PackingInstance.build(len(tags), sets, [Fraction(1)] * len(sets), k=d - 1)
-
-
-def gen_berman_tight(d: int) -> tuple[ConflictGraph, Solution, Solution]:
-    """The tight instance's conflict graph with both sides as solutions."""
-    inst = berman_tight_instance(d)
-    g = build_conflict_graph(inst)
-    a = Solution.of(g, range(d - 1))
-    b = Solution.of(g, range(d - 1, g.n))
-    return g, a, b
 
 
 def gen_alternating_cycle(n_pairs: int, d: int, eps: Fraction) -> tuple[ConflictGraph, Solution, Solution]:

@@ -4,6 +4,8 @@ Weights are exact rationals throughout, and every comparison the solvers make
 is exact: either between Fractions or between the integer-scaled weights
 `ConflictGraph.w_int` and their squares `ConflictGraph.w2_int`. A solution is
 a member set over one graph; its weight is summed from the graph when read.
+`independent_subsets` is the package's one walk over the bounded
+independent subsets of a candidate list.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from itertools import count
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class InputError(ValueError):
@@ -196,12 +199,6 @@ class ConflictGraph:
                 return False
         return True
 
-    def weight_of(self, vertices: Iterable[int]) -> Fraction:
-        return sum((self.weights[v] for v in vertices), Fraction(0))
-
-    def squared_weight_of(self, vertices: Iterable[int]) -> Fraction:
-        return sum((self.weights[v] ** 2 for v in vertices), Fraction(0))
-
     def reweighted(self, weights) -> "ConflictGraph":
         return ConflictGraph(self.n, self.adj, tuple(as_fraction(w) for w in weights), self.d)
 
@@ -315,19 +312,17 @@ def neighborhood(u_set: Iterable[int], w_set: Iterable[int], g: ConflictGraph) -
 
     Returns {w in w_set : some u in u_set is adjacent to w or equal to w};
     membership alone suffices, so a vertex of u_set lying in w_set is its
-    own neighbor.
+    own neighbor. Only u_set indexes the graph, so only it is range-checked.
     """
     us = set(u_set)
-    ws = w_set if isinstance(w_set, (set, frozenset)) else set(w_set)
-    for s in (us, ws):
-        if s:
-            lo, hi = min(s), max(s)
-            if lo < 0 or hi >= g.n:
-                raise InputError(f"vertex id {lo if lo < 0 else hi} out of range")
+    if us:
+        lo, hi = min(us), max(us)
+        if lo < 0 or hi >= g.n:
+            raise InputError(f"vertex id {lo if lo < 0 else hi} out of range")
     reach = set(us)
     for u in us:
         reach.update(g.adj[u])
-    return reach & ws
+    return reach.intersection(w_set)
 
 
 def build_conflict_graph(inst: PackingInstance) -> ConflictGraph:
@@ -344,40 +339,52 @@ def build_conflict_graph(inst: PackingInstance) -> ConflictGraph:
     return ConflictGraph.from_edges(inst.n, sorted(edges), inst.weights, d=inst.k + 1)
 
 
+def independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
+    """Each independent subset of 1..`cap` vertices of `cands`, in
+    lexicographic order of positions in `cands`.
+
+    The one subset walk of the package: the claw search and the w**alpha
+    search (`oracle._first_improvement`), the aux graph's companion sets
+    and `verify_claw_free` all read it. A subset's extensions come from
+    the candidates after its last pick that are adjacent to none of its
+    picks; they are listed when the walk resumes past that subset, so a
+    reader that stops there pays for no more.
+    """
+    adj_sets = g.adj_sets
+    stack = [(cands, 0, ())] if cap >= 1 else []
+    while stack:
+        level, i, chosen = stack[-1]
+        if i == len(level):
+            stack.pop()
+            continue
+        stack[-1] = (level, i + 1, chosen)
+        v = level[i]
+        y = chosen + (v,)
+        yield y
+        if len(y) < cap:
+            nbrs = adj_sets[v]
+            stack.append(([u for u in level[i + 1:] if u not in nbrs], 0, y))
+
+
 def verify_claw_free(g: ConflictGraph, d: int, budget: int = 10_000_000) -> tuple[bool, Optional[tuple[int, tuple[int, ...]]]]:
     """Check that no vertex has d pairwise non-adjacent neighbors.
 
-    Opt-in and exponential in d; `budget` caps the number of search nodes.
-    Returns (True, None) or (False, (center, talons)).
+    Opt-in and exponential in d; `budget` caps the independent neighbor
+    subsets walked, counted across centers. Returns (True, None) or
+    (False, (center, talons)), the lowest center and its lexicographically
+    first d talons.
     """
     if d < 1:
         raise InputError("claw bound d must be >= 1")
-    nodes = 0
-
-    def extend(center: int, cands: list[int], chosen: list[int]):
-        nonlocal nodes
-        if len(chosen) == d:
-            return tuple(chosen)
-        if len(chosen) + len(cands) < d:
-            return None
-        for i, v in enumerate(cands):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(f"claw-free check exceeded {budget} nodes")
-            chosen.append(v)
-            rest = [x for x in cands[i + 1:] if not g.has_edge(x, v)]
-            found = extend(center, rest, chosen)
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
-
+    nodes = count(1)
     for c in range(g.n):
         if g.degree(c) < d:
             continue
-        witness = extend(c, list(g.adj[c]), [])
-        if witness is not None:
-            return False, (c, witness)
+        for talons in independent_subsets(g, g.adj[c], d):
+            if next(nodes) > budget:
+                raise BudgetExceededError(f"claw-free check exceeded {budget} nodes")
+            if len(talons) == d:
+                return False, (c, talons)
     return True, None
 
 

@@ -6,9 +6,9 @@ documented tie-breaking. The branch and bound for the maximum-weight
 independent set prunes with a clique partition of V, built once per call:
 an independent set takes at most one vertex of each clique, so the sum of
 each part's heaviest remaining weight bounds what a subtree can add. The
-improvement search's independent-subset walk, `_first_improvement`, is also
-the claw search of `solvers`, run at one center with alpha = 2 and at most
-d-1 talons.
+improvement search, `_first_improvement`, reads the subsets from
+`instances.independent_subsets`; it is also the claw search of `solvers`,
+run at one center with alpha = 2 and at most d-1 talons.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .instances import (
     Improvement,
     InputError,
     Solution,
+    independent_subsets,
 )
 
 DEFAULT_SIZE_LIMIT = 40
@@ -252,39 +253,29 @@ def _first_improvement(
     (X, N(X, A)); or None.
 
     X beats N(X, A) in sums of the integers `p`, or, with `p` None, by
-    `power_weight_improves` at `alpha`. Each node (one independent
-    extension) draws from `nodes`, a counter from 1 that calls under one
-    budget share; a draw past `budget` raises "<what> exceeded <budget>
-    nodes". Each level's candidates are the last level's after the pick,
-    minus its neighbors.
+    `power_weight_improves` at `alpha`. The subsets come from
+    `independent_subsets`; each one draws from `nodes`, a counter from 1
+    that calls under one budget share; a draw past `budget` raises
+    "<what> exceeded <budget> nodes". Per depth k the walk keeps the sums
+    of X and of N(X, A) and N(X, A) itself, each extending depth k-1's.
     """
     adj_sets = g.adj_sets
-    chosen: list[int] = []
-    removed: set[int] = set()
-
-    def extend(cands: list[int], x_p: int, r_p: int) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-        for i, v in enumerate(cands):
-            if next(nodes) > budget:
-                raise BudgetExceededError(f"{what} exceeded {budget} nodes")
-            nbrs = adj_sets[v]
-            new_removed = (nbrs & members) - removed
-            chosen.append(v)
-            removed.update(new_removed)
-            if p is not None:
-                nx_p = x_p + p[v]
-                nr_p = r_p + sum(p[u] for u in new_removed)
-                improves = nx_p > nr_p
-            else:
-                nx_p = nr_p = 0
-                improves = power_weight_improves(g, alpha, chosen, removed)
-            if improves:
-                return frozenset(chosen), frozenset(removed)
-            if len(chosen) < cap:
-                found = extend([u for u in cands[i + 1:] if u not in nbrs], nx_p, nr_p)
-                if found is not None:
-                    return found
-            removed.difference_update(new_removed)
-            chosen.pop()
-        return None
-
-    return extend(cands, 0, 0)
+    x_p = [0] * (cap + 1)
+    r_p = [0] * (cap + 1)
+    removed: list[frozenset[int]] = [frozenset()] * (cap + 1)
+    for x in independent_subsets(g, cands, cap):
+        if next(nodes) > budget:
+            raise BudgetExceededError(f"{what} exceeded {budget} nodes")
+        k = len(x)
+        v = x[-1]
+        new = (adj_sets[v] & members) - removed[k - 1]
+        removed[k] = nx = removed[k - 1] | new
+        if p is not None:
+            x_p[k] = x_p[k - 1] + p[v]
+            r_p[k] = r_p[k - 1] + sum(p[u] for u in new)
+            improves = x_p[k] > r_p[k]
+        else:
+            improves = power_weight_improves(g, alpha, x, nx)
+        if improves:
+            return frozenset(x), nx
+    return None

@@ -4,9 +4,9 @@ variant, the parametrized w**alpha search, and the scaling/truncation wrapper.
 Every applied improvement strictly increases w^2(A) (or w^alpha(A) in
 parametrized mode) in exact arithmetic; fixed points certify that no
 improvement of the searched shape remains. The claw search and the w**alpha
-search run the same independent-subset search from `oracle`: the claw
-search at one center at a time, over its outside neighbors, with alpha = 2
-and at most d-1 talons.
+search run the same improvement search from `oracle` over the subsets of
+`instances.independent_subsets`: the claw search at one center at a time,
+over its outside neighbors, with alpha = 2 and at most d-1 talons.
 """
 
 from __future__ import annotations

@@ -12,9 +12,30 @@ from types import SimpleNamespace
 
 import pytest
 
-from clawpack.circular import AuxEdge, AuxGraph
+from clawpack.circular import AnchorMaps, AuxEdge, AuxGraph
 from clawpack.generators import berman_tight_instance
-from clawpack.instances import ConflictGraph, PackingInstance
+from clawpack.instances import ConflictGraph, PackingInstance, Solution, build_conflict_graph
+
+
+def gen_berman_tight(d: int) -> tuple[ConflictGraph, Solution, Solution]:
+    """The tight instance's conflict graph with both sides as solutions."""
+    g = build_conflict_graph(berman_tight_instance(d))
+    return g, Solution.of(g, range(d - 1)), Solution.of(g, range(d - 1, g.n))
+
+
+def w_of(g: ConflictGraph, vertices) -> Fraction:
+    """w of a vertex set, summed as Fractions."""
+    return sum((g.weights[v] for v in vertices), Fraction(0))
+
+
+def w2_of(g: ConflictGraph, vertices) -> Fraction:
+    """w^2 of a vertex set, summed as Fractions."""
+    return sum((g.weights[v] ** 2 for v in vertices), Fraction(0))
+
+
+def charge_to_anchor(g: ConflictGraph, maps: AnchorMaps, u: int) -> Fraction:
+    """w(u) - w(N(u,A))/2, the charge u would send to its heaviest anchor."""
+    return g.weights[u] - w_of(g, maps.a_neighbors[u]) / 2
 
 
 def brute_force_mwis(g: ConflictGraph) -> tuple[Fraction, frozenset[int]]:
@@ -131,7 +152,7 @@ def circular_improvement_exists_bruteforce(g, a, maps, d, positive_only=False, y
 
     positive_only/y_cap mirror the solver's companion-candidate restriction,
     for exact completeness comparisons against the restricted search."""
-    from clawpack.circular import aux_edge_check, charge_to_anchor, max_cycle_len_for
+    from clawpack.circular import aux_edge_check, max_cycle_len_for
 
     members = a.members
     outside = [v for v in range(g.n) if v not in members]
@@ -167,9 +188,7 @@ def circular_improvement_exists_bruteforce(g, a, maps, d, positive_only=False, y
             if not g.is_independent(x_tuple):
                 continue
             x = set(x_tuple)
-            if g.squared_weight_of(x) <= g.squared_weight_of(
-                set().union(*(g.adj_sets[v] & members for v in x))
-            ):
+            if w2_of(g, x) <= w2_of(g, set().union(*(g.adj_sets[v] & members for v in x))):
                 continue
             cands = [u for u in x_tuple if u in maps.second]
             for u_size in range(2, min(len(cands), max_u) + 1):
@@ -203,7 +222,7 @@ def ref_aux_sides(u, y1, y2, g: ConflictGraph, maps) -> tuple[Fraction, Fraction
     v1 = maps.heaviest[u]
     v2 = maps.second[u]
     w = g.weights
-    lhs = w[u] ** 2 + Fraction(1, 2) * (g.squared_weight_of(y1) + g.squared_weight_of(y2))
+    lhs = w[u] ** 2 + Fraction(1, 2) * (w2_of(g, y1) + w2_of(g, y2))
     rhs = (w[v1] ** 2 + w[v2] ** 2) / 2
     rhs += sum((w[x] ** 2 for x in maps.a_neighbors[u] if x != v1 and x != v2), Fraction(0))
     for x in y1:

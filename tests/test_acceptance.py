@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 from click.testing import CliRunner
 
-from conftest import aux_graph_of, enumerate_colorful_cycles, positional
+from conftest import aux_graph_of, enumerate_colorful_cycles, gen_berman_tight, positional
 
 from clawpack.certify import AnalysisParams, certify_local_optimum
 from clawpack.circular import (
@@ -34,7 +34,6 @@ from clawpack.generators import (
     LowerBoundParams,
     berman_tight_instance,
     gen_alternating_cycle,
-    gen_berman_tight,
     gen_incidence_lowerbound,
     gen_random_packing,
     girth,

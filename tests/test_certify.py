@@ -7,13 +7,13 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights
+from conftest import PrimeWeights, gen_berman_tight, w_of
 
 from clawpack import certify
 from clawpack.certify import AnalysisParams, CertReport, certify_local_optimum
 from clawpack.circular import build_anchor_maps
 from clawpack.exactnum import surd_sign
-from clawpack.generators import berman_tight_instance, gen_berman_tight, gen_random_packing
+from clawpack.generators import berman_tight_instance, gen_random_packing
 from clawpack.instances import ConflictGraph, ContractError, InputError, Solution, build_conflict_graph
 from clawpack.oracle import exact_mwis
 from clawpack.solvers import SolverConfig, squareimp
@@ -290,7 +290,7 @@ def ref_compute_charges(g, a, astar, maps):
         if not nbrs:
             raise ContractError(f"reference vertex {u} sees no incumbent vertex")
         anchor = _anchor(g, a, maps, u)
-        charge = g.weights[u] - g.weight_of(nbrs) / 2
+        charge = g.weights[u] - w_of(g, nbrs) / 2
         report.charges[u] = (anchor, charge)
         if charge > 0:
             report.charge_sum_pos[anchor] += charge
@@ -305,7 +305,7 @@ def ref_compute_charges(g, a, astar, maps):
     report.charge_bound_ok = all(
         report.charge_sum_pos[v] <= g.weights[v] / 2 for v in a.members
     )
-    total = sum((g.weight_of(_solution_neighbors(g, a, maps, u)) / 2 for u in astar.members), Fraction(0))
+    total = sum((w_of(g, _solution_neighbors(g, a, maps, u)) / 2 for u in astar.members), Fraction(0))
     total += sum((report.charges[u][1] for u in astar.members), Fraction(0))
     report.identity_ok = total == astar.total_w
     return report
@@ -338,7 +338,7 @@ def ref_classify_one(g, a, maps, params, u):
     eps_p = params.eps_prime
     nbrs = _solution_neighbors(g, a, maps, u)
     v1 = _anchor(g, a, maps, u)
-    wn = g.weight_of(nbrs)
+    wn = w_of(g, nbrs)
     charge = w[u] - wn / 2
     v2 = None
     if u in a.members:
@@ -405,7 +405,7 @@ def ref_certify(g, a, astar, params, d=None):
     d_eff = d if d is not None else g.d
     if d_eff is not None:
         nb_total = sum(
-            (g.weight_of(_solution_neighbors(g, a, maps, u)) / 2 for u in astar.members),
+            (w_of(g, _solution_neighbors(g, a, maps, u)) / 2 for u in astar.members),
             Fraction(0),
         )
         report.neighborhood_bound_ok = nb_total <= Fraction(d_eff - 1, 2) * a.total_w

@@ -3,6 +3,7 @@ import gc
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 from typing import Optional
 from unittest import mock
@@ -13,10 +14,14 @@ import pytest
 from conftest import (
     PrimeWeights,
     aux_graph_of,
+    charge_to_anchor,
     enumerate_colorful_cycles,
+    gen_berman_tight,
     positional,
     ref_aux_sides,
     tight_copies,
+    w2_of,
+    w_of,
 )
 
 from clawpack import circular
@@ -30,12 +35,10 @@ from clawpack.circular import (
     SearchIncompleteError,
     _assemble,
     _colorful_cycles,
-    _independent_subsets,
     _two_cycle_candidates,
     aux_edge_check,
     build_anchor_maps,
     build_aux_graph,
-    charge_to_anchor,
     find_circular_improvement,
     max_cycle_len_for,
     repetitions_for,
@@ -43,7 +46,7 @@ from clawpack.circular import (
     trial_success_bound,
     validate_circular,
 )
-from clawpack.generators import berman_tight_instance, gen_berman_tight, gen_random_packing
+from clawpack.generators import berman_tight_instance, gen_random_packing
 from clawpack.instances import (
     ConflictGraph,
     ContractError,
@@ -316,15 +319,15 @@ def test_improvement_chain_recomputed_term_by_term():
         for v in (maps.heaviest[u], maps.second[u]):
             occurrences[v] = occurrences.get(v, 0) + 1
     assert occurrences == {v: 2 for v in k.cycle_vertices}
-    mid = g.squared_weight_of(k.cycle_vertices)
+    mid = w2_of(g, k.cycle_vertices)
     for u in k.u:
-        mid += g.squared_weight_of(
-            x for x in maps.a_neighbors[u] if x not in (maps.heaviest[u], maps.second[u])
+        mid += w2_of(
+            g, [x for x in maps.a_neighbors[u] if x not in (maps.heaviest[u], maps.second[u])]
         )
     for v, ys in y.items():
         for x in ys:
-            mid += g.squared_weight_of(z for z in maps.a_neighbors[x] if z != v)
-    assert g.squared_weight_of(imp.x) > mid >= g.squared_weight_of(imp.removed)
+            mid += w2_of(g, [z for z in maps.a_neighbors[x] if z != v])
+    assert w2_of(g, imp.x) > mid >= w2_of(g, imp.removed)
 
 
 @pytest.mark.parametrize("fixture", ["berman4", "berman5", "parallel", "forest"])
@@ -381,7 +384,7 @@ def test_soundness_revalidation_fields():
     assert all(len(ys) <= 5 for ys in y.values())
     for u in k.u:
         assert aux_edge_check(u, y[maps.heaviest[u]], y[maps.second[u]], g, a, maps)
-    assert g.squared_weight_of(imp.x) > g.squared_weight_of(imp.removed)
+    assert w2_of(g, imp.x) > w2_of(g, imp.removed)
 
 
 # ------------------------------------------------- integer anchor maps and aux graph
@@ -414,12 +417,13 @@ def ref_build_aux_graph(g, a, maps, params):
     y_cap = min(params.y_cap, d_eff - 1)
     anchored = {}
     for u in sorted(maps.heaviest):
-        if g.weights[u] - g.weight_of(maps.a_neighbors[u]) / 2 > 0:
+        if g.weights[u] - w_of(g, maps.a_neighbors[u]) / 2 > 0:
             anchored.setdefault(maps.heaviest[u], []).append(u)
     h = SimpleNamespace(vertices=[], edges=[])
     vid_by_anchor = {}
     for v in sorted(a.members):
-        subsets = _independent_subsets(g, anchored.get(v, []), y_cap)
+        cands = anchored.get(v, [])
+        subsets = [y for k in range(y_cap + 1) for y in combinations(cands, k) if g.is_independent(y)]
         subsets.sort(key=lambda y: (-len(y), y))
         ids = []
         for y in subsets:
@@ -548,7 +552,7 @@ def test_integer_aux_graph_matches_fraction_build(kind):
         seen["edges"] += len(got.edges)
         seen["companions"] += sum(1 for v in got.vertices.values() if v.y)
         seen["excluded"] += sum(
-            1 for u in maps.heaviest if 2 * g.weights[u] == g.weight_of(maps.a_neighbors[u])
+            1 for u in maps.heaviest if 2 * g.weights[u] == w_of(g, maps.a_neighbors[u])
         )
     assert seen["edges"] > 0 and seen["companions"] > 0
     if kind == "ties":

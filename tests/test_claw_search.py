@@ -14,7 +14,7 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights, ref_aux_sides, tight_copies
+from conftest import PrimeWeights, ref_aux_sides, tight_copies, w2_of, w_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -261,7 +261,7 @@ def test_integer_claw_search_is_exact():
         for u in outside[:3]:
             # one talon against its whole solution neighborhood, a hair
             # above or below (or level with) the tie
-            target = g.squared_weight_of(g.adj_sets[u] & a.members)
+            target = w2_of(g, g.adj_sets[u] & a.members)
             weights = list(g.weights)
             weights[u] = pw.near_root(target, 2, above=rng.random() < 0.5)
             graphs.append(g.reweighted(weights))
@@ -349,9 +349,9 @@ def checked_apply():
 
     def apply(self, imp):
         g = self.g
-        assert imp.delta_w2(g) == g.squared_weight_of(imp.x) - g.squared_weight_of(imp.removed)
+        assert imp.delta_w2(g) == w2_of(g, imp.x) - w2_of(g, imp.removed)
         original(self, imp)
-        assert self.total_w == g.weight_of(self.members)
+        assert self.total_w == w_of(g, self.members)
         kinds[imp.kind_name()] += 1
 
     with mock.patch.object(Solution, "apply", apply):
@@ -416,4 +416,4 @@ def test_apply_with_distinct_denominators():
     a = Solution.of(g, {0, 2})
     a.apply(imp)
     assert a.members == {1, 2}
-    assert a.total_w == g.weight_of({1, 2}) == Fraction(2, 7) + Fraction(5, 11)
+    assert a.total_w == w_of(g, {1, 2}) == Fraction(2, 7) + Fraction(5, 11)

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_force_mwis, circular_improvement_exists_bruteforce
+from conftest import brute_force_mwis, charge_to_anchor, circular_improvement_exists_bruteforce
 
 from clawpack.circular import (
     ColorCodingParams,
@@ -114,8 +114,6 @@ def test_companion_restriction_gap_is_detectable():
     assert find_claw_improvement(g, a) is None
     maps = build_anchor_maps(g, a)
     # companions charge exactly zero: outside the candidate filter
-    from clawpack.circular import charge_to_anchor
-
     assert all(charge_to_anchor(g, maps, c) == 0 for c in range(8, 12))
     got = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g))
     assert got is None
@@ -172,19 +170,18 @@ def test_verify_claw_free_matches_bruteforce(seed):
     g = ConflictGraph.from_edges(n, sorted(edges), [1] * n)
     for d in (2, 3, 4):
         ok, witness = verify_claw_free(g, d)
-        brute = any(
-            any(
-                g.is_independent(combo) and all(g.has_edge(c, x) for x in combo)
+        # the first center, then its lexicographically first talon set
+        brute = next(
+            (
+                (c, combo)
+                for c in range(n)
                 for combo in combinations(g.adj[c], d)
-            )
-            for c in range(n)
-            if g.degree(c) >= d
+                if g.is_independent(combo) and all(g.has_edge(c, x) for x in combo)
+            ),
+            None,
         )
-        assert ok == (not brute)
-        if witness is not None:
-            c, talons = witness
-            assert g.is_independent(talons)
-            assert all(g.has_edge(c, x) for x in talons)
+        assert ok == (brute is None)
+        assert witness == brute
 
 
 @pytest.mark.parametrize("mode", ["squareimp", "logimp"])

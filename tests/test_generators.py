@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from conftest import gen_berman_tight
 
 from clawpack import formats
 from clawpack.generators import (
@@ -11,7 +12,6 @@ from clawpack.generators import (
     complete_bipartite,
     complete_graph,
     gen_alternating_cycle,
-    gen_berman_tight,
     gen_high_girth_regular,
     gen_incidence_lowerbound,
     gen_random_packing,

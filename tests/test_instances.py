@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from conftest import gen_berman_tight, w2_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +16,12 @@ from clawpack.instances import (
     PackingInstance,
     Solution,
     build_conflict_graph,
+    independent_subsets,
     neighborhood,
     validate_improvement,
     verify_claw_free,
     verify_solution,
 )
-from clawpack.generators import gen_berman_tight
 
 
 def test_neighborhood_membership_alone_suffices():
@@ -58,6 +60,33 @@ def test_neighborhood_monotone(data):
     big = neighborhood(u1 | extra, w, g)
     assert small <= big
     assert big <= w
+
+
+
+def independent_combinations(g, cands, cap):
+    """The independent subsets of 1..cap of sorted `cands`, lexicographically."""
+    return sorted(c for k in range(1, cap + 1) for c in combinations(cands, k) if g.is_independent(c))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_independent_subsets_lists_the_independent_combinations_in_order(data):
+    n = data.draw(st.integers(1, 9))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    g = ConflictGraph.from_edges(n, [e for e in edges if e[0] != e[1]], [1] * n)
+    cands = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    cap = data.draw(st.integers(0, n + 2))
+    assert list(independent_subsets(g, cands, cap)) == independent_combinations(g, cands, cap)
+
+
+@pytest.mark.parametrize(
+    "cands, cap",
+    [([0, 1, 2, 3, 4], 0), ([], 3), ([1, 3, 4], 5), ([2, 3, 4], 2), ((1, 2, 4), 3)],
+)
+def test_independent_subsets_edge_cases(cands, cap):
+    # path 0-1-2-3 plus the isolated vertex 4
+    g = ConflictGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)], [1] * 5)
+    assert list(independent_subsets(g, cands, cap)) == independent_combinations(g, cands, cap)
 
 
 def test_every_vertex_sees_maximal_solution():
@@ -138,7 +167,7 @@ def test_verify_solution_cases(unit_path3):
 def test_verify_solution_berman_b_side():
     g, _, b = gen_berman_tight(4)
     assert verify_solution(g, b)
-    assert g.squared_weight_of(b.members) == 6
+    assert w2_of(g, b.members) == 6
 
 
 def test_claw_free_bounds_solution_neighborhoods():

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_improvement_exists, brute_force_mwis
+from conftest import brute_force_improvement_exists, brute_force_mwis, gen_berman_tight, w2_of
 
-from clawpack.generators import gen_alternating_cycle, gen_berman_tight, gen_random_packing
+from clawpack.generators import gen_alternating_cycle, gen_random_packing
 from clawpack.instances import (
     BudgetExceededError,
     ConflictGraph,
@@ -69,10 +69,10 @@ def test_berman_alpha_two_improvement_exists():
     g, a, _ = gen_berman_tight(4)
     imp = exhaustive_improvement_search(g, a, Fraction(2), 6)
     assert imp is not None
-    assert g.squared_weight_of(imp.x) > g.squared_weight_of(imp.removed)
+    assert w2_of(g, imp.x) > w2_of(g, imp.removed)
     # the full opposite side qualifies as a witness
     b = frozenset(range(3, 9))
-    assert g.squared_weight_of(b) == 6 > 3
+    assert w2_of(g, b) == 6 > 3
 
 
 def test_alternating_cycle_alpha_minus_one_no_improvement():

@@ -14,7 +14,7 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights
+from conftest import PrimeWeights, w_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,7 +75,7 @@ def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cliques=None):
             best_set = set(cur)
         if not cands:
             return
-        if cur_w + g.weight_of(cands) <= best_w:
+        if cur_w + w_of(g, cands) <= best_w:
             return
         cand_set = set(cands)
         if cliques is not None:
@@ -152,7 +152,7 @@ def prime_weighted_graphs(draw, max_n: int = 14):
     tie = draw(st.sampled_from((None, "level", "above", "below")))
     v = draw(st.integers(0, n - 1))
     if tie is not None and g.adj[v]:
-        weights[v] = g.weight_of(g.adj[v])
+        weights[v] = w_of(g, g.adj[v])
         if tie != "level":
             weights[v] = pw.near_root(weights[v], 1, above=tie == "above")
         g = g.reweighted(weights)

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from conftest import gen_berman_tight, w_of
 
 from clawpack import solvers
 from clawpack.generators import (
     gen_alternating_cycle,
-    gen_berman_tight,
     gen_random_packing,
 )
 from clawpack.instances import ConflictGraph, InputError, Solution, build_conflict_graph, verify_solution
@@ -242,5 +242,5 @@ def test_start_over_another_graph_weighs_in_the_run_graph():
     g2 = g1.reweighted([1] * g1.n)
     tr = solve(g2, SolverConfig(mode="squareimp"), start=greedy(g1))
     assert verify_solution(g2, tr.final)
-    assert tr.final.total_w == g2.weight_of(tr.final.members) == len(tr.final)
+    assert tr.final.total_w == w_of(g2, tr.final.members) == len(tr.final)
     assert tr.to_json_obj()["final_weight"] == f"{len(tr.final)}/1"
