@@ -27,8 +27,10 @@ are recomputed. The state holds one aux graph by id, vertices, edges and
 each vertex's sorted incident edge ids, and changes it only where a block is
 built or dropped; ids sort in the from-scratch order, so a call returns that
 graph as it stands, and the 2-cycle scan reads only the anchor pairs that
-two or more inducers share. Called without a state, `build_anchor_maps` and
-`build_aux_graph` use a fresh one, which builds everything. The DP works out
+two or more inducers share. The state is built once per run from the
+graph, the search parameters, the claw bound, the packing instance and the
+random generator, and fixes what they fix: the companion-set cap, the cycle
+length bound and whether color coding can run. The DP works out
 a vertex's color masks, step table and first layer only when it first
 reaches that vertex, and yields each candidate as soon as the state that
 closes it is built, so a search that stops at the first candidate that
@@ -99,13 +101,38 @@ def build_anchor_maps(g: ConflictGraph, a: Solution, state: Optional["CircularSt
     neighbors exactly as the rational weights do. With the run's
     `CircularState`, only the vertices next to the swaps since its last
     call are recomputed, and the state's own maps are returned; without
-    one, a fresh state builds them all. A caller that passes a state must
-    hand it (`CircularState.update`) every swap applied to `a` since that
-    call; after a call that raised, the next recomputes every vertex.
+    one, new maps of every vertex are built. A caller that passes a state
+    must hand it (`CircularState.update`) every swap applied to `a` since
+    that call; after a call that raised, the next recomputes every vertex.
     """
-    if state is None:
-        state = CircularState(g)
-    return state.update_maps(a)
+    if state is not None:
+        return state.update_maps(a)
+    maps = AnchorMaps({}, {}, {})
+    _map_vertices(g, a.members, range(g.n), maps)
+    return maps
+
+
+def _map_vertices(g: ConflictGraph, members: set[int], touched: Iterable[int], maps: AnchorMaps) -> None:
+    """Set the anchor-map entries of every vertex in `touched` from `members`:
+    drop those of a member, recompute those of an outside vertex."""
+    heaviest, second, a_nbrs = maps.heaviest, maps.second, maps.a_neighbors
+    w = g.w_int
+    for u in touched:
+        if u in members:
+            if u in a_nbrs:
+                del heaviest[u], a_nbrs[u]
+                second.pop(u, None)
+            continue
+        nu = tuple(v for v in g.adj[u] if v in members)
+        if not nu:
+            raise ContractError(f"vertex {u} has no solution neighbor; solution not maximal")
+        a_nbrs[u] = nu
+        ranked = sorted(nu, key=lambda v: (-w[v], v))
+        heaviest[u] = ranked[0]
+        if len(ranked) > 1:
+            second[u] = ranked[1]
+        else:
+            second.pop(u, None)
 
 
 def aux_edge_check(
@@ -153,16 +180,14 @@ def repetitions_for(t: int, m: int, failure_prob: Fraction = Fraction(1, 1000)) 
         raise InputError(f"support size {m} exceeds color count {t}")
     if p == 1:
         return 1
-    reps = math.ceil(math.log(1 / float(failure_prob)) / -math.log1p(-float(p)))
-    return max(1, reps)
-
-
-def _claw_bound(g: ConflictGraph, d: Optional[int]) -> int:
-    """The claw bound a circular search works with: `d`, else the graph's,
-    else n + 1, which no claw in the graph reaches."""
-    if d is not None:
-        return d
-    return g.d if g.d is not None else g.n + 1
+    miss = -math.log1p(-float(p))
+    if miss > 0:
+        reps = math.log(1 / float(failure_prob)) / miss
+        if reps < math.inf:
+            return max(1, math.ceil(reps))
+    # p is below float range. (1 - p)^r <= exp(-r p), and exp(-1/f) <= f,
+    # so r = 1 / (f p), computed exactly, is enough.
+    return math.ceil(1 / (failure_prob * p))
 
 
 def max_cycle_len_for(n: int) -> int:
@@ -206,7 +231,7 @@ class ColorCodingParams:
         n = max(2, g.n)
         L = max_cycle_len_for(g.n)
         if inst is None:
-            return ColorCodingParams(t=1, repetitions=1, max_cycle_len=L, mode="exhaustive")
+            return ColorCodingParams(t=1, repetitions=1, max_cycle_len=L, mode=mode)
         k = inst.k
         in_use = len(set().union(*inst.sets)) if inst.sets else 1
         t = 4 * (k + 1) * k * math.ceil(math.log2(n))
@@ -314,13 +339,35 @@ class CircularState:
 
     The maps and the aux graph's dicts the state returns are its own and
     change at its next call.
+
+    The state is built from what the run fixes: the graph, the search
+    parameters, the claw bound `d`, the packing instance (None for a bare
+    graph) and the random generator color coding draws from. It caps
+    companion sets at `y_cap = min(params.y_cap, d - 1)` and cycles at
+    `max_len`, the lesser of `params.max_cycle_len` and the bound at the
+    graph's size, and rejects rand mode without a packing instance.
     """
 
-    def __init__(self, g: ConflictGraph, maps: Optional[AnchorMaps] = None):
+    def __init__(
+        self,
+        g: ConflictGraph,
+        params: ColorCodingParams,
+        d: int,
+        inst: Optional[PackingInstance],
+        rng: random.Random,
+    ):
+        if params.mode == "rand" and inst is None:
+            raise InputError("randomized circular search needs the packing instance")
         self.g = g
-        self.maps = maps if maps is not None else AnchorMaps({}, {}, {})
+        self.params = params
+        self.d = d
+        self.inst = inst
+        self.rng = rng
+        self.y_cap = min(params.y_cap, d - 1)
+        self.max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
+        self.maps = AnchorMaps({}, {}, {})
         self._moved: Optional[set[int]] = None  # None: rebuild all maps next
-        self._remapped: set[int] = set(self.maps.heaviest)
+        self._remapped: set[int] = set()
         self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
         self._vblocks: dict[int, _VertexBlock] = {}
         self._eblocks: dict[int, _EdgeBlock] = {}  # only blocks with checks
@@ -331,7 +378,6 @@ class CircularState:
         self._shared: set[tuple[int, int]] = set()  # the pairs with two or more inducers
         self._dirty_u: set[int] = set()
         self.checks = 0  # edge checks the blocks hold: the last aux graph's count
-        self._y_cap: Optional[int] = None  # the y_cap the blocks were built for
 
     def update(self, imp: Improvement) -> None:
         """Note the vertices that `imp`, applied to A, moved in or out."""
@@ -341,7 +387,6 @@ class CircularState:
     def update_maps(self, a: Solution) -> AnchorMaps:
         """The anchor maps of `a`, recomputed next to the swaps since the last call."""
         g = self.g
-        members = a.members
         moved = self._moved
         self._moved = None  # an error below leaves a full rebuild for next time
         if moved is None:
@@ -352,24 +397,7 @@ class CircularState:
             for v in moved:
                 touched.update(g.adj[v])
         self._remapped.update(touched)
-        heaviest, second, a_nbrs = self.maps.heaviest, self.maps.second, self.maps.a_neighbors
-        w = g.w_int
-        for u in touched:
-            if u in members:
-                if u in a_nbrs:
-                    del heaviest[u], a_nbrs[u]
-                    second.pop(u, None)
-                continue
-            nu = tuple(v for v in g.adj[u] if v in members)
-            if not nu:
-                raise ContractError(f"vertex {u} has no solution neighbor; solution not maximal")
-            a_nbrs[u] = nu
-            ranked = sorted(nu, key=lambda v: (-w[v], v))
-            heaviest[u] = ranked[0]
-            if len(ranked) > 1:
-                second[u] = ranked[1]
-            else:
-                second.pop(u, None)
+        _map_vertices(g, a.members, touched, self.maps)
         self._moved = set()
         return self.maps
 
@@ -407,14 +435,14 @@ class CircularState:
             u for u in self.g.adj[v] if u in second and (heaviest[u] == v or second[u] == v)
         )
 
-    def _add_vertex_block(self, v: int, y_cap: int) -> None:
+    def _add_vertex_block(self, v: int) -> None:
         g = self.g
         anchor = self._anchor
         cands = [u for u in g.adj[v] if anchor.get(u) == v]  # sorted, as g.adj[v] is
         w2 = g.w2_int
         a_nbrs = self.maps.a_neighbors
         spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
-        ys = [(), *independent_subsets(g, cands, y_cap)]
+        ys = [(), *independent_subsets(g, cands, self.y_cap)]
         ys.sort(key=lambda y: (-len(y), y))
         base = v << _ID_SHIFT
         ids = range(base, base + len(ys))
@@ -508,20 +536,15 @@ class CircularState:
                     shared.add(key)
         self.checks = total
 
-    def aux_graph(self, a: Solution, params: ColorCodingParams, d: Optional[int] = None) -> AuxGraph:
+    def aux_graph(self, a: Solution) -> AuxGraph:
         """The aux graph over `a` and the state's maps; see `build_aux_graph`."""
-        y_cap = min(params.y_cap, _claw_bound(self.g, d) - 1)
-        if self._y_cap != y_cap:
-            self._y_cap = y_cap
-            self._vblocks.clear()
-            self._vertices.clear()
-            self._incident.clear()
-            self._dirty_u.update(self.maps.second)
+        if self._moved is None or self._moved:
+            raise ContractError("anchor maps are stale: build_anchor_maps after every swap")
         members = a.members
         self._reanchor(members)
         self._drop_edge_blocks()
         for v in members.difference(self._vblocks):
-            self._add_vertex_block(v, y_cap)
+            self._add_vertex_block(v)
         # A cap is crossed when a count passes it.
         if len(self._vertices) > _MAX_AUX_VERTICES:
             raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
@@ -534,14 +557,7 @@ class CircularState:
         return AuxGraph(self._vertices, self._edges, self._incident, parallel)
 
 
-def build_aux_graph(
-    g: ConflictGraph,
-    a: Solution,
-    maps: AnchorMaps,
-    params: ColorCodingParams,
-    d: Optional[int] = None,
-    state: Optional[CircularState] = None,
-) -> AuxGraph:
+def build_aux_graph(state: CircularState, a: Solution) -> AuxGraph:
     """Materialize the restricted auxiliary multigraph.
 
     Companion-set candidates at each anchor are the outside vertices mapped
@@ -558,15 +574,12 @@ def build_aux_graph(
     not depend on u because every x in y has v as its heaviest anchor. The
     edge exists iff base(u) > net(y1) + net(y2).
 
-    With the run's `CircularState`, `maps` must be the maps it returned, and
-    only the blocks the last swaps touched are rebuilt; without one, a fresh
-    state builds every block from `maps`.
+    The graph is built over the state's anchor maps, which must be current:
+    `build_anchor_maps(g, a, state)` after the last swap handed to the state,
+    else `ContractError`. Only the blocks the swaps since the last call
+    touched are rebuilt.
     """
-    if state is None:
-        state = CircularState(g, maps)
-    elif maps is not state.maps:
-        raise ContractError("anchor maps were not built with this circular state")
-    return state.aux_graph(a, params, d)
+    return state.aux_graph(a)
 
 
 def _assemble(
@@ -864,85 +877,56 @@ def _draw_coloring(rng: random.Random, t: int, n: int) -> list[int]:
     return coloring
 
 
-def _first_valid(g: ConflictGraph, a: Solution, maps: AnchorMaps, h: AuxGraph,
-                 candidates: Iterable[tuple[list[int], list[int]]], d: Optional[int]) -> Optional[Improvement]:
+def _first_valid(state: CircularState, a: Solution, h: AuxGraph,
+                 candidates: Iterable[tuple[list[int], list[int]]]) -> Optional[Improvement]:
     """The first candidate cycle of `h` that assembles into an improvement
     `validate_circular` accepts, or None."""
+    g = state.g
     for vorder, eorder in candidates:
         imp = _assemble(g, a, h, vorder, eorder)
-        if validate_circular(g, a, maps, imp, d=d):
+        if validate_circular(g, a, state.maps, imp, d=state.d):
             return imp
     return None
 
 
-def run_color_coding(
-    g: ConflictGraph,
-    a: Solution,
-    maps: AnchorMaps,
-    params: ColorCodingParams,
-    inst: PackingInstance,
-    rng: random.Random,
-    h: Optional[AuxGraph] = None,
-    d: Optional[int] = None,
-) -> Optional[Improvement]:
-    """Randomized circular search: repeat (color universe, run the cycle DP).
+def run_color_coding(state: CircularState, a: Solution, h: AuxGraph) -> Optional[Improvement]:
+    """Randomized circular search over the aux graph `h` of `a`: repeat
+    (color the universe, run the cycle DP).
 
     Sound in every trial; finds an existing improvement with probability at
-    least the injectivity bound per trial, amplified over repetitions. `d`
-    is the claw bound for the aux graph and for validation, as in
-    `find_circular_improvement`.
+    least the injectivity bound per trial, amplified over repetitions.
     """
-    if inst is None:
-        raise InputError("randomized circular search needs the packing instance")
-    if h is None:
-        h = build_aux_graph(g, a, maps, params, d=d)
     if not h.edges:
         return None
-    max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
+    params, inst = state.params, state.inst
     for _ in range(params.repetitions):
-        coloring = _draw_coloring(rng, params.t, inst.universe_size)
+        coloring = _draw_coloring(state.rng, params.t, inst.universe_size)
         vmask, emask = _color_masks(h, inst, coloring)
-        imp = _first_valid(g, a, maps, h, _colorful_cycles(h, vmask, emask, max_len, _MAX_DP_STATES), d)
+        imp = _first_valid(state, a, h, _colorful_cycles(h, vmask, emask, state.max_len, _MAX_DP_STATES))
         if imp is not None:
             return imp
     return None
 
 
-def find_circular_improvement(
-    g: ConflictGraph,
-    a: Solution,
-    maps: AnchorMaps,
-    params: ColorCodingParams,
-    inst: Optional[PackingInstance] = None,
-    rng: Optional[random.Random] = None,
-    d: Optional[int] = None,
-    state: Optional[CircularState] = None,
-) -> Optional[Improvement]:
+def find_circular_improvement(state: CircularState, a: Solution) -> Optional[Improvement]:
     """Search for a circular improvement of w^2(A).
 
     Requires that no claw-shaped improvement exists (the anchor maps are
-    then total). Parallel-edge 2-cycles are scanned first; longer cycles go
-    through the exhaustive DFS or the color-coding search depending on
-    params.mode. Every returned improvement is re-validated field by field.
-    `state`, when given, is the run's `CircularState` that built `maps`.
+    then total) and that the state's maps are those of `a`. Parallel-edge
+    2-cycles are scanned first; longer cycles go through the exhaustive DFS
+    or the color-coding search depending on the state's mode. Every
+    returned improvement is re-validated field by field.
     """
-    h = build_aux_graph(g, a, maps, params, d=d, state=state)
-    imp = _first_valid(g, a, maps, h, _two_cycle_candidates(g, h), d)
+    h = build_aux_graph(state, a)
+    imp = _first_valid(state, a, h, _two_cycle_candidates(state.g, h))
     if imp is not None:
         return imp
-    if params.mode == "rand":
-        return run_color_coding(g, a, maps, params, inst, rng or random.Random(0), h=h, d=d)
-    max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
-    return _first_valid(g, a, maps, h, _dfs_cycles(g, h, max_len, _MAX_DFS_NODES), d)
+    if state.params.mode == "rand":
+        return run_color_coding(state, a, h)
+    return _first_valid(state, a, h, _dfs_cycles(state.g, h, state.max_len, _MAX_DFS_NODES))
 
 
-def validate_circular(
-    g: ConflictGraph,
-    a: Solution,
-    maps: AnchorMaps,
-    imp: Improvement,
-    d: Optional[int] = None,
-) -> bool:
+def validate_circular(g: ConflictGraph, a: Solution, maps: AnchorMaps, imp: Improvement, d: int) -> bool:
     """Re-validate a circular improvement field by field.
 
     `validate_improvement` checks x, removed = N(x, A) and the strict
@@ -982,10 +966,9 @@ def validate_circular(
     y_map = kind.y_map()
     if set(y_map) != set(cyc):
         return False
-    d_eff = _claw_bound(g, d)
     rest = x - set(u_list)
     for v, ys in y_map.items():
-        if len(ys) > d_eff - 1:
+        if len(ys) > d - 1:
             return False
         if any(x_ not in rest or maps.heaviest[x_] != v for x_ in ys):
             return False

@@ -304,16 +304,16 @@ def logimp(
     swaps since the last one touched."""
     d = _resolve_d(g, cfg.d)
     params = cfg.circular if cfg.circular is not None else ColorCodingParams.defaults(g, inst)
-    rng = random.Random(cfg.rng_seed)
+    circ = CircularState(g, params, d, inst, random.Random(cfg.rng_seed))
     a = Solution.of(g, start.members if start else ())
-    claw, circ = ClawSearchState(g, a), CircularState(g)
+    claw = ClawSearchState(g, a)
 
     def step() -> Optional[Improvement]:
         imp = find_claw_improvement(g, a, d, state=claw)
         if imp is not None:
             return imp
-        maps = build_anchor_maps(g, a, circ)
-        return find_circular_improvement(g, a, maps, params, inst=inst, rng=rng, d=d, state=circ)
+        build_anchor_maps(g, a, circ)
+        return find_circular_improvement(circ, a)
 
     trace = _loop(a, step, [claw, circ])
     if params.y_cap < d - 1:

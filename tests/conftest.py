@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from clawpack.circular import AnchorMaps, AuxEdge, AuxGraph
+from clawpack.circular import AnchorMaps, AuxEdge, AuxGraph, CircularState, ColorCodingParams, build_anchor_maps
 from clawpack.generators import berman_tight_instance
 from clawpack.instances import ConflictGraph, PackingInstance, Solution, build_conflict_graph
 
@@ -21,6 +21,20 @@ def gen_berman_tight(d: int) -> tuple[ConflictGraph, Solution, Solution]:
     """The tight instance's conflict graph with both sides as solutions."""
     g = build_conflict_graph(berman_tight_instance(d))
     return g, Solution.of(g, range(d - 1)), Solution.of(g, range(d - 1, g.n))
+
+
+def circular_state(g: ConflictGraph, a: Solution, params=None, inst=None, d=None, rng=None) -> CircularState:
+    """A new `CircularState` holding the anchor maps of `a`, for a circular
+    search outside a run. `params` default to `ColorCodingParams.defaults(g,
+    inst)`, `d` to the graph's claw bound, else n + 1, which no claw
+    reaches, and the generator to `random.Random(0)`."""
+    if params is None:
+        params = ColorCodingParams.defaults(g, inst)
+    if d is None:
+        d = g.d if g.d is not None else g.n + 1
+    state = CircularState(g, params, d, inst, rng if rng is not None else random.Random(0))
+    build_anchor_maps(g, a, state)
+    return state
 
 
 def w_of(g: ConflictGraph, vertices) -> Fraction:

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 from click.testing import CliRunner
 
-from conftest import aux_graph_of, enumerate_colorful_cycles, gen_berman_tight, positional
+from conftest import aux_graph_of, circular_state, enumerate_colorful_cycles, gen_berman_tight, positional
 
 from clawpack.certify import AnalysisParams, certify_local_optimum
 from clawpack.circular import (
@@ -22,6 +22,7 @@ from clawpack.circular import (
     ColorCodingParams,
     _colorful_cycles,
     build_anchor_maps,
+    build_aux_graph,
     find_circular_improvement,
     repetitions_for,
     run_color_coding,
@@ -93,7 +94,7 @@ def test_criterion_2_logimp_beats_tight():
     for d in (4, 5, 6):
         g, a, _ = gen_berman_tight(d)
         maps = build_anchor_maps(g, a)
-        imp = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g))
+        imp = find_circular_improvement(circular_state(g, a), a)
         assert imp is not None
         assert validate_circular(g, a, maps, imp, d=d)
         tr = solve(g, SolverConfig(mode="logimp"), start=a)
@@ -217,7 +218,8 @@ def test_criterion_5_color_coding():
     params = ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode="rand")
     wins = 0
     for trial in range(100):
-        imp = run_color_coding(g, a, maps, params, inst, random.Random(5000 + trial))
+        state = circular_state(g, a, params, inst, rng=random.Random(5000 + trial))
+        imp = run_color_coding(state, a, build_aux_graph(state, a))
         if imp is not None and validate_circular(g, a, maps, imp, d=4):
             wins += 1
     assert wins >= 99

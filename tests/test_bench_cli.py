@@ -381,6 +381,28 @@ def test_cli_solve_mwis_file_with_claw_bound(tmp_path, runner):
     assert json.loads(r.output)["final_members"]
 
 
+def test_cli_rand_circular_search_needs_the_packing_instance(tmp_path, runner):
+    path = tmp_path / "c.mwis"
+    runner.invoke(main, ["gen", "cycle", "--pairs", "3", "--d", "4", "--eps", "1/2", "--out", str(path)])
+    r = runner.invoke(main, ["solve", "--algo", "logimp", "--d", "4", "--cc-mode", "rand", "--in", str(path)])
+    assert r.exit_code == 1
+    assert r.output == "Error: randomized circular search needs the packing instance\n"
+    assert isinstance(r.exception, SystemExit)
+
+
+def test_cli_logimp_on_a_packing_whose_injectivity_bound_underflows(tmp_path, runner):
+    """k=130 sets over 790 elements: the color-coding repetitions come from
+    an injectivity bound below float range, and the solve still succeeds."""
+    path = tmp_path / "big.ksp"
+    r_gen = runner.invoke(
+        main, ["gen", "random", "--sets", "40", "--k", "130", "--universe", "790", "--seed", "1", "--out", str(path)]
+    )
+    assert r_gen.exit_code == 0, r_gen.output
+    r = runner.invoke(main, ["solve", "--algo", "logimp", "--in", str(path)])
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["final_members"]
+
+
 def test_bench_path_instances(tmp_path, runner):
     inst_path = tmp_path / "r.ksp"
     runner.invoke(

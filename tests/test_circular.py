@@ -15,6 +15,7 @@ from conftest import (
     PrimeWeights,
     aux_graph_of,
     charge_to_anchor,
+    circular_state,
     enumerate_colorful_cycles,
     gen_berman_tight,
     positional,
@@ -124,7 +125,7 @@ def test_aux_edge_check_plain_arithmetic():
 def test_find_circular_berman_full_swap():
     _, g, a = berman_setup(4)
     maps = build_anchor_maps(g, a)
-    imp = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g))
+    imp = find_circular_improvement(circular_state(g, a), a)
     assert imp is not None
     assert imp.x == frozenset(range(3, 9))
     assert imp.removed == frozenset(range(3))
@@ -140,7 +141,7 @@ def test_forest_aux_graph_no_cycle():
     )
     a = Solution.of(g, {0, 1})
     maps = build_anchor_maps(g, a)
-    assert find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g)) is None
+    assert find_circular_improvement(circular_state(g, a), a) is None
 
 
 def test_parallel_edges_two_cycle():
@@ -152,7 +153,7 @@ def test_parallel_edges_two_cycle():
     g = build_conflict_graph(inst)
     a = Solution.of(g, {0, 1})
     maps = build_anchor_maps(g, a)
-    imp = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g), inst=inst)
+    imp = find_circular_improvement(circular_state(g, a, inst=inst), a)
     assert imp is not None
     assert imp.x == frozenset({2, 3})
     assert len(imp.kind.u) == 2
@@ -257,7 +258,8 @@ def test_run_color_coding_finds_planted_improvement():
     params = ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode="rand")
     wins = 0
     for trial in range(30):
-        imp = run_color_coding(g, a, maps, params, inst, random.Random(trial))
+        state = circular_state(g, a, params, inst, rng=random.Random(trial))
+        imp = run_color_coding(state, a, build_aux_graph(state, a))
         if imp is not None:
             assert validate_circular(g, a, maps, imp, d=4)
             wins += 1
@@ -267,25 +269,24 @@ def test_run_color_coding_finds_planted_improvement():
 def test_run_color_coding_soundness_no_improvement():
     inst, g, _ = berman_setup(4)
     b = Solution.of(g, range(3, 9))
-    maps = build_anchor_maps(g, b)
     params = ColorCodingParams(t=16, repetitions=20, max_cycle_len=12, mode="rand")
-    assert run_color_coding(g, b, maps, params, inst, random.Random(1)) is None
+    state = circular_state(g, b, params, inst, rng=random.Random(1))
+    assert run_color_coding(state, b, build_aux_graph(state, b)) is None
 
 
 def test_randomized_mode_unavailable_without_sets():
     g, a, _ = gen_berman_tight(4)
-    maps = build_anchor_maps(g, a)
     params = ColorCodingParams(t=8, repetitions=4, max_cycle_len=8, mode="rand")
-    with pytest.raises(InputError):
-        find_circular_improvement(g, a, maps, params, inst=None)
+    with pytest.raises(InputError, match="needs the packing instance"):
+        circular_state(g, a, params)
 
 
 def test_exhaustive_agrees_with_randomized_positive():
     inst, g, a = berman_setup(5)
-    maps = build_anchor_maps(g, a)
-    ex = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g), inst=inst)
+    ex = find_circular_improvement(circular_state(g, a, inst=inst), a)
     rparams = ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode="rand")
-    rd = run_color_coding(g, a, maps, rparams, inst, random.Random(5))
+    state = circular_state(g, a, rparams, inst, rng=random.Random(5))
+    rd = run_color_coding(state, a, build_aux_graph(state, a))
     assert ex is not None and rd is not None
 
 
@@ -299,6 +300,34 @@ def test_trial_bound_and_repetitions():
         repetitions_for(4, 5)
 
 
+def test_repetitions_when_the_bound_leaves_float_range():
+    """An injectivity bound p below float range (745 of 745 colors) still
+    gives a finite count, with (1 - p)^reps <= exp(-p reps) <= the failure
+    probability, and the defaults of a k=130 packing cap it at 10000."""
+    fail = Fraction(1, 1000)
+    p = trial_success_bound(745, 745)
+    reps = repetitions_for(745, 745, fail)
+    assert 0 < float(p) < 1e-300
+    assert float(p * reps) >= math.log(1 / float(fail))
+    inst = gen_random_packing(40, 130, 790, seed=1)
+    g = build_conflict_graph(inst)
+    params = ColorCodingParams.defaults(g, inst)
+    assert float(trial_success_bound(params.t, min(params.t, 6 * inst.k))) == 0
+    assert params.repetitions == 10_000
+
+
+def test_rand_defaults_without_sets_keep_the_mode():
+    """Rand-mode defaults for a bare graph stay in rand mode, which the
+    circular state then rejects, before any swap of a run."""
+    g, a, _ = gen_berman_tight(4)
+    params = ColorCodingParams.defaults(g, None, mode="rand")
+    assert params.mode == "rand"
+    with pytest.raises(InputError, match="needs the packing instance"):
+        CircularState(g, params, 4, None, random.Random(0))
+    with pytest.raises(InputError, match="needs the packing instance"):
+        logimp(g, SolverConfig(mode="logimp", circular=params), start=a)
+
+
 def test_max_cycle_len_formula():
     assert max_cycle_len_for(9) == 12  # 2^12 <= 9^4 < 2^13
     assert max_cycle_len_for(2) == 4
@@ -310,7 +339,7 @@ def test_improvement_chain_recomputed_term_by_term():
     # w2(X) > w2(cycle vertices) + spill terms >= w2(N(X,A))
     _, g, a = berman_setup(4)
     maps = build_anchor_maps(g, a)
-    imp = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g))
+    imp = find_circular_improvement(circular_state(g, a), a)
     k = imp.kind
     y = k.y_map()
     # every cycle vertex occurs exactly twice among the anchor pairs
@@ -346,7 +375,7 @@ def test_exhaustive_mode_matches_bruteforce_existence(fixture):
         )
         a = Solution.of(g, {0, 1})
     maps = build_anchor_maps(g, a)
-    got = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g))
+    got = find_circular_improvement(circular_state(g, a), a)
     expect = circular_improvement_exists_bruteforce(g, a, maps, d=g.d or 4)
     assert (got is not None) == expect
 
@@ -366,17 +395,16 @@ def test_aux_budget_raises_search_incomplete(monkeypatch):
     from clawpack.circular import SearchIncompleteError
 
     _, g, a = berman_setup(6)
-    maps = build_anchor_maps(g, a)
-    params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
+    state = circular_state(g, a, ColorCodingParams(t=1, repetitions=1, max_cycle_len=8))
     monkeypatch.setattr(circular, "_MAX_AUX_VERTICES", 2)
     with pytest.raises(SearchIncompleteError):
-        find_circular_improvement(g, a, maps, params)
+        find_circular_improvement(state, a)
 
 
 def test_soundness_revalidation_fields():
     _, g, a = berman_setup(6)
     maps = build_anchor_maps(g, a)
-    imp = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g))
+    imp = find_circular_improvement(circular_state(g, a), a)
     assert imp is not None
     k = imp.kind
     assert len(k.u) <= max_cycle_len_for(g.n)
@@ -543,11 +571,12 @@ def test_integer_aux_graph_matches_fraction_build(kind):
         )
         params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
         want, checks = ref_build_aux_graph(g, a, ref, params)
-        got = build_aux_graph(g, a, maps, params)
+        got = build_aux_graph(circular_state(g, a, params), a)
         assert aux_fields(positional(got)) == (want.vertices, want.edges)
         for cap in {0, checks // 2, checks - 1, checks, checks + 1} - {-1}:
             expect = aux_outcome(lambda: ref_build_aux_graph(g, a, ref, params)[0], "_MAX_AUX_EDGE_CHECKS", cap)
-            assert aux_outcome(lambda: positional(build_aux_graph(g, a, maps, params)), "_MAX_AUX_EDGE_CHECKS", cap) == expect
+            fresh = circular_state(g, a, params)
+            assert aux_outcome(lambda: positional(build_aux_graph(fresh, a)), "_MAX_AUX_EDGE_CHECKS", cap) == expect
             assert (expect == "incomplete") == (cap < checks)
         seen["edges"] += len(got.edges)
         seen["companions"] += sum(1 for v in got.vertices.values() if v.y)
@@ -570,7 +599,7 @@ def test_zero_charge_joins_no_companion_set():
     a = Solution.of(g, {0, 1, 2})
     maps = build_anchor_maps(g, a)
     assert charge_to_anchor(g, maps, 3) == 0 and charge_to_anchor(g, maps, 4) > 0
-    h = build_aux_graph(g, a, maps, ColorCodingParams(t=1, repetitions=1, max_cycle_len=8))
+    h = build_aux_graph(circular_state(g, a, ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)), a)
     ys = {x for v in h.vertices.values() for x in v.y}
     assert 3 not in ys and 4 in ys
 
@@ -604,8 +633,7 @@ def test_anchor_maps_and_aux_graph_build_no_fraction():
         raise AssertionError("Fraction built")
 
     with mock.patch.object(Fraction, "__new__", no_fraction):
-        maps = build_anchor_maps(g, a)
-        h = build_aux_graph(g, a, maps, params)
+        h = build_aux_graph(circular_state(g, a, params), a)
     assert h.edges
 
 
@@ -629,7 +657,12 @@ def aux_fields(h):
     return h.vertices, h.edges
 
 
-def check_state_against_fresh(g, a, state, params, d, call):
+def fresh_aux(g, a, state):
+    """The aux graph of `a` built by a new state with `state`'s parameters."""
+    return FRESH_AUX(circular_state(g, a, state.params, state.inst, state.d), a)
+
+
+def check_state_against_fresh(g, a, state, call):
     """The state's maps and aux graph for `a` against a fresh build, and the
     outcome under caps below and at the vertex and edge-check totals, built
     through the state. Even calls build uncapped first; odd calls try the
@@ -641,17 +674,16 @@ def check_state_against_fresh(g, a, state, params, d, call):
     assert (maps.heaviest, maps.second, maps.a_neighbors) == (
         fresh_maps.heaviest, fresh_maps.second, fresh_maps.a_neighbors
     )
-    fresh = CircularState(g, fresh_maps)
-    want = FRESH_AUX(g, a, fresh_maps, params, d, state=fresh)
-    assert aux_fields(want) == aux_fields(FRESH_AUX(g, a, fresh_maps, params, d))
+    fresh = circular_state(g, a, state.params, state.inst, state.d)
+    want = FRESH_AUX(fresh, a)
     n_vertices, n_checks = len(want.vertices), fresh.checks
     caps = [("_MAX_AUX_VERTICES", n) for n in {n_vertices - 1, n_vertices} if n >= 0]
     caps += [("_MAX_AUX_EDGE_CHECKS", n) for n in sorted({n_checks // 2, n_checks - 1, n_checks}) if n >= 0]
 
     def capped(order):
         for cap, n in order:
-            expect = aux_outcome(lambda: FRESH_AUX(g, a, fresh_maps, params, d), cap, n)
-            got = aux_outcome(lambda: FRESH_AUX(g, a, maps, params, d, state=state), cap, n)
+            expect = aux_outcome(lambda: fresh_aux(g, a, state), cap, n)
+            got = aux_outcome(lambda: FRESH_AUX(state, a), cap, n)
             assert got == expect
             below = n < (n_vertices if cap == "_MAX_AUX_VERTICES" else n_checks)
             assert (got == "incomplete") == below
@@ -659,7 +691,7 @@ def check_state_against_fresh(g, a, state, params, d, call):
     if call % 2:
         turn = (call // 2) % len(caps)
         capped(caps[turn:] + caps[:turn])
-    got = FRESH_AUX(g, a, maps, params, d, state=state)
+    got = FRESH_AUX(state, a)
     assert aux_fields(got) == aux_fields(want)
     assert state.checks == n_checks
     check_lookups(got)
@@ -879,15 +911,15 @@ class CheckedAuxBuild:
         self.current = None  # this call's graph, the fresh positional one, max_len
         self.seen = {"two_cycle": 0, "dfs": 0, "dp": 0, "colorings": 0}
 
-    def __call__(self, g, a, maps, params, d=None, state=None):
-        assert state is not None and maps is state.maps, "logimp must pass its circular state"
+    def __call__(self, state, a):
+        g = state.g
         if self.last is not None:
             self.moved += len(a.members ^ self.last)
         self.last = set(a.members)
-        got = check_state_against_fresh(g, a, state, params, d, self.calls)
+        got = check_state_against_fresh(g, a, state, self.calls)
         self.calls += 1
-        fresh = positional(FRESH_AUX(g, a, FRESH_MAPS(g, a), params, d))
-        max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
+        fresh = positional(fresh_aux(g, a, state))
+        max_len = min(state.params.max_cycle_len, max_cycle_len_for(g.n))
         two, dfs = check_searches_against_positional(g, got, fresh, max_len)
         self.seen["two_cycle"] += two
         self.seen["dfs"] += dfs
@@ -1001,7 +1033,7 @@ def test_circular_state_over_random_swaps(kind):
         g, a, _ = weighted_case(seed, kind)
         rng = random.Random(seed)
         params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
-        state = CircularState(g)
+        state = circular_state(g, a, params)
         members = set(a.members)
         for step in range(12):
             old = members
@@ -1011,8 +1043,8 @@ def test_circular_state_over_random_swaps(kind):
             sol = Solution.of(g, members)
             maps = build_anchor_maps(g, sol, state)
             assert maps is state.maps
-            h = check_state_against_fresh(g, sol, state, params, None, step)
-            fresh = positional(FRESH_AUX(g, sol, FRESH_MAPS(g, sol), params))
+            h = check_state_against_fresh(g, sol, state, step)
+            fresh = positional(fresh_aux(g, sol, state))
             two, dfs = check_searches_against_positional(g, h, fresh, params.max_cycle_len)
             seen["two_cycle"] += two
             seen["dfs"] += dfs
@@ -1030,9 +1062,8 @@ def test_circular_state_recovers_from_an_error():
     for seed in range(10):
         g, a, _ = weighted_case(seed, "prime")
         rng = random.Random(seed)
-        state = CircularState(g)
-        build_anchor_maps(g, a, state)
-        check_state_against_fresh(g, a, state, params, None, seed)
+        state = circular_state(g, a, params)
+        check_state_against_fresh(g, a, state, seed)
         members = random_swap(rng, g, a.members)
         state.update(Improvement(frozenset(members - a.members), frozenset(a.members - members)))
         r = min(members)
@@ -1047,7 +1078,7 @@ def test_circular_state_recovers_from_an_error():
         state.update(Improvement(frozenset(members - broken), frozenset()))
         sol = Solution.of(g, members)
         assert build_anchor_maps(g, sol, state) is state.maps
-        check_state_against_fresh(g, sol, state, params, None, seed + 1)
+        check_state_against_fresh(g, sol, state, seed + 1)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "rand"])
@@ -1060,24 +1091,32 @@ def test_circular_state_is_freed_without_cycle_collection(mode):
     params = ColorCodingParams.defaults(g, inst, mode=mode)
     gc.disable()
     try:
-        state = CircularState(g)
-        maps = build_anchor_maps(g, a, state)
-        imp = find_circular_improvement(g, a, maps, params, inst=inst, rng=random.Random(0), state=state)
+        state = circular_state(g, a, params, inst)
+        imp = find_circular_improvement(state, a)
         assert imp is not None
         alive = weak_ref(state)
-        del state, maps
+        del state
         assert alive() is None
     finally:
         gc.enable()
 
 
-def test_circular_state_rejects_foreign_maps():
+def test_circular_search_rejects_stale_maps():
+    """A state whose maps were never built, or that was handed a swap since
+    its last `build_anchor_maps`, refuses to search."""
     _, g, a = berman_setup(5)
-    state = CircularState(g)
-    build_anchor_maps(g, a, state)
     params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
-    with pytest.raises(ContractError):
-        build_aux_graph(g, a, build_anchor_maps(g, a), params, state=state)
+    with pytest.raises(ContractError, match="stale"):
+        find_circular_improvement(CircularState(g, params, g.d, None, random.Random(0)), a)
+    state = circular_state(g, a, params)
+    imp = find_circular_improvement(state, a)
+    assert imp is not None
+    a.apply(imp)
+    state.update(imp)
+    with pytest.raises(ContractError, match="stale"):
+        find_circular_improvement(state, a)
+    build_anchor_maps(g, a, state)
+    assert find_circular_improvement(state, a) is None
 
 
 def layered_colorful_candidates(h, vmask, emask, max_len, state_budget):
@@ -1196,7 +1235,7 @@ def test_dp_candidate_sequence_matches_layered_sweep():
         g = build_conflict_graph(inst)
         a = Solution.of(g, small)
         params = ColorCodingParams.defaults(g, inst, mode="rand")
-        h = build_aux_graph(g, a, build_anchor_maps(g, a), params)
+        h = build_aux_graph(circular_state(g, a, params, inst), a)
         assert h.edges
         for seed in range(6):
             crng = random.Random(seed)
@@ -1257,7 +1296,7 @@ def packing_aux_graphs():
         g = build_conflict_graph(inst)
         cases.append((inst, g, greedy(g)))
     for inst, g, a in cases:
-        h = build_aux_graph(g, a, build_anchor_maps(g, a), ColorCodingParams.defaults(g, inst), d=g.d)
+        h = build_aux_graph(circular_state(g, a, inst=inst), a)
         yield inst, g, h
 
 
@@ -1375,11 +1414,11 @@ def test_rand_mode_agrees_with_exhaustive_at_claw_fixed_points():
     for i, (inst, g, start) in enumerate(cases):
         a = squareimp(g, SolverConfig(mode="squareimp"), start=start).final
         maps = build_anchor_maps(g, a)
-        ex = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g, inst), inst=inst, d=g.d)
+        ex = find_circular_improvement(circular_state(g, a, inst=inst), a)
         params = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode="rand"), repetitions=200)
-        rd = find_circular_improvement(g, a, maps, params, inst=inst, rng=random.Random(i), d=g.d)
+        rd = find_circular_improvement(circular_state(g, a, params, inst, rng=random.Random(i)), a)
         assert (rd is not None) == (ex is not None), f"case {i}"
-        h = build_aux_graph(g, a, maps, params, d=g.d)
+        h = build_aux_graph(circular_state(g, a, params, inst), a)
         two = any(
             validate_circular(g, a, maps, _assemble(g, a, h, vs, es), d=g.d)
             for vs, es in _two_cycle_candidates(g, h)

@@ -7,12 +7,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_force_mwis, charge_to_anchor, circular_improvement_exists_bruteforce
+from conftest import brute_force_mwis, charge_to_anchor, circular_improvement_exists_bruteforce, circular_state
 
 from clawpack.circular import (
     ColorCodingParams,
     build_anchor_maps,
+    build_aux_graph,
     find_circular_improvement,
+    run_color_coding,
     validate_circular,
 )
 from clawpack.generators import gen_random_packing, girth, petersen_graph
@@ -32,7 +34,7 @@ def test_logimp_fixed_points_admit_no_circular_improvement(seed):
     a = tr.final
     assert find_claw_improvement(g, a) is None
     maps = build_anchor_maps(g, a)
-    assert find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g)) is None
+    assert find_circular_improvement(circular_state(g, a), a) is None
     assert not circular_improvement_exists_bruteforce(g, a, maps, d=g.d)
 
 
@@ -44,7 +46,7 @@ def test_circular_search_existence_matches_bruteforce_at_claw_fixed_points(seed)
 
     a = squareimp(g, SolverConfig(mode="squareimp")).final
     maps = build_anchor_maps(g, a)
-    got = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g))
+    got = find_circular_improvement(circular_state(g, a), a)
     expect = circular_improvement_exists_bruteforce(g, a, maps, d=g.d)
     assert (got is not None) == expect
     if got is not None:
@@ -80,7 +82,7 @@ def test_weighted_four_cycle_improvement():
     a = Solution.of(g, {0, 1, 2, 3})
     assert find_claw_improvement(g, a) is None
     maps = build_anchor_maps(g, a)
-    got = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g))
+    got = find_circular_improvement(circular_state(g, a), a)
     assert got is not None
     assert len(got.kind.u) == 4
     assert got.x == frozenset(range(4, 12))
@@ -88,9 +90,8 @@ def test_weighted_four_cycle_improvement():
     assert circular_improvement_exists_bruteforce(g, a, maps, d=g.d)
     # the randomized route finds the same structure
     params = ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode="rand")
-    from clawpack.circular import run_color_coding
-
-    rnd = run_color_coding(g, a, maps, params, inst, random.Random(0))
+    state = circular_state(g, a, params, inst)
+    rnd = run_color_coding(state, a, build_aux_graph(state, a))
     assert rnd is not None and validate_circular(g, a, maps, rnd, d=g.d)
     # and the whole solver converges past the ring
     tr = logimp(g, SolverConfig(mode="logimp"), start=a, inst=inst)
@@ -115,7 +116,7 @@ def test_companion_restriction_gap_is_detectable():
     maps = build_anchor_maps(g, a)
     # companions charge exactly zero: outside the candidate filter
     assert all(charge_to_anchor(g, maps, c) == 0 for c in range(8, 12))
-    got = find_circular_improvement(g, a, maps, ColorCodingParams.defaults(g))
+    got = find_circular_improvement(circular_state(g, a), a)
     assert got is None
     assert not circular_improvement_exists_bruteforce(g, a, maps, d=g.d, positive_only=True)
     assert circular_improvement_exists_bruteforce(g, a, maps, d=g.d)

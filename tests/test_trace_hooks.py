@@ -12,10 +12,16 @@ import types
 from pathlib import Path
 from unittest import mock
 
-from conftest import tight_copies
+from conftest import circular_state, tight_copies
 
 from clawpack import solvers
-from clawpack.circular import ColorCodingParams, build_anchor_maps, build_aux_graph
+from clawpack.circular import (
+    ColorCodingParams,
+    _assemble,
+    _two_cycle_candidates,
+    build_aux_graph,
+    validate_circular,
+)
 from clawpack.instances import Solution, build_conflict_graph
 from clawpack.solvers import SolverConfig, logimp
 
@@ -53,14 +59,10 @@ def test_tracer_installs_every_hook_and_restores_them():
     assert after == before
 
 
-def test_traced_logimp_counts_every_circular_build():
-    """Under the tracer, a logimp run with its per-run circular state still
-    goes through the hooked names once per circular call, and each traced
-    aux graph has the size of a from-scratch build at that call."""
+def traced_logimp(g, inst, start, params):
+    """A logimp run under the tracer; returns the tracer, the span ids by
+    name, the run's trace and the solution at each circular call."""
     spans = load_spans()
-    inst, small = tight_copies(5, 6, seed=3)
-    g = build_conflict_graph(inst)
-    params = ColorCodingParams.defaults(g, inst)
     seen = []
     real = solvers.build_anchor_maps
 
@@ -73,13 +75,24 @@ def test_traced_logimp_counts_every_circular_build():
         tracer.install()
         try:
             cfg = SolverConfig(mode="logimp", circular=params)
-            trace = logimp(g, cfg, start=Solution.of(g, small), inst=inst)
+            trace = logimp(g, cfg, start=Solution.of(g, start), inst=inst)
         finally:
             tracer.uninstall()
     assert tracer.missing == []
     by_name = {}
     for i, name in enumerate(tracer.names):
         by_name.setdefault(name, []).append(i)
+    return tracer, by_name, trace, seen
+
+
+def test_traced_logimp_counts_every_circular_build():
+    """Under the tracer, a logimp run with its per-run circular state still
+    goes through the hooked names once per circular call, and each traced
+    aux graph has the size of a from-scratch build at that call."""
+    inst, small = tight_copies(5, 6, seed=3)
+    g = build_conflict_graph(inst)
+    params = ColorCodingParams.defaults(g, inst)
+    tracer, by_name, trace, seen = traced_logimp(g, inst, small, params)
     finds, aux = by_name["circular.find"], by_name["circular.aux_graph"]
     calls = [r.kind for r in trace.improvements].count("circular") + 1
     assert calls > 2
@@ -87,5 +100,29 @@ def test_traced_logimp_counts_every_circular_build():
     assert [tracer.parents[i] for i in aux] == finds
     for members, i in zip(seen, aux):
         a = Solution.of(g, members)
-        h = build_aux_graph(g, a, build_anchor_maps(g, a), params, g.d)
+        h = build_aux_graph(circular_state(g, a, params, inst), a)
         assert tracer.counts[i] == {"vertices": len(h.vertices), "edges": len(h.edges)}
+
+
+def test_traced_rand_logimp_shows_color_coding_under_find():
+    """In rand mode, each circular call whose 2-cycle scan finds no
+    improvement runs color coding once, traced as a child of its
+    `circular.find` span; a call the 2-cycle scan answers runs none."""
+    inst, small = tight_copies(5, 6, seed=3)
+    g = build_conflict_graph(inst)
+    params = ColorCodingParams.defaults(g, inst, mode="rand")
+    tracer, by_name, trace, seen = traced_logimp(g, inst, small, params)
+    finds = by_name["circular.find"]
+    assert len(finds) == len(seen) == [r.kind for r in trace.improvements].count("circular") + 1
+    coloring = by_name.get("circular.color_coding", [])
+    assert all(tracer.parents[i] in finds for i in coloring)
+    for members, f in zip(seen, finds):
+        a = Solution.of(g, members)
+        state = circular_state(g, a, params, inst)
+        h = build_aux_graph(state, a)
+        two = any(
+            validate_circular(g, a, state.maps, _assemble(g, a, h, vs, es), d=state.d)
+            for vs, es in _two_cycle_candidates(g, h)
+        )
+        assert sum(tracer.parents[i] == f for i in coloring) == (0 if two else 1)
+    assert len(coloring) > 2
