@@ -170,7 +170,6 @@ def certify_local_optimum(
     a: Solution,
     astar: Solution,
     params: AnalysisParams,
-    d: Optional[int] = None,
 ) -> CertReport:
     """Full certificate for an incumbent claw fixed point against a reference.
 
@@ -178,10 +177,10 @@ def certify_local_optimum(
     Exact checks: per-vertex positive charges sum to at most w(v)/2,
     contributions to at most w(v), w(N(u,A))/2 + charge(u) summed over A*
     equals w(A*), every positive charge satisfies the pointwise
-    w2(u) - w2(N(u,A) - anchor) >= 2 charge(u) w(anchor), and (when a claw
-    bound is known) the neighborhood bound and the d/2 weight ratio. A
-    contribution sum above w(v) certifies a residual claw improvement and
-    is reported, never thrown. The classes, at the derived thresholds, are
+    w2(u) - w2(N(u,A) - anchor) >= 2 charge(u) w(anchor), and (when the
+    graph's claw bound g.d is set) the neighborhood bound and the d/2 ratio. A
+    contribution sum above w(v) certifies a residual claw improvement and is
+    reported, never thrown. The classes, at the derived thresholds, are
     sqrt(eps')-single and -double (positive charge required), eps'-payback,
     sqrt(2 eps')-good and eps'/2-contributive; `unclassified` collects the
     vertices matching none. They are only guaranteed exhaustive at claw
@@ -235,10 +234,10 @@ def certify_local_optimum(
     s_a = sum(w[v] for v in a.members)  # L times w(A)
     s_astar = sum(w[u] for u in astar.members)  # L times w(A*)
     report.identity_ok = total == 2 * s_astar
-    d_eff = d if d is not None else g.d
-    if d_eff is not None:
+    d = g.d
+    if d is not None:
         # sum of w(N(u,A))/2 <= (d-1)/2 w(A) and w(A*) <= d/2 w(A), times 2L
-        report.neighborhood_bound_ok = nb <= (d_eff - 1) * s_a
-        report.ratio_ok = 2 * s_astar <= d_eff * s_a
-        report.classification_hypothesis_met = d_eff >= params.d_delta
+        report.neighborhood_bound_ok = nb <= (d - 1) * s_a
+        report.ratio_ok = 2 * s_astar <= d * s_a
+        report.classification_hypothesis_met = d >= params.d_delta
     return report

@@ -127,24 +127,30 @@ def greedy(g: ConflictGraph) -> Solution:
     return Solution.of(g, chosen)
 
 
-class ClawSearchState:
-    """What the claw search keeps between calls in one run, for one evolving
-    solution A, whose member set it shares.
+# Talon-search nodes per claw call, counted across its centers.
+_MAX_CLAW_NODES = 50_000_000
 
-    `free` is the set of vertices outside A with no neighbor in A: each is
-    the talon of an improving 0-claw. `settled` holds centers in A known to
-    have no improving talon set. The search reads both and adds to
-    `settled`; `update` keeps both valid after each applied swap. Two heaps
-    hold every free vertex and every unsettled center (and stale entries,
-    dropped when they surface), so the lowest id of each is found without a
-    scan or a sort.
+
+class ClawSearchState:
+    """The claw search's inputs and what it keeps between calls, for one run
+    at claw bound `d` and its evolving solution A, whose member set it
+    shares.
+
+    `max_talons` is d - 1. `free` is the set of vertices outside A with no
+    neighbor in A: each is the talon of an improving 0-claw. `settled`
+    holds centers in A known to have no improving talon set. The search
+    reads both and adds to `settled`; `update` keeps both valid after each
+    applied swap. Two heaps hold every free vertex and every unsettled
+    center (and stale entries, dropped when they surface), so the lowest id
+    of each is found without a scan or a sort.
     """
 
-    __slots__ = ("g", "members", "free", "settled", "_free_heap", "_center_heap")
+    __slots__ = ("g", "members", "max_talons", "free", "settled", "_free_heap", "_center_heap")
 
-    def __init__(self, g: ConflictGraph, a: Solution):
+    def __init__(self, g: ConflictGraph, a: Solution, d: int):
         self.g = g
         self.members = members = a.members
+        self.max_talons = d - 1
         self._free_heap = [v for v in range(g.n) if v not in members and g.adj_sets[v].isdisjoint(members)]
         self.free = set(self._free_heap)
         self.settled: set[int] = set()
@@ -199,42 +205,29 @@ class ClawSearchState:
                         heapq.heappush(heap, c)
 
 
-def find_claw_improvement(
-    g: ConflictGraph,
-    a: Solution,
-    d: Optional[int] = None,
-    budget: int = 50_000_000,
-    state: Optional[ClawSearchState] = None,
-) -> Optional[Improvement]:
-    """First claw-shaped improvement of w^2(A) under deterministic order, or None.
+def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
+    """First claw-shaped improvement of w^2(A) under deterministic order, or
+    None, for the run whose `ClawSearchState` is `state`.
 
     The lowest-id free vertex comes first (every one is the talon of an
-    improving 0-claw); then, for each center in A in ascending id order,
-    the shared improvement search of `oracle` over the center's outside
-    neighbors: independent talon sets in lexicographic order, up to d-1
-    talons, squared weights compared as the integers `g.w2_int`, which
-    order exactly as the rationals do.
-
-    `state`, when given, is the run's `ClawSearchState`, built for `a` and
-    handed every swap applied to it since: its free set replaces a scan of
-    all n vertices, centers in its settled set are skipped, and every
-    center searched without success is added to it. The result is the same
-    as a search from scratch, which is what runs without a state. `budget`
-    caps the talon-search nodes of this call, counted across its centers;
-    skipped centers use none. For a hit, removed = N(talons) & A.
+    improving 0-claw); then, for each unsettled center in A in ascending id
+    order, the shared improvement search of `oracle` over the center's
+    outside neighbors: independent sets of at most `state.max_talons`
+    talons in lexicographic order, squared weights compared as the integers
+    `g.w2_int`, which order exactly as the rationals do. A center searched
+    without success is settled. The result is that of a search from
+    scratch. `_MAX_CLAW_NODES` caps the talon-search nodes of this call,
+    counted across its centers. For a hit, removed = N(talons) & A.
     """
-    d_eff = _resolve_d(g, d)
-    if state is None:
-        state = ClawSearchState(g, a)
     v = state.lowest_free()
     if v is not None:
         return Improvement(frozenset((v,)), frozenset(), ClawShaped(center=None))
 
-    members = a.members
+    g, members, cap = state.g, state.members, state.max_talons
     nodes = count(1)
     while (c := state.lowest_open_center()) is not None:
         cands = [u for u in g.adj[c] if u not in members]
-        got = _first_improvement(g, members, cands, d_eff - 1, g.w2_int, budget, nodes, "claw search")
+        got = _first_improvement(g, members, cands, cap, g.w2_int, _MAX_CLAW_NODES, nodes, "claw search")
         if got is not None:
             return Improvement(*got, ClawShaped(center=c))
         state.settled.add(c)
@@ -285,8 +278,8 @@ def squareimp(g: ConflictGraph, cfg: SolverConfig, start: Optional[Solution] = N
     run's solution is its members over `g`)."""
     d = _resolve_d(g, cfg.d)
     a = Solution.of(g, start.members if start else ())
-    claw = ClawSearchState(g, a)
-    return _loop(a, lambda: find_claw_improvement(g, a, d, state=claw), [claw])
+    claw = ClawSearchState(g, a, d)
+    return _loop(a, lambda: find_claw_improvement(claw), [claw])
 
 
 def logimp(
@@ -306,10 +299,10 @@ def logimp(
     params = cfg.circular if cfg.circular is not None else ColorCodingParams.defaults(g, inst)
     circ = CircularState(g, params, d, inst, random.Random(cfg.rng_seed))
     a = Solution.of(g, start.members if start else ())
-    claw = ClawSearchState(g, a)
+    claw = ClawSearchState(g, a, d)
 
     def step() -> Optional[Improvement]:
-        imp = find_claw_improvement(g, a, d, state=claw)
+        imp = find_claw_improvement(claw)
         if imp is not None:
             return imp
         build_anchor_maps(g, a, circ)
@@ -396,19 +389,22 @@ def solve(
 ) -> RunTrace:
     """Dispatch on cfg.mode, wrapping in scaling/truncation when configured.
 
-    Start-solution injection is a test hook for unscaled runs only.
+    Start-solution injection is a test hook for unscaled runs only: a
+    local search given both a start and cfg.scaling_n is an InputError.
+    Greedy ignores the start.
     """
 
     def run(graph: ConflictGraph, config: SolverConfig, instance: Optional[PackingInstance]) -> RunTrace:
-        begin = start if graph is g else None
         if config.mode == "greedy":
             return RunTrace([], greedy(graph))
         if config.mode == "squareimp":
-            return squareimp(graph, config, start=begin)
+            return squareimp(graph, config, start=start)
         if config.mode == "logimp":
-            return logimp(graph, config, start=begin, inst=instance)
-        return parametrized_local_search(graph, config, start=begin)
+            return logimp(graph, config, start=start, inst=instance)
+        return parametrized_local_search(graph, config, start=start)
 
     if cfg.scaling_n is not None and cfg.mode != "greedy":
+        if start is not None:
+            raise InputError("a start solution cannot be combined with scaling")
         return scale_truncate_run(g, cfg, run, inst=inst)
     return run(g, cfg, inst)

@@ -15,6 +15,7 @@ import pytest
 from clawpack.circular import AnchorMaps, AuxEdge, AuxGraph, CircularState, ColorCodingParams, build_anchor_maps
 from clawpack.generators import berman_tight_instance
 from clawpack.instances import ConflictGraph, PackingInstance, Solution, build_conflict_graph
+from clawpack.solvers import ClawSearchState, _resolve_d, find_claw_improvement
 
 
 def gen_berman_tight(d: int) -> tuple[ConflictGraph, Solution, Solution]:
@@ -35,6 +36,12 @@ def circular_state(g: ConflictGraph, a: Solution, params=None, inst=None, d=None
     state = CircularState(g, params, d, inst, rng if rng is not None else random.Random(0))
     build_anchor_maps(g, a, state)
     return state
+
+
+def claw_search(g: ConflictGraph, a: Solution, d=None):
+    """`find_claw_improvement` on a new `ClawSearchState` for `a`: a claw
+    search outside a run. `d` defaults to the graph's claw bound."""
+    return find_claw_improvement(ClawSearchState(g, a, _resolve_d(g, d)))
 
 
 def w_of(g: ConflictGraph, vertices) -> Fraction:

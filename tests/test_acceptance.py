@@ -13,7 +13,14 @@ from itertools import combinations
 import pytest
 from click.testing import CliRunner
 
-from conftest import aux_graph_of, circular_state, enumerate_colorful_cycles, gen_berman_tight, positional
+from conftest import (
+    aux_graph_of,
+    circular_state,
+    claw_search,
+    enumerate_colorful_cycles,
+    gen_berman_tight,
+    positional,
+)
 
 from clawpack.certify import AnalysisParams, certify_local_optimum
 from clawpack.circular import (
@@ -43,7 +50,7 @@ from clawpack.generators import (
 )
 from clawpack.instances import Solution, build_conflict_graph
 from clawpack.oracle import exact_mwis, exhaustive_improvement_search
-from clawpack.solvers import SolverConfig, find_claw_improvement, solve, squareimp
+from clawpack.solvers import SolverConfig, solve, squareimp
 
 DELTA = Fraction(1, 2)
 PARAMS = AnalysisParams.from_delta(DELTA)
@@ -79,7 +86,7 @@ def test_criterion_1_squareimp_tightness():
     t0 = time.perf_counter()
     for d in (4, 5, 6):
         g, a, b = gen_berman_tight(d)
-        assert find_claw_improvement(g, a) is None
+        assert claw_search(g, a) is None
         opt = exact_mwis(g)
         assert opt.best.members == b.members
         assert opt.optimum_w / a.total_w == Fraction(d, 2)

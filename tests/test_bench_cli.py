@@ -132,6 +132,18 @@ def test_bench_row_error_recorded():
     assert not report.all_ok()
 
 
+def test_bench_start_with_scaling_row_reports_the_error():
+    config = {
+        "instances": [{"id": "b4", "gen": {"family": "berman", "d": 4}, "start": [0, 1, 2]}],
+        "algorithms": [{"algo": "squareimp", "scale_n": "2"}, {"algo": "greedy", "scale_n": "2"}],
+        "seeds": [0],
+    }
+    scaled, greedy_row = run_bench(config).rows
+    assert scaled.error == "InputError: a start solution cannot be combined with scaling"
+    assert scaled.cert == "error" and scaled.final_w is None
+    assert not greedy_row.error and greedy_row.final_w == 3
+
+
 # greedy rows on "nu" fail the certificate, the alpha-less parametrized rows
 # error, and most other finals repeat across algorithms and seeds
 MEMO_SUITE = {
@@ -171,9 +183,9 @@ def spy_bench(monkeypatch):
         solved.append((id(g), frozenset(trace.final.members)))
         return trace
 
-    def certify(g, a, astar, params, d=None):
+    def certify(g, a, astar, params):
         certified.append((id(g), frozenset(a.members)))
-        return real_certify(g, a, astar, params, d)
+        return real_certify(g, a, astar, params)
 
     monkeypatch.setattr(bench, "solve", solve)
     monkeypatch.setattr(bench, "certify_local_optimum", certify)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 import random
@@ -387,7 +388,7 @@ def ref_classify_one(g, a, maps, params, u):
     return tuple(tags)
 
 
-def ref_certify(g, a, astar, params, d=None):
+def ref_certify(g, a, astar, params):
     maps = build_anchor_maps(g, a)
     report = ref_compute_charges(g, a, astar, maps)
     contrib = ref_compute_contributions(g, a, astar, maps)
@@ -402,7 +403,7 @@ def ref_certify(g, a, astar, params, d=None):
             unclassified.append(u)
     report.unclassified = tuple(unclassified)
     report.classification_ok = not unclassified
-    d_eff = d if d is not None else g.d
+    d_eff = g.d
     if d_eff is not None:
         nb_total = sum(
             (w_of(g, _solution_neighbors(g, a, maps, u)) / 2 for u in astar.members),
@@ -436,9 +437,12 @@ TIE_PARAMS = (
 
 def assert_same_certificate(g, a, astar, params, d=None):
     """Integer certificate == Fraction reference: values, classes, flags and
-    JSON bytes."""
-    got = certify_local_optimum(g, a, astar, params, d)
-    ref = ref_certify(g, a, astar, params, d)
+    JSON bytes. A given `d` replaces the graph's claw bound."""
+    if d is not None:
+        g = dataclasses.replace(g, d=d)
+        a, astar = Solution(g, a.members), Solution(g, astar.members)
+    got = certify_local_optimum(g, a, astar, params)
+    ref = ref_certify(g, a, astar, params)
     assert got.charges == ref.charges
     assert got.charge_sum_pos == ref.charge_sum_pos
     assert got.t_sets == ref.t_sets

@@ -14,7 +14,7 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights, ref_aux_sides, tight_copies, w2_of, w_of
+from conftest import PrimeWeights, claw_search, ref_aux_sides, tight_copies, w2_of, w_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,13 +125,15 @@ class CheckedClawSearch:
         self.calls = 0
         self.skipped = 0
 
-    def __call__(self, g, a, d=None, budget=50_000_000, state=None):
+    def __call__(self, state):
         assert state is not None, "the solver must pass its claw-search state"
+        g, d = state.g, state.max_talons + 1
+        a = Solution(g, state.members)  # the run's solution shares this set
         assert state.free == scan_free(g, a.members)
         assert state.settled <= a.members
-        fresh = find_claw_improvement(g, a, d)
+        fresh = claw_search(g, a, d)
         self.skipped += len(state.settled)
-        got = find_claw_improvement(g, a, d, budget, state)
+        got = find_claw_improvement(state)
         assert got == fresh == ref_find_claw_improvement(g, a, d)
         self.calls += 1
         return got
@@ -204,8 +206,8 @@ def test_verdict_set_matches_fresh_search(inst, from_greedy):
     start = greedy(g) if from_greedy else None
     sq, _, _ = run_checked(squareimp, g, SolverConfig(mode="squareimp"), start=start)
     lg, _, _ = run_checked(logimp, g, SolverConfig(mode="logimp"), start=start, inst=inst)
-    assert find_claw_improvement(g, sq.final) is None
-    assert find_claw_improvement(g, lg.final) is None
+    assert claw_search(g, sq.final) is None
+    assert claw_search(g, lg.final) is None
 
 
 def test_verdict_set_across_circular_swaps():
@@ -266,24 +268,25 @@ def test_integer_claw_search_is_exact():
             weights[u] = pw.near_root(target, 2, above=rng.random() < 0.5)
             graphs.append(g.reweighted(weights))
         for h in graphs:
-            got = find_claw_improvement(h, a, 4)
+            got = claw_search(h, a, 4)
             assert got == ref_find_claw_improvement(h, a, 4)
             outcomes.add(got is None)
     assert outcomes == {True, False}
 
 
-def test_claw_budget_fires_below_the_reference_node_count():
+def test_claw_budget_fires_below_the_reference_node_count(monkeypatch):
     fired, outcomes = 0, set()
     for seed in range(30):
         _, _, g, a = random_case(seed)
         want, nodes = ref_claw_search(g, a, 4)
         for budget in sorted({0, 1, nodes // 2, max(0, nodes - 1), nodes, nodes + 1}):
+            monkeypatch.setattr(solvers, "_MAX_CLAW_NODES", budget)
             if budget < nodes:
                 with pytest.raises(BudgetExceededError, match=f"^claw search exceeded {budget} nodes$"):
-                    find_claw_improvement(g, a, 4, budget)
+                    claw_search(g, a, 4)
                 fired += 1
             else:
-                assert find_claw_improvement(g, a, 4, budget) == want
+                assert claw_search(g, a, 4) == want
         outcomes.add(want is None)
     assert fired > 0 and outcomes == {True, False}
 

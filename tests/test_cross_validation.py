@@ -7,7 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_force_mwis, charge_to_anchor, circular_improvement_exists_bruteforce, circular_state
+from conftest import (
+    brute_force_mwis,
+    charge_to_anchor,
+    circular_improvement_exists_bruteforce,
+    circular_state,
+    claw_search,
+)
 
 from clawpack.circular import (
     ColorCodingParams,
@@ -20,7 +26,7 @@ from clawpack.circular import (
 from clawpack.generators import gen_random_packing, girth, petersen_graph
 from clawpack.instances import ConflictGraph, Solution, build_conflict_graph, verify_claw_free
 from clawpack.oracle import exact_mwis
-from clawpack.solvers import SolverConfig, find_claw_improvement, logimp, solve
+from clawpack.solvers import SolverConfig, logimp, solve
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -32,7 +38,7 @@ def test_logimp_fixed_points_admit_no_circular_improvement(seed):
     g = build_conflict_graph(inst)
     tr = logimp(g, SolverConfig(mode="logimp"), inst=inst)
     a = tr.final
-    assert find_claw_improvement(g, a) is None
+    assert claw_search(g, a) is None
     maps = build_anchor_maps(g, a)
     assert find_circular_improvement(circular_state(g, a), a) is None
     assert not circular_improvement_exists_bruteforce(g, a, maps, d=g.d)
@@ -80,7 +86,7 @@ def test_weighted_four_cycle_improvement():
     inst = four_cycle_instance()
     g = build_conflict_graph(inst)
     a = Solution.of(g, {0, 1, 2, 3})
-    assert find_claw_improvement(g, a) is None
+    assert claw_search(g, a) is None
     maps = build_anchor_maps(g, a)
     got = find_circular_improvement(circular_state(g, a), a)
     assert got is not None
@@ -112,7 +118,7 @@ def test_companion_restriction_gap_is_detectable():
     inst = PackingInstance.build(16, solution + connectors + companions, weights, k=3)
     g = build_conflict_graph(inst)
     a = Solution.of(g, {0, 1, 2, 3})
-    assert find_claw_improvement(g, a) is None
+    assert claw_search(g, a) is None
     maps = build_anchor_maps(g, a)
     # companions charge exactly zero: outside the candidate filter
     assert all(charge_to_anchor(g, maps, c) == 0 for c in range(8, 12))

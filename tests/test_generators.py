@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import gen_berman_tight
+from conftest import claw_search, gen_berman_tight
 
 from clawpack import formats
 from clawpack.generators import (
@@ -21,7 +21,6 @@ from clawpack.generators import (
 )
 from clawpack.instances import ConflictGraph, InputError, build_conflict_graph, verify_claw_free
 from clawpack.oracle import exhaustive_improvement_search
-from clawpack.solvers import find_claw_improvement
 
 
 @pytest.mark.parametrize("d,b_size,ratio", [(4, 6, 2), (6, 15, 3)])
@@ -37,7 +36,7 @@ def test_berman_structure(d):
     g, a, b = gen_berman_tight(d)
     assert all(g.degree(v) == d - 1 for v in a.members)
     assert g.is_independent(b.members)
-    assert find_claw_improvement(g, a) is None
+    assert claw_search(g, a) is None
     ok, _ = verify_claw_free(g, d)
     assert ok
 

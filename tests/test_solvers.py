@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import gen_berman_tight, w_of
+from conftest import claw_search, gen_berman_tight, w_of
 
 from clawpack import solvers
 from clawpack.generators import (
@@ -12,7 +12,6 @@ from clawpack.instances import ConflictGraph, InputError, Solution, build_confli
 from clawpack.oracle import exact_mwis
 from clawpack.solvers import (
     SolverConfig,
-    find_claw_improvement,
     greedy,
     logimp,
     parametrized_local_search,
@@ -53,7 +52,7 @@ def test_greedy_scaling_invariance():
 def test_free_vertex_zero_claw():
     g = ConflictGraph.from_edges(3, [(0, 1)], [1, 1, 1], d=3)
     a = Solution.of(g, {0})
-    imp = find_claw_improvement(g, a)
+    imp = claw_search(g, a)
     assert imp is not None and imp.size == 1 and not imp.removed
     assert imp.kind.center is None
 
@@ -61,7 +60,7 @@ def test_free_vertex_zero_claw():
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_berman_tight_no_claw_improvement(d):
     g, a, _ = gen_berman_tight(d)
-    assert find_claw_improvement(g, a) is None
+    assert claw_search(g, a) is None
 
 
 def test_claw_improvement_weighted_star():
@@ -69,7 +68,7 @@ def test_claw_improvement_weighted_star():
     # w2 gain 2*(9/4) = 4.5 against removing 4
     g = ConflictGraph.from_edges(3, [(0, 1), (0, 2)], [2, Fraction(3, 2), Fraction(3, 2)], d=4)
     a = Solution.of(g, {0})
-    imp = find_claw_improvement(g, a)
+    imp = claw_search(g, a)
     assert imp is not None
     assert imp.kind.center == 0
     assert imp.x == {1, 2} and imp.removed == {0}
@@ -97,7 +96,7 @@ def test_squareimp_ratio_bound_random():
         tr = squareimp(g, SolverConfig(mode="squareimp"))
         opt = exact_mwis(g)
         assert opt.optimum_w <= Fraction(g.d, 2) * tr.final.total_w
-        assert find_claw_improvement(g, tr.final) is None
+        assert claw_search(g, tr.final) is None
 
 
 def test_strict_progress_and_traces():
@@ -138,7 +137,7 @@ def test_logimp_ratio_bound_random():
         tr = logimp(g, SolverConfig(mode="logimp"), inst=inst)
         opt = exact_mwis(g)
         assert opt.optimum_w <= Fraction(g.d, 2) * tr.final.total_w
-        assert find_claw_improvement(g, tr.final) is None
+        assert claw_search(g, tr.final) is None
 
 
 def test_parametrized_alpha_one_edge():
@@ -244,3 +243,12 @@ def test_start_over_another_graph_weighs_in_the_run_graph():
     assert verify_solution(g2, tr.final)
     assert tr.final.total_w == w_of(g2, tr.final.members) == len(tr.final)
     assert tr.to_json_obj()["final_weight"] == f"{len(tr.final)}/1"
+
+
+@pytest.mark.parametrize("mode", ["squareimp", "logimp", "parametrized"])
+def test_start_with_scaling_is_an_input_error(mode):
+    g, a, _ = gen_berman_tight(4)
+    cfg = SolverConfig(mode=mode, alpha=Fraction(2), scaling_n=Fraction(2))
+    with pytest.raises(InputError, match="start solution cannot be combined with scaling"):
+        solve(g, cfg, start=a)
+    assert solve(g, cfg).scaled

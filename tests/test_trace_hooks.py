@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from conftest import circular_state, tight_copies
 
 from clawpack import solvers
@@ -23,7 +24,7 @@ from clawpack.circular import (
     validate_circular,
 )
 from clawpack.instances import Solution, build_conflict_graph
-from clawpack.solvers import SolverConfig, logimp
+from clawpack.solvers import SolverConfig, logimp, squareimp
 
 SPANS = Path(__file__).resolve().parents[1] / "clawbench" / "spans.py"
 
@@ -59,10 +60,25 @@ def test_tracer_installs_every_hook_and_restores_them():
     assert after == before
 
 
+def traced(run):
+    """run() under the tracer; returns the tracer, the span ids by name and
+    what run returned."""
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        result = run()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    by_name = {}
+    for i, name in enumerate(tracer.names):
+        by_name.setdefault(name, []).append(i)
+    return tracer, by_name, result
+
+
 def traced_logimp(g, inst, start, params):
     """A logimp run under the tracer; returns the tracer, the span ids by
     name, the run's trace and the solution at each circular call."""
-    spans = load_spans()
     seen = []
     real = solvers.build_anchor_maps
 
@@ -70,19 +86,31 @@ def traced_logimp(g, inst, start, params):
         seen.append(frozenset(a.members))
         return real(g_, a, state)
 
-    tracer = spans.Tracer()
+    cfg = SolverConfig(mode="logimp", circular=params)
     with mock.patch.object(solvers, "build_anchor_maps", record):
-        tracer.install()
-        try:
-            cfg = SolverConfig(mode="logimp", circular=params)
-            trace = logimp(g, cfg, start=Solution.of(g, start), inst=inst)
-        finally:
-            tracer.uninstall()
-    assert tracer.missing == []
-    by_name = {}
-    for i, name in enumerate(tracer.names):
-        by_name.setdefault(name, []).append(i)
+        tracer, by_name, trace = traced(lambda: logimp(g, cfg, start=Solution.of(g, start), inst=inst))
     return tracer, by_name, trace, seen
+
+
+@pytest.mark.parametrize("mode", ["squareimp", "logimp"])
+def test_traced_run_counts_every_claw_call(mode):
+    """Each step of a squareimp or logimp run calls the claw search once
+    through the hooked `solvers.find_claw_improvement`: one `solvers.claw`
+    span per claw-shaped or circular swap plus the final step, each a hit
+    exactly when its step applied a claw-shaped swap."""
+    inst, small = tight_copies(5, 6, seed=3)
+    g = build_conflict_graph(inst)
+    if mode == "squareimp":
+        solver, cfg, kw = squareimp, SolverConfig(mode="squareimp"), {}
+    else:
+        solver, cfg = logimp, SolverConfig(mode="logimp", circular=ColorCodingParams.defaults(g, inst))
+        kw = {"start": Solution.of(g, small), "inst": inst}
+    tracer, by_name, trace = traced(lambda: solver(g, cfg, **kw))
+    kinds = [r.kind for r in trace.improvements]
+    assert set(kinds) == ({"claw-shaped"} if mode == "squareimp" else {"claw-shaped", "circular"})
+    claws = by_name["solvers.claw"]
+    assert len(claws) == kinds.count("claw-shaped") + kinds.count("circular") + 1
+    assert [tracer.counts[i] for i in claws] == [{"hit": int(k == "claw-shaped")} for k in kinds] + [{"hit": 0}]
 
 
 def test_traced_logimp_counts_every_circular_build():
