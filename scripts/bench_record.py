@@ -32,6 +32,8 @@ WORKLOADS = ("rand-k3", "tight-union", "small-exact")
 # (`clawbench.workloads.tight_union`), and random k=3 packings of n sets.
 SCALE_COPIES = (40, 160, 640)
 SCALE_N = (400, 800, 1600, 3200, 6400)
+# Wider sets, squareimp only: random k-set packings of n sets, as (k, n).
+SCALE_WIDE = ((5, 300), (7, 200))
 # The oracle curve: random k=3 packings of n sets.
 ORACLE_N = (40, 60, 80)
 
@@ -57,10 +59,13 @@ def scale_curve() -> list[dict]:
     modes on tight unions of `SCALE_COPIES` copies, started at the copies'
     small sides, and squareimp and logimp from empty on random k=3 packings
     of n = `SCALE_N` sets over a universe of n elements (the `rand-k3`
-    generator settings). Each point gives its suite, size, vertex count,
-    algorithm, iteration count and `solve` wall time."""
+    generator settings), and squareimp on random k-set packings of the
+    (k, n) in `SCALE_WIDE`, with the same settings, where the claw search
+    may take up to k talons. Each point gives its suite, size, vertex
+    count, algorithm, iteration count and `solve` wall time."""
     import clawpack
     from clawbench.workloads import TIGHT_UNION_D, tight_union
+    from clawpack.generators import gen_random_packing
 
     def point(suite, size, algo, g, cfg, inst, start=None):
         t0 = time.perf_counter()
@@ -78,10 +83,14 @@ def scale_curve() -> list[dict]:
             cfg = clawpack.SolverConfig(mode="logimp", rng_seed=0, circular=params)
             points.append(point("tight-union", copies, f"logimp-{mode}", g, cfg, inst, clawpack.Solution.of(g, small)))
     for n in SCALE_N:
-        inst = clawpack.generators.gen_random_packing(n, 3, n, weight_dist=("uniform", 10), seed=0)
+        inst = gen_random_packing(n, 3, n, weight_dist=("uniform", 10), seed=0)
         g = clawpack.build_conflict_graph(inst)
         for algo in ("squareimp", "logimp"):
             points.append(point("rand-k3", n, algo, g, clawpack.SolverConfig(mode=algo, rng_seed=0), inst))
+    for k, n in SCALE_WIDE:
+        inst = gen_random_packing(n, k, n, weight_dist=("uniform", 10), seed=0)
+        g = clawpack.build_conflict_graph(inst)
+        points.append(point(f"rand-k{k}", n, "squareimp", g, clawpack.SolverConfig(mode="squareimp", rng_seed=0), inst))
     return points
 
 

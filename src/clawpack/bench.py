@@ -206,7 +206,10 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     With `jobs` > 1 the optima, the rows and the certificates each run in up
     to min(jobs, CPU count, rows) worker processes. Rows are assembled in
     index order regardless of completion order, so reports are
-    deterministic for fixed seeds (timings aside).
+    deterministic for fixed seeds (timings aside). The workers are spawned
+    and re-import the calling script's main module: a script calling this
+    with `jobs` > 1 needs an `if __name__ == "__main__":` guard, or its
+    workers run the script again and the pool ends in `BrokenProcessPool`.
     """
     if not isinstance(config, dict):
         raise InputError(f"suite JSON must be an object, got {type(config).__name__}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Optional, Sequence
 
 
 class InputError(ValueError):
@@ -339,9 +339,12 @@ def build_conflict_graph(inst: PackingInstance) -> ConflictGraph:
     return ConflictGraph.from_edges(inst.n, sorted(edges), inst.weights, d=inst.k + 1)
 
 
-def independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
+def independent_subsets(
+    g: ConflictGraph, cands: Sequence[int], cap: int, p: Optional[Sequence[int]] = None
+) -> Generator[tuple[int, ...], Optional[int], None]:
     """Each independent subset of 1..`cap` vertices of `cands`, in
-    lexicographic order of positions in `cands`.
+    lexicographic order of positions in `cands`, except the extensions a
+    reader refuses.
 
     The one subset walk of the package: the claw search and the w**alpha
     search (`oracle._first_improvement`), the aux graph's companion sets
@@ -349,6 +352,14 @@ def independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> Ite
     the candidates after its last pick that are adjacent to none of its
     picks; they are listed when the walk resumes past that subset, so a
     reader that stops there pays for no more.
+
+    A reader holding positive integers `p` may send back, after a subset
+    X, its deficit D = p(N(X, A)) - p(X) for some set A. The walk then
+    skips every extension of X when the cap - |X| largest `p` among X's
+    extension candidates sum to at most D: no superset Y of X then has
+    p(Y) > p(N(Y, A)), since N(Y, A) contains N(X, A). So the first
+    subset a reader stops at stays the same. A reader that sends nothing
+    (a plain `for` loop, or `send(None)`) walks every subset.
     """
     adj_sets = g.adj_sets
     stack = [(cands, 0, ())] if cap >= 1 else []
@@ -360,10 +371,13 @@ def independent_subsets(g: ConflictGraph, cands: Sequence[int], cap: int) -> Ite
         stack[-1] = (level, i + 1, chosen)
         v = level[i]
         y = chosen + (v,)
-        yield y
-        if len(y) < cap:
+        deficit = yield y
+        room = cap - len(y)
+        if room:
             nbrs = adj_sets[v]
-            stack.append(([u for u in level[i + 1:] if u not in nbrs], 0, y))
+            ext = [u for u in level[i + 1:] if u not in nbrs]
+            if ext and (deficit is None or sum(sorted([p[u] for u in ext])[-room:]) > deficit):
+                stack.append((ext, 0, y))
 
 
 def verify_claw_free(g: ConflictGraph, d: int, budget: int = 10_000_000) -> tuple[bool, Optional[tuple[int, tuple[int, ...]]]]:

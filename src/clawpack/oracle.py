@@ -8,7 +8,10 @@ an independent set takes at most one vertex of each clique, so the sum of
 each part's heaviest remaining weight bounds what a subtree can add. The
 improvement search, `_first_improvement`, reads the subsets from
 `instances.independent_subsets`; it is also the claw search of `solvers`,
-run at one center with alpha = 2 and at most d-1 talons.
+run at one center with alpha = 2 and at most d-1 talons. With integer
+powers it sends each subset's deficit back into the walk, which then skips
+the extensions that cannot gain enough to improve; the improvement found is
+the same, only the node count drops.
 """
 
 from __future__ import annotations
@@ -252,18 +255,30 @@ def _first_improvement(
     `cands` (in id order), in lexicographic order, that beats N(X, A), as
     (X, N(X, A)); or None.
 
-    X beats N(X, A) in sums of the integers `p`, or, with `p` None, by
-    `power_weight_improves` at `alpha`. The subsets come from
+    X beats N(X, A) in sums of the integers `p`, all positive, or, with
+    `p` None, by `power_weight_improves` at `alpha`. The subsets come from
     `independent_subsets`; each one draws from `nodes`, a counter from 1
     that calls under one budget share; a draw past `budget` raises
     "<what> exceeded <budget> nodes". Per depth k the walk keeps the sums
     of X and of N(X, A) and N(X, A) itself, each extending depth k-1's.
+    With `p`, each non-improving X sends its deficit p(N(X, A)) - p(X)
+    back into the walk, which skips X's extensions when the largest `p`
+    that could still join X cannot cover it. No skipped subset improves,
+    so the X returned is the one an unbounded walk returns; only the node
+    count, and so where `budget` fires, is smaller. The float path sends
+    nothing and walks every subset.
     """
     adj_sets = g.adj_sets
     x_p = [0] * (cap + 1)
     r_p = [0] * (cap + 1)
     removed: list[frozenset[int]] = [frozenset()] * (cap + 1)
-    for x in independent_subsets(g, cands, cap):
+    walk = independent_subsets(g, cands, cap, p)
+    deficit = None
+    while True:
+        try:
+            x = walk.send(deficit)
+        except StopIteration:
+            return None
         if next(nodes) > budget:
             raise BudgetExceededError(f"{what} exceeded {budget} nodes")
         k = len(x)
@@ -273,9 +288,9 @@ def _first_improvement(
         if p is not None:
             x_p[k] = x_p[k - 1] + p[v]
             r_p[k] = r_p[k - 1] + sum(p[u] for u in new)
-            improves = x_p[k] > r_p[k]
+            deficit = r_p[k] - x_p[k]
+            improves = deficit < 0
         else:
             improves = power_weight_improves(g, alpha, x, nx)
         if improves:
             return frozenset(x), nx
-    return None

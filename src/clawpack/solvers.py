@@ -216,8 +216,11 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     talons in lexicographic order, squared weights compared as the integers
     `g.w2_int`, which order exactly as the rationals do. A center searched
     without success is settled. The result is that of a search from
-    scratch. `_MAX_CLAW_NODES` caps the talon-search nodes of this call,
-    counted across its centers. For a hit, removed = N(talons) & A.
+    scratch. The search skips a talon set's extensions once the heaviest
+    talons that could still join it cannot outweigh what it already
+    removes (see `_first_improvement`); this changes node counts only.
+    `_MAX_CLAW_NODES` caps the talon-search nodes of this call, counted
+    across its centers. For a hit, removed = N(talons) & A.
     """
     v = state.lowest_free()
     if v is not None:

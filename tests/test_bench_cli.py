@@ -566,10 +566,12 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
 
 def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     """With tiny sizes, the file's `scale` key holds one timed point per
-    tight-union size and circular mode and per packing size and algorithm."""
+    tight-union size and circular mode, per k=3 packing size and algorithm,
+    and per wider packing."""
     br = load_bench_record()
     monkeypatch.setattr(br, "SCALE_COPIES", (1, 2))
     monkeypatch.setattr(br, "SCALE_N", (20, 40))
+    monkeypatch.setattr(br, "SCALE_WIDE", ((5, 20), (7, 20)))
     monkeypatch.setattr(br, "run_one", lambda workload, trace: {
         "workload": workload, "trace": trace, "args": [], "exit_code": 0,
         "result": {"correct": True, "metrics": {}}})
@@ -583,6 +585,7 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
         ("tight-union", 2, "logimp-exhaustive"), ("tight-union", 2, "logimp-rand"),
         ("rand-k3", 20, "squareimp"), ("rand-k3", 20, "logimp"),
         ("rand-k3", 40, "squareimp"), ("rand-k3", 40, "logimp"),
+        ("rand-k5", 20, "squareimp"), ("rand-k7", 20, "squareimp"),
     ]
     for p in scale:
         assert set(p) == {"suite", "size", "vertices", "algo", "iterations", "wall_s"}

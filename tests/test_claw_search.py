@@ -18,8 +18,9 @@ from conftest import PrimeWeights, claw_search, ref_aux_sides, tight_copies, w2_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clawpack import solvers
+from clawpack import instances, oracle, solvers
 from clawpack.circular import ColorCodingParams, aux_edge_check, build_anchor_maps
+from clawpack.generators import gen_random_packing
 from clawpack.instances import (
     BudgetExceededError,
     ClawShaped,
@@ -31,6 +32,7 @@ from clawpack.instances import (
     neighborhood,
     verify_solution,
 )
+from clawpack.oracle import exhaustive_improvement_search
 from clawpack.solvers import (
     ClawSearchState,
     SolverConfig,
@@ -48,9 +50,13 @@ def ref_find_claw_improvement(g: ConflictGraph, a: Solution, d: int) -> Optional
     return ref_claw_search(g, a, d)[0]
 
 
-def ref_claw_search(g: ConflictGraph, a: Solution, d: int) -> tuple[Optional[Improvement], int]:
+def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = True) -> tuple[Optional[Improvement], int]:
     """The reference claw search's result and its talon-search nodes (one
-    per independent extension), counted across all centers it tried."""
+    per independent extension), counted across all centers it tried.
+
+    `bounded` skips a talon set's extensions when the d-1-|T| largest w^2
+    among the talons that could still join T sum to at most the deficit
+    w^2(N(T, A)) - w^2(T); the unbounded search returns the same result."""
     members = a.members
     for v in range(g.n):
         if v in members:
@@ -76,7 +82,9 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int) -> tuple[Optional[Imp
                 chosen.append(u)
                 if nt > nr:
                     return list(chosen)
-                if len(chosen) < d - 1:
+                room = d - 1 - len(chosen)
+                later = [x for x in cands[i + 1:] if not any(g.has_edge(x, y) for y in chosen)]
+                if room and (not bounded or sum(sorted(w2[x] for x in later)[-room:]) > nr - nt):
                     removed |= new_removed
                     found = extend(i + 1, chosen, nt, removed, nr)
                     if found is not None:
@@ -275,10 +283,13 @@ def test_integer_claw_search_is_exact():
 
 
 def test_claw_budget_fires_below_the_reference_node_count(monkeypatch):
-    fired, outcomes = 0, set()
+    fired, skipped, outcomes = 0, 0, set()
     for seed in range(30):
         _, _, g, a = random_case(seed)
         want, nodes = ref_claw_search(g, a, 4)
+        unbounded, all_nodes = ref_claw_search(g, a, 4, bounded=False)
+        assert unbounded == want and all_nodes >= nodes
+        skipped += all_nodes - nodes
         for budget in sorted({0, 1, nodes // 2, max(0, nodes - 1), nodes, nodes + 1}):
             monkeypatch.setattr(solvers, "_MAX_CLAW_NODES", budget)
             if budget < nodes:
@@ -288,7 +299,7 @@ def test_claw_budget_fires_below_the_reference_node_count(monkeypatch):
             else:
                 assert claw_search(g, a, 4) == want
         outcomes.add(want is None)
-    assert fired > 0 and outcomes == {True, False}
+    assert fired > 0 and skipped > 0 and outcomes == {True, False}
 
 
 def test_integer_aux_edge_check_is_exact():
@@ -317,6 +328,76 @@ def test_integer_aux_edge_check_is_exact():
                 assert got == (lhs > rhs)
                 outcomes.add(got)
     assert outcomes == {True, False}
+
+
+# ------------------------------------------------------------ wide claws
+
+# random packings at k = 5 and 7 (d = 6 and 8), where the gain bound of the
+# subset walk skips the most
+WIDE = [(5, 100), (7, 60)]
+
+
+def wide_packing(k: int, n: int, seed: int):
+    inst = gen_random_packing(n, k, n, weight_dist=("uniform", 10), seed=seed)
+    return inst, build_conflict_graph(inst)
+
+
+def counted_walk(counter: list, send: bool):
+    """`oracle`'s subset walk, counting the subsets it yields in counter[0];
+    with `send` False every deficit the reader sends back is dropped, so
+    the walk visits every subset."""
+
+    def walk(g, cands, cap, p=None):
+        inner = instances.independent_subsets(g, cands, cap, p)
+        deficit = None
+        while True:
+            try:
+                x = inner.send(deficit if send else None)
+            except StopIteration:
+                return
+            counter[0] += 1
+            deficit = yield x
+
+    return walk
+
+
+@pytest.mark.parametrize("k, n", WIDE)
+def test_bounded_claw_search_matches_the_unbounded_reference_on_wide_claws(k, n):
+    hits = 0
+    for seed in range(2):
+        _, g = wide_packing(k, n, seed)
+        for a in (Solution.of(g, ()), greedy(g)):
+            while True:
+                got = claw_search(g, a)
+                assert got == ref_claw_search(g, a, g.d, bounded=False)[0]
+                if got is None:
+                    break
+                hits += got.kind.center is not None
+                a.apply(got)
+    assert hits > 0
+
+
+@pytest.mark.parametrize("k, n", WIDE)
+def test_traces_and_improvement_searches_match_with_the_bound_switched_off(k, n, monkeypatch):
+    bounded, unbounded = [0], [0]
+    for seed in range(2):
+        inst, g = wide_packing(k, n, seed)
+        runs = [
+            lambda: squareimp(g, SolverConfig(mode="squareimp")).to_json_obj(),
+            lambda: logimp(g, SolverConfig(mode="logimp"), inst=inst).to_json_obj(),
+        ]
+        ends = [greedy(g), squareimp(g, SolverConfig(mode="squareimp")).final]
+        searches = [
+            lambda a=a, alpha=alpha: exhaustive_improvement_search(g, a, Fraction(alpha), 3)
+            for a in ends
+            for alpha in (2, 1, -1)
+        ]
+        for run in runs + searches:
+            monkeypatch.setattr(oracle, "independent_subsets", counted_walk(bounded, send=True))
+            want = run()
+            monkeypatch.setattr(oracle, "independent_subsets", counted_walk(unbounded, send=False))
+            assert run() == want
+    assert bounded[0] < unbounded[0]
 
 
 # ------------------------------------------------------------ greedy

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -87,6 +88,43 @@ def test_independent_subsets_edge_cases(cands, cap):
     # path 0-1-2-3 plus the isolated vertex 4
     g = ConflictGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)], [1] * 5)
     assert list(independent_subsets(g, cands, cap)) == independent_combinations(g, cands, cap)
+
+
+def sent_deficit(seed: int, x: tuple[int, ...], top: int):
+    """What a reader sends back after subset x: nothing (None) one time in
+    five, else an integer deficit in -1..top; fixed by the seed and x."""
+    rng = random.Random(f"{seed}:{x}")
+    return None if rng.random() < 0.2 else rng.randint(-1, top)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_independent_subsets_skips_the_extensions_a_sent_deficit_rules_out(data):
+    n = data.draw(st.integers(1, 9))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    g = ConflictGraph.from_edges(n, [e for e in edges if e[0] != e[1]], [1] * n)
+    cands = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    cap = data.draw(st.integers(0, n + 2))
+    p = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    seed = data.draw(st.integers(0, 2 ** 32))
+
+    def covers(x):
+        """Could the extensions of x still cover the deficit sent after it?"""
+        deficit = sent_deficit(seed, x, sum(p))
+        later = [u for u in cands[cands.index(x[-1]) + 1:] if g.is_independent(x + (u,))]
+        return deficit is None or sum(sorted(p[u] for u in later)[-(cap - len(x)):]) > deficit
+
+    want = [y for y in independent_combinations(g, cands, cap) if all(covers(y[:j]) for j in range(1, len(y)))]
+    got = []
+    walk = independent_subsets(g, cands, cap, p)
+    try:
+        x = next(walk)
+        while True:
+            got.append(x)
+            x = walk.send(sent_deficit(seed, x, sum(p)))
+    except StopIteration:
+        pass
+    assert got == want
 
 
 def test_every_vertex_sees_maximal_solution():

@@ -4,14 +4,21 @@ import pytest
 
 from conftest import brute_force_improvement_exists, brute_force_mwis, gen_berman_tight, w2_of
 
-from clawpack.generators import gen_alternating_cycle, gen_random_packing
+from clawpack.generators import (
+    LowerBoundParams,
+    gen_alternating_cycle,
+    gen_incidence_lowerbound,
+    gen_random_packing,
+    petersen_graph,
+)
 from clawpack.instances import (
     BudgetExceededError,
     ConflictGraph,
     InputError,
+    Solution,
     build_conflict_graph,
 )
-from clawpack.oracle import exact_mwis, exhaustive_improvement_search, power_weight_improves
+from clawpack.oracle import exact_mwis, exhaustive_improvement_search, power_weight_gain, power_weight_improves
 
 
 def test_single_vertex():
@@ -105,6 +112,41 @@ def test_non_integer_alpha_uses_tolerant_comparison():
     assert not power_weight_improves(g, Fraction(1, 2), [0], [1])
     g2 = ConflictGraph.from_edges(2, [], [9, 4])
     assert power_weight_improves(g2, Fraction(1, 2), [0], [1])
+
+
+# Known defects of non-integer alpha, which goes through 140-bit floating
+# point with a 2**-40 relative tie margin. The strict xfails pass once the
+# comparison and the gain are exact.
+
+
+def below_tolerance_gain():
+    """Vertex 0 of weight 4 + 10**-14 against its neighbors 1 and 2 of
+    weight 1, A = {1, 2}: sqrt(w(0)) exceeds sqrt(w(1)) + sqrt(w(2)) by
+    about 2.5e-15, far below the tie margin."""
+    g = ConflictGraph.from_edges(3, [(0, 1), (0, 2)], [4 + Fraction(1, 10 ** 14), 1, 1])
+    return g, Solution.of(g, {1, 2})
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a gain below the 2**-40 tie margin counts as none")
+def test_half_power_search_sees_a_gain_below_the_float_tolerance():
+    g, a = below_tolerance_gain()
+    imp = exhaustive_improvement_search(g, a, Fraction(1, 2), 3)
+    assert imp is not None and imp.x == {0} and imp.removed == {1, 2}
+
+
+@pytest.mark.xfail(strict=True, raises=TypeError, reason="the gain is built as Fraction(mpf)")
+def test_half_power_gain_is_a_positive_rational():
+    g, _ = below_tolerance_gain()
+    gain = power_weight_gain(g, Fraction(1, 2), [0], [1, 2])
+    assert 0 < gain < Fraction(1, 10 ** 14)
+
+
+def test_half_power_search_finds_no_gain_on_the_petersen_incidence_graph():
+    # criterion 7's instance (d = 4, girth 5) at alpha = 1/2: guards the
+    # non-integer path, which walks every subset unbounded
+    params = LowerBoundParams(d=4, alpha=Fraction(1), eps=Fraction(1, 2), target_girth=5)
+    g, a, _ = gen_incidence_lowerbound(params, petersen_graph())
+    assert exhaustive_improvement_search(g, a, Fraction(1, 2), 4) is None
 
 
 def test_oracle_dominates_local_search_solutions():

@@ -94,10 +94,15 @@ def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cliques=None):
 
 
 def ref_improvement_search(
-    g: ConflictGraph, a: Solution, alpha: int, size_cap: int, budget: int = 100_000_000
+    g: ConflictGraph, a: Solution, alpha: int, size_cap: int, budget: int = 100_000_000, bounded: bool = True
 ) -> Optional[Improvement]:
     """The exhaustive w**alpha search in Fraction arithmetic, recomputing
-    N(X, A) at every node."""
+    N(X, A) at every node.
+
+    `bounded` skips the extensions of a non-improving X when the
+    size_cap - |X| largest w**alpha among the vertices that could still
+    join X sum to at most w**alpha(N(X, A)) - w**alpha(X); the unbounded
+    search returns the same result."""
     outside = [v for v in range(g.n) if v not in a.members]
     nodes = 0
 
@@ -115,9 +120,12 @@ def ref_improvement_search(
                 raise BudgetExceededError(f"improvement search exceeded {budget} nodes")
             chosen.append(v)
             removed = neighborhood(chosen, a.members, g)
-            if power_sum(chosen) > power_sum(removed):
+            deficit = power_sum(removed) - power_sum(chosen)
+            if deficit < 0:
                 return Improvement(frozenset(chosen), frozenset(removed), Generic(Fraction(alpha)))
-            if len(chosen) < size_cap:
+            room = size_cap - len(chosen)
+            later = [u for u in outside[i + 1:] if not any(g.has_edge(u, x) for x in chosen)]
+            if room and (not bounded or sum(sorted(g.weights[u] ** alpha for u in later)[-room:]) > deficit):
                 found = extend(i + 1, chosen)
                 if found is not None:
                     return found
@@ -309,6 +317,7 @@ def test_improvement_search_matches_fraction_search(g, alpha, cap, data):
             graphs.append(g.reweighted(weights))
     for h in graphs:
         want = ref_improvement_search(h, a, alpha, cap)
+        assert ref_improvement_search(h, a, alpha, cap, bounded=False) == want
         assert exhaustive_improvement_search(h, a, Fraction(alpha), cap) == want
         for budget in (1, 2, 3, 5, 8):
             assert outcome(exhaustive_improvement_search, h, a, Fraction(alpha), cap, budget) == outcome(
