@@ -376,7 +376,13 @@ def independent_subsets(
         if room:
             nbrs = adj_sets[v]
             ext = [u for u in level[i + 1:] if u not in nbrs]
-            if ext and (deficit is None or sum(sorted([p[u] for u in ext])[-room:]) > deficit):
+            if ext and deficit is not None:
+                top = [p[u] for u in ext]
+                if len(top) > room:
+                    top = sorted(top)[-room:]
+                if sum(top) <= deficit:
+                    ext = []
+            if ext:
                 stack.append((ext, 0, y))
 
 

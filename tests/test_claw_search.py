@@ -50,7 +50,7 @@ def ref_find_claw_improvement(g: ConflictGraph, a: Solution, d: int) -> Optional
     return ref_claw_search(g, a, d)[0]
 
 
-def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = True) -> tuple[Optional[Improvement], int]:
+def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False) -> tuple[Optional[Improvement], int]:
     """The reference claw search's result and its talon-search nodes (one
     per independent extension), counted across all centers it tried.
 
@@ -286,8 +286,8 @@ def test_claw_budget_fires_below_the_reference_node_count(monkeypatch):
     fired, skipped, outcomes = 0, 0, set()
     for seed in range(30):
         _, _, g, a = random_case(seed)
-        want, nodes = ref_claw_search(g, a, 4)
-        unbounded, all_nodes = ref_claw_search(g, a, 4, bounded=False)
+        want, nodes = ref_claw_search(g, a, 4, bounded=True)
+        unbounded, all_nodes = ref_claw_search(g, a, 4)
         assert unbounded == want and all_nodes >= nodes
         skipped += all_nodes - nodes
         for budget in sorted({0, 1, nodes // 2, max(0, nodes - 1), nodes, nodes + 1}):
@@ -369,7 +369,7 @@ def test_bounded_claw_search_matches_the_unbounded_reference_on_wide_claws(k, n)
         for a in (Solution.of(g, ()), greedy(g)):
             while True:
                 got = claw_search(g, a)
-                assert got == ref_claw_search(g, a, g.d, bounded=False)[0]
+                assert got == ref_claw_search(g, a, g.d)[0]
                 if got is None:
                     break
                 hits += got.kind.center is not None

@@ -94,7 +94,7 @@ def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cliques=None):
 
 
 def ref_improvement_search(
-    g: ConflictGraph, a: Solution, alpha: int, size_cap: int, budget: int = 100_000_000, bounded: bool = True
+    g: ConflictGraph, a: Solution, alpha: int, size_cap: int, budget: int = 100_000_000, bounded: bool = False
 ) -> Optional[Improvement]:
     """The exhaustive w**alpha search in Fraction arithmetic, recomputing
     N(X, A) at every node.
@@ -317,11 +317,11 @@ def test_improvement_search_matches_fraction_search(g, alpha, cap, data):
             graphs.append(g.reweighted(weights))
     for h in graphs:
         want = ref_improvement_search(h, a, alpha, cap)
-        assert ref_improvement_search(h, a, alpha, cap, bounded=False) == want
+        assert ref_improvement_search(h, a, alpha, cap, bounded=True) == want
         assert exhaustive_improvement_search(h, a, Fraction(alpha), cap) == want
         for budget in (1, 2, 3, 5, 8):
             assert outcome(exhaustive_improvement_search, h, a, Fraction(alpha), cap, budget) == outcome(
-                ref_improvement_search, h, a, alpha, cap, budget
+                ref_improvement_search, h, a, alpha, cap, budget, bounded=True
             )
 
 
