@@ -9,9 +9,10 @@ with seed 0 and the benchmark's 25 s run length, one workload and mode at a
 time, and writes `BENCH_<tag>.json` there with the Python version, the CPU
 count (`nproc`) and, per run, the command's arguments, exit code and its
 last output line parsed as JSON, or the tail of its stderr if it failed.
-Under `scale` it lists one seed-0 `solve` timing per point of the scale
-curve, which clawbench does not cover (see `scale_curve`), and under
-`oracle` the nodes and time of `exact_mwis` past the sizes clawbench runs
+Under `scale` it lists three seed-0 `solve` timings and their median per
+point of the scale curve, which clawbench does not cover (see
+`scale_curve`), and under `oracle` the nodes and time of `exact_mwis`,
+unseeded and seeded with the logimp final, past the sizes clawbench runs
 it at (see `oracle_curve`).
 It exits 1, naming the runs, if any run failed or reported `correct: false`;
 the file is written either way.
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -34,8 +36,12 @@ SCALE_COPIES = (40, 160, 640)
 SCALE_N = (400, 800, 1600, 3200, 6400)
 # Wider sets, squareimp only: random k-set packings of n sets, as (k, n).
 SCALE_WIDE = ((5, 300), (7, 200))
-# The oracle curve: random k=3 packings of n sets.
+# Timings per point of the scale curve; the point records their median.
+SCALE_REPEATS = 3
+# The oracle curve: random k=3 packings of n sets, unseeded and seeded, and
+# larger ones seeded only (unseeded n = 100 takes 2.69 M nodes).
 ORACLE_N = (40, 60, 80)
+ORACLE_SEEDED_N = (100, 120)
 
 
 def run_one(workload: str, trace: int) -> dict:
@@ -55,24 +61,27 @@ def run_one(workload: str, trace: int) -> dict:
 
 
 def scale_curve() -> list[dict]:
-    """One seed-0 timing per point, in-process: logimp in both circular
-    modes on tight unions of `SCALE_COPIES` copies, started at the copies'
-    small sides, and squareimp and logimp from empty on random k=3 packings
-    of n = `SCALE_N` sets over a universe of n elements (the `rand-k3`
-    generator settings), and squareimp on random k-set packings of the
-    (k, n) in `SCALE_WIDE`, with the same settings, where the claw search
-    may take up to k talons. Each point gives its suite, size, vertex
-    count, algorithm, iteration count and `solve` wall time."""
+    """`SCALE_REPEATS` seed-0 timings per point, in-process: logimp in both
+    circular modes on tight unions of `SCALE_COPIES` copies, started at the
+    copies' small sides, and squareimp and logimp from empty on random k=3
+    packings of n = `SCALE_N` sets over a universe of n elements (the
+    `rand-k3` generator settings), and squareimp on random k-set packings of
+    the (k, n) in `SCALE_WIDE`, with the same settings, where the claw
+    search may take up to k talons. Each point gives its suite, size, vertex
+    count, algorithm, iteration count, every `solve` wall time (`walls_s`)
+    and their median (`wall_s`)."""
     import clawpack
     from clawbench.workloads import TIGHT_UNION_D, tight_union
     from clawpack.generators import gen_random_packing
 
     def point(suite, size, algo, g, cfg, inst, start=None):
-        t0 = time.perf_counter()
-        trace = clawpack.solve(g, cfg, inst=inst, start=start)
-        wall = time.perf_counter() - t0
-        return {"suite": suite, "size": size, "vertices": g.n, "algo": algo,
-                "iterations": trace.iterations, "wall_s": round(wall, 4)}
+        walls = []
+        for _ in range(SCALE_REPEATS):
+            t0 = time.perf_counter()
+            trace = clawpack.solve(g, cfg, inst=inst, start=start)
+            walls.append(time.perf_counter() - t0)
+        return {"suite": suite, "size": size, "vertices": g.n, "algo": algo, "iterations": trace.iterations,
+                "wall_s": round(statistics.median(walls), 4), "walls_s": [round(w, 4) for w in walls]}
 
     points = []
     for copies in SCALE_COPIES:
@@ -95,21 +104,28 @@ def scale_curve() -> list[dict]:
 
 
 def oracle_curve() -> list[dict]:
-    """One seed-0 `exact_mwis` call per point, in-process, on random k=3
-    packings of n = `ORACLE_N` sets over a universe of n elements with
-    `uniform:10` weights. Each point gives n, the node count and the wall
-    time."""
+    """Seed-0 `exact_mwis` calls, in-process, on random k=3 packings of n
+    sets over a universe of n elements with `uniform:10` weights: for n in
+    `ORACLE_N` unseeded and seeded with the logimp final, as `run_bench`
+    seeds it, and for n in `ORACLE_SEEDED_N` seeded only. Each point gives
+    n and, per run, the node count and the wall time (`nodes`, `wall_s`;
+    `seeded_nodes`, `seeded_wall_s`)."""
     import clawpack
     from clawpack.generators import gen_random_packing
 
     points = []
-    for n in ORACLE_N:
+    for n in ORACLE_N + ORACLE_SEEDED_N:
         inst = gen_random_packing(n, 3, n, weight_dist=("uniform", 10), seed=0)
         g = clawpack.build_conflict_graph(inst)
-        t0 = time.perf_counter()
-        res = clawpack.exact_mwis(g, size_limit=n)
-        wall = time.perf_counter() - t0
-        points.append({"n": n, "nodes": res.nodes_explored, "wall_s": round(wall, 4)})
+        final = clawpack.solve(g, clawpack.SolverConfig(mode="logimp", rng_seed=0), inst=inst).final
+        point = {"n": n}
+        runs = [("seeded_", final)] if n in ORACLE_SEEDED_N else [("", None), ("seeded_", final)]
+        for prefix, incumbent in runs:
+            t0 = time.perf_counter()
+            res = clawpack.exact_mwis(g, size_limit=n, incumbent=incumbent)
+            point[f"{prefix}wall_s"] = round(time.perf_counter() - t0, 4)
+            point[f"{prefix}nodes"] = res.nodes_explored
+        points.append(point)
     return points
 
 

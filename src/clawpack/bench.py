@@ -104,8 +104,8 @@ def config_from_algo_spec(spec: dict, seed: int) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _optimum(g: ConflictGraph, oracle_limit: int):
-    return exact_mwis(g, size_limit=oracle_limit) if g.n <= oracle_limit else None
+def _optimum(g: ConflictGraph, oracle_limit: int, incumbent: Optional[Solution]):
+    return exact_mwis(g, size_limit=oracle_limit, incumbent=incumbent) if g.n <= oracle_limit else None
 
 
 def _solve_row(
@@ -114,11 +114,10 @@ def _solve_row(
     inst: Optional[PackingInstance],
     algo_spec: dict,
     seed: int,
-    opt,
     start_members: Optional[list[int]],
 ) -> tuple[BenchRow, Optional[Solution]]:
-    """One row without its certificate, and the final solution to certify
-    (None when the row failed or the instance has no optimum)."""
+    """One row without its optimum and certificate, and its final solution
+    (None when the row failed)."""
     row = BenchRow(instance=name, algo=algo_spec["algo"], seed=seed)
     final = None
     t0 = time.perf_counter()
@@ -128,11 +127,7 @@ def _solve_row(
         trace = solve(g, cfg, inst=inst, start=start)
         row.final_w = trace.final.total_w
         row.iters = trace.iterations
-        if opt is not None:
-            row.opt_w = opt.optimum_w
-            if row.final_w > 0:
-                row.ratio = row.opt_w / row.final_w
-            final = trace.final
+        final = trace.final
     except Exception as exc:  # per-row failures recorded, run continues
         row.error = f"{type(exc).__name__}: {exc}"
         row.cert = "error"
@@ -153,26 +148,43 @@ def _certify(g: ConflictGraph, final: Solution, opt, delta: Fraction) -> tuple[s
 
 def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_limit: int,
                 delta: Fraction, pmap) -> list[BenchRow]:
-    """Optima, then rows, then one certificate per distinct final.
+    """Rows, then optima, then one certificate per distinct final.
 
     `pmap(fn, tasks)` runs fn(*task) for every task and returns the results
-    in task order. A final is keyed by its instance's position, not its
-    user-supplied id, and its certificate time is added to the first row
-    that ends at it.
+    in task order. Each instance's oracle call is seeded with the heaviest
+    final among its rows that did not fail (the first such row on ties);
+    the optimum is exact either way, so the seed only saves nodes. A final
+    is keyed by its instance's position, not its user-supplied id, and its
+    certificate time is added to the first row that ends at it.
     """
-    optima = pmap(_optimum, [(g, oracle_limit) for _, g, _, _ in instances])
     tasks, positions = [], []
     for pos, (name, g, inst, inst_spec) in enumerate(instances):
         for algo_spec in algos:
             start = algo_spec.get("start", inst_spec.get("start"))
             for seed in seeds:
-                tasks.append((name, g, inst, algo_spec, seed, optima[pos], start))
+                tasks.append((name, g, inst, algo_spec, seed, start))
                 positions.append(pos)
     solved = pmap(_solve_row, tasks)
-    first: dict[tuple[int, frozenset[int]], tuple[BenchRow, Solution]] = {}
+    heaviest: dict[int, tuple[Fraction, Solution]] = {}
     for pos, (row, final) in zip(positions, solved):
-        if final is not None:
-            first.setdefault((pos, frozenset(final.members)), (row, final))
+        if final is not None and (pos not in heaviest or row.final_w > heaviest[pos][0]):
+            heaviest[pos] = (row.final_w, final)
+    optima = pmap(
+        _optimum,
+        [(g, oracle_limit, heaviest[pos][1] if pos in heaviest else None)
+         for pos, (_, g, _, _) in enumerate(instances)],
+    )
+    first: dict[tuple[int, frozenset[int]], tuple[BenchRow, Solution]] = {}
+    keys = []
+    for pos, (row, final) in zip(positions, solved):
+        opt, key = optima[pos], None
+        if final is not None and opt is not None:
+            row.opt_w = opt.optimum_w
+            if row.final_w > 0:
+                row.ratio = row.opt_w / row.final_w
+            key = (pos, frozenset(final.members))
+            first.setdefault(key, (row, final))
+        keys.append(key)
     verdicts = pmap(
         _certify,
         [(instances[pos][1], final, optima[pos], delta) for (pos, _), (_, final) in first.items()],
@@ -180,12 +192,10 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
     certs = dict(zip(first, verdicts))
     for key, (row, _) in first.items():
         row.time_ms += int(certs[key][2] * 1000)
-    rows = []
-    for pos, (row, final) in zip(positions, solved):
-        if final is not None:
-            row.cert, row.error, _ = certs[pos, frozenset(final.members)]
-        rows.append(row)
-    return rows
+    for (row, _), key in zip(solved, keys):
+        if key is not None:
+            row.cert, row.error, _ = certs[key]
+    return [row for row, _ in solved]
 
 
 def _suite_field(config: dict, name: str, convert, default):
@@ -201,15 +211,17 @@ def _suite_field(config: dict, name: str, convert, default):
 def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     """Execute the instances x algorithms x seeds cross product.
 
-    The oracle runs once per instance and each distinct final member set is
-    certified once per instance; the rows that end at it share its verdict.
-    With `jobs` > 1 the optima, the rows and the certificates each run in up
-    to min(jobs, CPU count, rows) worker processes. Rows are assembled in
-    index order regardless of completion order, so reports are
-    deterministic for fixed seeds (timings aside). The workers are spawned
-    and re-import the calling script's main module: a script calling this
-    with `jobs` > 1 needs an `if __name__ == "__main__":` guard, or its
-    workers run the script again and the pool ends in `BrokenProcessPool`.
+    The rows run first. Then the oracle runs once per instance, seeded with
+    the heaviest final of its rows (see `_run_phases`), and each distinct
+    final member set is certified once per instance; the rows that end at
+    it share its verdict. With `jobs` > 1 the rows, the optima and the
+    certificates each run in up to min(jobs, CPU count, rows) worker
+    processes. Rows are assembled in index order regardless of completion
+    order, so reports are deterministic for fixed seeds (timings aside).
+    The workers are spawned and re-import the calling script's main module:
+    a script calling this with `jobs` > 1 needs an `if __name__ ==
+    "__main__":` guard, or its workers run the script again and the pool
+    ends in `BrokenProcessPool`.
     """
     if not isinstance(config, dict):
         raise InputError(f"suite JSON must be an object, got {type(config).__name__}")

@@ -5,13 +5,14 @@ are complete within their explicit node budgets and deterministic under the
 documented tie-breaking. The branch and bound for the maximum-weight
 independent set prunes with a clique partition of V, built once per call:
 an independent set takes at most one vertex of each clique, so the sum of
-each part's heaviest remaining weight bounds what a subtree can add. The
-improvement search, `_first_improvement`, reads the subsets from
-`instances.independent_subsets`; it is also the claw search of `solvers`,
-run at one center with alpha = 2 and at most d-1 talons. With integer
-powers it sends each subset's deficit back into the walk, which then skips
-the extensions that cannot gain enough to improve; the improvement found is
-the same, only the node count drops.
+each part's heaviest remaining weight bounds what a subtree can add. A
+known independent set can seed its incumbent, which prunes more and
+returns the same set. The improvement search, `_first_improvement`, reads
+the subsets from `instances.independent_subsets`; it is also the claw
+search of `solvers`, run at one center with alpha = 2 and at most d-1
+talons. With integer powers it sends each subset's deficit back into the
+walk, which then skips the extensions that cannot gain enough to improve;
+the improvement found is the same, only the node count drops.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ def exact_mwis(
     g: ConflictGraph,
     budget: int = DEFAULT_NODE_BUDGET,
     size_limit: int = DEFAULT_SIZE_LIMIT,
+    incumbent: Optional[Solution] = None,
 ) -> OracleResult:
     """Branch and bound for the maximum-weight independent set.
 
@@ -88,6 +90,15 @@ def exact_mwis(
     bitmasks and weights are compared as sums of the integers `g.w_int`,
     which order exactly as the rational weights do; the result reports the
     optimum as a Fraction.
+
+    `incumbent`, an independent set of `g` (say a local-search final),
+    starts the search at its members and at one `w_int` unit below its
+    weight. The branch rule reads only the remaining candidates, so the
+    tree does not depend on the incumbent, and a subtree holding an
+    optimum bounds at OPT, above that floor, so it is never pruned: the
+    set returned is the one the unseeded search returns, in no more nodes.
+    A budget partial that found nothing above the floor carries the
+    incumbent's members. A non-independent incumbent is an InputError.
     """
     if g.n > size_limit:
         raise InputError(f"n={g.n} exceeds oracle size limit {size_limit}; pass a larger size_limit")
@@ -102,6 +113,10 @@ def exact_mwis(
     nodes = 0
     best = 0
     best_w = 0
+    if incumbent is not None:
+        members = Solution.of(g, incumbent.members).members
+        best = sum(1 << v for v in members)
+        best_w = sum(w[v] for v in members) - 1
 
     def search(cands: int, cand_w: int, cur: int, cur_w: int):
         nonlocal nodes, best, best_w
@@ -232,8 +247,8 @@ def exhaustive_improvement_search(
     An improving X containing solution vertices always shrinks to an
     improving X outside A, so restricting the enumeration loses nothing.
     For integer alpha the two sides are compared as sums of integer powers
-    of `g.w_int` (see `_int_powers`); other exponents go through
-    `power_weight_improves`.
+    of `g.w_int` (see `_int_powers`; at alpha = 2 the graph's cached
+    `g.w2_int`); other exponents go through `power_weight_improves`.
     """
     alpha = Fraction(alpha)
     if alpha == 0:
@@ -241,7 +256,12 @@ def exhaustive_improvement_search(
     if size_cap < 1:
         return None
     members = a.members
-    p = _int_powers(g.w_int, alpha.numerator) if alpha.denominator == 1 else None
+    if alpha.denominator != 1:
+        p = None
+    elif alpha == 2:
+        p = g.w2_int
+    else:
+        p = _int_powers(g.w_int, alpha.numerator)
     outside = [v for v in range(g.n) if v not in members]
     got = _first_improvement(g, members, outside, size_cap, p, budget, count(1), "improvement search", alpha)
     return None if got is None else Improvement(*got, Generic(alpha))
@@ -287,7 +307,11 @@ def _first_improvement(
         removed[k] = nx = removed[k - 1] | new
         if p is not None:
             x_p[k] = x_p[k - 1] + p[v]
-            r_p[k] = r_p[k - 1] + sum(p[u] for u in new)
+            r = r_p[k - 1]
+            if new:
+                for u in new:
+                    r += p[u]
+            r_p[k] = r
             deficit = r_p[k] - x_p[k]
             improves = deficit < 0
         else:

@@ -229,8 +229,9 @@ def test_bench_memo_output_bytes_pinned_across_jobs():
 
 
 def test_bench_parallel_tasks_are_rows():
-    """A one-instance suite still splits into one task per row, then one
-    per distinct final, so `--jobs` parallelises it."""
+    """A one-instance suite still splits into one task per row, then its
+    seeded optimum, then one task per distinct final, so `--jobs`
+    parallelises it."""
     import clawpack.bench as bench
 
     calls = []
@@ -245,8 +246,8 @@ def test_bench_parallel_tasks_are_rows():
     inst, g = instance_from_gen_spec(spec["gen"])
     rows = bench._run_phases([(name, g, inst, spec)], config["algorithms"], config["seeds"], 20,
                              Fraction(1, 2), pmap)
-    assert [c[0] for c in calls] == ["_optimum", "_solve_row", "_certify"]
-    assert calls[0][1] == 1 and calls[1][1] == len(rows) == 15
+    assert [c[0] for c in calls] == ["_solve_row", "_optimum", "_certify"]
+    assert calls[0][1] == len(rows) == 15 and calls[1][1] == 1
     assert 1 <= calls[2][1] < len(rows)
     assert emit_report(bench.BenchReport(rows)) == emit_report(run_bench(config, jobs=2))
 
@@ -552,6 +553,7 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
 
     monkeypatch.setattr(br, "run_one", fake_run_one)
     monkeypatch.setattr(br, "scale_curve", lambda: [])
+    monkeypatch.setattr(br, "oracle_curve", lambda: [])
     monkeypatch.setattr(br, "ROOT", str(tmp_path))
     monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
     code = br.main()
@@ -565,20 +567,25 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
 
 
 def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
-    """With tiny sizes, the file's `scale` key holds one timed point per
+    """With tiny sizes, the file's `scale` key holds one point per
     tight-union size and circular mode, per k=3 packing size and algorithm,
-    and per wider packing."""
+    and per wider packing, each timed `SCALE_REPEATS` times; the `oracle`
+    key holds unseeded and seeded node counts, and seeded only past
+    `ORACLE_N`."""
     br = load_bench_record()
     monkeypatch.setattr(br, "SCALE_COPIES", (1, 2))
     monkeypatch.setattr(br, "SCALE_N", (20, 40))
     monkeypatch.setattr(br, "SCALE_WIDE", ((5, 20), (7, 20)))
+    monkeypatch.setattr(br, "ORACLE_N", (10, 20))
+    monkeypatch.setattr(br, "ORACLE_SEEDED_N", (30,))
     monkeypatch.setattr(br, "run_one", lambda workload, trace: {
         "workload": workload, "trace": trace, "args": [], "exit_code": 0,
         "result": {"correct": True, "metrics": {}}})
     monkeypatch.setattr(br, "ROOT", str(tmp_path))
     monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
     assert br.main() == 0
-    scale = json.loads((tmp_path / "BENCH_t.json").read_text())["scale"]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    scale = doc["scale"]
     keys = [(p["suite"], p["size"], p["algo"]) for p in scale]
     assert keys == [
         ("tight-union", 1, "logimp-exhaustive"), ("tight-union", 1, "logimp-rand"),
@@ -588,6 +595,12 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
         ("rand-k5", 20, "squareimp"), ("rand-k7", 20, "squareimp"),
     ]
     for p in scale:
-        assert set(p) == {"suite", "size", "vertices", "algo", "iterations", "wall_s"}
-        assert p["vertices"] > 0 and p["iterations"] > 0 and p["wall_s"] >= 0
+        assert set(p) == {"suite", "size", "vertices", "algo", "iterations", "wall_s", "walls_s"}
+        assert p["vertices"] > 0 and p["iterations"] > 0
+        assert len(p["walls_s"]) == br.SCALE_REPEATS and p["wall_s"] == sorted(p["walls_s"])[1] >= 0
     assert [p["vertices"] for p in scale[:4]] == [14, 14, 28, 28]
+    oracle = doc["oracle"]
+    assert [p["n"] for p in oracle] == [10, 20, 30]
+    assert [set(p) for p in oracle] == [
+        {"n", "nodes", "wall_s", "seeded_nodes", "seeded_wall_s"}] * 2 + [{"n", "seeded_nodes", "seeded_wall_s"}]
+    assert all(p["seeded_nodes"] <= p["nodes"] for p in oracle[:2])

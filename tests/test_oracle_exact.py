@@ -27,13 +27,14 @@ from clawpack.instances import (
     ConflictGraph,
     Generic,
     Improvement,
+    InputError,
     PackingInstance,
     Solution,
     build_conflict_graph,
     neighborhood,
 )
 from clawpack.oracle import clique_partition, exact_mwis, exhaustive_improvement_search, power_weight_improves
-from clawpack.solvers import SolverConfig, greedy, squareimp
+from clawpack.solvers import SolverConfig, greedy, logimp, squareimp
 
 ALPHAS = (-3, -1, 1, 2, 3)
 
@@ -53,23 +54,29 @@ def ref_clique_partition(g: ConflictGraph) -> list[list[int]]:
     return cliques
 
 
-def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cliques=None):
+def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cliques=None, seed=None):
     """Branch and bound over Fraction weights and vertex lists.
 
     A node is pruned when the current weight plus all remaining weights
     does not beat the incumbent; with `cliques` (disjoint cliques covering
     V), also when the current weight plus the heaviest remaining weight of
-    each clique does not. Returns (best set, optimum, nodes), or raises
-    BudgetExceededError whose `partial` is that triple for the incumbent."""
+    each clique does not. `seed`, an independent vertex set, is the first
+    incumbent, at 1/L below its weight (L the lcm of the weight
+    denominators). Returns (best set, optimum, nodes), or raises
+    BudgetExceededError whose `partial` is that triple for the incumbent
+    (the weight its own, not the floor)."""
     nodes = 0
     best_set: set[int] = set()
     best_w = Fraction(0)
+    if seed is not None:
+        best_set = set(seed)
+        best_w = w_of(g, seed) - Fraction(1, math.lcm(*(w.denominator for w in g.weights)))
 
     def search(cands: list[int], cur: set[int], cur_w: Fraction):
         nonlocal nodes, best_set, best_w
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError("budget", partial=(set(best_set), best_w, nodes))
+            raise BudgetExceededError("budget", partial=(set(best_set), w_of(g, best_set), nodes))
         if cur_w > best_w:
             best_w = cur_w
             best_set = set(cur)
@@ -140,6 +147,17 @@ def outcome(fn, *args, **kw):
         return fn(*args, **kw)
     except BudgetExceededError as exc:
         return ("budget", str(exc))
+
+
+def budget_partial(fn, *args, **kw):
+    """The budget partial of an oracle as (members, weight, nodes), or
+    None when it finishes within its budget."""
+    try:
+        fn(*args, **kw)
+    except BudgetExceededError as exc:
+        p = exc.partial
+        return p if isinstance(p, tuple) else (p.best.members, p.optimum_w, p.nodes_explored)
+    return None
 
 
 # ------------------------------------------------------------ inputs
@@ -214,6 +232,17 @@ def test_exact_mwis_matches_fraction_branch_and_bound(g):
         partial = got.value.partial
         assert (partial.best.members, partial.optimum_w, partial.nodes_explored) == want.value.partial
         assert not partial.optimal
+    # seeded with a maximal set, and with the optimum itself: the same set
+    # in no more nodes, and the reference's tree under the same floor
+    for seed in (maximal_solution(g, random.Random(g.n)), res.best):
+        _, _, seeded_nodes = ref_exact_mwis(g, cliques=cliques, seed=seed.members)
+        got = exact_mwis(g, incumbent=seed)
+        assert (got.best.members, got.optimum_w, got.nodes_explored) == (best, best_w, seeded_nodes)
+        assert got.optimal and seeded_nodes <= nodes
+        for budget in (1, 2, 3, 5, 8):
+            assert budget_partial(exact_mwis, g, budget=budget, incumbent=seed) == budget_partial(
+                ref_exact_mwis, g, budget=budget, cliques=cliques, seed=seed.members
+            )
 
 
 @st.composite
@@ -252,6 +281,43 @@ def test_clique_partition_is_a_partition_into_cliques(g):
     assert parts == [tuple(c) for c in ref_clique_partition(g)]
     same = ConflictGraph.from_edges(g.n, g.edges(), g.weights)
     assert clique_partition(g) == clique_partition(same) == parts
+
+
+def test_seeded_oracle_keeps_the_set_of_random_packings():
+    """Seeded with the logimp final, the oracle returns the set of the
+    unseeded search on random k=3 packings, never in more nodes."""
+    unseeded = seeded = 0
+    for n in (20, 32, 40):
+        for seed in range(40):
+            inst = gen_random_packing(n, 3, n, weight_dist=("uniform", 10), seed=seed)
+            g = build_conflict_graph(inst)
+            final = logimp(g, SolverConfig(mode="logimp", rng_seed=seed), inst=inst).final
+            plain = exact_mwis(g)
+            got = exact_mwis(g, incumbent=final)
+            assert got.best.members == plain.best.members, (n, seed)
+            assert got.optimum_w == plain.optimum_w and got.optimal
+            assert got.nodes_explored <= plain.nodes_explored, (n, seed)
+            unseeded += plain.nodes_explored
+            seeded += got.nodes_explored
+    assert seeded < unseeded
+
+
+def test_seeded_oracle_budget_partial_is_the_incumbent():
+    g = build_conflict_graph(gen_random_packing(20, 3, 20, weight_dist=("uniform", 10), seed=1))
+    final = squareimp(g, SolverConfig(mode="squareimp")).final
+    with pytest.raises(BudgetExceededError) as got:
+        exact_mwis(g, budget=1, incumbent=final)
+    partial = got.value.partial
+    assert partial.best.members == final.members and partial.optimum_w == final.total_w
+    assert not partial.optimal
+
+
+def test_seeded_oracle_rejects_a_dependent_incumbent():
+    g = ConflictGraph.from_edges(3, [(0, 1)], [1, 2, 3])
+    with pytest.raises(InputError, match="not independent"):
+        exact_mwis(g, incumbent=Solution(g, {0, 1}))
+    with pytest.raises(InputError, match="out of range"):
+        exact_mwis(g, incumbent=Solution(g, {3}))
 
 
 def test_exact_mwis_empty_graph():
