@@ -39,9 +39,9 @@ SCALE_WIDE = ((5, 300), (7, 200))
 # Timings per point of the scale curve; the point records their median.
 SCALE_REPEATS = 3
 # The oracle curve: random k=3 packings of n sets, unseeded and seeded, and
-# larger ones seeded only (unseeded n = 100 takes 2.69 M nodes).
-ORACLE_N = (40, 60, 80)
-ORACLE_SEEDED_N = (100, 120)
+# larger ones seeded only (n = 200, seeded, takes about 2 M nodes).
+ORACLE_N = (40, 60, 80, 100, 120)
+ORACLE_SEEDED_N = (150,)
 
 
 def run_one(workload: str, trace: int) -> dict:

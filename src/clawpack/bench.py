@@ -164,7 +164,10 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
             for seed in seeds:
                 tasks.append((name, g, inst, algo_spec, seed, start))
                 positions.append(pos)
-    solved = pmap(_solve_row, tasks)
+    # a worker's final holds the worker's copy of the graph; rebound to the
+    # parent's, a later task pickles one graph, not two
+    solved = [(row, None if final is None else Solution(instances[pos][1], final.members))
+              for pos, (row, final) in zip(positions, pmap(_solve_row, tasks))]
     heaviest: dict[int, tuple[Fraction, Solution]] = {}
     for pos, (row, final) in zip(positions, solved):
         if final is not None and (pos not in heaviest or row.final_w > heaviest[pos][0]):

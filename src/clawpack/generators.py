@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .instances import (
     BudgetExceededError,
     ConflictGraph,
@@ -224,6 +222,8 @@ class LowerBoundParams:
         alpha = Fraction(self.alpha)
         if alpha.denominator == 1:
             return 1 - base ** alpha.numerator
+        import mpmath  # only non-integer alpha needs it
+
         with mpmath.workprec(200):
             val = 1 - mpmath.power(
                 mpmath.mpf(base.numerator) / base.denominator,
@@ -253,6 +253,8 @@ def edge_side_weight(params: LowerBoundParams) -> Fraction:
     inv = Fraction(1) / Fraction(params.alpha)
     if inv.denominator == 1:
         return base ** inv.numerator
+    import mpmath  # only non-integer 1/alpha needs it
+
     with mpmath.workprec(200):
         val = mpmath.power(mpmath.mpf(base.numerator) / base.denominator,
                            mpmath.mpf(inv.numerator) / inv.denominator)

@@ -3,11 +3,13 @@
 Ground truth for approximation ratios on desk-scale instances. Both searches
 are complete within their explicit node budgets and deterministic under the
 documented tie-breaking. The branch and bound for the maximum-weight
-independent set prunes with a clique partition of V, built once per call:
-an independent set takes at most one vertex of each clique, so the sum of
-each part's heaviest remaining weight bounds what a subtree can add. A
-known independent set can seed its incumbent, which prunes more and
-returns the same set. The improvement search, `_first_improvement`, reads
+independent set prunes with a clique cover of the remaining vertices,
+rebuilt at every node from bitmasks: an independent set takes at most one
+vertex of each clique, so the sum of each clique's heaviest weight bounds
+what a subtree can add (the colouring bound of bit-parallel maximum-clique
+solvers, San Segundo et al. 2011, applied to the complement). A known
+independent set can seed its incumbent, which prunes more and returns the
+same set. The improvement search, `_first_improvement`, reads
 the subsets from `instances.independent_subsets`; it is also the claw
 search of `solvers`, run at one center with alpha = 2 and at most d-1
 talons. With integer powers it sends each subset's deficit back into the
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
-
-import mpmath
 
 from .instances import (
     BudgetExceededError,
@@ -52,26 +52,6 @@ class OracleResult:
     optimal: bool = True
 
 
-def clique_partition(g: ConflictGraph) -> list[tuple[int, ...]]:
-    """A partition of V into cliques, each listed heaviest first.
-
-    Vertices are taken in (-w, id) order; each joins the first part all of
-    whose members it is adjacent to, or else starts a new part. The result
-    depends only on the graph.
-    """
-    w = g.w_int
-    parts: list[list[int]] = []
-    for v in sorted(range(g.n), key=lambda u: (-w[u], u)):
-        nbrs = g.adj_sets[v]
-        for part in parts:
-            if nbrs.issuperset(part):
-                part.append(v)
-                break
-        else:
-            parts.append([v])
-    return [tuple(part) for part in parts]
-
-
 def exact_mwis(
     g: ConflictGraph,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -81,14 +61,19 @@ def exact_mwis(
     """Branch and bound for the maximum-weight independent set.
 
     Branches on a remaining vertex of maximum degree (ties to the lowest
-    id), include-branch first. A node is pruned when the current weight
-    plus all remaining weights, or else plus the heaviest remaining weight
-    of each part of `clique_partition(g)`, does not beat the incumbent;
-    since an independent set meets each clique at most once, a pruned
-    subtree holds nothing strictly better. Only strict improvements replace
-    the incumbent, so the returned set is deterministic. Vertex sets are int
-    bitmasks and weights are compared as sums of the integers `g.w_int`,
-    which order exactly as the rational weights do; the result reports the
+    id), include-branch first. At each node the remaining vertices are
+    covered by cliques: the heaviest one left (ties to the lowest id) seeds
+    a clique, which takes every vertex, heaviest first, that is adjacent to
+    all its members so far; the clique leaves, and the next one grows. The
+    node is pruned when the current weight plus the seeds' weights does not
+    beat the incumbent; since an independent set meets each clique at most
+    once, a pruned subtree holds nothing strictly better. Only strict
+    improvements replace the incumbent, so the returned set is
+    deterministic: the first optimum in DFS order, whatever valid bound
+    prunes. Vertex sets are int bitmasks, kept for the cover in a second
+    labelling, heaviest first, where a mask's lowest bit is its heaviest
+    vertex. Weights are compared as sums of the integers `g.w_int`, which
+    order exactly as the rational weights do; the result reports the
     optimum as a Fraction.
 
     `incumbent`, an independent set of `g` (say a local-search final),
@@ -105,11 +90,14 @@ def exact_mwis(
 
     w = g.w_int
     adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
-    # per part: its mask and its members as (bit, weight), heaviest first
-    parts = [
-        (sum(1 << v for v in part), [(1 << v, w[v]) for v in part])
-        for part in clique_partition(g)
-    ]
+    # the vertices relabelled heaviest first, so a mask's lowest bit is its
+    # heaviest vertex: rank[v] is v's label, adj_r and w_r are by label
+    order = sorted(range(g.n), key=lambda v: (-w[v], v))
+    rank = [0] * g.n
+    for r, v in enumerate(order):
+        rank[v] = r
+    adj_r = [sum(1 << rank[u] for u in g.adj[v]) for v in order]
+    w_r = [w[v] for v in order]
     nodes = 0
     best = 0
     best_w = 0
@@ -118,7 +106,7 @@ def exact_mwis(
         best = sum(1 << v for v in members)
         best_w = sum(w[v] for v in members) - 1
 
-    def search(cands: int, cand_w: int, cur: int, cur_w: int):
+    def search(cands: int, cands_r: int, cur: int, cur_w: int):
         nonlocal nodes, best, best_w
         nodes += 1
         if nodes > budget:
@@ -129,18 +117,23 @@ def exact_mwis(
         if cur_w > best_w:
             best_w = cur_w
             best = cur
-        if not cands or cur_w + cand_w <= best_w:
-            return
-        # prune unless the partition bound beats the incumbent
+        # cover the candidates with cliques, each grown greedily from the
+        # heaviest vertex left; prune unless their heaviest weights beat
+        # the incumbent
         bound = cur_w
-        for mask, members in parts:
-            if cands & mask:
-                for bit, wv in members:
-                    if cands & bit:
-                        bound += wv
-                        break
-                if bound > best_w:
-                    break
+        m = cands_r
+        while m:
+            low = m & -m
+            r = low.bit_length() - 1
+            bound += w_r[r]
+            if bound > best_w:
+                break
+            m ^= low
+            q = m & adj_r[r]
+            while q:
+                low = q & -q
+                m ^= low
+                q &= adj_r[low.bit_length() - 1]
         else:
             return
         pick, pick_deg = -1, -1
@@ -153,17 +146,12 @@ def exact_mwis(
                 pick, pick_deg = v, deg
             m ^= low
         rest = cands & ~(1 << pick)
-        nbrs = adj[pick] & rest
-        nbrs_w = 0
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs_w += w[low.bit_length() - 1]
-            nbrs ^= low
+        rest_r = cands_r & ~(1 << rank[pick])
         # include pick, then exclude it
-        search(rest & ~adj[pick], cand_w - w[pick] - nbrs_w, cur | (1 << pick), cur_w + w[pick])
-        search(rest, cand_w - w[pick], cur, cur_w)
+        search(rest & ~adj[pick], rest_r & ~adj_r[rank[pick]], cur | (1 << pick), cur_w + w[pick])
+        search(rest, rest_r, cur, cur_w)
 
-    search((1 << g.n) - 1, sum(w), 0, 0)
+    search((1 << g.n) - 1, (1 << g.n) - 1, 0, 0)
     return _oracle_result(g, best, nodes)
 
 
@@ -190,6 +178,8 @@ def _int_powers(w_int: Sequence[int], k: int) -> list[int]:
 def _mp_power_sums(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iterable[int]):
     """w^alpha(x) and w^alpha(nx) as mpmath floats; call inside
     mpmath.workprec(_MP_PREC)."""
+    import mpmath
+
     af = mpmath.mpf(alpha.numerator) / alpha.denominator
 
     def term(v):
@@ -213,6 +203,8 @@ def power_weight_improves(g: ConflictGraph, alpha: Fraction, x: Iterable[int], n
         xs, nxs = list(x), list(nx)
         p = _int_powers([g.w_int[v] for v in xs + nxs], alpha.numerator)
         return sum(p[: len(xs)]) > sum(p[len(xs):])
+    import mpmath  # only non-integer alpha needs it
+
     with mpmath.workprec(_MP_PREC):
         lhs, rhs = _mp_power_sums(g, alpha, x, nx)
         tol = mpmath.mpf(ALPHA_REL_TOL.numerator) / ALPHA_REL_TOL.denominator
@@ -228,6 +220,8 @@ def power_weight_gain(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: I
         return sum((g.weights[v] ** a for v in x), Fraction(0)) - sum(
             (g.weights[v] ** a for v in nx), Fraction(0)
         )
+    import mpmath  # only non-integer alpha needs it
+
     with mpmath.workprec(_MP_PREC):
         lhs, rhs = _mp_power_sums(g, alpha, x, nx)
         return Fraction(lhs - rhs)

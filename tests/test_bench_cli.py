@@ -252,6 +252,33 @@ def test_bench_parallel_tasks_are_rows():
     assert emit_report(bench.BenchReport(rows)) == emit_report(run_bench(config, jobs=2))
 
 
+
+def test_bench_parallel_finals_hold_the_parents_graph():
+    """Under a `pmap` that pickles each task and its result, as a process
+    pool does, every final that reaches the oracle or the certificate holds
+    the parent's graph, so a task pickles one graph, not two."""
+    import pickle
+
+    import clawpack.bench as bench
+
+    spec = MEMO_SUITE["instances"][0]
+    inst, g = instance_from_gen_spec(spec["gen"])
+    finals = []
+
+    def pmap(fn, tasks):
+        if fn is bench._optimum:
+            finals.extend(t[2] for t in tasks)
+        elif fn is bench._certify:
+            finals.extend(t[1] for t in tasks)
+        return [pickle.loads(pickle.dumps(fn(*pickle.loads(pickle.dumps(t))))) for t in tasks]
+
+    rows = bench._run_phases([(spec["id"], g, inst, spec)], MEMO_SUITE["algorithms"], [0, 1], 20,
+                             Fraction(1, 2), pmap)
+    assert len(finals) > 1 and all(final.g is g for final in finals)
+    serial = bench._run_phases([(spec["id"], g, inst, spec)], MEMO_SUITE["algorithms"], [0, 1], 20,
+                               Fraction(1, 2), lambda fn, tasks: [fn(*t) for t in tasks])
+    assert emit_report(bench.BenchReport(rows)) == emit_report(bench.BenchReport(serial))
+
 def test_cli_gen_and_solve(tmp_path, runner):
     inst_path = tmp_path / "b4.ksp"
     out_path = tmp_path / "trace.json"

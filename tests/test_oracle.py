@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import brute_force_improvement_exists, brute_force_mwis, gen_berman_tight, w2_of
 
+import clawpack
 from clawpack.generators import (
     LowerBoundParams,
     gen_alternating_cycle,
@@ -113,6 +117,25 @@ def test_non_integer_alpha_uses_tolerant_comparison():
     g2 = ConflictGraph.from_edges(2, [], [9, 4])
     assert power_weight_improves(g2, Fraction(1, 2), [0], [1])
 
+
+
+def test_mpmath_is_imported_only_for_non_integer_alpha():
+    """Importing the package, the bench runner and the generators leaves
+    mpmath unloaded; a non-integer alpha loads it."""
+    src = os.path.dirname(os.path.dirname(clawpack.__file__))
+    code = (
+        "import sys, clawpack, clawpack.bench, clawpack.generators\n"
+        "from fractions import Fraction\n"
+        "g = clawpack.ConflictGraph.from_edges(2, [], [9, 4])\n"
+        "before = 'mpmath' in sys.modules\n"
+        "clawpack.oracle.power_weight_improves(g, 2, [0], [1])\n"
+        "integer = 'mpmath' in sys.modules\n"
+        "clawpack.oracle.power_weight_improves(g, Fraction(1, 2), [0], [1])\n"
+        "print(before, integer, 'mpmath' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "False", "True"]
 
 # Known defects of non-integer alpha, which goes through 140-bit floating
 # point with a 2**-40 relative tie margin. The strict xfails pass once the

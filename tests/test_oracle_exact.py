@@ -9,7 +9,6 @@ order, so search trees, node counts and budget failures must agree.
 import math
 import random
 from fractions import Fraction
-from itertools import chain, combinations
 from typing import Optional
 from unittest import mock
 
@@ -33,7 +32,7 @@ from clawpack.instances import (
     build_conflict_graph,
     neighborhood,
 )
-from clawpack.oracle import clique_partition, exact_mwis, exhaustive_improvement_search, power_weight_improves
+from clawpack.oracle import exact_mwis, exhaustive_improvement_search, power_weight_improves
 from clawpack.solvers import SolverConfig, greedy, logimp, squareimp
 
 ALPHAS = (-3, -1, 1, 2, 3)
@@ -41,27 +40,14 @@ ALPHAS = (-3, -1, 1, 2, 3)
 # ------------------------------------------------------------ references
 
 
-def ref_clique_partition(g: ConflictGraph) -> list[list[int]]:
-    """Cliques covering V: vertices in (-weight, id) order, each joining
-    the first clique it is adjacent to all of, or starting a new one."""
-    cliques: list[list[int]] = []
-    for v in sorted(range(g.n), key=lambda u: (-g.weights[u], u)):
-        home = next((c for c in cliques if all(g.has_edge(v, u) for u in c)), None)
-        if home is None:
-            cliques.append([v])
-        else:
-            home.append(v)
-    return cliques
-
-
-def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cliques=None, seed=None):
+def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cover: bool = False, seed=None):
     """Branch and bound over Fraction weights and vertex lists.
 
     A node is pruned when the current weight plus all remaining weights
-    does not beat the incumbent; with `cliques` (disjoint cliques covering
-    V), also when the current weight plus the heaviest remaining weight of
-    each clique does not. `seed`, an independent vertex set, is the first
-    incumbent, at 1/L below its weight (L the lcm of the weight
+    does not beat the incumbent; with `cover`, also when the current weight
+    plus the first weight of each clique of `ref_clique_cover` of the
+    remaining vertices does not. `seed`, an independent vertex set, is the
+    first incumbent, at 1/L below its weight (L the lcm of the weight
     denominators). Returns (best set, optimum, nodes), or raises
     BudgetExceededError whose `partial` is that triple for the incumbent
     (the weight its own, not the floor)."""
@@ -84,11 +70,9 @@ def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cliques=None, se
             return
         if cur_w + w_of(g, cands) <= best_w:
             return
+        if cover and cur_w + sum((g.weights[c[0]] for c in ref_clique_cover(g, cands)), Fraction(0)) <= best_w:
+            return
         cand_set = set(cands)
-        if cliques is not None:
-            heaviest = [max(g.weights[v] for v in c if v in cand_set) for c in cliques if cand_set.intersection(c)]
-            if cur_w + sum(heaviest, Fraction(0)) <= best_w:
-                return
         pick = max(cands, key=lambda v: (len(g.adj_sets[v] & cand_set), -v))
         rest_in = [v for v in cands if v != pick and not g.has_edge(v, pick)]
         cur.add(pick)
@@ -98,6 +82,23 @@ def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cliques=None, se
 
     search(list(range(g.n)), set(), Fraction(0))
     return best_set, best_w, nodes
+
+
+def ref_clique_cover(g: ConflictGraph, vertices: list[int]) -> list[list[int]]:
+    """Cliques covering `vertices`, each listed heaviest first: the
+    heaviest vertex left (ties to the lowest id) starts a clique, which then
+    takes, in (-weight, id) order, each vertex left adjacent to all of its
+    members; the clique leaves, and the next one starts."""
+    left = sorted(vertices, key=lambda u: (-g.weights[u], u))
+    cliques: list[list[int]] = []
+    while left:
+        clique = [left[0]]
+        for v in left[1:]:
+            if all(g.has_edge(v, u) for u in clique):
+                clique.append(v)
+        cliques.append(clique)
+        left = [v for v in left if v not in clique]
+    return cliques
 
 
 def ref_improvement_search(
@@ -218,8 +219,7 @@ def test_exact_mwis_matches_fraction_branch_and_bound(g):
     assert res.optimum_w == best_w == res.best.total_w
     assert isinstance(res.optimum_w, Fraction)
     assert res.optimal
-    cliques = ref_clique_partition(g)
-    _, _, nodes = ref_exact_mwis(g, cliques=cliques)
+    _, _, nodes = ref_exact_mwis(g, cover=True)
     assert res.nodes_explored == nodes
     for budget in (1, 2, 3, 5, 8, 13, 21):
         if budget >= nodes:
@@ -228,20 +228,20 @@ def test_exact_mwis_matches_fraction_branch_and_bound(g):
         with pytest.raises(BudgetExceededError) as got:
             exact_mwis(g, budget=budget)
         with pytest.raises(BudgetExceededError) as want:
-            ref_exact_mwis(g, budget=budget, cliques=cliques)
+            ref_exact_mwis(g, budget=budget, cover=True)
         partial = got.value.partial
         assert (partial.best.members, partial.optimum_w, partial.nodes_explored) == want.value.partial
         assert not partial.optimal
     # seeded with a maximal set, and with the optimum itself: the same set
     # in no more nodes, and the reference's tree under the same floor
     for seed in (maximal_solution(g, random.Random(g.n)), res.best):
-        _, _, seeded_nodes = ref_exact_mwis(g, cliques=cliques, seed=seed.members)
+        _, _, seeded_nodes = ref_exact_mwis(g, cover=True, seed=seed.members)
         got = exact_mwis(g, incumbent=seed)
         assert (got.best.members, got.optimum_w, got.nodes_explored) == (best, best_w, seeded_nodes)
         assert got.optimal and seeded_nodes <= nodes
         for budget in (1, 2, 3, 5, 8):
             assert budget_partial(exact_mwis, g, budget=budget, incumbent=seed) == budget_partial(
-                ref_exact_mwis, g, budget=budget, cliques=cliques, seed=seed.members
+                ref_exact_mwis, g, budget=budget, cover=True, seed=seed.members
             )
 
 
@@ -262,25 +262,12 @@ def tied_packing_graphs(draw, max_n: int = 16):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(tied_packing_graphs(), tied_graphs()))
-def test_partition_bound_keeps_the_returned_set(g):
+def test_clique_cover_bound_keeps_the_returned_set(g):
     best, best_w, sum_nodes = ref_exact_mwis(g)
-    _, _, nodes = ref_exact_mwis(g, cliques=ref_clique_partition(g))
+    _, _, nodes = ref_exact_mwis(g, cover=True)
     res = exact_mwis(g)
     assert res.best.members == best and res.optimum_w == best_w
     assert res.nodes_explored == nodes <= sum_nodes
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(prime_weighted_graphs(), tied_graphs(), tied_packing_graphs()))
-def test_clique_partition_is_a_partition_into_cliques(g):
-    parts = clique_partition(g)
-    assert sorted(chain.from_iterable(parts)) == list(range(g.n))
-    for part in parts:
-        assert all(g.has_edge(u, v) for u, v in combinations(part, 2))
-        assert [(-g.weights[v], v) for v in part] == sorted((-g.weights[v], v) for v in part)
-    assert parts == [tuple(c) for c in ref_clique_partition(g)]
-    same = ConflictGraph.from_edges(g.n, g.edges(), g.weights)
-    assert clique_partition(g) == clique_partition(same) == parts
 
 
 def test_seeded_oracle_keeps_the_set_of_random_packings():
