@@ -10,8 +10,9 @@ time, and writes `BENCH_<tag>.json` there with the Python version, the CPU
 count (`nproc`) and, per run, the command's arguments, exit code and its
 last output line parsed as JSON, or the tail of its stderr if it failed.
 Under `scale` it lists three seed-0 `solve` timings and their median per
-point of the scale curve, which clawbench does not cover (see
-`scale_curve`), and under `oracle` the nodes and time of `exact_mwis`,
+point of the scale curve, which clawbench does not cover, with the
+talon-search nodes of the tight-instance points (see `scale_curve`), and
+under `oracle` the nodes and time of `exact_mwis`,
 unseeded and seeded with the logimp final, past the sizes clawbench runs
 it at (see `oracle_curve`).
 It exits 1, naming the runs, if any run failed or reported `correct: false`;
@@ -36,6 +37,8 @@ SCALE_COPIES = (40, 160, 640)
 SCALE_N = (400, 800, 1600, 3200, 6400)
 # Wider sets, squareimp only: random k-set packings of n sets, as (k, n).
 SCALE_WIDE = ((5, 300), (7, 200))
+# Berman's tight instance at these claw bounds d, from empty.
+SCALE_TIGHT_D = (12, 16, 20)
 # Timings per point of the scale curve; the point records their median.
 SCALE_REPEATS = 3
 # The oracle curve: random k=3 packings of n sets, unseeded and seeded, and
@@ -67,12 +70,15 @@ def scale_curve() -> list[dict]:
     packings of n = `SCALE_N` sets over a universe of n elements (the
     `rand-k3` generator settings), and squareimp on random k-set packings of
     the (k, n) in `SCALE_WIDE`, with the same settings, where the claw
-    search may take up to k talons. Each point gives its suite, size, vertex
-    count, algorithm, iteration count, every `solve` wall time (`walls_s`)
-    and their median (`wall_s`)."""
+    search may take up to k talons, and squareimp and logimp from empty on
+    `berman_tight_instance(d)` for d in `SCALE_TIGHT_D`. Each point gives
+    its suite, size, vertex count, algorithm, iteration count, every
+    `solve` wall time (`walls_s`) and their median (`wall_s`); the tight
+    points also give the talon-search nodes of one more, untimed run
+    (`talon_nodes`)."""
     import clawpack
     from clawbench.workloads import TIGHT_UNION_D, tight_union
-    from clawpack.generators import gen_random_packing
+    from clawpack.generators import berman_tight_instance, gen_random_packing
 
     def point(suite, size, algo, g, cfg, inst, start=None):
         walls = []
@@ -100,7 +106,43 @@ def scale_curve() -> list[dict]:
         inst = gen_random_packing(n, k, n, weight_dist=("uniform", 10), seed=0)
         g = clawpack.build_conflict_graph(inst)
         points.append(point(f"rand-k{k}", n, "squareimp", g, clawpack.SolverConfig(mode="squareimp", rng_seed=0), inst))
+    for d in SCALE_TIGHT_D:
+        inst = berman_tight_instance(d)
+        g = clawpack.build_conflict_graph(inst)
+        for algo in ("squareimp", "logimp"):
+            cfg = clawpack.SolverConfig(mode=algo, rng_seed=0)
+            p = point("tight", d, algo, g, cfg, inst)
+            p["talon_nodes"] = talon_nodes(lambda: clawpack.solve(g, cfg, inst=inst))
+            points.append(p)
     return points
+
+
+def talon_nodes(run) -> int:
+    """The subsets the improvement search's walk yields during run(): the
+    talon-search nodes of a squareimp or logimp run."""
+    from clawpack import oracle
+
+    walk = oracle.independent_subsets
+    nodes = 0
+
+    def counted(*args):
+        nonlocal nodes
+        inner = walk(*args)
+        deficit = None
+        while True:
+            try:
+                x = inner.send(deficit)
+            except StopIteration:
+                return
+            nodes += 1
+            deficit = yield x
+
+    oracle.independent_subsets = counted
+    try:
+        run()
+    finally:
+        oracle.independent_subsets = walk
+    return nodes
 
 
 def oracle_curve() -> list[dict]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from typing import Generator, Iterable, Optional, Sequence
+from typing import Generator, Iterable, Mapping, Optional, Sequence
 
 
 class InputError(ValueError):
@@ -340,7 +340,11 @@ def build_conflict_graph(inst: PackingInstance) -> ConflictGraph:
 
 
 def independent_subsets(
-    g: ConflictGraph, cands: Sequence[int], cap: int, p: Optional[Sequence[int]] = None
+    g: ConflictGraph,
+    cands: Sequence[int],
+    cap: int,
+    p: Optional[Mapping[int, int] | Sequence[int]] = None,
+    deficit: Optional[int] = None,
 ) -> Generator[tuple[int, ...], Optional[int], None]:
     """Each independent subset of 1..`cap` vertices of `cands`, in
     lexicographic order of positions in `cands`, except the extensions a
@@ -353,16 +357,28 @@ def independent_subsets(
     picks; they are listed when the walk resumes past that subset, so a
     reader that stops there pays for no more.
 
-    A reader holding positive integers `p` may send back, after a subset
-    X, its deficit D = p(N(X, A)) - p(X) for some set A. The walk then
-    skips every extension of X when the cap - |X| largest `p` among X's
-    extension candidates sum to at most D: no superset Y of X then has
-    p(Y) > p(N(Y, A)), since N(Y, A) contains N(X, A). So the first
-    subset a reader stops at stays the same. A reader that sends nothing
-    (a plain `for` loop, or `send(None)`) walks every subset.
+    A reader holding non-negative integers `p` (by vertex) may send back,
+    after a subset X, a deficit D that p(Y - X) must exceed for any
+    superset Y of X it would stop at. The walk then skips every extension
+    of X when the cap - |X| largest `p` among X's extension candidates
+    sum to at most D, so the first subset a reader stops at stays the
+    same. `deficit` is the empty subset's D: the walk yields nothing when
+    the cap largest `p` of `cands` sum to at most it. A reader that sends
+    nothing (a plain `for` loop, or `send(None)`) and passes no `deficit`
+    walks every subset.
     """
     adj_sets = g.adj_sets
-    stack = [(cands, 0, ())] if cap >= 1 else []
+
+    def covers(ext: Sequence[int], room: int, need: Optional[int]) -> bool:
+        """Could `room` more picks from `ext` outweigh the deficit `need`?"""
+        if need is None:
+            return True
+        top = [p[u] for u in ext]
+        if len(top) > room:
+            top = sorted(top)[-room:]
+        return sum(top) > need
+
+    stack = [(cands, 0, ())] if cap >= 1 and cands and covers(cands, cap, deficit) else []
     while stack:
         level, i, chosen = stack[-1]
         if i == len(level):
@@ -376,13 +392,7 @@ def independent_subsets(
         if room:
             nbrs = adj_sets[v]
             ext = [u for u in level[i + 1:] if u not in nbrs]
-            if ext and deficit is not None:
-                top = [p[u] for u in ext]
-                if len(top) > room:
-                    top = sorted(top)[-room:]
-                if sum(top) <= deficit:
-                    ext = []
-            if ext:
+            if ext and covers(ext, room, deficit):
                 stack.append((ext, 0, y))
 
 

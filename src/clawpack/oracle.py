@@ -14,7 +14,9 @@ the subsets from `instances.independent_subsets`; it is also the claw
 search of `solvers`, run at one center with alpha = 2 and at most d-1
 talons. With integer powers it sends each subset's deficit back into the
 walk, which then skips the extensions that cannot gain enough to improve;
-the improvement found is the same, only the node count drops.
+the claw search charges each talon with its share of the other members it
+removes, which also settles most centers before any walk. The improvement
+found is the same, only the node count drops.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def exhaustive_improvement_search(
 
 def _first_improvement(
     g: ConflictGraph, members: AbstractSet[int], cands: list[int], cap: int, p: Optional[Sequence[int]],
-    budget: int, nodes: Iterator[int], what: str, alpha: Optional[Fraction] = None,
+    budget: int, nodes: Iterator[int], what: str, alpha: Optional[Fraction] = None, center: Optional[int] = None,
 ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """The first independent X of at most `cap` of the outside vertices
     `cands` (in id order), in lexicographic order, that beats N(X, A), as
@@ -273,20 +275,54 @@ def _first_improvement(
     `p` None, by `power_weight_improves` at `alpha`. The subsets come from
     `independent_subsets`; each one draws from `nodes`, a counter from 1
     that calls under one budget share; a draw past `budget` raises
-    "<what> exceeded <budget> nodes". Per depth k the walk keeps the sums
-    of X and of N(X, A) and N(X, A) itself, each extending depth k-1's.
-    With `p`, each non-improving X sends its deficit p(N(X, A)) - p(X)
-    back into the walk, which skips X's extensions when the largest `p`
-    that could still join X cannot cover it. No skipped subset improves,
-    so the X returned is the one an unbounded walk returns; only the node
-    count, and so where `budget` fires, is smaller. The float path sends
-    nothing and walks every subset.
+    "<what> exceeded <budget> nodes". N(u, A) is listed once per
+    candidate u; per depth k the walk keeps the sums of X and of N(X, A)
+    and N(X, A) itself, each extending depth k-1's.
+
+    With `p`, each non-improving X sends a deficit back into the walk,
+    which skips X's extensions when the largest weights that could still
+    join X cannot cover it. Without `center` (the w**alpha search, where
+    no member is next to every candidate) the weights are `p` and the
+    deficit is p(N(X, A)) - p(X): every vertex added only grows N(X, A).
+    With `center` c, a member of A next to every candidate (the claw
+    search), each candidate u is charged its share of the members it
+    would remove besides c: with m(a) the smaller of `cap` and the number
+    of candidates next to a,
+
+        q(u) = p(u) - sum of p(a) // m(a) over a in N(u, A) - {c}.
+
+    A set Y of at most `cap` candidates meets each such a at most m(a)
+    times, so p(Y) - p(N(Y, A)) <= q(Y) - p(c), and Y improves only if
+    q(Y) > p(c). The walk's weights are then max(q, 0), the deficit sent
+    after X is p(c) - q(X), and the empty set's is p(c): the center is
+    settled without a walk when the `cap` largest positive q sum to at
+    most p(c). Either way no skipped subset improves, so the X returned is
+    the one an unbounded walk returns; only the node count, and so where
+    `budget` fires, is smaller. The float path sends nothing and walks
+    every subset.
     """
     adj_sets = g.adj_sets
+    nbrs = {u: adj_sets[u] & members for u in cands}
+    walk_p, q, base = p, None, None
+    if center is not None:
+        delta: dict[int, int] = {}  # a -> the number of candidates next to a
+        for nu in nbrs.values():
+            for a in nu:
+                delta[a] = delta.get(a, 0) + 1
+        q, walk_p, base = {}, {}, p[center]
+        for u, nu in nbrs.items():
+            x = p[u]
+            for a in nu:
+                if a != center:
+                    m = delta[a]
+                    x -= p[a] if m == 1 else p[a] // min(m, cap)
+            q[u] = x
+            walk_p[u] = x if x > 0 else 0
     x_p = [0] * (cap + 1)
+    x_q = [0] * (cap + 1)
     r_p = [0] * (cap + 1)
     removed: list[frozenset[int]] = [frozenset()] * (cap + 1)
-    walk = independent_subsets(g, cands, cap, p)
+    walk = independent_subsets(g, cands, cap, walk_p, base)
     deficit = None
     while True:
         try:
@@ -297,7 +333,7 @@ def _first_improvement(
             raise BudgetExceededError(f"{what} exceeded {budget} nodes")
         k = len(x)
         v = x[-1]
-        new = (adj_sets[v] & members) - removed[k - 1]
+        new = nbrs[v] - removed[k - 1]
         removed[k] = nx = removed[k - 1] | new
         if p is not None:
             x_p[k] = x_p[k - 1] + p[v]
@@ -306,8 +342,12 @@ def _first_improvement(
                 for u in new:
                     r += p[u]
             r_p[k] = r
-            deficit = r_p[k] - x_p[k]
-            improves = deficit < 0
+            improves = r < x_p[k]
+            if q is None:
+                deficit = r - x_p[k]
+            else:
+                x_q[k] = x_q[k - 1] + q[v]
+                deficit = base - x_q[k]
         else:
             improves = power_weight_improves(g, alpha, x, nx)
         if improves:

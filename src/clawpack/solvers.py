@@ -216,11 +216,22 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     talons in lexicographic order, squared weights compared as the integers
     `g.w2_int`, which order exactly as the rationals do. A center searched
     without success is settled. The result is that of a search from
-    scratch. The search skips a talon set's extensions once the heaviest
-    talons that could still join it cannot outweigh what it already
-    removes (see `_first_improvement`); this changes node counts only.
-    `_MAX_CLAW_NODES` caps the talon-search nodes of this call, counted
-    across its centers. For a hit, removed = N(talons) & A.
+    scratch.
+
+    The talon walk is bounded by charged weights (see
+    `_first_improvement`), all in the integers `g.w2_int`. At center c,
+    each member a != c next to some candidate talon is shared out among
+    the m(a) = min(delta(a), d-1) talons that can meet it, delta(a) being
+    the number of candidates next to a, and each talon u is charged
+    q(u) = w2(u) minus its shares floor(w2(a) / m(a)). A set Y of at most
+    d-1 talons meets a at most m(a) times, so
+    w2(Y) - w2(N(Y, A)) <= q(Y) - w2(c): Y improves only if q(Y) > w2(c).
+    A center whose d-1 largest positive q sum to at most w2(c) is settled
+    without a walk; otherwise the walk skips a talon set X's extensions
+    once the largest positive q that could still join X sum to at most
+    w2(c) - q(X). No skipped set improves, so this changes node counts
+    only. `_MAX_CLAW_NODES` caps the talon-search nodes of this call,
+    counted across its centers. For a hit, removed = N(talons) & A.
     """
     v = state.lowest_free()
     if v is not None:
@@ -230,7 +241,9 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     nodes = count(1)
     while (c := state.lowest_open_center()) is not None:
         cands = [u for u in g.adj[c] if u not in members]
-        got = _first_improvement(g, members, cands, cap, g.w2_int, _MAX_CLAW_NODES, nodes, "claw search")
+        got = _first_improvement(
+            g, members, cands, cap, g.w2_int, _MAX_CLAW_NODES, nodes, "claw search", center=c
+        )
         if got is not None:
             return Improvement(*got, ClawShaped(center=c))
         state.settled.add(c)

@@ -596,13 +596,15 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
 def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     """With tiny sizes, the file's `scale` key holds one point per
     tight-union size and circular mode, per k=3 packing size and algorithm,
-    and per wider packing, each timed `SCALE_REPEATS` times; the `oracle`
-    key holds unseeded and seeded node counts, and seeded only past
-    `ORACLE_N`."""
+    per wider packing, and per tight-instance d and algorithm, each timed
+    `SCALE_REPEATS` times, the tight-instance points with their talon
+    nodes; the `oracle` key holds unseeded and seeded node counts, and
+    seeded only past `ORACLE_N`."""
     br = load_bench_record()
     monkeypatch.setattr(br, "SCALE_COPIES", (1, 2))
     monkeypatch.setattr(br, "SCALE_N", (20, 40))
     monkeypatch.setattr(br, "SCALE_WIDE", ((5, 20), (7, 20)))
+    monkeypatch.setattr(br, "SCALE_TIGHT_D", (4, 12))
     monkeypatch.setattr(br, "ORACLE_N", (10, 20))
     monkeypatch.setattr(br, "ORACLE_SEEDED_N", (30,))
     monkeypatch.setattr(br, "run_one", lambda workload, trace: {
@@ -620,12 +622,18 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
         ("rand-k3", 20, "squareimp"), ("rand-k3", 20, "logimp"),
         ("rand-k3", 40, "squareimp"), ("rand-k3", 40, "logimp"),
         ("rand-k5", 20, "squareimp"), ("rand-k7", 20, "squareimp"),
+        ("tight", 4, "squareimp"), ("tight", 4, "logimp"),
+        ("tight", 12, "squareimp"), ("tight", 12, "logimp"),
     ]
+    point_keys = {"suite", "size", "vertices", "algo", "iterations", "wall_s", "walls_s"}
     for p in scale:
-        assert set(p) == {"suite", "size", "vertices", "algo", "iterations", "wall_s", "walls_s"}
+        assert set(p) == (point_keys | {"talon_nodes"} if p["suite"] == "tight" else point_keys)
         assert p["vertices"] > 0 and p["iterations"] > 0
         assert len(p["walls_s"]) == br.SCALE_REPEATS and p["wall_s"] == sorted(p["walls_s"])[1] >= 0
     assert [p["vertices"] for p in scale[:4]] == [14, 14, 28, 28]
+    # squareimp settles every center of the tight instance with no walk
+    assert [p["talon_nodes"] for p in scale[-4:] if p["algo"] == "squareimp"] == [0, 0]
+    assert [p["vertices"] for p in scale[-4:]] == [9, 9, 77, 77]
     oracle = doc["oracle"]
     assert [p["n"] for p in oracle] == [10, 20, 30]
     assert [set(p) for p in oracle] == [

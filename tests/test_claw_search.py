@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from clawpack import instances, oracle, solvers
 from clawpack.circular import ColorCodingParams, aux_edge_check, build_anchor_maps
-from clawpack.generators import gen_random_packing
+from clawpack.generators import berman_tight_instance, gen_random_packing
 from clawpack.instances import (
     BudgetExceededError,
     ClawShaped,
@@ -54,9 +54,14 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
     """The reference claw search's result and its talon-search nodes (one
     per independent extension), counted across all centers it tried.
 
-    `bounded` skips a talon set's extensions when the d-1-|T| largest w^2
-    among the talons that could still join T sum to at most the deficit
-    w^2(N(T, A)) - w^2(T); the unbounded search returns the same result."""
+    `bounded` applies the charged bound of `oracle._first_improvement`:
+    at center c each candidate talon u is charged q(u) = w^2(u) minus the
+    share floor(w2_int[a] / m) / L^2 of each member a != c next to it, m
+    the smaller of d-1 and the number of candidates next to a. The center
+    is skipped when its d-1 largest positive q sum to at most w^2(c), and
+    a talon set T's extensions when the d-1-|T| largest positive q among
+    the talons that could still join T sum to at most w^2(c) - q(T). The
+    unbounded search returns the same result."""
     members = a.members
     for v in range(g.n):
         if v in members:
@@ -66,10 +71,23 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
     w2 = [w * w for w in g.weights]
     nodes = 0
 
+    def charges(center: int, cands: list[int]) -> dict[int, Fraction]:
+        """Each candidate's q at `center`, in Fractions from the same floors."""
+        others = {u: (g.adj_sets[u] & members) - {center} for u in cands}
+        m = Counter(x for u in cands for x in others[u])
+        share = {x: Fraction(g.w2_int[x] // min(k, d - 1), g.w_lcm ** 2) for x, k in m.items()}
+        return {u: w2[u] - sum((share[x] for x in others[u]), Fraction(0)) for u in cands}
+
+    def covers(q, talons, room, deficit) -> bool:
+        return not bounded or sum(sorted(max(q[x], 0) for x in talons)[-room:]) > deficit
+
     def talons(center: int) -> Optional[frozenset[int]]:
         cands = [u for u in g.adj[center] if u not in members]
+        q = charges(center, cands)
+        if not covers(q, cands, d - 1, w2[center]):
+            return None
 
-        def extend(start, chosen, t_w2, removed, r_w2):
+        def extend(start, chosen, t_w2, removed, r_w2, t_q):
             nonlocal nodes
             for i in range(start, len(cands)):
                 u = cands[i]
@@ -79,21 +97,22 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
                 new_removed = (g.adj_sets[u] & members) - removed
                 nt = t_w2 + w2[u]
                 nr = r_w2 + sum((w2[x] for x in new_removed), Fraction(0))
+                nq = t_q + q[u]
                 chosen.append(u)
                 if nt > nr:
                     return list(chosen)
                 room = d - 1 - len(chosen)
                 later = [x for x in cands[i + 1:] if not any(g.has_edge(x, y) for y in chosen)]
-                if room and (not bounded or sum(sorted(w2[x] for x in later)[-room:]) > nr - nt):
+                if room and later and covers(q, later, room, w2[center] - nq):
                     removed |= new_removed
-                    found = extend(i + 1, chosen, nt, removed, nr)
+                    found = extend(i + 1, chosen, nt, removed, nr, nq)
                     if found is not None:
                         return found
                     removed -= new_removed
                 chosen.pop()
             return None
 
-        got = extend(0, [], Fraction(0), set(), Fraction(0))
+        got = extend(0, [], Fraction(0), set(), Fraction(0), Fraction(0))
         return frozenset(got) if got else None
 
     for c in sorted(members):
@@ -253,13 +272,18 @@ def random_case(seed: int):
     pw = PrimeWeights(rng)
     weights = [pw.magnitude(rng.randint(-60, 60)) for _ in range(n)]
     g = ConflictGraph.from_edges(n, edges, weights, d=4)
-    order = list(range(n))
+    return rng, pw, g, random_maximal(g, rng)
+
+
+def random_maximal(g: ConflictGraph, rng: random.Random) -> Solution:
+    """A maximal independent set, greedy over a shuffled vertex order."""
+    order = list(range(g.n))
     rng.shuffle(order)
     members: set[int] = set()
     for v in order:
         if not (g.adj_sets[v] & members):
             members.add(v)
-    return rng, pw, g, Solution.of(g, members)
+    return Solution.of(g, members)
 
 
 def test_integer_claw_search_is_exact():
@@ -344,11 +368,11 @@ def wide_packing(k: int, n: int, seed: int):
 
 def counted_walk(counter: list, send: bool):
     """`oracle`'s subset walk, counting the subsets it yields in counter[0];
-    with `send` False every deficit the reader sends back is dropped, so
-    the walk visits every subset."""
+    with `send` False the empty subset's deficit and every deficit the
+    reader sends back are dropped, so the walk visits every subset."""
 
-    def walk(g, cands, cap, p=None):
-        inner = instances.independent_subsets(g, cands, cap, p)
+    def walk(g, cands, cap, p=None, deficit=None):
+        inner = instances.independent_subsets(g, cands, cap, p, deficit if send else None)
         deficit = None
         while True:
             try:
@@ -398,6 +422,82 @@ def test_traces_and_improvement_searches_match_with_the_bound_switched_off(k, n,
             monkeypatch.setattr(oracle, "independent_subsets", counted_walk(unbounded, send=False))
             assert run() == want
     assert bounded[0] < unbounded[0]
+
+
+# ------------------------------------------------------------ tight claws
+
+
+def tight_near_ties(d: int, seed: int) -> ConflictGraph:
+    """`berman_tight_instance(d)`, where every talon carries just what it
+    removes, reweighted next to its ties: each small-side vertex at one
+    weight w or a hair above or below it in the square, and each big-side
+    vertex likewise next to one of its small-side neighbours."""
+    g = build_conflict_graph(berman_tight_instance(d))
+    rng = random.Random(seed)
+    pw = PrimeWeights(rng)
+
+    def near(w: Fraction) -> Fraction:
+        side = rng.randrange(3)
+        return w if side == 2 else pw.near_root(w * w, 2, above=side == 1)
+
+    w = pw.magnitude(0)
+    weights = [near(w) for _ in range(d - 1)]
+    weights += [near(weights[rng.choice(g.adj[v])]) for v in range(d - 1, g.n)]
+    return g.reweighted(weights)
+
+
+def charged_hits(g: ConflictGraph, a: Solution, d: int, walked: list) -> int:
+    """Applies claw improvements to `a` until none is left. Each search
+    must return what both Fraction references return and walk, as counted
+    in walked[0] by `counted_walk`, the nodes of the bounded one. Returns
+    the number of hits with a center."""
+    hits = 0
+    while True:
+        walked[0] = 0
+        got = claw_search(g, a, d)
+        want, nodes = ref_claw_search(g, a, d, bounded=True)
+        assert got == want == ref_claw_search(g, a, d)[0]
+        assert walked[0] == nodes
+        if got is None:
+            return hits
+        hits += got.kind.center is not None
+        a.apply(got)
+
+
+@pytest.mark.parametrize("d", range(4, 11))
+def test_charged_claw_search_matches_the_unbounded_reference_on_tight_near_ties(d, monkeypatch):
+    walked = [0]
+    monkeypatch.setattr(oracle, "independent_subsets", counted_walk(walked, send=True))
+    hits = 0
+    for seed in range(2):
+        g = tight_near_ties(d, seed)
+        for a in (Solution.of(g, range(d - 1)), random_maximal(g, random.Random(seed))):
+            hits += charged_hits(g, a, d, walked)
+    assert hits > 0
+
+
+def test_charged_claw_search_matches_the_references_at_exact_integer_ties(monkeypatch):
+    # small integer weights, so talon sets often carry exactly what they
+    # remove, and the charge's floors often equal the weights
+    walked = [0]
+    monkeypatch.setattr(oracle, "independent_subsets", counted_walk(walked, send=True))
+    hits = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(6, 16)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        g = ConflictGraph.from_edges(n, edges, [rng.randint(1, 3) for _ in range(n)], d=4)
+        hits += charged_hits(g, random_maximal(g, rng), 4, walked)
+    assert hits > 0
+
+
+def test_squareimp_walks_no_talon_nodes_on_the_tight_instance(monkeypatch):
+    walked = [0]
+    monkeypatch.setattr(oracle, "independent_subsets", counted_walk(walked, send=True))
+    g = build_conflict_graph(berman_tight_instance(12))
+    trace = squareimp(g, SolverConfig(mode="squareimp"))
+    assert trace.final.members == set(range(11))
+    assert walked[0] == 0
 
 
 # ------------------------------------------------------------ greedy
