@@ -140,7 +140,6 @@ def aux_edge_check(
     y1: Iterable[int],
     y2: Iterable[int],
     g: ConflictGraph,
-    a: Solution,
     maps: AnchorMaps,
 ) -> bool:
     """Exact per-edge inequality certifying that a cycle through this edge improves w^2.
@@ -976,6 +975,6 @@ def validate_circular(g: ConflictGraph, a: Solution, maps: AnchorMaps, imp: Impr
     if y_union != rest:
         return False
     for u in u_list:
-        if not aux_edge_check(u, y_map[maps.heaviest[u]], y_map[maps.second[u]], g, a, maps):
+        if not aux_edge_check(u, y_map[maps.heaviest[u]], y_map[maps.second[u]], g, maps):
             return False
     return True

@@ -1,10 +1,11 @@
-"""Exact decisions about expressions with square roots of rationals.
+"""Exact decisions about expressions with roots of rationals.
 
-Two tools: integer sign tests for a + b*sqrt(q) against x (all class
-thresholds in the fixed-point analysis have this shape once multiplied by
-a positive denominator, so no precision loop is ever needed there), and
-rational-endpoint interval arithmetic with directed-rounding square roots
-for the constants checker.
+Integer sign tests for a + b*sqrt(q) against x (all class thresholds in
+the fixed-point analysis have this shape once multiplied by a positive
+denominator, so no precision loop is ever needed there); `root_floor`,
+the package's one root, exact on a 2**-bits grid; and rational-endpoint
+interval arithmetic with directed-rounding square roots for the
+constants checker.
 """
 
 from __future__ import annotations
@@ -34,26 +35,30 @@ def surd_sign(a: int, b: int, qn: int, qd: int, x: int) -> int:
     return (s > 0) - (s < 0)
 
 
+def root_floor(x: Fraction | int, q: int, bits: int) -> int:
+    """floor(x**(1/q) * 2**bits) for x >= 0 and q >= 2: the integer q-th
+    root of floor(x * 2**(bits*q))."""
+    if x < 0:
+        raise ValueError("root of negative value")
+    n = (x.numerator << bits * q) // x.denominator
+    if q == 2 or n < 2:
+        return math.isqrt(n)
+    r = 1 << -(-n.bit_length() // q)  # above the root; Newton steps descend
+    while (s := ((q - 1) * r + n // r ** (q - 1)) // q) < r:
+        r = s
+    return r
+
+
 def sqrt_bounds(x: Fraction, prec_bits: int) -> tuple[Fraction, Fraction]:
     """Rational lo <= sqrt(x) <= hi with hi - lo <= 2**-prec_bits * max(1, hi).
 
     Exact (lo == hi) when x is a perfect rational square.
     """
-    if x < 0:
-        raise ValueError("sqrt of negative value")
-    if x == 0:
-        return Fraction(0), Fraction(0)
     n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        exact = Fraction(rn, rd)
-        return exact, exact
-    scale = 1 << prec_bits
-    # sqrt(n/d) = sqrt(n*d)/d
-    s = math.isqrt(n * d * scale * scale)
-    lo = Fraction(s, d * scale)
-    hi = Fraction(s + 1, d * scale)
-    return lo, hi
+    # sqrt(n/d) = sqrt(n*d)/d, and n*d is a square iff n/d is one
+    s = root_floor(n * d, 2, prec_bits)
+    lo = Fraction(s, d << prec_bits)
+    return lo, lo if s * s == n * d << 2 * prec_bits else Fraction(s + 1, d << prec_bits)
 
 
 @dataclass(frozen=True)

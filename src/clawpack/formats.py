@@ -47,7 +47,7 @@ def parse_text(text: str) -> Parsed:
     sets: list[list[int]] = []
     set_weights: list[Fraction] = []
     vert_weights: dict[int, Fraction] = {}
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -67,9 +67,15 @@ def parse_text(text: str) -> Parsed:
                 set_weights.append(_parse_weight(tok[1]))
                 sets.append([int(t) for t in tok[2:]])
             elif tok[0] == "v":
-                vert_weights[int(tok[1])] = _parse_weight(tok[2])
+                v = int(tok[1])
+                if v in vert_weights:
+                    raise InputError(f"duplicate vertex {v}")
+                vert_weights[v] = _parse_weight(tok[2])
             elif tok[0] == "e":
-                edges.append((int(tok[1]), int(tok[2])))
+                u, v = sorted((int(tok[1]), int(tok[2])))
+                if (u, v) in edges:
+                    raise InputError(f"duplicate edge {u} {v}")
+                edges.add((u, v))
             else:
                 raise InputError(f"unknown record {tok[0]!r}")
         except InputError as exc:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .exactnum import root_floor
 from .instances import (
     BudgetExceededError,
     ConflictGraph,
@@ -217,20 +218,17 @@ class LowerBoundParams:
             raise InputError("the incidence construction needs alpha > 0")
 
     def eps_prime_d(self) -> Fraction:
-        """1 - (1 - eps/(d-1))**alpha, or an exact rational lower bound on it."""
+        """1 - (1 - eps/(d-1))**alpha: exact for integer alpha, otherwise its
+        exact floor on the 2**-80 grid."""
         base = 1 - self.eps / (self.d - 1)
         alpha = Fraction(self.alpha)
         if alpha.denominator == 1:
             return 1 - base ** alpha.numerator
-        import mpmath  # only non-integer alpha needs it
-
-        with mpmath.workprec(200):
-            val = 1 - mpmath.power(
-                mpmath.mpf(base.numerator) / base.denominator,
-                mpmath.mpf(alpha.numerator) / alpha.denominator,
-            )
-            lo = Fraction(int(mpmath.floor(val * 2 ** 80)), 2 ** 80)
-        return lo
+        # base**alpha rounded up onto the grid, so 1 minus it rounds down
+        c = root_floor(base ** alpha.numerator, alpha.denominator, 80)
+        if Fraction(c, 1 << 80) ** alpha.denominator != base ** alpha.numerator:
+            c += 1
+        return Fraction((1 << 80) - c, 1 << 80)
 
     def eps_d_value(self) -> Fraction:
         if self.eps_d is not None:
@@ -247,18 +245,13 @@ class LowerBoundParams:
 
 
 def edge_side_weight(params: LowerBoundParams) -> Fraction:
-    """(1 - eps_d)**(1/alpha): exact when 1/alpha is an integer, otherwise a
-    high-precision rational approximation (documented, 2**-60 accurate)."""
+    """(1 - eps_d)**(1/alpha): exact when 1/alpha is an integer, otherwise its
+    exact floor on the 2**-60 grid."""
     base = 1 - params.eps_d_value()
     inv = Fraction(1) / Fraction(params.alpha)
     if inv.denominator == 1:
         return base ** inv.numerator
-    import mpmath  # only non-integer 1/alpha needs it
-
-    with mpmath.workprec(200):
-        val = mpmath.power(mpmath.mpf(base.numerator) / base.denominator,
-                           mpmath.mpf(inv.numerator) / inv.denominator)
-        return Fraction(int(mpmath.floor(val * 2 ** 60)), 2 ** 60)
+    return Fraction(root_floor(base ** inv.numerator, inv.denominator, 60), 1 << 60)
 
 
 def gen_incidence_lowerbound(

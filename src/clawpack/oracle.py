@@ -72,11 +72,10 @@ def exact_mwis(
     once, a pruned subtree holds nothing strictly better. Only strict
     improvements replace the incumbent, so the returned set is
     deterministic: the first optimum in DFS order, whatever valid bound
-    prunes. Vertex sets are int bitmasks, kept for the cover in a second
-    labelling, heaviest first, where a mask's lowest bit is its heaviest
-    vertex. Weights are compared as sums of the integers `g.w_int`, which
-    order exactly as the rational weights do; the result reports the
-    optimum as a Fraction.
+    prunes. Vertex sets are int bitmasks over the vertices relabelled
+    heaviest first, so a mask's lowest bit is its heaviest vertex. Weights
+    are compared as sums of the integers `g.w_int`, which order exactly as
+    the rational weights do; the result reports the optimum as a Fraction.
 
     `incumbent`, an independent set of `g` (say a local-search final),
     starts the search at its members and at one `w_int` unit below its
@@ -90,31 +89,27 @@ def exact_mwis(
     if g.n > size_limit:
         raise InputError(f"n={g.n} exceeds oracle size limit {size_limit}; pass a larger size_limit")
 
-    w = g.w_int
-    adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
-    # the vertices relabelled heaviest first, so a mask's lowest bit is its
-    # heaviest vertex: rank[v] is v's label, adj_r and w_r are by label
-    order = sorted(range(g.n), key=lambda v: (-w[v], v))
-    rank = [0] * g.n
-    for r, v in enumerate(order):
-        rank[v] = r
-    adj_r = [sum(1 << rank[u] for u in g.adj[v]) for v in order]
-    w_r = [w[v] for v in order]
+    # the vertices relabelled heaviest first (ties to the lowest id), so a
+    # mask's lowest bit is its heaviest vertex: label r is vertex order[r]
+    order = sorted(range(g.n), key=lambda v: (-g.w_int[v], v))
+    rank = {v: r for r, v in enumerate(order)}
+    adj = [sum(1 << rank[u] for u in g.adj[v]) for v in order]
+    w = [g.w_int[v] for v in order]
     nodes = 0
     best = 0
     best_w = 0
     if incumbent is not None:
         members = Solution.of(g, incumbent.members).members
-        best = sum(1 << v for v in members)
-        best_w = sum(w[v] for v in members) - 1
+        best = sum(1 << rank[v] for v in members)
+        best_w = sum(g.w_int[v] for v in members) - 1
 
-    def search(cands: int, cands_r: int, cur: int, cur_w: int):
+    def search(cands: int, cur: int, cur_w: int):
         nonlocal nodes, best, best_w
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(
                 f"oracle exceeded {budget} nodes",
-                partial=_oracle_result(g, best, nodes, optimal=False),
+                partial=_oracle_result(g, order, best, nodes, optimal=False),
             )
         if cur_w > best_w:
             best_w = cur_w
@@ -123,42 +118,43 @@ def exact_mwis(
         # heaviest vertex left; prune unless their heaviest weights beat
         # the incumbent
         bound = cur_w
-        m = cands_r
+        m = cands
         while m:
             low = m & -m
             r = low.bit_length() - 1
-            bound += w_r[r]
+            bound += w[r]
             if bound > best_w:
                 break
             m ^= low
-            q = m & adj_r[r]
+            q = m & adj[r]
             while q:
                 low = q & -q
                 m ^= low
-                q &= adj_r[low.bit_length() - 1]
+                q &= adj[low.bit_length() - 1]
         else:
             return
         pick, pick_deg = -1, -1
         m = cands
         while m:
             low = m & -m
-            v = low.bit_length() - 1
-            deg = (adj[v] & cands).bit_count()
-            if deg > pick_deg:
-                pick, pick_deg = v, deg
+            r = low.bit_length() - 1
+            deg = (adj[r] & cands).bit_count()
+            if deg > pick_deg or deg == pick_deg and order[r] < order[pick]:
+                pick, pick_deg = r, deg
             m ^= low
         rest = cands & ~(1 << pick)
-        rest_r = cands_r & ~(1 << rank[pick])
         # include pick, then exclude it
-        search(rest & ~adj[pick], rest_r & ~adj_r[rank[pick]], cur | (1 << pick), cur_w + w[pick])
-        search(rest, rest_r, cur, cur_w)
+        search(rest & ~adj[pick], cur | (1 << pick), cur_w + w[pick])
+        search(rest, cur, cur_w)
 
-    search((1 << g.n) - 1, (1 << g.n) - 1, 0, 0)
-    return _oracle_result(g, best, nodes)
+    search((1 << g.n) - 1, 0, 0)
+    return _oracle_result(g, order, best, nodes)
 
 
-def _oracle_result(g: ConflictGraph, mask: int, nodes: int, optimal: bool = True) -> OracleResult:
-    best = Solution.of(g, (v for v in range(g.n) if mask >> v & 1))
+def _oracle_result(g: ConflictGraph, order: Sequence[int], mask: int, nodes: int,
+                   optimal: bool = True) -> OracleResult:
+    """The result for `mask`, a vertex set in the labelling `order`."""
+    best = Solution.of(g, (v for r, v in enumerate(order) if mask >> r & 1))
     return OracleResult(best, best.total_w, nodes, optimal)
 
 

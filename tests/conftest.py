@@ -231,7 +231,7 @@ def circular_improvement_exists_bruteforce(g, a, maps, d, positive_only=False, y
                     if not ok or any(len(ys) > y_limit for ys in y_map.values()):
                         continue
                     if all(
-                        aux_edge_check(u, y_map[maps.heaviest[u]], y_map[maps.second[u]], g, a, maps)
+                        aux_edge_check(u, y_map[maps.heaviest[u]], y_map[maps.second[u]], g, maps)
                         for u in u_set
                     ):
                         return True

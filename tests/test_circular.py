@@ -102,16 +102,16 @@ def test_aux_edge_check_berman_values():
     _, g, a = berman_setup(4)
     maps = build_anchor_maps(g, a)
     # pair {1,2} with both singleton companions: 1 + 1 > 1
-    assert aux_edge_check(6, (3,), (4,), g, a, maps)
+    assert aux_edge_check(6, (3,), (4,), g, maps)
     # empty companions: 1 > 1 fails
-    assert not aux_edge_check(6, (), (), g, a, maps)
+    assert not aux_edge_check(6, (), (), g, maps)
 
 
 def test_aux_edge_check_dominated():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [10, 10, 1], d=3)
     a = Solution.of(g, {0, 1})
     maps = build_anchor_maps(g, a)
-    assert not aux_edge_check(2, (), (), g, a, maps)
+    assert not aux_edge_check(2, (), (), g, maps)
 
 
 def test_aux_edge_check_plain_arithmetic():
@@ -119,7 +119,7 @@ def test_aux_edge_check_plain_arithmetic():
     a = Solution.of(g, {0, 1})
     maps = build_anchor_maps(g, a)
     # 9 > (4+4)/2 = 4
-    assert aux_edge_check(2, (), (), g, a, maps)
+    assert aux_edge_check(2, (), (), g, maps)
 
 
 def test_find_circular_berman_full_swap():
@@ -411,7 +411,7 @@ def test_soundness_revalidation_fields():
     y = k.y_map()
     assert all(len(ys) <= 5 for ys in y.values())
     for u in k.u:
-        assert aux_edge_check(u, y[maps.heaviest[u]], y[maps.second[u]], g, a, maps)
+        assert aux_edge_check(u, y[maps.heaviest[u]], y[maps.second[u]], g, maps)
     assert w2_of(g, imp.x) > w2_of(g, imp.removed)
 
 

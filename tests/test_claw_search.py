@@ -338,7 +338,7 @@ def test_integer_aux_edge_check_is_exact():
             y1 = tuple(rng.sample(at1, min(len(at1), rng.randint(0, 2))))
             y2 = tuple(rng.sample(at2, min(len(at2), rng.randint(0, 2))))
             lhs, rhs = ref_aux_sides(u, y1, y2, g, maps)
-            assert aux_edge_check(u, y1, y2, g, a, maps) == (lhs > rhs)
+            assert aux_edge_check(u, y1, y2, g, maps) == (lhs > rhs)
             # move w(u) next to the tie; the right side does not read w(u)
             target = rhs - (lhs - g.weights[u] ** 2)
             if target <= 0:
@@ -348,7 +348,7 @@ def test_integer_aux_edge_check_is_exact():
                 weights[u] = pw.near_root(target, 2, above)
                 h = g.reweighted(weights)
                 lhs, rhs = ref_aux_sides(u, y1, y2, h, maps)
-                got = aux_edge_check(u, y1, y2, h, a, maps)
+                got = aux_edge_check(u, y1, y2, h, maps)
                 assert got == (lhs > rhs)
                 outcomes.add(got)
     assert outcomes == {True, False}

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawpack.constants import CONST_NAMES, check_constants
-from clawpack.exactnum import RatInterval, sqrt_bounds, surd_sign
+from clawpack.exactnum import RatInterval, root_floor, sqrt_bounds, surd_sign
 
 
 def test_reference_point_half():
@@ -48,6 +50,22 @@ def test_sqrt_bounds_enclosure():
     lo, hi = sqrt_bounds(x, 40)
     assert lo * lo <= x <= hi * hi
     assert hi - lo <= Fraction(1, 2 ** 39)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=0, max_denominator=10 ** 12), st.integers(2, 9), st.integers(0, 128))
+def test_root_floor_is_the_floor(x, q, bits):
+    r = root_floor(x, q, bits)
+    num, den = x.numerator, x.denominator
+    assert r ** q * den <= num << bits * q < (r + 1) ** q * den
+
+
+def test_root_floor_exact_roots_and_zero():
+    assert root_floor(Fraction(27, 8), 3, 10) == 3 << 9
+    assert root_floor(Fraction(1, 4), 2, 80) == 1 << 79
+    assert root_floor(0, 5, 60) == 0
+    with pytest.raises(ValueError):
+        root_floor(Fraction(-1, 2), 3, 4)
 
 
 def test_surd_sign_signs():

@@ -60,6 +60,10 @@ def test_parse_errors():
         formats.parse_text("p ksp 1 2 3\ns 0/1 0\n")  # zero weight
     with pytest.raises(InputError):
         formats.parse_text("p ksp 1 2 3\ns 1/1 0 0\n")  # duplicate element
+    with pytest.raises(InputError, match="line 3: duplicate vertex 0"):
+        formats.parse_text("p mwis 2 1\nv 0 1\nv 0 5\nv 1 2\ne 0 1\n")
+    with pytest.raises(InputError, match="line 5: duplicate edge 0 1"):
+        formats.parse_text("p mwis 2 2\nv 0 1\nv 1 2\ne 0 1\ne 1 0\n")
 
 
 EXPONENT_TOKENS = ["1e4000000", "1E3", "2.5e-3", "1e0", "-1e5"]

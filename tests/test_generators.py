@@ -1,16 +1,20 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from click.testing import CliRunner
 from conftest import claw_search, gen_berman_tight
 
 from clawpack import formats
+from clawpack.cli import main
 from clawpack.generators import (
     LowerBoundParams,
     berman_tight_instance,
     complete_bipartite,
     complete_graph,
+    edge_side_weight,
     gen_alternating_cycle,
     gen_high_girth_regular,
     gen_incidence_lowerbound,
@@ -164,6 +168,54 @@ def test_lowerbound_preconditions():
     params2 = LowerBoundParams(d=5, alpha=Fraction(1), eps=Fraction(1, 2), target_girth=5)
     with pytest.raises(InputError):
         gen_incidence_lowerbound(params2, petersen_graph())  # not 4-regular
+
+
+# sha1 of `gen lowerbound --d 4 --eps 1/2 --girth 5` for non-integer alpha,
+# recorded while both irrational weights were still computed with 200-bit
+# mpmath: the integer roots must floor onto the same grids. 1/alpha is
+# non-integer for 2/3, 3/2 and 5/3, so those also take the root branch of
+# edge_side_weight.
+LOWERBOUND_SHA1 = {
+    ("1/2", None): "ad5540a5d017f253a17a27fa35a236713e80f9df",
+    ("1/2", "1/20"): "39b96a927a445d0a3d55edf4c1c2eb4f112c7a17",
+    ("2/3", None): "304ba60491f411e423f2600c9cb9cc7b92f7d380",
+    ("2/3", "1/20"): "8622450ada139e32a539b926537207b6c6948112",
+    ("3/2", None): "d729d8af50448d106fab7941c4970546a0fe260b",
+    ("3/2", "1/20"): "dd17cb5e23c9a36be2120d21bc6e3e69c4efe110",
+    ("5/3", None): "98da3df2de68e1432998c74266e7ed2b57efe07f",
+    ("5/3", "1/20"): "c9093c1b999c86c6a465d537e0ef43b58d164d6c",
+}
+
+
+@pytest.mark.parametrize("alpha,eps_d", sorted(LOWERBOUND_SHA1, key=str))
+def test_lowerbound_non_integer_alpha_output_is_pinned(tmp_path, alpha, eps_d):
+    out = tmp_path / "lb.mwis"
+    args = ["gen", "lowerbound", "--d", "4", "--alpha", alpha, "--eps", "1/2", "--girth", "5"]
+    args += (["--eps-d", eps_d] if eps_d else []) + ["--out", str(out)]
+    r = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert r.exit_code == 0, r.output
+    assert hashlib.sha1(out.read_bytes()).hexdigest() == LOWERBOUND_SHA1[alpha, eps_d]
+
+
+@pytest.mark.parametrize("alpha", ["1/2", "2/3", "3/2", "5/3", "3/7", "8/5"])
+@pytest.mark.parametrize("d,eps", [(4, "1/2"), (5, "1/3"), (11, "7/8")])
+def test_lowerbound_irrational_weights_are_floors_on_their_grids(d, eps, alpha):
+    params = LowerBoundParams(d=d, alpha=Fraction(alpha), eps=Fraction(eps), target_girth=5)
+    p, q = params.alpha.numerator, params.alpha.denominator
+    # eps'_d = 1 - c / 2**80 with (c - 1) / 2**80 < base**alpha <= c / 2**80
+    c = (1 - params.eps_prime_d()) * 2 ** 80
+    assert c.denominator == 1
+    base = 1 - params.eps / (d - 1)
+    assert ((c - 1) / 2 ** 80) ** q < base ** p <= (c / 2 ** 80) ** q
+    # the edge side's (1 - eps_d)**(q/p): exact for p = 1, otherwise
+    # w / 2**60 rounded down
+    base = 1 - params.eps_d_value()
+    if p == 1:
+        assert edge_side_weight(params) == base ** q
+        return
+    w = edge_side_weight(params) * 2 ** 60
+    assert w.denominator == 1
+    assert (w / 2 ** 60) ** p <= base ** q < ((w + 1) / 2 ** 60) ** p
 
 
 def test_lowerbound_eps_d_validation():

@@ -120,12 +120,16 @@ def test_non_integer_alpha_uses_tolerant_comparison():
 
 
 def test_mpmath_is_imported_only_for_non_integer_alpha():
-    """Importing the package, the bench runner and the generators leaves
-    mpmath unloaded; a non-integer alpha loads it."""
+    """Importing the package, the bench runner and the generators, and the
+    lower-bound weights at non-integer alpha, leave mpmath unloaded; a
+    non-integer alpha in the oracle loads it."""
     src = os.path.dirname(os.path.dirname(clawpack.__file__))
     code = (
-        "import sys, clawpack, clawpack.bench, clawpack.generators\n"
+        "import sys, clawpack, clawpack.bench, clawpack.generators as gen\n"
         "from fractions import Fraction\n"
+        "for a in (Fraction(1, 2), Fraction(2, 3)):\n"
+        "    p = gen.LowerBoundParams(4, a, Fraction(1, 2), 5)\n"
+        "    p.eps_prime_d(), gen.edge_side_weight(p)\n"
         "g = clawpack.ConflictGraph.from_edges(2, [], [9, 4])\n"
         "before = 'mpmath' in sys.modules\n"
         "clawpack.oracle.power_weight_improves(g, 2, [0], [1])\n"
