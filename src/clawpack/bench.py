@@ -60,9 +60,7 @@ def instance_from_gen_spec(spec: dict) -> tuple[Optional[PackingInstance], Confl
             target_girth=int(spec["girth"]),
             eps_d=Fraction(str(spec["eps_d"])) if "eps_d" in spec else None,
         )
-        base = generators.gen_high_girth_regular(
-            params.d - 1, params.target_girth, seed=int(spec.get("seed", 0))
-        )
+        base = generators.gen_high_girth_regular(params.d - 1, params.target_girth)
         g, _, _ = generators.gen_incidence_lowerbound(params, base)
         return None, g
     if family == "random":

@@ -179,18 +179,13 @@ def gen_cycle(pairs, d, eps, out_path) -> None:
 @click.option("--eps", type=str, required=True)
 @click.option("--girth", "girth_l", type=int, required=True)
 @click.option("--eps-d", "eps_d", type=str, default=None)
-@click.option("--seed", type=int, default=0)
 @click.option("--out", "out_path", required=True, type=str)
-def gen_lowerbound(d, alpha, eps, girth_l, eps_d, seed, out_path) -> None:
-    params = generators.LowerBoundParams(
-        d=d,
-        alpha=_fraction(alpha, "--alpha"),
-        eps=_fraction(eps, "--eps"),
-        target_girth=girth_l,
-        eps_d=_fraction(eps_d, "--eps-d") if eps_d else None,
-    )
-    base = generators.gen_high_girth_regular(d - 1, girth_l, seed=seed)
-    g, _, _ = generators.gen_incidence_lowerbound(params, base)
+def gen_lowerbound(d, alpha, eps, girth_l, eps_d, out_path) -> None:
+    spec = {"family": "lowerbound", "d": d, "alpha": _fraction(alpha, "--alpha"),
+            "eps": _fraction(eps, "--eps"), "girth": girth_l}
+    if eps_d:
+        spec["eps_d"] = _fraction(eps_d, "--eps-d")
+    _, g = bench_mod.instance_from_gen_spec(spec)
     formats.dump(g, out_path)
 
 

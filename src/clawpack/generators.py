@@ -12,13 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import root_floor
-from .instances import (
-    BudgetExceededError,
-    ConflictGraph,
-    InputError,
-    PackingInstance,
-    Solution,
-)
+from .instances import ConflictGraph, InputError, PackingInstance, Solution
 
 
 def berman_tight_instance(d: int) -> PackingInstance:
@@ -130,39 +124,17 @@ def _is_regular(g: ConflictGraph, k: int) -> bool:
     return all(g.degree(v) == k for v in range(g.n))
 
 
-def _random_regular(n: int, k: int, rng: random.Random) -> Optional[ConflictGraph]:
-    """One pairing-model draw; None when it produces loops or parallels."""
-    stubs = [v for v in range(n) for _ in range(k)]
-    rng.shuffle(stubs)
-    edges = set()
-    for i in range(0, len(stubs), 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u == v:
-            return None
-        key = (min(u, v), max(u, v))
-        if key in edges:
-            return None
-        edges.add(key)
-    return _unit_graph(n, sorted(edges))
-
-
-def gen_high_girth_regular(
-    k: int, l: int, seed: int = 0, budget: int = 20_000, catalog: bool = True
-) -> ConflictGraph:
-    """A simple k-regular graph of girth at least l.
-
-    Catalog first (complete, complete bipartite, Petersen, projective-plane
-    incidence for prime k-1), then seeded pairing-model rejection. The
-    result is re-verified for regularity and girth before returning.
+def gen_high_girth_regular(k: int, l: int) -> ConflictGraph:
+    """A simple k-regular graph of girth at least l, from a catalog: the
+    complete graph K_{k+1} for l <= 3, the complete bipartite K_{k,k} for
+    l = 4, the Petersen graph for k = 3 and l = 5, and the projective-plane
+    incidence graph of order k-1 for l <= 6 when k-1 is prime. Any other
+    (k, l) is an InputError. The result is re-verified for regularity and
+    girth before returning.
     """
     if k < 3:
         raise InputError("need k >= 3")
-    if l < 3:
-        l = 3
-    g: Optional[ConflictGraph] = None
-    if not catalog:
-        pass
-    elif l == 3:
+    if l <= 3:
         g = complete_graph(k + 1)
     elif l == 4:
         g = complete_bipartite(k)
@@ -170,20 +142,11 @@ def gen_high_girth_regular(
         g = petersen_graph()
     elif l <= 6 and _is_prime(k - 1):
         g = projective_plane_incidence(k - 1)
-    if g is None:
-        rng = random.Random(seed)
-        n = max(l + 1, 4 * k)
-        if n * k % 2:
-            n += 1
-        for attempt in range(budget):
-            cand = _random_regular(n, k, rng)
-            if cand is not None and girth(cand) >= l:
-                g = cand
-                break
-            if attempt and attempt % 2000 == 0:
-                n += 2  # slightly larger graphs keep the expected cycle counts flat
-        if g is None:
-            raise BudgetExceededError(f"no {k}-regular graph of girth >= {l} within {budget} draws")
+    else:
+        raise InputError(
+            f"no catalog {k}-regular graph of girth >= {l}: the catalog covers girth <= 4, "
+            "the Petersen graph (k = 3, girth 5) and girth <= 6 for prime k - 1"
+        )
     if not _is_regular(g, k) or girth(g) < l:
         raise RuntimeError("generator postcondition failed")
     return g

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 from typing import Callable, Optional, Sequence
 
 from .circular import (
@@ -178,9 +178,11 @@ class ClawSearchState:
         is re-tested. A vertex joining A only enlarges N(T, A) for every
         talon set T, and takes no candidate talon N(c) - A from a center c
         that stays in A; so only a removed vertex within two steps of c (a
-        new candidate, or a member that left N(T, A)) can open c. The walk
-        two steps out from each removed vertex reopens every settled center
-        it meets, and the new members x start unsettled.
+        new candidate, or a member that left N(T, A)) can open c. Settled
+        centers lie in A, which is independent, so none is a neighbor of a
+        removed vertex: the removed vertices leave `settled`, the walk over
+        N(N(removed)) reopens every settled center it meets, and the new
+        members x start unsettled.
         """
         g, members, free = self.g, self.members, self.free
         adj = g.adj
@@ -193,14 +195,13 @@ class ClawSearchState:
                     free.add(v)
                     heapq.heappush(self._free_heap, v)
         settled, heap = self.settled, self._center_heap
-        settled.difference_update(imp.x)
+        settled.difference_update(imp.removed)
         for c in imp.x:
             heapq.heappush(heap, c)
         for s in imp.removed:
-            near = adj[s]
-            for ring in chain(((s,), near), (adj[v] for v in near)):  # s, N(s), N(N(s))
-                if not settled.isdisjoint(ring):
-                    for c in settled.intersection(ring):
+            for v in adj[s]:
+                if not settled.isdisjoint(adj[v]):
+                    for c in settled.intersection(adj[v]):
                         settled.remove(c)
                         heapq.heappush(heap, c)
 

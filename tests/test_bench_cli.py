@@ -340,6 +340,14 @@ def test_cli_gen_cycle_and_lowerbound(tmp_path, runner):
     assert g2.n == 25
 
 
+def test_lowerbound_spec_ignores_a_seed():
+    # suites pass one per instance; the lower-bound bases come from a catalog
+    spec = {"family": "lowerbound", "d": 4, "alpha": "1", "eps": "1/2", "girth": 6}
+    _, g = instance_from_gen_spec(spec)
+    _, seeded = instance_from_gen_spec({**spec, "seed": 7})
+    assert formats.to_text(seeded) == formats.to_text(g)
+
+
 def test_cli_verify(tmp_path, runner):
     inst_path = tmp_path / "b4.ksp"
     sol_path = tmp_path / "sol.json"

@@ -90,28 +90,19 @@ def test_projective_plane_orders():
 
 @pytest.mark.parametrize(
     "k,l,expect_n",
-    [(3, 3, 4), (3, 4, 6), (3, 5, 10), (3, 6, 14), (4, 5, 26), (6, 5, 2 * 31)],
+    [(3, 3, 4), (3, 4, 6), (3, 5, 10), (3, 6, 14), (4, 5, 26), (5, 4, 10), (6, 5, 2 * 31)],
 )
 def test_high_girth_catalog(k, l, expect_n):
-    g = gen_high_girth_regular(k, l, seed=0)
+    g = gen_high_girth_regular(k, l)
     assert g.n == expect_n
     assert all(g.degree(v) == k for v in range(g.n))
     assert girth(g) >= l
 
 
-def test_high_girth_pairing_sampler():
-    # bypass the catalog so the rejection sampler actually runs
-    g = gen_high_girth_regular(3, 5, seed=3, catalog=False)
-    assert all(g.degree(v) == 3 for v in range(g.n))
-    assert girth(g) >= 5
-    assert 5 <= g.n <= 4 * (3 - 1) ** 4
-
-
-def test_high_girth_deterministic_per_seed():
-    g1 = gen_high_girth_regular(3, 5, seed=9, catalog=False)
-    g2 = gen_high_girth_regular(3, 5, seed=9, catalog=False)
-    assert g1.adj == g2.adj
-    assert gen_high_girth_regular(5, 4, seed=1).n == 10  # catalog path
+@pytest.mark.parametrize("k,l", [(3, 7), (3, 8), (4, 7), (5, 5), (5, 6), (7, 5)])
+def test_high_girth_outside_the_catalog_is_an_input_error(k, l):
+    with pytest.raises(InputError, match="catalog"):
+        gen_high_girth_regular(k, l)
 
 
 def test_lowerbound_petersen_exact_ratio():
