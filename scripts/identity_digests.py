@@ -3,11 +3,14 @@ refactoring leaves them unchanged.
 
     python3 scripts/identity_digests.py > digests.txt
 
-Run it at two commits and `diff` the files. It covers the `gen` file of
-every family over a fixed grid (the lower-bound family at d 4-8, girth 3-6,
-alpha in {1, 2, 1/2, 3/2}, with and without `--eps-d 1/100`), the `solve`
-trace of each algorithm of `tests/test_golden.py` (and `--exact`) on each of
-its inputs, and the default JSON report of one `bench` suite. A command that
+`tests/identity_digests.txt` pins this output and `tests/test_identity.py`
+recomputes it, so a change that moves a digest fails tier-1 and names the
+key. It covers the `gen` file of every family over a fixed grid (the
+lower-bound family at d 4-8, girth 3-6, alpha in {1, 2, 1/2, 3/2}, with and
+without `--eps-d 1/100`), the `solve` trace of each algorithm (and
+`--exact`) on five inputs, the default JSON report of one `bench` suite,
+`verify` of a logimp trace, `constants`, and the four runs from tight d=5's
+small side, which no CLI flag starts, through `solve()`. A command that
 fails prints `error` in place of the digest. Only `clawpack` is imported,
 from the repository's `src/`.
 """
@@ -23,9 +26,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from click.testing import CliRunner  # noqa: E402
 
+from clawpack import ColorCodingParams, Solution, SolverConfig, build_conflict_graph, formats, solve  # noqa: E402
 from clawpack.cli import main  # noqa: E402
 
-# the inputs of tests/test_golden.py first: the solve runs read them
+# the inputs of the solve runs first
 GEN = {
     "b4.ksp": ["gen", "berman", "--d", "4"],
     "b5.ksp": ["gen", "berman", "--d", "5"],
@@ -49,7 +53,7 @@ GEN.update({
     for d in range(4, 9) for l in range(3, 7) for a in ("1", "2", "1/2", "3/2") for e in ([], ["--eps-d", "1/100"])
 })
 # each input with the claw bound a graph file does not carry
-GOLDEN_INPUTS = {"b4.ksp": [], "b5.ksp": [], "c.mwis": ["--d", "5"], "lb.mwis": ["--d", "4"], "r.ksp": []}
+SOLVE_INPUTS = {"b4.ksp": [], "b5.ksp": [], "c.mwis": ["--d", "5"], "lb.mwis": ["--d", "4"], "r.ksp": []}
 SOLVE = {
     "greedy": ["--algo", "greedy"],
     "squareimp": ["--algo", "squareimp"],
@@ -83,19 +87,54 @@ def digest(args: list, out: str) -> str:
         return hashlib.sha1(fh.read() + f"exit {r.exit_code}".encode()).hexdigest()
 
 
-def run() -> None:
+def small_side_digests(path: str) -> dict[str, str]:
+    """sha1 of the trace JSON each of four runs writes on tight d=5 (in
+    `path`) from its small side, the first four sets."""
+    inst = formats.load(path)
+    g = build_conflict_graph(inst)
+    configs = {
+        "squareimp": SolverConfig(mode="squareimp"),
+        "logimp-exhaustive": SolverConfig(mode="logimp"),
+        "logimp-rand": SolverConfig(
+            mode="logimp", rng_seed=3, circular=ColorCodingParams.defaults(g, inst, mode="rand")
+        ),
+        "param-a2": SolverConfig(mode="parametrized", alpha=2, size_cap_factor=1),
+    }
+    out = {}
+    for algo, cfg in configs.items():
+        trace = solve(g, cfg, inst=inst, start=Solution.of(g, range(4)))
+        text = formats.canonical_json(trace.to_json_obj())
+        out[f"solve/b5-small/{algo}"] = hashlib.sha1(text.encode()).hexdigest()
+    return out
+
+
+def digests() -> dict[str, str]:
+    """Every key's digest, computed in a new temporary directory; the working
+    directory is restored afterwards."""
+    out = {}
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, args in GEN.items():
-            print(f"gen/{name} {digest(args, name)}")
-        for name, claw_d in GOLDEN_INPUTS.items():
-            for algo, args in SOLVE.items():
-                print(f"solve/{name}/{algo} {digest(['solve', '--in', name] + claw_d + args, 'trace.json')}")
-        with open("suite.json", "w", encoding="utf-8") as fh:
-            json.dump(SUITE, fh)
-        print(f"bench/suite.json {digest(['bench', '--suite', 'suite.json'], 'report.json')}")
-        os.chdir(ROOT)
+        try:
+            for name, args in GEN.items():
+                out[f"gen/{name}"] = digest(args, name)
+            for name, claw_d in SOLVE_INPUTS.items():
+                for algo, args in SOLVE.items():
+                    out[f"solve/{name}/{algo}"] = digest(["solve", "--in", name] + claw_d + args, "trace.json")
+            with open("suite.json", "w", encoding="utf-8") as fh:
+                json.dump(SUITE, fh)
+            out["bench/suite.json"] = digest(["bench", "--suite", "suite.json"], "report.json")
+            digest(["solve", "--algo", "logimp", "--seed", "0", "--in", "b4.ksp"], "b4-logimp.json")
+            out["verify/b4.ksp"] = digest(
+                ["verify", "--in", "b4.ksp", "--solution", "b4-logimp.json", "--delta", "1/2"], "verify.json"
+            )
+            out["constants/1_2"] = digest(["constants", "--delta", "1/2"], "constants.json")
+            out.update(small_side_digests("b5.ksp"))
+        finally:
+            os.chdir(cwd)
+    return out
 
 
 if __name__ == "__main__":
-    run()
+    for key, value in digests().items():
+        print(f"{key} {value}")

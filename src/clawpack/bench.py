@@ -4,7 +4,6 @@ optima and certificates attached where feasible, emitted as CSV or JSON.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -295,4 +294,4 @@ def emit_report(report: BenchReport, fmt: str = "csv", times: bool = False) -> s
     if fmt == "csv":
         lines = [",".join(COLUMNS)] + [",".join(str(row[c]) for c in COLUMNS) for row in rows]
         return "\n".join(lines) + "\n"
-    return json.dumps({"rows": rows}, indent=None, separators=(",", ":"), sort_keys=True) + "\n"
+    return formats.canonical_json({"rows": rows})

@@ -163,13 +163,9 @@ def aux_edge_check(
 
 
 def trial_success_bound(t: int, m: int) -> Fraction:
-    """Lower bound on one random coloring being injective on m fixed elements."""
-    if m > t:
-        return Fraction(0)
-    p = Fraction(1)
-    for i in range(m):
-        p *= Fraction(t - i, t)
-    return p
+    """Chance t!/((t-m)! t^m) that one uniform coloring into t colors is
+    injective on m fixed elements; 0 for m > t."""
+    return Fraction(math.perm(t, m), t**m)
 
 
 def repetitions_for(t: int, m: int, failure_prob: Fraction = Fraction(1, 1000)) -> int:
@@ -190,13 +186,9 @@ def repetitions_for(t: int, m: int, failure_prob: Fraction = Fraction(1, 1000)) 
 
 
 def max_cycle_len_for(n: int) -> int:
-    """Largest L with 2**L <= n**4, the cycle-length bound at graph size n."""
-    if n <= 1:
-        return 2
-    L = 2
-    while 2 ** (L + 1) <= n ** 4:
-        L += 1
-    return L
+    """Largest L with 2**L <= n**4, the cycle-length bound at graph size n
+    (2 for n <= 1)."""
+    return 2 if n <= 1 else (n**4).bit_length() - 1
 
 
 @dataclass
@@ -402,7 +394,9 @@ class CircularState:
 
     def _reanchor(self, members: set[int]) -> None:
         """Move every remapped vertex to its new anchor, drop the vertex
-        blocks at its old and new anchor, and mark its edge block dirty."""
+        blocks at its old and new anchor, and mark its edge block dirty.
+        The maps are those of a successful `update_maps`, so they map every
+        vertex outside `members`."""
         heaviest, a_nbrs = self.maps.heaviest, self.maps.a_neighbors
         w = self.g.w_int
         anchor, vblocks = self._anchor, self._vblocks
@@ -411,7 +405,7 @@ class CircularState:
             old = anchor.pop(u, None)
             if old in vblocks:
                 self._drop_block(old)
-            if u in members or u not in heaviest:
+            if u in members:
                 continue
             if u in vblocks:  # u left A
                 self._drop_block(u)
@@ -782,9 +776,7 @@ def _colorful_candidates(
         for t in sorted(h.vertices):
             tmask = vmask[t]
             fresh = []
-            for ei, s, add in steps[t]:
-                if add & tmask:
-                    continue
+            for ei, s, add in steps[t]:  # alive, so add misses tmask
                 key = (s, t, tmask | add)
                 if key in layer1:
                     continue
@@ -827,20 +819,15 @@ def _colorful_candidates(
 def _reduce_to_simple_cycle(
     vseq: list[int], eseq: list[int]
 ) -> tuple[list[int], list[int]]:
-    """Cut a closed walk with distinct edges down to a simple cycle."""
-    while True:
-        seen = {}
-        cut = None
-        for pos, v in enumerate(vseq):
-            if v in seen:
-                cut = (seen[v], pos)
-                break
-            seen[v] = pos
-        if cut is None:
-            return vseq, eseq
-        p, q = cut
-        vseq = vseq[p:q]
-        eseq = eseq[p:q]
+    """Cut a closed walk with distinct edges down to a simple cycle: the
+    window from the first repeated vertex's first occurrence up to its
+    first repeat, which holds no repeat, or the whole walk if none repeats."""
+    seen = {}
+    for q, v in enumerate(vseq):
+        p = seen.setdefault(v, q)
+        if p != q:
+            return vseq[p:q], eseq[p:q]
+    return vseq, eseq
 
 
 def _colorful_cycles(
@@ -940,7 +927,7 @@ def validate_circular(g: ConflictGraph, a: Solution, maps: AnchorMaps, imp: Impr
     u_list = list(kind.u)
     if len(u_list) < 2 or len(set(u_list)) != len(u_list):
         return False
-    if 2 ** len(u_list) > max(2, g.n) ** 4:
+    if len(u_list) > max_cycle_len_for(g.n):
         return False
     if not set(u_list) <= x:
         return False

@@ -69,10 +69,6 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=None, separators=(",", ":"), sort_keys=True) + "\n"
-
-
 class _Main(click.Group):
     """Reports an InputError, BudgetExceededError or file-system error from
     any subcommand as `Error: ...`, exit 1."""
@@ -115,7 +111,7 @@ def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
     if exact:
         res = exact_mwis(g)
         _write_out(
-            _json_dumps(
+            formats.canonical_json(
                 {
                     "members": sorted(res.best.members),
                     "weight": fmt_fraction(res.optimum_w),
@@ -147,7 +143,7 @@ def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
         d=claw_d,
     )
     trace = solve(g, cfg, inst=inst)
-    _write_out(_json_dumps(trace.to_json_obj()), out_path)
+    _write_out(formats.canonical_json(trace.to_json_obj()), out_path)
 
 
 @main.group()
@@ -221,7 +217,7 @@ def verify(in_path, sol_path, delta, out_path) -> None:
         report = certify_local_optimum(g, sol, opt.best, AnalysisParams.from_delta(_fraction(delta, "--delta")))
     except (InputError, ContractError) as exc:
         raise click.ClickException(str(exc))
-    _write_out(_json_dumps(report.to_json_obj()), out_path)
+    _write_out(formats.canonical_json(report.to_json_obj()), out_path)
     if not report.all_bounds_ok():
         sys.exit(1)
 
@@ -238,7 +234,7 @@ def constants_cmd(delta, eps_tilde, eps_prime, out_path) -> None:
         eps_tilde=_fraction(eps_tilde, "--eps-tilde") if eps_tilde else None,
         eps_prime=_fraction(eps_prime, "--eps-prime") if eps_prime else None,
     )
-    _write_out(_json_dumps(report.to_json_obj()), out_path)
+    _write_out(formats.canonical_json(report.to_json_obj()), out_path)
     if not report.all_ok:
         sys.exit(1)
 

@@ -10,7 +10,9 @@ Text format, UTF-8, one record per line, comments start with `c`:
     e <u> <v>
 
 The JSON mirror uses the field names kind, k, universe, sets[], weights[],
-edges[]; weights are "num/den" strings so round-trips stay exact.
+edges[]; weights are "num/den" strings so round-trips stay exact. It and
+every JSON document the CLI writes (traces, reports) go through
+`canonical_json`.
 """
 
 from __future__ import annotations
@@ -173,8 +175,14 @@ def from_json_obj(doc: dict) -> Parsed:
     return ConflictGraph.from_edges(len(weights), edges, weights)
 
 
+def canonical_json(obj) -> str:
+    """The package's one JSON writer: compact, keys sorted, one trailing
+    newline, so equal objects give equal bytes."""
+    return json.dumps(obj, indent=None, separators=(",", ":"), sort_keys=True) + "\n"
+
+
 def to_json(obj: Parsed) -> str:
-    return json.dumps(to_json_obj(obj), indent=None, separators=(",", ":"), sort_keys=True) + "\n"
+    return canonical_json(to_json_obj(obj))
 
 
 def load(path: str) -> Parsed:

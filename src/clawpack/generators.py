@@ -105,9 +105,8 @@ def complete_bipartite(k: int) -> ConflictGraph:
 def projective_plane_incidence(q: int) -> ConflictGraph:
     """Point-line incidence graph of the projective plane of prime order q:
     (q+1)-regular, girth 6, 2(q^2+q+1) vertices. q=2 gives the Heawood graph."""
-    for p in range(2, q):
-        if q % p == 0:
-            raise InputError(f"order {q} is not prime")
+    if not _is_prime(q):
+        raise InputError(f"order {q} is not prime")
     reps = [(1, y, z) for y in range(q) for z in range(q)]
     reps += [(0, 1, z) for z in range(q)]
     reps += [(0, 0, 1)]

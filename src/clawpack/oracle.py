@@ -84,10 +84,11 @@ def exact_mwis(
     optimum bounds at OPT, above that floor, so it is never pruned: the
     set returned is the one the unseeded search returns, in no more nodes.
     A budget partial that found nothing above the floor carries the
-    incumbent's members. A non-independent incumbent is an InputError.
+    incumbent's members. A non-independent incumbent, or a graph of more
+    than `size_limit` vertices, is an InputError.
     """
     if g.n > size_limit:
-        raise InputError(f"n={g.n} exceeds oracle size limit {size_limit}; pass a larger size_limit")
+        raise InputError(f"n={g.n} exceeds oracle size limit {size_limit}")
 
     # the vertices relabelled heaviest first (ties to the lowest id), so a
     # mask's lowest bit is its heaviest vertex: label r is vertex order[r]

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from clawpack import formats
 from clawpack.bench import emit_report, instance_from_gen_spec, run_bench
 from clawpack.cli import main
-from clawpack.generators import berman_tight_instance
+from clawpack.generators import berman_tight_instance, gen_random_packing
 from clawpack.oracle import exact_mwis
 
 
@@ -552,6 +552,21 @@ def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, runner
     assert r.exit_code == 1
     assert r.output.startswith("Error: ")
     assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--exact", "--in", "r45.ksp"],
+    ["verify", "--in", "r45.ksp", "--solution", "one.json"],
+])
+def test_cli_reports_the_oracle_size_limit_without_advice(tmp_path, monkeypatch, runner, args):
+    """No CLI option sets the oracle's size limit, so the message names the
+    limit and suggests nothing."""
+    monkeypatch.chdir(tmp_path)
+    formats.dump(gen_random_packing(45, 3, 60, seed=0), "r45.ksp")
+    (tmp_path / "one.json").write_text(json.dumps({"members": [0]}), encoding="utf-8")
+    r = runner.invoke(main, args, catch_exceptions=False)
+    assert r.exit_code == 1
+    assert r.output == "Error: n=45 exceeds oracle size limit 40\n"
 
 
 def load_bench_record():

@@ -10,6 +10,8 @@ from unittest import mock
 from weakref import ref as weak_ref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     PrimeWeights,
@@ -36,6 +38,7 @@ from clawpack.circular import (
     SearchIncompleteError,
     _assemble,
     _colorful_cycles,
+    _reduce_to_simple_cycle,
     _two_cycle_candidates,
     aux_edge_check,
     build_anchor_maps,
@@ -332,6 +335,62 @@ def test_max_cycle_len_formula():
     assert max_cycle_len_for(9) == 12  # 2^12 <= 9^4 < 2^13
     assert max_cycle_len_for(2) == 4
     assert max_cycle_len_for(1) == 2
+
+
+def test_max_cycle_len_matches_the_counting_loop():
+    """The closed form equals the loop it replaced: the largest L >= 2 with
+    2**L <= n**4."""
+
+    def by_loop(n):
+        if n <= 1:
+            return 2
+        L = 2
+        while 2 ** (L + 1) <= n ** 4:
+            L += 1
+        return L
+
+    for n in [*range(3001), 2**20 - 1, 2**20, 2**20 + 1, 10**9, 3**40]:
+        assert max_cycle_len_for(n) == by_loop(n), n
+
+
+def test_trial_success_bound_matches_the_product():
+    """perm(t, m) / t**m equals the product of (t - i)/t over i < m, and 0
+    for m > t."""
+    for t in range(1, 65):
+        for m in range(71):
+            p = Fraction(0) if m > t else math.prod((Fraction(t - i, t) for i in range(m)), start=Fraction(1))
+            assert trial_success_bound(t, m) == p, (t, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reduce_to_simple_cycle_cuts_once(data):
+    """One cut gives what cutting until no vertex repeats gives, and the
+    result is a window of the walk that holds no repeat and closes: the
+    vertex after it is its first vertex."""
+
+    def by_loop(vseq, eseq):
+        while True:
+            seen = {}
+            cut = None
+            for pos, v in enumerate(vseq):
+                if v in seen:
+                    cut = (seen[v], pos)
+                    break
+                seen[v] = pos
+            if cut is None:
+                return vseq, eseq
+            p, q = cut
+            vseq, eseq = vseq[p:q], eseq[p:q]
+
+    vseq = data.draw(st.lists(st.integers(0, 5), min_size=2, max_size=14))
+    eseq = data.draw(st.permutations(range(100, 100 + len(vseq))))
+    cv, ce = _reduce_to_simple_cycle(vseq, eseq)
+    assert (cv, ce) == by_loop(vseq, eseq)
+    assert len(set(cv)) == len(cv) == len(ce) >= 1
+    p = next(i for i in range(len(vseq)) if vseq[i:i + len(cv)] == cv and eseq[i:i + len(ce)] == ce)
+    q = p + len(cv)
+    assert (vseq + vseq[:1])[q] == cv[0]
 
 
 def test_improvement_chain_recomputed_term_by_term():

@@ -84,8 +84,12 @@ def test_projective_plane_orders():
         assert g.n == 2 * (q * q + q + 1)
         assert all(g.degree(v) == q + 1 for v in range(g.n))
         assert girth(g) == 6
-    with pytest.raises(InputError):
-        projective_plane_incidence(4)
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1, 4, 6])
+def test_projective_plane_rejects_orders_that_are_not_prime(q):
+    with pytest.raises(InputError, match="not prime"):
+        projective_plane_incidence(q)
 
 
 @pytest.mark.parametrize(
