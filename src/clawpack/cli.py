@@ -123,6 +123,13 @@ def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
         )
         return
     mode = "parametrized" if algo == "param" else algo
+    alpha = _fraction(alpha, "--alpha")
+    if mode == "parametrized" and alpha is not None and alpha.denominator != 1:
+        # the w**alpha gain of the first swap would raise a TypeError
+        raise click.ClickException(
+            f"--alpha {alpha}: param mode takes integer exponents only; exact gains for"
+            " non-integer exponents are ROADMAP direction 1"
+        )
     given = {
         name: value
         for name, value in (
@@ -135,7 +142,7 @@ def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
         circular = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode=cc_mode or "exhaustive"), **given)
     cfg = SolverConfig(
         mode=mode,
-        alpha=_fraction(alpha, "--alpha"),
+        alpha=alpha,
         size_cap_factor=_fraction(cap_c, "--cap-c"),
         scaling_n=_fraction(scale_n, "--scale-n"),
         rng_seed=seed,

@@ -48,6 +48,13 @@ def fmt_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def fmt_ratio(num: int, den: int) -> str:
+    """`fmt_fraction(Fraction(num, den))` for den > 0, with one gcd and no
+    Fraction."""
+    c = math.gcd(num, den)
+    return f"{num // c}/{den // c}"
+
+
 @dataclass(frozen=True)
 class PackingInstance:
     """A family of <=k-element sets over a universe 0..universe_size-1.
@@ -293,11 +300,11 @@ class Improvement:
     def size(self) -> int:
         return len(self.x)
 
-    def delta_w2(self, g: ConflictGraph) -> Fraction:
-        """w^2(x) - w^2(removed), summed as the integers `g.w2_int`."""
+    def delta_w2_int(self, g: ConflictGraph) -> int:
+        """w^2(x) - w^2(removed) times L**2 (L = `g.w_lcm`), summed as the
+        integers `g.w2_int`."""
         w2 = g.w2_int
-        lcm = g.w_lcm
-        return Fraction(sum(w2[v] for v in self.x) - sum(w2[v] for v in self.removed), lcm * lcm)
+        return sum(w2[v] for v in self.x) - sum(w2[v] for v in self.removed)
 
     def kind_name(self) -> str:
         if isinstance(self.kind, ClawShaped):
@@ -359,26 +366,31 @@ def independent_subsets(
 
     A reader holding non-negative integers `p` (by vertex) may send back,
     after a subset X, a deficit D that p(Y - X) must exceed for any
-    superset Y of X it would stop at. The walk then skips every extension
-    of X when the cap - |X| largest `p` among X's extension candidates
-    sum to at most D, so the first subset a reader stops at stays the
-    same. `deficit` is the empty subset's D: the walk yields nothing when
-    the cap largest `p` of `cands` sum to at most it. A reader that sends
-    nothing (a plain `for` loop, or `send(None)`) and passes no `deficit`
-    walks every subset.
+    superset Y of X it would stop at. With one pick left (|X| = cap - 1)
+    the walk lists only the extension candidates u with p(u) > D, since
+    Y = X + {u} has p(Y - X) = p(u); with more room it skips every
+    extension of X when the cap - |X| largest `p` among X's extension
+    candidates sum to at most D. Either way the first subset a reader
+    stops at stays the same. `deficit` is the empty subset's D, under the
+    same two rules. A reader that sends nothing (a plain `for` loop, or
+    `send(None)`) and passes no `deficit` walks every subset.
     """
     adj_sets = g.adj_sets
 
-    def covers(ext: Sequence[int], room: int, need: Optional[int]) -> bool:
-        """Could `room` more picks from `ext` outweigh the deficit `need`?"""
+    def listed(ext: Sequence[int], room: int, need: Optional[int]) -> Sequence[int]:
+        """The candidates of `ext` listed with `room` picks left after a
+        subset whose deficit is `need`."""
         if need is None:
-            return True
+            return ext
+        if room == 1:
+            return [u for u in ext if p[u] > need]
         top = [p[u] for u in ext]
         if len(top) > room:
             top = sorted(top)[-room:]
-        return sum(top) > need
+        return ext if sum(top) > need else ()
 
-    stack = [(cands, 0, ())] if cap >= 1 and cands and covers(cands, cap, deficit) else []
+    level = listed(cands, cap, deficit) if cap >= 1 else ()
+    stack = [(level, 0, ())] if level else []
     while stack:
         level, i, chosen = stack[-1]
         if i == len(level):
@@ -391,8 +403,12 @@ def independent_subsets(
         room = cap - len(y)
         if room:
             nbrs = adj_sets[v]
-            ext = [u for u in level[i + 1:] if u not in nbrs]
-            if ext and covers(ext, room, deficit):
+            if room == 1 and deficit is not None:
+                # one pick left: only a u whose p alone exceeds D, in one pass
+                ext = [u for u in level[i + 1:] if u not in nbrs and p[u] > deficit]
+            else:
+                ext = listed([u for u in level[i + 1:] if u not in nbrs], room, deficit)
+            if ext:
                 stack.append((ext, 0, y))
 
 
@@ -455,5 +471,4 @@ def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> boo
                 return False
             if any(not g.has_edge(c, x) for x in imp.x):
                 return False
-    w2 = g.w2_int
-    return sum(w2[v] for v in imp.x) > sum(w2[v] for v in imp.removed)
+    return imp.delta_w2_int(g) > 0

@@ -273,35 +273,38 @@ def _first_improvement(
     `independent_subsets`; each one draws from `nodes`, a counter from 1
     that calls under one budget share; a draw past `budget` raises
     "<what> exceeded <budget> nodes". N(u, A) is listed once per
-    candidate u; per depth k the walk keeps the sums of X and of N(X, A)
-    and N(X, A) itself, each extending depth k-1's.
+    candidate u, when the walk first reaches u; per depth k the walk keeps
+    the sums of X and of N(X, A) and N(X, A) itself, each extending depth
+    k-1's.
 
     With `p`, each non-improving X sends a deficit back into the walk,
-    which skips X's extensions when the largest weights that could still
-    join X cannot cover it. Without `center` (the w**alpha search, where
-    no member is next to every candidate) the weights are `p` and the
-    deficit is p(N(X, A)) - p(X): every vertex added only grows N(X, A).
-    With `center` c, a member of A next to every candidate (the claw
-    search), each candidate u is charged its share of the members it
-    would remove besides c: with m(a) the smaller of `cap` and the number
-    of candidates next to a,
+    which lists only the extensions that could still cover it (with one
+    pick left, only the candidates whose weight alone exceeds it). Without
+    `center` (the w**alpha search, where no member is next to every
+    candidate) the weights are `p` and the deficit is p(N(X, A)) - p(X):
+    every vertex added only grows N(X, A). With `center` c, a member of A
+    next to every candidate (the claw search), each candidate u is charged
+    its share of the members it would remove besides c: with m(a) the
+    smaller of `cap` and the number of candidates next to a,
 
         q(u) = p(u) - sum of p(a) // m(a) over a in N(u, A) - {c}.
 
     A set Y of at most `cap` candidates meets each such a at most m(a)
     times, so p(Y) - p(N(Y, A)) <= q(Y) - p(c), and Y improves only if
-    q(Y) > p(c). The walk's weights are then max(q, 0), the deficit sent
-    after X is p(c) - q(X), and the empty set's is p(c): the center is
-    settled without a walk when the `cap` largest positive q sum to at
-    most p(c). Either way no skipped subset improves, so the X returned is
-    the one an unbounded walk returns; only the node count, and so where
-    `budget` fires, is smaller. The float path sends nothing and walks
-    every subset.
+    q(Y) > p(c). The walk's weights are then max(q, 0) and the deficit
+    sent after X is p(c) - q(X). The center is settled before any walk
+    starts when the `cap` largest positive q sum to at most p(c). Either
+    way no skipped subset improves, so the X returned is the one an
+    unbounded walk returns; only the node count, and so where `budget`
+    fires, is smaller. The float path sends nothing and walks every
+    subset.
     """
     adj_sets = g.adj_sets
-    nbrs = {u: adj_sets[u] & members for u in cands}
     walk_p, q, base = p, None, None
-    if center is not None:
+    if center is None:
+        nbrs: dict[int, frozenset[int]] = {}  # N(u, A), filled as the walk reaches u
+    else:
+        nbrs = {u: adj_sets[u] & members for u in cands}
         delta: dict[int, int] = {}  # a -> the number of candidates next to a
         for nu in nbrs.values():
             for a in nu:
@@ -315,11 +318,13 @@ def _first_improvement(
                     x -= p[a] if m == 1 else p[a] // min(m, cap)
             q[u] = x
             walk_p[u] = x if x > 0 else 0
+        if sum(sorted(walk_p.values())[-cap:]) <= base:
+            return None
     x_p = [0] * (cap + 1)
     x_q = [0] * (cap + 1)
     r_p = [0] * (cap + 1)
     removed: list[frozenset[int]] = [frozenset()] * (cap + 1)
-    walk = independent_subsets(g, cands, cap, walk_p, base)
+    walk = independent_subsets(g, cands, cap, walk_p)
     deficit = None
     while True:
         try:
@@ -330,7 +335,10 @@ def _first_improvement(
             raise BudgetExceededError(f"{what} exceeded {budget} nodes")
         k = len(x)
         v = x[-1]
-        new = nbrs[v] - removed[k - 1]
+        nv = nbrs.get(v)
+        if nv is None:
+            nv = nbrs[v] = adj_sets[v] & members
+        new = nv - removed[k - 1]
         removed[k] = nx = removed[k - 1] | new
         if p is not None:
             x_p[k] = x_p[k - 1] + p[v]

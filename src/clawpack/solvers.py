@@ -35,6 +35,7 @@ from .instances import (
     PackingInstance,
     Solution,
     fmt_fraction,
+    fmt_ratio,
 )
 from .oracle import _first_improvement, exhaustive_improvement_search, power_weight_gain
 
@@ -69,11 +70,18 @@ class SolverConfig:
 class ImprovementRecord:
     """One applied swap: its shape, |X|, and the gain in the objective the
     run optimizes (w^2 for claw-shaped/circular and alpha=2 searches, w^alpha
-    for other exponents; the wire field name stays delta_w2)."""
+    for other exponents; the wire field name stays delta_w2).
+
+    The gain is the exact rational delta_w2 / den, kept as two integers
+    with den > 0, not necessarily in lowest terms: on the w^2 path
+    delta_w2 is `Improvement.delta_w2_int` and den is L**2, so such a swap
+    builds no Fraction. delta_w2 has the gain's sign; the trace writes the
+    reduced ratio."""
 
     kind: str
     size: int
-    delta_w2: Fraction
+    delta_w2: int
+    den: int
 
 
 @dataclass
@@ -92,7 +100,7 @@ class RunTrace:
         return {
             "iterations": self.iterations,
             "improvements": [
-                {"kind": r.kind, "size": r.size, "delta_w2": fmt_fraction(r.delta_w2)}
+                {"kind": r.kind, "size": r.size, "delta_w2": fmt_ratio(r.delta_w2, r.den)}
                 for r in self.improvements
             ],
             "final_members": sorted(self.final.members),
@@ -230,9 +238,11 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     A center whose d-1 largest positive q sum to at most w2(c) is settled
     without a walk; otherwise the walk skips a talon set X's extensions
     once the largest positive q that could still join X sum to at most
-    w2(c) - q(X). No skipped set improves, so this changes node counts
-    only. `_MAX_CLAW_NODES` caps the talon-search nodes of this call,
-    counted across its centers. For a hit, removed = N(talons) & A.
+    w2(c) - q(X), and with one talon left tries only the talons whose
+    positive q alone exceeds it. No skipped set improves, so this changes
+    node counts only. `_MAX_CLAW_NODES` caps the talon-search nodes of
+    this call, counted across its centers. For a hit, removed =
+    N(talons) & A.
     """
     v = state.lowest_free()
     if v is not None:
@@ -261,9 +271,11 @@ def _loop(
 
     The loop applies each swap once and then hands it to every search
     state in `states` (`update(imp)`), so what a search keeps between calls
-    follows A without looking at A again.
+    follows A without looking at A again. Each swap's gain is checked and
+    recorded as an integer over a denominator (see `ImprovementRecord`).
     """
     g = a.g
+    w2_den = g.w_lcm ** 2
     records: list[ImprovementRecord] = []
     notes: tuple[str, ...] = ()
     while True:
@@ -277,15 +289,16 @@ def _loop(
         if imp is None:
             break
         if isinstance(imp.kind, Generic) and imp.kind.alpha != 2:
-            delta = power_weight_gain(g, imp.kind.alpha, imp.x, imp.removed)
+            gain = power_weight_gain(g, imp.kind.alpha, imp.x, imp.removed)
+            delta, den = gain.numerator, gain.denominator
         else:
-            delta = imp.delta_w2(g)
+            delta, den = imp.delta_w2_int(g), w2_den
         if delta <= 0:
             raise RuntimeError(f"non-improving step {imp!r}")
         a.apply(imp)
         for state in states:
             state.update(imp)
-        records.append(ImprovementRecord(imp.kind_name(), imp.size, delta))
+        records.append(ImprovementRecord(imp.kind_name(), imp.size, delta, den))
     return RunTrace(records, a, notes=notes)
 
 

@@ -512,6 +512,8 @@ BAD_INPUTS = {
     ["solve", "--in", "path.mwis"],  # no claw bound
     ["solve", "--in", "path.mwis", "--d", "3", "--algo", "param", "--alpha", "x"],
     ["solve", "--in", "path.mwis", "--d", "3", "--algo", "param"],  # no alpha
+    ["solve", "--in", "path.mwis", "--d", "3", "--algo", "param", "--alpha", "1/2"],  # not an integer
+    ["solve", "--in", "path.mwis", "--d", "3", "--algo", "param", "--alpha", "-3/2"],
     ["solve", "--in", "path.mwis", "--d", "3", "--cap-c", "1/0"],
     ["solve", "--in", "path.mwis", "--d", "3", "--cap-c", "-1"],
     ["solve", "--in", "path.mwis", "--d", "3", "--algo", "logimp", "--cc-ycap", "-1"],

@@ -60,8 +60,10 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
     the smaller of d-1 and the number of candidates next to a. The center
     is skipped when its d-1 largest positive q sum to at most w^2(c), and
     a talon set T's extensions when the d-1-|T| largest positive q among
-    the talons that could still join T sum to at most w^2(c) - q(T). The
-    unbounded search returns the same result."""
+    the talons that could still join T sum to at most w^2(c) - q(T); with
+    one talon left to pick, only the talons whose positive q exceeds
+    w^2(c) - q(T) are tried. The unbounded search returns the same
+    result."""
     members = a.members
     for v in range(g.n):
         if v in members:
@@ -87,11 +89,13 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
         if not covers(q, cands, d - 1, w2[center]):
             return None
 
-        def extend(start, chosen, t_w2, removed, r_w2, t_q):
+        def extend(start, chosen, t_w2, removed, r_w2, t_q, need=None):
             nonlocal nodes
             for i in range(start, len(cands)):
                 u = cands[i]
                 if any(g.has_edge(u, x) for x in chosen):
+                    continue
+                if need is not None and max(q[u], 0) <= need:
                     continue
                 nodes += 1
                 new_removed = (g.adj_sets[u] & members) - removed
@@ -103,9 +107,10 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
                     return list(chosen)
                 room = d - 1 - len(chosen)
                 later = [x for x in cands[i + 1:] if not any(g.has_edge(x, y) for y in chosen)]
-                if room and later and covers(q, later, room, w2[center] - nq):
+                last = bounded and room == 1
+                if room and later and (last or covers(q, later, room, w2[center] - nq)):
                     removed |= new_removed
-                    found = extend(i + 1, chosen, nt, removed, nr, nq)
+                    found = extend(i + 1, chosen, nt, removed, nr, nq, w2[center] - nq if last else None)
                     if found is not None:
                         return found
                     removed -= new_removed
@@ -533,7 +538,7 @@ def checked_apply():
 
     def apply(self, imp):
         g = self.g
-        assert imp.delta_w2(g) == w2_of(g, imp.x) - w2_of(g, imp.removed)
+        assert Fraction(imp.delta_w2_int(g), g.w_lcm ** 2) == w2_of(g, imp.x) - w2_of(g, imp.removed)
         original(self, imp)
         assert self.total_w == w_of(g, self.members)
         kinds[imp.kind_name()] += 1
@@ -596,7 +601,7 @@ def test_apply_with_distinct_denominators():
     g = ConflictGraph.from_edges(3, [(0, 1)], [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)])
     assert g.w_lcm == 231
     imp = Improvement(frozenset({1}), frozenset({0}), ClawShaped(center=0))
-    assert imp.delta_w2(g) == Fraction(4, 49) - Fraction(1, 9)
+    assert Fraction(imp.delta_w2_int(g), 231 ** 2) == Fraction(4, 49) - Fraction(1, 9)
     a = Solution.of(g, {0, 2})
     a.apply(imp)
     assert a.members == {1, 2}

@@ -108,14 +108,21 @@ def test_independent_subsets_skips_the_extensions_a_sent_deficit_rules_out(data)
     p = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     seed = data.draw(st.integers(0, 2 ** 32))
 
-    def covers(x):
-        """Could the extensions of x (the empty subset's too) still cover
-        the deficit sent after it?"""
+    def listed(y, j):
+        """Is y listed past its prefix x = y[:j] (the empty subset too),
+        given the deficit sent after x? With one pick left, y's last pick
+        must exceed it alone; with more room, the extensions of x must
+        still cover it."""
+        x = y[:j]
         deficit = sent_deficit(seed, x, sum(p))
+        if deficit is None:
+            return True
+        if cap - j == 1:
+            return p[y[j]] > deficit
         later = [u for u in cands[cands.index(x[-1]) + 1:] if g.is_independent(x + (u,))] if x else cands
-        return deficit is None or sum(sorted(p[u] for u in later)[-(cap - len(x)):]) > deficit
+        return sum(sorted(p[u] for u in later)[-(cap - j):]) > deficit
 
-    want = [y for y in independent_combinations(g, cands, cap) if all(covers(y[:j]) for j in range(len(y)))]
+    want = [y for y in independent_combinations(g, cands, cap) if all(listed(y, j) for j in range(len(y)))]
     got = []
     walk = independent_subsets(g, cands, cap, p, sent_deficit(seed, (), sum(p)))
     try:

@@ -9,6 +9,7 @@ order, so search trees, node counts and budget failures must agree.
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, count
 from typing import Optional
 from unittest import mock
 
@@ -17,7 +18,7 @@ from conftest import PrimeWeights, w_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clawpack import certify
+from clawpack import certify, oracle
 from clawpack.certify import AnalysisParams, certify_local_optimum
 from clawpack.circular import build_anchor_maps
 from clawpack.generators import gen_random_packing
@@ -109,19 +110,22 @@ def ref_improvement_search(
 
     `bounded` skips the extensions of a non-improving X when the
     size_cap - |X| largest w**alpha among the vertices that could still
-    join X sum to at most w**alpha(N(X, A)) - w**alpha(X); the unbounded
-    search returns the same result."""
+    join X sum to at most w**alpha(N(X, A)) - w**alpha(X), and with one
+    pick left tries only the vertices whose w**alpha exceeds that deficit;
+    the unbounded search returns the same result."""
     outside = [v for v in range(g.n) if v not in a.members]
     nodes = 0
 
     def power_sum(vs) -> Fraction:
         return sum((g.weights[v] ** alpha for v in vs), Fraction(0))
 
-    def extend(start: int, chosen: list[int]) -> Optional[Improvement]:
+    def extend(start: int, chosen: list[int], need: Optional[Fraction] = None) -> Optional[Improvement]:
         nonlocal nodes
         for i in range(start, len(outside)):
             v = outside[i]
             if any(g.has_edge(v, u) for u in chosen):
+                continue
+            if need is not None and g.weights[v] ** alpha <= need:
                 continue
             nodes += 1
             if nodes > budget:
@@ -133,8 +137,9 @@ def ref_improvement_search(
                 return Improvement(frozenset(chosen), frozenset(removed), Generic(Fraction(alpha)))
             room = size_cap - len(chosen)
             later = [u for u in outside[i + 1:] if not any(g.has_edge(u, x) for x in chosen)]
-            if room and (not bounded or sum(sorted(g.weights[u] ** alpha for u in later)[-room:]) > deficit):
-                found = extend(i + 1, chosen)
+            last = bounded and room == 1
+            if room and (not bounded or last or sum(sorted(g.weights[u] ** alpha for u in later)[-room:]) > deficit):
+                found = extend(i + 1, chosen, deficit if last else None)
                 if found is not None:
                     return found
             chosen.pop()
@@ -389,6 +394,45 @@ def test_improvement_search_from_greedy_and_squareimp():
                 assert exhaustive_improvement_search(g, a, Fraction(alpha), 3) == want
                 found.add(want is None)
     assert found == {True, False}
+
+
+def brute_first_improvement(g: ConflictGraph, members: set[int], cands: list[int], cap: int, alpha: int):
+    """The first independent X of 1..cap of the sorted `cands`, in
+    lexicographic order, with w**alpha(X) > w**alpha(N(X, A)) in Fractions,
+    as (X, N(X, A)) or None; and the subsets an unpruned walk yields up to
+    it (all of them when there is none)."""
+    subsets = sorted(c for k in range(1, cap + 1) for c in combinations(cands, k) if g.is_independent(c))
+    for seen, x in enumerate(subsets, 1):
+        nx = neighborhood(x, members, g)
+        if sum((g.weights[v] ** alpha for v in x), Fraction(0)) > sum((g.weights[v] ** alpha for v in nx), Fraction(0)):
+            return (frozenset(x), frozenset(nx)), seen
+    return None, len(subsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(prime_weighted_graphs(max_n=10), tied_graphs(max_n=10)), st.integers(1, 4), st.data())
+def test_first_improvement_is_the_brute_force_one_in_no_more_nodes(g, cap, data):
+    """In both modes: the generic w**alpha search over all outside vertices,
+    and the claw search at one center over its outside neighbors."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    members = set(maximal_solution(g, rng).members)
+    if members and data.draw(st.booleans()):
+        members.remove(rng.choice(sorted(members)))  # leave some vertices free
+    centers = [c for c in sorted(members) if any(u not in members for u in g.adj[c])]
+    if centers and data.draw(st.booleans()):
+        center = data.draw(st.sampled_from(centers))
+        cands = [u for u in g.adj[center] if u not in members]
+        alpha, p = 2, g.w2_int
+    else:
+        center = None
+        cands = [v for v in range(g.n) if v not in members]
+        alpha = data.draw(st.sampled_from(ALPHAS))
+        p = g.w2_int if alpha == 2 else oracle._int_powers(g.w_int, alpha)
+    want, unpruned = brute_first_improvement(g, members, cands, cap, alpha)
+    nodes = count(1)
+    got = oracle._first_improvement(g, members, cands, cap, p, 10 ** 9, nodes, "search", center=center)
+    assert got == want
+    assert next(nodes) - 1 <= unpruned
 
 
 @settings(max_examples=100, deadline=None)

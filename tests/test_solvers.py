@@ -1,14 +1,24 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from conftest import claw_search, gen_berman_tight, w_of
+from conftest import claw_search, gen_berman_tight, tight_copies, w_of
 
 from clawpack import solvers
 from clawpack.generators import (
     gen_alternating_cycle,
     gen_random_packing,
 )
-from clawpack.instances import ConflictGraph, InputError, Solution, build_conflict_graph, verify_solution
+from clawpack.instances import (
+    ConflictGraph,
+    InputError,
+    PackingInstance,
+    Solution,
+    build_conflict_graph,
+    fmt_fraction,
+    verify_solution,
+)
 from clawpack.oracle import exact_mwis
 from clawpack.solvers import (
     SolverConfig,
@@ -252,3 +262,53 @@ def test_start_with_scaling_is_an_input_error(mode):
     with pytest.raises(InputError, match="start solution cannot be combined with scaling"):
         solve(g, cfg, start=a)
     assert solve(g, cfg).scaled
+
+
+def wire_gains(run, alpha: int = 2) -> tuple[list[str], list[str], list[str]]:
+    """The `delta_w2` strings of run()'s trace, `fmt_fraction` of each
+    applied swap's gain in w**alpha summed in Fractions, and the kinds."""
+    applied = []
+    original = Solution.apply
+
+    def apply(self, imp):
+        applied.append((self.g, imp))
+        original(self, imp)
+
+    with mock.patch.object(Solution, "apply", apply):
+        trace = run()
+    want = [
+        fmt_fraction(sum((g.weights[v] ** alpha for v in imp.x), Fraction(0))
+                     - sum((g.weights[v] ** alpha for v in imp.removed), Fraction(0)))
+        for g, imp in applied
+    ]
+    got = [r["delta_w2"] for r in trace.to_json_obj()["improvements"]]
+    return got, want, [imp.kind_name() for _, imp in applied]
+
+
+def test_wire_gains_are_the_exact_fractions_with_a_weight_lcm_above_one():
+    rng = random.Random(5)
+    inst = PackingInstance.build(
+        24, [rng.sample(range(24), rng.randint(1, 3)) for _ in range(30)],
+        [Fraction(rng.randint(1, 40), rng.choice([3, 7, 11, 13])) for _ in range(30)], 3,
+    )
+    g = build_conflict_graph(inst)
+    assert g.w_lcm > 1
+    got, want, _ = wire_gains(lambda: squareimp(g, SolverConfig()))
+    assert got == want and got
+    assert any(Fraction(s).denominator > 1 for s in got)
+
+
+def test_wire_gains_are_the_exact_fractions_of_w_cubed():
+    inst = gen_random_packing(14, 3, 10, weight_dist=("near-unit", Fraction(1, 10)), seed=2)
+    g = build_conflict_graph(inst)
+    cfg = SolverConfig(mode="parametrized", alpha=Fraction(3), size_cap_factor=Fraction(1, 2))
+    got, want, _ = wire_gains(lambda: parametrized_local_search(g, cfg), alpha=3)
+    assert got == want and got
+
+
+def test_wire_gains_are_the_exact_fractions_of_circular_swaps():
+    inst, small = tight_copies(5, 2, seed=1, scales=[Fraction(2, 3), Fraction(5, 7)])
+    g = build_conflict_graph(inst)
+    got, want, kinds = wire_gains(lambda: logimp(g, SolverConfig(mode="logimp"), start=Solution.of(g, small), inst=inst))
+    assert got == want
+    assert "circular" in kinds
