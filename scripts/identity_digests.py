@@ -60,6 +60,8 @@ SOLVE = {
     "logimp-exhaustive": ["--algo", "logimp"],
     "logimp-rand": ["--algo", "logimp", "--cc-mode", "rand", "--seed", "3"],
     "param-a2": ["--algo", "param", "--alpha", "2", "--cap-c", "1/2"],
+    "param-a3": ["--algo", "param", "--alpha", "3", "--cap-c", "1/2"],
+    "param-a-1": ["--algo", "param", "--alpha", "-1", "--cap-c", "1/2"],
     "scale-n2": ["--algo", "squareimp", "--scale-n", "2"],
     "exact": ["--exact"],
 }

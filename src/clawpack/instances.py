@@ -1,9 +1,10 @@
 """Core data model: packing instances, conflict graphs, solutions, improvements.
 
 Weights are exact rationals throughout, and every comparison the solvers make
-is exact: either between Fractions or between the integer-scaled weights
-`ConflictGraph.w_int` and their squares `ConflictGraph.w2_int`. A solution is
-a member set over one graph; its weight is summed from the graph when read.
+is exact: either between Fractions or between sums of the integer-scaled
+weights `ConflictGraph.w_int` or of their powers, one table per exponent
+(`ConflictGraph.int_powers`). A solution is a member set over one graph;
+its weight is summed from the graph when read.
 `independent_subsets` is the package's one walk over the bounded
 independent subsets of a candidate list.
 """
@@ -117,6 +118,7 @@ class ConflictGraph:
     adj: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
     d: Optional[int] = None
+    _power_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.adj) != self.n or len(self.weights) != self.n:
@@ -176,10 +178,34 @@ class ConflictGraph:
         lcm = self.w_lcm
         return tuple(w.numerator * (lcm // w.denominator) for w in self.weights)
 
+    def int_powers(self, k: int) -> tuple[tuple[int, ...], int]:
+        """(p, den) with w(v)**k = p[v] / den for every vertex v, for a
+        non-zero integer k; every entry is a positive integer, so sums of
+        `p` order exactly as the sums of the k-th powers of the weights do.
+        For k > 0, p is `w_int`**k and den is L**k; for k < 0, den is M,
+        the lcm of the `w_int`**-k, and p[v] = L**-k * M // w_int[v]**-k.
+        Built once per exponent, on first use."""
+        table = self._power_tables.get(k)
+        if table is None:
+            if k == 0:
+                raise InputError("alpha=0 is rejected; use unit weights explicitly instead")
+            if Fraction(k).denominator != 1:
+                raise InputError(f"no integer power table for the exponent {k}")
+            k = int(k)
+            if k > 0:
+                table = tuple(x ** k for x in self.w_int), self.w_lcm ** k
+            else:
+                q = [x ** -k for x in self.w_int]
+                den = math.lcm(*q)
+                scale = self.w_lcm ** -k * den
+                table = tuple(scale // y for y in q), den
+            self._power_tables[k] = table
+        return table
+
     @cached_property
     def w2_int(self) -> tuple[int, ...]:
-        """Squared weights times L**2: the squares of `w_int`."""
-        return tuple(x * x for x in self.w_int)
+        """The squares of `w_int`: the k = 2 table of `int_powers`."""
+        return self.int_powers(2)[0]
 
     @cached_property
     def m(self) -> int:
@@ -300,11 +326,12 @@ class Improvement:
     def size(self) -> int:
         return len(self.x)
 
-    def delta_w2_int(self, g: ConflictGraph) -> int:
-        """w^2(x) - w^2(removed) times L**2 (L = `g.w_lcm`), summed as the
-        integers `g.w2_int`."""
-        w2 = g.w2_int
-        return sum(w2[v] for v in self.x) - sum(w2[v] for v in self.removed)
+    def gain(self, g: ConflictGraph) -> tuple[int, int]:
+        """w^k(x) - w^k(removed) as (num, den), den > 0, summed from the
+        table `g.int_powers(k)`; k is 2 for claw-shaped and circular swaps
+        and `Generic.alpha`, which must be an integer, otherwise."""
+        p, den = g.int_powers(self.kind.alpha if isinstance(self.kind, Generic) else 2)
+        return sum(p[v] for v in self.x) - sum(p[v] for v in self.removed), den
 
     def kind_name(self) -> str:
         if isinstance(self.kind, ClawShaped):
@@ -351,7 +378,6 @@ def independent_subsets(
     cands: Sequence[int],
     cap: int,
     p: Optional[Mapping[int, int] | Sequence[int]] = None,
-    deficit: Optional[int] = None,
 ) -> Generator[tuple[int, ...], Optional[int], None]:
     """Each independent subset of 1..`cap` vertices of `cands`, in
     lexicographic order of positions in `cands`, except the extensions a
@@ -371,26 +397,12 @@ def independent_subsets(
     Y = X + {u} has p(Y - X) = p(u); with more room it skips every
     extension of X when the cap - |X| largest `p` among X's extension
     candidates sum to at most D. Either way the first subset a reader
-    stops at stays the same. `deficit` is the empty subset's D, under the
-    same two rules. A reader that sends nothing (a plain `for` loop, or
-    `send(None)`) and passes no `deficit` walks every subset.
+    stops at stays the same. The empty subset's extensions, all of
+    `cands`, are listed in full; a reader that sends nothing (a plain
+    `for` loop, or `send(None)`) walks every subset.
     """
     adj_sets = g.adj_sets
-
-    def listed(ext: Sequence[int], room: int, need: Optional[int]) -> Sequence[int]:
-        """The candidates of `ext` listed with `room` picks left after a
-        subset whose deficit is `need`."""
-        if need is None:
-            return ext
-        if room == 1:
-            return [u for u in ext if p[u] > need]
-        top = [p[u] for u in ext]
-        if len(top) > room:
-            top = sorted(top)[-room:]
-        return ext if sum(top) > need else ()
-
-    level = listed(cands, cap, deficit) if cap >= 1 else ()
-    stack = [(level, 0, ())] if level else []
+    stack = [(cands, 0, ())] if cap >= 1 and cands else []
     while stack:
         level, i, chosen = stack[-1]
         if i == len(level):
@@ -407,7 +419,14 @@ def independent_subsets(
                 # one pick left: only a u whose p alone exceeds D, in one pass
                 ext = [u for u in level[i + 1:] if u not in nbrs and p[u] > deficit]
             else:
-                ext = listed([u for u in level[i + 1:] if u not in nbrs], room, deficit)
+                ext = [u for u in level[i + 1:] if u not in nbrs]
+                if deficit is not None:
+                    # more room: the `room` largest p among them must exceed D
+                    top = [p[u] for u in ext]
+                    if len(top) > room:
+                        top = sorted(top)[-room:]
+                    if sum(top) <= deficit:
+                        ext = ()
             if ext:
                 stack.append((ext, 0, y))
 
@@ -445,11 +464,12 @@ def verify_solution(g: ConflictGraph, s: Solution) -> bool:
 def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> bool:
     """Re-check an Improvement against the solution it was found for.
 
-    Requires x independent and disjoint from A, removed = N(x, A), and the
-    exponent criterion attached to the improvement's kind (alpha defaults
-    to 2 for claw-shaped and circular kinds, compared as sums of
-    `g.w2_int`). `circular.validate_circular` calls it for every circular
-    candidate and adds the cycle checks.
+    Requires x independent and disjoint from A, removed = N(x, A), and a
+    positive gain in the exponent of the improvement's kind (2 for
+    claw-shaped and circular kinds): `Improvement.gain` for an integer
+    exponent, `power_weight_improves` for a non-integer alpha.
+    `circular.validate_circular` calls it for every circular candidate and
+    adds the cycle checks.
     """
     if not imp.x or (imp.x & a.members):
         return False
@@ -457,7 +477,7 @@ def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> boo
         return False
     if set(imp.removed) != neighborhood(imp.x, a.members, g):
         return False
-    if isinstance(imp.kind, Generic):
+    if isinstance(imp.kind, Generic) and imp.kind.alpha.denominator != 1:
         from .oracle import power_weight_improves
 
         return power_weight_improves(g, imp.kind.alpha, imp.x, imp.removed)
@@ -471,4 +491,4 @@ def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> boo
                 return False
             if any(not g.has_edge(c, x) for x in imp.x):
                 return False
-    return imp.delta_w2_int(g) > 0
+    return imp.gain(g)[0] > 0

@@ -12,16 +12,17 @@ independent set can seed its incumbent, which prunes more and returns the
 same set. The improvement search, `_first_improvement`, reads
 the subsets from `instances.independent_subsets`; it is also the claw
 search of `solvers`, run at one center with alpha = 2 and at most d-1
-talons. With integer powers it sends each subset's deficit back into the
-walk, which then skips the extensions that cannot gain enough to improve;
-the claw search charges each talon with its share of the other members it
-removes, which also settles most centers before any walk. The improvement
-found is the same, only the node count drops.
+talons. For an integer alpha every comparison and gain here sums the
+graph's one table `ConflictGraph.int_powers(alpha)`, and the search sends
+each subset's deficit back into the walk, which then skips the extensions
+that cannot gain enough to improve; only a non-integer alpha goes through
+mpmath. The claw search charges each talon with its share of the other
+members it removes, which also settles most centers before any walk. The
+improvement found is the same, only the node count drops.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -159,21 +160,6 @@ def _oracle_result(g: ConflictGraph, order: Sequence[int], mask: int, nodes: int
     return OracleResult(best, best.total_w, nodes, optimal)
 
 
-def _int_powers(w_int: Sequence[int], k: int) -> list[int]:
-    """x**k for each x, scaled by one positive constant to integers.
-
-    For k < 0 that constant is M, the lcm of the x**-k, and the entries are
-    M // x**-k. Sums of the entries order exactly as the sums of the
-    rational powers of the weights do when w_int is the weights times one
-    positive constant.
-    """
-    if k > 0:
-        return [x ** k for x in w_int]
-    q = [x ** -k for x in w_int]
-    big = math.lcm(*q)
-    return [big // y for y in q]
-
-
 def _mp_power_sums(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iterable[int]):
     """w^alpha(x) and w^alpha(nx) as mpmath floats; call inside
     mpmath.workprec(_MP_PREC)."""
@@ -191,17 +177,14 @@ def _mp_power_sums(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iter
 def power_weight_improves(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iterable[int]) -> bool:
     """Decide w^alpha(x) > w^alpha(nx).
 
-    Exact for integer alpha; non-integer rational exponents are compared in
-    high-precision floating point with ALPHA_REL_TOL slack, counting ties as
-    non-improving.
+    Exact for integer alpha, as sums of `g.int_powers(alpha)`; non-integer
+    rational exponents are compared in high-precision floating point with
+    ALPHA_REL_TOL slack, counting ties as non-improving.
     """
     alpha = Fraction(alpha)
-    if alpha == 0:
-        raise InputError("alpha=0 is rejected; use unit weights explicitly instead")
     if alpha.denominator == 1:
-        xs, nxs = list(x), list(nx)
-        p = _int_powers([g.w_int[v] for v in xs + nxs], alpha.numerator)
-        return sum(p[: len(xs)]) > sum(p[len(xs):])
+        p = g.int_powers(alpha)[0]
+        return sum(p[v] for v in x) > sum(p[v] for v in nx)
     import mpmath  # only non-integer alpha needs it
 
     with mpmath.workprec(_MP_PREC):
@@ -211,14 +194,13 @@ def power_weight_improves(g: ConflictGraph, alpha: Fraction, x: Iterable[int], n
 
 
 def power_weight_gain(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iterable[int]) -> Fraction:
-    """w^alpha(x) - w^alpha(nx) as an exact rational for integer alpha, or a
-    high-precision rational rendering of the difference otherwise."""
+    """w^alpha(x) - w^alpha(nx) as an exact rational for integer alpha (from
+    `g.int_powers(alpha)`), or a high-precision rational rendering of the
+    difference otherwise."""
     alpha = Fraction(alpha)
     if alpha.denominator == 1:
-        a = alpha.numerator
-        return sum((g.weights[v] ** a for v in x), Fraction(0)) - sum(
-            (g.weights[v] ** a for v in nx), Fraction(0)
-        )
+        p, den = g.int_powers(alpha)
+        return Fraction(sum(p[v] for v in x) - sum(p[v] for v in nx), den)
     import mpmath  # only non-integer alpha needs it
 
     with mpmath.workprec(_MP_PREC):
@@ -239,22 +221,15 @@ def exhaustive_improvement_search(
     lexicographic id order and returns the first improving one, or None.
     An improving X containing solution vertices always shrinks to an
     improving X outside A, so restricting the enumeration loses nothing.
-    For integer alpha the two sides are compared as sums of integer powers
-    of `g.w_int` (see `_int_powers`; at alpha = 2 the graph's cached
-    `g.w2_int`); other exponents go through `power_weight_improves`.
+    For integer alpha the two sides are compared as sums of the graph's
+    table `g.int_powers(alpha)`; other exponents go through
+    `power_weight_improves`.
     """
     alpha = Fraction(alpha)
-    if alpha == 0:
-        raise InputError("alpha=0 is rejected; use unit weights explicitly instead")
+    p = g.int_powers(alpha)[0] if alpha.denominator == 1 else None
     if size_cap < 1:
         return None
     members = a.members
-    if alpha.denominator != 1:
-        p = None
-    elif alpha == 2:
-        p = g.w2_int
-    else:
-        p = _int_powers(g.w_int, alpha.numerator)
     outside = [v for v in range(g.n) if v not in members]
     got = _first_improvement(g, members, outside, size_cap, p, budget, count(1), "improvement search", alpha)
     return None if got is None else Improvement(*got, Generic(alpha))

@@ -69,14 +69,14 @@ class SolverConfig:
 @dataclass
 class ImprovementRecord:
     """One applied swap: its shape, |X|, and the gain in the objective the
-    run optimizes (w^2 for claw-shaped/circular and alpha=2 searches, w^alpha
-    for other exponents; the wire field name stays delta_w2).
+    run optimizes (w^2 for claw-shaped/circular swaps, w^alpha for the
+    parametrized search; the wire field name stays delta_w2).
 
     The gain is the exact rational delta_w2 / den, kept as two integers
-    with den > 0, not necessarily in lowest terms: on the w^2 path
-    delta_w2 is `Improvement.delta_w2_int` and den is L**2, so such a swap
-    builds no Fraction. delta_w2 has the gain's sign; the trace writes the
-    reduced ratio."""
+    with den > 0, not necessarily in lowest terms: `Improvement.gain` for
+    an integer exponent, so such a swap builds no Fraction, and the
+    `power_weight_gain` Fraction for a non-integer alpha. delta_w2 has the
+    gain's sign; the trace writes the reduced ratio."""
 
     kind: str
     size: int
@@ -275,7 +275,6 @@ def _loop(
     recorded as an integer over a denominator (see `ImprovementRecord`).
     """
     g = a.g
-    w2_den = g.w_lcm ** 2
     records: list[ImprovementRecord] = []
     notes: tuple[str, ...] = ()
     while True:
@@ -288,11 +287,10 @@ def _loop(
             break
         if imp is None:
             break
-        if isinstance(imp.kind, Generic) and imp.kind.alpha != 2:
-            gain = power_weight_gain(g, imp.kind.alpha, imp.x, imp.removed)
-            delta, den = gain.numerator, gain.denominator
+        if isinstance(imp.kind, Generic) and imp.kind.alpha.denominator != 1:
+            delta, den = power_weight_gain(g, imp.kind.alpha, imp.x, imp.removed).as_integer_ratio()
         else:
-            delta, den = imp.delta_w2_int(g), w2_den
+            delta, den = imp.gain(g)
         if delta <= 0:
             raise RuntimeError(f"non-improving step {imp!r}")
         a.apply(imp)

@@ -25,6 +25,7 @@ from clawpack.instances import (
     BudgetExceededError,
     ClawShaped,
     ConflictGraph,
+    Generic,
     Improvement,
     PackingInstance,
     Solution,
@@ -373,11 +374,11 @@ def wide_packing(k: int, n: int, seed: int):
 
 def counted_walk(counter: list, send: bool):
     """`oracle`'s subset walk, counting the subsets it yields in counter[0];
-    with `send` False the empty subset's deficit and every deficit the
-    reader sends back are dropped, so the walk visits every subset."""
+    with `send` False every deficit the reader sends back is dropped, so
+    the walk visits every subset."""
 
-    def walk(g, cands, cap, p=None, deficit=None):
-        inner = instances.independent_subsets(g, cands, cap, p, deficit if send else None)
+    def walk(g, cands, cap, p=None):
+        inner = instances.independent_subsets(g, cands, cap, p)
         deficit = None
         while True:
             try:
@@ -530,15 +531,21 @@ def test_greedy_matches_repeated_max(data):
 
 @contextmanager
 def checked_apply():
-    """Wraps Solution.apply: every swap's delta_w2 and the total after it
-    are compared with the Fraction sums of the weights. Yields the count of
+    """Wraps Solution.apply: every swap's integer gain, in its own exponent
+    (alpha for a generic swap, 2 otherwise), and the total after it are
+    compared with the Fraction sums of the weights. Yields the count of
     checked swaps per kind."""
     kinds: Counter = Counter()
     original = Solution.apply
 
     def apply(self, imp):
         g = self.g
-        assert Fraction(imp.delta_w2_int(g), g.w_lcm ** 2) == w2_of(g, imp.x) - w2_of(g, imp.removed)
+        k = imp.kind.alpha if isinstance(imp.kind, Generic) else 2
+
+        def power_sum(vs):
+            return sum((g.weights[v] ** k for v in vs), Fraction(0))
+
+        assert Fraction(*imp.gain(g)) == power_sum(imp.x) - power_sum(imp.removed)
         original(self, imp)
         assert self.total_w == w_of(g, self.members)
         kinds[imp.kind_name()] += 1
@@ -601,7 +608,8 @@ def test_apply_with_distinct_denominators():
     g = ConflictGraph.from_edges(3, [(0, 1)], [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)])
     assert g.w_lcm == 231
     imp = Improvement(frozenset({1}), frozenset({0}), ClawShaped(center=0))
-    assert Fraction(imp.delta_w2_int(g), 231 ** 2) == Fraction(4, 49) - Fraction(1, 9)
+    num, den = imp.gain(g)
+    assert den == 231 ** 2 and Fraction(num, den) == Fraction(4, 49) - Fraction(1, 9)
     a = Solution.of(g, {0, 2})
     a.apply(imp)
     assert a.members == {1, 2}

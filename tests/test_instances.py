@@ -109,22 +109,22 @@ def test_independent_subsets_skips_the_extensions_a_sent_deficit_rules_out(data)
     seed = data.draw(st.integers(0, 2 ** 32))
 
     def listed(y, j):
-        """Is y listed past its prefix x = y[:j] (the empty subset too),
-        given the deficit sent after x? With one pick left, y's last pick
-        must exceed it alone; with more room, the extensions of x must
-        still cover it."""
+        """Is y listed past its non-empty prefix x = y[:j], given the
+        deficit sent after x? With one pick left, y's last pick must exceed
+        it alone; with more room, the extensions of x must still cover it.
+        The empty subset's extensions are always listed."""
         x = y[:j]
         deficit = sent_deficit(seed, x, sum(p))
         if deficit is None:
             return True
         if cap - j == 1:
             return p[y[j]] > deficit
-        later = [u for u in cands[cands.index(x[-1]) + 1:] if g.is_independent(x + (u,))] if x else cands
+        later = [u for u in cands[cands.index(x[-1]) + 1:] if g.is_independent(x + (u,))]
         return sum(sorted(p[u] for u in later)[-(cap - j):]) > deficit
 
-    want = [y for y in independent_combinations(g, cands, cap) if all(listed(y, j) for j in range(len(y)))]
+    want = [y for y in independent_combinations(g, cands, cap) if all(listed(y, j) for j in range(1, len(y)))]
     got = []
-    walk = independent_subsets(g, cands, cap, p, sent_deficit(seed, (), sum(p)))
+    walk = independent_subsets(g, cands, cap, p)
     try:
         x = next(walk)
         while True:

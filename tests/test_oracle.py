@@ -121,8 +121,9 @@ def test_non_integer_alpha_uses_tolerant_comparison():
 
 def test_mpmath_is_imported_only_for_non_integer_alpha():
     """Importing the package, the bench runner and the generators, and the
-    lower-bound weights at non-integer alpha, leave mpmath unloaded; a
-    non-integer alpha in the oracle loads it."""
+    lower-bound weights at non-integer alpha, leave mpmath unloaded, and so
+    do param solves at alpha 3 and -1; a non-integer alpha in the oracle
+    loads it."""
     src = os.path.dirname(os.path.dirname(clawpack.__file__))
     code = (
         "import sys, clawpack, clawpack.bench, clawpack.generators as gen\n"
@@ -133,6 +134,8 @@ def test_mpmath_is_imported_only_for_non_integer_alpha():
         "g = clawpack.ConflictGraph.from_edges(2, [], [9, 4])\n"
         "before = 'mpmath' in sys.modules\n"
         "clawpack.oracle.power_weight_improves(g, 2, [0], [1])\n"
+        "for a in (3, -1):\n"
+        "    clawpack.solve(g, clawpack.SolverConfig(mode='parametrized', alpha=Fraction(a)))\n"
         "integer = 'mpmath' in sys.modules\n"
         "clawpack.oracle.power_weight_improves(g, Fraction(1, 2), [0], [1])\n"
         "print(before, integer, 'mpmath' in sys.modules)\n"

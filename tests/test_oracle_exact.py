@@ -347,6 +347,17 @@ def test_integer_weights_are_scaled_by_lcm_and_built_on_first_use():
     scale = math.lcm(*(w.denominator for w in g.weights))
     assert g.w_int == tuple(w * scale for w in g.weights)
     assert g.w2_int == tuple(x * x for x in g.w_int)
+    # two alpha = 3 searches read one cube table, built by the first
+    assert 3 not in g._power_tables
+    a = greedy(g)
+    with mock.patch.object(oracle, "_first_improvement", wraps=oracle._first_improvement) as spy:
+        for _ in range(2):
+            exhaustive_improvement_search(g, a, Fraction(3), 3)
+    cubes = g.int_powers(3)[0]
+    assert [call.args[4] is cubes for call in spy.call_args_list] == [True, True]
+    for k in (0, Fraction(1, 2)):
+        with pytest.raises(InputError):
+            g.int_powers(k)
 
 
 # ------------------------------------------------------------ w**alpha search
@@ -427,7 +438,7 @@ def test_first_improvement_is_the_brute_force_one_in_no_more_nodes(g, cap, data)
         center = None
         cands = [v for v in range(g.n) if v not in members]
         alpha = data.draw(st.sampled_from(ALPHAS))
-        p = g.w2_int if alpha == 2 else oracle._int_powers(g.w_int, alpha)
+        p = g.int_powers(alpha)[0]
     want, unpruned = brute_first_improvement(g, members, cands, cap, alpha)
     nodes = count(1)
     got = oracle._first_improvement(g, members, cands, cap, p, 10 ** 9, nodes, "search", center=center)
@@ -443,6 +454,9 @@ def test_power_weight_improves_integer_alpha_is_exact(g, alpha, data):
     lhs = sum((g.weights[v] ** alpha for v in x), Fraction(0))
     rhs = sum((g.weights[v] ** alpha for v in nx), Fraction(0))
     assert power_weight_improves(g, Fraction(alpha), x, nx) == (lhs > rhs)
+    assert Fraction(*Improvement(frozenset(x), frozenset(nx), Generic(Fraction(alpha))).gain(g)) == lhs - rhs
+    p, den = g.int_powers(alpha)
+    assert all(Fraction(p[v], den) == g.weights[v] ** alpha for v in range(g.n))
 
 
 # ------------------------------------------------------------ certificate
