@@ -66,6 +66,10 @@ _MAX_AUX_VERTICES = 200_000
 _MAX_AUX_EDGE_CHECKS = 2_000_000
 _MAX_DP_STATES = 2_000_000
 _MAX_DFS_NODES = 2_000_000
+# Companion sets hold at most this many candidates (and never more than the
+# claw bound's d - 1), so an anchor with c candidates has at most
+# sum_{j <= 3} C(c, j) of them: cubic in c, not 2**c.
+_MAX_COMPANION = 3
 
 # An aux vertex's id is its anchor shifted left by _ID_SHIFT plus its
 # position in the anchor's block, and an aux edge's id its inducer shifted
@@ -193,23 +197,23 @@ def max_cycle_len_for(n: int) -> int:
 
 @dataclass
 class ColorCodingParams:
-    """Knobs for the circular search.
+    """How the circular search looks for cycles.
 
     mode "exhaustive" runs the complete DFS (the only option for inputs
     without set structure); mode "rand" draws `repetitions` uniform
     colorings of the universe into `t` colors and runs the colorful-cycle
-    dynamic program per coloring.
+    dynamic program per coloring. The cycle-length bound and the
+    companion-set cap are not settings: `CircularState` derives them from
+    the graph and the claw bound.
     """
 
     t: int
     repetitions: int
-    max_cycle_len: int
     mode: str = "exhaustive"
-    y_cap: int = 3
 
     def __post_init__(self):
-        if self.t < 1 or self.max_cycle_len < 2 or self.repetitions < 1 or self.y_cap < 0:
-            raise InputError("need t >= 1, max_cycle_len >= 2, repetitions >= 1, y_cap >= 0")
+        if self.t < 1 or self.repetitions < 1:
+            raise InputError("need t >= 1, repetitions >= 1")
         if self.mode not in ("rand", "exhaustive"):
             raise InputError(f"unknown circular-search mode {self.mode!r}")
 
@@ -219,18 +223,16 @@ class ColorCodingParams:
         inst: Optional[PackingInstance] = None,
         mode: str = "exhaustive",
     ) -> "ColorCodingParams":
-        n = max(2, g.n)
-        L = max_cycle_len_for(g.n)
         if inst is None:
-            return ColorCodingParams(t=1, repetitions=1, max_cycle_len=L, mode=mode)
+            return ColorCodingParams(t=1, repetitions=1, mode=mode)
         k = inst.k
         in_use = len(set().union(*inst.sets)) if inst.sets else 1
-        t = 4 * (k + 1) * k * math.ceil(math.log2(n))
+        t = 4 * (k + 1) * k * math.ceil(math.log2(max(2, g.n)))
         t = max(1, min(t, in_use))
         # Support of a short planted cycle: about six k-sets.
         m = min(t, 6 * k)
         reps = min(10_000, repetitions_for(t, m))
-        return ColorCodingParams(t=t, repetitions=reps, max_cycle_len=L, mode=mode)
+        return ColorCodingParams(t=t, repetitions=reps, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -333,10 +335,11 @@ class CircularState:
 
     The state is built from what the run fixes: the graph, the search
     parameters, the claw bound `d`, the packing instance (None for a bare
-    graph) and the random generator color coding draws from. It caps
-    companion sets at `y_cap = min(params.y_cap, d - 1)` and cycles at
-    `max_len`, the lesser of `params.max_cycle_len` and the bound at the
-    graph's size, and rejects rand mode without a packing instance.
+    graph) and the random generator color coding draws from. It derives
+    its two bounds: companion sets hold at most `y_cap = min(_MAX_COMPANION,
+    d - 1)` candidates, and cycles at most `max_len = max_cycle_len_for(n)`
+    edges, the bound `validate_circular` checks. It rejects rand
+    mode without a packing instance.
     """
 
     def __init__(
@@ -354,8 +357,8 @@ class CircularState:
         self.d = d
         self.inst = inst
         self.rng = rng
-        self.y_cap = min(params.y_cap, d - 1)
-        self.max_len = min(params.max_cycle_len, max_cycle_len_for(g.n))
+        self.y_cap = min(_MAX_COMPANION, d - 1)
+        self.max_len = max_cycle_len_for(g.n)
         self.maps = AnchorMaps({}, {}, {})
         self._moved: Optional[set[int]] = None  # None: rebuild all maps next
         self._remapped: set[int] = set()

@@ -7,7 +7,6 @@ reruns; bench timing is opt-in via --times.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -95,15 +94,11 @@ def main() -> None:
 @click.option("--d", "claw_d", type=int, default=None, help="claw bound override")
 @click.option("--unit", is_flag=True, help="solve with all weights set to 1")
 @click.option("--exact", is_flag=True, help="run the exact oracle instead of local search")
-@click.option("--cc-t", "cc_t", type=int, default=None)
-@click.option("--cc-reps", "cc_reps", type=int, default=None)
-@click.option("--cc-maxlen", "cc_maxlen", type=int, default=None)
-@click.option("--cc-ycap", "cc_ycap", type=int, default=None)
 @click.option("--cc-mode", "cc_mode", type=click.Choice(["rand", "exhaustive"]), default=None)
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=str, default=None)
 def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
-              cc_t, cc_reps, cc_maxlen, cc_ycap, cc_mode, in_path, out_path) -> None:
+              cc_mode, in_path, out_path) -> None:
     """Solve an instance file and emit the run trace as JSON."""
     g, inst = _load_graph(in_path)
     if unit:
@@ -130,16 +125,7 @@ def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
             f"--alpha {alpha}: param mode takes integer exponents only; exact gains for"
             " non-integer exponents are ROADMAP direction 1"
         )
-    given = {
-        name: value
-        for name, value in (
-            ("t", cc_t), ("repetitions", cc_reps), ("max_cycle_len", cc_maxlen), ("mode", cc_mode), ("y_cap", cc_ycap)
-        )
-        if value is not None
-    }
-    circular = None
-    if given:
-        circular = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode=cc_mode or "exhaustive"), **given)
+    circular = ColorCodingParams.defaults(g, inst, mode=cc_mode) if cc_mode else None
     cfg = SolverConfig(
         mode=mode,
         alpha=alpha,

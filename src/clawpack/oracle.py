@@ -175,36 +175,26 @@ def _mp_power_sums(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iter
 
 
 def power_weight_improves(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iterable[int]) -> bool:
-    """Decide w^alpha(x) > w^alpha(nx).
-
-    Exact for integer alpha, as sums of `g.int_powers(alpha)`; non-integer
-    rational exponents are compared in high-precision floating point with
-    ALPHA_REL_TOL slack, counting ties as non-improving.
+    """Decide w^alpha(x) > w^alpha(nx) for a non-integer rational alpha, in
+    high-precision floating point with ALPHA_REL_TOL slack, counting ties as
+    non-improving. Integer exponents compare sums of `g.int_powers(alpha)`.
     """
-    alpha = Fraction(alpha)
-    if alpha.denominator == 1:
-        p = g.int_powers(alpha)[0]
-        return sum(p[v] for v in x) > sum(p[v] for v in nx)
     import mpmath  # only non-integer alpha needs it
 
     with mpmath.workprec(_MP_PREC):
-        lhs, rhs = _mp_power_sums(g, alpha, x, nx)
+        lhs, rhs = _mp_power_sums(g, Fraction(alpha), x, nx)
         tol = mpmath.mpf(ALPHA_REL_TOL.numerator) / ALPHA_REL_TOL.denominator
         return lhs - rhs > tol * max(abs(lhs), abs(rhs))
 
 
 def power_weight_gain(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iterable[int]) -> Fraction:
-    """w^alpha(x) - w^alpha(nx) as an exact rational for integer alpha (from
-    `g.int_powers(alpha)`), or a high-precision rational rendering of the
-    difference otherwise."""
-    alpha = Fraction(alpha)
-    if alpha.denominator == 1:
-        p, den = g.int_powers(alpha)
-        return Fraction(sum(p[v] for v in x) - sum(p[v] for v in nx), den)
+    """A high-precision rational rendering of w^alpha(x) - w^alpha(nx) for
+    a non-integer rational alpha. Integer exponents take the exact gain
+    from `Improvement.gain`."""
     import mpmath  # only non-integer alpha needs it
 
     with mpmath.workprec(_MP_PREC):
-        lhs, rhs = _mp_power_sums(g, alpha, x, nx)
+        lhs, rhs = _mp_power_sums(g, Fraction(alpha), x, nx)
         return Fraction(lhs - rhs)
 
 

@@ -337,8 +337,8 @@ def logimp(
         return find_circular_improvement(circ, a)
 
     trace = _loop(a, step, [claw, circ])
-    if params.y_cap < d - 1:
-        trace.notes = (f"aux companion sets capped at {params.y_cap} (claw bound allows {d - 1})",)
+    if circ.y_cap < d - 1:
+        trace.notes = (f"aux companion sets capped at {circ.y_cap} (claw bound allows {d - 1})",)
     return trace
 
 

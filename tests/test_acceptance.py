@@ -222,7 +222,7 @@ def test_criterion_5_color_coding():
     g = build_conflict_graph(inst)
     a = Solution.of(g, range(3))
     maps = build_anchor_maps(g, a)
-    params = ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode="rand")
+    params = ColorCodingParams(t=32, repetitions=64, mode="rand")
     wins = 0
     for trial in range(100):
         state = circular_state(g, a, params, inst, rng=random.Random(5000 + trial))

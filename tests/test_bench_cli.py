@@ -397,12 +397,7 @@ def test_cli_solve_cc_flags(tmp_path, runner):
     inst_path = tmp_path / "b4.ksp"
     runner.invoke(main, ["gen", "berman", "--d", "4", "--out", str(inst_path)])
     r = runner.invoke(
-        main,
-        [
-            "solve", "--algo", "logimp", "--cc-mode", "rand", "--cc-t", "32",
-            "--cc-reps", "64", "--cc-maxlen", "12", "--cc-ycap", "3",
-            "--seed", "1", "--in", str(inst_path),
-        ],
+        main, ["solve", "--algo", "logimp", "--cc-mode", "rand", "--seed", "1", "--in", str(inst_path)]
     )
     assert r.exit_code == 0, r.output
     doc = json.loads(r.output)
@@ -516,7 +511,6 @@ BAD_INPUTS = {
     ["solve", "--in", "path.mwis", "--d", "3", "--algo", "param", "--alpha", "-3/2"],
     ["solve", "--in", "path.mwis", "--d", "3", "--cap-c", "1/0"],
     ["solve", "--in", "path.mwis", "--d", "3", "--cap-c", "-1"],
-    ["solve", "--in", "path.mwis", "--d", "3", "--algo", "logimp", "--cc-ycap", "-1"],
     ["bench", "--suite", "suite.json", "--out", "out.csv"],
     ["bench", "--suite", "noid.json", "--out", "out.csv"],
     ["bench", "--suite", "bad.json", "--out", "out.csv"],

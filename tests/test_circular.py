@@ -258,7 +258,7 @@ def _mask(coloring, els):
 def test_run_color_coding_finds_planted_improvement():
     inst, g, a = berman_setup(4)
     maps = build_anchor_maps(g, a)
-    params = ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode="rand")
+    params = ColorCodingParams(t=32, repetitions=64, mode="rand")
     wins = 0
     for trial in range(30):
         state = circular_state(g, a, params, inst, rng=random.Random(trial))
@@ -272,14 +272,14 @@ def test_run_color_coding_finds_planted_improvement():
 def test_run_color_coding_soundness_no_improvement():
     inst, g, _ = berman_setup(4)
     b = Solution.of(g, range(3, 9))
-    params = ColorCodingParams(t=16, repetitions=20, max_cycle_len=12, mode="rand")
+    params = ColorCodingParams(t=16, repetitions=20, mode="rand")
     state = circular_state(g, b, params, inst, rng=random.Random(1))
     assert run_color_coding(state, b, build_aux_graph(state, b)) is None
 
 
 def test_randomized_mode_unavailable_without_sets():
     g, a, _ = gen_berman_tight(4)
-    params = ColorCodingParams(t=8, repetitions=4, max_cycle_len=8, mode="rand")
+    params = ColorCodingParams(t=8, repetitions=4, mode="rand")
     with pytest.raises(InputError, match="needs the packing instance"):
         circular_state(g, a, params)
 
@@ -287,7 +287,7 @@ def test_randomized_mode_unavailable_without_sets():
 def test_exhaustive_agrees_with_randomized_positive():
     inst, g, a = berman_setup(5)
     ex = find_circular_improvement(circular_state(g, a, inst=inst), a)
-    rparams = ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode="rand")
+    rparams = ColorCodingParams(t=32, repetitions=64, mode="rand")
     state = circular_state(g, a, rparams, inst, rng=random.Random(5))
     rd = run_color_coding(state, a, build_aux_graph(state, a))
     assert ex is not None and rd is not None
@@ -441,20 +441,32 @@ def test_exhaustive_mode_matches_bruteforce_existence(fixture):
 
 def test_params_validation():
     with pytest.raises(InputError):
-        ColorCodingParams(t=0, repetitions=1, max_cycle_len=4)
+        ColorCodingParams(t=0, repetitions=1)
     with pytest.raises(InputError):
-        ColorCodingParams(t=1, repetitions=0, max_cycle_len=4)
+        ColorCodingParams(t=1, repetitions=0)
     with pytest.raises(InputError):
-        ColorCodingParams(t=1, repetitions=1, max_cycle_len=1)
-    with pytest.raises(InputError):
-        ColorCodingParams(t=1, repetitions=1, max_cycle_len=4, mode="nope")
+        ColorCodingParams(t=1, repetitions=1, mode="nope")
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 12])
+def test_state_derives_its_bounds_from_the_graph_and_claw_bound(d):
+    """Companion sets are capped at min(3, d - 1) and cycles at the bound
+    at the graph's size; a logimp run notes the cap iff it cuts below the
+    claw bound's d - 1."""
+    inst, g, _ = berman_setup(d)
+    state = CircularState(g, ColorCodingParams.defaults(g, inst), d, inst, random.Random(0))
+    assert state.y_cap == min(3, d - 1)
+    assert state.max_len == max_cycle_len_for(g.n)
+    notes = logimp(g, SolverConfig(mode="logimp", d=d), inst=inst).notes
+    capped = f"aux companion sets capped at 3 (claw bound allows {d - 1})"
+    assert notes == ((capped,) if d - 1 > 3 else ())
 
 
 def test_aux_budget_raises_search_incomplete(monkeypatch):
     from clawpack.circular import SearchIncompleteError
 
     _, g, a = berman_setup(6)
-    state = circular_state(g, a, ColorCodingParams(t=1, repetitions=1, max_cycle_len=8))
+    state = circular_state(g, a, ColorCodingParams(t=1, repetitions=1))
     monkeypatch.setattr(circular, "_MAX_AUX_VERTICES", 2)
     with pytest.raises(SearchIncompleteError):
         find_circular_improvement(state, a)
@@ -496,12 +508,11 @@ def ref_build_anchor_maps(g, a):
     return AnchorMaps(heaviest, second, a_nbrs)
 
 
-def ref_build_aux_graph(g, a, maps, params):
-    """The aux-graph build with Fraction charges and edge checks, under the
-    caps `circular._MAX_AUX_VERTICES` and `_MAX_AUX_EDGE_CHECKS`; also
-    returns how many edge checks it made."""
-    d_eff = g.d if g.d is not None else g.n + 1
-    y_cap = min(params.y_cap, d_eff - 1)
+def ref_build_aux_graph(g, a, maps, y_cap):
+    """The aux-graph build with Fraction charges and edge checks, companion
+    sets of at most `y_cap` candidates, under the caps
+    `circular._MAX_AUX_VERTICES` and `_MAX_AUX_EDGE_CHECKS`; also returns
+    how many edge checks it made."""
     anchored = {}
     for u in sorted(maps.heaviest):
         if g.weights[u] - w_of(g, maps.a_neighbors[u]) / 2 > 0:
@@ -628,12 +639,13 @@ def test_integer_aux_graph_matches_fraction_build(kind):
         assert (maps.heaviest, maps.second, maps.a_neighbors) == (
             ref.heaviest, ref.second, ref.a_neighbors
         )
-        params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
-        want, checks = ref_build_aux_graph(g, a, ref, params)
-        got = build_aux_graph(circular_state(g, a, params), a)
+        params = ColorCodingParams(t=1, repetitions=1)
+        state = circular_state(g, a, params)
+        want, checks = ref_build_aux_graph(g, a, ref, state.y_cap)
+        got = build_aux_graph(state, a)
         assert aux_fields(positional(got)) == (want.vertices, want.edges)
         for cap in {0, checks // 2, checks - 1, checks, checks + 1} - {-1}:
-            expect = aux_outcome(lambda: ref_build_aux_graph(g, a, ref, params)[0], "_MAX_AUX_EDGE_CHECKS", cap)
+            expect = aux_outcome(lambda: ref_build_aux_graph(g, a, ref, state.y_cap)[0], "_MAX_AUX_EDGE_CHECKS", cap)
             fresh = circular_state(g, a, params)
             assert aux_outcome(lambda: positional(build_aux_graph(fresh, a)), "_MAX_AUX_EDGE_CHECKS", cap) == expect
             assert (expect == "incomplete") == (cap < checks)
@@ -658,7 +670,7 @@ def test_zero_charge_joins_no_companion_set():
     a = Solution.of(g, {0, 1, 2})
     maps = build_anchor_maps(g, a)
     assert charge_to_anchor(g, maps, 3) == 0 and charge_to_anchor(g, maps, 4) > 0
-    h = build_aux_graph(circular_state(g, a, ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)), a)
+    h = build_aux_graph(circular_state(g, a, ColorCodingParams(t=1, repetitions=1)), a)
     ys = {x for v in h.vertices.values() for x in v.y}
     assert 3 not in ys and 4 in ys
 
@@ -669,7 +681,7 @@ def test_circular_modes_validate_with_the_configured_claw_bound(mode):
     cfg = SolverConfig(
         mode="logimp",
         d=g.d + 1,
-        circular=ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode=mode),
+        circular=ColorCodingParams(t=32, repetitions=64, mode=mode),
     )
     seen = []
 
@@ -978,7 +990,7 @@ class CheckedAuxBuild:
         got = check_state_against_fresh(g, a, state, self.calls)
         self.calls += 1
         fresh = positional(fresh_aux(g, a, state))
-        max_len = min(state.params.max_cycle_len, max_cycle_len_for(g.n))
+        max_len = state.max_len
         two, dfs = check_searches_against_positional(g, got, fresh, max_len)
         self.seen["two_cycle"] += two
         self.seen["dfs"] += dfs
@@ -1091,7 +1103,7 @@ def test_circular_state_over_random_swaps(kind):
     for seed in range(10):
         g, a, _ = weighted_case(seed, kind)
         rng = random.Random(seed)
-        params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
+        params = ColorCodingParams(t=1, repetitions=1)
         state = circular_state(g, a, params)
         members = set(a.members)
         for step in range(12):
@@ -1104,7 +1116,7 @@ def test_circular_state_over_random_swaps(kind):
             assert maps is state.maps
             h = check_state_against_fresh(g, sol, state, step)
             fresh = positional(fresh_aux(g, sol, state))
-            two, dfs = check_searches_against_positional(g, h, fresh, params.max_cycle_len)
+            two, dfs = check_searches_against_positional(g, h, fresh, state.max_len)
             seen["two_cycle"] += two
             seen["dfs"] += dfs
             seen["parallel"] += len(h.parallel)
@@ -1117,7 +1129,7 @@ def test_circular_state_recovers_from_an_error():
     way through the vertices those two moved. The next call is handed only
     the swap that fills the solution up again, r last, yet must recompute
     every vertex and match a fresh build."""
-    params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
+    params = ColorCodingParams(t=1, repetitions=1)
     for seed in range(10):
         g, a, _ = weighted_case(seed, "prime")
         rng = random.Random(seed)
@@ -1164,7 +1176,7 @@ def test_circular_search_rejects_stale_maps():
     """A state whose maps were never built, or that was handed a swap since
     its last `build_anchor_maps`, refuses to search."""
     _, g, a = berman_setup(5)
-    params = ColorCodingParams(t=1, repetitions=1, max_cycle_len=8)
+    params = ColorCodingParams(t=1, repetitions=1)
     with pytest.raises(ContractError, match="stale"):
         find_circular_improvement(CircularState(g, params, g.d, None, random.Random(0)), a)
     state = circular_state(g, a, params)

@@ -95,7 +95,7 @@ def test_weighted_four_cycle_improvement():
     assert validate_circular(g, a, maps, got, d=g.d)
     assert circular_improvement_exists_bruteforce(g, a, maps, d=g.d)
     # the randomized route finds the same structure
-    params = ColorCodingParams(t=32, repetitions=64, max_cycle_len=12, mode="rand")
+    params = ColorCodingParams(t=32, repetitions=64, mode="rand")
     state = circular_state(g, a, params, inst)
     rnd = run_color_coding(state, a, build_aux_graph(state, a))
     assert rnd is not None and validate_circular(g, a, maps, rnd, d=g.d)

@@ -133,7 +133,6 @@ def test_mpmath_is_imported_only_for_non_integer_alpha():
         "    p.eps_prime_d(), gen.edge_side_weight(p)\n"
         "g = clawpack.ConflictGraph.from_edges(2, [], [9, 4])\n"
         "before = 'mpmath' in sys.modules\n"
-        "clawpack.oracle.power_weight_improves(g, 2, [0], [1])\n"
         "for a in (3, -1):\n"
         "    clawpack.solve(g, clawpack.SolverConfig(mode='parametrized', alpha=Fraction(a)))\n"
         "integer = 'mpmath' in sys.modules\n"

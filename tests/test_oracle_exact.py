@@ -33,7 +33,7 @@ from clawpack.instances import (
     build_conflict_graph,
     neighborhood,
 )
-from clawpack.oracle import exact_mwis, exhaustive_improvement_search, power_weight_improves
+from clawpack.oracle import exact_mwis, exhaustive_improvement_search
 from clawpack.solvers import SolverConfig, greedy, logimp, squareimp
 
 ALPHAS = (-3, -1, 1, 2, 3)
@@ -453,7 +453,6 @@ def test_power_weight_improves_integer_alpha_is_exact(g, alpha, data):
     nx = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
     lhs = sum((g.weights[v] ** alpha for v in x), Fraction(0))
     rhs = sum((g.weights[v] ** alpha for v in nx), Fraction(0))
-    assert power_weight_improves(g, Fraction(alpha), x, nx) == (lhs > rhs)
     assert Fraction(*Improvement(frozenset(x), frozenset(nx), Generic(Fraction(alpha))).gain(g)) == lhs - rhs
     p, den = g.int_powers(alpha)
     assert all(Fraction(p[v], den) == g.weights[v] ** alpha for v in range(g.n))
