@@ -432,21 +432,28 @@ class CircularState:
         )
 
     def _add_vertex_block(self, v: int) -> None:
+        """Build the vertex block at anchor v: one aux vertex per companion
+        set, largest first, then in id order, each with its net. An anchor
+        with no candidate has the one vertex y = (), net 0."""
         g = self.g
         anchor = self._anchor
         cands = [u for u in g.adj[v] if anchor.get(u) == v]  # sorted, as g.adj[v] is
-        w2 = g.w2_int
-        a_nbrs = self.maps.a_neighbors
-        spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
-        ys = [(), *independent_subsets(g, cands, self.y_cap)]
-        ys.sort(key=lambda y: (-len(y), y))
+        if cands:
+            w2 = g.w2_int
+            a_nbrs = self.maps.a_neighbors
+            spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
+            ys = [(), *independent_subsets(g, cands, self.y_cap)]
+            ys.sort(key=lambda y: (-len(y), y))
+            nets = [sum(spill[x] for x in y) for y in ys]
+        else:
+            ys, nets = [()], [0]
         base = v << _ID_SHIFT
         ids = range(base, base + len(ys))
         vertices, incident = self._vertices, self._incident
         for i, y in zip(ids, ys):
             vertices[i] = AuxVertex(v, y)
             incident[i] = []
-        self._vblocks[v] = _VertexBlock(ids, ys, [sum(spill[x] for x in y) for y in ys])
+        self._vblocks[v] = _VertexBlock(ids, ys, nets)
 
     def _drop_edge_blocks(self) -> None:
         """Drop the edge block of every dirty inducer, with its edges."""

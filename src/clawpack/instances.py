@@ -284,7 +284,8 @@ class Solution:
 class ClawShaped:
     """Talon set of a claw centered in the current solution.
 
-    center is None exactly for a single free vertex (a 0-claw talon).
+    center is None exactly for free vertices, each the talon of a 0-claw:
+    the claw search inserts an independent set of them in one step.
     """
 
     center: Optional[int]
@@ -484,7 +485,7 @@ def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> boo
     if isinstance(imp.kind, ClawShaped):
         c = imp.kind.center
         if c is None:
-            if len(imp.x) != 1 or imp.removed:
+            if imp.removed:
                 return False
         else:
             if c not in a.members:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence
 
 from .instances import (
     BudgetExceededError,
@@ -226,8 +226,9 @@ def exhaustive_improvement_search(
 
 
 def _first_improvement(
-    g: ConflictGraph, members: AbstractSet[int], cands: list[int], cap: int, p: Optional[Sequence[int]],
+    g: ConflictGraph, members: AbstractSet[int], cands: Sequence[int], cap: int, p: Optional[Sequence[int]],
     budget: int, nodes: Iterator[int], what: str, alpha: Optional[Fraction] = None, center: Optional[int] = None,
+    a_nbrs: Optional[Sequence[Collection[int]]] = None,
 ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """The first independent X of at most `cap` of the outside vertices
     `cands` (in id order), in lexicographic order, that beats N(X, A), as
@@ -237,10 +238,12 @@ def _first_improvement(
     `p` None, by `power_weight_improves` at `alpha`. The subsets come from
     `independent_subsets`; each one draws from `nodes`, a counter from 1
     that calls under one budget share; a draw past `budget` raises
-    "<what> exceeded <budget> nodes". N(u, A) is listed once per
-    candidate u, when the walk first reaches u; per depth k the walk keeps
-    the sums of X and of N(X, A) and N(X, A) itself, each extending depth
-    k-1's.
+    "<what> exceeded <budget> nodes". `a_nbrs[u]`, which `center`
+    needs, is N(u, A) for every vertex u, a table the caller keeps (the
+    claw search's `ClawSearchState.a_nbrs`); without it, N(u, A) is listed
+    once per candidate u, when the walk first reaches u. Per depth k the
+    walk keeps the sums of X and of N(X, A) and N(X, A) itself, each
+    extending depth k-1's.
 
     With `p`, each non-improving X sends a deficit back into the walk,
     which lists only the extensions that could still cover it (with one
@@ -266,18 +269,16 @@ def _first_improvement(
     """
     adj_sets = g.adj_sets
     walk_p, q, base = p, None, None
-    if center is None:
-        nbrs: dict[int, frozenset[int]] = {}  # N(u, A), filled as the walk reaches u
-    else:
-        nbrs = {u: adj_sets[u] & members for u in cands}
+    lazy: dict[int, frozenset[int]] = {}  # N(u, A) without a table, filled as the walk reaches u
+    if center is not None:
         delta: dict[int, int] = {}  # a -> the number of candidates next to a
-        for nu in nbrs.values():
-            for a in nu:
+        for u in cands:
+            for a in a_nbrs[u]:
                 delta[a] = delta.get(a, 0) + 1
         q, walk_p, base = {}, {}, p[center]
-        for u, nu in nbrs.items():
+        for u in cands:
             x = p[u]
-            for a in nu:
+            for a in a_nbrs[u]:
                 if a != center:
                     m = delta[a]
                     x -= p[a] if m == 1 else p[a] // min(m, cap)
@@ -300,17 +301,19 @@ def _first_improvement(
             raise BudgetExceededError(f"{what} exceeded {budget} nodes")
         k = len(x)
         v = x[-1]
-        nv = nbrs.get(v)
-        if nv is None:
-            nv = nbrs[v] = adj_sets[v] & members
-        new = nv - removed[k - 1]
-        removed[k] = nx = removed[k - 1] | new
+        if a_nbrs is not None:
+            nv = a_nbrs[v]
+        elif (nv := lazy.get(v)) is None:
+            nv = lazy[v] = adj_sets[v] & members
+        prev = removed[k - 1]
+        removed[k] = nx = prev.union(nv)
         if p is not None:
             x_p[k] = x_p[k - 1] + p[v]
             r = r_p[k - 1]
-            if new:
-                for u in new:
-                    r += p[u]
+            if len(nx) > len(prev):
+                for u in nv:
+                    if u not in prev:
+                        r += p[u]
             r_p[k] = r
             improves = r < x_p[k]
             if q is None:

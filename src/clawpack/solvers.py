@@ -7,6 +7,14 @@ improvement of the searched shape remains. The claw search and the w**alpha
 search run the same improvement search from `oracle` over the subsets of
 `instances.independent_subsets`: the claw search at one center at a time,
 over its outside neighbors, with alpha = 2 and at most d-1 talons.
+
+A 0-claw, one free vertex joining A, frees nothing and reopens no center,
+so the claw search takes every free vertex at once: one step inserts them
+lowest id first, skipping those an earlier pick blocked, which is the
+sequence one 0-claw per step applies. The run still records one size-1
+claw-shaped swap per vertex, and each search state sees the step as one
+swap with nothing removed. The claw search keeps N(u, A) for every vertex
+between calls and changes it only around each swap.
 """
 
 from __future__ import annotations
@@ -144,32 +152,28 @@ class ClawSearchState:
     at claw bound `d` and its evolving solution A, whose member set it
     shares.
 
-    `max_talons` is d - 1. `free` is the set of vertices outside A with no
-    neighbor in A: each is the talon of an improving 0-claw. `settled`
-    holds centers in A known to have no improving talon set. The search
-    reads both and adds to `settled`; `update` keeps both valid after each
-    applied swap. Two heaps hold every free vertex and every unsettled
-    center (and stale entries, dropped when they surface), so the lowest id
-    of each is found without a scan or a sort.
+    `max_talons` is d - 1. `a_nbrs[u]` is N(u, A) for every vertex u
+    (empty for a member, as A is independent), as a list in no set order:
+    a small set takes over twice the memory. `free` is the set of vertices
+    outside A with no neighbor in A, those with an empty `a_nbrs` entry:
+    each is the talon of an improving 0-claw. `settled` holds centers in A
+    known to have no improving talon set. The search reads all three and
+    adds to `settled`; `update` keeps them valid after each applied swap,
+    touching only N(x) and N(removed). A heap holds every unsettled center
+    (and stale entries, dropped when they surface), so the lowest id is
+    found without a scan or a sort.
     """
 
-    __slots__ = ("g", "members", "max_talons", "free", "settled", "_free_heap", "_center_heap")
+    __slots__ = ("g", "members", "max_talons", "a_nbrs", "free", "settled", "_center_heap")
 
     def __init__(self, g: ConflictGraph, a: Solution, d: int):
         self.g = g
         self.members = members = a.members
         self.max_talons = d - 1
-        self._free_heap = [v for v in range(g.n) if v not in members and g.adj_sets[v].isdisjoint(members)]
-        self.free = set(self._free_heap)
+        self.a_nbrs = [[u for u in nbrs if u in members] for nbrs in g.adj]
+        self.free = {v for v in range(g.n) if v not in members and not self.a_nbrs[v]}
         self.settled: set[int] = set()
         self._center_heap = sorted(members)
-
-    def lowest_free(self) -> Optional[int]:
-        """The lowest-id free vertex, or None."""
-        heap, free = self._free_heap, self.free
-        while heap and heap[0] not in free:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
 
     def lowest_open_center(self) -> Optional[int]:
         """The lowest-id center in A that is not settled, or None."""
@@ -181,7 +185,8 @@ class ClawSearchState:
     def update(self, imp: Improvement) -> None:
         """Account for `imp`, already applied to A.
 
-        Every vertex of x | N(x) is now in A or next to it. A vertex becomes
+        Only the `a_nbrs` entries of N(x) and N(removed) change. Every
+        vertex of x | N(x) is now in A or next to it. A vertex becomes
         free only when its last solution neighbor left, so only N(removed)
         is re-tested. A vertex joining A only enlarges N(T, A) for every
         talon set T, and takes no candidate talon N(c) - A from a center c
@@ -192,16 +197,19 @@ class ClawSearchState:
         N(N(removed)) reopens every settled center it meets, and the new
         members x start unsettled.
         """
-        g, members, free = self.g, self.members, self.free
-        adj = g.adj
+        members, free, a_nbrs = self.members, self.free, self.a_nbrs
+        adj = self.g.adj
         for v in imp.x:
             free.discard(v)
-            free.difference_update(adj[v])
+            for u in adj[v]:
+                a_nbrs[u].append(v)
+                free.discard(u)
         for r in imp.removed:
             for v in adj[r]:
-                if v not in free and v not in members and g.adj_sets[v].isdisjoint(members):
+                nv = a_nbrs[v]
+                nv.remove(r)
+                if not nv and v not in members:
                     free.add(v)
-                    heapq.heappush(self._free_heap, v)
         settled, heap = self.settled, self._center_heap
         settled.difference_update(imp.removed)
         for c in imp.x:
@@ -218,14 +226,18 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     """First claw-shaped improvement of w^2(A) under deterministic order, or
     None, for the run whose `ClawSearchState` is `state`.
 
-    The lowest-id free vertex comes first (every one is the talon of an
-    improving 0-claw); then, for each unsettled center in A in ascending id
-    order, the shared improvement search of `oracle` over the center's
-    outside neighbors: independent sets of at most `state.max_talons`
-    talons in lexicographic order, squared weights compared as the integers
-    `g.w2_int`, which order exactly as the rationals do. A center searched
-    without success is settled. The result is that of a search from
-    scratch.
+    Free vertices come first: every one is the talon of an improving 0-claw,
+    and a step inserts all of them, lowest id first, skipping any vertex an
+    earlier pick is next to (center None, nothing removed). Inserting a free
+    vertex frees nothing and opens no center, so this is the sequence of
+    lowest-id 0-claws that one swap per call would apply. With no free
+    vertex, for each unsettled center in A in ascending id order, the
+    shared improvement search of `oracle` over the center's neighbors, all
+    outside A: independent sets of at most `state.max_talons` talons in
+    lexicographic order, squared weights compared as the integers
+    `g.w2_int`, which order exactly as the rationals do, and N(u, A) read
+    from `state.a_nbrs`. A center searched without success is settled. The
+    result is that of a search from scratch.
 
     The talon walk is bounded by charged weights (see
     `_first_improvement`), all in the integers `g.w2_int`. At center c,
@@ -244,16 +256,21 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     this call, counted across its centers. For a hit, removed =
     N(talons) & A.
     """
-    v = state.lowest_free()
-    if v is not None:
-        return Improvement(frozenset((v,)), frozenset(), ClawShaped(center=None))
+    g = state.g
+    if state.free:
+        picked: list[int] = []
+        blocked: set[int] = set()
+        for v in sorted(state.free):
+            if v not in blocked:
+                picked.append(v)
+                blocked.update(g.adj[v])
+        return Improvement(frozenset(picked), frozenset(), ClawShaped(center=None))
 
-    g, members, cap = state.g, state.members, state.max_talons
+    members, cap, a_nbrs = state.members, state.max_talons, state.a_nbrs
     nodes = count(1)
     while (c := state.lowest_open_center()) is not None:
-        cands = [u for u in g.adj[c] if u not in members]
         got = _first_improvement(
-            g, members, cands, cap, g.w2_int, _MAX_CLAW_NODES, nodes, "claw search", center=c
+            g, members, g.adj[c], cap, g.w2_int, _MAX_CLAW_NODES, nodes, "claw search", center=c, a_nbrs=a_nbrs
         )
         if got is not None:
             return Improvement(*got, ClawShaped(center=c))
@@ -272,7 +289,10 @@ def _loop(
     The loop applies each swap once and then hands it to every search
     state in `states` (`update(imp)`), so what a search keeps between calls
     follows A without looking at A again. Each swap's gain is checked and
-    recorded as an integer over a denominator (see `ImprovementRecord`).
+    recorded as an integer over a denominator (see `ImprovementRecord`). A
+    step of free vertices (claw-shaped, center None) is recorded as one
+    size-1 swap per vertex, in id order, gaining its `w2_int` over L^2;
+    weights are positive, so each gains.
     """
     g = a.g
     records: list[ImprovementRecord] = []
@@ -287,16 +307,21 @@ def _loop(
             break
         if imp is None:
             break
-        if isinstance(imp.kind, Generic) and imp.kind.alpha.denominator != 1:
-            delta, den = power_weight_gain(g, imp.kind.alpha, imp.x, imp.removed).as_integer_ratio()
+        if isinstance(imp.kind, ClawShaped) and imp.kind.center is None:
+            w2, den = g.int_powers(2)
+            new = [ImprovementRecord("claw-shaped", 1, w2[v], den) for v in sorted(imp.x)]
         else:
-            delta, den = imp.gain(g)
-        if delta <= 0:
-            raise RuntimeError(f"non-improving step {imp!r}")
+            if isinstance(imp.kind, Generic) and imp.kind.alpha.denominator != 1:
+                delta, den = power_weight_gain(g, imp.kind.alpha, imp.x, imp.removed).as_integer_ratio()
+            else:
+                delta, den = imp.gain(g)
+            if delta <= 0:
+                raise RuntimeError(f"non-improving step {imp!r}")
+            new = [ImprovementRecord(imp.kind_name(), imp.size, delta, den)]
         a.apply(imp)
         for state in states:
             state.update(imp)
-        records.append(ImprovementRecord(imp.kind_name(), imp.size, delta, den))
+        records += new
     return RunTrace(records, a, notes=notes)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from clawpack.circular import AnchorMaps, AuxEdge, AuxGraph, CircularState, ColorCodingParams, build_anchor_maps
 from clawpack.generators import berman_tight_instance
-from clawpack.instances import ConflictGraph, PackingInstance, Solution, build_conflict_graph
+from clawpack.instances import ClawShaped, ConflictGraph, PackingInstance, Solution, build_conflict_graph
 from clawpack.solvers import ClawSearchState, _resolve_d, find_claw_improvement
 
 
@@ -42,6 +42,19 @@ def claw_search(g: ConflictGraph, a: Solution, d=None):
     """`find_claw_improvement` on a new `ClawSearchState` for `a`: a claw
     search outside a run. `d` defaults to the graph's claw bound."""
     return find_claw_improvement(ClawSearchState(g, a, _resolve_d(g, d)))
+
+
+def expand_steps(swaps) -> list[tuple[str, int]]:
+    """The (kind, size) records a run writes for the swaps it applied: one
+    size-1 claw-shaped record per vertex of a step of free vertices
+    (claw-shaped with center None), and one record for any other swap."""
+    records = []
+    for imp in swaps:
+        if isinstance(imp.kind, ClawShaped) and imp.kind.center is None:
+            records += [("claw-shaped", 1)] * len(imp.x)
+        else:
+            records.append((imp.kind_name(), imp.size))
+    return records
 
 
 def w_of(g: ConflictGraph, vertices) -> Fraction:

@@ -6,6 +6,7 @@ The reference implementations below are kept here on purpose: they are the
 plain rational-arithmetic forms of the same searches.
 """
 
+import functools
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -14,12 +15,18 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights, claw_search, ref_aux_sides, tight_copies, w2_of, w_of
+from conftest import PrimeWeights, claw_search, expand_steps, ref_aux_sides, tight_copies, w2_of, w_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawpack import instances, oracle, solvers
-from clawpack.circular import ColorCodingParams, aux_edge_check, build_anchor_maps
+from clawpack.circular import (
+    CircularState,
+    ColorCodingParams,
+    aux_edge_check,
+    build_anchor_maps,
+    find_circular_improvement,
+)
 from clawpack.generators import berman_tight_instance, gen_random_packing
 from clawpack.instances import (
     BudgetExceededError,
@@ -64,13 +71,16 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
     the talons that could still join T sum to at most w^2(c) - q(T); with
     one talon left to pick, only the talons whose positive q exceeds
     w^2(c) - q(T) are tried. The unbounded search returns the same
-    result."""
+    result. While some vertex is free, the result is the step of free
+    vertices: each free vertex in id order that no earlier pick is next
+    to."""
     members = a.members
+    picked: list[int] = []
     for v in range(g.n):
-        if v in members:
-            continue
-        if not (g.adj_sets[v] & members):
-            return Improvement(frozenset((v,)), frozenset(), ClawShaped(center=None)), 0
+        if v not in members and not (g.adj_sets[v] & members) and not any(g.has_edge(v, u) for u in picked):
+            picked.append(v)
+    if picked:
+        return Improvement(frozenset(picked), frozenset(), ClawShaped(center=None)), 0
     w2 = [w * w for w in g.weights]
     nodes = 0
 
@@ -157,6 +167,7 @@ class CheckedClawSearch:
     def __init__(self):
         self.calls = 0
         self.skipped = 0
+        self.hits: list[Improvement] = []
 
     def __call__(self, state):
         assert state is not None, "the solver must pass its claw-search state"
@@ -169,6 +180,8 @@ class CheckedClawSearch:
         got = find_claw_improvement(state)
         assert got == fresh == ref_find_claw_improvement(g, a, d)
         self.calls += 1
+        if got is not None:
+            self.hits.append(got)
         return got
 
 
@@ -189,31 +202,41 @@ class CheckedClawUpdate:
     """Stands in for ClawSearchState.update: after every swap the settled
     set must be the one from before it minus x and minus the radius-2 ball
     around removed, so a state that reopens too many centers, or too few,
-    fails, and the free set must match a scan of all vertices."""
+    fails; the N(u, A) table must match N(u) & A for every vertex u; and
+    the free set must match a scan of all vertices and be the non-members
+    whose table entry is empty. Keeps every swap it sees."""
 
     def __init__(self):
-        self.swaps = 0
+        self.swaps: list[Improvement] = []
         self.reopened = 0
 
     def __call__(self, state, imp):
         before = set(state.settled)
         UPDATE(state, imp)
-        want = before - imp.x - within_two(state.g, imp.removed)
+        g, members = state.g, state.members
+        want = before - imp.x - within_two(g, imp.removed)
         assert state.settled == want
-        assert state.free == scan_free(state.g, state.members)
-        self.swaps += 1
+        assert [sorted(nu) for nu in state.a_nbrs] == [sorted(g.adj_sets[u] & members) for u in range(g.n)]
+        assert state.free == scan_free(g, members)
+        assert state.free == {v for v in range(g.n) if v not in members and not state.a_nbrs[v]}
+        self.swaps.append(imp)
         self.reopened += len(before) - len(want)
 
 
 def run_checked(solver, g, cfg, **kw):
+    """run `solver` with both stand-ins: the claw search is called once per
+    applied swap (a step of free vertices is one) plus the final call, every
+    swap reaches `update` once, every claw hit is a swap the run applied,
+    and the trace records each step as `expand_steps` does."""
     check, update = CheckedClawSearch(), CheckedClawUpdate()
     with (
         mock.patch.object(solvers, "find_claw_improvement", check),
         mock.patch.object(ClawSearchState, "update", lambda state, imp: update(state, imp)),
     ):
         trace = solver(g, cfg, **kw)
-    assert check.calls == trace.iterations + 1
-    assert update.swaps == trace.iterations
+    assert check.calls == len(update.swaps) + 1
+    assert check.hits == [imp for imp in update.swaps if imp.kind_name() == "claw-shaped"]
+    assert [(r.kind, r.size) for r in trace.improvements] == expand_steps(update.swaps)
     return trace, check, update
 
 
@@ -266,6 +289,93 @@ def test_claw_state_under_scaling():
         cfg = SolverConfig(mode=mode, scaling_n=Fraction(3, 2))
         trace, _, _ = run_checked(solvers.solve, g, cfg, inst=inst)
         assert trace.scaled and trace.iterations > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rational_packings(),
+    st.sampled_from(["squareimp", "logimp"]),
+    st.sampled_from(["empty", "greedy", "scaled"]),
+    st.sampled_from(["exhaustive", "rand"]),
+)
+def test_neighbor_table_and_free_set_follow_every_swap(inst, mode, start, circ_mode):
+    """After every swap of a squareimp or logimp run, from empty, from
+    greedy or under scaling, in either circular mode, `CheckedClawUpdate`
+    compares the N(u, A) table with N(u) & A for every u, and the free set
+    with the non-members whose entry is empty. (The tight-copy runs of
+    `test_verdict_set_across_circular_swaps` check the same across circular
+    swaps.)"""
+    g = build_conflict_graph(inst)
+    circular = ColorCodingParams.defaults(g, inst, mode=circ_mode) if mode == "logimp" else None
+    if start == "scaled":
+        cfg = SolverConfig(mode=mode, scaling_n=Fraction(3, 2), circular=circular)
+        trace, _, update = run_checked(solvers.solve, g, cfg, inst=inst)
+    else:
+        cfg = SolverConfig(mode=mode, circular=circular)
+        solver = squareimp if mode == "squareimp" else functools.partial(logimp, inst=inst)
+        trace, _, update = run_checked(solver, g, cfg, start=greedy(g) if start == "greedy" else None)
+    assert update.swaps or start == "greedy"
+    assert verify_solution(g, trace.final)
+
+
+# ------------------------------------------------------------ reference model
+
+
+def model_trace(g: ConflictGraph, mode: str, inst: Optional[PackingInstance] = None, late_frees: Optional[list] = None):
+    """The trace of a from-empty squareimp or logimp run that inserts one
+    free vertex per step, the lowest by a scan of all vertices, and
+    otherwise calls the claw search (then, for logimp, the circular search)
+    as the solvers do. `late_frees` gets one entry per free vertex inserted
+    after a swap with a center."""
+    d = solvers._resolve_d(g, None)
+    a = Solution.of(g, ())
+    claw = ClawSearchState(g, a, d)
+    states: list = [claw]
+    if mode == "logimp":
+        circ = CircularState(g, ColorCodingParams.defaults(g, inst), d, inst, random.Random(0))
+        states.append(circ)
+    centered = False
+
+    def step():
+        nonlocal centered
+        free = scan_free(g, a.members)
+        if free:
+            if centered and late_frees is not None:
+                late_frees.append(min(free))
+            return Improvement(frozenset({min(free)}), frozenset(), ClawShaped(center=None))
+        imp = find_claw_improvement(claw)
+        if imp is None and mode == "logimp":
+            build_anchor_maps(g, a, circ)
+            imp = find_circular_improvement(circ, a)
+        centered = centered or imp is not None
+        return imp
+
+    return solvers._loop(a, step, states)
+
+
+def real_trace(g: ConflictGraph, mode: str, inst: Optional[PackingInstance] = None):
+    if mode == "squareimp":
+        return squareimp(g, SolverConfig(mode="squareimp"))
+    return logimp(g, SolverConfig(mode="logimp"), inst=inst)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_packings(), st.sampled_from(["squareimp", "logimp"]))
+def test_from_empty_trace_is_the_one_free_vertex_per_step_trace(inst, mode):
+    g = build_conflict_graph(inst)
+    assert real_trace(g, mode, inst).to_json_obj() == model_trace(g, mode, inst).to_json_obj()
+
+
+@pytest.mark.parametrize("mode", ["squareimp", "logimp"])
+def test_one_step_of_free_vertices_covers_mid_run_frees(mode):
+    """Random packings whose runs free vertices after a claw with a center:
+    the real trace still equals the model's, free vertex by free vertex."""
+    late = []
+    for seed in range(4):
+        inst = gen_random_packing(60, 3, 45, seed=seed)
+        g = build_conflict_graph(inst)
+        assert real_trace(g, mode, inst).to_json_obj() == model_trace(g, mode, inst, late).to_json_obj()
+    assert late
 
 
 # ------------------------------------------------------------ integer path

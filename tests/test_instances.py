@@ -255,6 +255,7 @@ def test_claw_search_budget_guard():
 VALIDATION_CASES = [
     ("claw", {1, 2}, {0}, ClawShaped(0), True),
     ("0-claw", {3}, set(), ClawShaped(None), True),
+    ("0-claw-step", {3, 4}, set(), ClawShaped(None), True),
     ("circular", {1, 2}, {0}, Circular(u=(1, 2), cycle_vertices=(0,), y=()), True),
     ("alpha-2", {1, 2}, {0}, Generic(Fraction(2)), True),
     ("alpha-minus-1", {1, 2}, {0}, Generic(Fraction(-1)), True),

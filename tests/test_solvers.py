@@ -11,6 +11,7 @@ from clawpack.generators import (
     gen_random_packing,
 )
 from clawpack.instances import (
+    ClawShaped,
     ConflictGraph,
     InputError,
     PackingInstance,
@@ -266,23 +267,30 @@ def test_start_with_scaling_is_an_input_error(mode):
 
 def wire_gains(run, alpha: int = 2) -> tuple[list[str], list[str], list[str]]:
     """The `delta_w2` strings of run()'s trace, `fmt_fraction` of each
-    applied swap's gain in w**alpha summed in Fractions, and the kinds."""
+    applied swap's gain in w**alpha summed in Fractions, and the kinds. A
+    step of free vertices (claw-shaped, center None) removes nothing and
+    expects one gain per vertex, in id order."""
     applied = []
     original = Solution.apply
 
     def apply(self, imp):
-        applied.append((self.g, imp))
+        if isinstance(imp.kind, ClawShaped) and imp.kind.center is None:
+            assert not imp.removed
+            applied.extend((self.g, frozenset({v}), frozenset(), imp.kind_name()) for v in sorted(imp.x))
+        else:
+            applied.append((self.g, imp.x, imp.removed, imp.kind_name()))
         original(self, imp)
 
     with mock.patch.object(Solution, "apply", apply):
         trace = run()
     want = [
-        fmt_fraction(sum((g.weights[v] ** alpha for v in imp.x), Fraction(0))
-                     - sum((g.weights[v] ** alpha for v in imp.removed), Fraction(0)))
-        for g, imp in applied
+        fmt_fraction(sum((g.weights[v] ** alpha for v in x), Fraction(0))
+                     - sum((g.weights[v] ** alpha for v in removed), Fraction(0)))
+        for g, x, removed, _ in applied
     ]
-    got = [r["delta_w2"] for r in trace.to_json_obj()["improvements"]]
-    return got, want, [imp.kind_name() for _, imp in applied]
+    records = trace.to_json_obj()["improvements"]
+    assert [(r["kind"], r["size"]) for r in records] == [(kind, len(x)) for _, x, _, kind in applied]
+    return [r["delta_w2"] for r in records], want, [kind for *_, kind in applied]
 
 
 def test_wire_gains_are_the_exact_fractions_with_a_weight_lcm_above_one():

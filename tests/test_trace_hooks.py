@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import circular_state, tight_copies
+from conftest import circular_state, expand_steps, tight_copies
 
 from clawpack import solvers
 from clawpack.circular import (
@@ -96,8 +96,10 @@ def traced_logimp(g, inst, start, params):
 def test_traced_run_counts_every_claw_call(mode):
     """Each step of a squareimp or logimp run calls the claw search once
     through the hooked `solvers.find_claw_improvement`: one `solvers.claw`
-    span per claw-shaped or circular swap plus the final step, each a hit
-    exactly when its step applied a claw-shaped swap."""
+    span per applied swap plus the final step, each a hit exactly when its
+    step applied a claw-shaped swap. A step of free vertices is one call
+    and one swap, and the trace records one size-1 claw-shaped swap per
+    vertex."""
     inst, small = tight_copies(5, 6, seed=3)
     g = build_conflict_graph(inst)
     if mode == "squareimp":
@@ -105,12 +107,23 @@ def test_traced_run_counts_every_claw_call(mode):
     else:
         solver, cfg = logimp, SolverConfig(mode="logimp", circular=ColorCodingParams.defaults(g, inst))
         kw = {"start": Solution.of(g, small), "inst": inst}
-    tracer, by_name, trace = traced(lambda: solver(g, cfg, **kw))
+    applied = []
+    original = Solution.apply
+
+    def apply(self, imp):
+        applied.append(imp)
+        original(self, imp)
+
+    with mock.patch.object(Solution, "apply", apply):
+        tracer, by_name, trace = traced(lambda: solver(g, cfg, **kw))
     kinds = [r.kind for r in trace.improvements]
     assert set(kinds) == ({"claw-shaped"} if mode == "squareimp" else {"claw-shaped", "circular"})
+    assert any(imp.kind_name() == "claw-shaped" and imp.kind.center is None and len(imp.x) > 1 for imp in applied)
+    assert [(r.kind, r.size) for r in trace.improvements] == expand_steps(applied)
     claws = by_name["solvers.claw"]
-    assert len(claws) == kinds.count("claw-shaped") + kinds.count("circular") + 1
-    assert [tracer.counts[i] for i in claws] == [{"hit": int(k == "claw-shaped")} for k in kinds] + [{"hit": 0}]
+    assert len(claws) == len(applied) + 1
+    hits = [{"hit": int(imp.kind_name() == "claw-shaped")} for imp in applied]
+    assert [tracer.counts[i] for i in claws] == hits + [{"hit": 0}]
 
 
 def test_traced_logimp_counts_every_circular_build():
