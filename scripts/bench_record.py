@@ -11,8 +11,9 @@ count (`nproc`) and, per run, the command's arguments, exit code and its
 last output line parsed as JSON, or the tail of its stderr if it failed.
 Under `scale` it lists three seed-0 `solve` timings and their median per
 point of the scale curve, which clawbench does not cover, with the
-talon-search nodes of the tight-instance points (see `scale_curve`), and
-under `oracle` the nodes and time of `exact_mwis`,
+talon-search nodes of the tight-instance points and, per circular mode,
+the growth of the tight-union time from one copy count to the next (see
+`scale_curve`), and under `oracle` the nodes and time of `exact_mwis`,
 unseeded and seeded with the logimp final, past the sizes clawbench runs
 it at (see `oracle_curve`).
 It exits 1, naming the runs, if any run failed or reported `correct: false`;
@@ -75,7 +76,9 @@ def scale_curve() -> list[dict]:
     its suite, size, vertex count, algorithm, iteration count, every
     `solve` wall time (`walls_s`) and their median (`wall_s`); the tight
     points also give the talon-search nodes of one more, untimed run
-    (`talon_nodes`)."""
+    (`talon_nodes`), and each tight-union point past the first copy count
+    gives its median over that of the same mode at the copy count before
+    (`wall_ratio`), so the 640-copy points read the 640/160 growth."""
     import clawpack
     from clawbench.workloads import TIGHT_UNION_D, tight_union
     from clawpack.generators import berman_tight_instance, gen_random_packing
@@ -87,16 +90,21 @@ def scale_curve() -> list[dict]:
             trace = clawpack.solve(g, cfg, inst=inst, start=start)
             walls.append(time.perf_counter() - t0)
         return {"suite": suite, "size": size, "vertices": g.n, "algo": algo, "iterations": trace.iterations,
-                "wall_s": round(statistics.median(walls), 4), "walls_s": [round(w, 4) for w in walls]}
+                "wall_s": statistics.median(walls), "walls_s": walls}
 
     points = []
+    before = {}  # circular mode -> the median at the copy count before
     for copies in SCALE_COPIES:
         inst, small = tight_union(0, copies, TIGHT_UNION_D)
         g = clawpack.build_conflict_graph(inst)
         for mode in ("exhaustive", "rand"):
             params = clawpack.ColorCodingParams.defaults(g, inst, mode=mode)
             cfg = clawpack.SolverConfig(mode="logimp", rng_seed=0, circular=params)
-            points.append(point("tight-union", copies, f"logimp-{mode}", g, cfg, inst, clawpack.Solution.of(g, small)))
+            p = point("tight-union", copies, f"logimp-{mode}", g, cfg, inst, clawpack.Solution.of(g, small))
+            if mode in before:
+                p["wall_ratio"] = round(p["wall_s"] / before[mode], 2)
+            before[mode] = p["wall_s"]
+            points.append(p)
     for n in SCALE_N:
         inst = gen_random_packing(n, 3, n, weight_dist=("uniform", 10), seed=0)
         g = clawpack.build_conflict_graph(inst)
@@ -114,6 +122,9 @@ def scale_curve() -> list[dict]:
             p = point("tight", d, algo, g, cfg, inst)
             p["talon_nodes"] = talon_nodes(lambda: clawpack.solve(g, cfg, inst=inst))
             points.append(p)
+    for p in points:
+        p["wall_s"] = round(p["wall_s"], 4)
+        p["walls_s"] = [round(w, 4) for w in p["walls_s"]]
     return points
 
 

@@ -27,21 +27,24 @@ are recomputed. The state holds one aux graph by id, vertices, edges and
 each vertex's sorted incident edge ids, and changes it only where a block is
 built or dropped; ids sort in the from-scratch order, so a call returns that
 graph as it stands, and the 2-cycle scan reads only the anchor pairs that
-two or more inducers share. The state is built once per run from the
-graph, the search parameters, the claw bound, the packing instance and the
-random generator, and fixes what they fix: the companion-set cap, the cycle
-length bound and whether color coding can run. The DP works out
-a vertex's color masks, step table and first layer only when it first
-reaches that vertex, and yields each candidate as soon as the state that
-closes it is built, so a search that stops at the first candidate that
-validates pays for little more than the prefix it read.
+two or more inducers share. It also keeps, sorted, the ids of the vertices
+with an edge, and the DFS and the DP start only there: the copies of a
+solution that earlier swaps improved have no edge and cost a call nothing,
+and a call reads no whole set of the state. The state is built once per
+run from the graph, the search parameters, the claw bound, the packing
+instance and the random generator, and fixes what they fix: the
+companion-set cap, the cycle length bound and whether color coding can
+run. The DP works out a vertex's color masks, step table and first layer
+only when it first reaches that vertex, and yields each candidate as soon
+as the state that closes it is built, so a search that stops at the first
+candidate that validates pays for little more than the prefix it read.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -257,15 +260,18 @@ class AuxGraph:
     Ids sort in the from-scratch order: vertices by anchor, then place in
     the anchor's block, and edges by inducer, then place in its block; the
     dicts' own order means nothing. `incident` maps every vertex id to the
-    ids of its edges, sorted, and `parallel` lists, sorted, every edge that
-    can share both ends with another. The graph a `CircularState` returns
-    holds the state's own dicts, valid until its next call.
+    ids of its edges, sorted; `parallel` lists, sorted, every edge that can
+    share both ends with another; and `starts` lists, sorted, the ids of the
+    vertices with at least one edge, the only ones a cycle search starts
+    from. The graph a `CircularState` returns holds the state's own dicts
+    and list, valid until its next call.
     """
 
     vertices: dict[int, AuxVertex]
     edges: dict[int, AuxEdge]
     incident: dict[int, list[int]]
     parallel: Sequence[int]
+    starts: Sequence[int]
 
 
 class _VertexBlock(NamedTuple):
@@ -319,16 +325,24 @@ class CircularState:
     `_ID_SHIFT`), and an edge's from its inducer and its position in the
     block, so the ids of a block stay fixed while it lives and sort in the
     from-scratch order. The state keeps one aux graph by id: its vertices,
-    its edges, and each vertex's edge ids in sorted order. Only building or
-    dropping a block changes them. The dirty edge blocks are dropped before
-    any vertex block is rebuilt, so no edge ever names a vertex that is
-    gone, and a new edge block enters the graph only once it is complete,
-    so a cap crossed part-way leaves no trace of it. Each call thus builds
+    its edges, each vertex's edge ids in sorted order, and the sorted ids
+    of the vertices with an edge, where the searches start. Only building
+    or dropping a block changes them: a start enters with a vertex's first
+    edge and leaves with its last edge or its block. The dirty edge blocks
+    are dropped before any vertex block is rebuilt, so no edge ever names a
+    vertex that is gone, and a new edge block enters the graph only once it
+    is complete, so a cap crossed part-way leaves no trace of it. Each call thus builds
     no vertex or edge of a block that did not change, and vertex ids, edge
     ids and the edge-check count are those of a fresh build. For the
     2-cycle scan the state keeps, per unordered anchor pair, the inducers
     whose blocks have edges between them, and the pairs that two or more
     inducers share: only those can carry parallel edges.
+
+    No call walks a whole set of the state. The vertices without a vertex
+    block are collected as the swaps come in (new members, and anchors
+    whose block was dropped), and the members among them get one; the dirty
+    inducers are the only ones looked up among the edge blocks and the
+    anchor maps.
 
     The maps and the aux graph's dicts the state returns are its own and
     change at its next call.
@@ -368,6 +382,8 @@ class CircularState:
         self._vertices: dict[int, AuxVertex] = {}
         self._edges: dict[int, AuxEdge] = {}
         self._incident: dict[int, list[int]] = {}  # vertex id -> its edge ids, sorted
+        self._starts: list[int] = []  # the ids of the vertices with an edge, sorted
+        self._unbuilt: set[int] = set()  # vertices without a block; members get one next call
         self._pairs: dict[tuple[int, int], set[int]] = {}  # anchor pair -> inducers with edges
         self._shared: set[tuple[int, int]] = set()  # the pairs with two or more inducers
         self._dirty_u: set[int] = set()
@@ -404,11 +420,14 @@ class CircularState:
         w = self.g.w_int
         anchor, vblocks = self._anchor, self._vblocks
         remapped = self._remapped
+        unbuilt = self._unbuilt
         for u in remapped:
             old = anchor.pop(u, None)
             if old in vblocks:
                 self._drop_block(old)
             if u in members:
+                if u not in vblocks:
+                    unbuilt.add(u)
                 continue
             if u in vblocks:  # u left A
                 self._drop_block(u)
@@ -420,12 +439,15 @@ class CircularState:
         remapped.clear()
 
     def _drop_block(self, v: int) -> None:
-        """Drop the vertex block at anchor v with its vertices and their
-        incident lists, and mark the edge blocks that end at v dirty: their
-        inducers are neighbors of v."""
-        vertices, incident = self._vertices, self._incident
-        for i in self._vblocks.pop(v).ids:
+        """Drop the vertex block at anchor v with its vertices, their
+        incident lists and their starts, note v for a rebuild, and mark the
+        edge blocks that end at v dirty: their inducers are neighbors of v."""
+        vertices, incident, starts = self._vertices, self._incident, self._starts
+        ids = self._vblocks.pop(v).ids
+        for i in ids:
             del vertices[i], incident[i]
+        del starts[bisect_left(starts, ids.start):bisect_left(starts, ids.stop)]
+        self._unbuilt.add(v)
         heaviest, second = self.maps.heaviest, self.maps.second
         self._dirty_u.update(
             u for u in self.g.adj[v] if u in second and (heaviest[u] == v or second[u] == v)
@@ -456,17 +478,21 @@ class CircularState:
         self._vblocks[v] = _VertexBlock(ids, ys, nets)
 
     def _drop_edge_blocks(self) -> None:
-        """Drop the edge block of every dirty inducer, with its edges."""
-        eblocks, edges, incident = self._eblocks, self._edges, self._incident
+        """Drop the edge block of every dirty inducer, with its edges, and
+        the starts of the vertices left without one."""
+        eblocks, edges, incident, starts = self._eblocks, self._edges, self._incident, self._starts
         pairs, shared = self._pairs, self._shared
-        for u in self._dirty_u.intersection(eblocks):
+        for u in [u for u in self._dirty_u if u in eblocks]:
             block = eblocks.pop(u)
             self.checks -= block.checks
             for ei in block.ids:
                 e = edges.pop(ei)
                 for end in (e.a, e.b):
-                    if end in incident:  # else the block at that end was dropped
-                        incident[end].remove(ei)
+                    at_end = incident.get(end)
+                    if at_end is not None:  # else the block at that end was dropped
+                        at_end.remove(ei)
+                        if not at_end:
+                            del starts[bisect_left(starts, end)]
             if not block.ids:
                 continue
             v1, v2 = block.anchors
@@ -479,19 +505,20 @@ class CircularState:
                 del pairs[key]
 
     def _update_edge_blocks(self) -> None:
-        """Build the edge block of every dirty inducer, and the inducers per
-        anchor pair with it. Raises `SearchIncompleteError` once the checks
-        of all blocks pass `_MAX_AUX_EDGE_CHECKS`; the inducers not yet
-        built stay dirty."""
+        """Build the edge block of every dirty inducer, the starts of the
+        vertices it gives a first edge, and the inducers per anchor pair
+        with it. Raises `SearchIncompleteError` once the checks of all
+        blocks pass `_MAX_AUX_EDGE_CHECKS`; the inducers not yet built stay
+        dirty."""
         cap = _MAX_AUX_EDGE_CHECKS
         g = self.g
         w2 = g.w2_int
         adj = g.adj_sets
         heaviest, second, a_nbrs = self.maps.heaviest, self.maps.second, self.maps.a_neighbors
         vblocks, eblocks, dirty = self._vblocks, self._eblocks, self._dirty_u
-        edges, incident = self._edges, self._incident
+        edges, incident, starts = self._edges, self._incident, self._starts
         pairs, shared = self._pairs, self._shared
-        dirty.intersection_update(second)  # only inducers have edge blocks
+        dirty.difference_update([u for u in dirty if u not in second])  # only inducers have edge blocks
         total = self.checks
         while dirty:
             u = dirty.pop()
@@ -530,8 +557,11 @@ class CircularState:
             if new:
                 for ei, e in zip(ids, new):
                     edges[ei] = e
-                    insort(incident[e.a], ei)
-                    insort(incident[e.b], ei)
+                    for end in (e.a, e.b):
+                        at_end = incident[end]
+                        if not at_end:
+                            insort(starts, end)
+                        insort(at_end, ei)
                 key = (v1, v2) if v1 < v2 else (v2, v1)
                 group = pairs.setdefault(key, set())
                 group.add(u)
@@ -543,11 +573,13 @@ class CircularState:
         """The aux graph over `a` and the state's maps; see `build_aux_graph`."""
         if self._moved is None or self._moved:
             raise ContractError("anchor maps are stale: build_anchor_maps after every swap")
-        members = a.members
+        members, unbuilt = a.members, self._unbuilt
         self._reanchor(members)
         self._drop_edge_blocks()
-        for v in members.difference(self._vblocks):
-            self._add_vertex_block(v)
+        for v in unbuilt:
+            if v in members:  # else v left A
+                self._add_vertex_block(v)
+        unbuilt.clear()
         # A cap is crossed when a count passes it.
         if len(self._vertices) > _MAX_AUX_VERTICES:
             raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
@@ -557,7 +589,7 @@ class CircularState:
         eblocks, pairs = self._eblocks, self._pairs
         sharing = sorted({u for key in self._shared for u in pairs[key]})
         parallel = [ei for u in sharing for ei in eblocks[u].ids]
-        return AuxGraph(self._vertices, self._edges, self._incident, parallel)
+        return AuxGraph(self._vertices, self._edges, self._incident, parallel, self._starts)
 
 
 def build_aux_graph(state: CircularState, a: Solution) -> AuxGraph:
@@ -636,7 +668,10 @@ def _dfs_cycles(
     inducing vertices and companion sets must stay independent; both are
     checked incrementally so pruned prefixes cannot extend to valid cycles.
     Each cycle is found from its vertex of least id, so it is enumerated
-    once per direction.
+    once per direction. The walks start at `h.starts` in id order: a vertex
+    with no edge would start no cycle and cost no node, so the candidates,
+    their order and the node at which `budget` is passed are those of a
+    search from every vertex id.
     """
     incident = h.incident
     nodes = 0
@@ -673,7 +708,7 @@ def _dfs_cycles(
             support.difference_update(new)
 
     try:
-        for s in sorted(h.vertices):
+        for s in h.starts:
             av = h.vertices[s]
             yield from walk(s, s, [s], [], {av.anchor}, set(av.y))
     finally:
@@ -737,8 +772,10 @@ def _colorful_candidates(
 
     A state's end t never changes along its walk, so layer 2 reads only the
     layer-1 states of its own end: layer 1 is built one end at a time, in
-    vertex order, right before layer 2 extends it. A vertex's masks and
-    steps are computed when the DP first reaches it.
+    id order over `h.starts`, right before layer 2 extends it. A vertex
+    with no edge would give no state, so the candidates and the state at
+    which `state_budget` is passed are those of a DP over every vertex id.
+    A vertex's masks and steps are computed when the DP first reaches it.
 
     `state_budget` caps the states built, layer 1 included: the state that
     would pass it raises `SearchIncompleteError`, after the candidates of
@@ -783,7 +820,7 @@ def _colorful_candidates(
 
     def layer1_by_end() -> Iterator[tuple[int, int, int]]:
         nonlocal states
-        for t in sorted(h.vertices):
+        for t in h.starts:
             tmask = vmask[t]
             fresh = []
             for ei, s, add in steps[t]:  # alive, so add misses tmask

@@ -120,13 +120,14 @@ def brute_force_improvement_exists(g: ConflictGraph, members: set[int], alpha: i
 
 def aux_graph_of(vertices, edges):
     """An `AuxGraph` over lists of aux vertices and edges whose edge ends are
-    positions in `vertices`: the positions are the ids, and every edge may
-    have a parallel twin."""
+    positions in `vertices`: the positions are the ids, every edge may have
+    a parallel twin, and the searches start at every vertex with an edge."""
     incident = {i: [] for i in range(len(vertices))}
     for ei, e in enumerate(edges):
         incident[e.a].append(ei)
         incident[e.b].append(ei)
-    return AuxGraph(dict(enumerate(vertices)), dict(enumerate(edges)), incident, range(len(edges)))
+    starts = [i for i, ids in incident.items() if ids]
+    return AuxGraph(dict(enumerate(vertices)), dict(enumerate(edges)), incident, range(len(edges)), starts)
 
 
 def positional(h):

@@ -617,7 +617,8 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     tight-union size and circular mode, per k=3 packing size and algorithm,
     per wider packing, and per tight-instance d and algorithm, each timed
     `SCALE_REPEATS` times, the tight-instance points with their talon
-    nodes; the `oracle` key holds unseeded and seeded node counts, and
+    nodes and the second tight-union size with its growth over the first;
+    the `oracle` key holds unseeded and seeded node counts, and
     seeded only past `ORACLE_N`."""
     br = load_bench_record()
     monkeypatch.setattr(br, "SCALE_COPIES", (1, 2))
@@ -645,11 +646,13 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
         ("tight", 12, "squareimp"), ("tight", 12, "logimp"),
     ]
     point_keys = {"suite", "size", "vertices", "algo", "iterations", "wall_s", "walls_s"}
+    extra = {("tight", d): {"talon_nodes"} for d in (4, 12)} | {("tight-union", 2): {"wall_ratio"}}
     for p in scale:
-        assert set(p) == (point_keys | {"talon_nodes"} if p["suite"] == "tight" else point_keys)
+        assert set(p) == point_keys | extra.get((p["suite"], p["size"]), set())
         assert p["vertices"] > 0 and p["iterations"] > 0
         assert len(p["walls_s"]) == br.SCALE_REPEATS and p["wall_s"] == sorted(p["walls_s"])[1] >= 0
     assert [p["vertices"] for p in scale[:4]] == [14, 14, 28, 28]
+    assert all(p["wall_ratio"] > 0 for p in scale[2:4])
     # squareimp settles every center of the tight instance with no walk
     assert [p["talon_nodes"] for p in scale[-4:] if p["algo"] == "squareimp"] == [0, 0]
     assert [p["vertices"] for p in scale[-4:]] == [9, 9, 77, 77]

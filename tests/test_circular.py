@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -773,9 +774,11 @@ def check_state_against_fresh(g, a, state, call):
 
 def check_lookups(h):
     """`h.incident` gives every vertex, and no other id, its edges in edge
-    order, every edge ends at two vertices of `h`, and `h.parallel` lists,
-    in edge order, at least every edge that shares both ends with another."""
+    order, every edge ends at two vertices of `h`, `h.parallel` lists, in
+    edge order, at least every edge that shares both ends with another, and
+    `h.starts` lists, in id order, the vertices with an edge."""
     assert h.incident.keys() == h.vertices.keys()
+    assert list(h.starts) == sorted(v for v in h.vertices if h.incident[v])
     assert all(a < b for ids in h.incident.values() for a, b in zip(ids, ids[1:]))
     assert all(e.a in h.vertices and e.b in h.vertices for e in h.edges.values())
     incident = {i: [] for i in h.vertices}
@@ -1429,19 +1432,25 @@ def ref_dfs_cycles(g, h, incident, max_len, budget):
         yield from walk(s, s, [s], [], {av.anchor}, set(av.y))
 
 
+def stored_incident(hp):
+    """The incident lists a positional aux graph once stored: each edge
+    appended at its ends in edge order."""
+    incident = {i: [] for i in range(len(hp.vertices))}
+    for idx, e in enumerate(hp.edges):
+        incident[e.a].append(idx)
+        incident[e.b].append(idx)
+    return incident
+
+
 def test_dfs_candidate_sequence_matches_stored_incident_lists():
     """`_dfs_cycles` builds its incident lists from the edges; every
     candidate, in order, equals the DFS over the lists the aux graph once
-    stored (each edge appended at its ends in edge order)."""
+    stored."""
     total = 0
     for _, g, h in packing_aux_graphs():
         hp = positional(h)
-        incident = {i: [] for i in range(len(hp.vertices))}
-        for idx, e in enumerate(hp.edges):
-            incident[e.a].append(idx)
-            incident[e.b].append(idx)
         max_len = max_cycle_len_for(g.n)
-        expect = list(ref_dfs_cycles(g, hp, incident, max_len, circular._MAX_DFS_NODES))
+        expect = list(ref_dfs_cycles(g, hp, stored_incident(hp), max_len, circular._MAX_DFS_NODES))
         assert positional_candidates(h, circular._dfs_cycles(g, h, max_len, circular._MAX_DFS_NODES)) == expect
         total += len(expect)
     assert total > 100
@@ -1498,6 +1507,203 @@ def test_rand_mode_agrees_with_exhaustive_at_claw_fixed_points():
         dp_decided += ex is not None and not two
         negatives_with_edges += ex is None and len(h.edges) >= 3
     assert found >= 30 and dp_decided >= 30 and negatives_with_edges >= 20
+
+
+def after_every_aux_graph(check):
+    """A patch of `CircularState.aux_graph` that calls `check(state, a, h)`
+    on every graph it returns."""
+    real = CircularState.aux_graph
+
+    def checked(state, a):
+        h = real(state, a)
+        check(state, a, h)
+        return h
+
+    return mock.patch.object(CircularState, "aux_graph", checked)
+
+
+def check_starts_and_blocks(state, a, h):
+    """`h.starts` lists, in id order, exactly the vertices of `h` with an
+    edge, and the anchors of its vertices are exactly A's members: every
+    member has its vertex block, and no other vertex has one."""
+    assert list(h.starts) == sorted(v for v in h.vertices if h.incident[v])
+    assert {v.anchor for v in h.vertices.values()} == a.members
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["exhaustive", "rand"]), st.sampled_from(["tight", "tight+sets", "perturbed", "packing"]), st.integers(0, 2**16))
+def test_start_list_and_vertex_blocks_stay_current_in_logimp(mode, source, seed):
+    """`check_starts_and_blocks` after every aux-graph call of a logimp run
+    from the small sides of tight copies (with or without random sets), at
+    perturbed tight copies with random sets, or at random k=3 packings,
+    empty or greedy."""
+    rng = random.Random(seed)
+    if source == "tight":
+        inst, small = tight_copies(rng.choice([4, 5]), rng.randint(1, 5), seed)
+    elif source == "tight+sets":
+        inst, small = tight_with_random_sets(seed, copies=rng.randint(2, 6), extra=rng.randint(4, 16))
+    if source.startswith("tight"):
+        g = build_conflict_graph(inst)
+        start = Solution.of(g, small)
+    elif source == "perturbed":
+        inst, g, start = perturbed_tight_with_random_sets(seed)
+    else:
+        inst = gen_random_packing(rng.randint(15, 40), 3, rng.randint(12, 30), seed=seed)
+        g = build_conflict_graph(inst)
+        start = rng.choice([None, greedy(g)])
+    params = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode=mode), repetitions=20)
+    calls = 0
+
+    def check(state, a, h):
+        nonlocal calls
+        calls += 1
+        check_starts_and_blocks(state, a, h)
+
+    with after_every_aux_graph(check):
+        solve(g, SolverConfig(mode="logimp", rng_seed=seed, circular=params), inst=inst, start=start)
+    assert calls >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["prime", "ties", "equal"]), st.integers(0, 2**16))
+def test_start_list_and_vertex_blocks_stay_current_over_random_swaps(kind, seed):
+    """`check_starts_and_blocks` after every aux-graph call of a state handed
+    random swaps over maximal solutions (see `weighted_case`), several
+    between some calls: they move candidates between anchors that stay in
+    A far more often than a logimp run's few circular calls do."""
+    g, a, _ = weighted_case(seed, kind)
+    rng = random.Random(seed)
+    state = circular_state(g, a, ColorCodingParams(t=1, repetitions=1))
+    members = set(a.members)
+    with after_every_aux_graph(check_starts_and_blocks):
+        for _ in range(8):
+            old = members
+            for _ in range(rng.choice([1, 1, 2, 4])):
+                members = random_swap(rng, g, members)
+            state.update(Improvement(frozenset(members - old), frozenset(old - members)))
+            sol = Solution.of(g, members)
+            build_anchor_maps(g, sol, state)
+            build_aux_graph(state, sol)
+
+
+def edgeless_aux_graphs():
+    """`packing_aux_graphs()`, then copies of the aux graphs of logimp runs
+    over tight copies from their small sides at every call after the first,
+    when some copies are improved and their vertices have no edge."""
+    yield from packing_aux_graphs()
+    for inst, small in [tight_copies(5, 4, seed=3), tight_with_random_sets(4, copies=4, extra=8)]:
+        g = build_conflict_graph(inst)
+        copies = []
+
+        def keep(state, a, h):
+            copies.append(AuxGraph(dict(h.vertices), dict(h.edges), {v: list(ids) for v, ids in h.incident.items()},
+                                   list(h.parallel), list(h.starts)))
+
+        with after_every_aux_graph(keep):
+            solve(g, SolverConfig(mode="logimp"), inst=inst, start=Solution.of(g, small))
+        for h in copies[1:]:
+            yield inst, g, h
+
+
+def least_budget(outcome):
+    """The least budget b at which `outcome(b)` reports no
+    `SearchIncompleteError`; a search raises iff its work exceeds b."""
+    hi = 1
+    while outcome(hi)[1]:
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if outcome(mid)[1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_capped_searches_from_the_starts_match_searches_from_every_vertex():
+    """On aux graphs with edgeless vertices, under budgets up to the least
+    one that completes, the DFS yields the candidates `ref_dfs_cycles`
+    (which starts at every vertex) yields before it raises, and raises
+    exactly when it does; the colorful DP, under seeded colorings, does the
+    same against the DP started at every vertex id."""
+    edgeless = raised = dfs_candidates = dp_candidates = 0
+    for inst, g, h in edgeless_aux_graphs():
+        edgeless += len(h.vertices) - len(h.starts)
+        max_len = max_cycle_len_for(g.n)
+        hp = positional(h)
+        incident = stored_incident(hp)
+
+        def ref_dfs(budget):
+            return candidate_outcome(ref_dfs_cycles(g, hp, incident, max_len, budget))
+
+        full = least_budget(ref_dfs)
+        for budget in sorted({0, 1, 2, 5, full // 3, full // 2, full - 1, full}):
+            expect = ref_dfs(budget)
+            assert candidate_outcome(circular._dfs_cycles(g, h, max_len, budget), h) == expect
+            raised += expect[1]
+            dfs_candidates += len(expect[0])
+        every_vertex = dataclasses.replace(h, starts=sorted(h.vertices))
+        for seed in range(3):
+            crng = random.Random(seed)
+            t = crng.choice([4, 24, 64])
+            coloring = [crng.randrange(t) for _ in range(inst.universe_size)]
+
+            def dp(graph, budget):
+                vmask, emask = circular._color_masks(graph, inst, coloring)
+                return candidate_outcome(_colorful_cycles(graph, vmask, emask, max_len, budget))
+
+            full = least_budget(lambda budget: dp(every_vertex, budget))
+            for budget in sorted({0, 1, 2, 5, full // 3, full // 2, full - 1, full}):
+                expect = dp(every_vertex, budget)
+                assert dp(h, budget) == expect
+                raised += expect[1]
+                dp_candidates += len(expect[0])
+    assert edgeless > 100 and raised > 100 and dfs_candidates > 100 and dp_candidates > 100
+
+
+class CountingIncident(Mapping):
+    """An aux graph's incident lists that count their reads into the last
+    entry of `reads`."""
+
+    def __init__(self, inner, reads):
+        self.inner, self.reads = inner, reads
+
+    def __getitem__(self, v):
+        self.reads[-1] += 1
+        return self.inner[v]
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def __len__(self):
+        return len(self.inner)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "rand"])
+def test_incident_reads_per_circular_call_do_not_grow_with_the_copies(mode):
+    """logimp from the small sides of 10 and 40 tight copies (seed 0) makes
+    one circular call per copy and one more, and the searches read no more
+    incident lists in any call at 40 copies than at 10: a call's searches
+    start only at vertices with an edge, so the copies improved earlier
+    cost them nothing."""
+    real = circular.AuxGraph
+    most = {}
+    for copies in (10, 40):
+        inst, small = tight_copies(5, copies, seed=0)
+        g = build_conflict_graph(inst)
+        reads = []
+
+        def counted(vertices, edges, incident, *rest):
+            reads.append(0)
+            return real(vertices, edges, CountingIncident(incident, reads), *rest)
+
+        cfg = SolverConfig(mode="logimp", rng_seed=0, circular=ColorCodingParams.defaults(g, inst, mode=mode))
+        with mock.patch.object(circular, "AuxGraph", counted):
+            trace = solve(g, cfg, inst=inst, start=Solution.of(g, small))
+        assert [r.kind for r in trace.improvements].count("circular") == copies == len(reads) - 1
+        most[copies] = max(reads)
+    assert 0 < most[40] <= most[10]
 
 
 @pytest.mark.parametrize("t,m", [(4, 3), (6, 6), (8, 4), (16, 6), (32, 8)])
