@@ -13,9 +13,11 @@ Under `scale` it lists three seed-0 `solve` timings and their median per
 point of the scale curve, which clawbench does not cover, with the
 talon-search nodes of the tight-instance points and, per circular mode,
 the growth of the tight-union time from one copy count to the next (see
-`scale_curve`), and under `oracle` the nodes and time of `exact_mwis`,
-unseeded and seeded with the logimp final, past the sizes clawbench runs
-it at (see `oracle_curve`).
+`scale_curve`), under `input` the median time of each layer of the input
+path, from generating a packing to its conflict graph (see `input_curve`),
+and under `oracle` the nodes and time of `exact_mwis`, unseeded and seeded
+with the logimp final, past the sizes clawbench runs it at (see
+`oracle_curve`).
 It exits 1, naming the runs, if any run failed or reported `correct: false`;
 the file is written either way.
 """
@@ -42,6 +44,9 @@ SCALE_WIDE = ((5, 300), (7, 200))
 SCALE_TIGHT_D = (12, 16, 20)
 # Timings per point of the scale curve; the point records their median.
 SCALE_REPEATS = 3
+# The input curve: random k=3 packings of n sets, generated, written, read
+# back and turned into conflict graphs.
+INPUT_N = SCALE_N + (25600,)
 # The oracle curve: random k=3 packings of n sets, unseeded and seeded, and
 # larger ones seeded only (n = 200, seeded, takes about 2 M nodes).
 ORACLE_N = (40, 60, 80, 100, 120)
@@ -128,6 +133,43 @@ def scale_curve() -> list[dict]:
     return points
 
 
+def input_curve() -> list[dict]:
+    """`SCALE_REPEATS` seed-0 timings per point, in-process, of the input
+    path of a random k=3 packing of n = `INPUT_N` sets over a universe of n
+    elements with `uniform:10` weights (the `rand-k3` settings):
+    `gen_random_packing` (`gen_s`), `formats.dump` to a `.ksp` file
+    (`dump_s`), `formats.load` of it (`load_s`) and `build_conflict_graph`
+    of the loaded instance (`build_s`). Each point gives n, the median of
+    each layer and the median of the per-repeat totals (`total_s`)."""
+    import tempfile
+
+    import clawpack
+    from clawpack import formats
+    from clawpack.generators import gen_random_packing
+
+    points = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.ksp")
+        for n in INPUT_N:
+            runs = []
+            for _ in range(SCALE_REPEATS):
+                t0 = time.perf_counter()
+                inst = gen_random_packing(n, 3, n, weight_dist=("uniform", 10), seed=0)
+                t1 = time.perf_counter()
+                formats.dump(inst, path)
+                t2 = time.perf_counter()
+                back = formats.load(path)
+                t3 = time.perf_counter()
+                clawpack.build_conflict_graph(back)
+                t4 = time.perf_counter()
+                runs.append((t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4 - t0))
+            point = {"n": n}
+            for i, name in enumerate(("gen_s", "dump_s", "load_s", "build_s", "total_s")):
+                point[name] = round(statistics.median(r[i] for r in runs), 4)
+            points.append(point)
+    return points
+
+
 def talon_nodes(run) -> int:
     """The subsets the improvement search's walk yields during run(): the
     talon-search nodes of a squareimp or logimp run."""
@@ -192,6 +234,7 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "runs": runs,
         "scale": scale_curve(),
+        "input": input_curve(),
         "oracle": oracle_curve(),
     }
     path = os.path.join(ROOT, f"BENCH_{opts.tag}.json")

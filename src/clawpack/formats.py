@@ -13,13 +13,20 @@ The JSON mirror uses the field names kind, k, universe, sets[], weights[],
 edges[]; weights are "num/den" strings so round-trips stay exact. It and
 every JSON document the CLI writes (traces, reports) go through
 `canonical_json`.
+
+The parsers check only what the records say on their own: the syntax, the
+header counts, duplicate `v` ids and `e` pairs, and each weight, a positive
+rational without exponent notation. Each distinct weight token is parsed
+once per document, so a bad token fails at its first line. The sets' sizes,
+ranges and repeated elements are checked by `PackingInstance`, and the
+graph's structure by `ConflictGraph`, once each (see `instances`).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .instances import ConflictGraph, InputError, PackingInstance, fmt_fraction
 
@@ -43,6 +50,19 @@ def _parse_weight(token: str) -> Fraction:
     return w
 
 
+def _weight_parser() -> Callable[[str], Fraction]:
+    """`_parse_weight` for one document: each distinct token is parsed once."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(token: str) -> Fraction:
+        w = parsed.get(token)
+        if w is None:
+            w = parsed[token] = _parse_weight(token)
+        return w
+
+    return parse
+
+
 def parse_text(text: str) -> Parsed:
     """Parse either a `p ksp` or `p mwis` document."""
     header = None
@@ -50,6 +70,7 @@ def parse_text(text: str) -> Parsed:
     set_weights: list[Fraction] = []
     vert_weights: dict[int, Fraction] = {}
     edges: set[tuple[int, int]] = set()
+    weight = _weight_parser()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -66,15 +87,16 @@ def parse_text(text: str) -> Parsed:
                 else:
                     raise InputError(f"bad header {line!r}")
             elif tok[0] == "s":
-                set_weights.append(_parse_weight(tok[1]))
-                sets.append([int(t) for t in tok[2:]])
+                set_weights.append(weight(tok[1]))
+                sets.append(list(map(int, tok[2:])))
             elif tok[0] == "v":
                 v = int(tok[1])
                 if v in vert_weights:
                     raise InputError(f"duplicate vertex {v}")
-                vert_weights[v] = _parse_weight(tok[2])
+                vert_weights[v] = weight(tok[2])
             elif tok[0] == "e":
-                u, v = sorted((int(tok[1]), int(tok[2])))
+                a, b = int(tok[1]), int(tok[2])
+                u, v = min(a, b), max(a, b)
                 if (u, v) in edges:
                     raise InputError(f"duplicate edge {u} {v}")
                 edges.add((u, v))
@@ -158,7 +180,8 @@ def from_json_obj(doc: dict) -> Parsed:
     kind = doc.get("kind")
     if kind not in ("ksp", "mwis"):
         raise InputError(f"unknown kind {kind!r}")
-    weights = [_parse_weight(str(w)) for w in _field(doc, "weights", list, "weights")]
+    weight = _weight_parser()
+    weights = [weight(str(w)) for w in _field(doc, "weights", list, "weights")]
     if kind == "ksp":
         sets = [
             [_typed(e, int, "a set element") for e in _typed(s, list, "a set")]

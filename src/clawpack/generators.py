@@ -254,24 +254,65 @@ def gen_random_packing(
     """Seeded random instance; sets are sampled without internal duplicates.
 
     weight_dist: ("uniform", W) draws integers 1..W; ("near-unit", eta)
-    draws 1 + eta*j/100 for j in -100..100 with eta in (0,1).
+    draws 1 + eta*j/100 for j in -100..100 with eta in (0,1). Each distinct
+    weight is built once.
     """
     if n_sets < 1 or k < 1 or universe < k:
         raise InputError("need n_sets >= 1 and universe >= k >= 1")
     kind, param = weight_dist
-    rng = random.Random(seed)
-    sets = []
-    weights = []
+    # the weight of the j-th of `top` values is first + step * j
+    if kind == "uniform":
+        top, first, step = int(param), Fraction(1), Fraction(1)
+        if top < 1:
+            raise InputError(f"uniform weights need W >= 1, got {top}")
+    elif kind == "near-unit":
+        eta = Fraction(param)
+        if not 0 < eta < 1:
+            raise InputError("near-unit eta must lie in (0,1)")
+        top, first, step = 201, 1 - eta, eta / 100
+    else:
+        raise InputError(f"unknown weight distribution {kind!r}")
+    sets, picks = _draw_packing(random.Random(seed), n_sets, k, universe, top)
+    table = {j: first + step * j for j in set(picks)}
+    return PackingInstance(universe, tuple(map(frozenset, sets)), tuple(map(table.__getitem__, picks)), k)
+
+
+def _draw_packing(rng: random.Random, n_sets: int, k: int, universe: int, top: int) -> tuple[list[list[int]], list[int]]:
+    """Per set, `sorted(rng.sample(range(universe), rng.randint(1, k)))` and
+    then `rng.randrange(top)`, with the draws inlined as the `getrandbits`
+    rejection loops CPython 3.11 runs for them, so the stream and the
+    generator's state afterwards are the same. Returns the sets and the
+    drawn indices."""
+    getrandbits = rng.getrandbits
+    k_bits, u_bits, top_bits = k.bit_length(), universe.bit_length(), top.bit_length()
+    # `sample` keeps a pool list when the population is at most this size
+    pool_max = [21 + 4 ** math.ceil(math.log(size * 3, 4)) if size > 5 else 21 for size in range(k + 1)]
+    sets, picks = [], []
     for _ in range(n_sets):
-        size = rng.randint(1, k)
-        sets.append(sorted(rng.sample(range(universe), size)))
-        if kind == "uniform":
-            weights.append(Fraction(rng.randint(1, int(param))))
-        elif kind == "near-unit":
-            eta = Fraction(param)
-            if not 0 < eta < 1:
-                raise InputError("near-unit eta must lie in (0,1)")
-            weights.append(1 + eta * Fraction(rng.randint(-100, 100), 100))
+        size = getrandbits(k_bits)
+        while size >= k:
+            size = getrandbits(k_bits)
+        size += 1
+        s = []
+        if universe <= pool_max[size]:
+            pool = list(range(universe))
+            for left in range(universe, universe - size, -1):
+                bits = left.bit_length()
+                j = getrandbits(bits)
+                while j >= left:
+                    j = getrandbits(bits)
+                s.append(pool[j])
+                pool[j] = pool[left - 1]
         else:
-            raise InputError(f"unknown weight distribution {kind!r}")
-    return PackingInstance.build(universe, sets, weights, k)
+            for _ in range(size):
+                j = getrandbits(u_bits)
+                while j >= universe or j in s:
+                    j = getrandbits(u_bits)
+                s.append(j)
+        s.sort()
+        sets.append(s)
+        j = getrandbits(top_bits)
+        while j >= top:
+            j = getrandbits(top_bits)
+        picks.append(j)
+    return sets, picks

@@ -7,6 +7,18 @@ weights `ConflictGraph.w_int` or of their powers, one table per exponent
 its weight is summed from the graph when read.
 `independent_subsets` is the package's one walk over the bounded
 independent subsets of a candidate list.
+
+Each input check is made once, at one layer. `PackingInstance.build` checks
+that no set repeats an element and coerces the weights (`as_fraction`).
+`PackingInstance` checks each set's size and range, the range by the set's
+min and max (its elements are walked only to name the one out of range),
+and its weights. `ConflictGraph` checks its weights and, in one O(n + m)
+pass, that every adjacency list is in range, loop-free, sorted and
+duplicate-free; the same pass collects the transposed lists, and the graph
+is symmetric iff they equal the adjacency. A weight must be a positive int
+or Fraction (not a bool); positivity is read from its numerator.
+`build_conflict_graph` builds each sorted adjacency list straight from the
+sets' element buckets, and the graph's own checks run on the result.
 """
 
 from __future__ import annotations
@@ -36,12 +48,29 @@ class BudgetExceededError(RuntimeError):
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', and Fractions to Fraction; a float
+    or a bool is an InputError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise InputError(f"weights must be exact rationals, got float {x!r}")
+    if isinstance(x, (float, bool)):
+        raise InputError(_not_rational(x))
     return Fraction(x)
+
+
+def _not_rational(x) -> str:
+    return f"weights must be exact rationals, got {type(x).__name__} {x!r}"
+
+
+def _first_non_positive(weights: Sequence) -> Optional[int]:
+    """The index of the first weight <= 0, or None. A weight that is not an
+    int or a Fraction, or is a bool, is an InputError in `as_fraction`'s
+    words."""
+    for i, w in enumerate(weights):
+        if type(w) is not Fraction and (isinstance(w, bool) or not isinstance(w, (int, Fraction))):
+            raise InputError(_not_rational(w))
+        if w.numerator <= 0:
+            return i
+    return None
 
 
 def fmt_fraction(x: Fraction) -> str:
@@ -76,15 +105,16 @@ class PackingInstance:
             raise InputError("k must be >= 1")
         if len(self.sets) != len(self.weights):
             raise InputError("sets and weights must have equal length")
+        k, universe = self.k, self.universe_size
         for i, s in enumerate(self.sets):
-            if not 1 <= len(s) <= self.k:
-                raise InputError(f"set {i} has {len(s)} elements, want 1..{self.k}")
-            for e in s:
-                if not 0 <= e < self.universe_size:
-                    raise InputError(f"set {i} contains out-of-range element {e}")
-        for i, w in enumerate(self.weights):
-            if w <= 0:
-                raise InputError(f"set {i} has non-positive weight {w}")
+            if not 1 <= len(s) <= k:
+                raise InputError(f"set {i} has {len(s)} elements, want 1..{k}")
+            if min(s) < 0 or max(s) >= universe:
+                e = next(e for e in s if not 0 <= e < universe)
+                raise InputError(f"set {i} contains out-of-range element {e}")
+        i = _first_non_positive(self.weights)
+        if i is not None:
+            raise InputError(f"set {i} has non-positive weight {self.weights[i]}")
 
     @staticmethod
     def build(universe_size: int, sets: Iterable[Sequence[int]], weights, k: int) -> "PackingInstance":
@@ -121,25 +151,27 @@ class ConflictGraph:
     _power_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.adj) != self.n or len(self.weights) != self.n:
+        n, adj = self.n, self.adj
+        if len(adj) != n or len(self.weights) != n:
             raise InputError("adjacency/weights length must equal n")
-        for w in self.weights:
-            if w <= 0:
-                raise InputError("weights must be strictly positive")
-        for u, nbrs in enumerate(self.adj):
+        if _first_non_positive(self.weights) is not None:
+            raise InputError("weights must be strictly positive")
+        # one pass checks range, loops and order, and collects the transpose
+        transposed: list[list[int]] = [[] for _ in range(n)]
+        for u, nbrs in enumerate(adj):
             last = -1
             for v in nbrs:
-                if not 0 <= v < self.n:
+                if not 0 <= v < n:
                     raise InputError(f"vertex {u} has out-of-range neighbor {v}")
                 if v == u:
                     raise InputError(f"loop at vertex {u}")
                 if v <= last:
                     raise InputError(f"adjacency of {u} not sorted/duplicate-free")
                 last = v
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u not in self.adj[v]:
-                    raise InputError(f"edge {{{u},{v}}} not symmetric")
+                transposed[v].append(u)
+        if list(map(tuple, transposed)) != list(map(tuple, adj)):
+            u, v = next((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u not in adj[v])
+            raise InputError(f"edge {{{u},{v}}} not symmetric")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], weights, d: Optional[int] = None) -> "ConflictGraph":
@@ -364,14 +396,17 @@ def build_conflict_graph(inst: PackingInstance) -> ConflictGraph:
     """Conflict graph: vertex i per set i, edges between intersecting sets."""
     buckets: dict[int, list[int]] = {}
     for i, s in enumerate(inst.sets):
-        for e in sorted(s):
-            buckets.setdefault(e, []).append(i)
-    edges = set()
-    for members in buckets.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                edges.add((members[a], members[b]))
-    return ConflictGraph.from_edges(inst.n, sorted(edges), inst.weights, d=inst.k + 1)
+        for e in s:
+            if e in buckets:
+                buckets[e].append(i)
+            else:
+                buckets[e] = [i]
+    adj = []
+    for i, s in enumerate(inst.sets):
+        nbrs = set().union(*map(buckets.__getitem__, s))
+        nbrs.discard(i)
+        adj.append(tuple(sorted(nbrs)))
+    return ConflictGraph(inst.n, tuple(adj), inst.weights, d=inst.k + 1)
 
 
 def independent_subsets(

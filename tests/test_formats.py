@@ -66,6 +66,19 @@ def test_parse_errors():
         formats.parse_text("p mwis 2 2\nv 0 1\nv 1 2\ne 0 1\ne 1 0\n")
 
 
+def test_a_weight_token_is_parsed_once_and_a_bad_one_fails_at_its_first_line():
+    inst = formats.parse_text("p ksp 3 2 3\ns 3/2 0\ns 3/2 1\ns 0.5 2\n")
+    assert inst.weights == (Fraction(3, 2), Fraction(3, 2), Fraction(1, 2))
+    with pytest.raises(InputError, match=r"^line 3: bad weight 'x'$"):
+        formats.parse_text("p ksp 3 2 3\ns 1/2 0\ns x 1\ns x 2\n")
+    with pytest.raises(InputError, match=r"^line 2: weight must be positive, got 0/1$"):
+        formats.parse_text("p ksp 2 2 3\ns 0/1 0\ns 0/1 1\n")
+    g = formats.parse_text("p mwis 2 1\nv 0 2/3\nv 1 2/3\ne 1 0\n")
+    assert g.weights == (Fraction(2, 3), Fraction(2, 3)) and g.edges() == [(0, 1)]
+    with pytest.raises(InputError, match=r"^line 3: bad weight '-'$"):
+        formats.parse_text("p mwis 2 0\nv 0 1\nv 1 -\n")
+
+
 EXPONENT_TOKENS = ["1e4000000", "1E3", "2.5e-3", "1e0", "-1e5"]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import claw_search, gen_berman_tight
 
-from clawpack import formats
+from clawpack import formats, generators
 from clawpack.cli import main
 from clawpack.generators import (
     LowerBoundParams,
@@ -250,3 +251,52 @@ def test_random_packing_near_unit_weights_positive():
     inst = gen_random_packing(20, 3, 9, weight_dist=("near-unit", Fraction(1, 10)), seed=2)
     assert all(w > 0 for w in inst.weights)
     assert all(abs(w - 1) <= Fraction(1, 10) for w in inst.weights)
+
+
+def reference_random_packing(n_sets, k, universe, weight_dist, seed):
+    """`gen_random_packing`'s body before its draws were inlined: the sets,
+    the weights and the generator after the last draw."""
+    kind, param = weight_dist
+    rng = random.Random(seed)
+    sets, weights = [], []
+    for _ in range(n_sets):
+        size = rng.randint(1, k)
+        sets.append(sorted(rng.sample(range(universe), size)))
+        if kind == "uniform":
+            weights.append(Fraction(rng.randint(1, int(param))))
+        else:
+            weights.append(1 + Fraction(param) * Fraction(rng.randint(-100, 100), 100))
+    return sets, weights, rng
+
+
+# `sample` keeps a pool list up to a population of 21 for a sample of at
+# most 5 and of 85 for one of 6 or 7, and a set of picks above that
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7])
+@pytest.mark.parametrize("universe", [7, 21, 22, 85, 86, 300])
+@pytest.mark.parametrize("weight_dist", [("uniform", 10), ("uniform", 1), ("near-unit", Fraction(1, 20))])
+def test_random_packing_keeps_the_randint_and_sample_stream(k, universe, weight_dist):
+    top = int(weight_dist[1]) if weight_dist[0] == "uniform" else 201
+    for seed in range(3):
+        sets, weights, ref = reference_random_packing(40, k, universe, weight_dist, seed)
+        inst = gen_random_packing(40, k, universe, weight_dist, seed)
+        assert [sorted(s) for s in inst.sets] == sets
+        assert list(inst.weights) == weights
+        # the frozensets are built from the sorted lists, as before
+        assert [list(s) for s in inst.sets] == [list(frozenset(s)) for s in sets]
+        ours = random.Random(seed)
+        drawn, picks = generators._draw_packing(ours, 40, k, universe, top)
+        assert drawn == sets
+        assert ours.getstate() == ref.getstate()
+        if weight_dist[0] == "uniform":
+            assert [Fraction(j + 1) for j in picks] == weights
+
+
+@pytest.mark.parametrize("weight_dist, message", [
+    (("uniform", 0), "uniform weights need W >= 1, got 0"),
+    (("near-unit", 1), "near-unit eta must lie in (0,1)"),
+    (("normal", 1), "unknown weight distribution 'normal'"),
+])
+def test_random_packing_rejects_a_bad_weight_law(weight_dist, message):
+    with pytest.raises(InputError) as exc:
+        gen_random_packing(5, 3, 9, weight_dist=weight_dist)
+    assert str(exc.value) == message

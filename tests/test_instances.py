@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -162,22 +163,100 @@ def test_berman_bipartite_degrees():
         assert all(v in a.members for v in g.adj[u])
 
 
+def raises_exactly(message: str):
+    """pytest.raises for an InputError whose text is exactly `message`."""
+    return pytest.raises(InputError, match=f"^{re.escape(message)}$")
+
+
 def test_packing_validation_rejects_bad_sets():
-    with pytest.raises(InputError):
+    with raises_exactly("set 0 repeats an element"):
         PackingInstance.build(3, [[0, 0]], [1], k=2)
-    with pytest.raises(InputError):
+    with raises_exactly("set 0 contains out-of-range element 5"):
         PackingInstance.build(3, [[0, 5]], [1], k=2)
-    with pytest.raises(InputError):
+    with raises_exactly("set 0 has non-positive weight 0"):
         PackingInstance.build(3, [[0]], [0], k=2)
-    with pytest.raises(InputError):
+    with raises_exactly("set 0 has 3 elements, want 1..2"):
         PackingInstance.build(3, [[0, 1, 2]], [1], k=2)
 
 
 def test_graph_validation():
-    with pytest.raises(InputError):
+    with raises_exactly("loop at vertex 0"):
         ConflictGraph.from_edges(2, [(0, 0)], [1, 1])
-    with pytest.raises(InputError):
+    with raises_exactly("weights must be strictly positive"):
         ConflictGraph.from_edges(2, [], [1, -1])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PackingInstance.build(-1, [], [], k=2), "universe_size must be non-negative"),
+    (lambda: PackingInstance.build(3, [], [], k=0), "k must be >= 1"),
+    (lambda: PackingInstance(3, (frozenset({0}),), (), 2), "sets and weights must have equal length"),
+    (lambda: PackingInstance.build(3, [[1, -1]], [1], k=2), "set 0 contains out-of-range element -1"),
+    (lambda: PackingInstance(3, (frozenset(),), (Fraction(1),), 2), "set 0 has 0 elements, want 1..2"),
+    # sets are checked in order, each for its size and then its range
+    (lambda: PackingInstance.build(3, [[0], [0, 7], [0, 1, 2]], [1] * 3, k=2),
+     "set 1 contains out-of-range element 7"),
+    (lambda: PackingInstance.build(3, [[0], [0, 1, 2], [7]], [1] * 3, k=2), "set 1 has 3 elements, want 1..2"),
+    (lambda: PackingInstance.build(3, [[0], [1], [2]], [1, Fraction(-1, 2), 0], k=2),
+     "set 1 has non-positive weight -1/2"),
+    (lambda: PackingInstance(3, (frozenset({0}),), (1.5,), 2), "weights must be exact rationals, got float 1.5"),
+    (lambda: PackingInstance(3, (frozenset({0}),), (True,), 2), "weights must be exact rationals, got bool True"),
+    (lambda: PackingInstance(3, (frozenset({0}),), ("1",), 2), "weights must be exact rationals, got str '1'"),
+    (lambda: PackingInstance.build(3, [[0]], [0.5], k=2), "weights must be exact rationals, got float 0.5"),
+    (lambda: PackingInstance.build(3, [[0]], [True], k=2), "weights must be exact rationals, got bool True"),
+])
+def test_packing_validation_messages(make, message):
+    with raises_exactly(message):
+        make()
+
+
+def graph(adj, weights=None):
+    return ConflictGraph(len(adj), tuple(adj), tuple(weights or [Fraction(1)] * len(adj)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ConflictGraph(2, ((),), (1, 1)), "adjacency/weights length must equal n"),
+    (lambda: ConflictGraph(2, ((), ()), (1,)), "adjacency/weights length must equal n"),
+    (lambda: ConflictGraph.from_edges(2, [(0, 2)], [1, 1]), "edge (0,2) out of range"),
+    (lambda: graph([(2,), ()]), "vertex 0 has out-of-range neighbor 2"),
+    (lambda: graph([(-1,), ()]), "vertex 0 has out-of-range neighbor -1"),
+    (lambda: graph([(1,), (1,)]), "loop at vertex 1"),
+    (lambda: graph([(2, 1), (0,), (0,)]), "adjacency of 0 not sorted/duplicate-free"),
+    (lambda: graph([(1, 1), (0, 0)]), "adjacency of 0 not sorted/duplicate-free"),
+    # asymmetric adjacencies, each named at its first one-way edge
+    (lambda: graph([(1,), (), ()]), "edge {0,1} not symmetric"),
+    (lambda: graph([(1, 2), (0,), ()]), "edge {0,2} not symmetric"),
+    (lambda: graph([(1,), (2,), (0,)]), "edge {0,1} not symmetric"),
+    (lambda: graph([(), (2,), (0,)]), "edge {1,2} not symmetric"),
+    (lambda: graph([(), ()], [1, 0]), "weights must be strictly positive"),
+    (lambda: graph([(), ()], [1, Fraction(-3, 2)]), "weights must be strictly positive"),
+    (lambda: ConflictGraph(2, ((), ()), (1.5, 2.0)), "weights must be exact rationals, got float 1.5"),
+    (lambda: ConflictGraph(2, ((), ()), (1, True)), "weights must be exact rationals, got bool True"),
+    (lambda: ConflictGraph.from_edges(2, [], [1, 2.0]), "weights must be exact rationals, got float 2.0"),
+    (lambda: graph([(), ()]).reweighted([1, False]), "weights must be exact rationals, got bool False"),
+])
+def test_graph_validation_messages(make, message):
+    with raises_exactly(message):
+        make()
+
+
+def test_direct_construction_takes_int_and_fraction_weights():
+    g = ConflictGraph(2, ((1,), (0,)), (2, Fraction(1, 3)))
+    assert g.w_int == (6, 1) and g.w_lcm == 3
+    inst = PackingInstance(3, (frozenset({0}), frozenset({1, 2})), (1, Fraction(5, 2)), 2)
+    assert build_conflict_graph(inst).weights == (1, Fraction(5, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_build_conflict_graph_matches_pairwise_intersection(data):
+    k = data.draw(st.integers(1, 5))
+    universe = data.draw(st.integers(k, 40))
+    sets = data.draw(st.lists(st.sets(st.integers(0, universe - 1), min_size=1, max_size=k), max_size=30))
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=len(sets), max_size=len(sets)))
+    inst = PackingInstance.build(universe, [sorted(s) for s in sets], weights, k)
+    edges = [(i, j) for j in range(len(sets)) for i in range(j) if sets[i] & sets[j]]
+    want = ConflictGraph.from_edges(len(sets), edges, weights, d=k + 1)
+    assert build_conflict_graph(inst) == want
 
 
 def test_verify_claw_free_triangle():
