@@ -17,7 +17,6 @@ from .instances import (
     Solution,
     build_conflict_graph,
     neighborhood,
-    verify_claw_free,
     verify_solution,
 )
 from .oracle import OracleResult, exact_mwis, exhaustive_improvement_search
@@ -50,6 +49,5 @@ __all__ = [
     "neighborhood",
     "solve",
     "squareimp",
-    "verify_claw_free",
     "verify_solution",
 ]

@@ -112,9 +112,10 @@ def _solve_row(
     algo_spec: dict,
     seed: int,
     start_members: Optional[list[int]],
-) -> tuple[BenchRow, Optional[Solution]]:
-    """One row without its optimum and certificate, and its final solution
-    (None when the row failed)."""
+) -> tuple[BenchRow, Optional[set[int]]]:
+    """One row without its optimum and certificate, and its final member set
+    (None when the row failed). Only the members go back: a worker's final
+    solution holds the worker's copy of the graph and its N(u, A) table."""
     row = BenchRow(instance=name, algo=algo_spec["algo"], seed=seed)
     final = None
     t0 = time.perf_counter()
@@ -124,7 +125,7 @@ def _solve_row(
         trace = solve(g, cfg, inst=inst, start=start)
         row.final_w = trace.final.total_w
         row.iters = trace.iterations
-        final = trace.final
+        final = trace.final.members
     except Exception as exc:  # per-row failures recorded, run continues
         row.error = f"{type(exc).__name__}: {exc}"
         row.cert = "error"
@@ -161,9 +162,8 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
             for seed in seeds:
                 tasks.append((name, g, inst, algo_spec, seed, start))
                 positions.append(pos)
-    # a worker's final holds the worker's copy of the graph; rebound to the
-    # parent's, a later task pickles one graph, not two
-    solved = [(row, None if final is None else Solution(instances[pos][1], final.members))
+    # each final over the parent's graph, so a later task pickles one graph
+    solved = [(row, None if final is None else Solution(instances[pos][1], final))
               for pos, (row, final) in zip(positions, pmap(_solve_row, tasks))]
     heaviest: dict[int, tuple[Fraction, Solution]] = {}
     for pos, (row, final) in zip(positions, solved):
@@ -196,6 +196,21 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
         if key is not None:
             row.cert, row.error, _ = certs[key]
     return [row for row, _ in solved]
+
+
+def _integer(value) -> int:
+    """`value` if it is an int, not a bool; else a TypeError. A suite's
+    integer fields take no string, float or bool."""
+    if type(value) is not int:
+        raise TypeError("want an integer")
+    return value
+
+
+def _integer_list(value) -> list[int]:
+    """`value` if it is a list of ints (see `_integer`); else a TypeError."""
+    if not isinstance(value, list):
+        raise TypeError("want a list of integers")
+    return [_integer(v) for v in value]
 
 
 def _suite_field(config: dict, name: str, convert, default):
@@ -247,8 +262,8 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     algos = _suite_field(config, "algorithms", list, [])
     if not all(isinstance(spec, dict) and "algo" in spec for spec in algos):
         raise InputError("each suite algorithm must be an object with an 'algo' field")
-    seeds = _suite_field(config, "seeds", lambda v: [int(s) for s in v], [0])
-    oracle_limit = _suite_field(config, "oracle_limit", int, 20)
+    seeds = _suite_field(config, "seeds", _integer_list, [0])
+    oracle_limit = _suite_field(config, "oracle_limit", _integer, 20)
     # from_delta rejects a delta outside (0, 1) before any row runs
     delta = _suite_field(config, "delta", lambda v: AnalysisParams.from_delta(Fraction(str(v))).delta, "1/2")
 

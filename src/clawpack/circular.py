@@ -59,7 +59,6 @@ from .instances import (
     PackingInstance,
     Solution,
     independent_subsets,
-    neighborhood,
     validate_improvement,
 )
 
@@ -92,13 +91,15 @@ class AnchorMaps:
 
     `heaviest` is total over V minus A (requires A maximal); `second` is
     defined where the vertex has at least two solution neighbors. Ties break
-    to the lowest id. `a_neighbors` caches N(u, A) for reuse. Key order is
-    not part of the maps: a `CircularState` appends the vertices that left A.
+    to the lowest id. `a_neighbors` is N(u, A) by vertex: the table of the
+    solution the maps were built from (`Solution.a_nbrs`), not a copy. Key
+    order is not part of the maps: a `CircularState` appends the vertices
+    that left A.
     """
 
     heaviest: dict[int, int]
     second: dict[int, int]
-    a_neighbors: dict[int, tuple[int, ...]]
+    a_neighbors: Sequence[Sequence[int]]
 
 
 def build_anchor_maps(g: ConflictGraph, a: Solution, state: Optional["CircularState"] = None) -> AnchorMaps:
@@ -114,26 +115,27 @@ def build_anchor_maps(g: ConflictGraph, a: Solution, state: Optional["CircularSt
     """
     if state is not None:
         return state.update_maps(a)
-    maps = AnchorMaps({}, {}, {})
-    _map_vertices(g, a.members, range(g.n), maps)
+    maps = AnchorMaps({}, {}, ())
+    _map_vertices(g, a, range(g.n), maps)
     return maps
 
 
-def _map_vertices(g: ConflictGraph, members: set[int], touched: Iterable[int], maps: AnchorMaps) -> None:
-    """Set the anchor-map entries of every vertex in `touched` from `members`:
-    drop those of a member, recompute those of an outside vertex."""
-    heaviest, second, a_nbrs = maps.heaviest, maps.second, maps.a_neighbors
+def _map_vertices(g: ConflictGraph, a: Solution, touched: Iterable[int], maps: AnchorMaps) -> None:
+    """Point `maps.a_neighbors` at `a`'s table and set the anchor-map entries
+    of every vertex in `touched`: drop those of a member, recompute those of
+    an outside vertex."""
+    members = a.members
+    maps.a_neighbors = a_nbrs = a.a_nbrs
+    heaviest, second = maps.heaviest, maps.second
     w = g.w_int
     for u in touched:
         if u in members:
-            if u in a_nbrs:
-                del heaviest[u], a_nbrs[u]
-                second.pop(u, None)
+            heaviest.pop(u, None)
+            second.pop(u, None)
             continue
-        nu = tuple(v for v in g.adj[u] if v in members)
+        nu = a_nbrs[u]
         if not nu:
             raise ContractError(f"vertex {u} has no solution neighbor; solution not maximal")
-        a_nbrs[u] = nu
         ranked = sorted(nu, key=lambda v: (-w[v], v))
         heaviest[u] = ranked[0]
         if len(ranked) > 1:
@@ -373,7 +375,7 @@ class CircularState:
         self.rng = rng
         self.y_cap = min(_MAX_COMPANION, d - 1)
         self.max_len = max_cycle_len_for(g.n)
-        self.maps = AnchorMaps({}, {}, {})
+        self.maps = AnchorMaps({}, {}, ())
         self._moved: Optional[set[int]] = None  # None: rebuild all maps next
         self._remapped: set[int] = set()
         self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
@@ -395,19 +397,20 @@ class CircularState:
             self._moved.update(imp.x, imp.removed)
 
     def update_maps(self, a: Solution) -> AnchorMaps:
-        """The anchor maps of `a`, recomputed next to the swaps since the last call."""
+        """The anchor maps of `a`, recomputed next to the swaps since the
+        last call, over `a`'s own N(u, A) table."""
         g = self.g
         moved = self._moved
         self._moved = None  # an error below leaves a full rebuild for next time
         if moved is None:
-            self.maps = AnchorMaps({}, {}, {})
+            self.maps = AnchorMaps({}, {}, ())
             touched: Iterable[int] = range(g.n)
         else:
             touched = set(moved)
             for v in moved:
                 touched.update(g.adj[v])
         self._remapped.update(touched)
-        _map_vertices(g, a.members, touched, self.maps)
+        _map_vertices(g, a, touched, self.maps)
         self._moved = set()
         return self.maps
 
@@ -618,22 +621,23 @@ def build_aux_graph(state: CircularState, a: Solution) -> AuxGraph:
 
 
 def _assemble(
-    g: ConflictGraph,
     a: Solution,
     h: AuxGraph,
     vertex_order: Sequence[int],
     edge_order: Sequence[int],
 ) -> Improvement:
+    """The improvement a cycle of `h` stands for, with N(x, A) read from
+    `a`'s table."""
     u_order = tuple(h.edges[e].inducer for e in edge_order)
     anchors = tuple(h.vertices[i].anchor for i in vertex_order)
     ys = tuple((h.vertices[i].anchor, h.vertices[i].y) for i in vertex_order)
     x = set(u_order)
     for _, y in ys:
         x.update(y)
-    removed = neighborhood(x, a.members, g)
+    a_nbrs = a.a_nbrs
     return Improvement(
         frozenset(x),
-        frozenset(removed),
+        frozenset().union(*(a_nbrs[u] for u in x)),
         Circular(u=u_order, cycle_vertices=anchors, y=ys),
     )
 
@@ -916,7 +920,7 @@ def _first_valid(state: CircularState, a: Solution, h: AuxGraph,
     `validate_circular` accepts, or None."""
     g = state.g
     for vorder, eorder in candidates:
-        imp = _assemble(g, a, h, vorder, eorder)
+        imp = _assemble(a, h, vorder, eorder)
         if validate_circular(g, a, state.maps, imp, d=state.d):
             return imp
     return None

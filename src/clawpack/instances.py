@@ -4,7 +4,8 @@ Weights are exact rationals throughout, and every comparison the solvers make
 is exact: either between Fractions or between sums of the integer-scaled
 weights `ConflictGraph.w_int` or of their powers, one table per exponent
 (`ConflictGraph.int_powers`). A solution is a member set over one graph;
-its weight is summed from the graph when read.
+its weight is summed from the graph when read, and it keeps the package's
+one table of N(u, A), built on first read and updated by each swap.
 `independent_subsets` is the package's one walk over the bounded
 independent subsets of a candidate list.
 
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
 from typing import Generator, Iterable, Mapping, Optional, Sequence
 
 
@@ -269,17 +269,24 @@ class ConflictGraph:
 
 
 class Solution:
-    """An independent vertex set of one graph: the graph and the member set.
+    """An independent vertex set of one graph: the graph, the member set
+    and, once read, the table `a_nbrs` of N(u, A).
 
     Mutable and confined to a single solver run; the graph is shared
-    read-only. The weight is read from the graph, not kept.
+    read-only. The weight is read from the graph, not kept. `a_nbrs[u]` is
+    N(u, A) for every vertex u (empty for a member, as A is independent),
+    as a list in no set order: a small set takes over twice the memory.
+    Built from the adjacency on first read and kept current by `apply`, it
+    is the package's one N(u, A): the claw search, the anchor maps (and so
+    the certificate) and the w**alpha search all read it.
     """
 
-    __slots__ = ("g", "members")
+    __slots__ = ("g", "members", "_a_nbrs")
 
     def __init__(self, g: ConflictGraph, members: set[int]):
         self.g = g
         self.members = members
+        self._a_nbrs: Optional[list[list[int]]] = None
 
     @staticmethod
     def of(g: ConflictGraph, members: Iterable[int]) -> "Solution":
@@ -297,10 +304,31 @@ class Solution:
         w = self.g.w_int
         return Fraction(sum(w[v] for v in self.members), self.g.w_lcm)
 
+    @property
+    def a_nbrs(self) -> list[list[int]]:
+        """N(u, A) by vertex u; see the class docstring."""
+        table = self._a_nbrs
+        if table is None:
+            members = self.members
+            table = self._a_nbrs = [[u for u in nbrs if u in members] for nbrs in self.g.adj]
+        return table
+
     def apply(self, imp: "Improvement") -> None:
-        """Swap imp.x in and imp.removed out."""
+        """Swap imp.x in and imp.removed = N(x, A) out. A built `a_nbrs`
+        changes only at N(x), which gains x, and at N(removed), which loses
+        removed; so x's own entries empty out, and a removed vertex's fill
+        with its neighbors in x, its only ones in the new A."""
         self.members -= imp.removed
         self.members |= imp.x
+        table = self._a_nbrs
+        if table is not None:
+            adj = self.g.adj
+            for v in imp.x:
+                for u in adj[v]:
+                    table[u].append(v)
+            for r in imp.removed:
+                for v in adj[r]:
+                    table[v].remove(r)
 
     def __contains__(self, v: int) -> bool:
         return v in self.members
@@ -420,11 +448,11 @@ def independent_subsets(
     reader refuses.
 
     The one subset walk of the package: the claw search and the w**alpha
-    search (`oracle._first_improvement`), the aux graph's companion sets
-    and `verify_claw_free` all read it. A subset's extensions come from
-    the candidates after its last pick that are adjacent to none of its
-    picks; they are listed when the walk resumes past that subset, so a
-    reader that stops there pays for no more.
+    search (`oracle._first_improvement`) and the aux graph's companion
+    sets read it, as does the tests' claw-freeness check. A subset's
+    extensions come from the candidates after its last pick that are
+    adjacent to none of its picks; they are listed when the walk resumes
+    past that subset, so a reader that stops there pays for no more.
 
     A reader holding non-negative integers `p` (by vertex) may send back,
     after a subset X, a deficit D that p(Y - X) must exceed for any
@@ -465,28 +493,6 @@ def independent_subsets(
                         ext = ()
             if ext:
                 stack.append((ext, 0, y))
-
-
-def verify_claw_free(g: ConflictGraph, d: int, budget: int = 10_000_000) -> tuple[bool, Optional[tuple[int, tuple[int, ...]]]]:
-    """Check that no vertex has d pairwise non-adjacent neighbors.
-
-    Opt-in and exponential in d; `budget` caps the independent neighbor
-    subsets walked, counted across centers. Returns (True, None) or
-    (False, (center, talons)), the lowest center and its lexicographically
-    first d talons.
-    """
-    if d < 1:
-        raise InputError("claw bound d must be >= 1")
-    nodes = count(1)
-    for c in range(g.n):
-        if g.degree(c) < d:
-            continue
-        for talons in independent_subsets(g, g.adj[c], d):
-            if next(nodes) > budget:
-                raise BudgetExceededError(f"claw-free check exceeded {budget} nodes")
-            if len(talons) == d:
-                return False, (c, talons)
-    return True, None
 
 
 def verify_solution(g: ConflictGraph, s: Solution) -> bool:

@@ -10,10 +10,11 @@ what a subtree can add (the colouring bound of bit-parallel maximum-clique
 solvers, San Segundo et al. 2011, applied to the complement). A known
 independent set can seed its incumbent, which prunes more and returns the
 same set. The improvement search, `_first_improvement`, reads
-the subsets from `instances.independent_subsets`; it is also the claw
-search of `solvers`, run at one center with alpha = 2 and at most d-1
-talons. For an integer alpha every comparison and gain here sums the
-graph's one table `ConflictGraph.int_powers(alpha)`, and the search sends
+the subsets from `instances.independent_subsets` and N(u, A) from the
+solution's one table `Solution.a_nbrs`; it is also the claw search of
+`solvers`, run at one center with alpha = 2 and at most d-1 talons. For
+an integer alpha every comparison and gain here sums the graph's one
+table `ConflictGraph.int_powers(alpha)`, and the search sends
 each subset's deficit back into the walk, which then skips the extensions
 that cannot gain enough to improve; only a non-integer alpha goes through
 mpmath. The claw search charges each talon with its share of the other
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .instances import (
     BudgetExceededError,
@@ -221,27 +222,24 @@ def exhaustive_improvement_search(
         return None
     members = a.members
     outside = [v for v in range(g.n) if v not in members]
-    got = _first_improvement(g, members, outside, size_cap, p, budget, count(1), "improvement search", alpha)
+    got = _first_improvement(g, a.a_nbrs, outside, size_cap, p, budget, count(1), "improvement search", alpha)
     return None if got is None else Improvement(*got, Generic(alpha))
 
 
 def _first_improvement(
-    g: ConflictGraph, members: AbstractSet[int], cands: Sequence[int], cap: int, p: Optional[Sequence[int]],
+    g: ConflictGraph, a_nbrs: Sequence[Collection[int]], cands: Sequence[int], cap: int, p: Optional[Sequence[int]],
     budget: int, nodes: Iterator[int], what: str, alpha: Optional[Fraction] = None, center: Optional[int] = None,
-    a_nbrs: Optional[Sequence[Collection[int]]] = None,
 ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """The first independent X of at most `cap` of the outside vertices
     `cands` (in id order), in lexicographic order, that beats N(X, A), as
     (X, N(X, A)); or None.
 
-    X beats N(X, A) in sums of the integers `p`, all positive, or, with
-    `p` None, by `power_weight_improves` at `alpha`. The subsets come from
-    `independent_subsets`; each one draws from `nodes`, a counter from 1
-    that calls under one budget share; a draw past `budget` raises
-    "<what> exceeded <budget> nodes". `a_nbrs[u]`, which `center`
-    needs, is N(u, A) for every vertex u, a table the caller keeps (the
-    claw search's `ClawSearchState.a_nbrs`); without it, N(u, A) is listed
-    once per candidate u, when the walk first reaches u. Per depth k the
+    `a_nbrs[u]` is N(u, A) for every vertex u: the solution's table
+    `Solution.a_nbrs`. X beats N(X, A) in sums of the integers `p`, all
+    positive, or, with `p` None, by `power_weight_improves` at `alpha`.
+    The subsets come from `independent_subsets`; each one draws from
+    `nodes`, a counter from 1 that calls under one budget share; a draw
+    past `budget` raises "<what> exceeded <budget> nodes". Per depth k the
     walk keeps the sums of X and of N(X, A) and N(X, A) itself, each
     extending depth k-1's.
 
@@ -267,9 +265,7 @@ def _first_improvement(
     fires, is smaller. The float path sends nothing and walks every
     subset.
     """
-    adj_sets = g.adj_sets
     walk_p, q, base = p, None, None
-    lazy: dict[int, frozenset[int]] = {}  # N(u, A) without a table, filled as the walk reaches u
     if center is not None:
         delta: dict[int, int] = {}  # a -> the number of candidates next to a
         for u in cands:
@@ -301,10 +297,7 @@ def _first_improvement(
             raise BudgetExceededError(f"{what} exceeded {budget} nodes")
         k = len(x)
         v = x[-1]
-        if a_nbrs is not None:
-            nv = a_nbrs[v]
-        elif (nv := lazy.get(v)) is None:
-            nv = lazy[v] = adj_sets[v] & members
+        nv = a_nbrs[v]
         prev = removed[k - 1]
         removed[k] = nx = prev.union(nv)
         if p is not None:

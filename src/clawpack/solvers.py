@@ -13,8 +13,9 @@ so the claw search takes every free vertex at once: one step inserts them
 lowest id first, skipping those an earlier pick blocked, which is the
 sequence one 0-claw per step applies. The run still records one size-1
 claw-shaped swap per vertex, and each search state sees the step as one
-swap with nothing removed. The claw search keeps N(u, A) for every vertex
-between calls and changes it only around each swap.
+swap with nothing removed. The run's solution keeps N(u, A) for every
+vertex (`Solution.a_nbrs`) and changes it only around each swap; the claw
+search, the anchor maps and the w**alpha search all read that one table.
 """
 
 from __future__ import annotations
@@ -149,73 +150,64 @@ _MAX_CLAW_NODES = 50_000_000
 
 class ClawSearchState:
     """The claw search's inputs and what it keeps between calls, for one run
-    at claw bound `d` and its evolving solution A, whose member set it
-    shares.
+    at claw bound `d` and its evolving solution `a` (A).
 
-    `max_talons` is d - 1. `a_nbrs[u]` is N(u, A) for every vertex u
-    (empty for a member, as A is independent), as a list in no set order:
-    a small set takes over twice the memory. `free` is the set of vertices
-    outside A with no neighbor in A, those with an empty `a_nbrs` entry:
-    each is the talon of an improving 0-claw. `settled` holds centers in A
-    known to have no improving talon set. The search reads all three and
-    adds to `settled`; `update` keeps them valid after each applied swap,
-    touching only N(x) and N(removed). A heap holds every unsettled center
-    (and stale entries, dropped when they surface), so the lowest id is
-    found without a scan or a sort.
+    `max_talons` is d - 1. The search reads N(u, A) from `a.a_nbrs`, which
+    `Solution.apply` keeps current. `free` is the set of vertices outside A
+    with no neighbor in A, those with an empty `a_nbrs` entry: each is the
+    talon of an improving 0-claw. `settled` holds centers in A known to
+    have no improving talon set. The search reads both and adds to
+    `settled`; `update` keeps them valid after each applied swap, touching
+    only N(x) and N(removed). A heap holds every unsettled center (and
+    stale entries, dropped when they surface), so the lowest id is found
+    without a scan or a sort.
     """
 
-    __slots__ = ("g", "members", "max_talons", "a_nbrs", "free", "settled", "_center_heap")
+    __slots__ = ("g", "a", "max_talons", "free", "settled", "_center_heap")
 
     def __init__(self, g: ConflictGraph, a: Solution, d: int):
         self.g = g
-        self.members = members = a.members
+        self.a = a
         self.max_talons = d - 1
-        self.a_nbrs = [[u for u in nbrs if u in members] for nbrs in g.adj]
-        self.free = {v for v in range(g.n) if v not in members and not self.a_nbrs[v]}
+        members, a_nbrs = a.members, a.a_nbrs
+        self.free = {v for v in range(g.n) if not a_nbrs[v] and v not in members}
         self.settled: set[int] = set()
         self._center_heap = sorted(members)
 
     def lowest_open_center(self) -> Optional[int]:
         """The lowest-id center in A that is not settled, or None."""
-        heap, settled, members = self._center_heap, self.settled, self.members
+        heap, settled, members = self._center_heap, self.settled, self.a.members
         while heap and (heap[0] in settled or heap[0] not in members):
             heapq.heappop(heap)
         return heap[0] if heap else None
 
     def update(self, imp: Improvement) -> None:
-        """Account for `imp`, already applied to A.
+        """Account for `imp`, already applied to A and so to `a.a_nbrs`.
 
-        Only the `a_nbrs` entries of N(x) and N(removed) change. Every
-        vertex of x | N(x) is now in A or next to it. A vertex becomes
+        Every vertex of x | N(x) is now in A or next to it. A vertex becomes
         free only when its last solution neighbor left, so only N(removed)
         is re-tested. A vertex joining A only enlarges N(T, A) for every
         talon set T, and takes no candidate talon N(c) - A from a center c
         that stays in A; so only a removed vertex within two steps of c (a
         new candidate, or a member that left N(T, A)) can open c. Settled
         centers lie in A, which is independent, so none is a neighbor of a
-        removed vertex: the removed vertices leave `settled`, the walk over
-        N(N(removed)) reopens every settled center it meets, and the new
-        members x start unsettled.
+        removed vertex: the removed vertices leave `settled`, one walk over
+        N(removed) re-tests each vertex for freedom and reopens every
+        settled center next to it, and the new members x start unsettled.
         """
-        members, free, a_nbrs = self.members, self.free, self.a_nbrs
-        adj = self.g.adj
+        members, a_nbrs = self.a.members, self.a.a_nbrs
+        free, adj = self.free, self.g.adj
         for v in imp.x:
             free.discard(v)
-            for u in adj[v]:
-                a_nbrs[u].append(v)
-                free.discard(u)
-        for r in imp.removed:
-            for v in adj[r]:
-                nv = a_nbrs[v]
-                nv.remove(r)
-                if not nv and v not in members:
-                    free.add(v)
+            free.difference_update(adj[v])
         settled, heap = self.settled, self._center_heap
         settled.difference_update(imp.removed)
         for c in imp.x:
             heapq.heappush(heap, c)
         for s in imp.removed:
             for v in adj[s]:
+                if not a_nbrs[v] and v not in members:
+                    free.add(v)
                 if not settled.isdisjoint(adj[v]):
                     for c in settled.intersection(adj[v]):
                         settled.remove(c)
@@ -236,8 +228,8 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     outside A: independent sets of at most `state.max_talons` talons in
     lexicographic order, squared weights compared as the integers
     `g.w2_int`, which order exactly as the rationals do, and N(u, A) read
-    from `state.a_nbrs`. A center searched without success is settled. The
-    result is that of a search from scratch.
+    from the solution's table `a.a_nbrs`. A center searched without
+    success is settled. The result is that of a search from scratch.
 
     The talon walk is bounded by charged weights (see
     `_first_improvement`), all in the integers `g.w2_int`. At center c,
@@ -266,12 +258,10 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
                 blocked.update(g.adj[v])
         return Improvement(frozenset(picked), frozenset(), ClawShaped(center=None))
 
-    members, cap, a_nbrs = state.members, state.max_talons, state.a_nbrs
+    cap, a_nbrs = state.max_talons, state.a.a_nbrs
     nodes = count(1)
     while (c := state.lowest_open_center()) is not None:
-        got = _first_improvement(
-            g, members, g.adj[c], cap, g.w2_int, _MAX_CLAW_NODES, nodes, "claw search", center=c, a_nbrs=a_nbrs
-        )
+        got = _first_improvement(g, a_nbrs, g.adj[c], cap, g.w2_int, _MAX_CLAW_NODES, nodes, "claw search", center=c)
         if got is not None:
             return Improvement(*got, ClawShaped(center=c))
         state.settled.add(c)
@@ -286,9 +276,10 @@ def _loop(
 ) -> RunTrace:
     """Apply step's improvements to `a` until it returns None.
 
-    The loop applies each swap once and then hands it to every search
-    state in `states` (`update(imp)`), so what a search keeps between calls
-    follows A without looking at A again. Each swap's gain is checked and
+    The loop applies each swap once, which also updates A's N(u, A)
+    table, and then hands it to every search state in `states`
+    (`update(imp)`), so what a search keeps between calls follows A
+    without looking at A again. Each swap's gain is checked and
     recorded as an integer over a denominator (see `ImprovementRecord`). A
     step of free vertices (claw-shaped, center None) is recorded as one
     size-1 swap per vertex, in id order, gaining its `w2_int` over L^2;

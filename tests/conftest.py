@@ -7,14 +7,24 @@ are computed by a second route.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 
 from clawpack.circular import AnchorMaps, AuxEdge, AuxGraph, CircularState, ColorCodingParams, build_anchor_maps
 from clawpack.generators import berman_tight_instance
-from clawpack.instances import ClawShaped, ConflictGraph, PackingInstance, Solution, build_conflict_graph
+from clawpack.instances import (
+    BudgetExceededError,
+    ClawShaped,
+    ConflictGraph,
+    InputError,
+    PackingInstance,
+    Solution,
+    build_conflict_graph,
+    independent_subsets,
+)
 from clawpack.solvers import ClawSearchState, _resolve_d, find_claw_improvement
 
 
@@ -57,6 +67,12 @@ def expand_steps(swaps) -> list[tuple[str, int]]:
     return records
 
 
+def ref_a_nbrs(g: ConflictGraph, members) -> list[list[int]]:
+    """N(u, A) for every vertex u, sorted, built from the adjacency sets:
+    the reference for `Solution.a_nbrs`, whose entries are in no set order."""
+    return [sorted(g.adj_sets[u] & members) for u in range(g.n)]
+
+
 def w_of(g: ConflictGraph, vertices) -> Fraction:
     """w of a vertex set, summed as Fractions."""
     return sum((g.weights[v] for v in vertices), Fraction(0))
@@ -70,6 +86,28 @@ def w2_of(g: ConflictGraph, vertices) -> Fraction:
 def charge_to_anchor(g: ConflictGraph, maps: AnchorMaps, u: int) -> Fraction:
     """w(u) - w(N(u,A))/2, the charge u would send to its heaviest anchor."""
     return g.weights[u] - w_of(g, maps.a_neighbors[u]) / 2
+
+
+def verify_claw_free(g: ConflictGraph, d: int, budget: int = 10_000_000) -> tuple[bool, Optional[tuple[int, tuple[int, ...]]]]:
+    """Check that no vertex has d pairwise non-adjacent neighbors.
+
+    Exponential in d; `budget` caps the independent neighbor subsets
+    walked, counted across centers. Returns (True, None) or
+    (False, (center, talons)), the lowest center and its lexicographically
+    first d talons.
+    """
+    if d < 1:
+        raise InputError("claw bound d must be >= 1")
+    nodes = count(1)
+    for c in range(g.n):
+        if g.degree(c) < d:
+            continue
+        for talons in independent_subsets(g, g.adj[c], d):
+            if next(nodes) > budget:
+                raise BudgetExceededError(f"claw-free check exceeded {budget} nodes")
+            if len(talons) == d:
+                return False, (c, talons)
+    return True, None
 
 
 def brute_force_mwis(g: ConflictGraph) -> tuple[Fraction, frozenset[int]]:

@@ -489,7 +489,10 @@ BAD_INPUTS = {
     "noid.json": json.dumps({"instances": [{"gen": {"family": "berman", "d": 4}}]}),
     "strmembers.json": json.dumps({"members": ["a"]}),
     "seeds.json": json.dumps({**BAD_SUITE, "seeds": ["x"]}),
+    "seeds2.json": json.dumps({**BAD_SUITE, "seeds": "12"}),
+    "seeds3.json": json.dumps({**BAD_SUITE, "seeds": [True, 2.9]}),
     "limit.json": json.dumps({**BAD_SUITE, "oracle_limit": "abc"}),
+    "limit2.json": json.dumps({**BAD_SUITE, "oracle_limit": True}),
     "delta.json": json.dumps({**BAD_SUITE, "delta": "x"}),
     "delta2.json": json.dumps({**BAD_SUITE, "delta": "2"}),
     "nopath.json": json.dumps({**BAD_SUITE, "instances": [{"id": "x", "path": "missing.ksp"}]}),
@@ -516,7 +519,10 @@ BAD_INPUTS = {
     ["bench", "--suite", "bad.json", "--out", "out.csv"],
     ["bench", "--suite", "list.json", "--out", "out.csv"],  # not an object
     ["bench", "--suite", "seeds.json", "--out", "out.csv"],
+    ["bench", "--suite", "seeds2.json", "--out", "out.csv"],  # a string, not a list
+    ["bench", "--suite", "seeds3.json", "--out", "out.csv"],  # a bool and a float
     ["bench", "--suite", "limit.json", "--out", "out.csv"],
+    ["bench", "--suite", "limit2.json", "--out", "out.csv"],  # a bool
     ["bench", "--suite", "delta.json", "--out", "out.csv"],
     ["bench", "--suite", "delta2.json", "--out", "out.csv"],  # outside (0, 1)
     ["bench", "--suite", "nopath.json", "--out", "out.csv"],

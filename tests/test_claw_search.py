@@ -15,7 +15,7 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights, claw_search, expand_steps, ref_aux_sides, tight_copies, w2_of, w_of
+from conftest import PrimeWeights, claw_search, expand_steps, ref_a_nbrs, ref_aux_sides, tight_copies, w2_of, w_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,7 +172,7 @@ class CheckedClawSearch:
     def __call__(self, state):
         assert state is not None, "the solver must pass its claw-search state"
         g, d = state.g, state.max_talons + 1
-        a = Solution(g, state.members)  # the run's solution shares this set
+        a = Solution(g, state.a.members)  # the run's member set, with a table of its own
         assert state.free == scan_free(g, a.members)
         assert state.settled <= a.members
         fresh = claw_search(g, a, d)
@@ -202,9 +202,9 @@ class CheckedClawUpdate:
     """Stands in for ClawSearchState.update: after every swap the settled
     set must be the one from before it minus x and minus the radius-2 ball
     around removed, so a state that reopens too many centers, or too few,
-    fails; the N(u, A) table must match N(u) & A for every vertex u; and
-    the free set must match a scan of all vertices and be the non-members
-    whose table entry is empty. Keeps every swap it sees."""
+    fails; the solution's N(u, A) table must match N(u) & A for every
+    vertex u; and the free set must match a scan of all vertices and be
+    the non-members whose table entry is empty. Keeps every swap it sees."""
 
     def __init__(self):
         self.swaps: list[Improvement] = []
@@ -213,12 +213,13 @@ class CheckedClawUpdate:
     def __call__(self, state, imp):
         before = set(state.settled)
         UPDATE(state, imp)
-        g, members = state.g, state.members
+        g, a = state.g, state.a
+        members = a.members
         want = before - imp.x - within_two(g, imp.removed)
         assert state.settled == want
-        assert [sorted(nu) for nu in state.a_nbrs] == [sorted(g.adj_sets[u] & members) for u in range(g.n)]
+        assert list(map(sorted, a.a_nbrs)) == ref_a_nbrs(g, members)
         assert state.free == scan_free(g, members)
-        assert state.free == {v for v in range(g.n) if v not in members and not state.a_nbrs[v]}
+        assert state.free == {v for v in range(g.n) if v not in members and not a.a_nbrs[v]}
         self.swaps.append(imp)
         self.reopened += len(before) - len(want)
 
@@ -643,8 +644,9 @@ def test_greedy_matches_repeated_max(data):
 def checked_apply():
     """Wraps Solution.apply: every swap's integer gain, in its own exponent
     (alpha for a generic swap, 2 otherwise), and the total after it are
-    compared with the Fraction sums of the weights. Yields the count of
-    checked swaps per kind."""
+    compared with the Fraction sums of the weights, and the N(u, A) table,
+    which every solver reads before its first swap, with N(u) & A for every
+    vertex u. Yields the count of checked swaps per kind."""
     kinds: Counter = Counter()
     original = Solution.apply
 
@@ -658,6 +660,8 @@ def checked_apply():
         assert Fraction(*imp.gain(g)) == power_sum(imp.x) - power_sum(imp.removed)
         original(self, imp)
         assert self.total_w == w_of(g, self.members)
+        assert self._a_nbrs is not None
+        assert list(map(sorted, self.a_nbrs)) == ref_a_nbrs(g, self.members)
         kinds[imp.kind_name()] += 1
 
     with mock.patch.object(Solution, "apply", apply):
@@ -724,3 +728,17 @@ def test_apply_with_distinct_denominators():
     a.apply(imp)
     assert a.members == {1, 2}
     assert a.total_w == w_of(g, {1, 2}) == Fraction(2, 7) + Fraction(5, 11)
+
+
+def test_apply_builds_no_table_that_was_never_read():
+    """A solution builds its N(u, A) table on first read only: `apply`
+    leaves an unread one unbuilt, and keeps a read one current."""
+    g = ConflictGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)], [1, 3, 1, 1])
+    imp = Improvement(frozenset({1}), frozenset({0, 2}), ClawShaped(center=0))
+    a, read = Solution.of(g, {0, 2}), Solution.of(g, {0, 2})
+    assert read.a_nbrs == [[], [0, 2], [], [2]]
+    a.apply(imp)
+    read.apply(imp)
+    assert a._a_nbrs is None
+    assert a.members == read.members == {1}
+    assert list(map(sorted, read.a_nbrs)) == list(map(sorted, a.a_nbrs)) == [[1], [], [1], []]

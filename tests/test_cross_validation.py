@@ -13,6 +13,7 @@ from conftest import (
     circular_improvement_exists_bruteforce,
     circular_state,
     claw_search,
+    verify_claw_free,
 )
 
 from clawpack.circular import (
@@ -24,7 +25,7 @@ from clawpack.circular import (
     validate_circular,
 )
 from clawpack.generators import gen_random_packing, girth, petersen_graph
-from clawpack.instances import ConflictGraph, Solution, build_conflict_graph, verify_claw_free
+from clawpack.instances import ConflictGraph, Solution, build_conflict_graph
 from clawpack.oracle import exact_mwis
 from clawpack.solvers import SolverConfig, logimp, solve
 

@@ -1,15 +1,17 @@
-"""Every function, method and class under src/clawpack is used there.
+"""Every function, method and class under src/clawpack is used by the program.
 
-A definition counts as used when some module of the package names it: as a
-`Name`, as an `Attribute`, or as an imported alias. Dunders and click
-commands (reached through the decorator) are exempt. Code only tests call
-belongs in the tests.
+A definition counts as used when a module of the package other than
+`__init__.py`, or a script under `clawbench/` or `scripts/`, names it: as a
+`Name`, as an `Attribute`, or as an imported alias. A re-export from
+`__init__.py` is not a use. Dunders and click commands (reached through the
+decorator) are exempt. Code only tests call belongs in the tests.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "clawpack"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "clawpack"
 
 
 def _is_click_command(node: ast.AST) -> bool:
@@ -20,16 +22,24 @@ def _is_click_command(node: ast.AST) -> bool:
     return False
 
 
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def unreferenced_definitions() -> list[str]:
     defined: list[tuple[str, str, int]] = []
-    used: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(_tree(path)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 dunder = node.name.startswith("__") and node.name.endswith("__")
                 if not dunder and not _is_click_command(node):
                     defined.append((node.name, path.name, node.lineno))
-            elif isinstance(node, ast.Name):
+    users = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    users += sorted((ROOT / "clawbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    used: set[str] = set()
+    for path in users:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
-from conftest import claw_search, gen_berman_tight
+from conftest import claw_search, gen_berman_tight, verify_claw_free
 
 from clawpack import formats, generators
 from clawpack.cli import main
@@ -24,7 +24,7 @@ from clawpack.generators import (
     petersen_graph,
     projective_plane_incidence,
 )
-from clawpack.instances import ConflictGraph, InputError, build_conflict_graph, verify_claw_free
+from clawpack.instances import ConflictGraph, InputError, build_conflict_graph
 from clawpack.oracle import exhaustive_improvement_search
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import gen_berman_tight, w2_of
+from conftest import gen_berman_tight, verify_claw_free, w2_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from clawpack.instances import (
     independent_subsets,
     neighborhood,
     validate_improvement,
-    verify_claw_free,
     verify_solution,
 )
 
