@@ -3,7 +3,6 @@ maximum weight independent set problem in d-claw free graphs."""
 
 from .certify import AnalysisParams, CertReport, certify_local_optimum
 from .circular import (
-    AnchorMaps,
     AuxGraph,
     ColorCodingParams,
     build_anchor_maps,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisParams",
-    "AnchorMaps",
     "AuxGraph",
     "CertReport",
     "ColorCodingParams",

@@ -42,21 +42,23 @@ class BenchReport:
 
 
 def instance_from_gen_spec(spec: dict) -> tuple[Optional[PackingInstance], ConflictGraph]:
+    """The instance (None for a bare graph) and conflict graph of a gen
+    spec, whose integer fields take only ints (`_integer_field`)."""
     family = spec.get("family")
     if family == "berman":
-        inst = generators.berman_tight_instance(int(spec["d"]))
+        inst = generators.berman_tight_instance(_integer_field(spec, "d"))
         return inst, build_conflict_graph(inst)
     if family == "cycle":
         g, _, _ = generators.gen_alternating_cycle(
-            int(spec["pairs"]), int(spec["d"]), Fraction(str(spec["eps"]))
+            _integer_field(spec, "pairs"), _integer_field(spec, "d"), Fraction(str(spec["eps"]))
         )
         return None, g
     if family == "lowerbound":
         params = generators.LowerBoundParams(
-            d=int(spec["d"]),
+            d=_integer_field(spec, "d"),
             alpha=Fraction(str(spec["alpha"])),
             eps=Fraction(str(spec["eps"])),
-            target_girth=int(spec["girth"]),
+            target_girth=_integer_field(spec, "girth"),
             eps_d=Fraction(str(spec["eps_d"])) if "eps_d" in spec else None,
         )
         base = generators.gen_high_girth_regular(params.d - 1, params.target_girth)
@@ -65,8 +67,8 @@ def instance_from_gen_spec(spec: dict) -> tuple[Optional[PackingInstance], Confl
     if family == "random":
         dist = parse_dist(spec.get("dist", "uniform:10"))
         inst = generators.gen_random_packing(
-            int(spec["sets"]), int(spec["k"]), int(spec["universe"]),
-            weight_dist=dist, seed=int(spec.get("seed", 0)),
+            _integer_field(spec, "sets"), _integer_field(spec, "k"), _integer_field(spec, "universe"),
+            weight_dist=dist, seed=_integer_field(spec, "seed", 0),
         )
         return inst, build_conflict_graph(inst)
     raise InputError(f"unknown generator family {family!r}")
@@ -97,7 +99,7 @@ def config_from_algo_spec(spec: dict, seed: int) -> SolverConfig:
     if "scale_n" in spec:
         kwargs["scaling_n"] = Fraction(str(spec["scale_n"]))
     if "d" in spec:
-        kwargs["d"] = int(spec["d"])
+        kwargs["d"] = _integer_field(spec, "d")
     return SolverConfig(**kwargs)
 
 
@@ -206,11 +208,26 @@ def _integer(value) -> int:
     return value
 
 
+def _integer_field(spec: dict, name: str, default=None) -> int:
+    """`_integer(spec[name])`, `default` standing in for a missing field
+    if given; a TypeError names the field."""
+    value = spec[name] if default is None else spec.get(name, default)
+    try:
+        return _integer(value)
+    except TypeError:
+        raise TypeError(f"field {name!r} wants an integer, got {value!r}") from None
+
+
+def _list(value) -> list:
+    """`value` if it is a list; else a TypeError."""
+    if not isinstance(value, list):
+        raise TypeError("want a list")
+    return value
+
+
 def _integer_list(value) -> list[int]:
     """`value` if it is a list of ints (see `_integer`); else a TypeError."""
-    if not isinstance(value, list):
-        raise TypeError("want a list of integers")
-    return [_integer(v) for v in value]
+    return [_integer(v) for v in _list(value)]
 
 
 def _suite_field(config: dict, name: str, convert, default):
@@ -241,7 +258,7 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
     if not isinstance(config, dict):
         raise InputError(f"suite JSON must be an object, got {type(config).__name__}")
     instances = []
-    for inst_spec in _suite_field(config, "instances", list, []):
+    for inst_spec in _suite_field(config, "instances", _list, []):
         try:
             name = inst_spec["id"]
             if "path" in inst_spec:
@@ -259,7 +276,7 @@ def run_bench(config: dict, jobs: int = 1) -> BenchReport:
             raise
         except (OSError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"suite instance {inst_spec!r} is malformed: {exc}") from exc
-    algos = _suite_field(config, "algorithms", list, [])
+    algos = _suite_field(config, "algorithms", _list, [])
     if not all(isinstance(spec, dict) and "algo" in spec for spec in algos):
         raise InputError("each suite algorithm must be an object with an 'algo' field")
     seeds = _suite_field(config, "seeds", _integer_list, [0])

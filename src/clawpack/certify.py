@@ -2,7 +2,9 @@
 
 Each reference vertex u in A* sees N(u,A), its incumbent neighbors ({u}
 when u is in A), and charges charge(u) = w(u) - w(N(u,A))/2 to the
-heaviest of them, its anchor. It contributes
+heaviest of them, its anchor: the first entry of its list in the
+solution's table `Solution.a_nbrs`, which is kept heaviest first; the
+second entry, where there is one, is its second anchor. It contributes
 contr(u,v) = max{0, (w2(u) - w2(N(u,A) - v)) / w(v)} to each v in N(u,A),
 which bounds what a claw centered at v could recover. At a claw fixed
 point the positive charge sums stay below half the vertex weight,
@@ -186,7 +188,7 @@ def certify_local_optimum(
     vertices matching none. They are only guaranteed exhaustive at claw
     fixed points with d >= d_delta, so the result is informational below it.
     """
-    maps = build_anchor_maps(g, a)
+    a_nbrs = build_anchor_maps(g, a)
     w, w2, lcm = g.w_int, g.w2_int, g.w_lcm
     eps = (params.eps_prime.numerator, params.eps_prime.denominator)
     report = CertReport()
@@ -201,7 +203,8 @@ def certify_local_optimum(
         if u in a.members:
             nbrs, v1, v2 = (u,), u, None
         else:
-            nbrs, v1, v2 = maps.a_neighbors[u], maps.heaviest[u], maps.second.get(u)
+            nbrs = a_nbrs[u]
+            v1, v2 = nbrs[0], (nbrs[1] if len(nbrs) > 1 else None)
         wn = sum(w[x] for x in nbrs)
         charge = 2 * w[u] - wn  # 2L times the charge
         rest = w2[u] - sum(w2[x] for x in nbrs)

@@ -1,6 +1,6 @@
 """Cycle-backed local improvements of the squared weight function.
 
-Pipeline: anchor maps over the current solution, a lazily restricted
+Pipeline: anchors over the current solution, a lazily restricted
 auxiliary multigraph whose edges certify a per-edge squared-weight
 inequality, then cycle detection. Cycles of length 2 (parallel edges) are
 scanned directly; longer cycles are found either by an exhaustive DFS
@@ -11,23 +11,26 @@ edges, and the edges that can have a parallel twin. Color coding derives
 the colors of a vertex or edge from the packing sets of its companion set
 or inducer.
 
-The anchor maps rank by the integer weights `ConflictGraph.w_int`, and the
-aux-graph build compares sums of `w_int` and `w2_int` (their squares), which
-order exactly as the rational sums do. `aux_edge_check` is the per-edge
-definition those sums decide, and `validate_circular` re-checks every
-returned improvement with it. An anchor's companion sets are the
-independent subsets of its candidates, read from
+A vertex u outside A is anchored at its heaviest solution neighbor and
+draws its aux edge to its second: the first two entries of the solution's
+table of N(u, A) (`Solution.a_nbrs`), which keeps each list heaviest first
+in the graph's `weight_order`. No other anchor map exists. The aux-graph
+build compares sums of the integer weights `w_int` and `w2_int` (their
+squares), which order exactly as the rational sums do. `aux_edge_check`
+is the per-edge definition those sums decide, and `validate_circular`
+re-checks every returned improvement with it. An anchor's companion sets
+are the independent subsets of its candidates, read from
 `instances.independent_subsets`, the package's one subset walk.
 
 Both builds go through a `CircularState`. logimp keeps one per run and hands
-it every swap, so at each claw fixed point only the anchor maps of the
-vertices next to the swaps since the last one, the vertex blocks (one per
-anchor) and the edge blocks (one per inducing vertex) whose inputs changed
-are recomputed. The state holds one aux graph by id, vertices, edges and
-each vertex's sorted incident edge ids, and changes it only where a block is
-built or dropped; ids sort in the from-scratch order, so a call returns that
-graph as it stands, and the 2-cycle scan reads only the anchor pairs that
-two or more inducers share. It also keeps, sorted, the ids of the vertices
+it every swap, so at each claw fixed point only the vertices next to the
+swaps since the last one are re-anchored, and only the vertex blocks (one
+per anchor) and the edge blocks (one per inducing vertex) whose inputs
+changed are recomputed. The state holds one aux graph by id, vertices,
+edges and each vertex's sorted incident edge ids, and changes it only where
+a block is built or dropped; ids sort in the from-scratch order, so a call
+returns that graph as it stands, and the 2-cycle scan reads only the
+anchor pairs that two or more inducers share. It also keeps, sorted, the ids of the vertices
 with an edge, and the DFS and the DP start only there: the copies of a
 solution that earlier swaps improved have no edge and cost a call nothing,
 and a call reads no whole set of the state. The state is built once per
@@ -85,63 +88,28 @@ class SearchIncompleteError(BudgetExceededError):
     """The auxiliary-graph or cycle search hit a cap; absence not certified."""
 
 
-@dataclass
-class AnchorMaps:
-    """Per outside vertex: its heaviest solution neighbor, and the second one.
+def build_anchor_maps(
+    g: ConflictGraph, a: Solution, state: Optional["CircularState"] = None
+) -> Sequence[Sequence[int]]:
+    """`a`'s table of N(u, A), once every vertex outside `a` is checked to
+    have a solution neighbor: u's anchor is `a.a_nbrs[u][0]` and its
+    second, where it has one, `a.a_nbrs[u][1]`. A vertex without one is a
+    `ContractError` (the solution is not maximal).
 
-    `heaviest` is total over V minus A (requires A maximal); `second` is
-    defined where the vertex has at least two solution neighbors. Ties break
-    to the lowest id. `a_neighbors` is N(u, A) by vertex: the table of the
-    solution the maps were built from (`Solution.a_nbrs`), not a copy. Key
-    order is not part of the maps: a `CircularState` appends the vertices
-    that left A.
+    With the run's `CircularState`, only the vertices next to the swaps
+    since its last successful call are checked, and then re-anchored in
+    the state; without one, every vertex is checked. A caller that passes
+    a state must hand it (`CircularState.update`) every swap applied to `a`
+    since that call.
     """
-
-    heaviest: dict[int, int]
-    second: dict[int, int]
-    a_neighbors: Sequence[Sequence[int]]
-
-
-def build_anchor_maps(g: ConflictGraph, a: Solution, state: Optional["CircularState"] = None) -> AnchorMaps:
-    """Anchor maps of every vertex outside `a`, ranked by `g.w_int`.
-
-    `w_int` is the weights times one positive integer, so it ranks solution
-    neighbors exactly as the rational weights do. With the run's
-    `CircularState`, only the vertices next to the swaps since its last
-    call are recomputed, and the state's own maps are returned; without
-    one, new maps of every vertex are built. A caller that passes a state
-    must hand it (`CircularState.update`) every swap applied to `a` since
-    that call; after a call that raised, the next recomputes every vertex.
-    """
-    if state is not None:
-        return state.update_maps(a)
-    maps = AnchorMaps({}, {}, ())
-    _map_vertices(g, a, range(g.n), maps)
-    return maps
-
-
-def _map_vertices(g: ConflictGraph, a: Solution, touched: Iterable[int], maps: AnchorMaps) -> None:
-    """Point `maps.a_neighbors` at `a`'s table and set the anchor-map entries
-    of every vertex in `touched`: drop those of a member, recompute those of
-    an outside vertex."""
-    members = a.members
-    maps.a_neighbors = a_nbrs = a.a_nbrs
-    heaviest, second = maps.heaviest, maps.second
-    w = g.w_int
+    members, a_nbrs = a.members, a.a_nbrs
+    touched = range(g.n) if state is None else state._near_moved()
     for u in touched:
-        if u in members:
-            heaviest.pop(u, None)
-            second.pop(u, None)
-            continue
-        nu = a_nbrs[u]
-        if not nu:
+        if not a_nbrs[u] and u not in members:
             raise ContractError(f"vertex {u} has no solution neighbor; solution not maximal")
-        ranked = sorted(nu, key=lambda v: (-w[v], v))
-        heaviest[u] = ranked[0]
-        if len(ranked) > 1:
-            second[u] = ranked[1]
-        else:
-            second.pop(u, None)
+    if state is not None:
+        state._reanchor(a, touched)
+    return a_nbrs
 
 
 def aux_edge_check(
@@ -149,25 +117,26 @@ def aux_edge_check(
     y1: Iterable[int],
     y2: Iterable[int],
     g: ConflictGraph,
-    maps: AnchorMaps,
+    a_nbrs: Sequence[Sequence[int]],
 ) -> bool:
     """Exact per-edge inequality certifying that a cycle through this edge improves w^2.
 
-    y1 must be anchored at the heaviest neighbor of u, y2 at the second one;
-    disjointness and independence of {u} | y1 | y2 are the caller's promise.
-    Both sides are doubled and compared as sums of the integers `g.w2_int`,
-    which order exactly as the squared rational weights do.
+    `a_nbrs` is the solution's table of N(u, A), heaviest first
+    (`Solution.a_nbrs`), and u must have two solution neighbors. y1 must be
+    anchored at the heaviest, v1 = a_nbrs[u][0], and y2 at the second,
+    v2 = a_nbrs[u][1]; disjointness and independence of {u} | y1 | y2 are
+    the caller's promise. Both sides are doubled and compared as sums of
+    the integers `g.w2_int`, which order exactly as the squared rational
+    weights do.
     """
-    v1 = maps.heaviest[u]
-    v2 = maps.second[u]
+    v1, v2, *rest = a_nbrs[u]
     w2 = g.w2_int
     lhs = 2 * w2[u] + sum(w2[x] for x in y1) + sum(w2[x] for x in y2)
-    rhs = w2[v1] + w2[v2]
-    rhs += 2 * sum(w2[x] for x in maps.a_neighbors[u] if x != v1 and x != v2)
+    rhs = w2[v1] + w2[v2] + 2 * sum(w2[x] for x in rest)
     for x in y1:
-        rhs += sum(w2[z] for z in maps.a_neighbors[x] if z != v1)
+        rhs += sum(w2[z] for z in a_nbrs[x] if z != v1)
     for x in y2:
-        rhs += sum(w2[z] for z in maps.a_neighbors[x] if z != v2)
+        rhs += sum(w2[z] for z in a_nbrs[x] if z != v2)
     return lhs > rhs
 
 
@@ -311,17 +280,18 @@ class CircularState:
     """What the circular search keeps between calls in one run, for one
     evolving solution A over one graph.
 
-    The anchor maps are kept per vertex: a vertex's entries change only when
-    it or one of its neighbors changed membership since the last call, so
-    only `moved | N(moved)` is recomputed, `moved` being x | removed over
-    every swap handed to `update` since that call. The aux graph is kept as
-    blocks: a vertex block per anchor v (its companion sets and their nets)
-    and an edge block per inducer u (its edges and its edge-check count).
-    A vertex block is dropped when a candidate (an outside vertex with v as
-    heaviest anchor and positive charge) joins or leaves v or has its
-    solution neighbors changed; an edge block is recomputed when u's
-    anchors or solution neighbors change, or when the block at either
-    anchor was dropped.
+    A vertex's anchors, the first two entries of its N(u, A) list, change
+    only when it or one of its neighbors changed membership since the last
+    call, so only `moved | N(moved)` is checked and re-anchored, `moved`
+    being x | removed over every swap handed to `update` since that call
+    (every vertex before the first call; a call that raises keeps it for
+    the next). The aux graph is kept as blocks: a vertex block per anchor v
+    (its companion sets and their nets) and an edge block per inducer u
+    (its edges and its edge-check count). A vertex block is dropped when a
+    candidate (an outside vertex with v as heaviest anchor and positive
+    charge) joins or leaves v or has its solution neighbors changed; an
+    edge block is recomputed when u's anchors or solution neighbors
+    change, or when the block at either anchor was dropped.
 
     A vertex's id comes from its anchor and its position in the block (see
     `_ID_SHIFT`), and an edge's from its inducer and its position in the
@@ -333,21 +303,21 @@ class CircularState:
     edge and leaves with its last edge or its block. The dirty edge blocks
     are dropped before any vertex block is rebuilt, so no edge ever names a
     vertex that is gone, and a new edge block enters the graph only once it
-    is complete, so a cap crossed part-way leaves no trace of it. Each call thus builds
-    no vertex or edge of a block that did not change, and vertex ids, edge
-    ids and the edge-check count are those of a fresh build. For the
-    2-cycle scan the state keeps, per unordered anchor pair, the inducers
-    whose blocks have edges between them, and the pairs that two or more
-    inducers share: only those can carry parallel edges.
+    is complete, so a cap crossed part-way leaves no trace of it. Each call
+    thus builds no vertex or edge of a block that did not change, and
+    vertex ids, edge ids and the edge-check count are those of a fresh
+    build. For the 2-cycle scan the state keeps, per unordered anchor pair,
+    the inducers whose blocks have edges between them, and the pairs that
+    two or more inducers share: only those can carry parallel edges.
 
     No call walks a whole set of the state. The vertices without a vertex
     block are collected as the swaps come in (new members, and anchors
     whose block was dropped), and the members among them get one; the dirty
     inducers are the only ones looked up among the edge blocks and the
-    anchor maps.
+    N(u, A) table.
 
-    The maps and the aux graph's dicts the state returns are its own and
-    change at its next call.
+    The aux graph's dicts the state returns are its own and change at its
+    next call.
 
     The state is built from what the run fixes: the graph, the search
     parameters, the claw bound `d`, the packing instance (None for a bare
@@ -375,9 +345,7 @@ class CircularState:
         self.rng = rng
         self.y_cap = min(_MAX_COMPANION, d - 1)
         self.max_len = max_cycle_len_for(g.n)
-        self.maps = AnchorMaps({}, {}, ())
-        self._moved: Optional[set[int]] = None  # None: rebuild all maps next
-        self._remapped: set[int] = set()
+        self._moved = set(range(g.n))  # re-anchored at the next call
         self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
         self._vblocks: dict[int, _VertexBlock] = {}
         self._eblocks: dict[int, _EdgeBlock] = {}  # only blocks with checks
@@ -393,55 +361,44 @@ class CircularState:
 
     def update(self, imp: Improvement) -> None:
         """Note the vertices that `imp`, applied to A, moved in or out."""
-        if self._moved is not None:
-            self._moved.update(imp.x, imp.removed)
+        self._moved.update(imp.x, imp.removed)
 
-    def update_maps(self, a: Solution) -> AnchorMaps:
-        """The anchor maps of `a`, recomputed next to the swaps since the
-        last call, over `a`'s own N(u, A) table."""
-        g = self.g
-        moved = self._moved
-        self._moved = None  # an error below leaves a full rebuild for next time
-        if moved is None:
-            self.maps = AnchorMaps({}, {}, ())
-            touched: Iterable[int] = range(g.n)
-        else:
-            touched = set(moved)
-            for v in moved:
-                touched.update(g.adj[v])
-        self._remapped.update(touched)
-        _map_vertices(g, a, touched, self.maps)
-        self._moved = set()
-        return self.maps
+    def _near_moved(self) -> set[int]:
+        """The vertices moved since the last `_reanchor`, and their neighbors."""
+        adj, moved = self.g.adj, self._moved
+        touched = set(moved)
+        for v in moved:
+            touched.update(adj[v])
+        return touched
 
-    def _reanchor(self, members: set[int]) -> None:
-        """Move every remapped vertex to its new anchor, drop the vertex
-        blocks at its old and new anchor, and mark its edge block dirty.
-        The maps are those of a successful `update_maps`, so they map every
-        vertex outside `members`."""
-        heaviest, a_nbrs = self.maps.heaviest, self.maps.a_neighbors
+    def _reanchor(self, a: Solution, touched: set[int]) -> None:
+        """Move every vertex of `touched`, `_near_moved()` over `a`, to its
+        new anchor, drop the vertex blocks at its old and new anchor, and
+        mark its edge block dirty; then clear the moved vertices. Every
+        vertex of `touched` outside A has a solution neighbor."""
+        members, a_nbrs = a.members, a.a_nbrs
         w = self.g.w_int
         anchor, vblocks = self._anchor, self._vblocks
-        remapped = self._remapped
         unbuilt = self._unbuilt
-        for u in remapped:
+        for u in touched:
             old = anchor.pop(u, None)
             if old in vblocks:
-                self._drop_block(old)
+                self._drop_block(old, a_nbrs)
             if u in members:
                 if u not in vblocks:
                     unbuilt.add(u)
                 continue
             if u in vblocks:  # u left A
-                self._drop_block(u)
-            if 2 * w[u] > sum(w[x] for x in a_nbrs[u]):
-                v1 = anchor[u] = heaviest[u]
+                self._drop_block(u, a_nbrs)
+            nu = a_nbrs[u]
+            if 2 * w[u] > sum(w[x] for x in nu):
+                v1 = anchor[u] = nu[0]
                 if v1 in vblocks:
-                    self._drop_block(v1)
-        self._dirty_u |= remapped
-        remapped.clear()
+                    self._drop_block(v1, a_nbrs)
+        self._dirty_u |= touched
+        self._moved.clear()
 
-    def _drop_block(self, v: int) -> None:
+    def _drop_block(self, v: int, a_nbrs: Sequence[Sequence[int]]) -> None:
         """Drop the vertex block at anchor v with its vertices, their
         incident lists and their starts, note v for a rebuild, and mark the
         edge blocks that end at v dirty: their inducers are neighbors of v."""
@@ -451,12 +408,9 @@ class CircularState:
             del vertices[i], incident[i]
         del starts[bisect_left(starts, ids.start):bisect_left(starts, ids.stop)]
         self._unbuilt.add(v)
-        heaviest, second = self.maps.heaviest, self.maps.second
-        self._dirty_u.update(
-            u for u in self.g.adj[v] if u in second and (heaviest[u] == v or second[u] == v)
-        )
+        self._dirty_u.update(u for u in self.g.adj[v] if v in a_nbrs[u][:2])
 
-    def _add_vertex_block(self, v: int) -> None:
+    def _add_vertex_block(self, v: int, a_nbrs: Sequence[Sequence[int]]) -> None:
         """Build the vertex block at anchor v: one aux vertex per companion
         set, largest first, then in id order, each with its net. An anchor
         with no candidate has the one vertex y = (), net 0."""
@@ -465,7 +419,6 @@ class CircularState:
         cands = [u for u in g.adj[v] if anchor.get(u) == v]  # sorted, as g.adj[v] is
         if cands:
             w2 = g.w2_int
-            a_nbrs = self.maps.a_neighbors
             spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
             ys = [(), *independent_subsets(g, cands, self.y_cap)]
             ys.sort(key=lambda y: (-len(y), y))
@@ -507,7 +460,7 @@ class CircularState:
             if not group:
                 del pairs[key]
 
-    def _update_edge_blocks(self) -> None:
+    def _update_edge_blocks(self, a_nbrs: Sequence[Sequence[int]]) -> None:
         """Build the edge block of every dirty inducer, the starts of the
         vertices it gives a first edge, and the inducers per anchor pair
         with it. Raises `SearchIncompleteError` once the checks of all
@@ -517,15 +470,14 @@ class CircularState:
         g = self.g
         w2 = g.w2_int
         adj = g.adj_sets
-        heaviest, second, a_nbrs = self.maps.heaviest, self.maps.second, self.maps.a_neighbors
         vblocks, eblocks, dirty = self._vblocks, self._eblocks, self._dirty_u
         edges, incident, starts = self._edges, self._incident, self._starts
         pairs, shared = self._pairs, self._shared
-        dirty.difference_update([u for u in dirty if u not in second])  # only inducers have edge blocks
+        dirty.difference_update([u for u in dirty if len(a_nbrs[u]) < 2])  # only inducers have edge blocks
         total = self.checks
         while dirty:
             u = dirty.pop()
-            v1, v2 = heaviest[u], second[u]
+            v1, v2, *rest = a_nbrs[u]
             b1, b2 = vblocks[v1], vblocks[v2]
             nbrs = adj[u]
             ys2, nets2 = b2.ys, b2.nets
@@ -533,8 +485,7 @@ class CircularState:
             side_b = [ib for ib, y in enumerate(ys2) if nbrs.isdisjoint(y)]
             if not side_b:
                 continue
-            base = 2 * w2[u] - w2[v1] - w2[v2]
-            base -= 2 * sum(w2[x] for x in a_nbrs[u] if x != v1 and x != v2)
+            base = 2 * w2[u] - w2[v1] - w2[v2] - 2 * sum(w2[x] for x in rest)
             new: list[AuxEdge] = []
             checks = 0
             for ia, y1 in enumerate(b1.ys):
@@ -573,20 +524,19 @@ class CircularState:
         self.checks = total
 
     def aux_graph(self, a: Solution) -> AuxGraph:
-        """The aux graph over `a` and the state's maps; see `build_aux_graph`."""
-        if self._moved is None or self._moved:
+        """The aux graph over `a` and its anchors; see `build_aux_graph`."""
+        if self._moved:
             raise ContractError("anchor maps are stale: build_anchor_maps after every swap")
-        members, unbuilt = a.members, self._unbuilt
-        self._reanchor(members)
+        members, unbuilt, a_nbrs = a.members, self._unbuilt, a.a_nbrs
         self._drop_edge_blocks()
         for v in unbuilt:
             if v in members:  # else v left A
-                self._add_vertex_block(v)
+                self._add_vertex_block(v, a_nbrs)
         unbuilt.clear()
         # A cap is crossed when a count passes it.
         if len(self._vertices) > _MAX_AUX_VERTICES:
             raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
-        self._update_edge_blocks()
+        self._update_edge_blocks(a_nbrs)
         if self.checks > _MAX_AUX_EDGE_CHECKS:
             raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_EDGE_CHECKS} edge checks")
         eblocks, pairs = self._eblocks, self._pairs
@@ -598,10 +548,10 @@ class CircularState:
 def build_aux_graph(state: CircularState, a: Solution) -> AuxGraph:
     """Materialize the restricted auxiliary multigraph.
 
-    Companion-set candidates at each anchor are the outside vertices mapped
-    there that send strictly positive charge; the full vertex set over all
-    independent companion sets is infeasible, and the restriction preserves
-    the improvements the fixed-point analysis constructs.
+    Companion-set candidates at each anchor are the outside vertices
+    anchored there that send strictly positive charge; the full vertex set
+    over all independent companion sets is infeasible, and the restriction
+    preserves the improvements the fixed-point analysis constructs.
 
     Only integers are compared. A vertex u sends positive charge iff
     2 w_int(u) > w_int(N(u,A)). The doubled `aux_edge_check` inequality of
@@ -612,7 +562,7 @@ def build_aux_graph(state: CircularState, a: Solution) -> AuxGraph:
     not depend on u because every x in y has v as its heaviest anchor. The
     edge exists iff base(u) > net(y1) + net(y2).
 
-    The graph is built over the state's anchor maps, which must be current:
+    The graph is built over the state's anchors, which must be current:
     `build_anchor_maps(g, a, state)` after the last swap handed to the state,
     else `ContractError`. Only the blocks the swaps since the last call
     touched are rebuilt.
@@ -921,7 +871,7 @@ def _first_valid(state: CircularState, a: Solution, h: AuxGraph,
     g = state.g
     for vorder, eorder in candidates:
         imp = _assemble(a, h, vorder, eorder)
-        if validate_circular(g, a, state.maps, imp, d=state.d):
+        if validate_circular(g, a, imp, d=state.d):
             return imp
     return None
 
@@ -948,8 +898,9 @@ def run_color_coding(state: CircularState, a: Solution, h: AuxGraph) -> Optional
 def find_circular_improvement(state: CircularState, a: Solution) -> Optional[Improvement]:
     """Search for a circular improvement of w^2(A).
 
-    Requires that no claw-shaped improvement exists (the anchor maps are
-    then total) and that the state's maps are those of `a`. Parallel-edge
+    Requires that no claw-shaped improvement exists (every vertex outside
+    A then has an anchor) and that the state's anchors are those of `a`
+    (`build_anchor_maps(g, a, state)` after its last swap). Parallel-edge
     2-cycles are scanned first; longer cycles go through the exhaustive DFS
     or the color-coding search depending on the state's mode. Every
     returned improvement is re-validated field by field.
@@ -963,13 +914,14 @@ def find_circular_improvement(state: CircularState, a: Solution) -> Optional[Imp
     return _first_valid(state, a, h, _dfs_cycles(state.g, h, state.max_len, _MAX_DFS_NODES))
 
 
-def validate_circular(g: ConflictGraph, a: Solution, maps: AnchorMaps, imp: Improvement, d: int) -> bool:
-    """Re-validate a circular improvement field by field.
+def validate_circular(g: ConflictGraph, a: Solution, imp: Improvement, d: int) -> bool:
+    """Re-validate a circular improvement of `a` field by field.
 
     `validate_improvement` checks x, removed = N(x, A) and the strict
     squared-weight gain; this adds the cycle structure over distinct
     solution vertices, the companion-set decomposition and size bounds, and
-    the per-edge inequality.
+    the per-edge inequality. Each vertex's anchors are the first two
+    entries of its list in `a.a_nbrs`, which is heaviest first.
     """
     kind = imp.kind
     if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):
@@ -982,22 +934,21 @@ def validate_circular(g: ConflictGraph, a: Solution, maps: AnchorMaps, imp: Impr
         return False
     if not set(u_list) <= x:
         return False
-    for u in u_list:
-        if u not in maps.second:
-            return False
+    a_nbrs = a.a_nbrs
+    if any(len(a_nbrs[u]) < 2 for u in u_list):
+        return False
     # The induced edges must trace the recorded cycle.
     cyc = list(kind.cycle_vertices)
     if len(cyc) != len(u_list) or len(set(cyc)) != len(cyc):
         return False
     deg: dict[int, int] = {}
     for u in u_list:
-        for v in (maps.heaviest[u], maps.second[u]):
+        for v in a_nbrs[u][:2]:
             deg[v] = deg.get(v, 0) + 1
     if set(deg) != set(cyc) or any(c != 2 for c in deg.values()):
         return False
     for i, u in enumerate(u_list):
-        ends = {cyc[i], cyc[(i + 1) % len(cyc)]}
-        if {maps.heaviest[u], maps.second[u]} != ends:
+        if set(a_nbrs[u][:2]) != {cyc[i], cyc[(i + 1) % len(cyc)]}:
             return False
     # Companion decomposition: X = U | union of recorded Y over cycle vertices.
     y_map = kind.y_map()
@@ -1007,12 +958,13 @@ def validate_circular(g: ConflictGraph, a: Solution, maps: AnchorMaps, imp: Impr
     for v, ys in y_map.items():
         if len(ys) > d - 1:
             return False
-        if any(x_ not in rest or maps.heaviest[x_] != v for x_ in ys):
+        if any(x_ not in rest or a_nbrs[x_][:1] != [v] for x_ in ys):
             return False
     y_union = set().union(*y_map.values()) if y_map else set()
     if y_union != rest:
         return False
     for u in u_list:
-        if not aux_edge_check(u, y_map[maps.heaviest[u]], y_map[maps.second[u]], g, maps):
+        v1, v2 = a_nbrs[u][:2]
+        if not aux_edge_check(u, y_map[v1], y_map[v2], g, a_nbrs):
             return False
     return True

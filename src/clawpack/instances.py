@@ -3,11 +3,12 @@
 Weights are exact rationals throughout, and every comparison the solvers make
 is exact: either between Fractions or between sums of the integer-scaled
 weights `ConflictGraph.w_int` or of their powers, one table per exponent
-(`ConflictGraph.int_powers`). A solution is a member set over one graph;
-its weight is summed from the graph when read, and it keeps the package's
-one table of N(u, A), built on first read and updated by each swap.
-`independent_subsets` is the package's one walk over the bounded
-independent subsets of a candidate list.
+(`ConflictGraph.int_powers`), and ordered by one weight order per graph.
+A solution is a member set over one graph; its weight is summed from the
+graph when read, and it keeps the package's one table of N(u, A), heaviest
+first, built on first read and updated by each swap. `independent_subsets`
+is the package's one walk over the bounded independent subsets of a
+candidate list.
 
 Each input check is made once, at one layer. `PackingInstance.build` checks
 that no set repeats an element and coerces the weights (`as_fraction`).
@@ -25,6 +26,7 @@ sets' element buckets, and the graph's own checks run on the result.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -240,6 +242,20 @@ class ConflictGraph:
         return self.int_powers(2)[0]
 
     @cached_property
+    def weight_order(self) -> tuple[int, ...]:
+        """The vertices by (-w, id): heaviest first, ties to the lowest id,
+        as a reverse sort is stable. The greedy pick order, the oracle's
+        labels and the order of every `Solution.a_nbrs` list."""
+        return tuple(sorted(range(self.n), key=self.w_int.__getitem__, reverse=True))
+
+    @cached_property
+    def weight_rank(self) -> tuple[int, ...]:
+        """The position of every vertex in `weight_order`: its inverse,
+        whose entries are the order's own ints, so the two share them."""
+        order = self.weight_order
+        return tuple(sorted(order, key=order.__getitem__))
+
+    @cached_property
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
@@ -275,10 +291,10 @@ class Solution:
     Mutable and confined to a single solver run; the graph is shared
     read-only. The weight is read from the graph, not kept. `a_nbrs[u]` is
     N(u, A) for every vertex u (empty for a member, as A is independent),
-    as a list in no set order: a small set takes over twice the memory.
-    Built from the adjacency on first read and kept current by `apply`, it
-    is the package's one N(u, A): the claw search, the anchor maps (and so
-    the certificate) and the w**alpha search all read it.
+    as a list in the graph's `weight_order`: u's anchor, its heaviest
+    solution neighbor, is `a_nbrs[u][0]`, and its second `a_nbrs[u][1]`.
+    Built on first read and kept current by `apply`, it is the package's
+    one N(u, A): every search and the certificate read it.
     """
 
     __slots__ = ("g", "members", "_a_nbrs")
@@ -309,23 +325,27 @@ class Solution:
         """N(u, A) by vertex u; see the class docstring."""
         table = self._a_nbrs
         if table is None:
-            members = self.members
-            table = self._a_nbrs = [[u for u in nbrs if u in members] for nbrs in self.g.adj]
+            g, members = self.g, self.members
+            table = self._a_nbrs = [[] for _ in range(g.n)]
+            for v in g.weight_order:
+                if v in members:
+                    for u in g.adj[v]:
+                        table[u].append(v)
         return table
 
     def apply(self, imp: "Improvement") -> None:
         """Swap imp.x in and imp.removed = N(x, A) out. A built `a_nbrs`
-        changes only at N(x), which gains x, and at N(removed), which loses
-        removed; so x's own entries empty out, and a removed vertex's fill
-        with its neighbors in x, its only ones in the new A."""
+        changes only at N(x), which gains x at its rank, and at N(removed),
+        which loses removed; so x's own entries empty out, and a removed
+        vertex's fill with its neighbors in x, its only ones in the new A."""
         self.members -= imp.removed
         self.members |= imp.x
         table = self._a_nbrs
         if table is not None:
-            adj = self.g.adj
+            adj, rank = self.g.adj, self.g.weight_rank.__getitem__
             for v in imp.x:
                 for u in adj[v]:
-                    table[u].append(v)
+                    insort(table[u], v, key=rank)
             for r in imp.removed:
                 for v in adj[r]:
                     table[v].remove(r)

@@ -92,10 +92,9 @@ def exact_mwis(
     if g.n > size_limit:
         raise InputError(f"n={g.n} exceeds oracle size limit {size_limit}")
 
-    # the vertices relabelled heaviest first (ties to the lowest id), so a
-    # mask's lowest bit is its heaviest vertex: label r is vertex order[r]
-    order = sorted(range(g.n), key=lambda v: (-g.w_int[v], v))
-    rank = {v: r for r, v in enumerate(order)}
+    # the vertices relabelled in `g.weight_order`, so a mask's lowest bit
+    # is its heaviest vertex: label r is vertex order[r]
+    order, rank = g.weight_order, g.weight_rank
     adj = [sum(1 << rank[u] for u in g.adj[v]) for v in order]
     w = [g.w_int[v] for v in order]
     nodes = 0

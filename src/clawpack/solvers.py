@@ -14,8 +14,9 @@ lowest id first, skipping those an earlier pick blocked, which is the
 sequence one 0-claw per step applies. The run still records one size-1
 claw-shaped swap per vertex, and each search state sees the step as one
 swap with nothing removed. The run's solution keeps N(u, A) for every
-vertex (`Solution.a_nbrs`) and changes it only around each swap; the claw
-search, the anchor maps and the w**alpha search all read that one table.
+vertex (`Solution.a_nbrs`), each list heaviest first, and changes it only
+around each swap; the claw search, the circular search's anchors (each
+list's first two entries) and the w**alpha search all read that one table.
 """
 
 from __future__ import annotations
@@ -130,14 +131,12 @@ def greedy(g: ConflictGraph) -> Solution:
     """Pick the maximum-weight remaining vertex (ties to the lowest id) and
     delete its closed neighborhood, until nothing remains.
 
-    One pass in (-w, id) order takes each vertex none of whose neighbors was
-    taken before it, which picks the same set; the integers `g.w_int` order
-    exactly as the weights do.
+    One pass over `g.weight_order` takes each vertex none of whose
+    neighbors was taken before it, which picks the same set.
     """
     chosen: set[int] = set()
     blocked: set[int] = set()
-    w = g.w_int
-    for v in sorted(range(g.n), key=lambda u: (-w[u], u)):
+    for v in g.weight_order:
         if v not in blocked:
             chosen.add(v)
             blocked.update(g.adj[v])

@@ -13,7 +13,7 @@ from typing import Optional
 
 import pytest
 
-from clawpack.circular import AnchorMaps, AuxEdge, AuxGraph, CircularState, ColorCodingParams, build_anchor_maps
+from clawpack.circular import AuxEdge, AuxGraph, CircularState, ColorCodingParams, build_anchor_maps
 from clawpack.generators import berman_tight_instance
 from clawpack.instances import (
     BudgetExceededError,
@@ -35,7 +35,7 @@ def gen_berman_tight(d: int) -> tuple[ConflictGraph, Solution, Solution]:
 
 
 def circular_state(g: ConflictGraph, a: Solution, params=None, inst=None, d=None, rng=None) -> CircularState:
-    """A new `CircularState` holding the anchor maps of `a`, for a circular
+    """A new `CircularState` holding the anchors of `a`, for a circular
     search outside a run. `params` default to `ColorCodingParams.defaults(g,
     inst)`, `d` to the graph's claw bound, else n + 1, which no claw
     reaches, and the generator to `random.Random(0)`."""
@@ -68,9 +68,30 @@ def expand_steps(swaps) -> list[tuple[str, int]]:
 
 
 def ref_a_nbrs(g: ConflictGraph, members) -> list[list[int]]:
-    """N(u, A) for every vertex u, sorted, built from the adjacency sets:
-    the reference for `Solution.a_nbrs`, whose entries are in no set order."""
-    return [sorted(g.adj_sets[u] & members) for u in range(g.n)]
+    """N(u, A) for every vertex u, built from the adjacency sets and sorted
+    by (-w_int, id): the reference for `Solution.a_nbrs`, whose lists are
+    kept heaviest first, ties to the lowest id."""
+    w = g.w_int
+    return [sorted(g.adj_sets[u] & members, key=lambda v: (-w[v], v)) for u in range(g.n)]
+
+
+def ref_anchors(g: ConflictGraph, a: Solution) -> SimpleNamespace:
+    """The anchors of every vertex outside `a`, by a second route to the
+    first two entries of `a.a_nbrs`: `heaviest[u]` and, where u has two
+    solution neighbors, `second[u]` are picked by rational weight, ties to
+    the lowest id, and `a_neighbors[u]` is N(u, A) in id order."""
+    heaviest, second, a_neighbors = {}, {}, {}
+    for u in range(g.n):
+        if u in a.members:
+            continue
+        nu = tuple(v for v in g.adj[u] if v in a.members)
+        a_neighbors[u] = nu
+        best = max(nu, key=lambda v: (g.weights[v], -v))
+        heaviest[u] = best
+        rest = [v for v in nu if v != best]
+        if rest:
+            second[u] = max(rest, key=lambda v: (g.weights[v], -v))
+    return SimpleNamespace(heaviest=heaviest, second=second, a_neighbors=a_neighbors)
 
 
 def w_of(g: ConflictGraph, vertices) -> Fraction:
@@ -83,9 +104,16 @@ def w2_of(g: ConflictGraph, vertices) -> Fraction:
     return sum((g.weights[v] ** 2 for v in vertices), Fraction(0))
 
 
-def charge_to_anchor(g: ConflictGraph, maps: AnchorMaps, u: int) -> Fraction:
+def anchors_of(a_nbrs, members) -> tuple[dict[int, int], dict[int, int]]:
+    """The first two entries of every outside vertex's list in an N(u, A)
+    table, as the `heaviest` and `second` dicts of `ref_anchors`."""
+    outside = [(u, nu) for u, nu in enumerate(a_nbrs) if u not in members]
+    return {u: nu[0] for u, nu in outside}, {u: nu[1] for u, nu in outside if len(nu) > 1}
+
+
+def charge_to_anchor(g: ConflictGraph, a: Solution, u: int) -> Fraction:
     """w(u) - w(N(u,A))/2, the charge u would send to its heaviest anchor."""
-    return g.weights[u] - w_of(g, maps.a_neighbors[u]) / 2
+    return g.weights[u] - w_of(g, g.adj_sets[u] & a.members) / 2
 
 
 def verify_claw_free(g: ConflictGraph, d: int, budget: int = 10_000_000) -> tuple[bool, Optional[tuple[int, tuple[int, ...]]]]:
@@ -218,16 +246,18 @@ def enumerate_colorful_cycles(h, vmask, emask, max_len):
     return found
 
 
-def circular_improvement_exists_bruteforce(g, a, maps, d, positive_only=False, y_cap=None) -> bool:
+def circular_improvement_exists_bruteforce(g, a, d, positive_only=False, y_cap=None) -> bool:
     """Decide by full enumeration whether any cycle-decomposable improvement
     exists: try every independent X outside the solution and every subset U
-    of X as the cycle-inducing set, checking the decomposition directly.
+    of X as the cycle-inducing set, checking the decomposition directly,
+    with the anchors of `ref_anchors`.
 
     positive_only/y_cap mirror the solver's companion-candidate restriction,
     for exact completeness comparisons against the restricted search."""
     from clawpack.circular import aux_edge_check, max_cycle_len_for
 
     members = a.members
+    maps = ref_anchors(g, a)
     outside = [v for v in range(g.n) if v not in members]
     max_u = max_cycle_len_for(g.n)
     y_limit = d - 1 if y_cap is None else min(d - 1, y_cap)
@@ -276,14 +306,14 @@ def circular_improvement_exists_bruteforce(g, a, maps, d, positive_only=False, y
                         if anchor not in y_map:
                             ok = False
                             break
-                        if positive_only and charge_to_anchor(g, maps, v) <= 0:
+                        if positive_only and charge_to_anchor(g, a, v) <= 0:
                             ok = False
                             break
                         y_map[anchor] |= {v}
                     if not ok or any(len(ys) > y_limit for ys in y_map.values()):
                         continue
                     if all(
-                        aux_edge_check(u, y_map[maps.heaviest[u]], y_map[maps.second[u]], g, maps)
+                        aux_edge_check(u, y_map[maps.heaviest[u]], y_map[maps.second[u]], g, a.a_nbrs)
                         for u in u_set
                     ):
                         return True
@@ -291,7 +321,8 @@ def circular_improvement_exists_bruteforce(g, a, maps, d, positive_only=False, y
 
 
 def ref_aux_sides(u, y1, y2, g: ConflictGraph, maps) -> tuple[Fraction, Fraction]:
-    """Both sides of the per-edge inequality in Fraction arithmetic."""
+    """Both sides of the per-edge inequality in Fraction arithmetic, with
+    the anchors `maps` of `ref_anchors`."""
     v1 = maps.heaviest[u]
     v2 = maps.second[u]
     w = g.weights

@@ -28,7 +28,6 @@ from clawpack.circular import (
     AuxVertex,
     ColorCodingParams,
     _colorful_cycles,
-    build_anchor_maps,
     build_aux_graph,
     find_circular_improvement,
     repetitions_for,
@@ -100,10 +99,9 @@ def test_criterion_2_logimp_beats_tight():
     finals = {}
     for d in (4, 5, 6):
         g, a, _ = gen_berman_tight(d)
-        maps = build_anchor_maps(g, a)
         imp = find_circular_improvement(circular_state(g, a), a)
         assert imp is not None
-        assert validate_circular(g, a, maps, imp, d=d)
+        assert validate_circular(g, a, imp, d=d)
         tr = solve(g, SolverConfig(mode="logimp"), start=a)
         opt = exact_mwis(g)
         assert opt.optimum_w / tr.final.total_w < Fraction(d, 2)
@@ -221,13 +219,12 @@ def test_criterion_5_color_coding():
     inst = berman_tight_instance(4)
     g = build_conflict_graph(inst)
     a = Solution.of(g, range(3))
-    maps = build_anchor_maps(g, a)
     params = ColorCodingParams(t=32, repetitions=64, mode="rand")
     wins = 0
     for trial in range(100):
         state = circular_state(g, a, params, inst, rng=random.Random(5000 + trial))
         imp = run_color_coding(state, a, build_aux_graph(state, a))
-        if imp is not None and validate_circular(g, a, maps, imp, d=4):
+        if imp is not None and validate_circular(g, a, imp, d=4):
             wins += 1
     assert wins >= 99
     _report(

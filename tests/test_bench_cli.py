@@ -500,6 +500,14 @@ BAD_INPUTS = {
     "noalgo.json": json.dumps({**BAD_SUITE, "algorithms": [{"alpha": "2"}]}),
     "genfield.json": json.dumps({**BAD_SUITE, "instances": [
         {"id": "r", "gen": {"family": "random", "sets": "x", "k": 3, "universe": 9}}]}),
+    "noinst.json": json.dumps({**BAD_SUITE, "instances": ""}),
+    "instdict.json": json.dumps({**BAD_SUITE, "instances": BAD_SUITE["instances"][0]}),
+    "noalgos.json": json.dumps({**BAD_SUITE, "algorithms": {}}),
+    "gend.json": json.dumps({**BAD_SUITE, "instances": [{"id": "b", "gen": {"family": "berman", "d": 4.9}}]}),
+    "gensets.json": json.dumps({**BAD_SUITE, "instances": [
+        {"id": "r", "gen": {"family": "random", "sets": 12.7, "k": 3, "universe": 9}}]}),
+    "genpairs.json": json.dumps({**BAD_SUITE, "instances": [
+        {"id": "c", "gen": {"family": "cycle", "pairs": "4", "d": 5, "eps": "1/2"}}]}),
 }
 
 
@@ -529,6 +537,12 @@ BAD_INPUTS = {
     ["bench", "--suite", "algo.json", "--out", "out.csv"],
     ["bench", "--suite", "noalgo.json", "--out", "out.csv"],
     ["bench", "--suite", "genfield.json", "--out", "out.csv"],
+    ["bench", "--suite", "noinst.json", "--out", "out.csv"],  # a string, not a list
+    ["bench", "--suite", "instdict.json", "--out", "out.csv"],  # one instance, not a list
+    ["bench", "--suite", "noalgos.json", "--out", "out.csv"],  # an object, not a list
+    ["bench", "--suite", "gend.json", "--out", "out.csv"],  # a float
+    ["bench", "--suite", "gensets.json", "--out", "out.csv"],  # a float
+    ["bench", "--suite", "genpairs.json", "--out", "out.csv"],  # a string
     ["verify", "--in", "k0.ksp", "--solution", "bad.json"],
     ["verify", "--in", "path.mwis", "--solution", "bad.json"],
     ["verify", "--in", "path.mwis", "--solution", "strmembers.json"],
@@ -554,6 +568,38 @@ def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, runner
     assert r.exit_code == 1
     assert r.output.startswith("Error: ")
     assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("suite, message", [
+    ("noinst.json", "suite field 'instances' is malformed: '' (want a list)"),
+    ("instdict.json", "suite field 'instances' is malformed: {'id': 'b4', "),
+    ("noalgos.json", "suite field 'algorithms' is malformed: {} (want a list)"),
+    ("gend.json", "suite instance {'id': 'b', "),
+    ("gend.json", "field 'd' wants an integer, got 4.9"),
+    ("gensets.json", "suite instance {'id': 'r', "),
+    ("gensets.json", "field 'sets' wants an integer, got 12.7"),
+    ("genpairs.json", "suite instance {'id': 'c', "),
+    ("genpairs.json", "field 'pairs' wants an integer, got '4'"),
+])
+def test_cli_bench_names_the_malformed_field(tmp_path, monkeypatch, runner, suite, message):
+    """A suite's instances and algorithms must each be a list, and a gen
+    spec's integer fields JSON integers: anything else is an error that
+    names the field (and the instance), raised before any row runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / suite).write_text(BAD_INPUTS[suite], encoding="utf-8")
+    r = runner.invoke(main, ["bench", "--suite", suite, "--out", "out.csv"], catch_exceptions=False)
+    assert r.exit_code == 1
+    assert r.output.startswith("Error: ") and message in r.output
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("d", [4.5, "4", True])
+def test_bench_bad_algorithm_d_is_the_rows_error(d):
+    """An algorithm's claw bound `d` takes only a JSON integer; anything
+    else fails that row, as a bad alpha does, and names the field."""
+    (row,) = run_bench({**BAD_SUITE, "algorithms": [{"algo": "squareimp", "d": d}]}).rows
+    assert row.error == f"TypeError: field 'd' wants an integer, got {d!r}"
+    assert row.cert == "error" and row.final_w is None
 
 
 @pytest.mark.parametrize("args", [

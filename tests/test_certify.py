@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights, gen_berman_tight, w_of
+from conftest import PrimeWeights, gen_berman_tight, ref_anchors, w_of
 
 from clawpack import certify
 from clawpack.certify import AnalysisParams, CertReport, certify_local_optimum
@@ -244,8 +244,10 @@ def test_analysis_params_guard():
 #
 # ref_* below are verbatim copies of the Fraction-arithmetic certificate that
 # the integer layer replaced (and of the Fraction `surd_cmp` it called), with
-# test-local copies of the N(u,A) and anchor lookups they read. The integer
-# certificate must reproduce every reported value, class and flag.
+# test-local copies of the N(u,A) and anchor lookups they read, over the
+# anchors of `ref_anchors`. The integer certificate, which reads the
+# solution's heaviest-first N(u, A) table, must reproduce every reported
+# value, class and flag.
 
 
 def _solution_neighbors(g, a, maps, u):
@@ -312,9 +314,7 @@ def ref_compute_charges(g, a, astar, maps):
     return report
 
 
-def ref_compute_contributions(g, a, astar, maps=None):
-    if maps is None:
-        maps = build_anchor_maps(g, a)
+def ref_compute_contributions(g, a, astar, maps):
     report = CertReport()
     for v in a.members:
         report.contr_sum[v] = Fraction(0)
@@ -389,7 +389,7 @@ def ref_classify_one(g, a, maps, params, u):
 
 
 def ref_certify(g, a, astar, params):
-    maps = build_anchor_maps(g, a)
+    maps = ref_anchors(g, a)
     report = ref_compute_charges(g, a, astar, maps)
     contrib = ref_compute_contributions(g, a, astar, maps)
     report.contributions = contrib.contributions

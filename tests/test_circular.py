@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from conftest import (
     PrimeWeights,
     aux_graph_of,
+    anchors_of,
     charge_to_anchor,
     circular_state,
     enumerate_colorful_cycles,
     gen_berman_tight,
     positional,
     ref_a_nbrs,
+    ref_anchors,
     ref_aux_sides,
     tight_copies,
     w2_of,
@@ -31,7 +33,6 @@ from conftest import (
 
 from clawpack import circular
 from clawpack.circular import (
-    AnchorMaps,
     AuxEdge,
     AuxGraph,
     AuxVertex,
@@ -78,22 +79,19 @@ def berman_setup(d=4):
 def test_anchor_maps_weighted():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [5, 3, 1], d=3)
     a = Solution.of(g, {0, 1})
-    maps = build_anchor_maps(g, a)
-    assert maps.heaviest[2] == 0 and maps.second[2] == 1
+    assert build_anchor_maps(g, a)[2][:2] == [0, 1]
 
 
 def test_anchor_maps_tie_to_lowest_id():
     g = ConflictGraph.from_edges(4, [(3, 0), (3, 1), (3, 2)], [5, 5, 5, 1], d=4)
     a = Solution.of(g, {0, 1, 2})
-    maps = build_anchor_maps(g, a)
-    assert maps.heaviest[3] == 0 and maps.second[3] == 1
+    assert build_anchor_maps(g, a)[3][:2] == [0, 1]
 
 
 def test_anchor_maps_berman_pair():
     _, g, a = berman_setup(4)
-    maps = build_anchor_maps(g, a)
     # first pair-set vertex (elements 1,2) anchors at element vertices 0 then 1
-    assert maps.heaviest[6] == 0 and maps.second[6] == 1
+    assert build_anchor_maps(g, a)[6][:2] == [0, 1]
 
 
 def test_anchor_maps_require_maximal():
@@ -105,36 +103,33 @@ def test_anchor_maps_require_maximal():
 
 def test_aux_edge_check_berman_values():
     _, g, a = berman_setup(4)
-    maps = build_anchor_maps(g, a)
+    a_nbrs = build_anchor_maps(g, a)
     # pair {1,2} with both singleton companions: 1 + 1 > 1
-    assert aux_edge_check(6, (3,), (4,), g, maps)
+    assert aux_edge_check(6, (3,), (4,), g, a_nbrs)
     # empty companions: 1 > 1 fails
-    assert not aux_edge_check(6, (), (), g, maps)
+    assert not aux_edge_check(6, (), (), g, a_nbrs)
 
 
 def test_aux_edge_check_dominated():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [10, 10, 1], d=3)
     a = Solution.of(g, {0, 1})
-    maps = build_anchor_maps(g, a)
-    assert not aux_edge_check(2, (), (), g, maps)
+    assert not aux_edge_check(2, (), (), g, build_anchor_maps(g, a))
 
 
 def test_aux_edge_check_plain_arithmetic():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [2, 2, 3], d=3)
     a = Solution.of(g, {0, 1})
-    maps = build_anchor_maps(g, a)
     # 9 > (4+4)/2 = 4
-    assert aux_edge_check(2, (), (), g, maps)
+    assert aux_edge_check(2, (), (), g, build_anchor_maps(g, a))
 
 
 def test_find_circular_berman_full_swap():
     _, g, a = berman_setup(4)
-    maps = build_anchor_maps(g, a)
     imp = find_circular_improvement(circular_state(g, a), a)
     assert imp is not None
     assert imp.x == frozenset(range(3, 9))
     assert imp.removed == frozenset(range(3))
-    assert validate_circular(g, a, maps, imp, d=4)
+    assert validate_circular(g, a, imp, d=4)
     # cross-check against the complete generic search
     assert exhaustive_improvement_search(g, a, Fraction(2), 6) is not None
 
@@ -145,7 +140,6 @@ def test_forest_aux_graph_no_cycle():
         6, [(2, 0), (2, 1), (3, 0), (4, 1), (5, 0)], [1, 1, 1, 1, 1, 1], d=4
     )
     a = Solution.of(g, {0, 1})
-    maps = build_anchor_maps(g, a)
     assert find_circular_improvement(circular_state(g, a), a) is None
 
 
@@ -157,12 +151,11 @@ def test_parallel_edges_two_cycle():
     )
     g = build_conflict_graph(inst)
     a = Solution.of(g, {0, 1})
-    maps = build_anchor_maps(g, a)
     imp = find_circular_improvement(circular_state(g, a, inst=inst), a)
     assert imp is not None
     assert imp.x == frozenset({2, 3})
     assert len(imp.kind.u) == 2
-    assert validate_circular(g, a, maps, imp, d=g.d)
+    assert validate_circular(g, a, imp, d=g.d)
     assert exhaustive_improvement_search(g, a, Fraction(2), 2) is not None
 
 
@@ -259,14 +252,13 @@ def _mask(coloring, els):
 
 def test_run_color_coding_finds_planted_improvement():
     inst, g, a = berman_setup(4)
-    maps = build_anchor_maps(g, a)
     params = ColorCodingParams(t=32, repetitions=64, mode="rand")
     wins = 0
     for trial in range(30):
         state = circular_state(g, a, params, inst, rng=random.Random(trial))
         imp = run_color_coding(state, a, build_aux_graph(state, a))
         if imp is not None:
-            assert validate_circular(g, a, maps, imp, d=4)
+            assert validate_circular(g, a, imp, d=4)
             wins += 1
     assert wins == 30
 
@@ -399,7 +391,7 @@ def test_improvement_chain_recomputed_term_by_term():
     # the per-edge inequalities must sum to the strict overall gain:
     # w2(X) > w2(cycle vertices) + spill terms >= w2(N(X,A))
     _, g, a = berman_setup(4)
-    maps = build_anchor_maps(g, a)
+    maps = ref_anchors(g, a)
     imp = find_circular_improvement(circular_state(g, a), a)
     k = imp.kind
     y = k.y_map()
@@ -435,9 +427,8 @@ def test_exhaustive_mode_matches_bruteforce_existence(fixture):
             6, [(2, 0), (2, 1), (3, 0), (4, 1), (5, 0)], [1, 1, 1, 1, 1, 1], d=4
         )
         a = Solution.of(g, {0, 1})
-    maps = build_anchor_maps(g, a)
     got = find_circular_improvement(circular_state(g, a), a)
-    expect = circular_improvement_exists_bruteforce(g, a, maps, d=g.d or 4)
+    expect = circular_improvement_exists_bruteforce(g, a, d=g.d or 4)
     assert (got is not None) == expect
 
 
@@ -476,7 +467,7 @@ def test_aux_budget_raises_search_incomplete(monkeypatch):
 
 def test_soundness_revalidation_fields():
     _, g, a = berman_setup(6)
-    maps = build_anchor_maps(g, a)
+    a_nbrs = build_anchor_maps(g, a)
     imp = find_circular_improvement(circular_state(g, a), a)
     assert imp is not None
     k = imp.kind
@@ -484,30 +475,16 @@ def test_soundness_revalidation_fields():
     y = k.y_map()
     assert all(len(ys) <= 5 for ys in y.values())
     for u in k.u:
-        assert aux_edge_check(u, y[maps.heaviest[u]], y[maps.second[u]], g, maps)
+        v1, v2 = a_nbrs[u][:2]
+        assert aux_edge_check(u, y[v1], y[v2], g, a_nbrs)
     assert w2_of(g, imp.x) > w2_of(g, imp.removed)
 
 
-# ------------------------------------------------- integer anchor maps and aux graph
+# ------------------------------------------------- integer anchors and aux graph
 #
-# The references below are the rational-arithmetic forms of the anchor maps
-# and the aux-graph build that the integer code replaced; they are kept here
-# on purpose, as a second route to the same maps, vertices and edges.
-
-
-def ref_build_anchor_maps(g, a):
-    heaviest, second, a_nbrs = {}, {}, {}
-    for u in range(g.n):
-        if u in a.members:
-            continue
-        nu = tuple(v for v in g.adj[u] if v in a.members)
-        a_nbrs[u] = nu
-        best = max(nu, key=lambda v: (g.weights[v], -v))
-        heaviest[u] = best
-        rest = [v for v in nu if v != best]
-        if rest:
-            second[u] = max(rest, key=lambda v: (g.weights[v], -v))
-    return AnchorMaps(heaviest, second, a_nbrs)
+# The reference below is the rational-arithmetic form of the aux-graph build
+# that the integer code replaced, over the anchors of `ref_anchors`; it is
+# kept here on purpose, as a second route to the same vertices and edges.
 
 
 def ref_build_aux_graph(g, a, maps, y_cap):
@@ -616,7 +593,8 @@ def weighted_case(seed: int, kind: str):
             rest = sum(weights[v] ** 2 for v in nu if v not in (v1, v2))
             target = (weights[v1] ** 2 + weights[v2] ** 2) / 2 + rest
             weights[u] = pw.near_root(target, 2, rng.random() < 0.5)
-    return g.reweighted(weights), Solution.of(g, members), inst
+    g = g.reweighted(weights)  # before the solution: its table follows g's weights
+    return g, Solution.of(g, members), inst
 
 
 def aux_outcome(build, cap, n):
@@ -636,10 +614,10 @@ def test_integer_aux_graph_matches_fraction_build(kind):
     seen = {"edges": 0, "companions": 0, "excluded": 0}
     for seed in range(40):
         g, a, _ = weighted_case(seed, kind)
-        maps = build_anchor_maps(g, a)
-        ref = ref_build_anchor_maps(g, a)
-        assert (maps.heaviest, maps.second) == (ref.heaviest, ref.second)
-        assert list(map(sorted, maps.a_neighbors)) == ref_a_nbrs(g, a.members)
+        a_nbrs = build_anchor_maps(g, a)
+        ref = ref_anchors(g, a)
+        assert anchors_of(a_nbrs, a.members) == (ref.heaviest, ref.second)
+        assert a_nbrs == ref_a_nbrs(g, a.members)
         params = ColorCodingParams(t=1, repetitions=1)
         state = circular_state(g, a, params)
         want, checks = ref_build_aux_graph(g, a, ref, state.y_cap)
@@ -653,7 +631,7 @@ def test_integer_aux_graph_matches_fraction_build(kind):
         seen["edges"] += len(got.edges)
         seen["companions"] += sum(1 for v in got.vertices.values() if v.y)
         seen["excluded"] += sum(
-            1 for u in maps.heaviest if 2 * g.weights[u] == w_of(g, maps.a_neighbors[u])
+            1 for u in ref.heaviest if 2 * g.weights[u] == w_of(g, ref.a_neighbors[u])
         )
     assert seen["edges"] > 0 and seen["companions"] > 0
     if kind == "ties":
@@ -669,8 +647,7 @@ def test_zero_charge_joins_no_companion_set():
         [Fraction(3), Fraction(1), Fraction(5), Fraction(2), 2 + eps, Fraction(7)], d=4,
     )
     a = Solution.of(g, {0, 1, 2})
-    maps = build_anchor_maps(g, a)
-    assert charge_to_anchor(g, maps, 3) == 0 and charge_to_anchor(g, maps, 4) > 0
+    assert charge_to_anchor(g, a, 3) == 0 and charge_to_anchor(g, a, 4) > 0
     h = build_aux_graph(circular_state(g, a, ColorCodingParams(t=1, repetitions=1)), a)
     ys = {x for v in h.vertices.values() for x in v.y}
     assert 3 not in ys and 4 in ys
@@ -711,13 +688,11 @@ def test_anchor_maps_and_aux_graph_build_no_fraction():
 
 # ------------------------------------------------- per-run circular state
 #
-# logimp keeps one CircularState per run. At every circular call its anchor
-# maps and aux graph must equal a from-scratch build, also when a cap was
-# crossed part-way through an earlier call. The maps' key order is not
-# compared: consumers sort the keys, and an incremental update appends the
-# vertices that left A.
+# logimp keeps one CircularState per run. At every circular call the
+# solution's table, whose first two entries are the anchors, and the
+# state's aux graph must equal a from-scratch build, also when a cap was
+# crossed part-way through an earlier call.
 
-FRESH_MAPS = circular.build_anchor_maps
 FRESH_AUX = circular.build_aux_graph
 
 
@@ -735,18 +710,15 @@ def fresh_aux(g, a, state):
 
 
 def check_state_against_fresh(g, a, state, call):
-    """The state's maps and aux graph for `a` against a fresh build, and the
+    """`a`'s table and the state's aux graph against a fresh build, and the
     outcome under caps below and at the vertex and edge-check totals, built
     through the state. Even calls build uncapped first; odd calls try the
     caps first, starting at a different one each time, so a cap crossed
     part-way through the blocks, and a tight cap met exactly, come before
     the uncapped build."""
-    fresh_maps = FRESH_MAPS(g, a)
-    maps = state.maps
-    assert (maps.heaviest, maps.second) == (fresh_maps.heaviest, fresh_maps.second)
-    # both maps read `a`'s one table, so it is checked against the adjacency
-    assert maps.a_neighbors is a.a_nbrs
-    assert list(map(sorted, maps.a_neighbors)) == ref_a_nbrs(g, a.members)
+    # the state's anchors are read from `a`'s one table, so it is checked
+    # against the adjacency, list by list in (-w, id) order
+    assert a.a_nbrs == ref_a_nbrs(g, a.members)
     fresh = circular_state(g, a, state.params, state.inst, state.d)
     want = FRESH_AUX(fresh, a)
     n_vertices, n_checks = len(want.vertices), fresh.checks
@@ -1116,8 +1088,7 @@ def test_circular_state_over_random_swaps(kind):
                 members = random_swap(rng, g, members)
             state.update(Improvement(frozenset(members - old), frozenset(old - members)))
             sol = Solution.of(g, members)
-            maps = build_anchor_maps(g, sol, state)
-            assert maps is state.maps
+            assert build_anchor_maps(g, sol, state) is sol.a_nbrs
             h = check_state_against_fresh(g, sol, state, step)
             fresh = positional(fresh_aux(g, sol, state))
             two, dfs = check_searches_against_positional(g, h, fresh, state.max_len)
@@ -1131,8 +1102,8 @@ def test_circular_state_recovers_from_an_error():
     """A swap, then the removal of the solution's lowest vertex r, are
     handed to the state; the call over the non-maximal solution raises part
     way through the vertices those two moved. The next call is handed only
-    the swap that fills the solution up again, r last, yet must recompute
-    every vertex and match a fresh build."""
+    the swap that fills the solution up again, r last, yet must redo every
+    vertex the failed call was handed and match a fresh build."""
     params = ColorCodingParams(t=1, repetitions=1)
     for seed in range(10):
         g, a, _ = weighted_case(seed, "prime")
@@ -1152,7 +1123,7 @@ def test_circular_state_recovers_from_an_error():
                 members.add(v)
         state.update(Improvement(frozenset(members - broken), frozenset()))
         sol = Solution.of(g, members)
-        assert build_anchor_maps(g, sol, state) is state.maps
+        assert build_anchor_maps(g, sol, state) is sol.a_nbrs
         check_state_against_fresh(g, sol, state, seed + 1)
 
 
@@ -1494,14 +1465,13 @@ def test_rand_mode_agrees_with_exhaustive_at_claw_fixed_points():
     found = dp_decided = negatives_with_edges = 0
     for i, (inst, g, start) in enumerate(cases):
         a = squareimp(g, SolverConfig(mode="squareimp"), start=start).final
-        maps = build_anchor_maps(g, a)
         ex = find_circular_improvement(circular_state(g, a, inst=inst), a)
         params = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode="rand"), repetitions=200)
         rd = find_circular_improvement(circular_state(g, a, params, inst, rng=random.Random(i)), a)
         assert (rd is not None) == (ex is not None), f"case {i}"
         h = build_aux_graph(circular_state(g, a, params, inst), a)
         two = any(
-            validate_circular(g, a, maps, _assemble(a, h, vs, es), d=g.d)
+            validate_circular(g, a, _assemble(a, h, vs, es), d=g.d)
             for vs, es in _two_cycle_candidates(g, h)
         )
         found += ex is not None

@@ -15,7 +15,9 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights, claw_search, expand_steps, ref_a_nbrs, ref_aux_sides, tight_copies, w2_of, w_of
+from conftest import (
+    PrimeWeights, claw_search, expand_steps, ref_a_nbrs, ref_anchors, ref_aux_sides, tight_copies, w2_of, w_of,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,7 +205,7 @@ class CheckedClawUpdate:
     set must be the one from before it minus x and minus the radius-2 ball
     around removed, so a state that reopens too many centers, or too few,
     fails; the solution's N(u, A) table must match N(u) & A for every
-    vertex u; and the free set must match a scan of all vertices and be
+    vertex u, list by list in (-w, id) order; and the free set must match a scan of all vertices and be
     the non-members whose table entry is empty. Keeps every swap it sees."""
 
     def __init__(self):
@@ -217,7 +219,7 @@ class CheckedClawUpdate:
         members = a.members
         want = before - imp.x - within_two(g, imp.removed)
         assert state.settled == want
-        assert list(map(sorted, a.a_nbrs)) == ref_a_nbrs(g, members)
+        assert a.a_nbrs == ref_a_nbrs(g, members)
         assert state.free == scan_free(g, members)
         assert state.free == {v for v in range(g.n) if v not in members and not a.a_nbrs[v]}
         self.swaps.append(imp)
@@ -447,15 +449,17 @@ def test_integer_aux_edge_check_is_exact():
     outcomes = set()
     for seed in range(60):
         rng, pw, g, a = random_case(seed)
-        maps = build_anchor_maps(g, a)
-        for u in sorted(maps.second):
-            v1, v2 = maps.heaviest[u], maps.second[u]
-            at1 = [x for x in maps.heaviest if x != u and maps.heaviest[x] == v1]
-            at2 = [x for x in maps.heaviest if x != u and maps.heaviest[x] == v2]
+        a_nbrs = build_anchor_maps(g, a)
+        ref = ref_anchors(g, a)
+        for u in sorted(ref.second):
+            v1, v2 = ref.heaviest[u], ref.second[u]
+            assert a_nbrs[u][:2] == [v1, v2]
+            at1 = [x for x in ref.heaviest if x != u and ref.heaviest[x] == v1]
+            at2 = [x for x in ref.heaviest if x != u and ref.heaviest[x] == v2]
             y1 = tuple(rng.sample(at1, min(len(at1), rng.randint(0, 2))))
             y2 = tuple(rng.sample(at2, min(len(at2), rng.randint(0, 2))))
-            lhs, rhs = ref_aux_sides(u, y1, y2, g, maps)
-            assert aux_edge_check(u, y1, y2, g, maps) == (lhs > rhs)
+            lhs, rhs = ref_aux_sides(u, y1, y2, g, ref)
+            assert aux_edge_check(u, y1, y2, g, a_nbrs) == (lhs > rhs)
             # move w(u) next to the tie; the right side does not read w(u)
             target = rhs - (lhs - g.weights[u] ** 2)
             if target <= 0:
@@ -464,8 +468,8 @@ def test_integer_aux_edge_check_is_exact():
                 weights = list(g.weights)
                 weights[u] = pw.near_root(target, 2, above)
                 h = g.reweighted(weights)
-                lhs, rhs = ref_aux_sides(u, y1, y2, h, maps)
-                got = aux_edge_check(u, y1, y2, h, maps)
+                lhs, rhs = ref_aux_sides(u, y1, y2, h, ref)
+                got = aux_edge_check(u, y1, y2, h, a_nbrs)
                 assert got == (lhs > rhs)
                 outcomes.add(got)
     assert outcomes == {True, False}
@@ -646,7 +650,7 @@ def checked_apply():
     (alpha for a generic swap, 2 otherwise), and the total after it are
     compared with the Fraction sums of the weights, and the N(u, A) table,
     which every solver reads before its first swap, with N(u) & A for every
-    vertex u. Yields the count of checked swaps per kind."""
+    vertex u, list by list in (-w, id) order. Yields the count of checked swaps per kind."""
     kinds: Counter = Counter()
     original = Solution.apply
 
@@ -661,7 +665,7 @@ def checked_apply():
         original(self, imp)
         assert self.total_w == w_of(g, self.members)
         assert self._a_nbrs is not None
-        assert list(map(sorted, self.a_nbrs)) == ref_a_nbrs(g, self.members)
+        assert self.a_nbrs == ref_a_nbrs(g, self.members)
         kinds[imp.kind_name()] += 1
 
     with mock.patch.object(Solution, "apply", apply):

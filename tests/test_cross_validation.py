@@ -18,7 +18,6 @@ from conftest import (
 
 from clawpack.circular import (
     ColorCodingParams,
-    build_anchor_maps,
     build_aux_graph,
     find_circular_improvement,
     run_color_coding,
@@ -40,9 +39,8 @@ def test_logimp_fixed_points_admit_no_circular_improvement(seed):
     tr = logimp(g, SolverConfig(mode="logimp"), inst=inst)
     a = tr.final
     assert claw_search(g, a) is None
-    maps = build_anchor_maps(g, a)
     assert find_circular_improvement(circular_state(g, a), a) is None
-    assert not circular_improvement_exists_bruteforce(g, a, maps, d=g.d)
+    assert not circular_improvement_exists_bruteforce(g, a, d=g.d)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -52,12 +50,11 @@ def test_circular_search_existence_matches_bruteforce_at_claw_fixed_points(seed)
     from clawpack.solvers import squareimp
 
     a = squareimp(g, SolverConfig(mode="squareimp")).final
-    maps = build_anchor_maps(g, a)
     got = find_circular_improvement(circular_state(g, a), a)
-    expect = circular_improvement_exists_bruteforce(g, a, maps, d=g.d)
+    expect = circular_improvement_exists_bruteforce(g, a, d=g.d)
     assert (got is not None) == expect
     if got is not None:
-        assert validate_circular(g, a, maps, got, d=g.d)
+        assert validate_circular(g, a, got, d=g.d)
 
 
 def four_cycle_instance():
@@ -88,18 +85,17 @@ def test_weighted_four_cycle_improvement():
     g = build_conflict_graph(inst)
     a = Solution.of(g, {0, 1, 2, 3})
     assert claw_search(g, a) is None
-    maps = build_anchor_maps(g, a)
     got = find_circular_improvement(circular_state(g, a), a)
     assert got is not None
     assert len(got.kind.u) == 4
     assert got.x == frozenset(range(4, 12))
-    assert validate_circular(g, a, maps, got, d=g.d)
-    assert circular_improvement_exists_bruteforce(g, a, maps, d=g.d)
+    assert validate_circular(g, a, got, d=g.d)
+    assert circular_improvement_exists_bruteforce(g, a, d=g.d)
     # the randomized route finds the same structure
     params = ColorCodingParams(t=32, repetitions=64, mode="rand")
     state = circular_state(g, a, params, inst)
     rnd = run_color_coding(state, a, build_aux_graph(state, a))
-    assert rnd is not None and validate_circular(g, a, maps, rnd, d=g.d)
+    assert rnd is not None and validate_circular(g, a, rnd, d=g.d)
     # and the whole solver converges past the ring
     tr = logimp(g, SolverConfig(mode="logimp"), start=a, inst=inst)
     assert tr.final.total_w == 4 + 4 * Fraction(9, 10)
@@ -120,13 +116,12 @@ def test_companion_restriction_gap_is_detectable():
     g = build_conflict_graph(inst)
     a = Solution.of(g, {0, 1, 2, 3})
     assert claw_search(g, a) is None
-    maps = build_anchor_maps(g, a)
     # companions charge exactly zero: outside the candidate filter
-    assert all(charge_to_anchor(g, maps, c) == 0 for c in range(8, 12))
+    assert all(charge_to_anchor(g, a, c) == 0 for c in range(8, 12))
     got = find_circular_improvement(circular_state(g, a), a)
     assert got is None
-    assert not circular_improvement_exists_bruteforce(g, a, maps, d=g.d, positive_only=True)
-    assert circular_improvement_exists_bruteforce(g, a, maps, d=g.d)
+    assert not circular_improvement_exists_bruteforce(g, a, d=g.d, positive_only=True)
+    assert circular_improvement_exists_bruteforce(g, a, d=g.d)
     # the restricted search is still complete for its own candidate class
 
 

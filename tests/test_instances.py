@@ -245,6 +245,16 @@ def test_direct_construction_takes_int_and_fraction_weights():
     assert build_conflict_graph(inst).weights == (1, Fraction(5, 2))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4), max_size=20))
+def test_weight_order_is_heaviest_first_ties_to_the_lowest_id(weights):
+    """`weight_order` is the vertices sorted by (-w_int, id), and
+    `weight_rank` its inverse; ties are frequent at these weights."""
+    g = ConflictGraph.from_edges(len(weights), [], weights)
+    assert list(g.weight_order) == sorted(range(g.n), key=lambda v: (-g.w_int[v], v))
+    assert [g.weight_order[r] for r in g.weight_rank] == list(range(g.n))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_build_conflict_graph_matches_pairwise_intersection(data):

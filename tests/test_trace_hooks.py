@@ -162,7 +162,7 @@ def test_traced_rand_logimp_shows_color_coding_under_find():
         state = circular_state(g, a, params, inst)
         h = build_aux_graph(state, a)
         two = any(
-            validate_circular(g, a, state.maps, _assemble(a, h, vs, es), d=state.d)
+            validate_circular(g, a, _assemble(a, h, vs, es), d=state.d)
             for vs, es in _two_cycle_candidates(g, h)
         )
         assert sum(tracer.parents[i] == f for i in coloring) == (0 if two else 1)
