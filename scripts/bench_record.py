@@ -15,11 +15,14 @@ talon-search nodes of the tight-instance points and, per circular mode,
 the growth of the tight-union time from one copy count to the next (see
 `scale_curve`), under `input` the median time of each layer of the input
 path, from generating a packing to its conflict graph (see `input_curve`),
-and under `oracle` the nodes and time of `exact_mwis`, unseeded and seeded
+under `oracle` the nodes and time of `exact_mwis`, unseeded and seeded
 with the logimp final, past the sizes clawbench runs it at (see
-`oracle_curve`).
-It exits 1, naming the runs, if any run failed or reported `correct: false`;
-the file is written either way.
+`oracle_curve`), and under `large` one timing of each layer from generating
+a random packing to logimp, at sizes past the scale curve, with the peak
+RSS of the process that ran it (see `large_curve`).
+It exits 1, naming the runs, if any run failed or reported `correct: false`,
+or if squareimp at the smallest `large` point took more than
+`LARGE_SQUAREIMP_GATE_S`; the file is written either way.
 """
 
 import argparse
@@ -51,6 +54,10 @@ INPUT_N = SCALE_N + (25600,)
 # larger ones seeded only (n = 200, seeded, takes about 2 M nodes).
 ORACLE_N = (40, 60, 80, 100, 120)
 ORACLE_SEEDED_N = (150,)
+# The large curve: random k=3 packings of n sets, one child process per
+# point. logimp at 409,600 sets crosses the aux-vertex cap.
+LARGE_N = (102_400, 409_600)
+LARGE_SQUAREIMP_GATE_S = 1.0
 
 
 def run_one(workload: str, trace: int) -> dict:
@@ -224,6 +231,57 @@ def oracle_curve() -> list[dict]:
     return points
 
 
+def large_point(n: int) -> None:
+    """Print, as one JSON line, one seed-0 timing of each layer at a random
+    k=3 packing of n sets over a universe of n elements with `uniform:10`
+    weights (the `rand-k3` settings): `gen_random_packing` (`gen_s`),
+    `build_conflict_graph` (`build_s`), and `solve` from empty in squareimp
+    (`squareimp_s`) and in logimp, exhaustive (`logimp_s`), with the
+    iteration counts of both, and then this process's peak RSS in MB
+    (`peak_rss_mb`, from `ru_maxrss`). A logimp run that raises gives the
+    error (`logimp_error`) instead of its time."""
+    import resource
+
+    import clawpack
+    from clawpack.generators import gen_random_packing
+    from clawpack.instances import BudgetExceededError
+
+    point = {"n": n}
+    t0 = time.perf_counter()
+    inst = gen_random_packing(n, 3, n, weight_dist=("uniform", 10), seed=0)
+    t1 = time.perf_counter()
+    g = clawpack.build_conflict_graph(inst)
+    t2 = time.perf_counter()
+    point.update(vertices=g.n, gen_s=round(t1 - t0, 4), build_s=round(t2 - t1, 4))
+    for algo in ("squareimp", "logimp"):
+        t0 = time.perf_counter()
+        try:
+            trace = clawpack.solve(g, clawpack.SolverConfig(mode=algo, rng_seed=0), inst=inst)
+        except BudgetExceededError as exc:
+            point[f"{algo}_error"] = f"{type(exc).__name__}: {exc}"
+            continue
+        point[f"{algo}_s"] = round(time.perf_counter() - t0, 4)
+        point[f"{algo}_iterations"] = trace.iterations
+    point["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    print(json.dumps(point))
+
+
+def large_curve() -> list[dict]:
+    """`large_point(n)` for n in `LARGE_N`, each in a new child process, so
+    each point's peak RSS is its own; a child that fails gives its exit
+    code and the tail of its stderr."""
+    scripts = os.path.dirname(os.path.abspath(__file__))
+    points = []
+    for n in LARGE_N:
+        code = f"import sys; sys.path.insert(0, {scripts!r}); import bench_record; bench_record.large_point({n})"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True)
+        if proc.returncode == 0:
+            points.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        else:
+            points.append({"n": n, "exit_code": proc.returncode, "stderr_tail": proc.stderr.strip().splitlines()[-10:]})
+    return points
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True, help="file name suffix: BENCH_<tag>.json")
@@ -236,6 +294,7 @@ def main() -> int:
         "scale": scale_curve(),
         "input": input_curve(),
         "oracle": oracle_curve(),
+        "large": large_curve(),
     }
     path = os.path.join(ROOT, f"BENCH_{opts.tag}.json")
     with open(path, "w") as fh:
@@ -248,6 +307,10 @@ def main() -> int:
         if not correct:
             print(f"{r['workload']} --trace {r['trace']}: exit {r['exit_code']}, correct: {correct}", file=sys.stderr)
             status = 1
+    squareimp_s = doc["large"][0].get("squareimp_s")
+    if squareimp_s is None or squareimp_s > LARGE_SQUAREIMP_GATE_S:
+        print(f"large: squareimp at n = {LARGE_N[0]} took {squareimp_s} s, gate {LARGE_SQUAREIMP_GATE_S} s", file=sys.stderr)
+        status = 1
     return status
 
 

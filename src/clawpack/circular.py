@@ -6,10 +6,15 @@ inequality, then cycle detection. Cycles of length 2 (parallel edges) are
 scanned directly; longer cycles are found either by an exhaustive DFS
 (complete, deterministic) or by randomized color coding over the packing
 universe with a colorful-cycle dynamic program. The aux graph is its
-vertices and edges and two lookups over them: each vertex's incident
-edges, and the edges that can have a parallel twin. Color coding derives
-the colors of a vertex or edge from the packing sets of its companion set
-or inducer.
+blocks and nothing else: a vertex block per anchor holds the anchor's
+companion sets, and an edge block per inducer the ends of its edges. An
+id names its block and its place there, so vertex i is read as anchor
+i >> _ID_SHIFT and a companion set of that anchor's block, and edge e as
+inducer e >> _ID_SHIFT and a pair of ends in that inducer's block; the
+searches read the blocks directly. Two lookups sit over them: the edges
+of each vertex that has one, and the edges that can have a parallel twin.
+Color coding derives the colors of a vertex or edge from the packing sets
+of its companion set or inducer.
 
 A vertex u outside A is anchored at its heaviest solution neighbor and
 draws its aux edge to its second: the first two entries of the solution's
@@ -26,16 +31,16 @@ Both builds go through a `CircularState`. logimp keeps one per run and hands
 it every swap, so at each claw fixed point only the vertices next to the
 swaps since the last one are re-anchored, and only the vertex blocks (one
 per anchor) and the edge blocks (one per inducing vertex) whose inputs
-changed are recomputed. The state holds one aux graph by id, vertices,
-edges and each vertex's sorted incident edge ids, and changes it only where
+changed are recomputed. The state holds one aux graph, its blocks and
+the sorted edge ids of each vertex with an edge, and changes it only where
 a block is built or dropped; ids sort in the from-scratch order, so a call
 returns that graph as it stands, and the 2-cycle scan reads only the
-anchor pairs that two or more inducers share. It also keeps, sorted, the ids of the vertices
-with an edge, and the DFS and the DP start only there: the copies of a
-solution that earlier swaps improved have no edge and cost a call nothing,
-and a call reads no whole set of the state. The state is built once per
-run from the graph, the search parameters, the claw bound, the packing
-instance and the random generator, and fixes what they fix: the
+anchor pairs that two or more inducers share. The vertices with an edge
+are also kept sorted, and the DFS and the DP start only there: the copies
+of a solution that earlier swaps improved have no edge and cost a call
+nothing, and a call reads no whole set of the state. The state is built
+once per run from the graph, the search parameters, the claw bound, the
+packing instance and the random generator, and fixes what they fix: the
 companion-set cap, the cycle length bound and whether color coding can
 run. The DP works out a vertex's color masks, step table and first layer
 only when it first reaches that vertex, and yields each candidate as soon
@@ -79,9 +84,12 @@ _MAX_COMPANION = 3
 # An aux vertex's id is its anchor shifted left by _ID_SHIFT plus its
 # position in the anchor's block, and an aux edge's id its inducer shifted
 # the same way plus its position in the inducer's block, so ids increase in
-# the from-scratch vertex and edge orders. No block comes near 2**32
-# vertices or edges: the caps below that are far lower.
+# the from-scratch vertex and edge orders, and vertex i is the companion set
+# `vblocks[i >> _ID_SHIFT].ys[i & _ID_MASK]`, edge e the ends
+# `eblocks[e >> _ID_SHIFT].ends[e & _ID_MASK]`. No block comes near 2**32
+# vertices or edges: the caps above are far lower.
 _ID_SHIFT = 32
+_ID_MASK = (1 << _ID_SHIFT) - 1
 
 
 class SearchIncompleteError(BudgetExceededError):
@@ -94,7 +102,8 @@ def build_anchor_maps(
     """`a`'s table of N(u, A), once every vertex outside `a` is checked to
     have a solution neighbor: u's anchor is `a.a_nbrs[u][0]` and its
     second, where it has one, `a.a_nbrs[u][1]`. A vertex without one is a
-    `ContractError` (the solution is not maximal).
+    `ContractError` (the solution is not maximal), and so is a solution
+    over another graph than `g`, whose table follows that graph's weights.
 
     With the run's `CircularState`, only the vertices next to the swaps
     since its last successful call are checked, and then re-anchored in
@@ -102,6 +111,8 @@ def build_anchor_maps(
     a state must hand it (`CircularState.update`) every swap applied to `a`
     since that call.
     """
+    if a.g is not g:
+        raise ContractError("the solution is over another graph")
     members, a_nbrs = a.members, a.a_nbrs
     touched = range(g.n) if state is None else state._near_moved()
     for u in touched:
@@ -209,42 +220,6 @@ class ColorCodingParams:
         return ColorCodingParams(t=t, repetitions=reps, mode=mode)
 
 
-@dataclass(frozen=True)
-class AuxVertex:
-    anchor: int
-    y: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AuxEdge:
-    """Edge induced by `inducer`; endpoint a sits at its heaviest anchor."""
-
-    a: int
-    b: int
-    inducer: int
-
-
-@dataclass
-class AuxGraph:
-    """Aux vertices and edges by id; an edge's ends are vertex ids.
-
-    Ids sort in the from-scratch order: vertices by anchor, then place in
-    the anchor's block, and edges by inducer, then place in its block; the
-    dicts' own order means nothing. `incident` maps every vertex id to the
-    ids of its edges, sorted; `parallel` lists, sorted, every edge that can
-    share both ends with another; and `starts` lists, sorted, the ids of the
-    vertices with at least one edge, the only ones a cycle search starts
-    from. The graph a `CircularState` returns holds the state's own dicts
-    and list, valid until its next call.
-    """
-
-    vertices: dict[int, AuxVertex]
-    edges: dict[int, AuxEdge]
-    incident: dict[int, list[int]]
-    parallel: Sequence[int]
-    starts: Sequence[int]
-
-
 class _VertexBlock(NamedTuple):
     """The ids of the aux vertices at one anchor, in their order: one per
     independent companion set of at most y_cap candidates, with its net."""
@@ -255,13 +230,50 @@ class _VertexBlock(NamedTuple):
 
 
 class _EdgeBlock(NamedTuple):
-    """The ids of the aux edges one inducer makes, from the block at its
-    heaviest anchor to the block at its second, the checks they took, and
-    those two anchors."""
+    """The ids of the aux edges one inducer makes, their ends (vertex ids:
+    the one in the block at its heaviest anchor, then the one in the block
+    at its second), and the checks they took."""
 
     ids: range
+    ends: Sequence[tuple[int, int]]
     checks: int
-    anchors: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class AuxBlocks:
+    """The vertices or the edges of an aux graph: their blocks, by anchor or
+    by inducer, and how many there are. Sized, and iterates over the ids in
+    order."""
+
+    blocks: Mapping[int, _VertexBlock] | Mapping[int, _EdgeBlock]
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[int]:
+        return (i for key in sorted(self.blocks) for i in self.blocks[key].ids)
+
+
+@dataclass
+class AuxGraph:
+    """Aux vertices and edges as blocks; an edge's ends are vertex ids.
+
+    Ids sort in the from-scratch order: vertices by anchor, then place in
+    the anchor's block, and edges by inducer, then place in its block (see
+    `_ID_SHIFT`). `incident` maps the id of every vertex with an edge, and
+    no other, to the ids of its edges, sorted; `parallel` lists, sorted,
+    every edge that can share both ends with another; and `starts` lists,
+    sorted, the keys of `incident`, the only vertices a cycle search starts
+    from. The graph a `CircularState` returns holds the state's own dicts
+    and lists, valid until its next call.
+    """
+
+    vertices: AuxBlocks
+    edges: AuxBlocks
+    incident: Mapping[int, list[int]]
+    parallel: Sequence[int]
+    starts: Sequence[int]
 
 
 class _Memo(dict):
@@ -285,30 +297,31 @@ class CircularState:
     call, so only `moved | N(moved)` is checked and re-anchored, `moved`
     being x | removed over every swap handed to `update` since that call
     (every vertex before the first call; a call that raises keeps it for
-    the next). The aux graph is kept as blocks: a vertex block per anchor v
+    the next). The aux graph is its blocks: a vertex block per anchor v
     (its companion sets and their nets) and an edge block per inducer u
-    (its edges and its edge-check count). A vertex block is dropped when a
-    candidate (an outside vertex with v as heaviest anchor and positive
-    charge) joins or leaves v or has its solution neighbors changed; an
-    edge block is recomputed when u's anchors or solution neighbors
-    change, or when the block at either anchor was dropped.
+    (its edges' ends and its edge-check count). A vertex block is dropped
+    when a candidate (an outside vertex with v as heaviest anchor and
+    positive charge) joins or leaves v or has its solution neighbors
+    changed; an edge block is recomputed when u's anchors or solution
+    neighbors change, or when the block at either anchor was dropped.
 
     A vertex's id comes from its anchor and its position in the block (see
     `_ID_SHIFT`), and an edge's from its inducer and its position in the
     block, so the ids of a block stay fixed while it lives and sort in the
-    from-scratch order. The state keeps one aux graph by id: its vertices,
-    its edges, each vertex's edge ids in sorted order, and the sorted ids
-    of the vertices with an edge, where the searches start. Only building
-    or dropping a block changes them: a start enters with a vertex's first
-    edge and leaves with its last edge or its block. The dirty edge blocks
-    are dropped before any vertex block is rebuilt, so no edge ever names a
-    vertex that is gone, and a new edge block enters the graph only once it
-    is complete, so a cap crossed part-way leaves no trace of it. Each call
-    thus builds no vertex or edge of a block that did not change, and
-    vertex ids, edge ids and the edge-check count are those of a fresh
-    build. For the 2-cycle scan the state keeps, per unordered anchor pair,
-    the inducers whose blocks have edges between them, and the pairs that
-    two or more inducers share: only those can carry parallel edges.
+    from-scratch order. Beside the blocks and their vertex and edge counts,
+    the state keeps the edge ids, sorted, of each vertex with an edge, and
+    the sorted ids of those vertices, where the searches start. Only
+    building or dropping a block changes them: a vertex enters both with
+    its first edge and leaves with its last edge or its block. The dirty
+    edge blocks are dropped before any vertex block is rebuilt, so no edge
+    ever names a vertex that is gone, and a new edge block enters the graph
+    only once it is complete, so a cap crossed part-way leaves no trace of
+    it. Each call thus builds no vertex or edge of a block that did not
+    change, and vertex ids, edge ids and the edge-check count are those of
+    a fresh build. For the 2-cycle scan the state keeps, per unordered
+    anchor pair, the inducers whose blocks have edges between them, and
+    the pairs that two or more inducers share: only those can carry
+    parallel edges.
 
     No call walks a whole set of the state. The vertices without a vertex
     block are collected as the swaps come in (new members, and anchors
@@ -316,8 +329,10 @@ class CircularState:
     inducers are the only ones looked up among the edge blocks and the
     N(u, A) table.
 
-    The aux graph's dicts the state returns are its own and change at its
-    next call.
+    The aux graph the state returns holds its own dicts and lists, which
+    change at its next call. A set of the state that empties is cleared,
+    so it drops the table it grew to: an emptied set keeps it, and every
+    walk over the set walks that table.
 
     The state is built from what the run fixes: the graph, the search
     parameters, the claw bound `d`, the packing instance (None for a bare
@@ -349,9 +364,8 @@ class CircularState:
         self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
         self._vblocks: dict[int, _VertexBlock] = {}
         self._eblocks: dict[int, _EdgeBlock] = {}  # only blocks with checks
-        self._vertices: dict[int, AuxVertex] = {}
-        self._edges: dict[int, AuxEdge] = {}
-        self._incident: dict[int, list[int]] = {}  # vertex id -> its edge ids, sorted
+        self._n_vertices = self._n_edges = 0  # in the blocks
+        self._incident: dict[int, list[int]] = {}  # vertex id -> its edge ids, sorted; only vertices with one
         self._starts: list[int] = []  # the ids of the vertices with an edge, sorted
         self._unbuilt: set[int] = set()  # vertices without a block; members get one next call
         self._pairs: dict[tuple[int, int], set[int]] = {}  # anchor pair -> inducers with edges
@@ -366,10 +380,7 @@ class CircularState:
     def _near_moved(self) -> set[int]:
         """The vertices moved since the last `_reanchor`, and their neighbors."""
         adj, moved = self.g.adj, self._moved
-        touched = set(moved)
-        for v in moved:
-            touched.update(adj[v])
-        return touched
+        return set(moved).union(*(adj[v] for v in moved))
 
     def _reanchor(self, a: Solution, touched: set[int]) -> None:
         """Move every vertex of `touched`, `_near_moved()` over `a`, to its
@@ -378,8 +389,7 @@ class CircularState:
         vertex of `touched` outside A has a solution neighbor."""
         members, a_nbrs = a.members, a.a_nbrs
         w = self.g.w_int
-        anchor, vblocks = self._anchor, self._vblocks
-        unbuilt = self._unbuilt
+        anchor, vblocks, unbuilt = self._anchor, self._vblocks, self._unbuilt
         for u in touched:
             old = anchor.pop(u, None)
             if old in vblocks:
@@ -399,14 +409,16 @@ class CircularState:
         self._moved.clear()
 
     def _drop_block(self, v: int, a_nbrs: Sequence[Sequence[int]]) -> None:
-        """Drop the vertex block at anchor v with its vertices, their
-        incident lists and their starts, note v for a rebuild, and mark the
-        edge blocks that end at v dirty: their inducers are neighbors of v."""
-        vertices, incident, starts = self._vertices, self._incident, self._starts
+        """Drop the vertex block at anchor v with the incident lists and the
+        starts of its vertices, note v for a rebuild, and mark the edge
+        blocks that end at v dirty: their inducers are neighbors of v."""
+        incident, starts = self._incident, self._starts
         ids = self._vblocks.pop(v).ids
-        for i in ids:
-            del vertices[i], incident[i]
-        del starts[bisect_left(starts, ids.start):bisect_left(starts, ids.stop)]
+        self._n_vertices -= len(ids)
+        lo, hi = bisect_left(starts, ids.start), bisect_left(starts, ids.stop)
+        for i in starts[lo:hi]:
+            del incident[i]
+        del starts[lo:hi]
         self._unbuilt.add(v)
         self._dirty_u.update(u for u in self.g.adj[v] if v in a_nbrs[u][:2])
 
@@ -426,52 +438,47 @@ class CircularState:
         else:
             ys, nets = [()], [0]
         base = v << _ID_SHIFT
-        ids = range(base, base + len(ys))
-        vertices, incident = self._vertices, self._incident
-        for i, y in zip(ids, ys):
-            vertices[i] = AuxVertex(v, y)
-            incident[i] = []
-        self._vblocks[v] = _VertexBlock(ids, ys, nets)
+        self._vblocks[v] = _VertexBlock(range(base, base + len(ys)), ys, nets)
+        self._n_vertices += len(ys)
 
     def _drop_edge_blocks(self) -> None:
         """Drop the edge block of every dirty inducer, with its edges, and
-        the starts of the vertices left without one."""
-        eblocks, edges, incident, starts = self._eblocks, self._edges, self._incident, self._starts
+        the incident lists and starts of the vertices left without one."""
+        eblocks, incident, starts = self._eblocks, self._incident, self._starts
         pairs, shared = self._pairs, self._shared
         for u in [u for u in self._dirty_u if u in eblocks]:
             block = eblocks.pop(u)
             self.checks -= block.checks
-            for ei in block.ids:
-                e = edges.pop(ei)
-                for end in (e.a, e.b):
+            if not block.ends:
+                continue
+            self._n_edges -= len(block.ends)
+            for ei, ends in zip(block.ids, block.ends):
+                for end in ends:
                     at_end = incident.get(end)
                     if at_end is not None:  # else the block at that end was dropped
                         at_end.remove(ei)
                         if not at_end:
-                            del starts[bisect_left(starts, end)]
-            if not block.ids:
-                continue
-            v1, v2 = block.anchors
-            key = (v1, v2) if v1 < v2 else (v2, v1)
+                            del incident[end], starts[bisect_left(starts, end)]
+            key = tuple(sorted(end >> _ID_SHIFT for end in block.ends[0]))  # the inducer's two anchors
             group = pairs[key]
             group.remove(u)
             if len(group) < 2:
                 shared.discard(key)
+                if not shared:
+                    shared.clear()
             if not group:
                 del pairs[key]
 
     def _update_edge_blocks(self, a_nbrs: Sequence[Sequence[int]]) -> None:
-        """Build the edge block of every dirty inducer, the starts of the
-        vertices it gives a first edge, and the inducers per anchor pair
-        with it. Raises `SearchIncompleteError` once the checks of all
-        blocks pass `_MAX_AUX_EDGE_CHECKS`; the inducers not yet built stay
-        dirty."""
+        """Build the edge block of every dirty inducer, the incident lists
+        and starts of the vertices it gives a first edge, and the inducers
+        per anchor pair with it. Raises `SearchIncompleteError` once the
+        checks of all blocks pass `_MAX_AUX_EDGE_CHECKS`; the inducers not
+        yet built stay dirty."""
         cap = _MAX_AUX_EDGE_CHECKS
-        g = self.g
-        w2 = g.w2_int
-        adj = g.adj_sets
+        w2, adj = self.g.w2_int, self.g.adj_sets
         vblocks, eblocks, dirty = self._vblocks, self._eblocks, self._dirty_u
-        edges, incident, starts = self._edges, self._incident, self._starts
+        incident, starts = self._incident, self._starts
         pairs, shared = self._pairs, self._shared
         dirty.difference_update([u for u in dirty if len(a_nbrs[u]) < 2])  # only inducers have edge blocks
         total = self.checks
@@ -486,7 +493,7 @@ class CircularState:
             if not side_b:
                 continue
             base = 2 * w2[u] - w2[v1] - w2[v2] - 2 * sum(w2[x] for x in rest)
-            new: list[AuxEdge] = []
+            ends: list[tuple[int, int]] = []
             checks = 0
             for ia, y1 in enumerate(b1.ys):
                 if u in y1 or not nbrs.isdisjoint(y1):
@@ -501,26 +508,26 @@ class CircularState:
                         self.checks = total
                         raise SearchIncompleteError(f"aux graph exceeded {cap} edge checks")
                     if bound > nets2[ib]:
-                        new.append(AuxEdge(b1.ids[ia], b2.ids[ib], u))
+                        ends.append((b1.ids[ia], b2.ids[ib]))
             if not checks:
                 continue
             first = u << _ID_SHIFT
-            ids = range(first, first + len(new))
-            eblocks[u] = _EdgeBlock(ids, checks, (v1, v2))
+            ids = range(first, first + len(ends))
+            eblocks[u] = _EdgeBlock(ids, ends, checks)
             total += checks
-            if new:
-                for ei, e in zip(ids, new):
-                    edges[ei] = e
-                    for end in (e.a, e.b):
-                        at_end = incident[end]
-                        if not at_end:
+            if ends:
+                self._n_edges += len(ends)
+                for ei, pair in zip(ids, ends):
+                    for end in pair:
+                        if end not in incident:
                             insort(starts, end)
-                        insort(at_end, ei)
+                        insort(incident.setdefault(end, []), ei)
                 key = (v1, v2) if v1 < v2 else (v2, v1)
                 group = pairs.setdefault(key, set())
                 group.add(u)
                 if len(group) == 2:
                     shared.add(key)
+        dirty.clear()  # empty: drop the table it grew to
         self.checks = total
 
     def aux_graph(self, a: Solution) -> AuxGraph:
@@ -534,7 +541,7 @@ class CircularState:
                 self._add_vertex_block(v, a_nbrs)
         unbuilt.clear()
         # A cap is crossed when a count passes it.
-        if len(self._vertices) > _MAX_AUX_VERTICES:
+        if self._n_vertices > _MAX_AUX_VERTICES:
             raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
         self._update_edge_blocks(a_nbrs)
         if self.checks > _MAX_AUX_EDGE_CHECKS:
@@ -542,7 +549,8 @@ class CircularState:
         eblocks, pairs = self._eblocks, self._pairs
         sharing = sorted({u for key in self._shared for u in pairs[key]})
         parallel = [ei for u in sharing for ei in eblocks[u].ids]
-        return AuxGraph(self._vertices, self._edges, self._incident, parallel, self._starts)
+        return AuxGraph(AuxBlocks(self._vblocks, self._n_vertices), AuxBlocks(eblocks, self._n_edges),
+                        self._incident, parallel, self._starts)
 
 
 def build_aux_graph(state: CircularState, a: Solution) -> AuxGraph:
@@ -578,9 +586,9 @@ def _assemble(
 ) -> Improvement:
     """The improvement a cycle of `h` stands for, with N(x, A) read from
     `a`'s table."""
-    u_order = tuple(h.edges[e].inducer for e in edge_order)
-    anchors = tuple(h.vertices[i].anchor for i in vertex_order)
-    ys = tuple((h.vertices[i].anchor, h.vertices[i].y) for i in vertex_order)
+    u_order = tuple(e >> _ID_SHIFT for e in edge_order)
+    anchors = tuple(i >> _ID_SHIFT for i in vertex_order)
+    ys = tuple((v, h.vertices.blocks[v].ys[i & _ID_MASK]) for v, i in zip(anchors, vertex_order))
     x = set(u_order)
     for _, y in ys:
         x.update(y)
@@ -596,18 +604,18 @@ def _two_cycle_candidates(g: ConflictGraph, h: AuxGraph) -> Iterator[tuple[list[
     """Pairs of parallel edges whose supports are compatible, grouped by
     their ends in the order of each group's first edge; only the edges in
     `h.parallel` are read."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in h.parallel:
-        e = h.edges[i]
-        groups.setdefault((e.a, e.b) if e.a < e.b else (e.b, e.a), []).append(i)
+    vblocks, eblocks = h.vertices.blocks, h.edges.blocks
+    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for e in h.parallel:
+        a, b = eblocks[e >> _ID_SHIFT].ends[e & _ID_MASK]
+        groups.setdefault((a, b) if a < b else (b, a), []).append((e, a, b))
     for pair in groups.values():
-        for i in range(len(pair)):
-            for j in range(i + 1, len(pair)):
-                e1, e2 = h.edges[pair[i]], h.edges[pair[j]]
-                support = set(h.vertices[e1.a].y) | set(h.vertices[e1.b].y) | {e1.inducer}
-                if not _supports_compatible_seq(g, support, [e2.inducer]):
-                    continue
-                yield [e1.a, e1.b], [pair[i], pair[j]]
+        for i, (e1, a, b) in enumerate(pair):
+            ya, yb = vblocks[a >> _ID_SHIFT].ys[a & _ID_MASK], vblocks[b >> _ID_SHIFT].ys[b & _ID_MASK]
+            support = {*ya, *yb, e1 >> _ID_SHIFT}
+            for e2, _, _ in pair[i + 1:]:
+                if _supports_compatible_seq(g, support, [e2 >> _ID_SHIFT]):
+                    yield [a, b], [e1, e2]
 
 
 def _dfs_cycles(
@@ -627,7 +635,8 @@ def _dfs_cycles(
     their order and the node at which `budget` is passed are those of a
     search from every vertex id.
     """
-    incident = h.incident
+    incident, vblocks, eblocks = h.incident, h.vertices.blocks, h.edges.blocks
+    S, M = _ID_SHIFT, _ID_MASK
     nodes = 0
 
     def walk(start: int, current: int, vseq: list[int], eseq: list[int],
@@ -637,34 +646,33 @@ def _dfs_cycles(
             nodes += 1
             if nodes > budget:
                 raise SearchIncompleteError(f"cycle DFS exceeded {budget} nodes")
-            e = h.edges[ei]
-            nxt = e.b if e.a == current else e.a
             if ei in eseq:
                 continue
+            a, b = eblocks[ei >> S].ends[ei & M]
+            nxt = b if a == current else a
             if nxt == start:
-                if len(eseq) >= 2 and _supports_compatible_seq(g, support, [e.inducer]):
+                if len(eseq) >= 2 and _supports_compatible_seq(g, support, [ei >> S]):
                     yield vseq[:], eseq + [ei]
                 continue
             if nxt < start or nxt in vseq:
                 continue
-            av = h.vertices[nxt]
-            if av.anchor in anchors:
+            v = nxt >> S
+            if v in anchors:
                 continue
-            new = [e.inducer] + [x for x in av.y]
+            new = [ei >> S, *vblocks[v].ys[nxt & M]]
             if not _supports_compatible_seq(g, support, new):
                 continue
             if len(eseq) + 1 >= max_len:
                 continue
-            anchors.add(av.anchor)
+            anchors.add(v)
             support.update(new)
             yield from walk(start, nxt, vseq + [nxt], eseq + [ei], anchors, support)
-            anchors.remove(av.anchor)
+            anchors.remove(v)
             support.difference_update(new)
 
     try:
         for s in h.starts:
-            av = h.vertices[s]
-            yield from walk(s, s, [s], [], {av.anchor}, set(av.y))
+            yield from walk(s, s, [s], [], {s >> S}, set(vblocks[s >> S].ys[s & M]))
     finally:
         # `walk` refers to itself, so without this the cycle would keep `h`
         # and its dicts alive until the next cyclic garbage collection
@@ -698,11 +706,11 @@ def _color_masks(h: AuxGraph, inst: PackingInstance, coloring: Sequence[int]) ->
 
     def vertex_mask(i: int) -> int:
         mask = 0
-        for x in h.vertices[i].y:
+        for x in h.vertices.blocks[i >> _ID_SHIFT].ys[i & _ID_MASK]:
             mask |= set_masks[x]
         return mask
 
-    return _Memo(vertex_mask), _Memo(lambda ei: set_masks[h.edges[ei].inducer])
+    return _Memo(vertex_mask), _Memo(lambda ei: set_masks[ei >> _ID_SHIFT])
 
 
 def _colorful_candidates(
@@ -735,7 +743,7 @@ def _colorful_candidates(
     would pass it raises `SearchIncompleteError`, after the candidates of
     the states built before it have been yielded.
     """
-    incident, edges = h.incident, h.edges
+    incident, eblocks = h.incident, h.edges.blocks
 
     def alive_steps(v: int) -> list[tuple[int, int, int]]:
         # v's alive edges as steps (edge, other end, colors the step adds),
@@ -743,8 +751,8 @@ def _colorful_candidates(
         mv = vmask[v]
         out = []
         for ei in incident[v]:
-            e = edges[ei]
-            s = e.b if e.a == v else e.a
+            a, b = eblocks[ei >> _ID_SHIFT].ends[ei & _ID_MASK]
+            s = b if a == v else a
             me, ms = emask[ei], vmask[s]
             if not (me & mv or me & ms or mv & ms):
                 out.append((ei, s, me | ms))
@@ -921,8 +929,11 @@ def validate_circular(g: ConflictGraph, a: Solution, imp: Improvement, d: int) -
     squared-weight gain; this adds the cycle structure over distinct
     solution vertices, the companion-set decomposition and size bounds, and
     the per-edge inequality. Each vertex's anchors are the first two
-    entries of its list in `a.a_nbrs`, which is heaviest first.
+    entries of its list in `a.a_nbrs`, which is heaviest first; a solution
+    over another graph than `g` is a `ContractError`.
     """
+    if a.g is not g:
+        raise ContractError("the solution is over another graph")
     kind = imp.kind
     if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):
         return False

@@ -199,6 +199,8 @@ class ClawSearchState:
         for v in imp.x:
             free.discard(v)
             free.difference_update(adj[v])
+        if not free:
+            free.clear()  # drop the table it grew to, which `sorted` would walk
         settled, heap = self.settled, self._center_heap
         settled.difference_update(imp.removed)
         for c in imp.x:

@@ -9,11 +9,20 @@ import random
 from fractions import Fraction
 from itertools import combinations, count
 from types import SimpleNamespace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import pytest
 
-from clawpack.circular import AuxEdge, AuxGraph, CircularState, ColorCodingParams, build_anchor_maps
+from clawpack.circular import (
+    _ID_SHIFT,
+    AuxBlocks,
+    AuxGraph,
+    CircularState,
+    ColorCodingParams,
+    _EdgeBlock,
+    _VertexBlock,
+    build_anchor_maps,
+)
 from clawpack.generators import berman_tight_instance
 from clawpack.instances import (
     BudgetExceededError,
@@ -184,25 +193,91 @@ def brute_force_improvement_exists(g: ConflictGraph, members: set[int], alpha: i
     return False
 
 
+class Vertex(NamedTuple):
+    """An aux vertex as a value: its anchor and its companion set."""
+
+    anchor: int
+    y: tuple[int, ...]
+
+
+class Edge(NamedTuple):
+    """An aux edge as a value: its ends (ids or positions) and its inducer."""
+
+    a: int
+    b: int
+    inducer: int
+
+
+def aux_vertices(h) -> list[tuple[int, Vertex]]:
+    """Every vertex of an `AuxGraph` with its id, in id order, read from its
+    vertex blocks."""
+    blocks = h.vertices.blocks
+    return [(i, Vertex(v, y)) for v in sorted(blocks) for i, y in zip(blocks[v].ids, blocks[v].ys)]
+
+
+def aux_edges(h) -> list[tuple[int, Edge]]:
+    """Every edge of an `AuxGraph` with its id, in id order, read from its
+    edge blocks; the ends are vertex ids."""
+    blocks = h.edges.blocks
+    return [(e, Edge(a, b, u)) for u in sorted(blocks) for e, (a, b) in zip(blocks[u].ids, blocks[u].ends)]
+
+
 def aux_graph_of(vertices, edges):
-    """An `AuxGraph` over lists of aux vertices and edges whose edge ends are
-    positions in `vertices`: the positions are the ids, every edge may have
-    a parallel twin, and the searches start at every vertex with an edge."""
-    incident = {i: [] for i in range(len(vertices))}
-    for ei, e in enumerate(edges):
-        incident[e.a].append(ei)
-        incident[e.b].append(ei)
-    starts = [i for i, ids in incident.items() if ids]
-    return AuxGraph(dict(enumerate(vertices)), dict(enumerate(edges)), incident, range(len(edges)), starts)
+    """An `AuxGraph` in block form over lists of `Vertex` and `Edge` whose
+    edge ends are positions in `vertices`: a vertex block per anchor and an
+    edge block per inducer, each in list order. The lists must run by
+    anchor and by inducer, so positions and ids sort alike. Every edge may
+    have a parallel twin, and the searches start at every vertex with an
+    edge."""
+    assert [v.anchor for v in vertices] == sorted(v.anchor for v in vertices)
+    assert [e.inducer for e in edges] == sorted(e.inducer for e in edges)
+    ys: dict[int, list] = {}
+    ids = []  # vertex id by position
+    for v in vertices:
+        block = ys.setdefault(v.anchor, [])
+        ids.append((v.anchor << _ID_SHIFT) + len(block))
+        block.append(v.y)
+    vblocks = {v: _VertexBlock(range(v << _ID_SHIFT, (v << _ID_SHIFT) + len(y)), y, [0] * len(y))
+               for v, y in ys.items()}
+    ends: dict[int, list] = {}
+    incident: dict[int, list[int]] = {}
+    for e in edges:
+        block = ends.setdefault(e.inducer, [])
+        ei = (e.inducer << _ID_SHIFT) + len(block)
+        block.append((ids[e.a], ids[e.b]))
+        incident.setdefault(ids[e.a], []).append(ei)
+        incident.setdefault(ids[e.b], []).append(ei)
+    eblocks = {u: _EdgeBlock(range(u << _ID_SHIFT, (u << _ID_SHIFT) + len(pairs)), pairs, len(pairs))
+               for u, pairs in ends.items()}
+    h_edges = AuxBlocks(eblocks, len(edges))
+    return AuxGraph(AuxBlocks(vblocks, len(vertices)), h_edges, incident, list(h_edges), sorted(incident))
+
+
+def positional_candidates(h, candidates):
+    """Cycle candidates over the ids of `h`, one by one, with every vertex
+    and edge id replaced by its position in `h`'s order."""
+    vrank = {v: i for i, v in enumerate(h.vertices)}
+    erank = {e: i for i, e in enumerate(h.edges)}
+    for vs, es in candidates:
+        yield [vrank[v] for v in vs], [erank[e] for e in es]
+
+
+def synthetic_search(search, h, vmask, emask, *args):
+    """`search(h, vmask, emask, *args)`, a colorful-cycle search, with the
+    vertex and edge masks listed in id order, yielding its candidates by
+    position."""
+    vm, em = dict(zip(h.vertices, vmask)), dict(zip(h.edges, emask))
+    return positional_candidates(h, search(h, vm, em, *args))
 
 
 def positional(h):
     """An `AuxGraph` as the lists it once was: vertices and edges in order,
     an edge's ends being positions in the vertex list."""
-    rank = {v: i for i, v in enumerate(sorted(h.vertices))}
+    vertices = aux_vertices(h)
+    rank = {i: p for p, (i, _) in enumerate(vertices)}
     return SimpleNamespace(
-        vertices=[h.vertices[v] for v in sorted(h.vertices)],
-        edges=[AuxEdge(rank[e.a], rank[e.b], e.inducer) for _, e in sorted(h.edges.items())],
+        vertices=[v for _, v in vertices],
+        edges=[Edge(rank[e.a], rank[e.b], e.inducer) for _, e in aux_edges(h)],
     )
 
 

@@ -14,18 +14,19 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import (
+    Edge,
+    Vertex,
     aux_graph_of,
     circular_state,
     claw_search,
     enumerate_colorful_cycles,
     gen_berman_tight,
     positional,
+    synthetic_search,
 )
 
 from clawpack.certify import AnalysisParams, certify_local_optimum
 from clawpack.circular import (
-    AuxEdge,
-    AuxVertex,
     ColorCodingParams,
     _colorful_cycles,
     build_aux_graph,
@@ -154,7 +155,7 @@ def _planted_aux(rng: random.Random):
     for i in range(n):
         els = frozenset(range(next_el, next_el + rng.randint(0, 2)))
         next_el += len(els)
-        vertices.append(AuxVertex(anchor=i, y=()))
+        vertices.append(Vertex(anchor=i, y=()))
         v_elems.append(els)
     cyc = rng.sample(range(n), rng.randint(3, min(6, n)))
     planted = []
@@ -162,7 +163,7 @@ def _planted_aux(rng: random.Random):
         els = frozenset(range(next_el, next_el + rng.randint(1, 2)))
         next_el += len(els)
         planted.append(len(edges))
-        edges.append(AuxEdge(cyc[i], cyc[(i + 1) % len(cyc)], inducer=1000 + i))
+        edges.append(Edge(cyc[i], cyc[(i + 1) % len(cyc)], inducer=1000 + i))
         e_elems.append(els)
     for extra in range(rng.randint(0, 4)):
         a, b = rng.randrange(n), rng.randrange(n)
@@ -170,7 +171,7 @@ def _planted_aux(rng: random.Random):
             continue
         els = frozenset(range(next_el, next_el + rng.randint(1, 2)))
         next_el += len(els)
-        edges.append(AuxEdge(a, b, inducer=2000 + extra))
+        edges.append(Edge(a, b, inducer=2000 + extra))
         e_elems.append(els)
     return aux_graph_of(vertices, edges), next_el, planted, v_elems, e_elems
 
@@ -196,7 +197,7 @@ def test_criterion_5_color_coding():
             vmask = [_mask(coloring, e) for e in v_elems]
             emask = [_mask(coloring, e) for e in e_elems]
             expect = [c for c in enumerate_colorful_cycles(positional(h), vmask, emask, 8) if len(c) >= 3]
-            got = next(_colorful_cycles(h, vmask, emask, 8, DP_BUDGET), None)
+            got = next(synthetic_search(_colorful_cycles, h, vmask, emask, 8, DP_BUDGET), None)
             assert (got is not None) == bool(expect)
             if got is not None:
                 vs, es = got

@@ -634,11 +634,13 @@ def load_bench_record():
         (None, None),
         (("tight-union", 1, 0), "tight-union --trace 1: exit 0, correct: False"),
         (("small-exact", 0, 1), "small-exact --trace 0: exit 1, correct: None"),
+        ("slow", "large: squareimp at n = 102400 took 1.5 s, gate 1.0 s"),
     ],
 )
 def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkeypatch, capsys):
     """A run that exits 0 but reports `correct: false`, or that fails, fails
-    the record and is named on stderr; the file is still written."""
+    the record and is named on stderr, and so does squareimp past its gate
+    at the smallest `large` point; the file is still written."""
     br = load_bench_record()
 
     def fake_run_one(workload, trace):
@@ -652,6 +654,7 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
     monkeypatch.setattr(br, "run_one", fake_run_one)
     monkeypatch.setattr(br, "scale_curve", lambda: [])
     monkeypatch.setattr(br, "oracle_curve", lambda: [])
+    monkeypatch.setattr(br, "large_curve", lambda: [{"n": 102400, "squareimp_s": 1.5 if bad == "slow" else 0.5}])
     monkeypatch.setattr(br, "ROOT", str(tmp_path))
     monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
     code = br.main()
@@ -664,6 +667,21 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
         assert code == 1 and err.splitlines() == [message]
 
 
+def test_bench_record_large_point_records_a_capped_logimp(monkeypatch, capsys):
+    """A `large` point whose logimp crosses the aux-vertex cap gives the
+    error in place of its time, and the other layers' times still."""
+    from clawpack import circular
+
+    br = load_bench_record()
+    monkeypatch.setattr(circular, "_MAX_AUX_VERTICES", 10)
+    br.large_point(200)
+    point = json.loads(capsys.readouterr().out)
+    assert set(point) == {"n", "vertices", "gen_s", "build_s", "squareimp_s", "squareimp_iterations",
+                          "logimp_error", "peak_rss_mb"}
+    assert point["logimp_error"] == "SearchIncompleteError: aux graph exceeded 10 vertices"
+    assert point["n"] == point["vertices"] == 200 and point["peak_rss_mb"] > 0
+
+
 def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     """With tiny sizes, the file's `scale` key holds one point per
     tight-union size and circular mode, per k=3 packing size and algorithm,
@@ -671,7 +689,9 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     `SCALE_REPEATS` times, the tight-instance points with their talon
     nodes and the second tight-union size with its growth over the first;
     the `oracle` key holds unseeded and seeded node counts, and
-    seeded only past `ORACLE_N`."""
+    seeded only past `ORACLE_N`; the `large` key holds one point per size,
+    each run in its own process, with every layer's time and its peak
+    RSS."""
     br = load_bench_record()
     monkeypatch.setattr(br, "SCALE_COPIES", (1, 2))
     monkeypatch.setattr(br, "SCALE_N", (20, 40))
@@ -679,6 +699,7 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     monkeypatch.setattr(br, "SCALE_TIGHT_D", (4, 12))
     monkeypatch.setattr(br, "ORACLE_N", (10, 20))
     monkeypatch.setattr(br, "ORACLE_SEEDED_N", (30,))
+    monkeypatch.setattr(br, "LARGE_N", (100, 200))
     monkeypatch.setattr(br, "run_one", lambda workload, trace: {
         "workload": workload, "trace": trace, "args": [], "exit_code": 0,
         "result": {"correct": True, "metrics": {}}})
@@ -713,3 +734,8 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     assert [set(p) for p in oracle] == [
         {"n", "nodes", "wall_s", "seeded_nodes", "seeded_wall_s"}] * 2 + [{"n", "seeded_nodes", "seeded_wall_s"}]
     assert all(p["seeded_nodes"] <= p["nodes"] for p in oracle[:2])
+    large = doc["large"]
+    assert [p["n"] for p in large] == [100, 200]
+    assert all(set(p) == {"n", "vertices", "gen_s", "build_s", "squareimp_s", "squareimp_iterations",
+                          "logimp_s", "logimp_iterations", "peak_rss_mb"} for p in large)
+    assert all(p["squareimp_iterations"] > 0 and p["peak_rss_mb"] > 0 for p in large)

@@ -656,3 +656,13 @@ def test_squareimp_meets_d_over_2_on_random_k3(seed):
     rep = certify_local_optimum(g, final, opt.best, PARAMS)
     assert rep.ratio_ok and rep.neighborhood_bound_ok
     assert opt.optimum_w <= 2 * final.total_w
+
+
+def test_certify_rejects_a_solution_over_another_graph():
+    """The certificate reads the anchors from the solution's N(u, A) table,
+    ordered by its own graph's weights: a solution over a copy of the
+    graph is a `ContractError`."""
+    g, a, astar = gen_berman_tight(4)
+    certify_local_optimum(g, a, astar, PARAMS)
+    with pytest.raises(ContractError, match="another graph"):
+        certify_local_optimum(g, Solution.of(g.reweighted(g.weights), a.members), astar, PARAMS)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import random
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
@@ -15,17 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    Edge,
     PrimeWeights,
+    Vertex,
+    aux_edges,
     aux_graph_of,
+    aux_vertices,
     anchors_of,
     charge_to_anchor,
     circular_state,
     enumerate_colorful_cycles,
     gen_berman_tight,
     positional,
+    positional_candidates,
     ref_a_nbrs,
     ref_anchors,
     ref_aux_sides,
+    synthetic_search,
     tight_copies,
     w2_of,
     w_of,
@@ -33,9 +40,8 @@ from conftest import (
 
 from clawpack import circular
 from clawpack.circular import (
-    AuxEdge,
+    AuxBlocks,
     AuxGraph,
-    AuxVertex,
     CircularState,
     ColorCodingParams,
     SearchIncompleteError,
@@ -53,8 +59,9 @@ from clawpack.circular import (
     trial_success_bound,
     validate_circular,
 )
-from clawpack.generators import berman_tight_instance, gen_random_packing
+from clawpack.generators import berman_tight_instance, gen_alternating_cycle, gen_random_packing
 from clawpack.instances import (
+    Circular,
     ConflictGraph,
     ContractError,
     Improvement,
@@ -92,6 +99,78 @@ def test_anchor_maps_berman_pair():
     _, g, a = berman_setup(4)
     # first pair-set vertex (elements 1,2) anchors at element vertices 0 then 1
     assert build_anchor_maps(g, a)[6][:2] == [0, 1]
+
+
+def test_anchor_maps_reject_a_solution_over_another_graph():
+    """A solution over a reweighted copy of the graph orders its N(u, A)
+    table by the copy's weights: vertex 2's anchor would be 1, not 0."""
+    g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [5, 3, 1], d=3)
+    other = Solution.of(g.reweighted([3, 5, 1]), {0, 1})
+    assert other.a_nbrs[2] == [1, 0] and build_anchor_maps(g, Solution.of(g, {0, 1}))[2] == [0, 1]
+    with pytest.raises(ContractError, match="another graph"):
+        build_anchor_maps(g, other)
+
+
+def test_validate_circular_rejects_a_solution_over_another_graph():
+    """The improvement a search finds validates over its own solution, and
+    is a `ContractError` over the same members of an equal copy of the
+    graph."""
+    _, g, a = berman_setup(4)
+    imp = find_circular_improvement(circular_state(g, a), a)
+    assert validate_circular(g, a, imp, d=4)
+    with pytest.raises(ContractError, match="another graph"):
+        validate_circular(g, Solution.of(g.reweighted(g.weights), a.members), imp, d=4)
+
+
+def alternating_cycle_improvement(n_pairs: int):
+    """`gen_alternating_cycle(n_pairs, 4, 1/2)` at its light side, and the
+    circular improvement that swaps in the heavy side: the odd vertices as
+    inducers around the cycle of the even ones, companion sets empty."""
+    g, a, _ = gen_alternating_cycle(n_pairs, 4, Fraction(1, 2))
+    odds, evens = tuple(range(1, g.n, 2)), tuple(range(0, g.n, 2))
+    kind = Circular(u=odds, cycle_vertices=evens, y=tuple((v, ()) for v in evens))
+    return g, a, Improvement(frozenset(odds), frozenset(evens), kind)
+
+
+def test_validate_circular_rejects_a_cycle_one_longer_than_its_bound():
+    """At 21 pairs (n = 42) the cycle of 21 inducers sits at the bound of
+    21 and validates. At 22 pairs (n = 44) the bound is still 21, and the
+    cycle of 22 is rejected though nothing else is wrong with it: it
+    validates once the bound is 22."""
+    g, a, imp = alternating_cycle_improvement(21)
+    assert max_cycle_len_for(g.n) == 21 and validate_circular(g, a, imp, d=4)
+    g, a, imp = alternating_cycle_improvement(22)
+    assert max_cycle_len_for(g.n) == 21 and len(imp.kind.u) == 22
+    assert not validate_circular(g, a, imp, d=4)
+    with mock.patch.object(circular, "max_cycle_len_for", lambda n: 22):
+        assert validate_circular(g, a, imp, d=4)
+
+
+@pytest.mark.parametrize("max_len", [3, 5, 8])
+def test_dfs_finds_a_ring_of_max_len_edges_and_no_longer_one(max_len):
+    """`_dfs_cycles` finds a synthetic ring of exactly `max_len` edges, once
+    per direction, and no cycle in a ring of `max_len + 1` edges. The
+    conflict graph has no edge, so every support is compatible."""
+    g = ConflictGraph.from_edges(200, [], [1] * 200)
+    for length, found in ((max_len, 2), (max_len + 1, 0)):
+        h = synthetic_aux(length, [(i, (i + 1) % length) for i in range(length)])
+        got = list(circular._dfs_cycles(g, h, max_len, circular._MAX_DFS_NODES))
+        assert len(got) == found
+        assert all(len(es) == length for _, es in got)
+
+
+def test_dirty_inducers_drop_their_table_after_the_first_aux_graph():
+    """The first aux graph over a greedy solution of 2,000 random 3-sets
+    builds the edge block of every dirty vertex, all of them, and leaves
+    the dirty set empty and holding no table, which every later call would
+    walk."""
+    inst = gen_random_packing(2000, 3, 2000, seed=0)
+    g = build_conflict_graph(inst)
+    a = greedy(g)
+    state = circular_state(g, a, inst=inst)
+    assert len(state._dirty_u) == g.n
+    build_aux_graph(state, a)
+    assert not state._dirty_u and sys.getsizeof(state._dirty_u) == sys.getsizeof(set())
 
 
 def test_anchor_maps_require_maximal():
@@ -161,8 +240,8 @@ def test_parallel_edges_two_cycle():
 
 def synthetic_aux(n_vertices, edges):
     return aux_graph_of(
-        [AuxVertex(anchor=i, y=()) for i in range(n_vertices)],
-        [AuxEdge(a, b, inducer=100 + i) for i, (a, b) in enumerate(edges)],
+        [Vertex(anchor=i, y=()) for i in range(n_vertices)],
+        [Edge(a, b, inducer=100 + i) for i, (a, b) in enumerate(edges)],
     )
 
 
@@ -174,7 +253,7 @@ def element_masks(coloring, v_elems, e_elems):
 def test_dp_triangle_disjoint_colors():
     h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)])
     vmask, emask = element_masks(list(range(6)), v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {5}])
-    got = next(_colorful_cycles(h, vmask, emask, 6, DP_BUDGET), None)
+    got = next(synthetic_search(_colorful_cycles, h, vmask, emask, 6, DP_BUDGET), None)
     assert got is not None
     vs, es = got
     assert sorted(es) == [0, 1, 2]
@@ -187,7 +266,7 @@ def test_dp_shared_color_blocks():
         v_elems=[{0}, {1}, {2}],
         e_elems=[{3}, {4}, {3}],  # two edges share an element
     )
-    assert next(_colorful_cycles(h, vmask, emask, 6, DP_BUDGET), None) is None
+    assert next(synthetic_search(_colorful_cycles, h, vmask, emask, 6, DP_BUDGET), None) is None
 
 
 def test_dp_skips_degenerate_walks_over_parallel_edges():
@@ -196,7 +275,7 @@ def test_dp_skips_degenerate_walks_over_parallel_edges():
     # report those walks (parallel pairs are the separate 2-cycle scan's job)
     h = synthetic_aux(2, [(0, 1), (0, 1), (0, 1), (0, 1)])
     vmask, emask = element_masks([0, 1, 2, 3], v_elems=[set(), set()], e_elems=[{0}, {1}, {2}, {3}])
-    assert next(_colorful_cycles(h, vmask, emask, 8, DP_BUDGET), None) is None
+    assert next(synthetic_search(_colorful_cycles, h, vmask, emask, 8, DP_BUDGET), None) is None
 
 
 def test_dp_agrees_with_enumeration_on_planted_cycles():
@@ -228,7 +307,7 @@ def test_dp_agrees_with_enumeration_on_planted_cycles():
         coloring = [rng.randrange(t) for _ in range(next_el)]
         vmask, emask = element_masks(coloring, v_elems, e_elems)
         expect = [c for c in enumerate_colorful_cycles(positional(h), vmask, emask, 8) if len(c) >= 3]
-        got = next(_colorful_cycles(h, vmask, emask, 8, DP_BUDGET), None)
+        got = next(synthetic_search(_colorful_cycles, h, vmask, emask, 8, DP_BUDGET), None)
         assert (got is not None) == bool(expect)
         if got is not None:
             vs, es = got
@@ -507,7 +586,7 @@ def ref_build_aux_graph(g, a, maps, y_cap):
             if len(h.vertices) >= circular._MAX_AUX_VERTICES:
                 raise SearchIncompleteError("vertices")
             ids.append(len(h.vertices))
-            h.vertices.append(AuxVertex(v, y))
+            h.vertices.append(Vertex(v, y))
         vid_by_anchor[v] = ids
     checks = 0
     for u in sorted(maps.second):
@@ -527,7 +606,7 @@ def ref_build_aux_graph(g, a, maps, y_cap):
                     raise SearchIncompleteError("edge checks")
                 lhs, rhs = ref_aux_sides(u, y1, y2, g, maps)
                 if lhs > rhs:
-                    h.edges.append(AuxEdge(ia, ib, u))
+                    h.edges.append(Edge(ia, ib, u))
     return h, checks
 
 
@@ -629,7 +708,7 @@ def test_integer_aux_graph_matches_fraction_build(kind):
             assert aux_outcome(lambda: positional(build_aux_graph(fresh, a)), "_MAX_AUX_EDGE_CHECKS", cap) == expect
             assert (expect == "incomplete") == (cap < checks)
         seen["edges"] += len(got.edges)
-        seen["companions"] += sum(1 for v in got.vertices.values() if v.y)
+        seen["companions"] += sum(1 for _, v in aux_vertices(got) if v.y)
         seen["excluded"] += sum(
             1 for u in ref.heaviest if 2 * g.weights[u] == w_of(g, ref.a_neighbors[u])
         )
@@ -649,7 +728,7 @@ def test_zero_charge_joins_no_companion_set():
     a = Solution.of(g, {0, 1, 2})
     assert charge_to_anchor(g, a, 3) == 0 and charge_to_anchor(g, a, 4) > 0
     h = build_aux_graph(circular_state(g, a, ColorCodingParams(t=1, repetitions=1)), a)
-    ys = {x for v in h.vertices.values() for x in v.y}
+    ys = {x for _, v in aux_vertices(h) for x in v.y}
     assert 3 not in ys and 4 in ys
 
 
@@ -700,7 +779,7 @@ def aux_fields(h):
     """The vertices and edges of an aux graph in order, with their ids if it
     is an `AuxGraph`."""
     if isinstance(h, AuxGraph):
-        return sorted(h.vertices.items()), sorted(h.edges.items())
+        return aux_vertices(h), aux_edges(h)
     return h.vertices, h.edges
 
 
@@ -746,21 +825,26 @@ def check_state_against_fresh(g, a, state, call):
 
 
 def check_lookups(h):
-    """`h.incident` gives every vertex, and no other id, its edges in edge
-    order, every edge ends at two vertices of `h`, `h.parallel` lists, in
-    edge order, at least every edge that shares both ends with another, and
-    `h.starts` lists, in id order, the vertices with an edge."""
-    assert h.incident.keys() == h.vertices.keys()
-    assert list(h.starts) == sorted(v for v in h.vertices if h.incident[v])
+    """`h.incident` gives every vertex with an edge, and no other id, its
+    edges in edge order, every edge ends at two vertices of `h`,
+    `h.parallel` lists, in edge order, at least every edge that shares both
+    ends with another, `h.starts` lists, in id order, the vertices with an
+    edge, the keys of `h.incident`, and the vertex and edge counts are
+    those of the blocks."""
+    vertices, edges = aux_vertices(h), aux_edges(h)
+    assert len(h.vertices) == len(vertices) and len(h.edges) == len(edges)
+    assert h.incident.keys() == set(h.starts)
     assert all(a < b for ids in h.incident.values() for a, b in zip(ids, ids[1:]))
-    assert all(e.a in h.vertices and e.b in h.vertices for e in h.edges.values())
-    incident = {i: [] for i in h.vertices}
+    vertex_ids = {i for i, _ in vertices}
+    assert all(e.a in vertex_ids and e.b in vertex_ids for _, e in edges)
+    incident = {i: [] for i, _ in vertices}
     ends = {}
-    for ei, e in sorted(h.edges.items()):
+    for ei, e in edges:
         incident[e.a].append(ei)
         incident[e.b].append(ei)
         ends.setdefault(frozenset((e.a, e.b)), []).append(ei)
-    assert {i: h.incident[i] for i in h.vertices} == incident
+    assert list(h.starts) == sorted(v for v, ids in incident.items() if ids)
+    assert h.incident == {i: ids for i, ids in incident.items() if ids}
     twins = {ei for group in ends.values() if len(group) > 1 for ei in group}
     assert list(h.parallel) == sorted(set(h.parallel)) and twins <= set(h.parallel)
 
@@ -777,14 +861,6 @@ def check_searches_against_positional(g, h, fresh, max_len):
     return len(expect_two[0]), len(expect_dfs[0])
 
 
-def positional_candidates(h, candidates):
-    """Cycle candidates over the ids of `h`, with every vertex and edge id
-    replaced by its position in `h`'s order."""
-    vrank = {v: i for i, v in enumerate(sorted(h.vertices))}
-    erank = {e: i for i, e in enumerate(sorted(h.edges))}
-    return [([vrank[v] for v in vs], [erank[e] for e in es]) for vs, es in candidates]
-
-
 def candidate_outcome(candidates, h=None):
     """The candidates up to the first `SearchIncompleteError`, and whether
     one was raised; positions replace the ids of `h` if it is given."""
@@ -795,7 +871,7 @@ def candidate_outcome(candidates, h=None):
             out.append((vs, es))
     except SearchIncompleteError:
         raised = True
-    return (positional_candidates(h, out) if h is not None else out), raised
+    return (list(positional_candidates(h, out)) if h is not None else out), raised
 
 
 # ------------------------------------------------- positional references
@@ -1265,8 +1341,7 @@ def test_dp_candidate_sequence_matches_layered_sweep():
     def compare(h, vmask, emask, max_len):
         nonlocal total, with_candidates
         expect = list(layered_colorful_candidates(positional(h), vmask, emask, max_len, DP_BUDGET))
-        vm, em = dict(zip(sorted(h.vertices), vmask)), dict(zip(sorted(h.edges), emask))
-        got = positional_candidates(h, circular._colorful_candidates(h, vm, em, max_len, DP_BUDGET))
+        got = list(synthetic_search(circular._colorful_candidates, h, vmask, emask, max_len, DP_BUDGET))
         assert got == expect
         total += len(got)
         with_candidates += bool(got)
@@ -1294,9 +1369,9 @@ def test_dp_state_cap_without_colorful_cycle():
     # the triangle's first and third edges share an element: no colorful cycle
     h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)])
     vmask, emask = element_masks(list(range(5)), v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {3}])
-    assert list(_colorful_cycles(h, vmask, emask, 6, DP_BUDGET)) == []
+    assert list(synthetic_search(_colorful_cycles, h, vmask, emask, 6, DP_BUDGET)) == []
     with pytest.raises(SearchIncompleteError):
-        list(_colorful_cycles(h, vmask, emask, 6, 4))
+        list(synthetic_search(_colorful_cycles, h, vmask, emask, 6, 4))
 
 
 def test_dp_state_cap_counts_built_states_only():
@@ -1311,20 +1386,20 @@ def test_dp_state_cap_counts_built_states_only():
     h = synthetic_aux(3, [(0, 1), (1, 2), (2, 0)])
     vmask, emask = element_masks(list(range(6)), v_elems=[{0}, {1}, {2}], e_elems=[{3}, {4}, {5}])
     with pytest.raises(SearchIncompleteError):
-        next(_colorful_cycles(h, vmask, emask, 6, 2))
-    it = _colorful_cycles(h, vmask, emask, 6, 3)
+        next(synthetic_search(_colorful_cycles, h, vmask, emask, 6, 2))
+    it = synthetic_search(_colorful_cycles, h, vmask, emask, 6, 3)
     vs, es = next(it)
     assert sorted(vs) == [0, 1, 2] and sorted(es) == [0, 1, 2]
     with pytest.raises(SearchIncompleteError):
         next(it)
-    it = circular._colorful_candidates(h, vmask, emask, 6, 6)
+    it = synthetic_search(circular._colorful_candidates, h, vmask, emask, 6, 6)
     assert [next(it)[0][-1], next(it)[0][-1]] == [0, 0]
     with pytest.raises(SearchIncompleteError):
         next(it)
     for cap in (3, 6, 7):
         with pytest.raises(SearchIncompleteError):
             next(layered_colorful_candidates(positional(h), vmask, emask, 6, cap))
-    full = list(circular._colorful_candidates(h, vmask, emask, 6, 12))
+    full = list(synthetic_search(circular._colorful_candidates, h, vmask, emask, 6, 12))
     assert len(full) == 6
     assert full == list(layered_colorful_candidates(positional(h), vmask, emask, 6, 12))
 
@@ -1351,7 +1426,7 @@ def test_color_masks_match_element_unions():
     the element unions the aux graph once stored, under seeded colorings."""
     companions = edges = 0
     for inst, _, h in packing_aux_graphs():
-        companions += sum(1 for v in h.vertices.values() if v.y)
+        companions += sum(1 for _, v in aux_vertices(h) if v.y)
         edges += len(h.edges)
         for seed in range(4):
             crng = random.Random(seed)
@@ -1423,7 +1498,7 @@ def test_dfs_candidate_sequence_matches_stored_incident_lists():
         hp = positional(h)
         max_len = max_cycle_len_for(g.n)
         expect = list(ref_dfs_cycles(g, hp, stored_incident(hp), max_len, circular._MAX_DFS_NODES))
-        assert positional_candidates(h, circular._dfs_cycles(g, h, max_len, circular._MAX_DFS_NODES)) == expect
+        assert list(positional_candidates(h, circular._dfs_cycles(g, h, max_len, circular._MAX_DFS_NODES))) == expect
         total += len(expect)
     assert total > 100
 
@@ -1495,10 +1570,12 @@ def after_every_aux_graph(check):
 
 def check_starts_and_blocks(state, a, h):
     """`h.starts` lists, in id order, exactly the vertices of `h` with an
-    edge, and the anchors of its vertices are exactly A's members: every
-    member has its vertex block, and no other vertex has one."""
-    assert list(h.starts) == sorted(v for v in h.vertices if h.incident[v])
-    assert {v.anchor for v in h.vertices.values()} == a.members
+    edge, the keys of `h.incident`, and the anchors of its vertices are
+    exactly A's members: every member has its vertex block, and no other
+    vertex has one."""
+    assert list(h.starts) == sorted(v for v in h.vertices if h.incident.get(v))
+    assert h.incident.keys() == set(h.starts)
+    assert {v.anchor for _, v in aux_vertices(h)} == a.members
 
 
 @settings(max_examples=200, deadline=None)
@@ -1567,8 +1644,9 @@ def edgeless_aux_graphs():
         copies = []
 
         def keep(state, a, h):
-            copies.append(AuxGraph(dict(h.vertices), dict(h.edges), {v: list(ids) for v, ids in h.incident.items()},
-                                   list(h.parallel), list(h.starts)))
+            copies.append(AuxGraph(AuxBlocks(dict(h.vertices.blocks), len(h.vertices)),
+                                   AuxBlocks(dict(h.edges.blocks), len(h.edges)),
+                                   {v: list(ids) for v, ids in h.incident.items()}, list(h.parallel), list(h.starts)))
 
         with after_every_aux_graph(keep):
             solve(g, SolverConfig(mode="logimp"), inst=inst, start=Solution.of(g, small))
@@ -1614,7 +1692,8 @@ def test_capped_searches_from_the_starts_match_searches_from_every_vertex():
             assert candidate_outcome(circular._dfs_cycles(g, h, max_len, budget), h) == expect
             raised += expect[1]
             dfs_candidates += len(expect[0])
-        every_vertex = dataclasses.replace(h, starts=sorted(h.vertices))
+        every_vertex = dataclasses.replace(h, starts=sorted(h.vertices),
+                                           incident={v: h.incident.get(v, []) for v in h.vertices})
         for seed in range(3):
             crng = random.Random(seed)
             t = crng.choice([4, 24, 64])

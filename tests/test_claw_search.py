@@ -8,6 +8,7 @@ plain rational-arithmetic forms of the same searches.
 
 import functools
 import random
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -746,3 +747,18 @@ def test_apply_builds_no_table_that_was_never_read():
     assert a._a_nbrs is None
     assert a.members == read.members == {1}
     assert list(map(sorted, read.a_nbrs)) == list(map(sorted, a.a_nbrs)) == [[1], [], [1], []]
+
+
+def test_free_set_drops_its_table_after_the_first_step():
+    """From empty on 2,000 random 3-sets every vertex is free. The first step
+    inserts a maximal set of them and leaves the free set empty and holding
+    no table, which every later step's `sorted(state.free)` would walk."""
+    g = build_conflict_graph(gen_random_packing(2000, 3, 2000, seed=0))
+    a = Solution.of(g, ())
+    state = ClawSearchState(g, a, solvers._resolve_d(g, None))
+    assert len(state.free) == g.n
+    imp = find_claw_improvement(state)
+    assert imp.kind.center is None
+    a.apply(imp)
+    state.update(imp)
+    assert not state.free and sys.getsizeof(state.free) == sys.getsizeof(set())
