@@ -19,7 +19,7 @@ under `oracle` the nodes and time of `exact_mwis`, unseeded and seeded
 with the logimp final, past the sizes clawbench runs it at (see
 `oracle_curve`), and under `large` one timing of each layer from generating
 a random packing to logimp, at sizes past the scale curve, with the peak
-RSS of the process that ran it (see `large_curve`).
+RSS of the process that ran it, in all and per set (see `large_curve`).
 It exits 1, naming the runs, if any run failed or reported `correct: false`,
 or if squareimp at the smallest `large` point took more than
 `LARGE_SQUAREIMP_GATE_S`; the file is written either way.
@@ -238,8 +238,9 @@ def large_point(n: int) -> None:
     `build_conflict_graph` (`build_s`), and `solve` from empty in squareimp
     (`squareimp_s`) and in logimp, exhaustive (`logimp_s`), with the
     iteration counts of both, and then this process's peak RSS in MB
-    (`peak_rss_mb`, from `ru_maxrss`). A logimp run that raises gives the
-    error (`logimp_error`) instead of its time."""
+    (`peak_rss_mb`, from `ru_maxrss`) and in KB per set
+    (`peak_rss_kb_per_set`). A logimp run that raises gives the error
+    (`logimp_error`) instead of its time."""
     import resource
 
     import clawpack
@@ -262,7 +263,8 @@ def large_point(n: int) -> None:
             continue
         point[f"{algo}_s"] = round(time.perf_counter() - t0, 4)
         point[f"{algo}_iterations"] = trace.iterations
-    point["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    point.update(peak_rss_mb=round(rss_kb / 1024, 1), peak_rss_kb_per_set=round(rss_kb / n, 3))
     print(json.dumps(point))
 
 

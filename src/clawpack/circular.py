@@ -386,7 +386,9 @@ class CircularState:
         """Move every vertex of `touched`, `_near_moved()` over `a`, to its
         new anchor, drop the vertex blocks at its old and new anchor, and
         mark its edge block dirty; then clear the moved vertices. Every
-        vertex of `touched` outside A has a solution neighbor."""
+        vertex of `touched` outside A has a solution neighbor. `touched`
+        becomes the set of dirty inducers, so the first call, where it
+        holds every vertex, keeps one such table and not two."""
         members, a_nbrs = a.members, a.a_nbrs
         w = self.g.w_int
         anchor, vblocks, unbuilt = self._anchor, self._vblocks, self._unbuilt
@@ -405,7 +407,8 @@ class CircularState:
                 v1 = anchor[u] = nu[0]
                 if v1 in vblocks:
                     self._drop_block(v1, a_nbrs)
-        self._dirty_u |= touched
+        touched |= self._dirty_u
+        self._dirty_u = touched
         self._moved.clear()
 
     def _drop_block(self, v: int, a_nbrs: Sequence[Sequence[int]]) -> None:
@@ -474,19 +477,25 @@ class CircularState:
         and starts of the vertices it gives a first edge, and the inducers
         per anchor pair with it. Raises `SearchIncompleteError` once the
         checks of all blocks pass `_MAX_AUX_EDGE_CHECKS`; the inducers not
-        yet built stay dirty."""
+        yet built stay dirty. The graph keeps its adjacency as tuples only,
+        so each inducer's neighbors become one set for its block, and each
+        companion set at its first anchor the union of its members'
+        neighbors, once, for all its pairings at the second."""
         cap = _MAX_AUX_EDGE_CHECKS
-        w2, adj = self.g.w2_int, self.g.adj_sets
+        w2, adj = self.g.w2_int, self.g.adj
         vblocks, eblocks, dirty = self._vblocks, self._eblocks, self._dirty_u
         incident, starts = self._incident, self._starts
         pairs, shared = self._pairs, self._shared
-        dirty.difference_update([u for u in dirty if len(a_nbrs[u]) < 2])  # only inducers have edge blocks
+        # Only inducers have edge blocks. The set is cleared before any is
+        # built, so the table it grew to (every vertex's, at the first call)
+        # is freed before the blocks grow.
+        todo = [u for u in dirty if len(a_nbrs[u]) >= 2]
+        dirty.clear()
         total = self.checks
-        while dirty:
-            u = dirty.pop()
+        for i, u in enumerate(todo):
             v1, v2, *rest = a_nbrs[u]
             b1, b2 = vblocks[v1], vblocks[v2]
-            nbrs = adj[u]
+            nbrs = set(adj[u])
             ys2, nets2 = b2.ys, b2.nets
             # u is anchored at v1, so no companion set at v2 contains it.
             side_b = [ib for ib, y in enumerate(ys2) if nbrs.isdisjoint(y)]
@@ -499,12 +508,13 @@ class CircularState:
                 if u in y1 or not nbrs.isdisjoint(y1):
                     continue
                 bound = base - b1.nets[ia]
+                near = {z for x in y1 for z in adj[x]}  # y1's neighbors
                 for ib in side_b:
-                    if y1 and any(not adj[x].isdisjoint(ys2[ib]) for x in y1):
+                    if not near.isdisjoint(ys2[ib]):
                         continue
                     checks += 1
                     if total + checks > cap:
-                        dirty.add(u)
+                        dirty.update(todo[i:])
                         self.checks = total
                         raise SearchIncompleteError(f"aux graph exceeded {cap} edge checks")
                     if bound > nets2[ib]:
@@ -527,7 +537,6 @@ class CircularState:
                 group.add(u)
                 if len(group) == 2:
                     shared.add(key)
-        dirty.clear()  # empty: drop the table it grew to
         self.checks = total
 
     def aux_graph(self, a: Solution) -> AuxGraph:
@@ -681,10 +690,11 @@ def _dfs_cycles(
 
 def _supports_compatible_seq(g: ConflictGraph, support: set[int], new: Sequence[int]) -> bool:
     for i, x in enumerate(new):
-        if x in support or not g.adj_sets[x].isdisjoint(support):
+        nbrs = g.adj[x]
+        if x in support or not support.isdisjoint(nbrs):
             return False
         for z in new[i + 1:]:
-            if z == x or g.has_edge(x, z):
+            if z == x or z in nbrs:
                 return False
     return True
 

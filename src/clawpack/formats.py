@@ -127,7 +127,7 @@ def to_text(obj: Parsed) -> str:
     if isinstance(obj, PackingInstance):
         lines.append(f"p ksp {obj.n} {obj.k} {obj.universe_size}")
         for s, w in zip(obj.sets, obj.weights):
-            elems = " ".join(str(e) for e in sorted(s))
+            elems = " ".join(map(str, s))
             lines.append(f"s {fmt_fraction(w)} {elems}")
     else:
         edges = obj.edges()
@@ -145,7 +145,7 @@ def to_json_obj(obj: Parsed) -> dict:
             "kind": "ksp",
             "k": obj.k,
             "universe": obj.universe_size,
-            "sets": [sorted(s) for s in obj.sets],
+            "sets": [list(s) for s in obj.sets],
             "weights": [fmt_fraction(w) for w in obj.weights],
             "edges": None,
         }

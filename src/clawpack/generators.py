@@ -251,7 +251,8 @@ def gen_random_packing(
     weight_dist: tuple[str, object] = ("uniform", 10),
     seed: int = 0,
 ) -> PackingInstance:
-    """Seeded random instance; sets are sampled without internal duplicates.
+    """Seeded random instance; sets are sampled without internal duplicates,
+    each kept as the sorted tuple it is drawn as.
 
     weight_dist: ("uniform", W) draws integers 1..W; ("near-unit", eta)
     draws 1 + eta*j/100 for j in -100..100 with eta in (0,1). Each distinct
@@ -274,7 +275,7 @@ def gen_random_packing(
         raise InputError(f"unknown weight distribution {kind!r}")
     sets, picks = _draw_packing(random.Random(seed), n_sets, k, universe, top)
     table = {j: first + step * j for j in set(picks)}
-    return PackingInstance(universe, tuple(map(frozenset, sets)), tuple(map(table.__getitem__, picks)), k)
+    return PackingInstance(universe, tuple(map(tuple, sets)), tuple(map(table.__getitem__, picks)), k)
 
 
 def _draw_packing(rng: random.Random, n_sets: int, k: int, universe: int, top: int) -> tuple[list[list[int]], list[int]]:

@@ -10,8 +10,9 @@ first, built on first read and updated by each swap. `independent_subsets`
 is the package's one walk over the bounded independent subsets of a
 candidate list.
 
-Each input check is made once, at one layer. `PackingInstance.build` checks
-that no set repeats an element and coerces the weights (`as_fraction`).
+Each input check is made once, at one layer. `PackingInstance.build` sorts
+each set into a tuple, checks that no set repeats an element and coerces
+the weights (`as_fraction`).
 `PackingInstance` checks each set's size and range, the range by the set's
 min and max (its elements are walked only to name the one out of range),
 and its weights. `ConflictGraph` checks its weights and, in one O(n + m)
@@ -91,12 +92,13 @@ def fmt_ratio(num: int, den: int) -> str:
 class PackingInstance:
     """A family of <=k-element sets over a universe 0..universe_size-1.
 
-    Set ids are dense 0..n-1 in list order. All weights are strictly
-    positive rationals; duplicate elements within a set are rejected.
+    Set ids are dense 0..n-1 in list order. Each set is one tuple of its
+    elements in increasing order (`build` sorts them and rejects a repeated
+    element). All weights are strictly positive rationals.
     """
 
     universe_size: int
-    sets: tuple[frozenset[int], ...]
+    sets: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
     k: int
 
@@ -120,15 +122,15 @@ class PackingInstance:
 
     @staticmethod
     def build(universe_size: int, sets: Iterable[Sequence[int]], weights, k: int) -> "PackingInstance":
-        frozen = []
+        rows = []
         for i, s in enumerate(sets):
-            fs = frozenset(s)
-            if len(fs) != len(s):
+            row = tuple(sorted(s))
+            if len(set(row)) != len(row):
                 raise InputError(f"set {i} repeats an element")
-            frozen.append(fs)
+            rows.append(row)
         return PackingInstance(
             universe_size=universe_size,
-            sets=tuple(frozen),
+            sets=tuple(rows),
             weights=tuple(as_fraction(w) for w in weights),
             k=k,
         )
@@ -141,6 +143,11 @@ class PackingInstance:
 @dataclass(frozen=True)
 class ConflictGraph:
     """Weighted, simple, undirected graph with sorted adjacency lists.
+
+    `adj` is the graph's one adjacency: a sorted tuple per vertex, and no
+    set per vertex besides it. A membership test reads the tuple, and a
+    caller that tests one vertex's neighbors many times builds a set local
+    to the call.
 
     `d` is the claimed claw bound carried as metadata; the solvers treat it
     as a promise and never verify it unless asked.
@@ -191,10 +198,6 @@ class ConflictGraph:
             weights=tuple(as_fraction(w) for w in weights),
             d=d,
         )
-
-    @cached_property
-    def adj_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(nbrs) for nbrs in self.adj)
 
     @cached_property
     def w_lcm(self) -> int:
@@ -266,7 +269,7 @@ class ConflictGraph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
+        return v in self.adj[u]
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         vs = list(vertices)
@@ -276,7 +279,7 @@ class ConflictGraph:
                 return False
             seen.add(v)
         for v in vs:
-            if self.adj_sets[v] & seen:
+            if not seen.isdisjoint(self.adj[v]):
                 return False
         return True
 
@@ -483,9 +486,10 @@ def independent_subsets(
     candidates sum to at most D. Either way the first subset a reader
     stops at stays the same. The empty subset's extensions, all of
     `cands`, are listed in full; a reader that sends nothing (a plain
-    `for` loop, or `send(None)`) walks every subset.
+    `for` loop, or `send(None)`) walks every subset. A pick's non-neighbors
+    are found by membership in its adjacency tuple `g.adj[v]`.
     """
-    adj_sets = g.adj_sets
+    adj = g.adj
     stack = [(cands, 0, ())] if cap >= 1 and cands else []
     while stack:
         level, i, chosen = stack[-1]
@@ -498,7 +502,7 @@ def independent_subsets(
         deficit = yield y
         room = cap - len(y)
         if room:
-            nbrs = adj_sets[v]
+            nbrs = adj[v]
             if room == 1 and deficit is not None:
                 # one pick left: only a u whose p alone exceeds D, in one pass
                 ext = [u for u in level[i + 1:] if u not in nbrs and p[u] > deficit]
@@ -516,7 +520,10 @@ def independent_subsets(
 
 
 def verify_solution(g: ConflictGraph, s: Solution) -> bool:
-    """True iff every member is a vertex of g and no two are adjacent."""
+    """True iff every member is a vertex of g and no two are adjacent. A
+    solution over another graph than `g` is a `ContractError`."""
+    if s.g is not g:
+        raise ContractError("the solution is over another graph")
     for v in s.members:
         if not 0 <= v < g.n:
             return False
@@ -531,8 +538,11 @@ def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> boo
     claw-shaped and circular kinds): `Improvement.gain` for an integer
     exponent, `power_weight_improves` for a non-integer alpha.
     `circular.validate_circular` calls it for every circular candidate and
-    adds the cycle checks.
+    adds the cycle checks. A solution over another graph than `g` is a
+    `ContractError`.
     """
+    if a.g is not g:
+        raise ContractError("the solution is over another graph")
     if not imp.x or (imp.x & a.members):
         return False
     if not g.is_independent(imp.x):

@@ -408,7 +408,7 @@ def scale_truncate_run(
     if inst is not None:
         sub_inst = PackingInstance.build(
             inst.universe_size,
-            [sorted(inst.sets[v]) for v in keep],
+            [inst.sets[v] for v in keep],
             [Fraction(floored[v]) for v in keep],
             inst.k,
         )

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import pytest
+from hypothesis import strategies as st
 
 from clawpack.circular import (
     _ID_SHIFT,
@@ -35,6 +36,27 @@ from clawpack.instances import (
     independent_subsets,
 )
 from clawpack.solvers import ClawSearchState, _resolve_d, find_claw_improvement
+
+
+def nbr_set(g: ConflictGraph, v: int) -> frozenset[int]:
+    """The neighbors of v as a set. The graph keeps its adjacency as sorted
+    tuples only, so the tests' set algebra builds the set here."""
+    return frozenset(g.adj[v])
+
+
+def graph_with_edge_set(data, max_n: int = 12):
+    """(g, edges, independent): a graph of 1..max_n vertices drawn with
+    hypothesis's `data`, its edges as a set of vertex pairs built here, and
+    a brute-force independence test over that set, so a check against it
+    reads nothing of the graph's adjacency."""
+    n = data.draw(st.integers(1, max_n))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    edges = {frozenset(e) for e in pairs if e[0] != e[1]}
+
+    def independent(vs) -> bool:
+        return len(set(vs)) == len(vs) and not any(frozenset(c) in edges for c in combinations(vs, 2))
+
+    return ConflictGraph.from_edges(n, [tuple(e) for e in edges], [1] * n), edges, independent
 
 
 def gen_berman_tight(d: int) -> tuple[ConflictGraph, Solution, Solution]:
@@ -81,7 +103,7 @@ def ref_a_nbrs(g: ConflictGraph, members) -> list[list[int]]:
     by (-w_int, id): the reference for `Solution.a_nbrs`, whose lists are
     kept heaviest first, ties to the lowest id."""
     w = g.w_int
-    return [sorted(g.adj_sets[u] & members, key=lambda v: (-w[v], v)) for u in range(g.n)]
+    return [sorted(nbr_set(g, u) & members, key=lambda v: (-w[v], v)) for u in range(g.n)]
 
 
 def ref_anchors(g: ConflictGraph, a: Solution) -> SimpleNamespace:
@@ -122,7 +144,7 @@ def anchors_of(a_nbrs, members) -> tuple[dict[int, int], dict[int, int]]:
 
 def charge_to_anchor(g: ConflictGraph, a: Solution, u: int) -> Fraction:
     """w(u) - w(N(u,A))/2, the charge u would send to its heaviest anchor."""
-    return g.weights[u] - w_of(g, g.adj_sets[u] & a.members) / 2
+    return g.weights[u] - w_of(g, nbr_set(g, u) & a.members) / 2
 
 
 def verify_claw_free(g: ConflictGraph, d: int, budget: int = 10_000_000) -> tuple[bool, Optional[tuple[int, tuple[int, ...]]]]:
@@ -187,7 +209,7 @@ def brute_force_improvement_exists(g: ConflictGraph, members: set[int], alpha: i
                 continue
             removed = set()
             for x in combo:
-                removed |= g.adj_sets[x] & members
+                removed |= nbr_set(g, x) & members
             if sum(map(power, combo), Fraction(0)) > sum(map(power, removed), Fraction(0)):
                 return True
     return False
@@ -366,7 +388,7 @@ def circular_improvement_exists_bruteforce(g, a, d, positive_only=False, y_cap=N
             if not g.is_independent(x_tuple):
                 continue
             x = set(x_tuple)
-            if w2_of(g, x) <= w2_of(g, set().union(*(g.adj_sets[v] & members for v in x))):
+            if w2_of(g, x) <= w2_of(g, set().union(*(nbr_set(g, v) & members for v in x))):
                 continue
             cands = [u for u in x_tuple if u in maps.second]
             for u_size in range(2, min(len(cands), max_u) + 1):

@@ -21,6 +21,7 @@ from conftest import (
     claw_search,
     enumerate_colorful_cycles,
     gen_berman_tight,
+    nbr_set,
     positional,
     synthetic_search,
 )
@@ -272,11 +273,11 @@ def test_criterion_7_incidence_lower_bound():
             for combo in combinations(estar, size):
                 nb = set()
                 for e in combo:
-                    nb |= g.adj_sets[e]
+                    nb |= nbr_set(g, e)
                 assert len(nb) > len(combo)
         if l == 5:
             tight = any(
-                len(set().union(*(g.adj_sets[e] for e in combo))) == 5
+                len(set().union(*(nbr_set(g, e) for e in combo))) == 5
                 for combo in combinations(estar, 5)
             )
             assert tight

@@ -677,9 +677,10 @@ def test_bench_record_large_point_records_a_capped_logimp(monkeypatch, capsys):
     br.large_point(200)
     point = json.loads(capsys.readouterr().out)
     assert set(point) == {"n", "vertices", "gen_s", "build_s", "squareimp_s", "squareimp_iterations",
-                          "logimp_error", "peak_rss_mb"}
+                          "logimp_error", "peak_rss_mb", "peak_rss_kb_per_set"}
     assert point["logimp_error"] == "SearchIncompleteError: aux graph exceeded 10 vertices"
     assert point["n"] == point["vertices"] == 200 and point["peak_rss_mb"] > 0
+    assert abs(point["peak_rss_kb_per_set"] * 200 / 1024 - point["peak_rss_mb"]) < 0.1
 
 
 def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
@@ -691,7 +692,7 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     the `oracle` key holds unseeded and seeded node counts, and
     seeded only past `ORACLE_N`; the `large` key holds one point per size,
     each run in its own process, with every layer's time and its peak
-    RSS."""
+    RSS, in all and per set."""
     br = load_bench_record()
     monkeypatch.setattr(br, "SCALE_COPIES", (1, 2))
     monkeypatch.setattr(br, "SCALE_N", (20, 40))
@@ -737,5 +738,6 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     large = doc["large"]
     assert [p["n"] for p in large] == [100, 200]
     assert all(set(p) == {"n", "vertices", "gen_s", "build_s", "squareimp_s", "squareimp_iterations",
-                          "logimp_s", "logimp_iterations", "peak_rss_mb"} for p in large)
+                          "logimp_s", "logimp_iterations", "peak_rss_mb", "peak_rss_kb_per_set"} for p in large)
     assert all(p["squareimp_iterations"] > 0 and p["peak_rss_mb"] > 0 for p in large)
+    assert all(abs(p["peak_rss_kb_per_set"] * p["n"] / 1024 - p["peak_rss_mb"]) < 0.1 for p in large)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights, gen_berman_tight, ref_anchors, w_of
+from conftest import PrimeWeights, gen_berman_tight, nbr_set, ref_anchors, w_of
 
 from clawpack import certify
 from clawpack.certify import AnalysisParams, CertReport, certify_local_optimum
@@ -202,13 +202,13 @@ def test_charge_identity_property_any_pair():
             v = min(alive)
             a_members.add(v)
             alive.discard(v)
-            alive -= g.adj_sets[v]
+            alive -= nbr_set(g, v)
         astar_members, alive = set(), set(range(n))
         while alive:
             v = max(alive)
             astar_members.add(v)
             alive.discard(v)
-            alive -= g.adj_sets[v]
+            alive -= nbr_set(g, v)
         a = Solution.of(g, a_members)
         astar = Solution.of(g, astar_members)
         rep = certify_local_optimum(g, a, astar, PARAMS)
@@ -464,7 +464,7 @@ def random_maximal(g, rng) -> Solution:
     for v in order:
         if v not in blocked:
             chosen.add(v)
-            blocked |= g.adj_sets[v] | {v}
+            blocked |= nbr_set(g, v) | {v}
     return Solution.of(g, chosen)
 
 

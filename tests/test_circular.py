@@ -27,6 +27,8 @@ from conftest import (
     circular_state,
     enumerate_colorful_cycles,
     gen_berman_tight,
+    graph_with_edge_set,
+    nbr_set,
     positional,
     positional_candidates,
     ref_a_nbrs,
@@ -636,7 +638,7 @@ def weighted_case(seed: int, kind: str):
     rng.shuffle(order)
     members: set[int] = set()
     for v in order:
-        if not (g.adj_sets[v] & members):
+        if not (nbr_set(g, v) & members):
             members.add(v)
     pw = PrimeWeights(rng)
     low = rng.randint(-60, 57)
@@ -872,6 +874,25 @@ def candidate_outcome(candidates, h=None):
     except SearchIncompleteError:
         raised = True
     return (list(positional_candidates(h, out)) if h is not None else out), raised
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_supports_compatible_seq_matches_a_brute_force_over_an_edge_set(data):
+    """A cycle step may add the vertices `new` (an inducer and its companion
+    set) to the support, an independent set, iff they repeat no vertex, miss
+    the support, and leave it independent; a brute force over a set of
+    edges built here, not read from the graph, decides alike. An invalid
+    step the DFS took would only be refused later by `validate_circular`,
+    so this is where taking one shows."""
+    g, _, independent = graph_with_edge_set(data)
+    n = g.n
+    support: list[int] = []
+    for v in data.draw(st.lists(st.integers(0, n - 1), max_size=6)):
+        if independent(support + [v]):
+            support.append(v)
+    new = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    assert circular._supports_compatible_seq(g, set(support), new) == independent(support + new)
 
 
 # ------------------------------------------------- positional references
@@ -1135,13 +1156,13 @@ def random_swap(rng, g, members):
     outside = [u for u in range(g.n) if u not in members]
     x = set()
     for u in rng.sample(outside, min(len(outside), rng.randint(1, 3))):
-        if g.adj_sets[u].isdisjoint(x):
+        if nbr_set(g, u).isdisjoint(x):
             x.add(u)
     members = (members - {v for u in x for v in g.adj[u]}) | x
     order = list(range(g.n))
     rng.shuffle(order)
     for v in order:
-        if v not in members and g.adj_sets[v].isdisjoint(members):
+        if v not in members and nbr_set(g, v).isdisjoint(members):
             members.add(v)
     return members
 
@@ -1195,7 +1216,7 @@ def test_circular_state_recovers_from_an_error():
             build_anchor_maps(g, Solution.of(g, broken), state)
         members = set(broken)
         for v in rng.sample(range(g.n), g.n) + [r]:
-            if v not in members and g.adj_sets[v].isdisjoint(members):
+            if v not in members and nbr_set(g, v).isdisjoint(members):
                 members.add(v)
         state.update(Improvement(frozenset(members - broken), frozenset()))
         sol = Solution.of(g, members)
@@ -1521,7 +1542,7 @@ def perturbed_tight_with_random_sets(seed: int):
     g = build_conflict_graph(inst)
     members = set(small)
     for v in range(g.n):
-        if v not in members and g.adj_sets[v].isdisjoint(members):
+        if v not in members and nbr_set(g, v).isdisjoint(members):
             members.add(v)
     return inst, g, Solution.of(g, members)
 

@@ -17,7 +17,8 @@ from unittest import mock
 
 import pytest
 from conftest import (
-    PrimeWeights, claw_search, expand_steps, ref_a_nbrs, ref_anchors, ref_aux_sides, tight_copies, w2_of, w_of,
+    PrimeWeights, claw_search, expand_steps, nbr_set, ref_a_nbrs, ref_anchors, ref_aux_sides, tight_copies, w2_of,
+    w_of,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,7 +81,7 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
     members = a.members
     picked: list[int] = []
     for v in range(g.n):
-        if v not in members and not (g.adj_sets[v] & members) and not any(g.has_edge(v, u) for u in picked):
+        if v not in members and not (nbr_set(g, v) & members) and not any(g.has_edge(v, u) for u in picked):
             picked.append(v)
     if picked:
         return Improvement(frozenset(picked), frozenset(), ClawShaped(center=None)), 0
@@ -89,7 +90,7 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
 
     def charges(center: int, cands: list[int]) -> dict[int, Fraction]:
         """Each candidate's q at `center`, in Fractions from the same floors."""
-        others = {u: (g.adj_sets[u] & members) - {center} for u in cands}
+        others = {u: (nbr_set(g, u) & members) - {center} for u in cands}
         m = Counter(x for u in cands for x in others[u])
         share = {x: Fraction(g.w2_int[x] // min(k, d - 1), g.w_lcm ** 2) for x, k in m.items()}
         return {u: w2[u] - sum((share[x] for x in others[u]), Fraction(0)) for u in cands}
@@ -112,7 +113,7 @@ def ref_claw_search(g: ConflictGraph, a: Solution, d: int, bounded: bool = False
                 if need is not None and max(q[u], 0) <= need:
                     continue
                 nodes += 1
-                new_removed = (g.adj_sets[u] & members) - removed
+                new_removed = (nbr_set(g, u) & members) - removed
                 nt = t_w2 + w2[u]
                 nr = r_w2 + sum((w2[x] for x in new_removed), Fraction(0))
                 nq = t_q + q[u]
@@ -150,7 +151,7 @@ def ref_greedy(g: ConflictGraph) -> Solution:
         v = max(alive, key=lambda u: (g.weights[u], -u))
         chosen.add(v)
         alive.discard(v)
-        alive -= g.adj_sets[v]
+        alive -= nbr_set(g, v)
     return Solution.of(g, chosen)
 
 
@@ -159,7 +160,7 @@ def ref_greedy(g: ConflictGraph) -> Solution:
 
 def scan_free(g: ConflictGraph, members: set[int]) -> set[int]:
     """{v not in A : N(v) & A empty}, from scratch."""
-    return {v for v in range(g.n) if v not in members and not (g.adj_sets[v] & members)}
+    return {v for v in range(g.n) if v not in members and not (nbr_set(g, v) & members)}
 
 
 class CheckedClawSearch:
@@ -401,7 +402,7 @@ def random_maximal(g: ConflictGraph, rng: random.Random) -> Solution:
     rng.shuffle(order)
     members: set[int] = set()
     for v in order:
-        if not (g.adj_sets[v] & members):
+        if not (nbr_set(g, v) & members):
             members.add(v)
     return Solution.of(g, members)
 
@@ -415,7 +416,7 @@ def test_integer_claw_search_is_exact():
         for u in outside[:3]:
             # one talon against its whole solution neighborhood, a hair
             # above or below (or level with) the tie
-            target = w2_of(g, g.adj_sets[u] & a.members)
+            target = w2_of(g, nbr_set(g, u) & a.members)
             weights = list(g.weights)
             weights[u] = pw.near_root(target, 2, above=rng.random() < 0.5)
             graphs.append(g.reweighted(weights))

@@ -41,7 +41,7 @@ def test_comments_and_blank_lines():
     inst = formats.parse_text(text)
     assert isinstance(inst, PackingInstance)
     assert inst.weights == (Fraction(3, 2),)
-    assert inst.sets == (frozenset({0, 2}),)
+    assert inst.sets == ((0, 2),)
 
 
 def test_integer_weight_token_accepted():

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
-from conftest import claw_search, gen_berman_tight, verify_claw_free
+from conftest import claw_search, gen_berman_tight, nbr_set, verify_claw_free
 
 from clawpack import formats, generators
 from clawpack.cli import main
@@ -140,13 +140,13 @@ def test_lowerbound_forest_property_below_girth():
         for combo in combinations(estar, size):
             nb = set()
             for e in combo:
-                nb |= g.adj_sets[e]
+                nb |= nbr_set(g, e)
             assert len(nb) > len(combo)
     # sharp at the girth: a pentagon's edges cover exactly five vertices
     tight = [
         combo
         for combo in combinations(estar, 5)
-        if len(set().union(*(g.adj_sets[e] for e in combo))) == 5
+        if len(set().union(*(nbr_set(g, e) for e in combo))) == 5
     ]
     assert tight
 
@@ -281,8 +281,8 @@ def test_random_packing_keeps_the_randint_and_sample_stream(k, universe, weight_
         inst = gen_random_packing(40, k, universe, weight_dist, seed)
         assert [sorted(s) for s in inst.sets] == sets
         assert list(inst.weights) == weights
-        # the frozensets are built from the sorted lists, as before
-        assert [list(s) for s in inst.sets] == [list(frozenset(s)) for s in sets]
+        # each set is the drawn sorted list, as a tuple
+        assert inst.sets == tuple(map(tuple, sets))
         ours = random.Random(seed)
         drawn, picks = generators._draw_packing(ours, 40, k, universe, top)
         assert drawn == sets

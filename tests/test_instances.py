@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import gen_berman_tight, verify_claw_free, w2_of
+from conftest import gen_berman_tight, graph_with_edge_set, nbr_set, verify_claw_free, w2_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +12,7 @@ from clawpack.instances import (
     Circular,
     ClawShaped,
     ConflictGraph,
+    ContractError,
     Generic,
     Improvement,
     InputError,
@@ -64,9 +65,10 @@ def test_neighborhood_monotone(data):
 
 
 
-def independent_combinations(g, cands, cap):
-    """The independent subsets of 1..cap of sorted `cands`, lexicographically."""
-    return sorted(c for k in range(1, cap + 1) for c in combinations(cands, k) if g.is_independent(c))
+def independent_combinations(independent, cands, cap):
+    """The subsets of 1..cap of sorted `cands` that `independent` accepts,
+    lexicographically."""
+    return sorted(c for k in range(1, cap + 1) for c in combinations(cands, k) if independent(c))
 
 
 @settings(max_examples=200)
@@ -77,7 +79,7 @@ def test_independent_subsets_lists_the_independent_combinations_in_order(data):
     g = ConflictGraph.from_edges(n, [e for e in edges if e[0] != e[1]], [1] * n)
     cands = sorted(data.draw(st.sets(st.integers(0, n - 1))))
     cap = data.draw(st.integers(0, n + 2))
-    assert list(independent_subsets(g, cands, cap)) == independent_combinations(g, cands, cap)
+    assert list(independent_subsets(g, cands, cap)) == independent_combinations(g.is_independent, cands, cap)
 
 
 @pytest.mark.parametrize(
@@ -87,7 +89,7 @@ def test_independent_subsets_lists_the_independent_combinations_in_order(data):
 def test_independent_subsets_edge_cases(cands, cap):
     # path 0-1-2-3 plus the isolated vertex 4
     g = ConflictGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)], [1] * 5)
-    assert list(independent_subsets(g, cands, cap)) == independent_combinations(g, cands, cap)
+    assert list(independent_subsets(g, cands, cap)) == independent_combinations(g.is_independent, cands, cap)
 
 
 def sent_deficit(seed: int, x: tuple[int, ...], top: int):
@@ -95,6 +97,42 @@ def sent_deficit(seed: int, x: tuple[int, ...], top: int):
     five, else an integer deficit in -1..top; fixed by the seed and x."""
     rng = random.Random(f"{seed}:{x}")
     return None if rng.random() < 0.2 else rng.randint(-1, top)
+
+
+def deficit_walk(g, cands, cap, p, seed):
+    """The subsets `independent_subsets` lists to a reader that sends back
+    `sent_deficit(seed, x, sum(p))` after each subset x."""
+    got = []
+    walk = independent_subsets(g, cands, cap, p)
+    try:
+        x = next(walk)
+        while True:
+            got.append(x)
+            x = walk.send(sent_deficit(seed, x, sum(p)))
+    except StopIteration:
+        pass
+    return got
+
+
+def deficit_listing(independent, cands, cap, p, seed):
+    """What `deficit_walk` must list, by brute force: the combinations of
+    `cands` that `independent` accepts, lexicographically, each kept iff
+    it is listed past every non-empty prefix x = y[:j], given the deficit
+    sent after x. With one pick left, y's last pick must exceed it alone;
+    with more room, the extensions of x must still cover it. The empty
+    subset's extensions are always listed."""
+
+    def listed(y, j):
+        x = y[:j]
+        deficit = sent_deficit(seed, x, sum(p))
+        if deficit is None:
+            return True
+        if cap - j == 1:
+            return p[y[j]] > deficit
+        later = [u for u in cands[cands.index(x[-1]) + 1:] if independent(x + (u,))]
+        return sum(sorted(p[u] for u in later)[-(cap - j):]) > deficit
+
+    return [y for y in independent_combinations(independent, cands, cap) if all(listed(y, j) for j in range(1, len(y)))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -107,32 +145,27 @@ def test_independent_subsets_skips_the_extensions_a_sent_deficit_rules_out(data)
     cap = data.draw(st.integers(0, n + 2))
     p = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     seed = data.draw(st.integers(0, 2 ** 32))
+    assert deficit_walk(g, cands, cap, p, seed) == deficit_listing(g.is_independent, cands, cap, p, seed)
 
-    def listed(y, j):
-        """Is y listed past its non-empty prefix x = y[:j], given the
-        deficit sent after x? With one pick left, y's last pick must exceed
-        it alone; with more room, the extensions of x must still cover it.
-        The empty subset's extensions are always listed."""
-        x = y[:j]
-        deficit = sent_deficit(seed, x, sum(p))
-        if deficit is None:
-            return True
-        if cap - j == 1:
-            return p[y[j]] > deficit
-        later = [u for u in cands[cands.index(x[-1]) + 1:] if g.is_independent(x + (u,))]
-        return sum(sorted(p[u] for u in later)[-(cap - j):]) > deficit
 
-    want = [y for y in independent_combinations(g, cands, cap) if all(listed(y, j) for j in range(1, len(y)))]
-    got = []
-    walk = independent_subsets(g, cands, cap, p)
-    try:
-        x = next(walk)
-        while True:
-            got.append(x)
-            x = walk.send(sent_deficit(seed, x, sum(p)))
-    except StopIteration:
-        pass
-    assert got == want
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_adjacency_reads_match_a_brute_force_over_an_edge_set(data):
+    """`has_edge`, `is_independent` and `independent_subsets` (with and
+    without deficits) read the graph's adjacency tuples; a brute force over
+    a set of edges built here, not read from the graph, answers alike."""
+    g, edges, independent = graph_with_edge_set(data)
+    n = g.n
+    for u in range(n):
+        assert [g.has_edge(u, v) for v in range(n)] == [frozenset((u, v)) in edges for v in range(n)]
+    vs = data.draw(st.lists(st.integers(0, n - 1), max_size=7))
+    assert g.is_independent(vs) == independent(vs)
+    cands = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    cap = data.draw(st.integers(0, 5))
+    assert list(independent_subsets(g, cands, cap)) == independent_combinations(independent, cands, cap)
+    p = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    assert deficit_walk(g, cands, cap, p, seed) == deficit_listing(independent, cands, cap, p, seed)
 
 
 def test_every_vertex_sees_maximal_solution():
@@ -167,9 +200,16 @@ def raises_exactly(message: str):
     return pytest.raises(InputError, match=f"^{re.escape(message)}$")
 
 
+def test_build_keeps_each_set_as_a_sorted_tuple():
+    inst = PackingInstance.build(9, [[7, 2, 5], {4, 1}, (3,)], [1, 2, 3], k=3)
+    assert inst.sets == ((2, 5, 7), (1, 4), (3,))
+
+
 def test_packing_validation_rejects_bad_sets():
     with raises_exactly("set 0 repeats an element"):
         PackingInstance.build(3, [[0, 0]], [1], k=2)
+    with raises_exactly("set 1 repeats an element"):
+        PackingInstance.build(3, [[1], [2, 0, 2]], [1, 1], k=3)
     with raises_exactly("set 0 contains out-of-range element 5"):
         PackingInstance.build(3, [[0, 5]], [1], k=2)
     with raises_exactly("set 0 has non-positive weight 0"):
@@ -298,6 +338,44 @@ def test_verify_solution_cases(unit_path3):
     assert not verify_solution(g, bad)
 
 
+def test_verify_solution_rejects_a_solution_over_another_graph(unit_path3):
+    """A copy of the graph is another graph: the solution's own table
+    follows the graph it was built over."""
+    copy = ConflictGraph(unit_path3.n, unit_path3.adj, unit_path3.weights, unit_path3.d)
+    with pytest.raises(ContractError, match="the solution is over another graph"):
+        verify_solution(copy, Solution.of(unit_path3, [0, 2]))
+
+
+def test_validate_improvement_rejects_a_solution_over_another_graph():
+    g = ConflictGraph.from_edges(5, [(0, 1), (0, 2), (1, 4)], [2, 3, 2, 1, 1])
+    copy = g.reweighted(g.weights)
+    a = Solution.of(g, [0])
+    imp = Improvement(frozenset({1, 2}), frozenset({0}), ClawShaped(0))
+    assert validate_improvement(g, a, imp)
+    with pytest.raises(ContractError, match="the solution is over another graph"):
+        validate_improvement(copy, a, imp)
+
+
+def test_squareimp_leaves_one_adjacency_and_sets_as_sorted_tuples():
+    """After squareimp and logimp on 2,000 random sets, the graph holds no
+    table of a set per vertex (its adjacency is the sorted tuples `adj`),
+    and each of the instance's sets is one sorted tuple."""
+    from clawpack.generators import gen_random_packing
+    from clawpack.solvers import SolverConfig, solve
+
+    inst = gen_random_packing(2000, 3, 2000, seed=0)
+    g = build_conflict_graph(inst)
+    for mode in ("squareimp", "logimp"):
+        solve(g, SolverConfig(mode=mode), inst=inst)
+    set_tables = [
+        name for name, value in vars(g).items()
+        if isinstance(value, (tuple, list)) and len(value) == g.n
+        and any(isinstance(x, (set, frozenset)) for x in value)
+    ]
+    assert set_tables == []
+    assert all(type(s) is tuple and list(s) == sorted(set(s)) for s in inst.sets)
+
+
 def test_verify_solution_berman_b_side():
     g, _, b = gen_berman_tight(4)
     assert verify_solution(g, b)
@@ -324,7 +402,7 @@ def max_independent_greedy(g):
         v = min(alive)
         chosen.add(v)
         alive.discard(v)
-        alive -= g.adj_sets[v]
+        alive -= nbr_set(g, v)
     return chosen
 
 

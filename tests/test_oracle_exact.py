@@ -14,7 +14,7 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from conftest import PrimeWeights, w_of
+from conftest import PrimeWeights, nbr_set, w_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,7 +74,7 @@ def ref_exact_mwis(g: ConflictGraph, budget: int = 100_000_000, cover: bool = Fa
         if cover and cur_w + sum((g.weights[c[0]] for c in ref_clique_cover(g, cands)), Fraction(0)) <= best_w:
             return
         cand_set = set(cands)
-        pick = max(cands, key=lambda v: (len(g.adj_sets[v] & cand_set), -v))
+        pick = max(cands, key=lambda v: (len(nbr_set(g, v) & cand_set), -v))
         rest_in = [v for v in cands if v != pick and not g.has_edge(v, pick)]
         cur.add(pick)
         search(rest_in, cur, cur_w + g.weights[pick])
@@ -207,7 +207,7 @@ def maximal_solution(g: ConflictGraph, rng: random.Random) -> Solution:
     rng.shuffle(order)
     members: set[int] = set()
     for v in order:
-        if not (g.adj_sets[v] & members):
+        if not (nbr_set(g, v) & members):
             members.add(v)
     return Solution.of(g, members)
 
@@ -379,7 +379,7 @@ def test_improvement_search_matches_fraction_search(g, alpha, cap, data):
         # a single outside vertex against its solution neighborhood, a hair
         # above or below (or level with) the tie in w**alpha
         u = data.draw(st.sampled_from(outside))
-        target = sum((g.weights[x] ** alpha for x in g.adj_sets[u] & a.members), Fraction(0))
+        target = sum((g.weights[x] ** alpha for x in nbr_set(g, u) & a.members), Fraction(0))
         for above in (False, True):
             weights = list(g.weights)
             weights[u] = PrimeWeights(rng).near_root(target, alpha, above)
@@ -442,7 +442,7 @@ def test_first_improvement_is_the_brute_force_one_in_no_more_nodes(g, cap, data)
         p = g.int_powers(alpha)[0]
     want, unpruned = brute_first_improvement(g, members, cands, cap, alpha)
     nodes = count(1)
-    a_nbrs = [g.adj_sets[u] & members for u in range(g.n)]
+    a_nbrs = [nbr_set(g, u) & members for u in range(g.n)]
     got = oracle._first_improvement(g, a_nbrs, cands, cap, p, 10 ** 9, nodes, "search", center=center)
     assert got == want
     assert next(nodes) - 1 <= unpruned
