@@ -64,6 +64,23 @@ MUTANTS = (
            "verify_solution checks a solution over another graph"),
     Mutant("instances.py", "    if a.g is not g:\n        raise ContractError", "    if False:\n        raise ContractError",
            "validate_improvement checks a solution over another graph"),
+    Mutant("circular.py", "if state is not None and state.a is not a:", "if False:",
+           "build_anchor_maps re-anchors a state over another solution than the one it holds"),
+    Mutant("certify.py", "if astar.g is not g:", "if False:",
+           "the certificate weighs a reference over another graph with the incumbent's weights"),
+    # the incremental state of the solution and of the two searches
+    Mutant("circular.py", "return set(moved).union(*(adj[v] for v in moved))", "return set(moved)",
+           "the circular state re-anchors the moved vertices but not their neighbors"),
+    Mutant("circular.py", "if not a_nbrs[u] and u not in members:\n            raise ContractError",
+           "if False:\n            raise ContractError",
+           "build_anchor_maps accepts a solution that is not maximal"),
+    Mutant("instances.py", "insort(table[u], v, key=rank)", "table[u].append(v)",
+           "Solution.apply appends a new member to N(u, A), out of weight order"),
+    Mutant("solvers.py", "if not a_nbrs[v] and v not in members:\n                    free.add(v)",
+           "if False:\n                    free.add(v)",
+           "the claw state never frees a vertex whose last solution neighbor left"),
+    Mutant("solvers.py", "if not settled.isdisjoint(adj[v]):", "if False:",
+           "the claw state never reopens a settled center near a removed vertex"),
     # the strict comparisons, the charges and the cycle-length bounds
     Mutant("oracle.py", "improves = r < x_p[k]", "improves = r <= x_p[k]",
            "a swap of equal weight counts as an improvement"),
@@ -75,6 +92,10 @@ MUTANTS = (
            "each shared member is charged one unit too much, so an improving claw can be skipped"),
     Mutant("circular.py", "    if len(u_list) > max_cycle_len_for(g.n):\n        return False\n", "",
            "validate_circular accepts a cycle past the length bound"),
+    Mutant("certify.py", "all(pos[v] <= w[v] for v in a.members)", "all(pos[v] < w[v] for v in a.members)",
+           "the certificate fails a charge sum that meets its bound"),
+    Mutant("certify.py", "all(contr[v] <= w2[v] for v in a.members)", "all(contr[v] < w2[v] for v in a.members)",
+           "the certificate fails a contribution sum that meets its bound"),
     Mutant("circular.py", "if len(eseq) + 1 >= max_len:", "if len(eseq) + 1 > max_len:",
            "the DFS emits cycles one edge past its bound"),
 )

@@ -135,11 +135,12 @@ def _solve_row(
     return row, final
 
 
-def _certify(g: ConflictGraph, final: Solution, opt, delta: Fraction) -> tuple[str, str, float]:
-    """(cert, error, seconds) of one final solution against the optimum."""
+def _certify(final: Solution, best: Solution, delta: Fraction) -> tuple[str, str, float]:
+    """(cert, error, seconds) of one final solution against an optimum
+    `best` over the same graph."""
     t0 = time.perf_counter()
     try:
-        report = certify_local_optimum(g, final, opt.best, AnalysisParams.from_delta(delta))
+        report = certify_local_optimum(final, best, AnalysisParams.from_delta(delta))
         cert, error = ("pass" if report.all_bounds_ok() else "fail"), ""
     except Exception as exc:  # recorded on every row that ends at this final
         cert, error = "error", f"{type(exc).__name__}: {exc}"
@@ -155,7 +156,9 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
     final among its rows that did not fail (the first such row on ties);
     the optimum is exact either way, so the seed only saves nodes. A final
     is keyed by its instance's position, not its user-supplied id, and its
-    certificate time is added to the first row that ends at it.
+    certificate time is added to the first row that ends at it. An
+    optimum a worker found is over the worker's copy of the graph, so it is
+    certified as its members over the final's.
     """
     tasks, positions = [], []
     for pos, (name, g, inst, inst_spec) in enumerate(instances):
@@ -189,7 +192,7 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
         keys.append(key)
     verdicts = pmap(
         _certify,
-        [(instances[pos][1], final, optima[pos], delta) for (pos, _), (_, final) in first.items()],
+        [(final, Solution(final.g, optima[pos].best.members), delta) for (pos, _), (_, final) in first.items()],
     )
     certs = dict(zip(first, verdicts))
     for key, (row, _) in first.items():

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .circular import build_anchor_maps
 from .exactnum import surd_sign
-from .instances import ConflictGraph, InputError, Solution, fmt_fraction
+from .instances import ContractError, InputError, Solution, fmt_fraction
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,7 @@ def _class_tags(
     return tuple(tags)
 
 
-def certify_local_optimum(
-    g: ConflictGraph,
-    a: Solution,
-    astar: Solution,
-    params: AnalysisParams,
-) -> CertReport:
+def certify_local_optimum(a: Solution, astar: Solution, params: AnalysisParams) -> CertReport:
     """Full certificate for an incumbent claw fixed point against a reference.
 
     One pass over A* computes the charges, contributions and class tags.
@@ -187,8 +182,13 @@ def certify_local_optimum(
     sqrt(2 eps')-good and eps'/2-contributive; `unclassified` collects the
     vertices matching none. They are only guaranteed exhaustive at claw
     fixed points with d >= d_delta, so the result is informational below it.
+    Both solutions are read with the weights of `a`'s graph: a reference
+    over another graph is a `ContractError`.
     """
-    a_nbrs = build_anchor_maps(g, a)
+    g = a.g
+    if astar.g is not g:
+        raise ContractError("the reference solution is over another graph")
+    a_nbrs = build_anchor_maps(a)
     w, w2, lcm = g.w_int, g.w2_int, g.w_lcm
     eps = (params.eps_prime.numerator, params.eps_prime.denominator)
     report = CertReport()

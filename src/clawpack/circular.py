@@ -39,10 +39,11 @@ anchor pairs that two or more inducers share. The vertices with an edge
 are also kept sorted, and the DFS and the DP start only there: the copies
 of a solution that earlier swaps improved have no edge and cost a call
 nothing, and a call reads no whole set of the state. The state is built
-once per run from the graph, the search parameters, the claw bound, the
-packing instance and the random generator, and fixes what they fix: the
-companion-set cap, the cycle length bound and whether color coding can
-run. The DP works out a vertex's color masks, step table and first layer
+once per run from the run's solution, which brings its graph, the search
+parameters, the claw bound, the packing instance and the random
+generator, and fixes what they fix: the companion-set cap, the cycle
+length bound and whether color coding can run. Every entry point reads
+the solution from the state and the graph from the solution. The DP works out a vertex's color masks, step table and first layer
 only when it first reaches that vertex, and yields each candidate as soon
 as the state that closes it is built, so a search that stops at the first
 candidate that validates pays for little more than the prefix it read.
@@ -96,52 +97,45 @@ class SearchIncompleteError(BudgetExceededError):
     """The auxiliary-graph or cycle search hit a cap; absence not certified."""
 
 
-def build_anchor_maps(
-    g: ConflictGraph, a: Solution, state: Optional["CircularState"] = None
-) -> Sequence[Sequence[int]]:
+def build_anchor_maps(a: Solution, state: Optional["CircularState"] = None) -> Sequence[Sequence[int]]:
     """`a`'s table of N(u, A), once every vertex outside `a` is checked to
     have a solution neighbor: u's anchor is `a.a_nbrs[u][0]` and its
     second, where it has one, `a.a_nbrs[u][1]`. A vertex without one is a
-    `ContractError` (the solution is not maximal), and so is a solution
-    over another graph than `g`, whose table follows that graph's weights.
+    `ContractError` (the solution is not maximal).
 
-    With the run's `CircularState`, only the vertices next to the swaps
-    since its last successful call are checked, and then re-anchored in
-    the state; without one, every vertex is checked. A caller that passes
-    a state must hand it (`CircularState.update`) every swap applied to `a`
-    since that call.
+    With the run's `CircularState`, which must hold `a` itself (else
+    `ContractError`), only the vertices next to the swaps since its last
+    successful call are checked, and then re-anchored in the state;
+    without one, every vertex is checked. A caller that passes a state must
+    hand it (`CircularState.update`) every swap applied to `a` since that
+    call.
     """
-    if a.g is not g:
-        raise ContractError("the solution is over another graph")
+    if state is not None and state.a is not a:
+        raise ContractError("the circular state holds another solution")
     members, a_nbrs = a.members, a.a_nbrs
-    touched = range(g.n) if state is None else state._near_moved()
+    touched = range(a.g.n) if state is None else state._near_moved()
     for u in touched:
         if not a_nbrs[u] and u not in members:
             raise ContractError(f"vertex {u} has no solution neighbor; solution not maximal")
     if state is not None:
-        state._reanchor(a, touched)
+        state._reanchor(touched)
     return a_nbrs
 
 
-def aux_edge_check(
-    u: int,
-    y1: Iterable[int],
-    y2: Iterable[int],
-    g: ConflictGraph,
-    a_nbrs: Sequence[Sequence[int]],
-) -> bool:
+def aux_edge_check(a: Solution, u: int, y1: Iterable[int], y2: Iterable[int]) -> bool:
     """Exact per-edge inequality certifying that a cycle through this edge improves w^2.
 
-    `a_nbrs` is the solution's table of N(u, A), heaviest first
-    (`Solution.a_nbrs`), and u must have two solution neighbors. y1 must be
-    anchored at the heaviest, v1 = a_nbrs[u][0], and y2 at the second,
-    v2 = a_nbrs[u][1]; disjointness and independence of {u} | y1 | y2 are
-    the caller's promise. Both sides are doubled and compared as sums of
-    the integers `g.w2_int`, which order exactly as the squared rational
+    N(u, A) is read from `a`'s table, heaviest first (`Solution.a_nbrs`),
+    and u must have two solution neighbors. y1 must be anchored at the
+    heaviest, v1 = a_nbrs[u][0], and y2 at the second, v2 = a_nbrs[u][1];
+    disjointness and independence of {u} | y1 | y2 are the caller's
+    promise. Both sides are doubled and compared as sums of the integers
+    `w2_int` of `a`'s graph, which order exactly as the squared rational
     weights do.
     """
+    a_nbrs = a.a_nbrs
     v1, v2, *rest = a_nbrs[u]
-    w2 = g.w2_int
+    w2 = a.g.w2_int
     lhs = 2 * w2[u] + sum(w2[x] for x in y1) + sum(w2[x] for x in y2)
     rhs = w2[v1] + w2[v2] + 2 * sum(w2[x] for x in rest)
     for x in y1:
@@ -289,8 +283,8 @@ class _Memo(dict):
 
 
 class CircularState:
-    """What the circular search keeps between calls in one run, for one
-    evolving solution A over one graph.
+    """What the circular search keeps between calls in one run, for its
+    evolving solution `a` (A), over A's graph.
 
     A vertex's anchors, the first two entries of its N(u, A) list, change
     only when it or one of its neighbors changed membership since the last
@@ -334,18 +328,18 @@ class CircularState:
     so it drops the table it grew to: an emptied set keeps it, and every
     walk over the set walks that table.
 
-    The state is built from what the run fixes: the graph, the search
-    parameters, the claw bound `d`, the packing instance (None for a bare
-    graph) and the random generator color coding draws from. It derives
-    its two bounds: companion sets hold at most `y_cap = min(_MAX_COMPANION,
-    d - 1)` candidates, and cycles at most `max_len = max_cycle_len_for(n)`
-    edges, the bound `validate_circular` checks. It rejects rand
-    mode without a packing instance.
+    The state is built from what the run fixes: the run's solution, the
+    search parameters, the claw bound `d`, the packing instance (None for a
+    bare graph) and the random generator color coding draws from. It
+    derives its two bounds: companion sets hold at most `y_cap =
+    min(_MAX_COMPANION, d - 1)` candidates, and cycles at most `max_len =
+    max_cycle_len_for(n)` edges, the bound `validate_circular` checks. It
+    rejects rand mode without a packing instance.
     """
 
     def __init__(
         self,
-        g: ConflictGraph,
+        a: Solution,
         params: ColorCodingParams,
         d: int,
         inst: Optional[PackingInstance],
@@ -353,14 +347,14 @@ class CircularState:
     ):
         if params.mode == "rand" and inst is None:
             raise InputError("randomized circular search needs the packing instance")
-        self.g = g
+        self.a = a
         self.params = params
         self.d = d
         self.inst = inst
         self.rng = rng
         self.y_cap = min(_MAX_COMPANION, d - 1)
-        self.max_len = max_cycle_len_for(g.n)
-        self._moved = set(range(g.n))  # re-anchored at the next call
+        self.max_len = max_cycle_len_for(a.g.n)
+        self._moved = set(range(a.g.n))  # re-anchored at the next call
         self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
         self._vblocks: dict[int, _VertexBlock] = {}
         self._eblocks: dict[int, _EdgeBlock] = {}  # only blocks with checks
@@ -379,39 +373,39 @@ class CircularState:
 
     def _near_moved(self) -> set[int]:
         """The vertices moved since the last `_reanchor`, and their neighbors."""
-        adj, moved = self.g.adj, self._moved
+        adj, moved = self.a.g.adj, self._moved
         return set(moved).union(*(adj[v] for v in moved))
 
-    def _reanchor(self, a: Solution, touched: set[int]) -> None:
-        """Move every vertex of `touched`, `_near_moved()` over `a`, to its
-        new anchor, drop the vertex blocks at its old and new anchor, and
-        mark its edge block dirty; then clear the moved vertices. Every
-        vertex of `touched` outside A has a solution neighbor. `touched`
-        becomes the set of dirty inducers, so the first call, where it
-        holds every vertex, keeps one such table and not two."""
-        members, a_nbrs = a.members, a.a_nbrs
-        w = self.g.w_int
+    def _reanchor(self, touched: set[int]) -> None:
+        """Move every vertex of `touched`, `_near_moved()`, to its new
+        anchor, drop the vertex blocks at its old and new anchor, and mark
+        its edge block dirty; then clear the moved vertices. Every vertex
+        of `touched` outside A has a solution neighbor. `touched` becomes
+        the set of dirty inducers, so the first call, where it holds every
+        vertex, keeps one such table and not two."""
+        members, a_nbrs = self.a.members, self.a.a_nbrs
+        w = self.a.g.w_int
         anchor, vblocks, unbuilt = self._anchor, self._vblocks, self._unbuilt
         for u in touched:
             old = anchor.pop(u, None)
             if old in vblocks:
-                self._drop_block(old, a_nbrs)
+                self._drop_block(old)
             if u in members:
                 if u not in vblocks:
                     unbuilt.add(u)
                 continue
             if u in vblocks:  # u left A
-                self._drop_block(u, a_nbrs)
+                self._drop_block(u)
             nu = a_nbrs[u]
             if 2 * w[u] > sum(w[x] for x in nu):
                 v1 = anchor[u] = nu[0]
                 if v1 in vblocks:
-                    self._drop_block(v1, a_nbrs)
+                    self._drop_block(v1)
         touched |= self._dirty_u
         self._dirty_u = touched
         self._moved.clear()
 
-    def _drop_block(self, v: int, a_nbrs: Sequence[Sequence[int]]) -> None:
+    def _drop_block(self, v: int) -> None:
         """Drop the vertex block at anchor v with the incident lists and the
         starts of its vertices, note v for a rebuild, and mark the edge
         blocks that end at v dirty: their inducers are neighbors of v."""
@@ -423,13 +417,14 @@ class CircularState:
             del incident[i]
         del starts[lo:hi]
         self._unbuilt.add(v)
-        self._dirty_u.update(u for u in self.g.adj[v] if v in a_nbrs[u][:2])
+        a_nbrs = self.a.a_nbrs
+        self._dirty_u.update(u for u in self.a.g.adj[v] if v in a_nbrs[u][:2])
 
-    def _add_vertex_block(self, v: int, a_nbrs: Sequence[Sequence[int]]) -> None:
+    def _add_vertex_block(self, v: int) -> None:
         """Build the vertex block at anchor v: one aux vertex per companion
         set, largest first, then in id order, each with its net. An anchor
         with no candidate has the one vertex y = (), net 0."""
-        g = self.g
+        g, a_nbrs = self.a.g, self.a.a_nbrs
         anchor = self._anchor
         cands = [u for u in g.adj[v] if anchor.get(u) == v]  # sorted, as g.adj[v] is
         if cands:
@@ -472,7 +467,7 @@ class CircularState:
             if not group:
                 del pairs[key]
 
-    def _update_edge_blocks(self, a_nbrs: Sequence[Sequence[int]]) -> None:
+    def _update_edge_blocks(self) -> None:
         """Build the edge block of every dirty inducer, the incident lists
         and starts of the vertices it gives a first edge, and the inducers
         per anchor pair with it. Raises `SearchIncompleteError` once the
@@ -482,7 +477,7 @@ class CircularState:
         companion set at its first anchor the union of its members'
         neighbors, once, for all its pairings at the second."""
         cap = _MAX_AUX_EDGE_CHECKS
-        w2, adj = self.g.w2_int, self.g.adj
+        w2, adj, a_nbrs = self.a.g.w2_int, self.a.g.adj, self.a.a_nbrs
         vblocks, eblocks, dirty = self._vblocks, self._eblocks, self._dirty_u
         incident, starts = self._incident, self._starts
         pairs, shared = self._pairs, self._shared
@@ -539,31 +534,10 @@ class CircularState:
                     shared.add(key)
         self.checks = total
 
-    def aux_graph(self, a: Solution) -> AuxGraph:
-        """The aux graph over `a` and its anchors; see `build_aux_graph`."""
-        if self._moved:
-            raise ContractError("anchor maps are stale: build_anchor_maps after every swap")
-        members, unbuilt, a_nbrs = a.members, self._unbuilt, a.a_nbrs
-        self._drop_edge_blocks()
-        for v in unbuilt:
-            if v in members:  # else v left A
-                self._add_vertex_block(v, a_nbrs)
-        unbuilt.clear()
-        # A cap is crossed when a count passes it.
-        if self._n_vertices > _MAX_AUX_VERTICES:
-            raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
-        self._update_edge_blocks(a_nbrs)
-        if self.checks > _MAX_AUX_EDGE_CHECKS:
-            raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_EDGE_CHECKS} edge checks")
-        eblocks, pairs = self._eblocks, self._pairs
-        sharing = sorted({u for key in self._shared for u in pairs[key]})
-        parallel = [ei for u in sharing for ei in eblocks[u].ids]
-        return AuxGraph(AuxBlocks(self._vblocks, self._n_vertices), AuxBlocks(eblocks, self._n_edges),
-                        self._incident, parallel, self._starts)
 
-
-def build_aux_graph(state: CircularState, a: Solution) -> AuxGraph:
-    """Materialize the restricted auxiliary multigraph.
+def build_aux_graph(state: CircularState) -> AuxGraph:
+    """Materialize the restricted auxiliary multigraph over the state's
+    solution and its anchors.
 
     Companion-set candidates at each anchor are the outside vertices
     anchored there that send strictly positive charge; the full vertex set
@@ -580,11 +554,29 @@ def build_aux_graph(state: CircularState, a: Solution) -> AuxGraph:
     edge exists iff base(u) > net(y1) + net(y2).
 
     The graph is built over the state's anchors, which must be current:
-    `build_anchor_maps(g, a, state)` after the last swap handed to the state,
-    else `ContractError`. Only the blocks the swaps since the last call
-    touched are rebuilt.
+    `build_anchor_maps(state.a, state)` after the last swap handed to the
+    state, else `ContractError`. Only the blocks the swaps since the last
+    call touched are rebuilt.
     """
-    return state.aux_graph(a)
+    if state._moved:
+        raise ContractError("anchor maps are stale: build_anchor_maps after every swap")
+    members, unbuilt = state.a.members, state._unbuilt
+    state._drop_edge_blocks()
+    for v in unbuilt:
+        if v in members:  # else v left A
+            state._add_vertex_block(v)
+    unbuilt.clear()
+    # A cap is crossed when a count passes it.
+    if state._n_vertices > _MAX_AUX_VERTICES:
+        raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
+    state._update_edge_blocks()
+    if state.checks > _MAX_AUX_EDGE_CHECKS:
+        raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_EDGE_CHECKS} edge checks")
+    eblocks, pairs = state._eblocks, state._pairs
+    sharing = sorted({u for key in state._shared for u in pairs[key]})
+    parallel = [ei for u in sharing for ei in eblocks[u].ids]
+    return AuxGraph(AuxBlocks(state._vblocks, state._n_vertices), AuxBlocks(eblocks, state._n_edges),
+                    state._incident, parallel, state._starts)
 
 
 def _assemble(
@@ -882,21 +874,21 @@ def _draw_coloring(rng: random.Random, t: int, n: int) -> list[int]:
     return coloring
 
 
-def _first_valid(state: CircularState, a: Solution, h: AuxGraph,
+def _first_valid(state: CircularState, h: AuxGraph,
                  candidates: Iterable[tuple[list[int], list[int]]]) -> Optional[Improvement]:
     """The first candidate cycle of `h` that assembles into an improvement
-    `validate_circular` accepts, or None."""
-    g = state.g
+    of the state's solution `validate_circular` accepts, or None."""
+    a = state.a
     for vorder, eorder in candidates:
         imp = _assemble(a, h, vorder, eorder)
-        if validate_circular(g, a, imp, d=state.d):
+        if validate_circular(a, imp, d=state.d):
             return imp
     return None
 
 
-def run_color_coding(state: CircularState, a: Solution, h: AuxGraph) -> Optional[Improvement]:
-    """Randomized circular search over the aux graph `h` of `a`: repeat
-    (color the universe, run the cycle DP).
+def run_color_coding(state: CircularState, h: AuxGraph) -> Optional[Improvement]:
+    """Randomized circular search over `h`, the aux graph of the state's
+    solution: repeat (color the universe, run the cycle DP).
 
     Sound in every trial; finds an existing improvement with probability at
     least the injectivity bound per trial, amplified over repetitions.
@@ -907,43 +899,42 @@ def run_color_coding(state: CircularState, a: Solution, h: AuxGraph) -> Optional
     for _ in range(params.repetitions):
         coloring = _draw_coloring(state.rng, params.t, inst.universe_size)
         vmask, emask = _color_masks(h, inst, coloring)
-        imp = _first_valid(state, a, h, _colorful_cycles(h, vmask, emask, state.max_len, _MAX_DP_STATES))
+        imp = _first_valid(state, h, _colorful_cycles(h, vmask, emask, state.max_len, _MAX_DP_STATES))
         if imp is not None:
             return imp
     return None
 
 
-def find_circular_improvement(state: CircularState, a: Solution) -> Optional[Improvement]:
-    """Search for a circular improvement of w^2(A).
+def find_circular_improvement(state: CircularState) -> Optional[Improvement]:
+    """Search for a circular improvement of w^2(A), A the state's solution.
 
     Requires that no claw-shaped improvement exists (every vertex outside
-    A then has an anchor) and that the state's anchors are those of `a`
-    (`build_anchor_maps(g, a, state)` after its last swap). Parallel-edge
+    A then has an anchor) and that the state's anchors are current
+    (`build_anchor_maps(state.a, state)` after its last swap). Parallel-edge
     2-cycles are scanned first; longer cycles go through the exhaustive DFS
     or the color-coding search depending on the state's mode. Every
     returned improvement is re-validated field by field.
     """
-    h = build_aux_graph(state, a)
-    imp = _first_valid(state, a, h, _two_cycle_candidates(state.g, h))
+    g = state.a.g
+    h = build_aux_graph(state)
+    imp = _first_valid(state, h, _two_cycle_candidates(g, h))
     if imp is not None:
         return imp
     if state.params.mode == "rand":
-        return run_color_coding(state, a, h)
-    return _first_valid(state, a, h, _dfs_cycles(state.g, h, state.max_len, _MAX_DFS_NODES))
+        return run_color_coding(state, h)
+    return _first_valid(state, h, _dfs_cycles(g, h, state.max_len, _MAX_DFS_NODES))
 
 
-def validate_circular(g: ConflictGraph, a: Solution, imp: Improvement, d: int) -> bool:
+def validate_circular(a: Solution, imp: Improvement, d: int) -> bool:
     """Re-validate a circular improvement of `a` field by field.
 
     `validate_improvement` checks x, removed = N(x, A) and the strict
-    squared-weight gain; this adds the cycle structure over distinct
-    solution vertices, the companion-set decomposition and size bounds, and
-    the per-edge inequality. Each vertex's anchors are the first two
-    entries of its list in `a.a_nbrs`, which is heaviest first; a solution
-    over another graph than `g` is a `ContractError`.
+    squared-weight gain over `a`'s graph; this adds the cycle structure
+    over distinct solution vertices, the companion-set decomposition and
+    size bounds, and the per-edge inequality. Each vertex's anchors are the
+    first two entries of its list in `a.a_nbrs`, which is heaviest first.
     """
-    if a.g is not g:
-        raise ContractError("the solution is over another graph")
+    g = a.g
     kind = imp.kind
     if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):
         return False
@@ -986,6 +977,6 @@ def validate_circular(g: ConflictGraph, a: Solution, imp: Improvement, d: int) -
         return False
     for u in u_list:
         v1, v2 = a_nbrs[u][:2]
-        if not aux_edge_check(u, y_map[v1], y_map[v2], g, a_nbrs):
+        if not aux_edge_check(a, u, y_map[v1], y_map[v2]):
             return False
     return True

@@ -207,7 +207,7 @@ def verify(in_path, sol_path, delta, out_path) -> None:
     try:
         sol = Solution.of(g, members)
         opt = exact_mwis(g)
-        report = certify_local_optimum(g, sol, opt.best, AnalysisParams.from_delta(_fraction(delta, "--delta")))
+        report = certify_local_optimum(sol, opt.best, AnalysisParams.from_delta(_fraction(delta, "--delta")))
     except (InputError, ContractError) as exc:
         raise click.ClickException(str(exc))
     _write_out(formats.canonical_json(report.to_json_obj()), out_path)

@@ -199,7 +199,6 @@ def power_weight_gain(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: I
 
 
 def exhaustive_improvement_search(
-    g: ConflictGraph,
     a: Solution,
     alpha: Fraction,
     size_cap: int,
@@ -211,10 +210,11 @@ def exhaustive_improvement_search(
     lexicographic id order and returns the first improving one, or None.
     An improving X containing solution vertices always shrinks to an
     improving X outside A, so restricting the enumeration loses nothing.
-    For integer alpha the two sides are compared as sums of the graph's
-    table `g.int_powers(alpha)`; other exponents go through
+    For integer alpha the two sides are compared as sums of the table
+    `int_powers(alpha)` of `a`'s graph; other exponents go through
     `power_weight_improves`.
     """
+    g = a.g
     alpha = Fraction(alpha)
     p = g.int_powers(alpha)[0] if alpha.denominator == 1 else None
     if size_cap < 1:

@@ -162,14 +162,13 @@ class ClawSearchState:
     without a scan or a sort.
     """
 
-    __slots__ = ("g", "a", "max_talons", "free", "settled", "_center_heap")
+    __slots__ = ("a", "max_talons", "free", "settled", "_center_heap")
 
-    def __init__(self, g: ConflictGraph, a: Solution, d: int):
-        self.g = g
+    def __init__(self, a: Solution, d: int):
         self.a = a
         self.max_talons = d - 1
         members, a_nbrs = a.members, a.a_nbrs
-        self.free = {v for v in range(g.n) if not a_nbrs[v] and v not in members}
+        self.free = {v for v in range(a.g.n) if not a_nbrs[v] and v not in members}
         self.settled: set[int] = set()
         self._center_heap = sorted(members)
 
@@ -195,7 +194,7 @@ class ClawSearchState:
         settled center next to it, and the new members x start unsettled.
         """
         members, a_nbrs = self.a.members, self.a.a_nbrs
-        free, adj = self.free, self.g.adj
+        free, adj = self.free, self.a.g.adj
         for v in imp.x:
             free.discard(v)
             free.difference_update(adj[v])
@@ -228,9 +227,10 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     shared improvement search of `oracle` over the center's neighbors, all
     outside A: independent sets of at most `state.max_talons` talons in
     lexicographic order, squared weights compared as the integers
-    `g.w2_int`, which order exactly as the rationals do, and N(u, A) read
-    from the solution's table `a.a_nbrs`. A center searched without
-    success is settled. The result is that of a search from scratch.
+    `w2_int` of A's graph, which order exactly as the rationals do, and
+    N(u, A) read from the solution's table `a.a_nbrs`. A center searched
+    without success is settled. The result is that of a search from
+    scratch.
 
     The talon walk is bounded by charged weights (see
     `_first_improvement`), all in the integers `g.w2_int`. At center c,
@@ -249,7 +249,7 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     this call, counted across its centers. For a hit, removed =
     N(talons) & A.
     """
-    g = state.g
+    g = state.a.g
     if state.free:
         picked: list[int] = []
         blocked: set[int] = set()
@@ -323,7 +323,7 @@ def squareimp(g: ConflictGraph, cfg: SolverConfig, start: Optional[Solution] = N
     run's solution is its members over `g`)."""
     d = _resolve_d(g, cfg.d)
     a = Solution.of(g, start.members if start else ())
-    claw = ClawSearchState(g, a, d)
+    claw = ClawSearchState(a, d)
     return _loop(a, lambda: find_claw_improvement(claw), [claw])
 
 
@@ -342,16 +342,16 @@ def logimp(
     swaps since the last one touched."""
     d = _resolve_d(g, cfg.d)
     params = cfg.circular if cfg.circular is not None else ColorCodingParams.defaults(g, inst)
-    circ = CircularState(g, params, d, inst, random.Random(cfg.rng_seed))
     a = Solution.of(g, start.members if start else ())
-    claw = ClawSearchState(g, a, d)
+    circ = CircularState(a, params, d, inst, random.Random(cfg.rng_seed))
+    claw = ClawSearchState(a, d)
 
     def step() -> Optional[Improvement]:
         imp = find_claw_improvement(claw)
         if imp is not None:
             return imp
-        build_anchor_maps(g, a, circ)
-        return find_circular_improvement(circ, a)
+        build_anchor_maps(a, circ)
+        return find_circular_improvement(circ)
 
     trace = _loop(a, step, [claw, circ])
     if circ.y_cap < d - 1:
@@ -372,7 +372,7 @@ def parametrized_local_search(
     alpha = Fraction(cfg.alpha)
     cap = max(1, math.floor(float(cfg.size_cap_factor) * math.log(max(2, g.n), 2)))
     a = Solution.of(g, start.members if start else ())
-    return _loop(a, lambda: exhaustive_improvement_search(g, a, alpha, cap), keep_partial_on_budget=True)
+    return _loop(a, lambda: exhaustive_improvement_search(a, alpha, cap), keep_partial_on_budget=True)
 
 
 def scale_truncate_run(

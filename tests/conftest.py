@@ -65,24 +65,25 @@ def gen_berman_tight(d: int) -> tuple[ConflictGraph, Solution, Solution]:
     return g, Solution.of(g, range(d - 1)), Solution.of(g, range(d - 1, g.n))
 
 
-def circular_state(g: ConflictGraph, a: Solution, params=None, inst=None, d=None, rng=None) -> CircularState:
-    """A new `CircularState` holding the anchors of `a`, for a circular
+def circular_state(a: Solution, params=None, inst=None, d=None, rng=None) -> CircularState:
+    """A new `CircularState` holding `a` and its anchors, for a circular
     search outside a run. `params` default to `ColorCodingParams.defaults(g,
-    inst)`, `d` to the graph's claw bound, else n + 1, which no claw
-    reaches, and the generator to `random.Random(0)`."""
+    inst)`, `d` to the claw bound of `a`'s graph g, else n + 1, which no
+    claw reaches, and the generator to `random.Random(0)`."""
+    g = a.g
     if params is None:
         params = ColorCodingParams.defaults(g, inst)
     if d is None:
         d = g.d if g.d is not None else g.n + 1
-    state = CircularState(g, params, d, inst, rng if rng is not None else random.Random(0))
-    build_anchor_maps(g, a, state)
+    state = CircularState(a, params, d, inst, rng if rng is not None else random.Random(0))
+    build_anchor_maps(a, state)
     return state
 
 
-def claw_search(g: ConflictGraph, a: Solution, d=None):
+def claw_search(a: Solution, d=None):
     """`find_claw_improvement` on a new `ClawSearchState` for `a`: a claw
-    search outside a run. `d` defaults to the graph's claw bound."""
-    return find_claw_improvement(ClawSearchState(g, a, _resolve_d(g, d)))
+    search outside a run. `d` defaults to the claw bound of `a`'s graph."""
+    return find_claw_improvement(ClawSearchState(a, _resolve_d(a.g, d)))
 
 
 def expand_steps(swaps) -> list[tuple[str, int]]:
@@ -410,7 +411,7 @@ def circular_improvement_exists_bruteforce(g, a, d, positive_only=False, y_cap=N
                     if not ok or any(len(ys) > y_limit for ys in y_map.values()):
                         continue
                     if all(
-                        aux_edge_check(u, y_map[maps.heaviest[u]], y_map[maps.second[u]], g, a.a_nbrs)
+                        aux_edge_check(a, u, y_map[maps.heaviest[u]], y_map[maps.second[u]])
                         for u in u_set
                     ):
                         return True

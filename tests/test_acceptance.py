@@ -87,7 +87,7 @@ def test_criterion_1_squareimp_tightness():
     t0 = time.perf_counter()
     for d in (4, 5, 6):
         g, a, b = gen_berman_tight(d)
-        assert claw_search(g, a) is None
+        assert claw_search(a) is None
         opt = exact_mwis(g)
         assert opt.best.members == b.members
         assert opt.optimum_w / a.total_w == Fraction(d, 2)
@@ -101,9 +101,9 @@ def test_criterion_2_logimp_beats_tight():
     finals = {}
     for d in (4, 5, 6):
         g, a, _ = gen_berman_tight(d)
-        imp = find_circular_improvement(circular_state(g, a), a)
+        imp = find_circular_improvement(circular_state(a))
         assert imp is not None
-        assert validate_circular(g, a, imp, d=d)
+        assert validate_circular(a, imp, d=d)
         tr = solve(g, SolverConfig(mode="logimp"), start=a)
         opt = exact_mwis(g)
         assert opt.optimum_w / tr.final.total_w < Fraction(d, 2)
@@ -133,7 +133,7 @@ def test_criterion_4_certificates(random_sweep):
     failures = 0
     for inst, g, opt, finals in runs:
         for mode in ("squareimp", "logimp"):
-            rep = certify_local_optimum(g, finals[mode], opt.best, PARAMS)
+            rep = certify_local_optimum(finals[mode], opt.best, PARAMS)
             ok = (
                 rep.charge_bound_ok
                 and rep.contribution_bound_ok
@@ -224,9 +224,9 @@ def test_criterion_5_color_coding():
     params = ColorCodingParams(t=32, repetitions=64, mode="rand")
     wins = 0
     for trial in range(100):
-        state = circular_state(g, a, params, inst, rng=random.Random(5000 + trial))
-        imp = run_color_coding(state, a, build_aux_graph(state, a))
-        if imp is not None and validate_circular(g, a, imp, d=4):
+        state = circular_state(a, params, inst, rng=random.Random(5000 + trial))
+        imp = run_color_coding(state, build_aux_graph(state))
+        if imp is not None and validate_circular(a, imp, d=4):
             wins += 1
     assert wins >= 99
     _report(
@@ -285,7 +285,7 @@ def test_criterion_7_incidence_lower_bound():
         assert ratio >= (4 - 1 - Fraction(1, 2)) / 2
         assert ratio == Fraction(5, 4)
         assert params.eps_d_value() == Fraction(1, 6)
-        assert exhaustive_improvement_search(g, a, Fraction(1), 4) is None
+        assert exhaustive_improvement_search(a, Fraction(1), 4) is None
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report(7, f"Petersen/Heawood incidence: degrees, forest property, ratio 5/4, no size-4 gain ({elapsed:.1f}s)")
@@ -298,7 +298,7 @@ def test_criterion_8_alternating_cycles():
             eps = Fraction(1, 2)
             g, a, astar = gen_alternating_cycle(pairs, d, eps)
             assert astar.total_w / a.total_w == (d - 1 - eps) / 2
-            assert exhaustive_improvement_search(g, a, Fraction(-1), 4) is None
+            assert exhaustive_improvement_search(a, Fraction(-1), 4) is None
     _report(8, f"6 alternating cycles: exact ratios, no w^-1 improvement at cap 4 ({time.perf_counter()-t0:.1f}s)")
 
 

@@ -183,9 +183,9 @@ def spy_bench(monkeypatch):
         solved.append((id(g), frozenset(trace.final.members)))
         return trace
 
-    def certify(g, a, astar, params):
-        certified.append((id(g), frozenset(a.members)))
-        return real_certify(g, a, astar, params)
+    def certify(a, astar, params):
+        certified.append((id(a.g), frozenset(a.members)))
+        return real_certify(a, astar, params)
 
     monkeypatch.setattr(bench, "solve", solve)
     monkeypatch.setattr(bench, "certify_local_optimum", certify)
@@ -269,7 +269,7 @@ def test_bench_parallel_finals_hold_the_parents_graph():
         if fn is bench._optimum:
             finals.extend(t[2] for t in tasks)
         elif fn is bench._certify:
-            finals.extend(t[1] for t in tasks)
+            finals.extend(s for t in tasks for s in t[:2])
         return [pickle.loads(pickle.dumps(fn(*pickle.loads(pickle.dumps(t))))) for t in tasks]
 
     rows = bench._run_phases([(spec["id"], g, inst, spec)], MEMO_SUITE["algorithms"], [0, 1], 20,

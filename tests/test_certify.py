@@ -29,7 +29,7 @@ def two_vertex_case(w_u, w_v):
 
 def test_charge_simple_value():
     g, a, astar = two_vertex_case(w_u=3, w_v=2)
-    rep = certify_local_optimum(g, a, astar, PARAMS)
+    rep = certify_local_optimum(a, astar, PARAMS)
     assert rep.charges[1] == (0, Fraction(2))
     assert rep.charge_sum_pos[0] == 2
     assert rep.pointwise_ok and rep.identity_ok
@@ -41,7 +41,7 @@ def test_self_charge_half_weight():
     g = ConflictGraph.from_edges(2, [(0, 1)], [4, 1], d=3)
     a = Solution.of(g, {0})
     astar = Solution.of(g, {0})
-    rep = certify_local_optimum(g, a, astar, PARAMS)
+    rep = certify_local_optimum(a, astar, PARAMS)
     assert rep.charges[0] == (0, Fraction(2))
 
 
@@ -49,7 +49,7 @@ def test_charge_zero_when_neighborhood_heavy():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [1, 1, 1], d=3)
     a = Solution.of(g, {0, 1})
     astar = Solution.of(g, {2})
-    rep = certify_local_optimum(g, a, astar, PARAMS)
+    rep = certify_local_optimum(a, astar, PARAMS)
     assert rep.charges[2] == (0, Fraction(0))
     assert rep.charge_sum_pos[0] == 0
 
@@ -59,12 +59,12 @@ def test_charges_need_maximal_incumbent():
     a = Solution.of(g, {0})
     astar = Solution.of(g, {2})
     with pytest.raises(ContractError):
-        build_anchor_maps(g, a)
+        build_anchor_maps(a)
 
 
 def test_contribution_simple_value():
     g, a, astar = two_vertex_case(w_u=3, w_v=2)
-    rep = certify_local_optimum(g, a, astar, PARAMS)
+    rep = certify_local_optimum(a, astar, PARAMS)
     assert rep.contributions[(1, 0)] == Fraction(9, 2)
     assert not rep.contribution_bound_ok
 
@@ -73,13 +73,13 @@ def test_contribution_zero_case():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [1, 1, 1], d=3)
     a = Solution.of(g, {0, 1})
     astar = Solution.of(g, {2})
-    rep = certify_local_optimum(g, a, astar, PARAMS)
+    rep = certify_local_optimum(a, astar, PARAMS)
     assert rep.contr_sum[0] == 0 and rep.contr_sum[1] == 0
 
 
 def test_contribution_berman_boundary():
     g, a, b = gen_berman_tight(4)
-    rep = certify_local_optimum(g, a, b, PARAMS)
+    rep = certify_local_optimum(a, b, PARAMS)
     for v in a.members:
         assert rep.contr_sum[v] == g.weights[v]
     # singleton contributes its full squared weight; pair-sets contribute zero
@@ -91,7 +91,7 @@ def test_self_contribution_is_own_weight():
     g = ConflictGraph.from_edges(2, [(0, 1)], [4, 1], d=3)
     a = Solution.of(g, {0})
     astar = Solution.of(g, {0})
-    rep = certify_local_optimum(g, a, astar, PARAMS)
+    rep = certify_local_optimum(a, astar, PARAMS)
     assert rep.contributions[(0, 0)] == 4
 
 
@@ -101,7 +101,7 @@ def classify_pair(w_u, nbr_weights):
     g = ConflictGraph.from_edges(n, edges, [w_u] + list(nbr_weights), d=6)
     a = Solution.of(g, set(range(1, n)))
     astar = Solution.of(g, {0})
-    return certify_local_optimum(g, a, astar, PARAMS).classes[0]
+    return certify_local_optimum(a, astar, PARAMS).classes[0]
 
 
 def test_classify_single():
@@ -135,7 +135,7 @@ def test_classify_contributive():
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_certify_berman_tight(d):
     g, a, b = gen_berman_tight(d)
-    rep = certify_local_optimum(g, a, b, PARAMS)
+    rep = certify_local_optimum(a, b, PARAMS)
     assert rep.charge_bound_ok and rep.contribution_bound_ok
     assert rep.pointwise_ok and rep.identity_ok
     assert rep.neighborhood_bound_ok and rep.ratio_ok
@@ -145,7 +145,7 @@ def test_certify_berman_tight(d):
 
 def test_certify_optimum_as_incumbent():
     g, _, b = gen_berman_tight(4)
-    rep = certify_local_optimum(g, b, b, PARAMS)
+    rep = certify_local_optimum(b, b, PARAMS)
     assert rep.ratio_ok
     for u in b.members:
         assert rep.charges[u] == (u, g.weights[u] / 2)
@@ -157,7 +157,7 @@ def test_certify_random_fixed_points():
         g = build_conflict_graph(inst)
         a = squareimp(g, SolverConfig(mode="squareimp")).final
         opt = exact_mwis(g)
-        rep = certify_local_optimum(g, a, opt.best, PARAMS)
+        rep = certify_local_optimum(a, opt.best, PARAMS)
         assert rep.all_bounds_ok(), (seed, rep.to_json_obj()["flags"])
         # every reference vertex lands in at least one class at these thresholds
         # (informational: not guaranteed below d_delta, but holds here)
@@ -170,7 +170,7 @@ def test_classification_lemma_shape_on_fixed_points():
     g = build_conflict_graph(inst)
     a = squareimp(g, SolverConfig(mode="squareimp")).final
     opt = exact_mwis(g)
-    rep = certify_local_optimum(g, a, opt.best, PARAMS)
+    rep = certify_local_optimum(a, opt.best, PARAMS)
     assert set(rep.classes) == set(opt.best.members)
     for tags in rep.classes.values():
         assert set(tags) <= {"single", "double", "payback", "good", "contributive"}
@@ -211,7 +211,7 @@ def test_charge_identity_property_any_pair():
             alive -= nbr_set(g, v)
         a = Solution.of(g, a_members)
         astar = Solution.of(g, astar_members)
-        rep = certify_local_optimum(g, a, astar, PARAMS)
+        rep = certify_local_optimum(a, astar, PARAMS)
         assert rep.identity_ok
         assert rep.pointwise_ok
 
@@ -224,7 +224,7 @@ def test_neighborhood_bound_lemma_shape():
         g = build_conflict_graph(inst)
         a = squareimp(g, SolverConfig(mode="squareimp")).final
         opt = exact_mwis(g)
-        rep = certify_local_optimum(g, a, opt.best, PARAMS)
+        rep = certify_local_optimum(a, opt.best, PARAMS)
         assert rep.neighborhood_bound_ok
 
 
@@ -441,7 +441,7 @@ def assert_same_certificate(g, a, astar, params, d=None):
     if d is not None:
         g = dataclasses.replace(g, d=d)
         a, astar = Solution(g, a.members), Solution(g, astar.members)
-    got = certify_local_optimum(g, a, astar, params)
+    got = certify_local_optimum(a, astar, params)
     ref = ref_certify(g, a, astar, params)
     assert got.charges == ref.charges
     assert got.charge_sum_pos == ref.charge_sum_pos
@@ -620,7 +620,7 @@ def test_certificate_layers_build_fractions_only_for_report_fields():
 
     sys.setprofile(profile)
     try:
-        rep = certify_local_optimum(g, a, astar, PARAMS)
+        rep = certify_local_optimum(a, astar, PARAMS)
     finally:
         sys.setprofile(None)
     assert rep.all_bounds_ok()
@@ -639,7 +639,7 @@ def test_squareimp_meets_d_over_2_on_tight_family(d):
     opt = exact_mwis(g)
     for start in (None, Solution.of(g, range(d - 1))):
         final = squareimp(g, SolverConfig(mode="squareimp"), start).final
-        rep = certify_local_optimum(g, final, opt.best, PARAMS)
+        rep = certify_local_optimum(final, opt.best, PARAMS)
         assert rep.ratio_ok and rep.neighborhood_bound_ok
         assert opt.optimum_w <= Fraction(d, 2) * final.total_w
         if start is not None:  # the small side is a fixed point, and tight
@@ -653,16 +653,18 @@ def test_squareimp_meets_d_over_2_on_random_k3(seed):
     assert g.d == 4
     opt = exact_mwis(g)
     final = squareimp(g, SolverConfig(mode="squareimp")).final
-    rep = certify_local_optimum(g, final, opt.best, PARAMS)
+    rep = certify_local_optimum(final, opt.best, PARAMS)
     assert rep.ratio_ok and rep.neighborhood_bound_ok
     assert opt.optimum_w <= 2 * final.total_w
 
 
-def test_certify_rejects_a_solution_over_another_graph():
-    """The certificate reads the anchors from the solution's N(u, A) table,
-    ordered by its own graph's weights: a solution over a copy of the
-    graph is a `ContractError`."""
+def test_certify_rejects_a_reference_over_another_graph():
+    """The certificate weighs the reference's members with the incumbent's
+    graph: a reference over a copy of that graph, even an equal one, is a
+    `ContractError`, and one over a reweighted copy would be read with the
+    wrong weights."""
     g, a, astar = gen_berman_tight(4)
-    certify_local_optimum(g, a, astar, PARAMS)
-    with pytest.raises(ContractError, match="another graph"):
-        certify_local_optimum(g, Solution.of(g.reweighted(g.weights), a.members), astar, PARAMS)
+    assert certify_local_optimum(a, astar, PARAMS).all_bounds_ok()
+    for weights in (g.weights, [2 * w for w in g.weights]):
+        with pytest.raises(ContractError, match="another graph"):
+            certify_local_optimum(a, Solution.of(g.reweighted(weights), astar.members), PARAMS)

@@ -88,40 +88,43 @@ def berman_setup(d=4):
 def test_anchor_maps_weighted():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [5, 3, 1], d=3)
     a = Solution.of(g, {0, 1})
-    assert build_anchor_maps(g, a)[2][:2] == [0, 1]
+    assert build_anchor_maps(a)[2][:2] == [0, 1]
 
 
 def test_anchor_maps_tie_to_lowest_id():
     g = ConflictGraph.from_edges(4, [(3, 0), (3, 1), (3, 2)], [5, 5, 5, 1], d=4)
     a = Solution.of(g, {0, 1, 2})
-    assert build_anchor_maps(g, a)[3][:2] == [0, 1]
+    assert build_anchor_maps(a)[3][:2] == [0, 1]
 
 
 def test_anchor_maps_berman_pair():
     _, g, a = berman_setup(4)
     # first pair-set vertex (elements 1,2) anchors at element vertices 0 then 1
-    assert build_anchor_maps(g, a)[6][:2] == [0, 1]
+    assert build_anchor_maps(a)[6][:2] == [0, 1]
 
 
-def test_anchor_maps_reject_a_solution_over_another_graph():
+def test_anchor_maps_follow_the_solutions_own_graph():
     """A solution over a reweighted copy of the graph orders its N(u, A)
-    table by the copy's weights: vertex 2's anchor would be 1, not 0."""
+    table by the copy's weights: vertex 2's anchor is 1 there, 0 over the
+    graph itself."""
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [5, 3, 1], d=3)
     other = Solution.of(g.reweighted([3, 5, 1]), {0, 1})
-    assert other.a_nbrs[2] == [1, 0] and build_anchor_maps(g, Solution.of(g, {0, 1}))[2] == [0, 1]
-    with pytest.raises(ContractError, match="another graph"):
-        build_anchor_maps(g, other)
+    assert build_anchor_maps(other)[2] == [1, 0] and build_anchor_maps(Solution.of(g, {0, 1}))[2] == [0, 1]
 
 
-def test_validate_circular_rejects_a_solution_over_another_graph():
-    """The improvement a search finds validates over its own solution, and
-    is a `ContractError` over the same members of an equal copy of the
-    graph."""
+def test_anchor_maps_reject_a_state_holding_another_solution():
+    """A circular state holds its run's solution: its anchors built over any
+    other one, even with the same members over the same graph, are a
+    `ContractError` that leaves the state as it was, so its maps stay
+    stale."""
     _, g, a = berman_setup(4)
-    imp = find_circular_improvement(circular_state(g, a), a)
-    assert validate_circular(g, a, imp, d=4)
-    with pytest.raises(ContractError, match="another graph"):
-        validate_circular(g, Solution.of(g.reweighted(g.weights), a.members), imp, d=4)
+    state = CircularState(a, ColorCodingParams(t=1, repetitions=1), 4, None, random.Random(0))
+    with pytest.raises(ContractError, match="another solution"):
+        build_anchor_maps(Solution.of(g, a.members), state)
+    with pytest.raises(ContractError, match="stale"):
+        find_circular_improvement(state)
+    build_anchor_maps(a, state)
+    assert find_circular_improvement(state) == find_circular_improvement(circular_state(a))
 
 
 def alternating_cycle_improvement(n_pairs: int):
@@ -140,12 +143,12 @@ def test_validate_circular_rejects_a_cycle_one_longer_than_its_bound():
     cycle of 22 is rejected though nothing else is wrong with it: it
     validates once the bound is 22."""
     g, a, imp = alternating_cycle_improvement(21)
-    assert max_cycle_len_for(g.n) == 21 and validate_circular(g, a, imp, d=4)
+    assert max_cycle_len_for(g.n) == 21 and validate_circular(a, imp, d=4)
     g, a, imp = alternating_cycle_improvement(22)
     assert max_cycle_len_for(g.n) == 21 and len(imp.kind.u) == 22
-    assert not validate_circular(g, a, imp, d=4)
+    assert not validate_circular(a, imp, d=4)
     with mock.patch.object(circular, "max_cycle_len_for", lambda n: 22):
-        assert validate_circular(g, a, imp, d=4)
+        assert validate_circular(a, imp, d=4)
 
 
 @pytest.mark.parametrize("max_len", [3, 5, 8])
@@ -169,9 +172,9 @@ def test_dirty_inducers_drop_their_table_after_the_first_aux_graph():
     inst = gen_random_packing(2000, 3, 2000, seed=0)
     g = build_conflict_graph(inst)
     a = greedy(g)
-    state = circular_state(g, a, inst=inst)
+    state = circular_state(a, inst=inst)
     assert len(state._dirty_u) == g.n
-    build_aux_graph(state, a)
+    build_aux_graph(state)
     assert not state._dirty_u and sys.getsizeof(state._dirty_u) == sys.getsizeof(set())
 
 
@@ -179,40 +182,39 @@ def test_anchor_maps_require_maximal():
     g = ConflictGraph.from_edges(2, [], [1, 1], d=3)
     a = Solution.of(g, {0})
     with pytest.raises(ContractError):
-        build_anchor_maps(g, a)
+        build_anchor_maps(a)
 
 
 def test_aux_edge_check_berman_values():
     _, g, a = berman_setup(4)
-    a_nbrs = build_anchor_maps(g, a)
     # pair {1,2} with both singleton companions: 1 + 1 > 1
-    assert aux_edge_check(6, (3,), (4,), g, a_nbrs)
+    assert aux_edge_check(a, 6, (3,), (4,))
     # empty companions: 1 > 1 fails
-    assert not aux_edge_check(6, (), (), g, a_nbrs)
+    assert not aux_edge_check(a, 6, (), ())
 
 
 def test_aux_edge_check_dominated():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [10, 10, 1], d=3)
     a = Solution.of(g, {0, 1})
-    assert not aux_edge_check(2, (), (), g, build_anchor_maps(g, a))
+    assert not aux_edge_check(a, 2, (), ())
 
 
 def test_aux_edge_check_plain_arithmetic():
     g = ConflictGraph.from_edges(3, [(2, 0), (2, 1)], [2, 2, 3], d=3)
     a = Solution.of(g, {0, 1})
     # 9 > (4+4)/2 = 4
-    assert aux_edge_check(2, (), (), g, build_anchor_maps(g, a))
+    assert aux_edge_check(a, 2, (), ())
 
 
 def test_find_circular_berman_full_swap():
     _, g, a = berman_setup(4)
-    imp = find_circular_improvement(circular_state(g, a), a)
+    imp = find_circular_improvement(circular_state(a))
     assert imp is not None
     assert imp.x == frozenset(range(3, 9))
     assert imp.removed == frozenset(range(3))
-    assert validate_circular(g, a, imp, d=4)
+    assert validate_circular(a, imp, d=4)
     # cross-check against the complete generic search
-    assert exhaustive_improvement_search(g, a, Fraction(2), 6) is not None
+    assert exhaustive_improvement_search(a, Fraction(2), 6) is not None
 
 
 def test_forest_aux_graph_no_cycle():
@@ -221,7 +223,7 @@ def test_forest_aux_graph_no_cycle():
         6, [(2, 0), (2, 1), (3, 0), (4, 1), (5, 0)], [1, 1, 1, 1, 1, 1], d=4
     )
     a = Solution.of(g, {0, 1})
-    assert find_circular_improvement(circular_state(g, a), a) is None
+    assert find_circular_improvement(circular_state(a)) is None
 
 
 def test_parallel_edges_two_cycle():
@@ -232,12 +234,12 @@ def test_parallel_edges_two_cycle():
     )
     g = build_conflict_graph(inst)
     a = Solution.of(g, {0, 1})
-    imp = find_circular_improvement(circular_state(g, a, inst=inst), a)
+    imp = find_circular_improvement(circular_state(a, inst=inst))
     assert imp is not None
     assert imp.x == frozenset({2, 3})
     assert len(imp.kind.u) == 2
-    assert validate_circular(g, a, imp, d=g.d)
-    assert exhaustive_improvement_search(g, a, Fraction(2), 2) is not None
+    assert validate_circular(a, imp, d=g.d)
+    assert exhaustive_improvement_search(a, Fraction(2), 2) is not None
 
 
 def synthetic_aux(n_vertices, edges):
@@ -336,10 +338,10 @@ def test_run_color_coding_finds_planted_improvement():
     params = ColorCodingParams(t=32, repetitions=64, mode="rand")
     wins = 0
     for trial in range(30):
-        state = circular_state(g, a, params, inst, rng=random.Random(trial))
-        imp = run_color_coding(state, a, build_aux_graph(state, a))
+        state = circular_state(a, params, inst, rng=random.Random(trial))
+        imp = run_color_coding(state, build_aux_graph(state))
         if imp is not None:
-            assert validate_circular(g, a, imp, d=4)
+            assert validate_circular(a, imp, d=4)
             wins += 1
     assert wins == 30
 
@@ -348,23 +350,23 @@ def test_run_color_coding_soundness_no_improvement():
     inst, g, _ = berman_setup(4)
     b = Solution.of(g, range(3, 9))
     params = ColorCodingParams(t=16, repetitions=20, mode="rand")
-    state = circular_state(g, b, params, inst, rng=random.Random(1))
-    assert run_color_coding(state, b, build_aux_graph(state, b)) is None
+    state = circular_state(b, params, inst, rng=random.Random(1))
+    assert run_color_coding(state, build_aux_graph(state)) is None
 
 
 def test_randomized_mode_unavailable_without_sets():
     g, a, _ = gen_berman_tight(4)
     params = ColorCodingParams(t=8, repetitions=4, mode="rand")
     with pytest.raises(InputError, match="needs the packing instance"):
-        circular_state(g, a, params)
+        circular_state(a, params)
 
 
 def test_exhaustive_agrees_with_randomized_positive():
     inst, g, a = berman_setup(5)
-    ex = find_circular_improvement(circular_state(g, a, inst=inst), a)
+    ex = find_circular_improvement(circular_state(a, inst=inst))
     rparams = ColorCodingParams(t=32, repetitions=64, mode="rand")
-    state = circular_state(g, a, rparams, inst, rng=random.Random(5))
-    rd = run_color_coding(state, a, build_aux_graph(state, a))
+    state = circular_state(a, rparams, inst, rng=random.Random(5))
+    rd = run_color_coding(state, build_aux_graph(state))
     assert ex is not None and rd is not None
 
 
@@ -401,7 +403,7 @@ def test_rand_defaults_without_sets_keep_the_mode():
     params = ColorCodingParams.defaults(g, None, mode="rand")
     assert params.mode == "rand"
     with pytest.raises(InputError, match="needs the packing instance"):
-        CircularState(g, params, 4, None, random.Random(0))
+        CircularState(a, params, 4, None, random.Random(0))
     with pytest.raises(InputError, match="needs the packing instance"):
         logimp(g, SolverConfig(mode="logimp", circular=params), start=a)
 
@@ -473,7 +475,7 @@ def test_improvement_chain_recomputed_term_by_term():
     # w2(X) > w2(cycle vertices) + spill terms >= w2(N(X,A))
     _, g, a = berman_setup(4)
     maps = ref_anchors(g, a)
-    imp = find_circular_improvement(circular_state(g, a), a)
+    imp = find_circular_improvement(circular_state(a))
     k = imp.kind
     y = k.y_map()
     # every cycle vertex occurs exactly twice among the anchor pairs
@@ -508,7 +510,7 @@ def test_exhaustive_mode_matches_bruteforce_existence(fixture):
             6, [(2, 0), (2, 1), (3, 0), (4, 1), (5, 0)], [1, 1, 1, 1, 1, 1], d=4
         )
         a = Solution.of(g, {0, 1})
-    got = find_circular_improvement(circular_state(g, a), a)
+    got = find_circular_improvement(circular_state(a))
     expect = circular_improvement_exists_bruteforce(g, a, d=g.d or 4)
     assert (got is not None) == expect
 
@@ -527,8 +529,8 @@ def test_state_derives_its_bounds_from_the_graph_and_claw_bound(d):
     """Companion sets are capped at min(3, d - 1) and cycles at the bound
     at the graph's size; a logimp run notes the cap iff it cuts below the
     claw bound's d - 1."""
-    inst, g, _ = berman_setup(d)
-    state = CircularState(g, ColorCodingParams.defaults(g, inst), d, inst, random.Random(0))
+    inst, g, a = berman_setup(d)
+    state = CircularState(a, ColorCodingParams.defaults(g, inst), d, inst, random.Random(0))
     assert state.y_cap == min(3, d - 1)
     assert state.max_len == max_cycle_len_for(g.n)
     notes = logimp(g, SolverConfig(mode="logimp", d=d), inst=inst).notes
@@ -540,16 +542,16 @@ def test_aux_budget_raises_search_incomplete(monkeypatch):
     from clawpack.circular import SearchIncompleteError
 
     _, g, a = berman_setup(6)
-    state = circular_state(g, a, ColorCodingParams(t=1, repetitions=1))
+    state = circular_state(a, ColorCodingParams(t=1, repetitions=1))
     monkeypatch.setattr(circular, "_MAX_AUX_VERTICES", 2)
     with pytest.raises(SearchIncompleteError):
-        find_circular_improvement(state, a)
+        find_circular_improvement(state)
 
 
 def test_soundness_revalidation_fields():
     _, g, a = berman_setup(6)
-    a_nbrs = build_anchor_maps(g, a)
-    imp = find_circular_improvement(circular_state(g, a), a)
+    a_nbrs = build_anchor_maps(a)
+    imp = find_circular_improvement(circular_state(a))
     assert imp is not None
     k = imp.kind
     assert len(k.u) <= max_cycle_len_for(g.n)
@@ -557,7 +559,7 @@ def test_soundness_revalidation_fields():
     assert all(len(ys) <= 5 for ys in y.values())
     for u in k.u:
         v1, v2 = a_nbrs[u][:2]
-        assert aux_edge_check(u, y[v1], y[v2], g, a_nbrs)
+        assert aux_edge_check(a, u, y[v1], y[v2])
     assert w2_of(g, imp.x) > w2_of(g, imp.removed)
 
 
@@ -695,19 +697,19 @@ def test_integer_aux_graph_matches_fraction_build(kind):
     seen = {"edges": 0, "companions": 0, "excluded": 0}
     for seed in range(40):
         g, a, _ = weighted_case(seed, kind)
-        a_nbrs = build_anchor_maps(g, a)
+        a_nbrs = build_anchor_maps(a)
         ref = ref_anchors(g, a)
         assert anchors_of(a_nbrs, a.members) == (ref.heaviest, ref.second)
         assert a_nbrs == ref_a_nbrs(g, a.members)
         params = ColorCodingParams(t=1, repetitions=1)
-        state = circular_state(g, a, params)
+        state = circular_state(a, params)
         want, checks = ref_build_aux_graph(g, a, ref, state.y_cap)
-        got = build_aux_graph(state, a)
+        got = build_aux_graph(state)
         assert aux_fields(positional(got)) == (want.vertices, want.edges)
         for cap in {0, checks // 2, checks - 1, checks, checks + 1} - {-1}:
             expect = aux_outcome(lambda: ref_build_aux_graph(g, a, ref, state.y_cap)[0], "_MAX_AUX_EDGE_CHECKS", cap)
-            fresh = circular_state(g, a, params)
-            assert aux_outcome(lambda: positional(build_aux_graph(fresh, a)), "_MAX_AUX_EDGE_CHECKS", cap) == expect
+            fresh = circular_state(a, params)
+            assert aux_outcome(lambda: positional(build_aux_graph(fresh)), "_MAX_AUX_EDGE_CHECKS", cap) == expect
             assert (expect == "incomplete") == (cap < checks)
         seen["edges"] += len(got.edges)
         seen["companions"] += sum(1 for _, v in aux_vertices(got) if v.y)
@@ -729,7 +731,7 @@ def test_zero_charge_joins_no_companion_set():
     )
     a = Solution.of(g, {0, 1, 2})
     assert charge_to_anchor(g, a, 3) == 0 and charge_to_anchor(g, a, 4) > 0
-    h = build_aux_graph(circular_state(g, a, ColorCodingParams(t=1, repetitions=1)), a)
+    h = build_aux_graph(circular_state(a, ColorCodingParams(t=1, repetitions=1)))
     ys = {x for _, v in aux_vertices(h) for x in v.y}
     assert 3 not in ys and 4 in ys
 
@@ -763,7 +765,7 @@ def test_anchor_maps_and_aux_graph_build_no_fraction():
         raise AssertionError("Fraction built")
 
     with mock.patch.object(Fraction, "__new__", no_fraction):
-        h = build_aux_graph(circular_state(g, a, params), a)
+        h = build_aux_graph(circular_state(a, params))
     assert h.edges
 
 
@@ -787,7 +789,7 @@ def aux_fields(h):
 
 def fresh_aux(g, a, state):
     """The aux graph of `a` built by a new state with `state`'s parameters."""
-    return FRESH_AUX(circular_state(g, a, state.params, state.inst, state.d), a)
+    return FRESH_AUX(circular_state(a, state.params, state.inst, state.d))
 
 
 def check_state_against_fresh(g, a, state, call):
@@ -800,8 +802,8 @@ def check_state_against_fresh(g, a, state, call):
     # the state's anchors are read from `a`'s one table, so it is checked
     # against the adjacency, list by list in (-w, id) order
     assert a.a_nbrs == ref_a_nbrs(g, a.members)
-    fresh = circular_state(g, a, state.params, state.inst, state.d)
-    want = FRESH_AUX(fresh, a)
+    fresh = circular_state(a, state.params, state.inst, state.d)
+    want = FRESH_AUX(fresh)
     n_vertices, n_checks = len(want.vertices), fresh.checks
     caps = [("_MAX_AUX_VERTICES", n) for n in {n_vertices - 1, n_vertices} if n >= 0]
     caps += [("_MAX_AUX_EDGE_CHECKS", n) for n in sorted({n_checks // 2, n_checks - 1, n_checks}) if n >= 0]
@@ -809,7 +811,7 @@ def check_state_against_fresh(g, a, state, call):
     def capped(order):
         for cap, n in order:
             expect = aux_outcome(lambda: fresh_aux(g, a, state), cap, n)
-            got = aux_outcome(lambda: FRESH_AUX(state, a), cap, n)
+            got = aux_outcome(lambda: FRESH_AUX(state), cap, n)
             assert got == expect
             below = n < (n_vertices if cap == "_MAX_AUX_VERTICES" else n_checks)
             assert (got == "incomplete") == below
@@ -817,7 +819,7 @@ def check_state_against_fresh(g, a, state, call):
     if call % 2:
         turn = (call // 2) % len(caps)
         capped(caps[turn:] + caps[:turn])
-    got = FRESH_AUX(state, a)
+    got = FRESH_AUX(state)
     assert aux_fields(got) == aux_fields(want)
     assert state.checks == n_checks
     check_lookups(got)
@@ -1055,8 +1057,9 @@ class CheckedAuxBuild:
         self.current = None  # this call's graph, the fresh positional one, max_len
         self.seen = {"two_cycle": 0, "dfs": 0, "dp": 0, "colorings": 0}
 
-    def __call__(self, state, a):
-        g = state.g
+    def __call__(self, state):
+        a = state.a
+        g = a.g
         if self.last is not None:
             self.moved += len(a.members ^ self.last)
         self.last = set(a.members)
@@ -1167,6 +1170,14 @@ def random_swap(rng, g, members):
     return members
 
 
+def swap(a, state, members):
+    """Move `a` to `members` in one swap, applied to `a` and handed to
+    `state`, which holds `a`."""
+    imp = Improvement(frozenset(members - a.members), frozenset(a.members - members))
+    a.apply(imp)
+    state.update(imp)
+
+
 @pytest.mark.parametrize("kind", ["prime", "ties", "equal"])
 def test_circular_state_over_random_swaps(kind):
     """Random walks over maximal solutions of random graphs and k=3 packings
@@ -1177,17 +1188,15 @@ def test_circular_state_over_random_swaps(kind):
         g, a, _ = weighted_case(seed, kind)
         rng = random.Random(seed)
         params = ColorCodingParams(t=1, repetitions=1)
-        state = circular_state(g, a, params)
+        state = circular_state(a, params)
         members = set(a.members)
         for step in range(12):
-            old = members
             for _ in range(rng.choice([1, 1, 2, 4])):
                 members = random_swap(rng, g, members)
-            state.update(Improvement(frozenset(members - old), frozenset(old - members)))
-            sol = Solution.of(g, members)
-            assert build_anchor_maps(g, sol, state) is sol.a_nbrs
-            h = check_state_against_fresh(g, sol, state, step)
-            fresh = positional(fresh_aux(g, sol, state))
+            swap(a, state, members)
+            assert build_anchor_maps(a, state) is a.a_nbrs
+            h = check_state_against_fresh(g, a, state, step)
+            fresh = positional(fresh_aux(g, a, state))
             two, dfs = check_searches_against_positional(g, h, fresh, state.max_len)
             seen["two_cycle"] += two
             seen["dfs"] += dfs
@@ -1205,23 +1214,21 @@ def test_circular_state_recovers_from_an_error():
     for seed in range(10):
         g, a, _ = weighted_case(seed, "prime")
         rng = random.Random(seed)
-        state = circular_state(g, a, params)
+        state = circular_state(a, params)
         check_state_against_fresh(g, a, state, seed)
         members = random_swap(rng, g, a.members)
-        state.update(Improvement(frozenset(members - a.members), frozenset(a.members - members)))
+        swap(a, state, members)
         r = min(members)
-        broken = members - {r}
-        state.update(Improvement(frozenset(), frozenset({r})))
+        swap(a, state, members - {r})
         with pytest.raises(ContractError, match="not maximal"):
-            build_anchor_maps(g, Solution.of(g, broken), state)
-        members = set(broken)
+            build_anchor_maps(a, state)
+        members = set(a.members)
         for v in rng.sample(range(g.n), g.n) + [r]:
             if v not in members and nbr_set(g, v).isdisjoint(members):
                 members.add(v)
-        state.update(Improvement(frozenset(members - broken), frozenset()))
-        sol = Solution.of(g, members)
-        assert build_anchor_maps(g, sol, state) is sol.a_nbrs
-        check_state_against_fresh(g, sol, state, seed + 1)
+        swap(a, state, members)
+        assert build_anchor_maps(a, state) is a.a_nbrs
+        check_state_against_fresh(g, a, state, seed + 1)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "rand"])
@@ -1234,8 +1241,8 @@ def test_circular_state_is_freed_without_cycle_collection(mode):
     params = ColorCodingParams.defaults(g, inst, mode=mode)
     gc.disable()
     try:
-        state = circular_state(g, a, params, inst)
-        imp = find_circular_improvement(state, a)
+        state = circular_state(a, params, inst)
+        imp = find_circular_improvement(state)
         assert imp is not None
         alive = weak_ref(state)
         del state
@@ -1250,16 +1257,16 @@ def test_circular_search_rejects_stale_maps():
     _, g, a = berman_setup(5)
     params = ColorCodingParams(t=1, repetitions=1)
     with pytest.raises(ContractError, match="stale"):
-        find_circular_improvement(CircularState(g, params, g.d, None, random.Random(0)), a)
-    state = circular_state(g, a, params)
-    imp = find_circular_improvement(state, a)
+        find_circular_improvement(CircularState(a, params, g.d, None, random.Random(0)))
+    state = circular_state(a, params)
+    imp = find_circular_improvement(state)
     assert imp is not None
     a.apply(imp)
     state.update(imp)
     with pytest.raises(ContractError, match="stale"):
-        find_circular_improvement(state, a)
-    build_anchor_maps(g, a, state)
-    assert find_circular_improvement(state, a) is None
+        find_circular_improvement(state)
+    build_anchor_maps(a, state)
+    assert find_circular_improvement(state) is None
 
 
 def layered_colorful_candidates(h, vmask, emask, max_len, state_budget):
@@ -1377,7 +1384,7 @@ def test_dp_candidate_sequence_matches_layered_sweep():
         g = build_conflict_graph(inst)
         a = Solution.of(g, small)
         params = ColorCodingParams.defaults(g, inst, mode="rand")
-        h = build_aux_graph(circular_state(g, a, params, inst), a)
+        h = build_aux_graph(circular_state(a, params, inst))
         assert h.edges
         for seed in range(6):
             crng = random.Random(seed)
@@ -1438,7 +1445,7 @@ def packing_aux_graphs():
         g = build_conflict_graph(inst)
         cases.append((inst, g, greedy(g)))
     for inst, g, a in cases:
-        h = build_aux_graph(circular_state(g, a, inst=inst), a)
+        h = build_aux_graph(circular_state(a, inst=inst))
         yield inst, g, h
 
 
@@ -1561,13 +1568,13 @@ def test_rand_mode_agrees_with_exhaustive_at_claw_fixed_points():
     found = dp_decided = negatives_with_edges = 0
     for i, (inst, g, start) in enumerate(cases):
         a = squareimp(g, SolverConfig(mode="squareimp"), start=start).final
-        ex = find_circular_improvement(circular_state(g, a, inst=inst), a)
+        ex = find_circular_improvement(circular_state(a, inst=inst))
         params = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode="rand"), repetitions=200)
-        rd = find_circular_improvement(circular_state(g, a, params, inst, rng=random.Random(i)), a)
+        rd = find_circular_improvement(circular_state(a, params, inst, rng=random.Random(i)))
         assert (rd is not None) == (ex is not None), f"case {i}"
-        h = build_aux_graph(circular_state(g, a, params, inst), a)
+        h = build_aux_graph(circular_state(a, params, inst))
         two = any(
-            validate_circular(g, a, _assemble(a, h, vs, es), d=g.d)
+            validate_circular(a, _assemble(a, h, vs, es), d=g.d)
             for vs, es in _two_cycle_candidates(g, h)
         )
         found += ex is not None
@@ -1577,26 +1584,26 @@ def test_rand_mode_agrees_with_exhaustive_at_claw_fixed_points():
 
 
 def after_every_aux_graph(check):
-    """A patch of `CircularState.aux_graph` that calls `check(state, a, h)`
+    """A patch of `circular.build_aux_graph` that calls `check(state, h)`
     on every graph it returns."""
-    real = CircularState.aux_graph
+    real = circular.build_aux_graph
 
-    def checked(state, a):
-        h = real(state, a)
-        check(state, a, h)
+    def checked(state):
+        h = real(state)
+        check(state, h)
         return h
 
-    return mock.patch.object(CircularState, "aux_graph", checked)
+    return mock.patch.object(circular, "build_aux_graph", checked)
 
 
-def check_starts_and_blocks(state, a, h):
+def check_starts_and_blocks(state, h):
     """`h.starts` lists, in id order, exactly the vertices of `h` with an
     edge, the keys of `h.incident`, and the anchors of its vertices are
     exactly A's members: every member has its vertex block, and no other
     vertex has one."""
     assert list(h.starts) == sorted(v for v in h.vertices if h.incident.get(v))
     assert h.incident.keys() == set(h.starts)
-    assert {v.anchor for _, v in aux_vertices(h)} == a.members
+    assert {v.anchor for _, v in aux_vertices(h)} == state.a.members
 
 
 @settings(max_examples=200, deadline=None)
@@ -1623,10 +1630,10 @@ def test_start_list_and_vertex_blocks_stay_current_in_logimp(mode, source, seed)
     params = dataclasses.replace(ColorCodingParams.defaults(g, inst, mode=mode), repetitions=20)
     calls = 0
 
-    def check(state, a, h):
+    def check(state, h):
         nonlocal calls
         calls += 1
-        check_starts_and_blocks(state, a, h)
+        check_starts_and_blocks(state, h)
 
     with after_every_aux_graph(check):
         solve(g, SolverConfig(mode="logimp", rng_seed=seed, circular=params), inst=inst, start=start)
@@ -1642,17 +1649,16 @@ def test_start_list_and_vertex_blocks_stay_current_over_random_swaps(kind, seed)
     A far more often than a logimp run's few circular calls do."""
     g, a, _ = weighted_case(seed, kind)
     rng = random.Random(seed)
-    state = circular_state(g, a, ColorCodingParams(t=1, repetitions=1))
+    state = circular_state(a, ColorCodingParams(t=1, repetitions=1))
     members = set(a.members)
     with after_every_aux_graph(check_starts_and_blocks):
         for _ in range(8):
             old = members
             for _ in range(rng.choice([1, 1, 2, 4])):
                 members = random_swap(rng, g, members)
-            state.update(Improvement(frozenset(members - old), frozenset(old - members)))
-            sol = Solution.of(g, members)
-            build_anchor_maps(g, sol, state)
-            build_aux_graph(state, sol)
+            swap(a, state, members)
+            build_anchor_maps(a, state)
+            circular.build_aux_graph(state)
 
 
 def edgeless_aux_graphs():
@@ -1664,7 +1670,7 @@ def edgeless_aux_graphs():
         g = build_conflict_graph(inst)
         copies = []
 
-        def keep(state, a, h):
+        def keep(state, h):
             copies.append(AuxGraph(AuxBlocks(dict(h.vertices.blocks), len(h.vertices)),
                                    AuxBlocks(dict(h.edges.blocks), len(h.edges)),
                                    {v: list(ids) for v, ids in h.incident.items()}, list(h.parallel), list(h.starts)))

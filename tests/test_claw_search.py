@@ -175,11 +175,11 @@ class CheckedClawSearch:
 
     def __call__(self, state):
         assert state is not None, "the solver must pass its claw-search state"
-        g, d = state.g, state.max_talons + 1
+        g, d = state.a.g, state.max_talons + 1
         a = Solution(g, state.a.members)  # the run's member set, with a table of its own
         assert state.free == scan_free(g, a.members)
         assert state.settled <= a.members
-        fresh = claw_search(g, a, d)
+        fresh = claw_search(a, d)
         self.skipped += len(state.settled)
         got = find_claw_improvement(state)
         assert got == fresh == ref_find_claw_improvement(g, a, d)
@@ -217,7 +217,8 @@ class CheckedClawUpdate:
     def __call__(self, state, imp):
         before = set(state.settled)
         UPDATE(state, imp)
-        g, a = state.g, state.a
+        a = state.a
+        g = a.g
         members = a.members
         want = before - imp.x - within_two(g, imp.removed)
         assert state.settled == want
@@ -267,8 +268,8 @@ def test_verdict_set_matches_fresh_search(inst, from_greedy):
     start = greedy(g) if from_greedy else None
     sq, _, _ = run_checked(squareimp, g, SolverConfig(mode="squareimp"), start=start)
     lg, _, _ = run_checked(logimp, g, SolverConfig(mode="logimp"), start=start, inst=inst)
-    assert claw_search(g, sq.final) is None
-    assert claw_search(g, lg.final) is None
+    assert claw_search(sq.final) is None
+    assert claw_search(lg.final) is None
 
 
 def test_verdict_set_across_circular_swaps():
@@ -334,10 +335,10 @@ def model_trace(g: ConflictGraph, mode: str, inst: Optional[PackingInstance] = N
     after a swap with a center."""
     d = solvers._resolve_d(g, None)
     a = Solution.of(g, ())
-    claw = ClawSearchState(g, a, d)
+    claw = ClawSearchState(a, d)
     states: list = [claw]
     if mode == "logimp":
-        circ = CircularState(g, ColorCodingParams.defaults(g, inst), d, inst, random.Random(0))
+        circ = CircularState(a, ColorCodingParams.defaults(g, inst), d, inst, random.Random(0))
         states.append(circ)
     centered = False
 
@@ -350,8 +351,8 @@ def model_trace(g: ConflictGraph, mode: str, inst: Optional[PackingInstance] = N
             return Improvement(frozenset({min(free)}), frozenset(), ClawShaped(center=None))
         imp = find_claw_improvement(claw)
         if imp is None and mode == "logimp":
-            build_anchor_maps(g, a, circ)
-            imp = find_circular_improvement(circ, a)
+            build_anchor_maps(a, circ)
+            imp = find_circular_improvement(circ)
         centered = centered or imp is not None
         return imp
 
@@ -421,7 +422,7 @@ def test_integer_claw_search_is_exact():
             weights[u] = pw.near_root(target, 2, above=rng.random() < 0.5)
             graphs.append(g.reweighted(weights))
         for h in graphs:
-            got = claw_search(h, a, 4)
+            got = claw_search(Solution.of(h, a.members), 4)
             assert got == ref_find_claw_improvement(h, a, 4)
             outcomes.add(got is None)
     assert outcomes == {True, False}
@@ -439,10 +440,10 @@ def test_claw_budget_fires_below_the_reference_node_count(monkeypatch):
             monkeypatch.setattr(solvers, "_MAX_CLAW_NODES", budget)
             if budget < nodes:
                 with pytest.raises(BudgetExceededError, match=f"^claw search exceeded {budget} nodes$"):
-                    claw_search(g, a, 4)
+                    claw_search(a, 4)
                 fired += 1
             else:
-                assert claw_search(g, a, 4) == want
+                assert claw_search(a, 4) == want
         outcomes.add(want is None)
     assert fired > 0 and skipped > 0 and outcomes == {True, False}
 
@@ -451,7 +452,7 @@ def test_integer_aux_edge_check_is_exact():
     outcomes = set()
     for seed in range(60):
         rng, pw, g, a = random_case(seed)
-        a_nbrs = build_anchor_maps(g, a)
+        a_nbrs = build_anchor_maps(a)
         ref = ref_anchors(g, a)
         for u in sorted(ref.second):
             v1, v2 = ref.heaviest[u], ref.second[u]
@@ -461,7 +462,7 @@ def test_integer_aux_edge_check_is_exact():
             y1 = tuple(rng.sample(at1, min(len(at1), rng.randint(0, 2))))
             y2 = tuple(rng.sample(at2, min(len(at2), rng.randint(0, 2))))
             lhs, rhs = ref_aux_sides(u, y1, y2, g, ref)
-            assert aux_edge_check(u, y1, y2, g, a_nbrs) == (lhs > rhs)
+            assert aux_edge_check(a, u, y1, y2) == (lhs > rhs)
             # move w(u) next to the tie; the right side does not read w(u)
             target = rhs - (lhs - g.weights[u] ** 2)
             if target <= 0:
@@ -471,7 +472,7 @@ def test_integer_aux_edge_check_is_exact():
                 weights[u] = pw.near_root(target, 2, above)
                 h = g.reweighted(weights)
                 lhs, rhs = ref_aux_sides(u, y1, y2, h, ref)
-                got = aux_edge_check(u, y1, y2, h, a_nbrs)
+                got = aux_edge_check(Solution.of(h, a.members), u, y1, y2)
                 assert got == (lhs > rhs)
                 outcomes.add(got)
     assert outcomes == {True, False}
@@ -515,7 +516,7 @@ def test_bounded_claw_search_matches_the_unbounded_reference_on_wide_claws(k, n)
         _, g = wide_packing(k, n, seed)
         for a in (Solution.of(g, ()), greedy(g)):
             while True:
-                got = claw_search(g, a)
+                got = claw_search(a)
                 assert got == ref_claw_search(g, a, g.d)[0]
                 if got is None:
                     break
@@ -535,7 +536,7 @@ def test_traces_and_improvement_searches_match_with_the_bound_switched_off(k, n,
         ]
         ends = [greedy(g), squareimp(g, SolverConfig(mode="squareimp")).final]
         searches = [
-            lambda a=a, alpha=alpha: exhaustive_improvement_search(g, a, Fraction(alpha), 3)
+            lambda a=a, alpha=alpha: exhaustive_improvement_search(a, Fraction(alpha), 3)
             for a in ends
             for alpha in (2, 1, -1)
         ]
@@ -577,7 +578,7 @@ def charged_hits(g: ConflictGraph, a: Solution, d: int, walked: list) -> int:
     hits = 0
     while True:
         walked[0] = 0
-        got = claw_search(g, a, d)
+        got = claw_search(a, d)
         want, nodes = ref_claw_search(g, a, d, bounded=True)
         assert got == want == ref_claw_search(g, a, d)[0]
         assert walked[0] == nodes
@@ -756,7 +757,7 @@ def test_free_set_drops_its_table_after_the_first_step():
     no table, which every later step's `sorted(state.free)` would walk."""
     g = build_conflict_graph(gen_random_packing(2000, 3, 2000, seed=0))
     a = Solution.of(g, ())
-    state = ClawSearchState(g, a, solvers._resolve_d(g, None))
+    state = ClawSearchState(a, solvers._resolve_d(g, None))
     assert len(state.free) == g.n
     imp = find_claw_improvement(state)
     assert imp.kind.center is None

@@ -38,8 +38,8 @@ def test_logimp_fixed_points_admit_no_circular_improvement(seed):
     g = build_conflict_graph(inst)
     tr = logimp(g, SolverConfig(mode="logimp"), inst=inst)
     a = tr.final
-    assert claw_search(g, a) is None
-    assert find_circular_improvement(circular_state(g, a), a) is None
+    assert claw_search(a) is None
+    assert find_circular_improvement(circular_state(a)) is None
     assert not circular_improvement_exists_bruteforce(g, a, d=g.d)
 
 
@@ -50,11 +50,11 @@ def test_circular_search_existence_matches_bruteforce_at_claw_fixed_points(seed)
     from clawpack.solvers import squareimp
 
     a = squareimp(g, SolverConfig(mode="squareimp")).final
-    got = find_circular_improvement(circular_state(g, a), a)
+    got = find_circular_improvement(circular_state(a))
     expect = circular_improvement_exists_bruteforce(g, a, d=g.d)
     assert (got is not None) == expect
     if got is not None:
-        assert validate_circular(g, a, got, d=g.d)
+        assert validate_circular(a, got, d=g.d)
 
 
 def four_cycle_instance():
@@ -84,18 +84,18 @@ def test_weighted_four_cycle_improvement():
     inst = four_cycle_instance()
     g = build_conflict_graph(inst)
     a = Solution.of(g, {0, 1, 2, 3})
-    assert claw_search(g, a) is None
-    got = find_circular_improvement(circular_state(g, a), a)
+    assert claw_search(a) is None
+    got = find_circular_improvement(circular_state(a))
     assert got is not None
     assert len(got.kind.u) == 4
     assert got.x == frozenset(range(4, 12))
-    assert validate_circular(g, a, got, d=g.d)
+    assert validate_circular(a, got, d=g.d)
     assert circular_improvement_exists_bruteforce(g, a, d=g.d)
     # the randomized route finds the same structure
     params = ColorCodingParams(t=32, repetitions=64, mode="rand")
-    state = circular_state(g, a, params, inst)
-    rnd = run_color_coding(state, a, build_aux_graph(state, a))
-    assert rnd is not None and validate_circular(g, a, rnd, d=g.d)
+    state = circular_state(a, params, inst)
+    rnd = run_color_coding(state, build_aux_graph(state))
+    assert rnd is not None and validate_circular(a, rnd, d=g.d)
     # and the whole solver converges past the ring
     tr = logimp(g, SolverConfig(mode="logimp"), start=a, inst=inst)
     assert tr.final.total_w == 4 + 4 * Fraction(9, 10)
@@ -115,10 +115,10 @@ def test_companion_restriction_gap_is_detectable():
     inst = PackingInstance.build(16, solution + connectors + companions, weights, k=3)
     g = build_conflict_graph(inst)
     a = Solution.of(g, {0, 1, 2, 3})
-    assert claw_search(g, a) is None
+    assert claw_search(a) is None
     # companions charge exactly zero: outside the candidate filter
     assert all(charge_to_anchor(g, a, c) == 0 for c in range(8, 12))
-    got = find_circular_improvement(circular_state(g, a), a)
+    got = find_circular_improvement(circular_state(a))
     assert got is None
     assert not circular_improvement_exists_bruteforce(g, a, d=g.d, positive_only=True)
     assert circular_improvement_exists_bruteforce(g, a, d=g.d)

@@ -41,7 +41,7 @@ def test_berman_structure(d):
     g, a, b = gen_berman_tight(d)
     assert all(g.degree(v) == d - 1 for v in a.members)
     assert g.is_independent(b.members)
-    assert claw_search(g, a) is None
+    assert claw_search(a) is None
     ok, _ = verify_claw_free(g, d)
     assert ok
 
@@ -154,7 +154,7 @@ def test_lowerbound_forest_property_below_girth():
 def test_lowerbound_no_small_improvement():
     params = LowerBoundParams(d=4, alpha=Fraction(1), eps=Fraction(1, 2), target_girth=5)
     g, a, _ = gen_incidence_lowerbound(params, petersen_graph())
-    assert exhaustive_improvement_search(g, a, Fraction(1), 4) is None
+    assert exhaustive_improvement_search(a, Fraction(1), 4) is None
 
 
 def test_lowerbound_preconditions():

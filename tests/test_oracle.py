@@ -73,12 +73,12 @@ def test_no_improvement_of_optimum_alpha_one():
     inst = gen_random_packing(10, 3, 8, seed=4)
     g = build_conflict_graph(inst)
     res = exact_mwis(g)
-    assert exhaustive_improvement_search(g, res.best, Fraction(1), 6) is None
+    assert exhaustive_improvement_search(res.best, Fraction(1), 6) is None
 
 
 def test_berman_alpha_two_improvement_exists():
     g, a, _ = gen_berman_tight(4)
-    imp = exhaustive_improvement_search(g, a, Fraction(2), 6)
+    imp = exhaustive_improvement_search(a, Fraction(2), 6)
     assert imp is not None
     assert w2_of(g, imp.x) > w2_of(g, imp.removed)
     # the full opposite side qualifies as a witness
@@ -88,13 +88,13 @@ def test_berman_alpha_two_improvement_exists():
 
 def test_alternating_cycle_alpha_minus_one_no_improvement():
     g, a, _ = gen_alternating_cycle(4, 4, Fraction(1, 2))
-    assert exhaustive_improvement_search(g, a, Fraction(-1), 4) is None
+    assert exhaustive_improvement_search(a, Fraction(-1), 4) is None
 
 
 def test_alpha_zero_rejected():
     g, a, _ = gen_berman_tight(4)
     with pytest.raises(InputError):
-        exhaustive_improvement_search(g, a, Fraction(0), 3)
+        exhaustive_improvement_search(a, Fraction(0), 3)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -105,7 +105,7 @@ def test_search_agrees_with_recursive_enumeration(seed):
 
     a = squareimp(g, SolverConfig(mode="squareimp")).final
     for cap in (2, 3):
-        got = exhaustive_improvement_search(g, a, Fraction(2), cap)
+        got = exhaustive_improvement_search(a, Fraction(2), cap)
         expect = brute_force_improvement_exists(g, a.members, 2, cap)
         assert (got is not None) == expect
 
@@ -159,7 +159,7 @@ def below_tolerance_gain():
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a gain below the 2**-40 tie margin counts as none")
 def test_half_power_search_sees_a_gain_below_the_float_tolerance():
     g, a = below_tolerance_gain()
-    imp = exhaustive_improvement_search(g, a, Fraction(1, 2), 3)
+    imp = exhaustive_improvement_search(a, Fraction(1, 2), 3)
     assert imp is not None and imp.x == {0} and imp.removed == {1, 2}
 
 
@@ -175,7 +175,7 @@ def test_half_power_search_finds_no_gain_on_the_petersen_incidence_graph():
     # non-integer path, which walks every subset unbounded
     params = LowerBoundParams(d=4, alpha=Fraction(1), eps=Fraction(1, 2), target_girth=5)
     g, a, _ = gen_incidence_lowerbound(params, petersen_graph())
-    assert exhaustive_improvement_search(g, a, Fraction(1, 2), 4) is None
+    assert exhaustive_improvement_search(a, Fraction(1, 2), 4) is None
 
 
 def test_oracle_dominates_local_search_solutions():

@@ -352,7 +352,7 @@ def test_integer_weights_are_scaled_by_lcm_and_built_on_first_use():
     a = greedy(g)
     with mock.patch.object(oracle, "_first_improvement", wraps=oracle._first_improvement) as spy:
         for _ in range(2):
-            exhaustive_improvement_search(g, a, Fraction(3), 3)
+            exhaustive_improvement_search(a, Fraction(3), 3)
     cubes = g.int_powers(3)[0]
     assert [call.args[4] is cubes for call in spy.call_args_list] == [True, True]
     for k in (0, Fraction(1, 2)):
@@ -387,9 +387,10 @@ def test_improvement_search_matches_fraction_search(g, alpha, cap, data):
     for h in graphs:
         want = ref_improvement_search(h, a, alpha, cap)
         assert ref_improvement_search(h, a, alpha, cap, bounded=True) == want
-        assert exhaustive_improvement_search(h, a, Fraction(alpha), cap) == want
+        ah = Solution.of(h, a.members)
+        assert exhaustive_improvement_search(ah, Fraction(alpha), cap) == want
         for budget in (1, 2, 3, 5, 8):
-            assert outcome(exhaustive_improvement_search, h, a, Fraction(alpha), cap, budget) == outcome(
+            assert outcome(exhaustive_improvement_search, ah, Fraction(alpha), cap, budget) == outcome(
                 ref_improvement_search, h, a, alpha, cap, budget, bounded=True
             )
 
@@ -402,7 +403,7 @@ def test_improvement_search_from_greedy_and_squareimp():
         for a in (greedy(g), squareimp(g, SolverConfig(mode="squareimp")).final):
             for alpha in ALPHAS:
                 want = ref_improvement_search(g, a, alpha, 3)
-                assert exhaustive_improvement_search(g, a, Fraction(alpha), 3) == want
+                assert exhaustive_improvement_search(a, Fraction(alpha), 3) == want
                 found.add(want is None)
     assert found == {True, False}
 
@@ -470,5 +471,5 @@ def test_certificate_builds_anchor_maps_once():
         a = squareimp(g, SolverConfig(mode="squareimp")).final
         opt = exact_mwis(g).best
         with mock.patch.object(certify, "build_anchor_maps", wraps=build_anchor_maps) as spy:
-            certify_local_optimum(g, a, opt, AnalysisParams.from_delta(Fraction(1, 2)))
+            certify_local_optimum(a, opt, AnalysisParams.from_delta(Fraction(1, 2)))
         assert spy.call_count == 1

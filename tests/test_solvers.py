@@ -63,7 +63,7 @@ def test_greedy_scaling_invariance():
 def test_free_vertex_zero_claw():
     g = ConflictGraph.from_edges(3, [(0, 1)], [1, 1, 1], d=3)
     a = Solution.of(g, {0})
-    imp = claw_search(g, a)
+    imp = claw_search(a)
     assert imp is not None and imp.size == 1 and not imp.removed
     assert imp.kind.center is None
 
@@ -71,7 +71,7 @@ def test_free_vertex_zero_claw():
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_berman_tight_no_claw_improvement(d):
     g, a, _ = gen_berman_tight(d)
-    assert claw_search(g, a) is None
+    assert claw_search(a) is None
 
 
 def test_claw_improvement_weighted_star():
@@ -79,7 +79,7 @@ def test_claw_improvement_weighted_star():
     # w2 gain 2*(9/4) = 4.5 against removing 4
     g = ConflictGraph.from_edges(3, [(0, 1), (0, 2)], [2, Fraction(3, 2), Fraction(3, 2)], d=4)
     a = Solution.of(g, {0})
-    imp = claw_search(g, a)
+    imp = claw_search(a)
     assert imp is not None
     assert imp.kind.center == 0
     assert imp.x == {1, 2} and imp.removed == {0}
@@ -107,7 +107,7 @@ def test_squareimp_ratio_bound_random():
         tr = squareimp(g, SolverConfig(mode="squareimp"))
         opt = exact_mwis(g)
         assert opt.optimum_w <= Fraction(g.d, 2) * tr.final.total_w
-        assert claw_search(g, tr.final) is None
+        assert claw_search(tr.final) is None
 
 
 def test_strict_progress_and_traces():
@@ -148,7 +148,7 @@ def test_logimp_ratio_bound_random():
         tr = logimp(g, SolverConfig(mode="logimp"), inst=inst)
         opt = exact_mwis(g)
         assert opt.optimum_w <= Fraction(g.d, 2) * tr.final.total_w
-        assert claw_search(g, tr.final) is None
+        assert claw_search(tr.final) is None
 
 
 def test_parametrized_alpha_one_edge():

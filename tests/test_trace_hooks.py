@@ -82,9 +82,9 @@ def traced_logimp(g, inst, start, params):
     seen = []
     real = solvers.build_anchor_maps
 
-    def record(g_, a, state=None):
+    def record(a, state=None):
         seen.append(frozenset(a.members))
-        return real(g_, a, state)
+        return real(a, state)
 
     cfg = SolverConfig(mode="logimp", circular=params)
     with mock.patch.object(solvers, "build_anchor_maps", record):
@@ -141,7 +141,7 @@ def test_traced_logimp_counts_every_circular_build():
     assert [tracer.parents[i] for i in aux] == finds
     for members, i in zip(seen, aux):
         a = Solution.of(g, members)
-        h = build_aux_graph(circular_state(g, a, params, inst), a)
+        h = build_aux_graph(circular_state(a, params, inst))
         assert tracer.counts[i] == {"vertices": len(h.vertices), "edges": len(h.edges)}
 
 
@@ -159,10 +159,10 @@ def test_traced_rand_logimp_shows_color_coding_under_find():
     assert all(tracer.parents[i] in finds for i in coloring)
     for members, f in zip(seen, finds):
         a = Solution.of(g, members)
-        state = circular_state(g, a, params, inst)
-        h = build_aux_graph(state, a)
+        state = circular_state(a, params, inst)
+        h = build_aux_graph(state)
         two = any(
-            validate_circular(g, a, _assemble(a, h, vs, es), d=state.d)
+            validate_circular(a, _assemble(a, h, vs, es), d=state.d)
             for vs, es in _two_cycle_candidates(g, h)
         )
         assert sum(tracer.parents[i] == f for i in coloring) == (0 if two else 1)
