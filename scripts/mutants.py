@@ -68,6 +68,15 @@ MUTANTS = (
            "build_anchor_maps re-anchors a state over another solution than the one it holds"),
     Mutant("certify.py", "if astar.g is not g:", "if False:",
            "the certificate weighs a reference over another graph with the incumbent's weights"),
+    # the input checks that run once, in the builders
+    Mutant("instances.py", "row[-1] >= universe_size", "row[-1] > universe_size",
+           "build accepts an element equal to the universe size"),
+    Mutant("instances.py", "if len(set(row)) != len(row):", "if False:",
+           "build accepts a set that repeats an element"),
+    Mutant("instances.py", "not 1 <= len(row) <= k or", "not 1 <= len(row) <= k + 1 or",
+           "build accepts a set of k + 1 elements"),
+    Mutant("instances.py", "if len(ws) == n and _first_non_positive(ws) is None:", "if len(ws) == n:",
+           "from_edges and reweighted accept a non-positive weight"),
     # the incremental state of the solution and of the two searches
     Mutant("circular.py", "return set(moved).union(*(adj[v] for v in moved))", "return set(moved)",
            "the circular state re-anchors the moved vertices but not their neighbors"),

@@ -103,8 +103,14 @@ def config_from_algo_spec(spec: dict, seed: int) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _optimum(g: ConflictGraph, oracle_limit: int, incumbent: Optional[Solution]):
-    return exact_mwis(g, size_limit=oracle_limit, incumbent=incumbent) if g.n <= oracle_limit else None
+def _optimum(g: ConflictGraph, oracle_limit: int,
+             incumbent: Optional[Solution]) -> Optional[tuple[set[int], Fraction]]:
+    """The optimum's members and weight, or None past `oracle_limit`. Only
+    these go back: a worker's optimum is over the worker's copy of the graph."""
+    if g.n > oracle_limit:
+        return None
+    res = exact_mwis(g, size_limit=oracle_limit, incumbent=incumbent)
+    return res.best.members, res.optimum_w
 
 
 def _solve_row(
@@ -157,8 +163,7 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
     the optimum is exact either way, so the seed only saves nodes. A final
     is keyed by its instance's position, not its user-supplied id, and its
     certificate time is added to the first row that ends at it. An
-    optimum a worker found is over the worker's copy of the graph, so it is
-    certified as its members over the final's.
+    optimum is certified as its members over the final's graph.
     """
     tasks, positions = [], []
     for pos, (name, g, inst, inst_spec) in enumerate(instances):
@@ -184,7 +189,7 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
     for pos, (row, final) in zip(positions, solved):
         opt, key = optima[pos], None
         if final is not None and opt is not None:
-            row.opt_w = opt.optimum_w
+            row.opt_w = opt[1]
             if row.final_w > 0:
                 row.ratio = row.opt_w / row.final_w
             key = (pos, frozenset(final.members))
@@ -192,7 +197,7 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
         keys.append(key)
     verdicts = pmap(
         _certify,
-        [(final, Solution(final.g, optima[pos].best.members), delta) for (pos, _), (_, final) in first.items()],
+        [(final, Solution(final.g, optima[pos][0]), delta) for (pos, _), (_, final) in first.items()],
     )
     certs = dict(zip(first, verdicts))
     for key, (row, _) in first.items():

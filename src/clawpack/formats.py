@@ -15,11 +15,14 @@ every JSON document the CLI writes (traces, reports) go through
 `canonical_json`.
 
 The parsers check only what the records say on their own: the syntax, the
-header counts, duplicate `v` ids and `e` pairs, and each weight, a positive
-rational without exponent notation. Each distinct weight token is parsed
-once per document, so a bad token fails at its first line. The sets' sizes,
-ranges and repeated elements are checked by `PackingInstance`, and the
-graph's structure by `ConflictGraph`, once each (see `instances`).
+header counts, duplicate `v` ids and `e` pairs (also in the JSON mirror,
+in the same words), and each weight, a positive rational without exponent
+notation. Each distinct weight token is parsed once per document, so a bad
+token fails at its first line. The rest is checked once, in `instances`:
+the sets' repeated elements, sizes and ranges by `PackingInstance.build`,
+in its one pass over the sets, and the edges' loops and ranges by
+`ConflictGraph.from_edges`, whose adjacency is then correct by
+construction and not checked again.
 """
 
 from __future__ import annotations
@@ -190,11 +193,15 @@ def from_json_obj(doc: dict) -> Parsed:
         return PackingInstance.build(
             _field(doc, "universe", int, "universe"), sets, weights, _field(doc, "k", int, "k")
         )
-    edges = []
+    edges, seen = [], set()
     for e in _field(doc, "edges", list, "edges"):
         if len(_typed(e, list, "an edge")) != 2:
             raise InputError(f"an edge must have two endpoints, got {e!r}")
         edges.append((_typed(e[0], int, "an endpoint"), _typed(e[1], int, "an endpoint")))
+        u, v = sorted(edges[-1])
+        if (u, v) in seen:
+            raise InputError(f"duplicate edge {u} {v}")
+        seen.add((u, v))
     return ConflictGraph.from_edges(len(weights), edges, weights)
 
 

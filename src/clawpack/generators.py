@@ -275,7 +275,8 @@ def gen_random_packing(
         raise InputError(f"unknown weight distribution {kind!r}")
     sets, picks = _draw_packing(random.Random(seed), n_sets, k, universe, top)
     table = {j: first + step * j for j in set(picks)}
-    return PackingInstance(universe, tuple(map(tuple, sets)), tuple(map(table.__getitem__, picks)), k)
+    # drawn sorted, distinct, of 1..k elements in range, with positive weights
+    return PackingInstance._of_parts(universe, tuple(map(tuple, sets)), tuple(map(table.__getitem__, picks)), k)
 
 
 def _draw_packing(rng: random.Random, n_sets: int, k: int, universe: int, top: int) -> tuple[list[list[int]], list[int]]:

@@ -10,18 +10,23 @@ first, built on first read and updated by each swap. `independent_subsets`
 is the package's one walk over the bounded independent subsets of a
 candidate list.
 
-Each input check is made once, at one layer. `PackingInstance.build` sorts
-each set into a tuple, checks that no set repeats an element and coerces
-the weights (`as_fraction`).
-`PackingInstance` checks each set's size and range, the range by the set's
-min and max (its elements are walked only to name the one out of range),
-and its weights. `ConflictGraph` checks its weights and, in one O(n + m)
-pass, that every adjacency list is in range, loop-free, sorted and
-duplicate-free; the same pass collects the transposed lists, and the graph
-is symmetric iff they equal the adjacency. A weight must be a positive int
-or Fraction (not a bool); positivity is read from its numerator.
-`build_conflict_graph` builds each sorted adjacency list straight from the
-sets' element buckets, and the graph's own checks run on the result.
+Each input check is made once, at the outside boundary. The public
+constructors check everything, as direct construction is outside input:
+`PackingInstance` each set's size and range (by the set's min and max; its
+elements are walked only to name the one out of range) and its weights,
+and `ConflictGraph` its weights and, in one O(n + m) pass, that every
+adjacency list is in range, loop-free, sorted and duplicate-free; the same
+pass collects the transposed lists, and the graph is symmetric iff they
+equal the adjacency. A weight must be a positive int or Fraction (not a
+bool); positivity is read from its numerator. Builders whose parts are
+correct by construction skip what they made sure of, through the private
+`_of_parts` constructors, which check nothing: `PackingInstance.build`
+makes every check in one pass over the sets; `ConflictGraph.from_edges`
+and `reweighted` check their edges and weights, not the adjacency they
+build; `build_conflict_graph` reads the instance's checked sets and
+weights, and `gen_random_packing` draws its sets sorted, distinct and in
+range. Where a fast check fails, the public constructor names the
+failure, so every message and its precedence stay the constructor's.
 """
 
 from __future__ import annotations
@@ -120,20 +125,30 @@ class PackingInstance:
         if i is not None:
             raise InputError(f"set {i} has non-positive weight {self.weights[i]}")
 
+    @classmethod
+    def _of_parts(cls, universe_size: int, sets: tuple, weights: tuple, k: int) -> "PackingInstance":
+        """The instance of these fields with no check: for parts that are
+        correct by construction."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(universe_size=universe_size, sets=sets, weights=weights, k=k)
+        return inst
+
     @staticmethod
     def build(universe_size: int, sets: Iterable[Sequence[int]], weights, k: int) -> "PackingInstance":
-        rows = []
+        """Sort each set into a tuple and check everything in one pass over
+        the sets; on a failure the constructor's checks name it."""
+        rows, ok = [], True
         for i, s in enumerate(sets):
             row = tuple(sorted(s))
             if len(set(row)) != len(row):
                 raise InputError(f"set {i} repeats an element")
+            if not 1 <= len(row) <= k or row[0] < 0 or row[-1] >= universe_size:
+                ok = False
             rows.append(row)
-        return PackingInstance(
-            universe_size=universe_size,
-            sets=tuple(rows),
-            weights=tuple(as_fraction(w) for w in weights),
-            k=k,
-        )
+        ws = tuple(map(as_fraction, weights))
+        if ok and universe_size >= 0 and k >= 1 and len(rows) == len(ws) and _first_non_positive(ws) is None:
+            return PackingInstance._of_parts(universe_size, tuple(rows), ws, k)
+        return PackingInstance(universe_size, tuple(rows), ws, k)
 
     @property
     def n(self) -> int:
@@ -182,6 +197,23 @@ class ConflictGraph:
             u, v = next((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u not in adj[v])
             raise InputError(f"edge {{{u},{v}}} not symmetric")
 
+    @classmethod
+    def _of_parts(cls, n: int, adj: tuple, weights: tuple, d: Optional[int] = None) -> "ConflictGraph":
+        """The graph of these fields with no check: for parts that are
+        correct by construction."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj, weights=weights, d=d, _power_tables={})
+        return g
+
+    @staticmethod
+    def _of_weights(n: int, adj: tuple, weights, d: Optional[int]) -> "ConflictGraph":
+        """The graph of an adjacency that is correct by construction, with
+        only the weights checked; on a failure the constructor names it."""
+        ws = tuple(map(as_fraction, weights))
+        if len(ws) == n and _first_non_positive(ws) is None:
+            return ConflictGraph._of_parts(n, adj, ws, d)
+        return ConflictGraph(n, adj, ws, d)
+
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], weights, d: Optional[int] = None) -> "ConflictGraph":
         nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -192,12 +224,7 @@ class ConflictGraph:
                 raise InputError(f"edge ({u},{v}) out of range")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return ConflictGraph(
-            n=n,
-            adj=tuple(tuple(sorted(s)) for s in nbrs),
-            weights=tuple(as_fraction(w) for w in weights),
-            d=d,
-        )
+        return ConflictGraph._of_weights(n, tuple(tuple(sorted(s)) for s in nbrs), weights, d)
 
     @cached_property
     def w_lcm(self) -> int:
@@ -284,7 +311,7 @@ class ConflictGraph:
         return True
 
     def reweighted(self, weights) -> "ConflictGraph":
-        return ConflictGraph(self.n, self.adj, tuple(as_fraction(w) for w in weights), self.d)
+        return ConflictGraph._of_weights(self.n, self.adj, weights, self.d)
 
 
 class Solution:
@@ -457,7 +484,8 @@ def build_conflict_graph(inst: PackingInstance) -> ConflictGraph:
         nbrs = set().union(*map(buckets.__getitem__, s))
         nbrs.discard(i)
         adj.append(tuple(sorted(nbrs)))
-    return ConflictGraph(inst.n, tuple(adj), inst.weights, d=inst.k + 1)
+    # sorted, symmetric, in range and loop-free, over the instance's checked weights
+    return ConflictGraph._of_parts(inst.n, tuple(adj), inst.weights, inst.k + 1)
 
 
 def independent_subsets(

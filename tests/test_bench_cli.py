@@ -9,6 +9,7 @@ from clawpack import formats
 from clawpack.bench import emit_report, instance_from_gen_spec, run_bench
 from clawpack.cli import main
 from clawpack.generators import berman_tight_instance, gen_random_packing
+from clawpack.instances import build_conflict_graph
 from clawpack.oracle import exact_mwis
 
 
@@ -278,6 +279,22 @@ def test_bench_parallel_finals_hold_the_parents_graph():
     serial = bench._run_phases([(spec["id"], g, inst, spec)], MEMO_SUITE["algorithms"], [0, 1], 20,
                                Fraction(1, 2), lambda fn, tasks: [fn(*t) for t in tasks])
     assert emit_report(bench.BenchReport(rows)) == emit_report(bench.BenchReport(serial))
+
+
+def test_bench_optimum_sends_back_members_and_weight_not_the_graph():
+    """A worker's optimum goes back to the parent as its members and its
+    weight, which pickle smaller than the graph they came from."""
+    import pickle
+
+    import clawpack.bench as bench
+
+    g = build_conflict_graph(gen_random_packing(30, 3, 30, seed=0))
+    members, weight = bench._optimum(g, 40, None)
+    res = exact_mwis(g, size_limit=40)
+    assert members == res.best.members and weight == res.optimum_w
+    assert len(pickle.dumps((members, weight))) < len(pickle.dumps(g))
+    assert bench._optimum(g, 29, None) is None
+
 
 def test_cli_gen_and_solve(tmp_path, runner):
     inst_path = tmp_path / "b4.ksp"

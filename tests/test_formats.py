@@ -66,6 +66,12 @@ def test_parse_errors():
         formats.parse_text("p mwis 2 2\nv 0 1\nv 1 2\ne 0 1\ne 1 0\n")
 
 
+def test_json_rejects_a_repeated_edge_as_text_does():
+    for edges in ([[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [0, 1]]):
+        with pytest.raises(InputError, match="^duplicate edge 0 1$"):
+            formats.from_json_obj({"kind": "mwis", "weights": ["1", "1"], "edges": edges})
+
+
 def test_a_weight_token_is_parsed_once_and_a_bad_one_fails_at_its_first_line():
     inst = formats.parse_text("p ksp 3 2 3\ns 3/2 0\ns 3/2 1\ns 0.5 2\n")
     assert inst.weights == (Fraction(3, 2), Fraction(3, 2), Fraction(1, 2))

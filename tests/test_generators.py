@@ -24,7 +24,7 @@ from clawpack.generators import (
     petersen_graph,
     projective_plane_incidence,
 )
-from clawpack.instances import ConflictGraph, InputError, build_conflict_graph
+from clawpack.instances import ConflictGraph, InputError, PackingInstance, build_conflict_graph
 from clawpack.oracle import exhaustive_improvement_search
 
 
@@ -289,6 +289,37 @@ def test_random_packing_keeps_the_randint_and_sample_stream(k, universe, weight_
         assert ours.getstate() == ref.getstate()
         if weight_dist[0] == "uniform":
             assert [Fraction(j + 1) for j in picks] == weights
+
+
+# the sample branches as above: a pool up to 21 (85 for a sample of 6 or 7)
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("weight_dist", [("uniform", 10), ("near-unit", Fraction(19, 20))])
+def test_random_packing_passes_the_public_constructors_checks(k, weight_dist):
+    """`gen_random_packing` skips the instance's checks; the public
+    constructor and `PackingInstance.build` accept what it draws as is."""
+    for universe in (7, 21, 22, 85, 86, 300):
+        for seed in range(3):
+            inst = gen_random_packing(40, k, universe, weight_dist, seed)
+            assert PackingInstance(inst.universe_size, inst.sets, inst.weights, inst.k) == inst
+            assert PackingInstance.build(inst.universe_size, inst.sets, inst.weights, inst.k) == inst
+
+
+def test_generator_graphs_pass_the_public_constructors_checks():
+    """`from_edges` skips the structural pass; the public constructor
+    accepts every generator's graph as is."""
+    params = LowerBoundParams(d=4, alpha=Fraction(1), eps=Fraction(1, 2), target_girth=5)
+    graphs = [
+        gen_alternating_cycle(4, 5, Fraction(1, 3))[0],
+        petersen_graph(),
+        complete_graph(5),
+        complete_bipartite(3),
+        projective_plane_incidence(3),
+        gen_high_girth_regular(4, 6),
+        gen_incidence_lowerbound(params, petersen_graph())[0],
+        build_conflict_graph(berman_tight_instance(6)),
+    ]
+    for g in graphs:
+        assert ConflictGraph(g.n, g.adj, g.weights, g.d) == g
 
 
 @pytest.mark.parametrize("weight_dist, message", [

@@ -218,6 +218,14 @@ def test_packing_validation_rejects_bad_sets():
         PackingInstance.build(3, [[0, 1, 2]], [1], k=2)
 
 
+def test_build_checks_the_range_at_its_edge():
+    """`build`'s one-pass check accepts the element universe_size - 1 and
+    rejects universe_size itself."""
+    assert PackingInstance.build(3, [[0, 2], [1]], [1, 1], k=2).sets == ((0, 2), (1,))
+    with raises_exactly("set 1 contains out-of-range element 3"):
+        PackingInstance.build(3, [[0, 2], [1, 3]], [1, 1], k=2)
+
+
 def test_graph_validation():
     with raises_exactly("loop at vertex 0"):
         ConflictGraph.from_edges(2, [(0, 0)], [1, 1])
@@ -305,7 +313,10 @@ def test_build_conflict_graph_matches_pairwise_intersection(data):
     inst = PackingInstance.build(universe, [sorted(s) for s in sets], weights, k)
     edges = [(i, j) for j in range(len(sets)) for i in range(j) if sets[i] & sets[j]]
     want = ConflictGraph.from_edges(len(sets), edges, weights, d=k + 1)
-    assert build_conflict_graph(inst) == want
+    g = build_conflict_graph(inst)
+    assert g == want
+    # the public constructor's checks accept what the build skipped them for
+    assert ConflictGraph(g.n, g.adj, g.weights, g.d) == g
 
 
 def test_verify_claw_free_triangle():
