@@ -101,6 +101,35 @@ MUTANTS = (
            "each shared member is charged one unit too much, so an improving claw can be skipped"),
     Mutant("circular.py", "    if len(u_list) > max_cycle_len_for(g.n):\n        return False\n", "",
            "validate_circular accepts a cycle past the length bound"),
+    # every other check of validate_circular, and the vertex range of validate_improvement
+    Mutant("circular.py", "if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):",
+           "if not validate_improvement(g, a, imp):", "validate_circular reads evidence that is not Circular"),
+    Mutant("circular.py", "if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):",
+           "if not isinstance(kind, Circular):", "validate_circular skips validate_improvement"),
+    Mutant("circular.py", "if len(u_list) < 2 or len(set(u_list)) != len(u_list):",
+           "if len(set(u_list)) != len(u_list):", "validate_circular accepts a cycle of one inducer"),
+    Mutant("circular.py", "if len(u_list) < 2 or len(set(u_list)) != len(u_list):",
+           "if len(u_list) < 2:", "validate_circular accepts a repeated inducer"),
+    Mutant("circular.py", "    if not set(u_list) <= x:\n        return False\n", "",
+           "validate_circular accepts an inducer outside x"),
+    Mutant("circular.py", "if len(cyc) != len(u_list) or len(set(cyc)) != len(cyc):",
+           "if len(set(cyc)) != len(cyc):", "validate_circular accepts more cycle vertices than inducers"),
+    Mutant("circular.py", "if len(cyc) != len(u_list) or len(set(cyc)) != len(cyc):",
+           "if len(cyc) != len(u_list):", "validate_circular accepts a repeated cycle vertex"),
+    Mutant("circular.py", "if set(a_nbrs[u][:2]) != {cyc[i], cyc[(i + 1) % len(cyc)]}:", "if False:",
+           "validate_circular accepts inducers whose anchors do not follow the cycle"),
+    Mutant("circular.py", "if len(ys) != len(cyc):", "if False:",
+           "validate_circular accepts more companion sets than cycle vertices"),
+    Mutant("circular.py", "if set().union(*ys) != x - set(u_list):", "if False:",
+           "validate_circular accepts companion sets that are not x - u"),
+    Mutant("circular.py", "if len(y) > d - 1:", "if False:",
+           "validate_circular accepts a companion set of more than d - 1 members"),
+    Mutant("circular.py", "if any(a_nbrs[x_][:1] != [v] for x_ in y):", "if False:",
+           "validate_circular accepts a companion set at another anchor"),
+    Mutant("circular.py", "if not aux_edge_check(a, u, y_of[v1], y_of[v2]):", "if False:",
+           "validate_circular skips the per-edge inequality"),
+    Mutant("instances.py", "min(imp.x) < 0 or ", "", "validate_improvement indexes a negative vertex id"),
+    Mutant("instances.py", "max(imp.x) >= g.n or ", "", "validate_improvement indexes a vertex id past n - 1"),
     Mutant("certify.py", "all(pos[v] <= w[v] for v in a.members)", "all(pos[v] < w[v] for v in a.members)",
            "the certificate fails a charge sum that meets its bound"),
     Mutant("certify.py", "all(contr[v] <= w2[v] for v in a.members)", "all(contr[v] < w2[v] for v in a.members)",

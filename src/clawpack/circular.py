@@ -43,9 +43,11 @@ once per run from the run's solution, which brings its graph, the search
 parameters, the claw bound, the packing instance and the random
 generator, and fixes what they fix: the companion-set cap, the cycle
 length bound and whether color coding can run. Every entry point reads
-the solution from the state and the graph from the solution. The DP works out a vertex's color masks, step table and first layer
-only when it first reaches that vertex, and yields each candidate as soon
-as the state that closes it is built, so a search that stops at the first
+the solution from the state and the graph from the solution.
+
+The DP works out a vertex's color masks, step table and first layer only
+when it first reaches that vertex, and yields each candidate as soon as
+the state that closes it is built, so a search that stops at the first
 candidate that validates pays for little more than the prefix it read.
 """
 
@@ -589,10 +591,9 @@ def _assemble(
     `a`'s table."""
     u_order = tuple(e >> _ID_SHIFT for e in edge_order)
     anchors = tuple(i >> _ID_SHIFT for i in vertex_order)
-    ys = tuple((v, h.vertices.blocks[v].ys[i & _ID_MASK]) for v, i in zip(anchors, vertex_order))
-    x = set(u_order)
-    for _, y in ys:
-        x.update(y)
+    blocks = h.vertices.blocks
+    ys = tuple(blocks[v].ys[i & _ID_MASK] for v, i in zip(anchors, vertex_order))
+    x = set(u_order).union(*ys)
     a_nbrs = a.a_nbrs
     return Improvement(
         frozenset(x),
@@ -933,6 +934,12 @@ def validate_circular(a: Solution, imp: Improvement, d: int) -> bool:
     over distinct solution vertices, the companion-set decomposition and
     size bounds, and the per-edge inequality. Each vertex's anchors are the
     first two entries of its list in `a.a_nbrs`, which is heaviest first.
+    Each fact is checked once: anchors {cyc[i], cyc[i + 1]} for each
+    inducer u[i], over two or more inducers and distinct cycle vertices,
+    imply that u[i] has two anchors and that each cycle vertex, and no
+    other, is an anchor of exactly two inducers; companion sets that
+    together are x - u lie in x - u, so that check runs first and the
+    anchor loop indexes only vertices of x.
     """
     g = a.g
     kind = imp.kind
@@ -946,37 +953,28 @@ def validate_circular(a: Solution, imp: Improvement, d: int) -> bool:
         return False
     if not set(u_list) <= x:
         return False
-    a_nbrs = a.a_nbrs
-    if any(len(a_nbrs[u]) < 2 for u in u_list):
-        return False
     # The induced edges must trace the recorded cycle.
     cyc = list(kind.cycle_vertices)
     if len(cyc) != len(u_list) or len(set(cyc)) != len(cyc):
         return False
-    deg: dict[int, int] = {}
-    for u in u_list:
-        for v in a_nbrs[u][:2]:
-            deg[v] = deg.get(v, 0) + 1
-    if set(deg) != set(cyc) or any(c != 2 for c in deg.values()):
-        return False
+    a_nbrs = a.a_nbrs
     for i, u in enumerate(u_list):
         if set(a_nbrs[u][:2]) != {cyc[i], cyc[(i + 1) % len(cyc)]}:
             return False
-    # Companion decomposition: X = U | union of recorded Y over cycle vertices.
-    y_map = kind.y_map()
-    if set(y_map) != set(cyc):
+    # Companion decomposition: X = U | the companion sets, y[i] anchored at cyc[i].
+    ys = [frozenset(y) for y in kind.y]
+    if len(ys) != len(cyc):
         return False
-    rest = x - set(u_list)
-    for v, ys in y_map.items():
-        if len(ys) > d - 1:
-            return False
-        if any(x_ not in rest or a_nbrs[x_][:1] != [v] for x_ in ys):
-            return False
-    y_union = set().union(*y_map.values()) if y_map else set()
-    if y_union != rest:
+    if set().union(*ys) != x - set(u_list):
         return False
+    for v, y in zip(cyc, ys):
+        if len(y) > d - 1:
+            return False
+        if any(a_nbrs[x_][:1] != [v] for x_ in y):
+            return False
+    y_of = dict(zip(cyc, ys))
     for u in u_list:
         v1, v2 = a_nbrs[u][:2]
-        if not aux_edge_check(a, u, y_map[v1], y_map[v2]):
+        if not aux_edge_check(a, u, y_of[v1], y_of[v2]):
             return False
     return True

@@ -380,9 +380,6 @@ class Solution:
                 for v in adj[r]:
                     table[v].remove(r)
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -405,17 +402,16 @@ class ClawShaped:
 class Circular:
     """Evidence for a cycle-backed improvement.
 
-    u: the cycle-inducing vertices, in cycle order.
+    u: the cycle-inducing vertices, in cycle order; the two anchors of u[i]
+      are cycle_vertices[i] and cycle_vertices[i + 1] (cyclically).
     cycle_vertices: the solution vertices the cycle runs through, in order.
-    y: per cycle vertex, the anchored companion set swapped in alongside.
+    y: the companion sets swapped in alongside, in cycle order: y[i] is
+      the set anchored at cycle_vertices[i], possibly empty.
     """
 
     u: tuple[int, ...]
     cycle_vertices: tuple[int, ...]
-    y: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def y_map(self) -> dict[int, frozenset[int]]:
-        return {v: frozenset(ys) for v, ys in self.y}
+    y: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -561,17 +557,18 @@ def verify_solution(g: ConflictGraph, s: Solution) -> bool:
 def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> bool:
     """Re-check an Improvement against the solution it was found for.
 
-    Requires x independent and disjoint from A, removed = N(x, A), and a
-    positive gain in the exponent of the improvement's kind (2 for
-    claw-shaped and circular kinds): `Improvement.gain` for an integer
-    exponent, `power_weight_improves` for a non-integer alpha.
+    Requires x a nonempty set of vertices of `g` (an id outside range(n)
+    gives False, not an error), independent and disjoint from A, removed =
+    N(x, A), and a positive gain in the exponent of the improvement's kind
+    (2 for claw-shaped and circular kinds): `Improvement.gain` for an
+    integer exponent, `power_weight_improves` for a non-integer alpha.
     `circular.validate_circular` calls it for every circular candidate and
     adds the cycle checks. A solution over another graph than `g` is a
     `ContractError`.
     """
     if a.g is not g:
         raise ContractError("the solution is over another graph")
-    if not imp.x or (imp.x & a.members):
+    if not imp.x or min(imp.x) < 0 or max(imp.x) >= g.n or (imp.x & a.members):
         return False
     if not g.is_independent(imp.x):
         return False

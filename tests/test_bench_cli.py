@@ -374,10 +374,24 @@ def test_cli_verify(tmp_path, runner):
     assert r.exit_code == 0, r.output
     doc = json.loads(r.output)
     assert doc["flags"]["charge_bound_ok"] is True
-    # a non-fixed-point solution fails certification and exits nonzero
+    # a solution that is not maximal is refused before any certificate
     sol_path.write_text(json.dumps({"members": [3]}))
     r2 = runner.invoke(main, ["verify", "--in", str(inst_path), "--solution", str(sol_path)])
-    assert r2.exit_code == 1
+    assert r2.exit_code == 1 and "not maximal" in r2.output
+
+
+def test_cli_verify_exits_1_when_a_bound_fails(tmp_path, runner):
+    """The light side of an alternating cycle is maximal but no claw fixed
+    point: `verify` writes its certificate, whose contribution bound
+    fails, and exits 1."""
+    inst_path = tmp_path / "c.mwis"
+    sol_path = tmp_path / "sol.json"
+    runner.invoke(main, ["gen", "cycle", "--pairs", "3", "--d", "4", "--eps", "1/2", "--out", str(inst_path)])
+    sol_path.write_text(json.dumps({"members": [0, 2, 4]}))
+    r = runner.invoke(main, ["verify", "--in", str(inst_path), "--solution", str(sol_path)])
+    assert r.exit_code == 1
+    flags = json.loads(r.output)["flags"]
+    assert flags["contribution_bound_ok"] is False and flags["charge_bound_ok"] is True
 
 
 def test_cli_constants(runner):
@@ -399,6 +413,18 @@ def test_cli_bench_deterministic_and_exit(tmp_path, runner):
         assert r.exit_code == 0, r.output
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_bench_exits_1_when_a_row_errors(tmp_path, runner):
+    """An algorithm whose claw bound is below 2 fails every row in
+    `_resolve_d`; `bench` writes the rows with their errors and exits 1."""
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({**suite_doc(), "algorithms": [{"algo": "squareimp", "d": 1}]}))
+    out = tmp_path / "out.json"
+    r = runner.invoke(main, ["bench", "--suite", str(suite), "--out", str(out)])
+    assert r.exit_code == 1
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 2 and all(row["error"] == "InputError: claw bound d must be >= 2" for row in rows)
 
 
 def test_cli_solve_unit_flag(tmp_path, runner):

@@ -66,11 +66,14 @@ from clawpack.instances import (
     Circular,
     ConflictGraph,
     ContractError,
+    Generic,
     Improvement,
     InputError,
     PackingInstance,
     Solution,
     build_conflict_graph,
+    neighborhood,
+    validate_improvement,
 )
 from clawpack.oracle import exhaustive_improvement_search
 from clawpack.solvers import SolverConfig, greedy, logimp, solve, squareimp
@@ -127,28 +130,269 @@ def test_anchor_maps_reject_a_state_holding_another_solution():
     assert find_circular_improvement(state) == find_circular_improvement(circular_state(a))
 
 
-def alternating_cycle_improvement(n_pairs: int):
-    """`gen_alternating_cycle(n_pairs, 4, 1/2)` at its light side, and the
-    circular improvement that swaps in the heavy side: the odd vertices as
-    inducers around the cycle of the even ones, companion sets empty."""
-    g, a, _ = gen_alternating_cycle(n_pairs, 4, Fraction(1, 2))
-    odds, evens = tuple(range(1, g.n, 2)), tuple(range(0, g.n, 2))
-    kind = Circular(u=odds, cycle_vertices=evens, y=tuple((v, ()) for v in evens))
-    return g, a, Improvement(frozenset(odds), frozenset(evens), kind)
+def circular_swap(a: Solution, u, cycle_vertices, y, x=None):
+    """(a, imp): the circular swap with evidence (u, cycle_vertices, y)
+    over `a`, x = u and y together unless given, removed = N(x, A)."""
+    x = frozenset(u).union(*y) if x is None else frozenset(x)
+    return a, Improvement(x, frozenset(neighborhood(x, a.members, a.g)), Circular(u, cycle_vertices, y))
+
+
+def ring_swap(n_pairs: int = 3, light: Optional[int] = None, **fields):
+    """(a, imp): the ring of `gen_alternating_cycle(n_pairs, 4, 1/2)` (even
+    vertices weigh 4/5, odd ones 1) plus a vertex c = 2 n_pairs of weight 1
+    next to vertex 0 only, its even side A, and the circular swap of the
+    odd inducers in order around the even vertices, c the companion set of
+    vertex 0. `fields` replace arguments of `circular_swap`. Vertex
+    `light`, if given, weighs 1/2."""
+    n = 2 * n_pairs
+    ws = [Fraction(4, 5) if v % 2 == 0 else Fraction(1) for v in range(n)] + [Fraction(1)]
+    if light is not None:
+        ws[light] = Fraction(1, 2)
+    g = ConflictGraph.from_edges(n + 1, [(v, (v + 1) % n) for v in range(n)] + [(0, n)], ws, d=4)
+    ring = {"u": tuple(range(1, n, 2)), "cycle_vertices": tuple(range(0, n, 2)), "y": ((n,),) + ((),) * (n_pairs - 1)}
+    return circular_swap(Solution.of(g, range(0, n, 2)), **{**ring, **fields})
 
 
 def test_validate_circular_rejects_a_cycle_one_longer_than_its_bound():
-    """At 21 pairs (n = 42) the cycle of 21 inducers sits at the bound of
-    21 and validates. At 22 pairs (n = 44) the bound is still 21, and the
+    """At 21 pairs (n = 43) the cycle of 21 inducers sits at the bound of
+    21 and validates. At 22 pairs (n = 45) the bound is still 21, and the
     cycle of 22 is rejected though nothing else is wrong with it: it
     validates once the bound is 22."""
-    g, a, imp = alternating_cycle_improvement(21)
-    assert max_cycle_len_for(g.n) == 21 and validate_circular(a, imp, d=4)
-    g, a, imp = alternating_cycle_improvement(22)
-    assert max_cycle_len_for(g.n) == 21 and len(imp.kind.u) == 22
+    a, imp = ring_swap(21)
+    assert max_cycle_len_for(a.g.n) == 21 and validate_circular(a, imp, d=4)
+    a, imp = ring_swap(22)
+    assert max_cycle_len_for(a.g.n) == 21 and len(imp.kind.u) == 22
     assert not validate_circular(a, imp, d=4)
     with mock.patch.object(circular, "max_cycle_len_for", lambda n: 22):
         assert validate_circular(a, imp, d=4)
+
+
+def one_field_off(case: str):
+    """(a, imp, d): a swap that fails exactly one check of
+    `validate_circular`, the one `case` names, and passes every other."""
+    a, imp = ring_swap()
+    d = 4
+    if case == "kind":
+        imp = dataclasses.replace(imp, kind=Generic())
+    elif case == "removed":
+        imp = dataclasses.replace(imp, removed=imp.removed - {4})
+    elif case == "one inducer":
+        # the inducer has one anchor: only the inducer count refuses it
+        a, imp = circular_swap(Solution.of(ConflictGraph.from_edges(2, [(0, 1)], [1, 2]), [0]), (1,), (0,), ((),))
+    elif case == "repeated inducer":
+        # a 2-cycle 0-1-2 read twice, with the other odd vertices as companions
+        a, imp = ring_swap(u=(1, 1), cycle_vertices=(0, 2), y=((5, 6), (3,)))
+    elif case == "inducer outside x":
+        a, imp = ring_swap(x={1, 3, 6})
+    elif case == "cycle one longer":
+        # three inducers on a path of four cycle vertices
+        a, imp = ring_swap(4, u=(1, 3, 5), y=((8,), (), (), ()))
+    elif case == "repeated cycle vertex":
+        # four parallel inducers between solution vertices 0 and 1
+        g = ConflictGraph.from_edges(6, [(u, v) for u in range(2, 6) for v in (0, 1)], [Fraction(4, 5)] * 2 + [1] * 4)
+        a, imp = circular_swap(Solution.of(g, [0, 1]), (2, 3, 4, 5), (0, 1, 0, 1), ((),) * 4)
+    elif case == "anchors off the cycle order":
+        a, imp = ring_swap(cycle_vertices=(2, 4, 0), y=((), (), (6,)))
+    elif case == "one companion set too many":
+        a, imp = ring_swap(y=((6,), (), (), ()))
+    elif case == "companion in u":
+        a, imp = ring_swap(y=((6, 1), (), ()))
+    elif case == "companion set over the claw bound":
+        d = 1
+    elif case == "companion at another anchor":
+        a, imp = ring_swap(y=((), (6,), ()))
+    elif case == "edge inequality":
+        # inducer 3 weighs 1/2: its edge fails, the swap still gains
+        a, imp = ring_swap(light=3)
+    return a, imp, d
+
+
+VALIDATE_CIRCULAR_CHECKS = (
+    "kind", "removed", "one inducer", "repeated inducer", "inducer outside x", "cycle one longer",
+    "repeated cycle vertex", "anchors off the cycle order", "one companion set too many", "companion in u",
+    "companion set over the claw bound", "companion at another anchor", "edge inequality",
+)
+
+
+@pytest.mark.parametrize("case", VALIDATE_CIRCULAR_CHECKS)
+def test_validate_circular_refuses_each_field_off(case):
+    """Each check of `validate_circular` but the length bound (the test
+    above) refuses a swap that only it catches: `scripts/mutants.py` drops
+    each check in turn, and this test kills each of those mutants. The
+    untampered swap validates, and so does one whose companion set repeats
+    a member, which counts once."""
+    a, imp = ring_swap()
+    assert validate_circular(a, imp, d=4) and validate_circular(a, imp, d=2)
+    a, imp = ring_swap(y=((6, 6), (), ()))
+    assert validate_circular(a, imp, d=2)
+    a, imp, d = one_field_off(case)
+    assert not validate_circular(a, imp, d=d)
+
+
+@pytest.mark.parametrize("bad", ["n", "-1"])
+def test_validators_refuse_a_vertex_outside_the_graph(bad):
+    """An id outside range(n) in x is a refusal, not an error, for both
+    validators: alone, and added to a swap that validates."""
+    a, imp = ring_swap()
+    g = a.g
+    v = g.n if bad == "n" else -1
+    assert validate_circular(a, imp, d=4)
+    assert not validate_improvement(g, a, Improvement(frozenset({v}), frozenset()))
+    tampered = dataclasses.replace(imp, x=imp.x | {v})
+    assert not validate_improvement(g, a, tampered)
+    assert not validate_circular(a, tampered, d=4)
+    assert not validate_circular(a, dataclasses.replace(imp, x=frozenset({v})), d=4)
+
+
+def validate_circular_as_pairs(a, imp, d):
+    """The reference: `validate_circular` as it stood while the evidence
+    paired each companion set with its anchor, reading the pairs from the
+    evidence in cycle order (a set past the last cycle vertex pairs with
+    the anchor None). It also checks that each inducer has two anchors and
+    that each cycle vertex anchors two inducers, and it runs the per-set
+    loop, with a membership test, before the union check. It calls the
+    package's `validate_improvement`, which gives False on an id outside
+    the graph where the one of its day raised."""
+    g = a.g
+    kind = imp.kind
+    if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):
+        return False
+    x = imp.x
+    u_list = list(kind.u)
+    if len(u_list) < 2 or len(set(u_list)) != len(u_list):
+        return False
+    if len(u_list) > max_cycle_len_for(g.n):
+        return False
+    if not set(u_list) <= x:
+        return False
+    a_nbrs = a.a_nbrs
+    if any(len(a_nbrs[u]) < 2 for u in u_list):
+        return False
+    cyc = list(kind.cycle_vertices)
+    if len(cyc) != len(u_list) or len(set(cyc)) != len(cyc):
+        return False
+    deg = {}
+    for u in u_list:
+        for v in a_nbrs[u][:2]:
+            deg[v] = deg.get(v, 0) + 1
+    if set(deg) != set(cyc) or any(c != 2 for c in deg.values()):
+        return False
+    for i, u in enumerate(u_list):
+        if set(a_nbrs[u][:2]) != {cyc[i], cyc[(i + 1) % len(cyc)]}:
+            return False
+    anchors = cyc + [None] * (len(kind.y) - len(cyc))
+    y_map = {v: frozenset(ys) for v, ys in zip(anchors, kind.y)}
+    if set(y_map) != set(cyc):
+        return False
+    rest = x - set(u_list)
+    for v, ys in y_map.items():
+        if len(ys) > d - 1:
+            return False
+        if any(x_ not in rest or a_nbrs[x_][:1] != [v] for x_ in ys):
+            return False
+    y_union = set().union(*y_map.values()) if y_map else set()
+    if y_union != rest:
+        return False
+    for u in u_list:
+        v1, v2 = a_nbrs[u][:2]
+        if not aux_edge_check(a, u, y_map[v1], y_map[v2]):
+            return False
+    return True
+
+
+def logimp_candidates(seeds):
+    """(a, imp) for every candidate `validate_circular` is asked about in
+    exhaustive logimp runs from the small sides of `tight_copies(5, 6,
+    seed)`, a over the members the run held at that call."""
+    seen = []
+    real = circular.validate_circular
+
+    def spy(a, imp, d):
+        seen.append((Solution.of(a.g, a.members), imp))
+        return real(a, imp, d)
+
+    with mock.patch.object(circular, "validate_circular", spy):
+        for seed in seeds:
+            inst, small = tight_copies(5, 6, seed)
+            g = build_conflict_graph(inst)
+            logimp(g, SolverConfig(mode="logimp"), start=Solution.of(g, small), inst=inst)
+    return seen
+
+
+def tampered(rng: random.Random, a: Solution, imp: Improvement, d: int):
+    """(imp, d) with one to three fields changed: x (and removed, half the
+    time, to N(x, A) over x's vertices), removed, u, cycle_vertices, the
+    companion sets or d. A change replaces, drops, adds, swaps or repeats
+    entries of a field or of one companion set, moves a member between
+    two sets, or does the same to the list of sets; a new id is drawn
+    from -2 to n + 1, a new set has at most one."""
+    n = a.g.n
+
+    def new_id():
+        return rng.randint(-2, n + 1)
+
+    def new_set():
+        return tuple(new_id() for _ in range(rng.randrange(2)))
+
+    def edit(seq, new=new_id):
+        seq = list(seq)
+        op = rng.randrange(5)
+        if op == 0 and seq:
+            seq[rng.randrange(len(seq))] = new()
+        elif op == 1 and seq:
+            del seq[rng.randrange(len(seq))]
+        elif op == 2 or not seq:
+            seq.insert(rng.randint(0, len(seq)), new())
+        elif op == 3:
+            i, j = rng.randrange(len(seq)), rng.randrange(len(seq))
+            seq[i], seq[j] = seq[j], seq[i]
+        else:
+            seq.insert(rng.randint(0, len(seq)), rng.choice(seq))
+        return seq
+
+    x, removed, kind = imp.x, imp.removed, imp.kind
+    u, cyc, y = kind.u, kind.cycle_vertices, [tuple(ys) for ys in kind.y]
+    for field in rng.sample(["x", "removed", "u", "cyc", "y", "d"], rng.randint(1, 3)):
+        if field == "x":
+            x = frozenset(edit(sorted(x)))
+            if rng.random() < 0.5:
+                removed = frozenset(neighborhood([v for v in x if 0 <= v < n], a.members, a.g))
+        elif field == "removed":
+            removed = frozenset(edit(sorted(removed)))
+        elif field == "u":
+            u = tuple(edit(u))
+        elif field == "cyc":
+            cyc = tuple(edit(cyc))
+        elif field == "d":
+            d = rng.randint(1, d + 1)
+        elif y and rng.random() < 0.7:
+            i = rng.randrange(len(y))
+            y[i] = tuple(edit(y[i]))
+        elif y and rng.random() < 0.5:
+            i, j = rng.randrange(len(y)), rng.randrange(len(y))
+            if y[i]:
+                y[i], y[j] = y[i][1:], y[j] + y[i][:1]
+        else:
+            y = edit(y, new_set)
+    return Improvement(x, removed, Circular(u, cyc, tuple(y))), d
+
+
+def test_validate_circular_matches_the_reference_on_tampered_swaps():
+    """On 12,000 seeded tamperings of the candidates of six tight-union
+    logimp runs, with ids from -2 to n + 1, `validate_circular` gives the
+    reference's verdict and never raises; some tampered swaps still
+    validate."""
+    sources = logimp_candidates(range(6))
+    assert sum(validate_circular(a, imp, d=5) for a, imp in sources) >= 30
+    rng = random.Random(0)
+    accepted = 0
+    for _ in range(12_000):
+        a, imp = rng.choice(sources)
+        bad, d = tampered(rng, a, imp, 5)
+        got = validate_circular(a, bad, d=d)
+        assert got == validate_circular_as_pairs(a, bad, d), (imp, bad, d)
+        accepted += got
+    assert 50 <= accepted < 12_000
 
 
 @pytest.mark.parametrize("max_len", [3, 5, 8])
@@ -477,7 +721,7 @@ def test_improvement_chain_recomputed_term_by_term():
     maps = ref_anchors(g, a)
     imp = find_circular_improvement(circular_state(a))
     k = imp.kind
-    y = k.y_map()
+    y = dict(zip(k.cycle_vertices, map(frozenset, k.y)))
     # every cycle vertex occurs exactly twice among the anchor pairs
     occurrences = {}
     for u in k.u:
@@ -555,7 +799,7 @@ def test_soundness_revalidation_fields():
     assert imp is not None
     k = imp.kind
     assert len(k.u) <= max_cycle_len_for(g.n)
-    y = k.y_map()
+    y = dict(zip(k.cycle_vertices, map(frozenset, k.y)))
     assert all(len(ys) <= 5 for ys in y.values())
     for u in k.u:
         v1, v2 = a_nbrs[u][:2]
@@ -895,6 +1139,18 @@ def test_supports_compatible_seq_matches_a_brute_force_over_an_edge_set(data):
             support.append(v)
     new = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
     assert circular._supports_compatible_seq(g, set(support), new) == independent(support + new)
+
+
+@pytest.mark.parametrize("support, new, ok", [
+    (set(), [0, 2], True), ({2}, [0], True), (set(), [0, 1], False), (set(), [1, 0], False),
+    (set(), [0, 0], False), ({0}, [1], False), ({0}, [0], False),
+])
+def test_supports_compatible_seq_on_a_path(support, new, ok):
+    """The same rule on the path 0-1-2, case by case, so that each way of
+    breaking it fails on every run: the brute-force test above draws its
+    graphs at random and can miss one."""
+    g = ConflictGraph.from_edges(3, [(0, 1), (1, 2)], [1, 1, 1])
+    assert circular._supports_compatible_seq(g, support, new) == ok
 
 
 # ------------------------------------------------- positional references

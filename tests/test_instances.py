@@ -347,6 +347,7 @@ def test_verify_solution_cases(unit_path3):
     assert verify_solution(g, Solution.of(g, ()))
     bad = Solution(g, {0, 1})
     assert not verify_solution(g, bad)
+    assert not any(verify_solution(g, Solution(g, {0, v})) for v in (g.n, -1))
 
 
 def test_verify_solution_rejects_a_solution_over_another_graph(unit_path3):

@@ -13,6 +13,7 @@ from clawpack.generators import (
 from clawpack.instances import (
     ClawShaped,
     ConflictGraph,
+    Improvement,
     InputError,
     PackingInstance,
     Solution,
@@ -320,3 +321,15 @@ def test_wire_gains_are_the_exact_fractions_of_circular_swaps():
     got, want, kinds = wire_gains(lambda: logimp(g, SolverConfig(mode="logimp"), start=Solution.of(g, small), inst=inst))
     assert got == want
     assert "circular" in kinds
+
+
+def test_loop_refuses_a_step_that_does_not_improve():
+    """`_loop` checks each swap's gain before it applies it: a step that
+    returns a swap of equal squared weight is a RuntimeError, and the
+    solution is left as it was."""
+    g = ConflictGraph.from_edges(3, [(0, 1), (1, 2)], [1, 1, 1], d=3)
+    a = Solution.of(g, {1})
+    imp = Improvement(frozenset({0}), frozenset({1}), ClawShaped(center=1))
+    with pytest.raises(RuntimeError, match="non-improving step"):
+        solvers._loop(a, lambda: imp)
+    assert a.members == {1}
