@@ -21,8 +21,9 @@ with the logimp final, past the sizes clawbench runs it at (see
 a random packing to logimp, at sizes past the scale curve, with the peak
 RSS of the process that ran it, in all and per set (see `large_curve`).
 It exits 1, naming the runs, if any run failed or reported `correct: false`,
-or if squareimp at the smallest `large` point took more than
-`LARGE_SQUAREIMP_GATE_S`; the file is written either way.
+if squareimp at the smallest `large` point took more than
+`LARGE_SQUAREIMP_GATE_S`, or if logimp at any `large` point raised or its
+child process failed; the file is written either way.
 """
 
 import argparse
@@ -55,7 +56,8 @@ INPUT_N = SCALE_N + (25600,)
 ORACLE_N = (40, 60, 80, 100, 120)
 ORACLE_SEEDED_N = (150,)
 # The large curve: random k=3 packings of n sets, one child process per
-# point. logimp at 409,600 sets crosses the aux-vertex cap.
+# point. logimp must complete from empty at every point, under the
+# circular search's fixed caps.
 LARGE_N = (102_400, 409_600)
 LARGE_SQUAREIMP_GATE_S = 1.0
 
@@ -313,6 +315,11 @@ def main() -> int:
     if squareimp_s is None or squareimp_s > LARGE_SQUAREIMP_GATE_S:
         print(f"large: squareimp at n = {LARGE_N[0]} took {squareimp_s} s, gate {LARGE_SQUAREIMP_GATE_S} s", file=sys.stderr)
         status = 1
+    for p in doc["large"]:
+        if "logimp_error" in p or "exit_code" in p:
+            why = p.get("logimp_error") or f"exit {p['exit_code']}"
+            print(f"large: logimp at n = {p['n']} did not complete: {why}", file=sys.stderr)
+            status = 1
     return status
 
 

@@ -59,6 +59,17 @@ MUTANTS = (
            "the DFS joins an inducer adjacent to its own companion set"),
     Mutant("circular.py", "dirty.update(todo[i:])", "dirty.add(u)",
            "an edge-check cap crossed part-way forgets the inducers not yet built"),
+    # the bound that skips inducers without an edge, and the vertex cap over the lazy blocks;
+    # low(v) summing only the negative spills would be equivalent: every spill is negative
+    # (`CircularState._low_at`), so it is not listed
+    Mutant("circular.py", "low = self._low[v] = sum(self._spills(v).values())",
+           "low = self._low[v] = min(self._spills(v).values(), default=0)",
+           "low(v) takes the least spill, not their sum, so it skips inducers whose edges need two candidates"),
+    Mutant("circular.py", "if base <= self._low_at(v1) + self._low_at(v2):",
+           "if base < self._low_at(v1) + self._low_at(v2):",
+           "the bound admits inducers whose base meets it, and builds blocks at their anchors"),
+    Mutant("circular.py", "if self._n_vertices > _MAX_AUX_VERTICES:", "if False:",
+           "the vertex cap is checked only before the lazy builds"),
     # the solution's graph
     Mutant("instances.py", "    if s.g is not g:\n        raise ContractError", "    if False:\n        raise ContractError",
            "verify_solution checks a solution over another graph"),
@@ -85,6 +96,10 @@ MUTANTS = (
            "build_anchor_maps accepts a solution that is not maximal"),
     Mutant("instances.py", "insort(table[u], v, key=rank)", "table[u].append(v)",
            "Solution.apply appends a new member to N(u, A), out of weight order"),
+    Mutant("instances.py", "table[v].remove(r)", "pass",
+           "Solution.apply leaves a removed member in N(u, A)"),
+    Mutant("instances.py", "table[v].remove(r)", "table[v].remove(r) if table[v][0] == r else None",
+           "Solution.apply removes a removed member from N(u, A) only where it heads the list"),
     Mutant("solvers.py", "if not a_nbrs[v] and v not in members:\n                    free.add(v)",
            "if False:\n                    free.add(v)",
            "the claw state never frees a vertex whose last solution neighbor left"),

@@ -6,8 +6,11 @@ inequality, then cycle detection. Cycles of length 2 (parallel edges) are
 scanned directly; longer cycles are found either by an exhaustive DFS
 (complete, deterministic) or by randomized color coding over the packing
 universe with a colorful-cycle dynamic program. The aux graph is its
-blocks and nothing else: a vertex block per anchor holds the anchor's
-companion sets, and an edge block per inducer the ends of its edges. An
+blocks and nothing else: an edge block per admitted inducer holds the
+ends of its edges, and a vertex block at each of its two anchors holds
+that anchor's companion sets. An inducer is admitted unless an exact
+bound, O(1) per inducer, shows it has no edge, so no anchor that only
+skipped inducers reach has a vertex (see `CircularState`). An
 id names its block and its place there, so vertex i is read as anchor
 i >> _ID_SHIFT and a companion set of that anchor's block, and edge e as
 inducer e >> _ID_SHIFT and a pair of ends in that inducer's block; the
@@ -30,20 +33,21 @@ are the independent subsets of its candidates, read from
 Both builds go through a `CircularState`. logimp keeps one per run and hands
 it every swap, so at each claw fixed point only the vertices next to the
 swaps since the last one are re-anchored, and only the vertex blocks (one
-per anchor) and the edge blocks (one per inducing vertex) whose inputs
-changed are recomputed. The state holds one aux graph, its blocks and
-the sorted edge ids of each vertex with an edge, and changes it only where
-a block is built or dropped; ids sort in the from-scratch order, so a call
-returns that graph as it stands, and the 2-cycle scan reads only the
-anchor pairs that two or more inducers share. The vertices with an edge
-are also kept sorted, and the DFS and the DP start only there: the copies
-of a solution that earlier swaps improved have no edge and cost a call
-nothing, and a call reads no whole set of the state. The state is built
-once per run from the run's solution, which brings its graph, the search
-parameters, the claw bound, the packing instance and the random
-generator, and fixes what they fix: the companion-set cap, the cycle
-length bound and whether color coding can run. Every entry point reads
-the solution from the state and the graph from the solution.
+per anchor an admitted inducer reaches) and the edge blocks (one per
+admitted inducer) whose inputs changed are recomputed. The state holds
+one aux graph, its blocks and the sorted edge ids of each vertex with an
+edge, and changes it only where a block is built or dropped; ids sort in
+the from-scratch order, so a call returns that graph as it stands, and
+the 2-cycle scan reads only the anchor pairs that two or more inducers
+share. The vertices with an edge are also kept sorted, and the DFS and
+the DP start only there: the copies of a solution that earlier swaps
+improved have no vertex and cost a call nothing, and a call reads no
+whole set of the state. The state is built once per run from the run's
+solution, which brings its graph, the search parameters, the claw bound,
+the packing instance and the random generator, and fixes what they fix:
+the companion-set cap, the cycle length bound and whether color coding
+can run. Every entry point reads the solution from the state and the
+graph from the solution.
 
 The DP works out a vertex's color masks, step table and first layer only
 when it first reaches that vertex, and yields each candidate as soon as
@@ -74,7 +78,10 @@ from .instances import (
 )
 
 # Work caps of the circular search: aux vertices and edge checks per aux
-# graph, colorful-DP states per coloring, and DFS nodes per call.
+# graph, colorful-DP states per coloring, and DFS nodes per call. The aux
+# vertices are those of the built blocks, which sit only at the anchors of
+# the inducers the bound base(u) > low(v1) + low(v2) admits, and the edge
+# checks those of the admitted inducers (see `build_aux_graph`).
 _MAX_AUX_VERTICES = 200_000
 _MAX_AUX_EDGE_CHECKS = 2_000_000
 _MAX_DP_STATES = 2_000_000
@@ -226,13 +233,15 @@ class _VertexBlock(NamedTuple):
 
 
 class _EdgeBlock(NamedTuple):
-    """The ids of the aux edges one inducer makes, their ends (vertex ids:
-    the one in the block at its heaviest anchor, then the one in the block
-    at its second), and the checks they took."""
+    """The ids of the aux edges one admitted inducer makes, their ends
+    (vertex ids: the one in the block at its heaviest anchor, then the one
+    in the block at its second), the checks they took, and its two anchors,
+    the lower first."""
 
     ids: range
     ends: Sequence[tuple[int, int]]
     checks: int
+    anchors: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -255,9 +264,13 @@ class AuxBlocks:
 class AuxGraph:
     """Aux vertices and edges as blocks; an edge's ends are vertex ids.
 
-    Ids sort in the from-scratch order: vertices by anchor, then place in
-    the anchor's block, and edges by inducer, then place in its block (see
-    `_ID_SHIFT`). `incident` maps the id of every vertex with an edge, and
+    `edges.blocks` holds a block for each inducer the bound base(u) >
+    low(v1) + low(v2) admits, possibly without edges, and `vertices.blocks`
+    a block at each of their anchors and at no other vertex, so every
+    vertex is at an anchor that an admitted inducer reaches (see
+    `build_aux_graph`). Ids sort in the from-scratch order: vertices by
+    anchor, then place in the anchor's block, and edges by inducer, then
+    place in its block (see `_ID_SHIFT`). `incident` maps the id of every vertex with an edge, and
     no other, to the ids of its edges, sorted; `parallel` lists, sorted,
     every edge that can share both ends with another; and `starts` lists,
     sorted, the keys of `incident`, the only vertices a cycle search starts
@@ -293,13 +306,27 @@ class CircularState:
     call, so only `moved | N(moved)` is checked and re-anchored, `moved`
     being x | removed over every swap handed to `update` since that call
     (every vertex before the first call; a call that raises keeps it for
-    the next). The aux graph is its blocks: a vertex block per anchor v
-    (its companion sets and their nets) and an edge block per inducer u
-    (its edges' ends and its edge-check count). A vertex block is dropped
-    when a candidate (an outside vertex with v as heaviest anchor and
-    positive charge) joins or leaves v or has its solution neighbors
-    changed; an edge block is recomputed when u's anchors or solution
-    neighbors change, or when the block at either anchor was dropped.
+    the next).
+
+    The aux graph is its blocks: an edge block per admitted inducer u (its
+    edges' ends, its edge-check count and its two anchors), and a vertex
+    block (its companion sets and their nets) at each anchor of an
+    admitted inducer and nowhere else. The bound that admits inducers is
+    exact: every companion set y at anchor v has net(y) >= low(v), the sum
+    of the spills w2(N(x, A) - v) - w2(x) over v's candidates x, all of
+    them negative (see `_low_at`; y = () has net 0), so an inducer u with
+    base(u) <= low(v1) + low(v2) has no aux edge (see `build_aux_graph`).
+    Such an inducer has no block and takes no check, and an anchor that no
+    admitted inducer reaches keeps only low(v), computed when a dirty
+    inducer first reads it.
+
+    low(v) and the vertex block at v are dropped when a candidate (an
+    outside vertex with v as heaviest anchor and positive charge) joins or
+    leaves v or has its solution neighbors changed, or when v leaves A;
+    the inducers at v are then dirty. An edge block is recomputed when its
+    inducer is dirty: when its anchors or solution neighbors change, or
+    when either anchor was dropped. A vertex block is dropped too when its
+    last admitted inducer is.
 
     A vertex's id comes from its anchor and its position in the block (see
     `_ID_SHIFT`), and an edge's from its inducer and its position in the
@@ -309,21 +336,20 @@ class CircularState:
     the sorted ids of those vertices, where the searches start. Only
     building or dropping a block changes them: a vertex enters both with
     its first edge and leaves with its last edge or its block. The dirty
-    edge blocks are dropped before any vertex block is rebuilt, so no edge
+    edge blocks are dropped before any vertex block is built, so no edge
     ever names a vertex that is gone, and a new edge block enters the graph
     only once it is complete, so a cap crossed part-way leaves no trace of
-    it. Each call thus builds no vertex or edge of a block that did not
-    change, and vertex ids, edge ids and the edge-check count are those of
-    a fresh build. For the 2-cycle scan the state keeps, per unordered
+    it: its inducer and those not yet built stay dirty, and a vertex
+    block built for it alone is dropped. Each call thus
+    builds no vertex or edge of a block that did not change, and its
+    blocks, their ids, the vertex count and the edge-check count are those
+    of a fresh build. For the 2-cycle scan the state keeps, per unordered
     anchor pair, the inducers whose blocks have edges between them, and
     the pairs that two or more inducers share: only those can carry
     parallel edges.
 
-    No call walks a whole set of the state. The vertices without a vertex
-    block are collected as the swaps come in (new members, and anchors
-    whose block was dropped), and the members among them get one; the dirty
-    inducers are the only ones looked up among the edge blocks and the
-    N(u, A) table.
+    No call walks a whole set of the state: the dirty inducers are the only
+    ones looked up among the edge blocks and the N(u, A) table.
 
     The aux graph the state returns holds its own dicts and lists, which
     change at its next call. A set of the state that empties is cleared,
@@ -358,12 +384,13 @@ class CircularState:
         self.max_len = max_cycle_len_for(a.g.n)
         self._moved = set(range(a.g.n))  # re-anchored at the next call
         self._anchor: dict[int, int] = {}  # companion-set candidate -> its anchor
-        self._vblocks: dict[int, _VertexBlock] = {}
-        self._eblocks: dict[int, _EdgeBlock] = {}  # only blocks with checks
+        self._low: dict[int, int] = {}  # anchor -> low(v), once an inducer read it
+        self._users: dict[int, int] = {}  # anchor -> admitted inducers there
+        self._vblocks: dict[int, _VertexBlock] = {}  # at the anchors in _users
+        self._eblocks: dict[int, _EdgeBlock] = {}  # one per admitted inducer
         self._n_vertices = self._n_edges = 0  # in the blocks
         self._incident: dict[int, list[int]] = {}  # vertex id -> its edge ids, sorted; only vertices with one
         self._starts: list[int] = []  # the ids of the vertices with an edge, sorted
-        self._unbuilt: set[int] = set()  # vertices without a block; members get one next call
         self._pairs: dict[tuple[int, int], set[int]] = {}  # anchor pair -> inducers with edges
         self._shared: set[tuple[int, int]] = set()  # the pairs with two or more inducers
         self._dirty_u: set[int] = set()
@@ -380,75 +407,106 @@ class CircularState:
 
     def _reanchor(self, touched: set[int]) -> None:
         """Move every vertex of `touched`, `_near_moved()`, to its new
-        anchor, drop the vertex blocks at its old and new anchor, and mark
-        its edge block dirty; then clear the moved vertices. Every vertex
-        of `touched` outside A has a solution neighbor. `touched` becomes
-        the set of dirty inducers, so the first call, where it holds every
-        vertex, keeps one such table and not two."""
+        anchor, drop its old and new anchor, and mark its edge block dirty;
+        then clear the moved vertices. Every vertex of `touched` outside A
+        has a solution neighbor. `touched` becomes the set of dirty
+        inducers, so the first call, where it holds every vertex, keeps one
+        such table and not two."""
         members, a_nbrs = self.a.members, self.a.a_nbrs
         w = self.a.g.w_int
-        anchor, vblocks, unbuilt = self._anchor, self._vblocks, self._unbuilt
+        anchor, low = self._anchor, self._low
         for u in touched:
             old = anchor.pop(u, None)
-            if old in vblocks:
-                self._drop_block(old)
+            if old in low:
+                self._drop_anchor(old)
             if u in members:
-                if u not in vblocks:
-                    unbuilt.add(u)
                 continue
-            if u in vblocks:  # u left A
-                self._drop_block(u)
+            if u in low:  # u left A
+                self._drop_anchor(u)
             nu = a_nbrs[u]
             if 2 * w[u] > sum(w[x] for x in nu):
                 v1 = anchor[u] = nu[0]
-                if v1 in vblocks:
-                    self._drop_block(v1)
+                if v1 in low:
+                    self._drop_anchor(v1)
         touched |= self._dirty_u
         self._dirty_u = touched
         self._moved.clear()
 
-    def _drop_block(self, v: int) -> None:
-        """Drop the vertex block at anchor v with the incident lists and the
-        starts of its vertices, note v for a rebuild, and mark the edge
-        blocks that end at v dirty: their inducers are neighbors of v."""
-        incident, starts = self._incident, self._starts
-        ids = self._vblocks.pop(v).ids
-        self._n_vertices -= len(ids)
-        lo, hi = bisect_left(starts, ids.start), bisect_left(starts, ids.stop)
-        for i in starts[lo:hi]:
-            del incident[i]
-        del starts[lo:hi]
-        self._unbuilt.add(v)
+    def _drop_anchor(self, v: int) -> None:
+        """Drop low(v) and the vertex block at anchor v, if it has one, with
+        the incident lists and the starts of its vertices, and mark the
+        inducers at v dirty: they are neighbors of v. An anchor without
+        low(v) has no inducer that read it since it last changed."""
+        del self._low[v]
+        block = self._vblocks.pop(v, None)
+        if block is not None:
+            incident, starts = self._incident, self._starts
+            ids = block.ids
+            self._n_vertices -= len(ids)
+            lo, hi = bisect_left(starts, ids.start), bisect_left(starts, ids.stop)
+            for i in starts[lo:hi]:
+                del incident[i]
+            del starts[lo:hi]
         a_nbrs = self.a.a_nbrs
         self._dirty_u.update(u for u in self.a.g.adj[v] if v in a_nbrs[u][:2])
 
-    def _add_vertex_block(self, v: int) -> None:
-        """Build the vertex block at anchor v: one aux vertex per companion
-        set, largest first, then in id order, each with its net. An anchor
-        with no candidate has the one vertex y = (), net 0."""
-        g, a_nbrs = self.a.g, self.a.a_nbrs
-        anchor = self._anchor
-        cands = [u for u in g.adj[v] if anchor.get(u) == v]  # sorted, as g.adj[v] is
-        if cands:
-            w2 = g.w2_int
-            spill = {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in cands}
-            ys = [(), *independent_subsets(g, cands, self.y_cap)]
-            ys.sort(key=lambda y: (-len(y), y))
-            nets = [sum(spill[x] for x in y) for y in ys]
-        else:
-            ys, nets = [()], [0]
+    def _spills(self, v: int) -> dict[int, int]:
+        """Each candidate x at anchor v, in id order, with its spill
+        w2(N(x, A) - v) - w2(x), the net of the companion set (x,)."""
+        g, a_nbrs, anchor = self.a.g, self.a.a_nbrs, self._anchor
+        w2 = g.w2_int
+        return {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in g.adj[v] if anchor.get(x) == v}
+
+    def _low_at(self, v: int) -> int:
+        """low(v), a lower bound on the net of every companion set at anchor
+        v: the sum of its candidates' spills, every one of them negative. A
+        candidate x has 2 w(x) > w(v) + S, S = w(N(x, A) - v), and v is its
+        heaviest solution neighbor, so 4 w2(x) > (w(v) + S)^2 >= 4 w(v) S
+        >= 4 w2(N(x, A) - v)."""
+        low = self._low.get(v)
+        if low is None:
+            low = self._low[v] = sum(self._spills(v).values())
+        return low
+
+    def _hold(self, v: int) -> _VertexBlock:
+        """Count one more admitted inducer at anchor v, and return the
+        vertex block at v, built if it is the first: one aux vertex per
+        companion set, largest first, then in id order, each with its net;
+        an anchor with no candidate has the one vertex y = (), net 0."""
+        held = self._users.get(v, 0)
+        self._users[v] = held + 1
+        if held:
+            return self._vblocks[v]
+        spill = self._spills(v)
+        ys = [(), *independent_subsets(self.a.g, list(spill), self.y_cap)]
+        ys.sort(key=lambda y: (-len(y), y))
+        nets = [sum(spill[x] for x in y) for y in ys]
         base = v << _ID_SHIFT
-        self._vblocks[v] = _VertexBlock(range(base, base + len(ys)), ys, nets)
+        block = self._vblocks[v] = _VertexBlock(range(base, base + len(ys)), ys, nets)
         self._n_vertices += len(ys)
+        return block
+
+    def _release(self, v: int) -> None:
+        """Count one admitted inducer less at anchor v, and drop the vertex
+        block at v with the last, whose edge block holds the only edges that
+        end there."""
+        held = self._users.pop(v) - 1
+        if held:
+            self._users[v] = held
+        elif v in self._vblocks:  # else v was dropped
+            self._n_vertices -= len(self._vblocks.pop(v).ids)
 
     def _drop_edge_blocks(self) -> None:
-        """Drop the edge block of every dirty inducer, with its edges, and
-        the incident lists and starts of the vertices left without one."""
+        """Drop the edge block of every dirty inducer, with its edges, the
+        incident lists and starts of the vertices left without one, and its
+        hold on the vertex blocks at its anchors."""
         eblocks, incident, starts = self._eblocks, self._incident, self._starts
         pairs, shared = self._pairs, self._shared
         for u in [u for u in self._dirty_u if u in eblocks]:
             block = eblocks.pop(u)
             self.checks -= block.checks
+            for v in block.anchors:
+                self._release(v)
             if not block.ends:
                 continue
             self._n_edges -= len(block.ends)
@@ -459,28 +517,26 @@ class CircularState:
                         at_end.remove(ei)
                         if not at_end:
                             del incident[end], starts[bisect_left(starts, end)]
-            key = tuple(sorted(end >> _ID_SHIFT for end in block.ends[0]))  # the inducer's two anchors
-            group = pairs[key]
+            group = pairs[block.anchors]
             group.remove(u)
             if len(group) < 2:
-                shared.discard(key)
+                shared.discard(block.anchors)
                 if not shared:
                     shared.clear()
             if not group:
-                del pairs[key]
+                del pairs[block.anchors]
 
     def _update_edge_blocks(self) -> None:
-        """Build the edge block of every dirty inducer, the incident lists
-        and starts of the vertices it gives a first edge, and the inducers
-        per anchor pair with it. Raises `SearchIncompleteError` once the
-        checks of all blocks pass `_MAX_AUX_EDGE_CHECKS`; the inducers not
-        yet built stay dirty. The graph keeps its adjacency as tuples only,
-        so each inducer's neighbors become one set for its block, and each
-        companion set at its first anchor the union of its members'
-        neighbors, once, for all its pairings at the second."""
-        cap = _MAX_AUX_EDGE_CHECKS
-        w2, adj, a_nbrs = self.a.g.w2_int, self.a.g.adj, self.a.a_nbrs
-        vblocks, eblocks, dirty = self._vblocks, self._eblocks, self._dirty_u
+        """Build the edge block of every dirty inducer the bound admits, the
+        vertex blocks at its anchors that it is the first to hold, the
+        incident lists and starts of the vertices it gives a first edge,
+        and the inducers per anchor pair with it. Raises
+        `SearchIncompleteError` once the held vertex blocks pass
+        `_MAX_AUX_VERTICES` vertices or the checks of all blocks pass
+        `_MAX_AUX_EDGE_CHECKS`; the inducer at hand lets go of its anchors,
+        and it and the inducers not yet built stay dirty."""
+        w2, a_nbrs = self.a.g.w2_int, self.a.a_nbrs
+        eblocks, dirty = self._eblocks, self._dirty_u
         incident, starts = self._incident, self._starts
         pairs, shared = self._pairs, self._shared
         # Only inducers have edge blocks. The set is cleared before any is
@@ -491,36 +547,24 @@ class CircularState:
         total = self.checks
         for i, u in enumerate(todo):
             v1, v2, *rest = a_nbrs[u]
-            b1, b2 = vblocks[v1], vblocks[v2]
-            nbrs = set(adj[u])
-            ys2, nets2 = b2.ys, b2.nets
-            # u is anchored at v1, so no companion set at v2 contains it.
-            side_b = [ib for ib, y in enumerate(ys2) if nbrs.isdisjoint(y)]
-            if not side_b:
-                continue
             base = 2 * w2[u] - w2[v1] - w2[v2] - 2 * sum(w2[x] for x in rest)
-            ends: list[tuple[int, int]] = []
-            checks = 0
-            for ia, y1 in enumerate(b1.ys):
-                if u in y1 or not nbrs.isdisjoint(y1):
-                    continue
-                bound = base - b1.nets[ia]
-                near = {z for x in y1 for z in adj[x]}  # y1's neighbors
-                for ib in side_b:
-                    if not near.isdisjoint(ys2[ib]):
-                        continue
-                    checks += 1
-                    if total + checks > cap:
-                        dirty.update(todo[i:])
-                        self.checks = total
-                        raise SearchIncompleteError(f"aux graph exceeded {cap} edge checks")
-                    if bound > nets2[ib]:
-                        ends.append((b1.ids[ia], b2.ids[ib]))
-            if not checks:
-                continue
+            if base <= self._low_at(v1) + self._low_at(v2):
+                continue  # base(u) > net(y1) + net(y2) fails for every pair
+            b1, b2 = self._hold(v1), self._hold(v2)
+            try:
+                if self._n_vertices > _MAX_AUX_VERTICES:
+                    raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
+                ends, checks = self._edge_ends(u, b1, b2, base, _MAX_AUX_EDGE_CHECKS - total)
+            except SearchIncompleteError:
+                self._release(v1)
+                self._release(v2)
+                dirty.update(todo[i:])
+                self.checks = total
+                raise
             first = u << _ID_SHIFT
             ids = range(first, first + len(ends))
-            eblocks[u] = _EdgeBlock(ids, ends, checks)
+            key = (v1, v2) if v1 < v2 else (v2, v1)
+            eblocks[u] = _EdgeBlock(ids, ends, checks, key)
             total += checks
             if ends:
                 self._n_edges += len(ends)
@@ -529,12 +573,43 @@ class CircularState:
                         if end not in incident:
                             insort(starts, end)
                         insort(incident.setdefault(end, []), ei)
-                key = (v1, v2) if v1 < v2 else (v2, v1)
                 group = pairs.setdefault(key, set())
                 group.add(u)
                 if len(group) == 2:
                     shared.add(key)
         self.checks = total
+
+    def _edge_ends(self, u: int, b1: _VertexBlock, b2: _VertexBlock, base: int,
+                   budget: int) -> tuple[list[tuple[int, int]], int]:
+        """The ends of u's aux edges, from b1, the vertex block at u's
+        heaviest anchor, to b2, the one at its second, and the checks they
+        took; the check past `budget` raises `SearchIncompleteError`. The
+        graph keeps its adjacency as tuples only, so u's neighbors become
+        one set, and each companion set in b1 the union of its members'
+        neighbors, once, for all its pairings in b2."""
+        adj = self.a.g.adj
+        nbrs = set(adj[u])
+        ys2, nets2 = b2.ys, b2.nets
+        # u is anchored at v1, so no companion set at v2 contains it.
+        side_b = [ib for ib, y in enumerate(ys2) if nbrs.isdisjoint(y)]
+        ends: list[tuple[int, int]] = []
+        checks = 0
+        if not side_b:
+            return ends, checks
+        for ia, y1 in enumerate(b1.ys):
+            if u in y1 or not nbrs.isdisjoint(y1):
+                continue
+            bound = base - b1.nets[ia]
+            near = {z for x in y1 for z in adj[x]}  # y1's neighbors
+            for ib in side_b:
+                if not near.isdisjoint(ys2[ib]):
+                    continue
+                checks += 1
+                if checks > budget:
+                    raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_EDGE_CHECKS} edge checks")
+                if bound > nets2[ib]:
+                    ends.append((b1.ids[ia], b2.ids[ib]))
+        return ends, checks
 
 
 def build_aux_graph(state: CircularState) -> AuxGraph:
@@ -555,6 +630,15 @@ def build_aux_graph(state: CircularState) -> AuxGraph:
     not depend on u because every x in y has v as its heaviest anchor. The
     edge exists iff base(u) > net(y1) + net(y2).
 
+    So no edge exists unless base(u) > low(v1) + low(v2), low(v) being the
+    sum of the nets of v's candidates, each negative, which no net at v
+    goes below. Only the inducers that pass this bound are paired, and
+    vertices exist only at the anchors such an inducer reaches: the vertex
+    count and the edge-check count, which the caps `_MAX_AUX_VERTICES` and
+    `_MAX_AUX_EDGE_CHECKS` bound, are those of the admitted inducers and
+    their anchors. The edges, their ids, `incident`, `starts` and
+    `parallel` are those of the graph with a vertex block at every member.
+
     The graph is built over the state's anchors, which must be current:
     `build_anchor_maps(state.a, state)` after the last swap handed to the
     state, else `ContractError`. Only the blocks the swaps since the last
@@ -562,18 +646,14 @@ def build_aux_graph(state: CircularState) -> AuxGraph:
     """
     if state._moved:
         raise ContractError("anchor maps are stale: build_anchor_maps after every swap")
-    members, unbuilt = state.a.members, state._unbuilt
     state._drop_edge_blocks()
-    for v in unbuilt:
-        if v in members:  # else v left A
-            state._add_vertex_block(v)
-    unbuilt.clear()
-    # A cap is crossed when a count passes it.
+    # A cap is crossed when a count passes it: the counts of the blocks kept
+    # from the last call are checked here, and each block as it is built.
     if state._n_vertices > _MAX_AUX_VERTICES:
         raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
-    state._update_edge_blocks()
     if state.checks > _MAX_AUX_EDGE_CHECKS:
         raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_EDGE_CHECKS} edge checks")
+    state._update_edge_blocks()
     eblocks, pairs = state._eblocks, state._pairs
     sharing = sorted({u for key in state._shared for u in pairs[key]})
     parallel = [ei for u in sharing for ei in eblocks[u].ids]

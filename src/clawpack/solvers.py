@@ -76,7 +76,7 @@ class SolverConfig:
                 raise InputError("alpha=0 is rejected; use unit weights explicitly instead")
 
 
-@dataclass
+@dataclass(slots=True)
 class ImprovementRecord:
     """One applied swap: its shape, |X|, and the gain in the objective the
     run optimizes (w^2 for claw-shaped/circular swaps, w^alpha for the
@@ -86,7 +86,8 @@ class ImprovementRecord:
     with den > 0, not necessarily in lowest terms: `Improvement.gain` for
     an integer exponent, so such a swap builds no Fraction, and the
     `power_weight_gain` Fraction for a non-integer alpha. delta_w2 has the
-    gain's sign; the trace writes the reduced ratio."""
+    gain's sign; the trace writes the reduced ratio. Slotted, as a run
+    keeps one record per free vertex it inserts."""
 
     kind: str
     size: int

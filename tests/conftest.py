@@ -248,8 +248,9 @@ def aux_edges(h) -> list[tuple[int, Edge]]:
 def aux_graph_of(vertices, edges):
     """An `AuxGraph` in block form over lists of `Vertex` and `Edge` whose
     edge ends are positions in `vertices`: a vertex block per anchor and an
-    edge block per inducer, each in list order. The lists must run by
-    anchor and by inducer, so positions and ids sort alike. Every edge may
+    edge block per inducer, each in list order, with the anchors of its
+    first edge. The lists must run by anchor and by inducer, so positions
+    and ids sort alike. Every edge may
     have a parallel twin, and the searches start at every vertex with an
     edge."""
     assert [v.anchor for v in vertices] == sorted(v.anchor for v in vertices)
@@ -270,7 +271,8 @@ def aux_graph_of(vertices, edges):
         block.append((ids[e.a], ids[e.b]))
         incident.setdefault(ids[e.a], []).append(ei)
         incident.setdefault(ids[e.b], []).append(ei)
-    eblocks = {u: _EdgeBlock(range(u << _ID_SHIFT, (u << _ID_SHIFT) + len(pairs)), pairs, len(pairs))
+    eblocks = {u: _EdgeBlock(range(u << _ID_SHIFT, (u << _ID_SHIFT) + len(pairs)), pairs, len(pairs),
+                             tuple(sorted(end >> _ID_SHIFT for end in pairs[0])))
                for u, pairs in ends.items()}
     h_edges = AuxBlocks(eblocks, len(edges))
     return AuxGraph(AuxBlocks(vblocks, len(vertices)), h_edges, incident, list(h_edges), sorted(incident))

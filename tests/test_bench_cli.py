@@ -678,12 +678,15 @@ def load_bench_record():
         (("tight-union", 1, 0), "tight-union --trace 1: exit 0, correct: False"),
         (("small-exact", 0, 1), "small-exact --trace 0: exit 1, correct: None"),
         ("slow", "large: squareimp at n = 102400 took 1.5 s, gate 1.0 s"),
+        ("capped", "large: logimp at n = 409600 did not complete: SearchIncompleteError: aux graph exceeded 200000 vertices"),
+        ("crashed", "large: logimp at n = 409600 did not complete: exit -9"),
     ],
 )
 def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkeypatch, capsys):
     """A run that exits 0 but reports `correct: false`, or that fails, fails
-    the record and is named on stderr, and so does squareimp past its gate
-    at the smallest `large` point; the file is still written."""
+    the record and is named on stderr, and so do squareimp past its gate
+    at the smallest `large` point and a `large` point whose logimp raised
+    or whose child process failed; the file is still written."""
     br = load_bench_record()
 
     def fake_run_one(workload, trace):
@@ -697,7 +700,12 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
     monkeypatch.setattr(br, "run_one", fake_run_one)
     monkeypatch.setattr(br, "scale_curve", lambda: [])
     monkeypatch.setattr(br, "oracle_curve", lambda: [])
-    monkeypatch.setattr(br, "large_curve", lambda: [{"n": 102400, "squareimp_s": 1.5 if bad == "slow" else 0.5}])
+    last = {"n": 409600, "squareimp_s": 4.0, "logimp_s": 9.0}
+    if bad == "capped":
+        last = {"n": 409600, "squareimp_s": 4.0, "logimp_error": "SearchIncompleteError: aux graph exceeded 200000 vertices"}
+    elif bad == "crashed":
+        last = {"n": 409600, "exit_code": -9, "stderr_tail": []}
+    monkeypatch.setattr(br, "large_curve", lambda: [{"n": 102400, "squareimp_s": 1.5 if bad == "slow" else 0.5}, last])
     monkeypatch.setattr(br, "ROOT", str(tmp_path))
     monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
     code = br.main()

@@ -815,47 +815,93 @@ def test_soundness_revalidation_fields():
 
 
 def ref_build_aux_graph(g, a, maps, y_cap):
-    """The aux-graph build with Fraction charges and edge checks, companion
-    sets of at most `y_cap` candidates, under the caps
-    `circular._MAX_AUX_VERTICES` and `_MAX_AUX_EDGE_CHECKS`; also returns
-    how many edge checks it made."""
+    """The unbounded aux-graph build with Fraction charges and edge checks:
+    a vertex block at every member of A, of its companion sets of at most
+    `y_cap` candidates, and every inducer paired with no bound. Vertices
+    and edges carry the ids of `circular._ID_SHIFT`: `blocks` maps each
+    anchor to its (id, y) pairs, `edges` lists (id, Edge) with ends as
+    vertex ids, `checks` maps each inducer to the edge checks it made, and
+    `incident` and `parallel` are derived from the edges."""
     anchored = {}
     for u in sorted(maps.heaviest):
         if g.weights[u] - w_of(g, maps.a_neighbors[u]) / 2 > 0:
             anchored.setdefault(maps.heaviest[u], []).append(u)
-    h = SimpleNamespace(vertices=[], edges=[])
-    vid_by_anchor = {}
+    blocks = {}
     for v in sorted(a.members):
         cands = anchored.get(v, [])
         subsets = [y for k in range(y_cap + 1) for y in combinations(cands, k) if g.is_independent(y)]
         subsets.sort(key=lambda y: (-len(y), y))
-        ids = []
-        for y in subsets:
-            if len(h.vertices) >= circular._MAX_AUX_VERTICES:
-                raise SearchIncompleteError("vertices")
-            ids.append(len(h.vertices))
-            h.vertices.append(Vertex(v, y))
-        vid_by_anchor[v] = ids
-    checks = 0
+        blocks[v] = [((v << circular._ID_SHIFT) + i, y) for i, y in enumerate(subsets)]
+    edges, checks = [], {}
     for u in sorted(maps.second):
         v1, v2 = maps.heaviest[u], maps.second[u]
-        for ia in vid_by_anchor.get(v1, []):
-            y1 = h.vertices[ia].y
+        checks[u], first = 0, len(edges)
+        for ia, y1 in blocks[v1]:
             if u in y1 or any(g.has_edge(u, x) for x in y1):
                 continue
-            for ib in vid_by_anchor.get(v2, []):
-                y2 = h.vertices[ib].y
+            for ib, y2 in blocks[v2]:
                 if u in y2 or any(g.has_edge(u, x) for x in y2):
                     continue
                 if any(g.has_edge(x, z) for x in y1 for z in y2):
                     continue
-                checks += 1
-                if checks > circular._MAX_AUX_EDGE_CHECKS:
-                    raise SearchIncompleteError("edge checks")
+                checks[u] += 1
                 lhs, rhs = ref_aux_sides(u, y1, y2, g, maps)
                 if lhs > rhs:
-                    h.edges.append(Edge(ia, ib, u))
-    return h, checks
+                    edges.append(((u << circular._ID_SHIFT) + len(edges) - first, Edge(ia, ib, u)))
+    incident, by_pair = {}, {}
+    for ei, e in edges:
+        incident.setdefault(e.a, []).append(ei)
+        incident.setdefault(e.b, []).append(ei)
+        by_pair.setdefault(frozenset((maps.heaviest[e.inducer], maps.second[e.inducer])), set()).add(e.inducer)
+    shared = {u for group in by_pair.values() if len(group) > 1 for u in group}
+    parallel = [ei for ei, e in edges if e.inducer in shared]
+    return SimpleNamespace(blocks=blocks, edges=edges, checks=checks, incident=incident, parallel=parallel)
+
+
+def ref_admitted(g, a, maps):
+    """The inducers the bound admits, each with its two anchors, in
+    Fraction arithmetic with the anchors `maps` of `ref_anchors`: u is
+    admitted iff base(u) > low(v1) + low(v2), where base(u) = 2 w(u)^2 -
+    w(v1)^2 - w(v2)^2 - 2 w^2(N(u, A) - {v1, v2}), and low(v) sums
+    min(0, w^2(N(x, A) - {v}) - w(x)^2) over the candidates x at v, the
+    vertices of positive charge anchored there."""
+    w = g.weights
+    low = {}
+    for x, v in maps.heaviest.items():
+        if w[x] - w_of(g, maps.a_neighbors[x]) / 2 > 0:
+            spill = w2_of(g, [z for z in maps.a_neighbors[x] if z != v]) - w[x] ** 2
+            low[v] = low.get(v, 0) + min(0, spill)
+    admitted = {}
+    for u, v2 in maps.second.items():
+        v1 = maps.heaviest[u]
+        base = 2 * w[u] ** 2 - w[v1] ** 2 - w[v2] ** 2 - 2 * w2_of(g, [x for x in maps.a_neighbors[u] if x not in (v1, v2)])
+        if base > low.get(v1, 0) + low.get(v2, 0):
+            admitted[u] = (v1, v2)
+    return admitted
+
+
+def check_against_reference(h, want, admitted):
+    """`h`, a fresh build, against the unbounded reference `want` and the
+    inducers the bound admits: equal edges, `incident`, `starts` and
+    `parallel`; vertex blocks exactly at the admitted inducers' anchors,
+    each equal to the reference's block there; an edge block for each
+    admitted inducer and no other; and no edge in the reference whose
+    inducer the bound skips. Returns the vertex and edge-check counts the
+    caps bound: those of the admitted inducers' anchors and checks."""
+    assert aux_edges(h) == want.edges
+    assert h.incident == want.incident
+    assert list(h.starts) == sorted(want.incident)
+    assert list(h.parallel) == want.parallel
+    anchors = {v for pair in admitted.values() for v in pair}
+    blocks = h.vertices.blocks
+    assert set(blocks) == anchors
+    for v, block in blocks.items():
+        assert list(zip(block.ids, block.ys)) == want.blocks[v]
+    assert set(h.edges.blocks) == set(admitted)
+    assert {e.inducer for _, e in want.edges} <= set(admitted)
+    n_vertices = sum(len(want.blocks[v]) for v in anchors)
+    assert len(h.vertices) == n_vertices
+    return n_vertices, sum(want.checks[u] for u in admitted)
 
 
 def weighted_case(seed: int, kind: str):
@@ -938,7 +984,11 @@ def aux_outcome(build, cap, n):
 
 @pytest.mark.parametrize("kind", ["prime", "ties", "equal"])
 def test_integer_aux_graph_matches_fraction_build(kind):
-    seen = {"edges": 0, "companions": 0, "excluded": 0}
+    """A fresh build against the unbounded Fraction reference and the
+    Fraction bound (see `check_against_reference`), and under vertex and
+    edge-check caps around the counts of the admitted inducers: it raises
+    iff a cap is below its count, and else returns the uncapped graph."""
+    seen = {"edges": 0, "companions": 0, "excluded": 0, "skipped": 0, "admitted": 0}
     for seed in range(40):
         g, a, _ = weighted_case(seed, kind)
         a_nbrs = build_anchor_maps(a)
@@ -947,22 +997,60 @@ def test_integer_aux_graph_matches_fraction_build(kind):
         assert a_nbrs == ref_a_nbrs(g, a.members)
         params = ColorCodingParams(t=1, repetitions=1)
         state = circular_state(a, params)
-        want, checks = ref_build_aux_graph(g, a, ref, state.y_cap)
+        want = ref_build_aux_graph(g, a, ref, state.y_cap)
+        admitted = ref_admitted(g, a, ref)
         got = build_aux_graph(state)
-        assert aux_fields(positional(got)) == (want.vertices, want.edges)
-        for cap in {0, checks // 2, checks - 1, checks, checks + 1} - {-1}:
-            expect = aux_outcome(lambda: ref_build_aux_graph(g, a, ref, state.y_cap)[0], "_MAX_AUX_EDGE_CHECKS", cap)
+        n_vertices, checks = check_against_reference(got, want, admitted)
+        assert state.checks == checks
+        caps = [("_MAX_AUX_EDGE_CHECKS", n, checks) for n in {0, checks // 2, checks - 1, checks, checks + 1} - {-1}]
+        caps += [("_MAX_AUX_VERTICES", n, n_vertices) for n in {0, n_vertices - 1, n_vertices} - {-1}]
+        for cap, n, count in caps:
             fresh = circular_state(a, params)
-            assert aux_outcome(lambda: positional(build_aux_graph(fresh)), "_MAX_AUX_EDGE_CHECKS", cap) == expect
-            assert (expect == "incomplete") == (cap < checks)
+            outcome = aux_outcome(lambda: build_aux_graph(fresh), cap, n)
+            assert outcome == ("incomplete" if n < count else aux_fields(got))
         seen["edges"] += len(got.edges)
         seen["companions"] += sum(1 for _, v in aux_vertices(got) if v.y)
         seen["excluded"] += sum(
             1 for u in ref.heaviest if 2 * g.weights[u] == w_of(g, ref.a_neighbors[u])
         )
-    assert seen["edges"] > 0 and seen["companions"] > 0
+        seen["skipped"] += len(ref.second) - len(admitted)
+        seen["admitted"] += len(admitted)
+    assert seen["edges"] > 0 and seen["companions"] > 0 and seen["skipped"] > 0 and seen["admitted"] > 0
     if kind == "ties":
         assert seen["excluded"] > 0
+
+
+def test_aux_graph_matches_the_unbounded_reference_on_packings():
+    """`check_against_reference` on fresh builds over tight copies from
+    their small sides, with and without random 3-sets, and over random k=3
+    packings at greedy solutions and at maximal solutions picked in random
+    order."""
+    seen = {"edges": 0, "skipped": 0, "anchors": 0, "members": 0}
+    cases = [tight_copies(5, 3, seed=1), tight_copies(4, 4, seed=2), tight_with_random_sets(3, copies=3, extra=8)]
+    solutions = [(inst, Solution.of(build_conflict_graph(inst), small)) for inst, small in cases]
+    for seed in range(10):
+        inst = gen_random_packing(60, 3, 40, seed=seed)
+        g = build_conflict_graph(inst)
+        order = list(range(g.n))
+        random.Random(seed).shuffle(order)
+        members = set()
+        for v in order:
+            if nbr_set(g, v).isdisjoint(members):
+                members.add(v)
+        solutions += [(inst, greedy(g)), (inst, Solution.of(g, members))]
+    for inst, a in solutions:
+        g = a.g
+        state = circular_state(a, inst=inst)
+        ref = ref_anchors(g, a)
+        admitted = ref_admitted(g, a, ref)
+        h = build_aux_graph(state)
+        _, checks = check_against_reference(h, ref_build_aux_graph(g, a, ref, state.y_cap), admitted)
+        assert state.checks == checks
+        seen["edges"] += len(h.edges)
+        seen["skipped"] += len(ref.second) - len(admitted)
+        seen["anchors"] += len(h.vertices.blocks)
+        seen["members"] += len(a.members)
+    assert seen["edges"] > 500 and seen["skipped"] > 100 and seen["anchors"] < seen["members"]
 
 
 def test_zero_charge_joins_no_companion_set():
@@ -1067,9 +1155,37 @@ def check_state_against_fresh(g, a, state, call):
     assert aux_fields(got) == aux_fields(want)
     assert state.checks == n_checks
     check_lookups(got)
+    check_holds(state)
     if not call % 2:
         capped(caps)
     return got
+
+
+def check_holds(state):
+    """The state's account of its lazy blocks after a call: each anchor
+    counts the edge blocks of the admitted inducers there, and has a vertex
+    block iff it counts one; the vertex count is
+    that of those blocks; every spill w2(N(x, A) - v) - w2(x) of an outside
+    vertex x of positive charge whose list in `ref_a_nbrs` starts at v is
+    negative; and every low(v) it keeps is the sum of those spills at v."""
+    a = state.a
+    g = a.g
+    users = {}
+    for block in state._eblocks.values():
+        for v in block.anchors:
+            users[v] = users.get(v, 0) + 1
+    assert state._users == users
+    assert set(state._vblocks) == set(users)
+    assert state._n_vertices == sum(len(b.ids) for b in state._vblocks.values())
+    w, w2, nbrs = g.w_int, g.w2_int, ref_a_nbrs(g, a.members)
+    spills = {}
+    for x in range(g.n):
+        if x not in a.members and 2 * w[x] > sum(w[z] for z in nbrs[x]):
+            v = nbrs[x][0]
+            spills.setdefault(v, []).append(sum(w2[z] for z in nbrs[x] if z != v) - w2[x])
+    assert all(s < 0 for at_v in spills.values() for s in at_v)
+    for v, low in state._low.items():
+        assert low == sum(spills.get(v, []))
 
 
 def check_lookups(h):
@@ -1487,6 +1603,54 @@ def test_circular_state_recovers_from_an_error():
         check_state_against_fresh(g, a, state, seed + 1)
 
 
+def test_logimp_completes_under_a_vertex_cap_the_unbounded_build_passes(monkeypatch):
+    """The scale gate in small. On a random k=3 packing of 2,000 sets with
+    the `rand-k3` settings, logimp from empty builds at most `bounded` aux
+    vertices in one graph, where a vertex block at every member would take
+    `unbounded`, about twice as many. Under a vertex cap between the two
+    it completes with the uncapped trace; one below `bounded` it raises,
+    and the state then matches a fresh build, as in
+    `test_circular_state_recovers_from_an_error`."""
+    inst = gen_random_packing(2000, 3, 2000, weight_dist=("uniform", 10), seed=0)
+    g = build_conflict_graph(inst)
+    cfg = SolverConfig(mode="logimp", rng_seed=0)
+    counts = []
+
+    def count(state, h):
+        a = state.a
+        ref = ref_anchors(g, a)
+        cands = {}
+        for x, v in ref.heaviest.items():
+            if charge_to_anchor(g, a, x) > 0:
+                cands.setdefault(v, []).append(x)
+        unbounded = sum(1 + sum(1 for k in range(1, state.y_cap + 1) for y in combinations(cands.get(v, []), k)
+                                if g.is_independent(y)) for v in a.members)
+        counts.append((len(h.vertices), unbounded))
+
+    with after_every_aux_graph(count):
+        want = solve(g, cfg, inst=inst)
+    bounded, unbounded = max(c for c, _ in counts), max(u for _, u in counts)
+    assert 1.5 * bounded < unbounded
+    monkeypatch.setattr(circular, "_MAX_AUX_VERTICES", (bounded + unbounded) // 2)
+    got = solve(g, cfg, inst=inst)
+    assert got.improvements == want.improvements and got.final.members == want.final.members
+    monkeypatch.setattr(circular, "_MAX_AUX_VERTICES", bounded - 1)
+    held = []
+    real = circular.build_aux_graph
+
+    def keep(state):
+        held.append(state)
+        return real(state)
+
+    with mock.patch.object(circular, "build_aux_graph", keep):
+        with pytest.raises(SearchIncompleteError, match=f"exceeded {bounded - 1} vertices"):
+            solve(g, cfg, inst=inst)
+    monkeypatch.undo()
+    state = held[-1]
+    check_state_against_fresh(g, state.a, state, 0)
+    check_state_against_fresh(g, state.a, state, 1)
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "rand"])
 def test_circular_state_is_freed_without_cycle_collection(mode):
     """A search that returns an improvement leaves no reference cycle
@@ -1854,12 +2018,18 @@ def after_every_aux_graph(check):
 
 def check_starts_and_blocks(state, h):
     """`h.starts` lists, in id order, exactly the vertices of `h` with an
-    edge, the keys of `h.incident`, and the anchors of its vertices are
-    exactly A's members: every member has its vertex block, and no other
-    vertex has one."""
+    edge, the keys of `h.incident`; the inducers with an edge block are
+    exactly those the bound admits (`ref_admitted`), and the anchors of
+    its vertices exactly theirs, all of them A's members: each such anchor
+    has its vertex block, and no other vertex has one."""
     assert list(h.starts) == sorted(v for v in h.vertices if h.incident.get(v))
     assert h.incident.keys() == set(h.starts)
-    assert {v.anchor for _, v in aux_vertices(h)} == state.a.members
+    a = state.a
+    admitted = ref_admitted(a.g, a, ref_anchors(a.g, a))
+    assert set(h.edges.blocks) == set(admitted)
+    anchors = {v for pair in admitted.values() for v in pair}
+    assert {v.anchor for _, v in aux_vertices(h)} == anchors and anchors <= a.members
+    check_holds(state)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1918,10 +2088,18 @@ def test_start_list_and_vertex_blocks_stay_current_over_random_swaps(kind, seed)
 
 
 def edgeless_aux_graphs():
-    """`packing_aux_graphs()`, then copies of the aux graphs of logimp runs
-    over tight copies from their small sides at every call after the first,
-    when some copies are improved and their vertices have no edge."""
+    """`packing_aux_graphs()`, the aux graphs of more random k=3 packings
+    at greedy solutions, then copies of the aux graphs of logimp runs over
+    tight copies from their small sides at every call after the first,
+    when some copies are improved. Vertices without an edge sit at the
+    anchors of admitted inducers whose edge checks all fail, as in the
+    random packings; an improved copy has no admitted inducer, so no
+    vertex at all."""
     yield from packing_aux_graphs()
+    for seed in range(4, 8):
+        inst = gen_random_packing(150, 3, 45, seed=seed)
+        g = build_conflict_graph(inst)
+        yield inst, g, build_aux_graph(circular_state(greedy(g), inst=inst))
     for inst, small in [tight_copies(5, 4, seed=3), tight_with_random_sets(4, copies=4, extra=8)]:
         g = build_conflict_graph(inst)
         copies = []
