@@ -70,6 +70,11 @@ MUTANTS = (
            "the bound admits inducers whose base meets it, and builds blocks at their anchors"),
     Mutant("circular.py", "if self._n_vertices > _MAX_AUX_VERTICES:", "if False:",
            "the vertex cap is checked only before the lazy builds"),
+    # the block-dirtying rules: a vertex block leaves only with its last holder
+    Mutant("circular.py", "self._n_vertices -= len(self._vblocks.pop(v).ids)", "pass",
+           "a vertex block whose last holder lets go stays, stale, and is reused"),
+    Mutant("circular.py", "self._dirty_u.update(u for u in self.a.g.adj[v] if v in a_nbrs[u][:2])", "pass",
+           "dropping low(v) dirties no inducer at v, so their edge blocks and the block at v go stale"),
     # the solution's graph
     Mutant("instances.py", "    if s.g is not g:\n        raise ContractError", "    if False:\n        raise ContractError",
            "verify_solution checks a solution over another graph"),

@@ -8,8 +8,8 @@ scanned directly; longer cycles are found either by an exhaustive DFS
 universe with a colorful-cycle dynamic program. The aux graph is its
 blocks and nothing else: an edge block per admitted inducer holds the
 ends of its edges, and a vertex block at each of its two anchors holds
-that anchor's companion sets. An inducer is admitted unless an exact
-bound, O(1) per inducer, shows it has no edge, so no anchor that only
+that anchor's companion sets. An inducer is admitted unless the O(1)
+bound of `build_aux_graph` shows it has no edge, so no anchor that only
 skipped inducers reach has a vertex (see `CircularState`). An
 id names its block and its place there, so vertex i is read as anchor
 i >> _ID_SHIFT and a companion set of that anchor's block, and edge e as
@@ -79,9 +79,9 @@ from .instances import (
 
 # Work caps of the circular search: aux vertices and edge checks per aux
 # graph, colorful-DP states per coloring, and DFS nodes per call. The aux
-# vertices are those of the built blocks, which sit only at the anchors of
-# the inducers the bound base(u) > low(v1) + low(v2) admits, and the edge
-# checks those of the admitted inducers (see `build_aux_graph`).
+# vertices are those of the built blocks, at the anchors of the admitted
+# inducers, and the edge checks those of the admitted inducers (see
+# `build_aux_graph`).
 _MAX_AUX_VERTICES = 200_000
 _MAX_AUX_EDGE_CHECKS = 2_000_000
 _MAX_DP_STATES = 2_000_000
@@ -264,13 +264,12 @@ class AuxBlocks:
 class AuxGraph:
     """Aux vertices and edges as blocks; an edge's ends are vertex ids.
 
-    `edges.blocks` holds a block for each inducer the bound base(u) >
-    low(v1) + low(v2) admits, possibly without edges, and `vertices.blocks`
-    a block at each of their anchors and at no other vertex, so every
-    vertex is at an anchor that an admitted inducer reaches (see
-    `build_aux_graph`). Ids sort in the from-scratch order: vertices by
-    anchor, then place in the anchor's block, and edges by inducer, then
-    place in its block (see `_ID_SHIFT`). `incident` maps the id of every vertex with an edge, and
+    `edges.blocks` holds a block for each inducer the bound of
+    `build_aux_graph` admits, possibly without edges, and `vertices.blocks`
+    a block at each of their anchors and at no other vertex. Ids sort in
+    the from-scratch order: vertices by anchor, then place in the anchor's
+    block, and edges by inducer, then place in its block (see
+    `_ID_SHIFT`). `incident` maps the id of every vertex with an edge, and
     no other, to the ids of its edges, sorted; `parallel` lists, sorted,
     every edge that can share both ends with another; and `starts` lists,
     sorted, the keys of `incident`, the only vertices a cycle search starts
@@ -311,37 +310,37 @@ class CircularState:
     The aux graph is its blocks: an edge block per admitted inducer u (its
     edges' ends, its edge-check count and its two anchors), and a vertex
     block (its companion sets and their nets) at each anchor of an
-    admitted inducer and nowhere else. The bound that admits inducers is
-    exact: every companion set y at anchor v has net(y) >= low(v), the sum
-    of the spills w2(N(x, A) - v) - w2(x) over v's candidates x, all of
-    them negative (see `_low_at`; y = () has net 0), so an inducer u with
-    base(u) <= low(v1) + low(v2) has no aux edge (see `build_aux_graph`).
-    Such an inducer has no block and takes no check, and an anchor that no
-    admitted inducer reaches keeps only low(v), computed when a dirty
-    inducer first reads it.
+    admitted inducer and nowhere else. An inducer is admitted by the bound
+    of `build_aux_graph` (proved in `_low_at`); one that fails it has no
+    block and takes no check, and an anchor that no admitted inducer
+    reaches keeps only low(v), computed when a dirty inducer first reads it.
 
-    low(v) and the vertex block at v are dropped when a candidate (an
-    outside vertex with v as heaviest anchor and positive charge) joins or
-    leaves v or has its solution neighbors changed, or when v leaves A;
-    the inducers at v are then dirty. An edge block is recomputed when its
-    inducer is dirty: when its anchors or solution neighbors change, or
-    when either anchor was dropped. A vertex block is dropped too when its
-    last admitted inducer is.
+    low(v) is dropped when a candidate (an outside vertex with v as
+    heaviest anchor and positive charge) joins or leaves v or has its
+    solution neighbors changed, or when v leaves A; the inducers at v are
+    then dirty. An edge block is recomputed when its inducer is dirty: when
+    its anchors or solution neighbors change, or when either anchor was
+    dropped.
+
+    Each block has one lifecycle. A vertex block is built by the first
+    admitted inducer that holds it and leaves with the last (`_release`);
+    a vertex enters the incident lists and the starts with its first edge
+    and leaves with its last (`_drop_edge_blocks`). When low(v) is dropped,
+    every holder of the block at v is dirty: those whose anchors still
+    include v are marked then, and the others had N(u, A) change. The
+    dirty edge blocks are dropped before any vertex block is held, so a
+    stale block leaves before it could be reused. A new edge block enters
+    the graph only once it is complete, so a cap crossed part-way leaves no
+    trace of it: its inducer and those not yet built stay dirty, and a
+    vertex block built for it alone leaves with it.
 
     A vertex's id comes from its anchor and its position in the block (see
     `_ID_SHIFT`), and an edge's from its inducer and its position in the
     block, so the ids of a block stay fixed while it lives and sort in the
     from-scratch order. Beside the blocks and their vertex and edge counts,
     the state keeps the edge ids, sorted, of each vertex with an edge, and
-    the sorted ids of those vertices, where the searches start. Only
-    building or dropping a block changes them: a vertex enters both with
-    its first edge and leaves with its last edge or its block. The dirty
-    edge blocks are dropped before any vertex block is built, so no edge
-    ever names a vertex that is gone, and a new edge block enters the graph
-    only once it is complete, so a cap crossed part-way leaves no trace of
-    it: its inducer and those not yet built stay dirty, and a vertex
-    block built for it alone is dropped. Each call thus
-    builds no vertex or edge of a block that did not change, and its
+    the sorted ids of those vertices, where the searches start. Each call
+    thus builds no vertex or edge of a block that did not change, and its
     blocks, their ids, the vertex count and the edge-check count are those
     of a fresh build. For the 2-cycle scan the state keeps, per unordered
     anchor pair, the inducers whose blocks have edges between them, and
@@ -433,20 +432,13 @@ class CircularState:
         self._moved.clear()
 
     def _drop_anchor(self, v: int) -> None:
-        """Drop low(v) and the vertex block at anchor v, if it has one, with
-        the incident lists and the starts of its vertices, and mark the
-        inducers at v dirty: they are neighbors of v. An anchor without
-        low(v) has no inducer that read it since it last changed."""
+        """Drop low(v) and mark the inducers at anchor v dirty: they are
+        neighbors of v. They are the holders of the vertex block at v whose
+        anchors still include v; every other holder had its N(u, A) change,
+        so `_reanchor` marks it too, and the block leaves with the last of
+        them (`_release`). An anchor without low(v) has no inducer that read
+        it since it last changed."""
         del self._low[v]
-        block = self._vblocks.pop(v, None)
-        if block is not None:
-            incident, starts = self._incident, self._starts
-            ids = block.ids
-            self._n_vertices -= len(ids)
-            lo, hi = bisect_left(starts, ids.start), bisect_left(starts, ids.stop)
-            for i in starts[lo:hi]:
-                del incident[i]
-            del starts[lo:hi]
         a_nbrs = self.a.a_nbrs
         self._dirty_u.update(u for u in self.a.g.adj[v] if v in a_nbrs[u][:2])
 
@@ -488,18 +480,18 @@ class CircularState:
 
     def _release(self, v: int) -> None:
         """Count one admitted inducer less at anchor v, and drop the vertex
-        block at v with the last, whose edge block holds the only edges that
-        end there."""
+        block at v with the last: the only way a vertex block leaves."""
         held = self._users.pop(v) - 1
         if held:
             self._users[v] = held
-        elif v in self._vblocks:  # else v was dropped
+        else:
             self._n_vertices -= len(self._vblocks.pop(v).ids)
 
     def _drop_edge_blocks(self) -> None:
-        """Drop the edge block of every dirty inducer, with its edges, the
-        incident lists and starts of the vertices left without one, and its
-        hold on the vertex blocks at its anchors."""
+        """Drop the edge block of every dirty inducer, with its hold on the
+        vertex blocks at its anchors and its edges, each unlinked from the
+        incident lists of both its ends; an end left without an edge leaves
+        `incident` and the starts. This is the only way out of either."""
         eblocks, incident, starts = self._eblocks, self._incident, self._starts
         pairs, shared = self._pairs, self._shared
         for u in [u for u in self._dirty_u if u in eblocks]:
@@ -512,11 +504,10 @@ class CircularState:
             self._n_edges -= len(block.ends)
             for ei, ends in zip(block.ids, block.ends):
                 for end in ends:
-                    at_end = incident.get(end)
-                    if at_end is not None:  # else the block at that end was dropped
-                        at_end.remove(ei)
-                        if not at_end:
-                            del incident[end], starts[bisect_left(starts, end)]
+                    at_end = incident[end]
+                    at_end.remove(ei)
+                    if not at_end:
+                        del incident[end], starts[bisect_left(starts, end)]
             group = pairs[block.anchors]
             group.remove(u)
             if len(group) < 2:
@@ -549,7 +540,7 @@ class CircularState:
             v1, v2, *rest = a_nbrs[u]
             base = 2 * w2[u] - w2[v1] - w2[v2] - 2 * sum(w2[x] for x in rest)
             if base <= self._low_at(v1) + self._low_at(v2):
-                continue  # base(u) > net(y1) + net(y2) fails for every pair
+                continue  # no edge (see `build_aux_graph`)
             b1, b2 = self._hold(v1), self._hold(v2)
             try:
                 if self._n_vertices > _MAX_AUX_VERTICES:
@@ -631,12 +622,12 @@ def build_aux_graph(state: CircularState) -> AuxGraph:
     edge exists iff base(u) > net(y1) + net(y2).
 
     So no edge exists unless base(u) > low(v1) + low(v2), low(v) being the
-    sum of the nets of v's candidates, each negative, which no net at v
-    goes below. Only the inducers that pass this bound are paired, and
-    vertices exist only at the anchors such an inducer reaches: the vertex
-    count and the edge-check count, which the caps `_MAX_AUX_VERTICES` and
-    `_MAX_AUX_EDGE_CHECKS` bound, are those of the admitted inducers and
-    their anchors. The edges, their ids, `incident`, `starts` and
+    sum of the nets of v's candidates, which no net at v goes below (proof
+    in `CircularState._low_at`). Only the inducers that pass this bound are
+    paired, and vertices exist only at the anchors such an inducer reaches:
+    the vertex count and the edge-check count, which the caps
+    `_MAX_AUX_VERTICES` and `_MAX_AUX_EDGE_CHECKS` bound, are those of the
+    admitted inducers and their anchors. The edges, their ids, `incident`, `starts` and
     `parallel` are those of the graph with a vertex block at every member.
 
     The graph is built over the state's anchors, which must be current:

@@ -98,8 +98,8 @@ class PackingInstance:
     """A family of <=k-element sets over a universe 0..universe_size-1.
 
     Set ids are dense 0..n-1 in list order. Each set is one tuple of its
-    elements in increasing order (`build` sorts them and rejects a repeated
-    element). All weights are strictly positive rationals.
+    elements in increasing order (`build` sorts them), none repeated. All
+    weights are strictly positive rationals.
     """
 
     universe_size: int
@@ -116,6 +116,8 @@ class PackingInstance:
             raise InputError("sets and weights must have equal length")
         k, universe = self.k, self.universe_size
         for i, s in enumerate(self.sets):
+            if len(set(s)) != len(s):
+                raise InputError(f"set {i} repeats an element")
             if not 1 <= len(s) <= k:
                 raise InputError(f"set {i} has {len(s)} elements, want 1..{k}")
             if min(s) < 0 or max(s) >= universe:

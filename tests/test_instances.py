@@ -239,7 +239,8 @@ def test_graph_validation():
     (lambda: PackingInstance(3, (frozenset({0}),), (), 2), "sets and weights must have equal length"),
     (lambda: PackingInstance.build(3, [[1, -1]], [1], k=2), "set 0 contains out-of-range element -1"),
     (lambda: PackingInstance(3, (frozenset(),), (Fraction(1),), 2), "set 0 has 0 elements, want 1..2"),
-    # sets are checked in order, each for its size and then its range
+    (lambda: PackingInstance(4, ((1, 1), (3, 0)), (Fraction(1), Fraction(2)), 2), "set 0 repeats an element"),
+    # sets are checked in order, each for a repeat, its size and then its range
     (lambda: PackingInstance.build(3, [[0], [0, 7], [0, 1, 2]], [1] * 3, k=2),
      "set 1 contains out-of-range element 7"),
     (lambda: PackingInstance.build(3, [[0], [0, 1, 2], [7]], [1] * 3, k=2), "set 1 has 3 elements, want 1..2"),
