@@ -84,13 +84,17 @@ MUTANTS = (
            "build_anchor_maps re-anchors a state over another solution than the one it holds"),
     Mutant("certify.py", "if astar.g is not g:", "if False:",
            "the certificate weighs a reference over another graph with the incumbent's weights"),
-    # the input checks that run once, in the builders
-    Mutant("instances.py", "row[-1] >= universe_size", "row[-1] > universe_size",
-           "build accepts an element equal to the universe size"),
-    Mutant("instances.py", "if len(set(row)) != len(row):", "if False:",
-           "build accepts a set that repeats an element"),
-    Mutant("instances.py", "not 1 <= len(row) <= k or", "not 1 <= len(row) <= k + 1 or",
-           "build accepts a set of k + 1 elements"),
+    # the input checks that run once: the PackingInstance constructor's, and the weights of from_edges
+    Mutant("instances.py", "all(map(lt, s, s[1:]))", "all(map(lambda a, b: a <= b, s, s[1:]))",
+           "the constructor accepts a set that repeats an element"),
+    Mutant("instances.py", "not isinstance(s, tuple) or ", "",
+           "the constructor reads a set that is not a tuple as one"),
+    Mutant("instances.py", "if not 1 <= len(s) <= k:", "if not 1 <= len(s) <= k + 1:",
+           "the constructor accepts a set of k + 1 elements"),
+    Mutant("instances.py", "if s[0] < 0 or ", "if ",
+           "the constructor accepts a negative element"),
+    Mutant("instances.py", "s[-1] >= universe", "s[-1] > universe",
+           "the constructor accepts an element equal to the universe size"),
     Mutant("instances.py", "if len(ws) == n and _first_non_positive(ws) is None:", "if len(ws) == n:",
            "from_edges and reweighted accept a non-positive weight"),
     # the incremental state of the solution and of the two searches
@@ -148,6 +152,35 @@ MUTANTS = (
            "validate_circular accepts a companion set at another anchor"),
     Mutant("circular.py", "if not aux_edge_check(a, u, y_of[v1], y_of[v2]):", "if False:",
            "validate_circular skips the per-edge inequality"),
+    # validate_improvement's other checks
+    Mutant("instances.py", "if c not in a.members:", "if False:",
+           "validate_improvement accepts a claw centered outside the solution"),
+    Mutant("instances.py", "if any(not g.has_edge(c, x) for x in imp.x):",
+           "if any(not g.has_edge(c, x) for x in ()):",
+           "validate_improvement accepts a talon that is not next to its center"),
+    Mutant("instances.py", "            if imp.removed:\n                return False",
+           "            if False:\n                return False",
+           "validate_improvement accepts a free step that removes members"),
+    Mutant("instances.py", "    if not g.is_independent(imp.x):\n        return False",
+           "    if False:\n        return False",
+           "validate_improvement accepts an x that is not independent"),
+    Mutant("instances.py", " or (imp.x & a.members):", ":",
+           "validate_improvement accepts an x that meets the solution"),
+    Mutant("instances.py", "if set(imp.removed) != neighborhood(imp.x, a.members, g):",
+           "if not set(imp.removed) <= neighborhood(imp.x, a.members, g):",
+           "validate_improvement accepts a removed set short of N(x, A)"),
+    Mutant("instances.py", "return imp.gain(g)[0] > 0", "return imp.gain(g)[0] >= 0",
+           "validate_improvement accepts a swap of zero gain"),
+    # the exact root and surd sign
+    Mutant("exactnum.py", "return (t < 0) - (t > 0)", "return (t > 0) - (t < 0)",
+           "surd_sign flips the sign when b or q is 0"),
+    Mutant("exactnum.py", "s = b * b * qn - t * t * qd", "s = b * b * qn - t * qd",
+           "surd_sign compares b**2 q with t q, not with t**2 q"),
+    Mutant("exactnum.py", "r = 1 << -(-n.bit_length() // q)", "r = 1 << (n.bit_length() - 1) // q",
+           "root_floor starts Newton's steps below the root, so they never descend"),
+    Mutant("exactnum.py", "n = (x.numerator << bits * q) // x.denominator",
+           "n = (x.numerator << bits * q) // x.denominator + 1",
+           "root_floor takes the root of a radicand one too large"),
     Mutant("instances.py", "min(imp.x) < 0 or ", "", "validate_improvement indexes a negative vertex id"),
     Mutant("instances.py", "max(imp.x) >= g.n or ", "", "validate_improvement indexes a vertex id past n - 1"),
     Mutant("certify.py", "all(pos[v] <= w[v] for v in a.members)", "all(pos[v] < w[v] for v in a.members)",

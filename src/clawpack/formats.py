@@ -14,15 +14,21 @@ edges[]; weights are "num/den" strings so round-trips stay exact. It and
 every JSON document the CLI writes (traces, reports) go through
 `canonical_json`.
 
+A `p ksp` document holds only `s` records and a `p mwis` document only
+`v` and `e` records; a record of the other kind is an error that names its
+first line, also before the header. In the JSON mirror the other kind's
+field (`edges` of a ksp document, `sets` of an mwis one) must be null or
+absent.
+
 The parsers check only what the records say on their own: the syntax, the
-header counts, duplicate `v` ids and `e` pairs (also in the JSON mirror,
-in the same words), and each weight, a positive rational without exponent
-notation. Each distinct weight token is parsed once per document, so a bad
-token fails at its first line. The rest is checked once, in `instances`:
-the sets' repeated elements, sizes and ranges by `PackingInstance.build`,
-in its one pass over the sets, and the edges' loops and ranges by
-`ConflictGraph.from_edges`, whose adjacency is then correct by
-construction and not checked again.
+record kinds, the header counts, duplicate `v` ids and `e` pairs (also in
+the JSON mirror, in the same words), and each weight, a positive rational
+without exponent notation. Each distinct weight token is parsed once per
+document, so a bad token fails at its first line. The rest is checked
+once, in `instances`: each set's order, repeats, size and range by the
+`PackingInstance` constructor, after `PackingInstance.build` sorts it, and
+the edges' loops and ranges by `ConflictGraph.from_edges`, whose adjacency
+is then correct by construction and not checked again.
 """
 
 from __future__ import annotations
@@ -73,12 +79,14 @@ def parse_text(text: str) -> Parsed:
     set_weights: list[Fraction] = []
     vert_weights: dict[int, Fraction] = {}
     edges: set[tuple[int, int]] = set()
+    first: dict[str, int] = {}  # the first line of each record kind
     weight = _weight_parser()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         tok = line.split()
+        first.setdefault(tok[0], lineno)
         try:
             if tok[0] == "p":
                 if header is not None:
@@ -111,6 +119,9 @@ def parse_text(text: str) -> Parsed:
             raise InputError(f"line {lineno}: cannot parse {line!r}") from exc
     if header is None:
         raise InputError("missing `p` header line")
+    stray = min(((first[r], r) for r in ("ve" if header[0] == "ksp" else "s") if r in first), default=None)
+    if stray:
+        raise InputError(f"line {stray[0]}: a {header[0]} document holds no {stray[1]!r} records")
     if header[0] == "ksp":
         _, n, k, universe = header
         if len(sets) != n:
@@ -183,6 +194,9 @@ def from_json_obj(doc: dict) -> Parsed:
     kind = doc.get("kind")
     if kind not in ("ksp", "mwis"):
         raise InputError(f"unknown kind {kind!r}")
+    other = "edges" if kind == "ksp" else "sets"
+    if doc.get(other) is not None:
+        raise InputError(f"a {kind} document's {other!r} must be null or absent")
     weight = _weight_parser()
     weights = [weight(str(w)) for w in _field(doc, "weights", list, "weights")]
     if kind == "ksp":

@@ -12,21 +12,24 @@ candidate list.
 
 Each input check is made once, at the outside boundary. The public
 constructors check everything, as direct construction is outside input:
-`PackingInstance` each set's size and range (by the set's min and max; its
-elements are walked only to name the one out of range) and its weights,
-and `ConflictGraph` its weights and, in one O(n + m) pass, that every
-adjacency list is in range, loop-free, sorted and duplicate-free; the same
-pass collects the transposed lists, and the graph is symmetric iff they
-equal the adjacency. A weight must be a positive int or Fraction (not a
-bool); positivity is read from its numerator. Builders whose parts are
-correct by construction skip what they made sure of, through the private
-`_of_parts` constructors, which check nothing: `PackingInstance.build`
-makes every check in one pass over the sets; `ConflictGraph.from_edges`
-and `reweighted` check their edges and weights, not the adjacency they
-build; `build_conflict_graph` reads the instance's checked sets and
-weights, and `gen_random_packing` draws its sets sorted, distinct and in
-range. Where a fast check fails, the public constructor names the
-failure, so every message and its precedence stay the constructor's.
+`PackingInstance`, in one pass over the sets, that each set is a tuple in
+strictly increasing order, its size and its range (by its first and last
+element; its elements are walked only to name the one out of range), and
+then its weights; `ConflictGraph` its weights and, in one O(n + m) pass,
+that every adjacency list is in range, loop-free, sorted and
+duplicate-free; the same pass collects the transposed lists, and the graph
+is symmetric iff they equal the adjacency. A weight must be a positive int
+or Fraction (not a bool); positivity is read from its numerator.
+`PackingInstance.build` only sorts each set into a tuple and coerces the
+weights, and leaves every check to the constructor. Builders whose parts
+are correct by construction skip what they made sure of, through the
+private `_of_parts` constructors, which check nothing:
+`ConflictGraph.from_edges` and `reweighted` check their edges and weights,
+not the adjacency they build; `build_conflict_graph` reads the instance's
+checked sets and weights, and `gen_random_packing` draws its sets sorted,
+distinct and in range. Where a fast check fails, the public constructor
+names the failure, so every message and its precedence stay the
+constructor's.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import lt
 from typing import Generator, Iterable, Mapping, Optional, Sequence
 
 
@@ -98,8 +102,10 @@ class PackingInstance:
     """A family of <=k-element sets over a universe 0..universe_size-1.
 
     Set ids are dense 0..n-1 in list order. Each set is one tuple of its
-    elements in increasing order (`build` sorts them), none repeated. All
-    weights are strictly positive rationals.
+    elements in strictly increasing order, so none is repeated and equal
+    families are equal instances; the constructor checks this, and `build`
+    sorts its sets into such tuples. All weights are strictly positive
+    rationals.
     """
 
     universe_size: int
@@ -116,11 +122,13 @@ class PackingInstance:
             raise InputError("sets and weights must have equal length")
         k, universe = self.k, self.universe_size
         for i, s in enumerate(self.sets):
-            if len(set(s)) != len(s):
-                raise InputError(f"set {i} repeats an element")
+            if not isinstance(s, tuple) or not all(map(lt, s, s[1:])):
+                if len(set(s)) != len(s):
+                    raise InputError(f"set {i} repeats an element")
+                raise InputError(f"set {i} is not a tuple in increasing order")
             if not 1 <= len(s) <= k:
                 raise InputError(f"set {i} has {len(s)} elements, want 1..{k}")
-            if min(s) < 0 or max(s) >= universe:
+            if s[0] < 0 or s[-1] >= universe:
                 e = next(e for e in s if not 0 <= e < universe)
                 raise InputError(f"set {i} contains out-of-range element {e}")
         i = _first_non_positive(self.weights)
@@ -137,20 +145,9 @@ class PackingInstance:
 
     @staticmethod
     def build(universe_size: int, sets: Iterable[Sequence[int]], weights, k: int) -> "PackingInstance":
-        """Sort each set into a tuple and check everything in one pass over
-        the sets; on a failure the constructor's checks name it."""
-        rows, ok = [], True
-        for i, s in enumerate(sets):
-            row = tuple(sorted(s))
-            if len(set(row)) != len(row):
-                raise InputError(f"set {i} repeats an element")
-            if not 1 <= len(row) <= k or row[0] < 0 or row[-1] >= universe_size:
-                ok = False
-            rows.append(row)
-        ws = tuple(map(as_fraction, weights))
-        if ok and universe_size >= 0 and k >= 1 and len(rows) == len(ws) and _first_non_positive(ws) is None:
-            return PackingInstance._of_parts(universe_size, tuple(rows), ws, k)
-        return PackingInstance(universe_size, tuple(rows), ws, k)
+        """The instance of these sets, each sorted into a tuple, and these
+        weights as Fractions; the constructor checks it."""
+        return PackingInstance(universe_size, tuple(tuple(sorted(s)) for s in sets), tuple(map(as_fraction, weights)), k)
 
     @property
     def n(self) -> int:

@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -66,6 +68,36 @@ def test_parse_errors():
         formats.parse_text("p mwis 2 2\nv 0 1\nv 1 2\ne 0 1\ne 1 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p ksp 1 2 3\ns 1 0 1\ne 0 1\nv 0 5\n", "line 3: a ksp document holds no 'e' records"),
+    ("p ksp 1 2 3\ns 1 0 1\nv 0 5\ne 0 1\n", "line 3: a ksp document holds no 'v' records"),
+    ("p mwis 1 0\nv 0 1\ns 1 0 1\n", "line 3: a mwis document holds no 's' records"),
+    # a record before the header is named at its own line
+    ("c x\ne 0 1\np ksp 1 2 3\ns 1 0 1\n", "line 2: a ksp document holds no 'e' records"),
+    ("s 1 0\np mwis 1 0\nv 0 1\n", "line 1: a mwis document holds no 's' records"),
+])
+def test_text_rejects_records_of_the_other_kind(text, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        formats.parse_text(text)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "ksp", "k": 2, "universe": 3, "sets": [[0, 1]], "weights": ["1"], "edges": [[0, 1]]},
+     "a ksp document's 'edges' must be null or absent"),
+    ({"kind": "ksp", "k": 2, "universe": 3, "sets": [[0, 1]], "weights": ["1"], "edges": []},
+     "a ksp document's 'edges' must be null or absent"),
+    ({"kind": "mwis", "weights": ["1"], "edges": [], "sets": [[0]]},
+     "a mwis document's 'sets' must be null or absent"),
+])
+def test_json_rejects_fields_of_the_other_kind(doc, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        formats.from_json_obj(doc)
+    # the field `to_json_obj` writes as null, and its absence, are accepted
+    other = "edges" if doc["kind"] == "ksp" else "sets"
+    formats.from_json_obj({**doc, other: None})
+    formats.from_json_obj({f: v for f, v in doc.items() if f != other})
+
+
 def test_json_rejects_a_repeated_edge_as_text_does():
     for edges in ([[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [0, 1]]):
         with pytest.raises(InputError, match="^duplicate edge 0 1$"):
@@ -130,6 +162,35 @@ def test_file_round_trip(tmp_path):
     formats.dump(inst, str(p2))
     assert formats.load(str(p1)) == inst
     assert formats.load(str(p2)) == inst
+
+
+@st.composite
+def constructor_args(draw):
+    """Arguments for the public `PackingInstance` constructor: sets as
+    tuples in any order, lists and frozensets, with elements near the
+    universe's range, so many are refused."""
+    universe, k = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    elems = st.lists(st.integers(-1, universe), max_size=k + 1)
+    sets = draw(st.lists(st.one_of(elems.map(tuple), elems.map(lambda s: tuple(sorted(set(s)))),
+                                   elems.map(frozenset), elems), max_size=4))
+    weight = st.integers(1, 3) | st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
+    return universe, tuple(sets), tuple(draw(st.lists(weight, min_size=len(sets), max_size=len(sets)))), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(constructor_args())
+def test_every_constructible_instance_round_trips_equal(args):
+    """Whatever the public constructor accepts, `dump` then `load` gives
+    back an equal instance, in text and in JSON."""
+    try:
+        inst = PackingInstance(*args)
+    except InputError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("inst.ksp", "inst.json"):
+            path = os.path.join(tmp, name)
+            formats.dump(inst, path)
+            assert formats.load(path) == inst
 
 
 def test_generated_families_round_trip():

@@ -219,8 +219,8 @@ def test_packing_validation_rejects_bad_sets():
 
 
 def test_build_checks_the_range_at_its_edge():
-    """`build`'s one-pass check accepts the element universe_size - 1 and
-    rejects universe_size itself."""
+    """The range check, read from a set's last element, accepts the element
+    universe_size - 1 and rejects universe_size itself."""
     assert PackingInstance.build(3, [[0, 2], [1]], [1, 1], k=2).sets == ((0, 2), (1,))
     with raises_exactly("set 1 contains out-of-range element 3"):
         PackingInstance.build(3, [[0, 2], [1, 3]], [1, 1], k=2)
@@ -236,19 +236,26 @@ def test_graph_validation():
 @pytest.mark.parametrize("make, message", [
     (lambda: PackingInstance.build(-1, [], [], k=2), "universe_size must be non-negative"),
     (lambda: PackingInstance.build(3, [], [], k=0), "k must be >= 1"),
-    (lambda: PackingInstance(3, (frozenset({0}),), (), 2), "sets and weights must have equal length"),
+    (lambda: PackingInstance(3, ((0,),), (), 2), "sets and weights must have equal length"),
     (lambda: PackingInstance.build(3, [[1, -1]], [1], k=2), "set 0 contains out-of-range element -1"),
-    (lambda: PackingInstance(3, (frozenset(),), (Fraction(1),), 2), "set 0 has 0 elements, want 1..2"),
+    (lambda: PackingInstance(3, ((),), (Fraction(1),), 2), "set 0 has 0 elements, want 1..2"),
     (lambda: PackingInstance(4, ((1, 1), (3, 0)), (Fraction(1), Fraction(2)), 2), "set 0 repeats an element"),
-    # sets are checked in order, each for a repeat, its size and then its range
+    (lambda: PackingInstance(4, ((3, 0), (1, 2)), (Fraction(1), Fraction(2)), 2),
+     "set 0 is not a tuple in increasing order"),
+    (lambda: PackingInstance(4, ((0, 3), frozenset({1, 2})), (Fraction(1), Fraction(2)), 2),
+     "set 1 is not a tuple in increasing order"),
+    (lambda: PackingInstance(4, ((0, 3), [1, 2]), (Fraction(1), Fraction(2)), 2),
+     "set 1 is not a tuple in increasing order"),
+    (lambda: PackingInstance(4, ((0, 3), [2, 2]), (Fraction(1), Fraction(2)), 2), "set 1 repeats an element"),
+    # sets are checked in order, each for its order and repeats, its size and then its range
     (lambda: PackingInstance.build(3, [[0], [0, 7], [0, 1, 2]], [1] * 3, k=2),
      "set 1 contains out-of-range element 7"),
     (lambda: PackingInstance.build(3, [[0], [0, 1, 2], [7]], [1] * 3, k=2), "set 1 has 3 elements, want 1..2"),
     (lambda: PackingInstance.build(3, [[0], [1], [2]], [1, Fraction(-1, 2), 0], k=2),
      "set 1 has non-positive weight -1/2"),
-    (lambda: PackingInstance(3, (frozenset({0}),), (1.5,), 2), "weights must be exact rationals, got float 1.5"),
-    (lambda: PackingInstance(3, (frozenset({0}),), (True,), 2), "weights must be exact rationals, got bool True"),
-    (lambda: PackingInstance(3, (frozenset({0}),), ("1",), 2), "weights must be exact rationals, got str '1'"),
+    (lambda: PackingInstance(3, ((0,),), (1.5,), 2), "weights must be exact rationals, got float 1.5"),
+    (lambda: PackingInstance(3, ((0,),), (True,), 2), "weights must be exact rationals, got bool True"),
+    (lambda: PackingInstance(3, ((0,),), ("1",), 2), "weights must be exact rationals, got str '1'"),
     (lambda: PackingInstance.build(3, [[0]], [0.5], k=2), "weights must be exact rationals, got float 0.5"),
     (lambda: PackingInstance.build(3, [[0]], [True], k=2), "weights must be exact rationals, got bool True"),
 ])
@@ -290,7 +297,7 @@ def test_graph_validation_messages(make, message):
 def test_direct_construction_takes_int_and_fraction_weights():
     g = ConflictGraph(2, ((1,), (0,)), (2, Fraction(1, 3)))
     assert g.w_int == (6, 1) and g.w_lcm == 3
-    inst = PackingInstance(3, (frozenset({0}), frozenset({1, 2})), (1, Fraction(5, 2)), 2)
+    inst = PackingInstance(3, ((0,), (1, 2)), (1, Fraction(5, 2)), 2)
     assert build_conflict_graph(inst).weights == (1, Fraction(5, 2))
 
 
