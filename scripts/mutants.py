@@ -8,16 +8,20 @@ which test kills each.
 Each mutant is (file, old, new, reason): the exact text `old` of
 `src/clawpack/<file>` is replaced by `new` in a temporary copy of the
 repository, and tier-1 runs there with `-x`, so it stops at the first
-failing test. A mutant is killed when a test fails (the script names it)
-and survives when tier-1 passes. An `old` that does not occur exactly once
-in its file is an error, so the list cannot go stale unnoticed. The run
-takes up to a tier-1 run per mutant; it exits 1 if any mutant survived or
-any `old` did not match. `tests/test_mutants.py` checks the list in
-tier-1; it reads the unmutated files, so the mutant runs leave it out.
+failing test. The test files named for the mutated module
+(`tests/test_<module>*.py`) run first, where most killers sit; the rest of
+tier-1 runs only if they pass. A mutant is killed when a test fails (the
+script names it) and survives when all of tier-1 passes. An `old` that
+does not occur exactly once in its file is an error, so the list cannot go
+stale unnoticed. The run takes up to a tier-1 run per mutant; it exits 1
+if any mutant survived or any `old` did not match. `tests/test_mutants.py`
+checks the list in tier-1; it reads the unmutated files, so the mutant
+runs leave it out.
 Mutation analysis: DeMillo, Lipton and Sayward, "Hints on test data
 selection", Computer 11(4), 1978.
 """
 
+import glob
 import os
 import shutil
 import subprocess
@@ -189,6 +193,16 @@ MUTANTS = (
            "the certificate fails a contribution sum that meets its bound"),
     Mutant("circular.py", "if len(eseq) + 1 >= max_len:", "if len(eseq) + 1 > max_len:",
            "the DFS emits cycles one edge past its bound"),
+    # the tables of w**alpha: one per graph and exponent
+    Mutant("oracle.py", "table = g._power_tables.get(alpha)\n    if table is None:\n"
+           "        table = g._power_tables[alpha] = _MpPowers(g.weights, alpha)",
+           "table = g._power_tables.get(\"mp\")\n    if table is None:\n"
+           "        table = g._power_tables[\"mp\"] = _MpPowers(g.weights, alpha)",
+           "the mpmath table is kept without its exponent, so a second alpha on a graph reads the first's"
+           " powers (test_oracle_exact.py::test_a_second_exponent_on_one_graph_reads_its_own_powers)"),
+    Mutant("instances.py", "if q.denominator != 1:", "if type(k) is not Fraction and q.denominator != 1:",
+           "int_powers reads any Fraction exponent as its numerator, a denominator 2 too"
+           " (test_instances.py::test_int_powers_of_a_whole_fraction_is_the_int_table)"),
 )
 
 
@@ -208,7 +222,8 @@ def unmatched(mutants=MUTANTS) -> list[str]:
 
 def run_mutant(m: Mutant) -> str:
     """Apply `m` in a temporary copy of the repository and run tier-1 there
-    with `-x`: "killed by <test>", or "survived"."""
+    with `-x`, the test files of its module first: "killed by <test>", or
+    "survived"."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -219,13 +234,19 @@ def run_mutant(m: Mutant) -> str:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.replace(m.old, m.new, 1))
         env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
+        stem = os.path.splitext(m.file)[0]
+        own = sorted(os.path.relpath(f, copy) for f in glob.glob(os.path.join(copy, "tests", f"test_{stem}*.py")))
         # tests/test_mutants.py checks the unmutated text, so it would kill every mutant
-        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-               "--continue-on-collection-errors", "--ignore", os.path.join("tests", "test_mutants.py")]
-        try:
-            proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return f"killed by the {TIMEOUT_S} s timeout"
+        rest = ["--ignore", os.path.join("tests", "test_mutants.py")] + [a for f in own for a in ("--ignore", f)]
+        for args in ([own] if own else []) + [rest]:
+            cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+                   "--continue-on-collection-errors", *args]
+            try:
+                proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                return f"killed by the {TIMEOUT_S} s timeout"
+            if proc.returncode != 0:
+                break
     if proc.returncode == 0:
         return "survived"
     for line in proc.stdout.splitlines():

@@ -207,6 +207,12 @@ def from_json_obj(doc: dict) -> Parsed:
         return PackingInstance.build(
             _field(doc, "universe", int, "universe"), sets, weights, _field(doc, "k", int, "k")
         )
+    # k and universe: the values `to_json_obj` writes, or absent
+    if doc.get("k") is not None:
+        raise InputError("a mwis document's 'k' must be null or absent")
+    if "universe" in doc and _typed(doc["universe"], int, "universe") != len(weights):
+        raise InputError(f"a mwis document's 'universe' must equal its number of weights, {len(weights)}, "
+                         f"or be absent; got {doc['universe']}")
     edges, seen = [], set()
     for e in _field(doc, "edges", list, "edges"):
         if len(_typed(e, list, "an edge")) != 2:

@@ -247,14 +247,21 @@ class ConflictGraph:
         `p` order exactly as the sums of the k-th powers of the weights do.
         For k > 0, p is `w_int`**k and den is L**k; for k < 0, den is M,
         the lcm of the `w_int`**-k, and p[v] = L**-k * M // w_int[v]**-k.
-        Built once per exponent, on first use."""
+        Built once per graph and exponent, on first use, and kept in
+        `_power_tables` under the int k; a Fraction k of denominator 1
+        finds it there as its numerator, without hashing the Fraction.
+        The same dict keeps the oracle's tables of mpmath powers for
+        non-integer exponents under their Fraction keys, which no int
+        equals."""
+        if type(k) is not int:
+            q = k if type(k) is Fraction else Fraction(k)
+            if q.denominator != 1:
+                raise InputError(f"no integer power table for the exponent {k}")
+            k = q.numerator
         table = self._power_tables.get(k)
         if table is None:
             if k == 0:
                 raise InputError("alpha=0 is rejected; use unit weights explicitly instead")
-            if Fraction(k).denominator != 1:
-                raise InputError(f"no integer power table for the exponent {k}")
-            k = int(k)
             if k > 0:
                 table = tuple(x ** k for x in self.w_int), self.w_lcm ** k
             else:

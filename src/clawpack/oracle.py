@@ -17,9 +17,11 @@ an integer alpha every comparison and gain here sums the graph's one
 table `ConflictGraph.int_powers(alpha)`, and the search sends
 each subset's deficit back into the walk, which then skips the extensions
 that cannot gain enough to improve; only a non-integer alpha goes through
-mpmath. The claw search charges each talon with its share of the other
-members it removes, which also settles most centers before any walk. The
-improvement found is the same, only the node count drops.
+mpmath, summing the graph's table of its powers (`_MpPowers`), which
+computes each vertex's power once per graph and exponent. The claw search
+charges each talon with its share of the other members it removes, which
+also settles most centers before any walk. The improvement found is the
+same, only the node count drops.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Collection, Iterable, Iterator, Optional, Sequence
 from .instances import (
     BudgetExceededError,
     ConflictGraph,
+    ContractError,
     Generic,
     Improvement,
     InputError,
@@ -160,41 +163,70 @@ def _oracle_result(g: ConflictGraph, order: Sequence[int], mask: int, nodes: int
     return OracleResult(best, best.total_w, nodes, optimal)
 
 
+class _MpPowers(dict):
+    """w(v)**alpha for the vertices of one graph at one non-integer alpha,
+    as mpmath floats of `_MP_PREC` bits: each is computed on its first
+    read, inside `mpmath.workprec(_MP_PREC)`, and kept. The graph keeps
+    the table in `ConflictGraph._power_tables` under alpha, beside the
+    integer tables of `int_powers`, and pickles with it. `tol` is
+    ALPHA_REL_TOL as an mpmath float."""
+
+    def __init__(self, weights: Sequence[Fraction], alpha: Fraction):
+        import mpmath
+
+        super().__init__()
+        self.weights = weights
+        self.alpha = mpmath.mpf(alpha.numerator) / alpha.denominator
+        self.tol = mpmath.mpf(ALPHA_REL_TOL.numerator) / ALPHA_REL_TOL.denominator
+
+    def __missing__(self, v: int):
+        import mpmath
+
+        w = self.weights[v]
+        p = self[v] = mpmath.power(mpmath.mpf(w.numerator) / w.denominator, self.alpha)
+        return p
+
+
 def _mp_power_sums(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iterable[int]):
-    """w^alpha(x) and w^alpha(nx) as mpmath floats; call inside
+    """w^alpha(x) and w^alpha(nx) as mpmath floats, summed from the graph's
+    table `_MpPowers` at `alpha`, and the table's tolerance; call inside
     mpmath.workprec(_MP_PREC)."""
     import mpmath
 
-    af = mpmath.mpf(alpha.numerator) / alpha.denominator
-
-    def term(v):
-        w = g.weights[v]
-        return mpmath.power(mpmath.mpf(w.numerator) / w.denominator, af)
-
-    return mpmath.fsum(term(v) for v in x), mpmath.fsum(term(v) for v in nx)
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
+    if alpha.denominator == 1:
+        raise ContractError(f"the exponent {alpha} is an integer: sum g.int_powers({alpha}) instead")
+    table = g._power_tables.get(alpha)
+    if table is None:
+        table = g._power_tables[alpha] = _MpPowers(g.weights, alpha)
+    return mpmath.fsum(map(table.__getitem__, x)), mpmath.fsum(map(table.__getitem__, nx)), table.tol
 
 
 def power_weight_improves(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iterable[int]) -> bool:
     """Decide w^alpha(x) > w^alpha(nx) for a non-integer rational alpha, in
     high-precision floating point with ALPHA_REL_TOL slack, counting ties as
-    non-improving. Integer exponents compare sums of `g.int_powers(alpha)`.
+    non-improving. Both sides sum the graph's table of w(v)^alpha
+    (`_MpPowers`), where each vertex's power is computed once per graph and
+    exponent, on its first use. Integer exponents compare sums of
+    `g.int_powers(alpha)`; passing one here is a ContractError.
     """
     import mpmath  # only non-integer alpha needs it
 
     with mpmath.workprec(_MP_PREC):
-        lhs, rhs = _mp_power_sums(g, Fraction(alpha), x, nx)
-        tol = mpmath.mpf(ALPHA_REL_TOL.numerator) / ALPHA_REL_TOL.denominator
+        lhs, rhs, tol = _mp_power_sums(g, alpha, x, nx)
         return lhs - rhs > tol * max(abs(lhs), abs(rhs))
 
 
 def power_weight_gain(g: ConflictGraph, alpha: Fraction, x: Iterable[int], nx: Iterable[int]) -> Fraction:
     """A high-precision rational rendering of w^alpha(x) - w^alpha(nx) for
-    a non-integer rational alpha. Integer exponents take the exact gain
-    from `Improvement.gain`."""
+    a non-integer rational alpha, summed from the same table of w(v)^alpha
+    as `power_weight_improves`, so the search's powers are not computed
+    again. Integer exponents take the exact gain from `Improvement.gain`."""
     import mpmath  # only non-integer alpha needs it
 
     with mpmath.workprec(_MP_PREC):
-        lhs, rhs = _mp_power_sums(g, Fraction(alpha), x, nx)
+        lhs, rhs, _ = _mp_power_sums(g, alpha, x, nx)
         return Fraction(lhs - rhs)
 
 
@@ -212,10 +244,14 @@ def exhaustive_improvement_search(
     improving X outside A, so restricting the enumeration loses nothing.
     For integer alpha the two sides are compared as sums of the table
     `int_powers(alpha)` of `a`'s graph; other exponents go through
-    `power_weight_improves`.
+    `power_weight_improves`, which sums the graph's table of mpmath powers.
+    Either table is built once per graph and exponent and read by every
+    later search, so a search computes no power another has computed. A
+    Fraction alpha is used as it is, not rebuilt.
     """
     g = a.g
-    alpha = Fraction(alpha)
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
     p = g.int_powers(alpha)[0] if alpha.denominator == 1 else None
     if size_cap < 1:
         return None

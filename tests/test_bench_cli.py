@@ -281,6 +281,35 @@ def test_bench_parallel_finals_hold_the_parents_graph():
     assert emit_report(bench.BenchReport(rows)) == emit_report(bench.BenchReport(serial))
 
 
+def test_bench_rows_from_a_graph_holding_mpmath_powers_pickle_to_the_serial_rows():
+    """Non-integer param rows leave the graph's table of w(v)**alpha filled
+    with mpmath floats; the graph pickles with it, and under a `pmap` that
+    pickles each task, as `--jobs 2` does, gives the serial rows again."""
+    import pickle
+
+    import clawpack.bench as bench
+
+    algos = [{"algo": "parametrized", "alpha": alpha, "cap_c": "1"} for alpha in ("1/2", "-1/2", "2")]
+    instances = []
+    for spec in ({"id": "b4", "gen": {"family": "berman", "d": 4}, "start": [0, 1, 2]},
+                 # from its optimum, a fixed point at alpha 1/2 but not at -1/2
+                 {"id": "nu", "gen": {"family": "random", "sets": 10, "k": 3, "universe": 8,
+                                      "dist": "near-unit:1/20", "seed": 0}, "start": [1, 6, 9]}):
+        inst, g = instance_from_gen_spec(spec["gen"])
+        instances.append((spec["id"], g, inst, spec))
+
+    def run(pmap):
+        return emit_report(bench.BenchReport(bench._run_phases(instances, algos, [0], 20, Fraction(1, 2), pmap)))
+
+    serial = run(lambda fn, tasks: [fn(*t) for t in tasks])
+    g = instances[1][1]
+    table = g._power_tables[Fraction(1, 2)]
+    assert len(table) == g.n and Fraction(-1, 2) in g._power_tables
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy._power_tables == g._power_tables and copy._power_tables[Fraction(1, 2)].alpha == table.alpha
+    assert run(lambda fn, tasks: [pickle.loads(pickle.dumps(fn(*pickle.loads(pickle.dumps(t))))) for t in tasks]) == serial
+
+
 def test_bench_optimum_sends_back_members_and_weight_not_the_graph():
     """A worker's optimum goes back to the parent as its members and its
     weight, which pickle smaller than the graph they came from."""

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -96,6 +97,25 @@ def test_json_rejects_fields_of_the_other_kind(doc, message):
     other = "edges" if doc["kind"] == "ksp" else "sets"
     formats.from_json_obj({**doc, other: None})
     formats.from_json_obj({f: v for f, v in doc.items() if f != other})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("k", 7, "a mwis document's 'k' must be null or absent"),
+    ("k", 0, "a mwis document's 'k' must be null or absent"),
+    ("universe", 99, "a mwis document's 'universe' must equal its number of weights, 2, or be absent; got 99"),
+    ("universe", 1, "a mwis document's 'universe' must equal its number of weights, 2, or be absent; got 1"),
+    ("universe", None, "universe must be an integer, got None"),
+    ("universe", "2", "universe must be an integer, got '2'"),
+])
+def test_json_rejects_a_mwis_k_or_universe_that_no_writer_writes(field, value, message):
+    g = ConflictGraph.from_edges(2, [(0, 1)], [1, 1])
+    doc = formats.to_json_obj(g)
+    assert (doc["k"], doc["universe"]) == (None, 2)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        formats.from_json_obj({**doc, field: value})
+    # the value `to_json_obj` writes, and its absence, are accepted
+    assert formats.from_json_obj(doc) == g
+    assert formats.from_json_obj({f: v for f, v in doc.items() if f != field}) == g
 
 
 def test_json_rejects_a_repeated_edge_as_text_does():

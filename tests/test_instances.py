@@ -294,6 +294,22 @@ def test_graph_validation_messages(make, message):
         make()
 
 
+def test_int_powers_of_a_whole_fraction_is_the_int_table():
+    """A Fraction exponent of denominator 1 reads the table of its int, the
+    same object; a denominator-2 exponent has no integer table, also once
+    the oracle keeps its mpmath table of that exponent in the same dict."""
+    from clawpack.oracle import power_weight_improves
+
+    g = ConflictGraph.from_edges(3, [(0, 1)], [Fraction(3, 2), 2, Fraction(5, 7)])
+    for k in (-2, -1, 1, 2, 3):
+        assert g.int_powers(Fraction(k)) is g.int_powers(k)
+        assert g.int_powers(k) is g.int_powers(Fraction(k))
+    assert power_weight_improves(g, Fraction(1, 2), [1], [0])
+    for k in (Fraction(1, 2), Fraction(-3, 2), 0.5):
+        with raises_exactly(f"no integer power table for the exponent {k}"):
+            g.int_powers(k)
+
+
 def test_direct_construction_takes_int_and_fraction_weights():
     g = ConflictGraph(2, ((1,), (0,)), (2, Fraction(1, 3)))
     assert g.w_int == (6, 1) and g.w_lcm == 3

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from clawpack import certify, oracle
 from clawpack.certify import AnalysisParams, certify_local_optimum
 from clawpack.circular import build_anchor_maps
-from clawpack.generators import gen_random_packing
+from clawpack.generators import berman_tight_instance, gen_random_packing
 from clawpack.instances import (
     BudgetExceededError,
     ConflictGraph,
+    ContractError,
     Generic,
     Improvement,
     InputError,
@@ -459,6 +460,74 @@ def test_power_weight_improves_integer_alpha_is_exact(g, alpha, data):
     assert Fraction(*Improvement(frozenset(x), frozenset(nx), Generic(Fraction(alpha))).gain(g)) == lhs - rhs
     p, den = g.int_powers(alpha)
     assert all(Fraction(p[v], den) == g.weights[v] ** alpha for v in range(g.n))
+
+
+# ------------------------------------------------------------ tables of w**alpha
+
+NON_INTEGER_ALPHAS = (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(2, 3))
+
+
+def fresh(g: ConflictGraph) -> ConflictGraph:
+    """The same graph as a new object, with no power table built."""
+    return ConflictGraph(g.n, g.adj, g.weights, g.d)
+
+
+def test_a_second_exponent_on_one_graph_reads_its_own_powers():
+    """sqrt(9) > sqrt(4), but 9**(-1/2) < 4**(-1/2): the table of 1/2, built
+    first, must not answer for -1/2, nor the other way round."""
+    g = ConflictGraph.from_edges(2, [], [9, 4])
+    assert oracle.power_weight_improves(g, Fraction(1, 2), [0], [1])
+    assert not oracle.power_weight_improves(g, Fraction(-1, 2), [0], [1])
+    assert oracle.power_weight_improves(g, Fraction(-1, 2), [1], [0])
+    assert not oracle.power_weight_improves(g, Fraction(1, 2), [1], [0])
+    with pytest.raises(InputError, match="no integer power table"):
+        g.int_powers(Fraction(1, 2))
+    with pytest.raises(ContractError, match="is an integer"):
+        oracle.power_weight_improves(g, Fraction(2), [0], [1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(prime_weighted_graphs(max_n=12), tied_graphs(max_n=12)),
+    st.lists(st.sampled_from(NON_INTEGER_ALPHAS), min_size=2, max_size=2, unique=True),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_power_tables_filled_by_earlier_calls_give_the_fresh_answers(g, alphas, cap, data):
+    """Each comparison and each search answers the same on a graph whose
+    tables earlier calls at both exponents filled as on a fresh copy."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    members = maximal_solution(g, rng).members
+    vertices = st.lists(st.integers(0, g.n - 1), unique=True, max_size=4)
+    pairs = [(data.draw(vertices), data.draw(vertices)) for _ in range(3)]
+    warm = fresh(g)
+    for alpha in alphas:
+        for x, nx in pairs:
+            oracle.power_weight_improves(warm, alpha, x, nx)
+        exhaustive_improvement_search(Solution.of(warm, members), alpha, cap)
+    assert set(warm._power_tables) == set(alphas)
+    for alpha in alphas:
+        for x, nx in pairs:
+            assert oracle.power_weight_improves(warm, alpha, x, nx) == oracle.power_weight_improves(
+                fresh(g), alpha, x, nx)
+        assert exhaustive_improvement_search(Solution.of(warm, members), alpha, cap) == (
+            exhaustive_improvement_search(Solution.of(fresh(g), members), alpha, cap))
+
+
+def test_half_power_search_computes_each_vertex_power_once():
+    """From the small side of the tight d = 6 example (20 vertices), the
+    alpha = 1/2 search with cap 2 walks every subset and finds none; it
+    computes w(v)**1/2 once per vertex (it was 550 times, once per term),
+    and a second search on the graph computes none."""
+    import mpmath
+
+    g = build_conflict_graph(berman_tight_instance(6))
+    a = Solution.of(g, range(5))
+    with mock.patch.object(mpmath, "power", wraps=mpmath.power) as spy:
+        assert exhaustive_improvement_search(a, Fraction(1, 2), 2) is None
+        assert spy.call_count == g.n == 20
+        assert exhaustive_improvement_search(a, Fraction(1, 2), 2) is None
+        assert spy.call_count == 20
 
 
 # ------------------------------------------------------------ certificate
