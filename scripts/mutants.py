@@ -66,14 +66,17 @@ MUTANTS = (
     # the bound that skips inducers without an edge, and the vertex cap over the lazy blocks;
     # low(v) summing only the negative spills would be equivalent: every spill is negative
     # (`CircularState._low_at`), so it is not listed
-    Mutant("circular.py", "low = self._low[v] = sum(self._spills(v).values())",
-           "low = self._low[v] = min(self._spills(v).values(), default=0)",
+    Mutant("circular.py", "low = self._low[v] = sum(spill.values())",
+           "low = self._low[v] = min(spill.values(), default=0)",
            "low(v) takes the least spill, not their sum, so it skips inducers whose edges need two candidates"),
-    Mutant("circular.py", "if base <= self._low_at(v1) + self._low_at(v2):",
-           "if base < self._low_at(v1) + self._low_at(v2):",
+    Mutant("circular.py", "if base <= self._low_at(v1, spills) + self._low_at(v2, spills):",
+           "if base < self._low_at(v1, spills) + self._low_at(v2, spills):",
            "the bound admits inducers whose base meets it, and builds blocks at their anchors"),
     Mutant("circular.py", "if self._n_vertices > _MAX_AUX_VERTICES:", "if False:",
            "the vertex cap is checked only before the lazy builds"),
+    Mutant("circular.py", "spill = spills[v] if v in spills else self._spills(v)", "spill = self._spills(v)",
+           "a vertex block recomputes the spills low(v) computed in the same call"
+           " (test_circular.py::test_each_anchor_spills_once_per_edge_block_update)"),
     # the block-dirtying rules: a vertex block leaves only with its last holder
     Mutant("circular.py", "self._n_vertices -= len(self._vblocks.pop(v).ids)", "pass",
            "a vertex block whose last holder lets go stays, stale, and is reused"),
@@ -82,8 +85,6 @@ MUTANTS = (
     # the solution's graph
     Mutant("instances.py", "    if s.g is not g:\n        raise ContractError", "    if False:\n        raise ContractError",
            "verify_solution checks a solution over another graph"),
-    Mutant("instances.py", "    if a.g is not g:\n        raise ContractError", "    if False:\n        raise ContractError",
-           "validate_improvement checks a solution over another graph"),
     Mutant("circular.py", "if state is not None and state.a is not a:", "if False:",
            "build_anchor_maps re-anchors a state over another solution than the one it holds"),
     Mutant("certify.py", "if astar.g is not g:", "if False:",
@@ -118,6 +119,12 @@ MUTANTS = (
            "the claw state never frees a vertex whose last solution neighbor left"),
     Mutant("solvers.py", "if not settled.isdisjoint(adj[v]):", "if False:",
            "the claw state never reopens a settled center near a removed vertex"),
+    # the scaled run's restriction, and the greedy pass of greedy and of the claw search's free step
+    Mutant("solvers.py", "tuple(fwd[u] for u in g.adj[v] if u in fwd)", "tuple(fwd.get(u, u) for u in g.adj[v])",
+           "the restriction's kept lists keep the dropped vertices' ids"
+           " (test_solvers.py::test_scale_truncate_restricts_to_the_induced_subgraph)"),
+    Mutant("solvers.py", "blocked.update(g.adj[v])", "pass",
+           "a pick of the greedy pass no longer blocks its neighbors (test_solvers.py::test_greedy_path)"),
     # the strict comparisons, the charges and the cycle-length bounds
     Mutant("oracle.py", "improves = r < x_p[k]", "improves = r <= x_p[k]",
            "a swap of equal weight counts as an improvement"),
@@ -130,9 +137,9 @@ MUTANTS = (
     Mutant("circular.py", "    if len(u_list) > max_cycle_len_for(g.n):\n        return False\n", "",
            "validate_circular accepts a cycle past the length bound"),
     # every other check of validate_circular, and the vertex range of validate_improvement
-    Mutant("circular.py", "if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):",
-           "if not validate_improvement(g, a, imp):", "validate_circular reads evidence that is not Circular"),
-    Mutant("circular.py", "if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):",
+    Mutant("circular.py", "if not isinstance(kind, Circular) or not validate_improvement(a, imp):",
+           "if not validate_improvement(a, imp):", "validate_circular reads evidence that is not Circular"),
+    Mutant("circular.py", "if not isinstance(kind, Circular) or not validate_improvement(a, imp):",
            "if not isinstance(kind, Circular):", "validate_circular skips validate_improvement"),
     Mutant("circular.py", "if len(u_list) < 2 or len(set(u_list)) != len(u_list):",
            "if len(set(u_list)) != len(u_list):", "validate_circular accepts a cycle of one inducer"),

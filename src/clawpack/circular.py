@@ -449,27 +449,29 @@ class CircularState:
         w2 = g.w2_int
         return {x: sum(w2[z] for z in a_nbrs[x] if z != v) - w2[x] for x in g.adj[v] if anchor.get(x) == v}
 
-    def _low_at(self, v: int) -> int:
+    def _low_at(self, v: int, spills: dict[int, dict[int, int]]) -> int:
         """low(v), a lower bound on the net of every companion set at anchor
         v: the sum of its candidates' spills, every one of them negative. A
         candidate x has 2 w(x) > w(v) + S, S = w(N(x, A) - v), and v is its
         heaviest solution neighbor, so 4 w2(x) > (w(v) + S)^2 >= 4 w(v) S
-        >= 4 w2(N(x, A) - v)."""
+        >= 4 w2(N(x, A) - v). The spills it sums are kept in `spills`."""
         low = self._low.get(v)
         if low is None:
-            low = self._low[v] = sum(self._spills(v).values())
+            spill = spills[v] = self._spills(v)
+            low = self._low[v] = sum(spill.values())
         return low
 
-    def _hold(self, v: int) -> _VertexBlock:
+    def _hold(self, v: int, spills: dict[int, dict[int, int]]) -> _VertexBlock:
         """Count one more admitted inducer at anchor v, and return the
         vertex block at v, built if it is the first: one aux vertex per
         companion set, largest first, then in id order, each with its net;
-        an anchor with no candidate has the one vertex y = (), net 0."""
+        an anchor with no candidate has the one vertex y = (), net 0. It
+        reads the spills at v from `spills` if `_low_at` computed them."""
         held = self._users.get(v, 0)
         self._users[v] = held + 1
         if held:
             return self._vblocks[v]
-        spill = self._spills(v)
+        spill = spills[v] if v in spills else self._spills(v)
         ys = [(), *independent_subsets(self.a.g, list(spill), self.y_cap)]
         ys.sort(key=lambda y: (-len(y), y))
         nets = [sum(spill[x] for x in y) for y in ys]
@@ -536,12 +538,13 @@ class CircularState:
         todo = [u for u in dirty if len(a_nbrs[u]) >= 2]
         dirty.clear()
         total = self.checks
+        spills: dict[int, dict[int, int]] = {}  # by anchor, for this call only
         for i, u in enumerate(todo):
             v1, v2, *rest = a_nbrs[u]
             base = 2 * w2[u] - w2[v1] - w2[v2] - 2 * sum(w2[x] for x in rest)
-            if base <= self._low_at(v1) + self._low_at(v2):
+            if base <= self._low_at(v1, spills) + self._low_at(v2, spills):
                 continue  # no edge (see `build_aux_graph`)
-            b1, b2 = self._hold(v1), self._hold(v2)
+            b1, b2 = self._hold(v1, spills), self._hold(v2, spills)
             try:
                 if self._n_vertices > _MAX_AUX_VERTICES:
                     raise SearchIncompleteError(f"aux graph exceeded {_MAX_AUX_VERTICES} vertices")
@@ -1014,7 +1017,7 @@ def validate_circular(a: Solution, imp: Improvement, d: int) -> bool:
     """
     g = a.g
     kind = imp.kind
-    if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):
+    if not isinstance(kind, Circular) or not validate_improvement(a, imp):
         return False
     x = imp.x
     u_list = list(kind.u)

@@ -123,7 +123,7 @@ def solve_cmd(algo, alpha, cap_c, scale_n, seed, claw_d, unit, exact,
         # the w**alpha gain of the first swap would raise a TypeError
         raise click.ClickException(
             f"--alpha {alpha}: param mode takes integer exponents only; exact gains for"
-            " non-integer exponents are ROADMAP direction 3"
+            " non-integer exponents are ROADMAP direction 1"
         )
     circular = ColorCodingParams.defaults(g, inst, mode=cc_mode) if cc_mode else None
     cfg = SolverConfig(

@@ -26,10 +26,11 @@ are correct by construction skip what they made sure of, through the
 private `_of_parts` constructors, which check nothing:
 `ConflictGraph.from_edges` and `reweighted` check their edges and weights,
 not the adjacency they build; `build_conflict_graph` reads the instance's
-checked sets and weights, and `gen_random_packing` draws its sets sorted,
-distinct and in range. Where a fast check fails, the public constructor
-names the failure, so every message and its precedence stay the
-constructor's.
+checked sets and weights, `gen_random_packing` draws its sets sorted,
+distinct and in range, and `solvers.scale_truncate_run` restricts a graph
+and its instance to the part induced by the kept vertices. Where a fast
+check fails, the public constructor names the failure, so every message
+and its precedence stay the constructor's.
 """
 
 from __future__ import annotations
@@ -560,20 +561,19 @@ def verify_solution(g: ConflictGraph, s: Solution) -> bool:
     return g.is_independent(s.members)
 
 
-def validate_improvement(g: ConflictGraph, a: Solution, imp: Improvement) -> bool:
-    """Re-check an Improvement against the solution it was found for.
+def validate_improvement(a: Solution, imp: Improvement) -> bool:
+    """Re-check an Improvement against the solution `a` it was found for,
+    over `a`'s graph.
 
-    Requires x a nonempty set of vertices of `g` (an id outside range(n)
-    gives False, not an error), independent and disjoint from A, removed =
-    N(x, A), and a positive gain in the exponent of the improvement's kind
-    (2 for claw-shaped and circular kinds): `Improvement.gain` for an
-    integer exponent, `power_weight_improves` for a non-integer alpha.
-    `circular.validate_circular` calls it for every circular candidate and
-    adds the cycle checks. A solution over another graph than `g` is a
-    `ContractError`.
+    Requires x a nonempty set of vertices of the graph (an id outside
+    range(n) gives False, not an error), independent and disjoint from A,
+    removed = N(x, A), and a positive gain in the exponent of the
+    improvement's kind (2 for claw-shaped and circular kinds):
+    `Improvement.gain` for an integer exponent, `power_weight_improves` for
+    a non-integer alpha. `circular.validate_circular` calls it for every
+    circular candidate and adds the cycle checks.
     """
-    if a.g is not g:
-        raise ContractError("the solution is over another graph")
+    g = a.g
     if not imp.x or min(imp.x) < 0 or max(imp.x) >= g.n or (imp.x & a.members):
         return False
     if not g.is_independent(imp.x):

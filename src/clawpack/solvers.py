@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .circular import (
     CircularState,
@@ -65,14 +65,19 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.scaling_n is not None and Fraction(self.scaling_n) <= 1:
-            raise InputError("scaling constant must exceed 1")
-        if Fraction(self.size_cap_factor) <= 0:
+        if self.scaling_n is not None:
+            self.scaling_n = Fraction(self.scaling_n)
+            if self.scaling_n <= 1:
+                raise InputError("scaling constant must exceed 1")
+        self.size_cap_factor = Fraction(self.size_cap_factor)
+        if self.size_cap_factor <= 0:
             raise InputError("size cap factor must be positive")
+        if self.alpha is not None:
+            self.alpha = Fraction(self.alpha)
         if self.mode == "parametrized":
             if self.alpha is None:
                 raise InputError("parametrized mode needs alpha")
-            if Fraction(self.alpha) == 0:
+            if self.alpha == 0:
                 raise InputError("alpha=0 is rejected; use unit weights explicitly instead")
 
 
@@ -99,13 +104,16 @@ class ImprovementRecord:
 class RunTrace:
     improvements: list[ImprovementRecord]
     final: Solution
-    scaled: bool = False
     notes: tuple[str, ...] = ()
     iteration_bound: Optional[Fraction] = None
 
     @property
     def iterations(self) -> int:
         return len(self.improvements)
+
+    @property
+    def scaled(self) -> bool:
+        return self.iteration_bound is not None
 
     def to_json_obj(self) -> dict:
         return {
@@ -128,6 +136,18 @@ def _resolve_d(g: ConflictGraph, cfg_d: Optional[int]) -> int:
     return d
 
 
+def _greedy_pass(g: ConflictGraph, order: Iterable[int]) -> list[int]:
+    """The vertices of `order`, in order, that no earlier pick is next to:
+    each one taken blocks its neighbors. The picks are independent."""
+    picked: list[int] = []
+    blocked: set[int] = set()
+    for v in order:
+        if v not in blocked:
+            picked.append(v)
+            blocked.update(g.adj[v])
+    return picked
+
+
 def greedy(g: ConflictGraph) -> Solution:
     """Pick the maximum-weight remaining vertex (ties to the lowest id) and
     delete its closed neighborhood, until nothing remains.
@@ -135,13 +155,7 @@ def greedy(g: ConflictGraph) -> Solution:
     One pass over `g.weight_order` takes each vertex none of whose
     neighbors was taken before it, which picks the same set.
     """
-    chosen: set[int] = set()
-    blocked: set[int] = set()
-    for v in g.weight_order:
-        if v not in blocked:
-            chosen.add(v)
-            blocked.update(g.adj[v])
-    return Solution.of(g, chosen)
+    return Solution(g, set(_greedy_pass(g, g.weight_order)))
 
 
 # Talon-search nodes per claw call, counted across its centers.
@@ -252,13 +266,7 @@ def find_claw_improvement(state: ClawSearchState) -> Optional[Improvement]:
     """
     g = state.a.g
     if state.free:
-        picked: list[int] = []
-        blocked: set[int] = set()
-        for v in sorted(state.free):
-            if v not in blocked:
-                picked.append(v)
-                blocked.update(g.adj[v])
-        return Improvement(frozenset(picked), frozenset(), ClawShaped(center=None))
+        return Improvement(frozenset(_greedy_pass(g, sorted(state.free))), frozenset(), ClawShaped(center=None))
 
     cap, a_nbrs = state.max_talons, state.a.a_nbrs
     nodes = count(1)
@@ -370,61 +378,58 @@ def parametrized_local_search(
     The size cap is floor(C * log2(n)), floored at 1 so singleton
     insertions stay available on tiny instances.
     """
-    alpha = Fraction(cfg.alpha)
-    cap = max(1, math.floor(float(cfg.size_cap_factor) * math.log(max(2, g.n), 2)))
+    cap = max(1, math.floor(cfg.size_cap_factor * math.log(max(2, g.n), 2)))
     a = Solution.of(g, start.members if start else ())
-    return _loop(a, lambda: exhaustive_improvement_search(a, alpha, cap), keep_partial_on_budget=True)
+    return _loop(a, lambda: exhaustive_improvement_search(a, cfg.alpha, cap), keep_partial_on_budget=True)
 
 
-def scale_truncate_run(
-    g: ConflictGraph,
-    cfg: SolverConfig,
-    inner: Callable[[ConflictGraph, SolverConfig, Optional[PackingInstance]], RunTrace],
-    inst: Optional[PackingInstance] = None,
-) -> RunTrace:
+def scale_truncate_run(g: ConflictGraph, cfg: SolverConfig, inst: Optional[PackingInstance] = None) -> RunTrace:
     """Rescale weights so the greedy solution weighs N*|V|, truncate to
-    integers, drop floor-zero vertices, run the inner solver, map back.
+    integers, drop floor-zero vertices, run cfg.mode on the rest, map back.
 
     The integer squared weight of any solution is then at most
-    (d-1)^2 * N^2 * |V|^2, which bounds the iteration count. When the graph
-    came from a packing instance, the surviving sets are passed through so
-    the randomized circular search stays available.
+    (d-1)^2 * N^2 * |V|^2, which bounds the iteration count. The rest is
+    the subgraph induced by the kept vertices in id order, so its lists
+    stay sorted and symmetric, and it is built unchecked, as are the kept
+    sets of a packing instance, passed through so the randomized circular
+    search stays available.
     """
     if cfg.scaling_n is None:
         raise InputError("scale_truncate_run needs cfg.scaling_n > 1")
-    n_const = Fraction(cfg.scaling_n)
     d = _resolve_d(g, cfg.d)
+    bound = (d - 1) ** 2 * cfg.scaling_n ** 2 * g.n ** 2
     if g.n == 0:
-        return RunTrace([], Solution.of(g, ()), scaled=True)
-    a_prime = greedy(g)
-    factor = n_const * g.n / a_prime.total_w
+        return RunTrace([], Solution(g, set()), iteration_bound=bound)
+    factor = cfg.scaling_n * g.n / greedy(g).total_w
     floored = [math.floor(w * factor) for w in g.weights]
     keep = [v for v in range(g.n) if floored[v] >= 1]
     fwd = {v: i for i, v in enumerate(keep)}
-    sub_edges = [(fwd[u], fwd[v]) for u, v in g.edges() if u in fwd and v in fwd]
-    sub = ConflictGraph.from_edges(
-        len(keep), sub_edges, [Fraction(floored[v]) for v in keep], d=g.d
-    )
+    weights = tuple(Fraction(floored[v]) for v in keep)
+    adj = tuple(tuple(fwd[u] for u in g.adj[v] if u in fwd) for v in keep)
+    sub = ConflictGraph._of_parts(len(keep), adj, weights, g.d)
     sub_inst = None
     if inst is not None:
-        sub_inst = PackingInstance.build(
-            inst.universe_size,
-            [inst.sets[v] for v in keep],
-            [Fraction(floored[v]) for v in keep],
-            inst.k,
-        )
-    trace = inner(sub, cfg, sub_inst)
-    bound = (d - 1) ** 2 * n_const ** 2 * Fraction(g.n) ** 2
+        sub_inst = PackingInstance._of_parts(inst.universe_size, tuple(inst.sets[v] for v in keep), weights, inst.k)
+    trace = _run(sub, cfg, sub_inst, None)
     if trace.iterations > bound:
         raise RuntimeError(f"iteration count {trace.iterations} exceeds scaling bound {bound}")
-    final = Solution.of(g, {keep[i] for i in trace.final.members})
     return RunTrace(
         improvements=trace.improvements,
-        final=final,
-        scaled=True,
+        final=Solution(g, {keep[i] for i in trace.final.members}),
         notes=trace.notes + (f"scaled by {factor} and truncated; {g.n - len(keep)} vertices dropped",),
         iteration_bound=bound,
     )
+
+
+def _run(g: ConflictGraph, cfg: SolverConfig, inst: Optional[PackingInstance], start: Optional[Solution]) -> RunTrace:
+    """The unscaled run of cfg.mode on `g`. Greedy ignores the start."""
+    if cfg.mode == "greedy":
+        return RunTrace([], greedy(g))
+    if cfg.mode == "squareimp":
+        return squareimp(g, cfg, start)
+    if cfg.mode == "logimp":
+        return logimp(g, cfg, start, inst)
+    return parametrized_local_search(g, cfg, start)
 
 
 def solve(
@@ -439,18 +444,8 @@ def solve(
     local search given both a start and cfg.scaling_n is an InputError.
     Greedy ignores the start.
     """
-
-    def run(graph: ConflictGraph, config: SolverConfig, instance: Optional[PackingInstance]) -> RunTrace:
-        if config.mode == "greedy":
-            return RunTrace([], greedy(graph))
-        if config.mode == "squareimp":
-            return squareimp(graph, config, start=start)
-        if config.mode == "logimp":
-            return logimp(graph, config, start=start, inst=instance)
-        return parametrized_local_search(graph, config, start=start)
-
     if cfg.scaling_n is not None and cfg.mode != "greedy":
         if start is not None:
             raise InputError("a start solution cannot be combined with scaling")
-        return scale_truncate_run(g, cfg, run, inst=inst)
-    return run(g, cfg, inst)
+        return scale_truncate_run(g, cfg, inst)
+    return _run(g, cfg, inst, start)

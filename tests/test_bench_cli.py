@@ -728,6 +728,7 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
 
     monkeypatch.setattr(br, "run_one", fake_run_one)
     monkeypatch.setattr(br, "scale_curve", lambda: [])
+    monkeypatch.setattr(br, "input_curve", lambda: [])
     monkeypatch.setattr(br, "oracle_curve", lambda: [])
     last = {"n": 409600, "squareimp_s": 4.0, "logimp_s": 9.0}
     if bad == "capped":

@@ -234,12 +234,11 @@ def test_validators_refuse_a_vertex_outside_the_graph(bad):
     """An id outside range(n) in x is a refusal, not an error, for both
     validators: alone, and added to a swap that validates."""
     a, imp = ring_swap()
-    g = a.g
-    v = g.n if bad == "n" else -1
+    v = a.g.n if bad == "n" else -1
     assert validate_circular(a, imp, d=4)
-    assert not validate_improvement(g, a, Improvement(frozenset({v}), frozenset()))
+    assert not validate_improvement(a, Improvement(frozenset({v}), frozenset()))
     tampered = dataclasses.replace(imp, x=imp.x | {v})
-    assert not validate_improvement(g, a, tampered)
+    assert not validate_improvement(a, tampered)
     assert not validate_circular(a, tampered, d=4)
     assert not validate_circular(a, dataclasses.replace(imp, x=frozenset({v})), d=4)
 
@@ -255,7 +254,7 @@ def validate_circular_as_pairs(a, imp, d):
     the graph where the one of its day raised."""
     g = a.g
     kind = imp.kind
-    if not isinstance(kind, Circular) or not validate_improvement(g, a, imp):
+    if not isinstance(kind, Circular) or not validate_improvement(a, imp):
         return False
     x = imp.x
     u_list = list(kind.u)
@@ -1523,6 +1522,48 @@ def test_circular_state_under_scaling(mode):
         seen = {k: seen[k] + check.seen[k] for k in seen}
     assert min(calls) >= 1 and max(calls) >= 2 and seen["dfs"] > 0
     assert (seen["dp"] > 0 and seen["colorings"] > 0) == (mode == "rand")
+
+
+def test_each_anchor_spills_once_per_edge_block_update():
+    """Within one `_update_edge_blocks` call no anchor's spills are computed
+    twice: a vertex block built at an anchor whose low(v) this call computed
+    reads its spills. Over logimp on tight unions and on random k=3
+    packings, fewer spills are computed than low(v) values and blocks."""
+    per_call, lows, builds = [], [], []
+    spills, low_at, hold = CircularState._spills, CircularState._low_at, CircularState._hold
+    update = CircularState._update_edge_blocks
+
+    def counted_update(self):
+        per_call.append([])
+        return update(self)
+
+    def counted_spills(self, v):
+        per_call[-1].append(v)
+        return spills(self, v)
+
+    def counted_low_at(self, v, cache):
+        if v not in self._low:
+            lows.append(v)
+        return low_at(self, v, cache)
+
+    def counted_hold(self, v, cache):
+        if v not in self._users:
+            builds.append(v)
+        return hold(self, v, cache)
+
+    cases = [tight_copies(5, 6, seed=11), tight_with_random_sets(2, copies=6, extra=16)]
+    cases += [(gen_random_packing(40, 3, 30, seed=seed), None) for seed in range(4)]
+    with (
+        mock.patch.object(CircularState, "_update_edge_blocks", counted_update),
+        mock.patch.object(CircularState, "_spills", counted_spills),
+        mock.patch.object(CircularState, "_low_at", counted_low_at),
+        mock.patch.object(CircularState, "_hold", counted_hold),
+    ):
+        for inst, small in cases:
+            g = build_conflict_graph(inst)
+            logimp(g, SolverConfig(mode="logimp"), start=small and Solution.of(g, small), inst=inst)
+    assert len(per_call) > 10 and all(len(vs) == len(set(vs)) for vs in per_call)
+    assert builds and sum(map(len, per_call)) < len(lows) + len(builds)
 
 
 def random_swap(rng, g, members):

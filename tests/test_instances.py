@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -382,16 +383,6 @@ def test_verify_solution_rejects_a_solution_over_another_graph(unit_path3):
         verify_solution(copy, Solution.of(unit_path3, [0, 2]))
 
 
-def test_validate_improvement_rejects_a_solution_over_another_graph():
-    g = ConflictGraph.from_edges(5, [(0, 1), (0, 2), (1, 4)], [2, 3, 2, 1, 1])
-    copy = g.reweighted(g.weights)
-    a = Solution.of(g, [0])
-    imp = Improvement(frozenset({1, 2}), frozenset({0}), ClawShaped(0))
-    assert validate_improvement(g, a, imp)
-    with pytest.raises(ContractError, match="the solution is over another graph"):
-        validate_improvement(copy, a, imp)
-
-
 def test_squareimp_leaves_one_adjacency_and_sets_as_sorted_tuples():
     """After squareimp and logimp on 2,000 random sets, the graph holds no
     table of a set per vertex (its adjacency is the sorted tuples `adj`),
@@ -478,4 +469,16 @@ VALIDATION_CASES = [
 def test_validate_improvement_table(x, removed, kind, ok):
     g = ConflictGraph.from_edges(5, [(0, 1), (0, 2), (1, 4)], [2, 3, 2, 1, 1])
     a = Solution.of(g, [0])
-    assert validate_improvement(g, a, Improvement(frozenset(x), frozenset(removed), kind)) is ok
+    assert validate_improvement(a, Improvement(frozenset(x), frozenset(removed), kind)) is ok
+
+
+@pytest.mark.parametrize("leaves, ok", [((4, 4), True), ((1, 1), False)])
+def test_validate_improvement_weighs_a_non_integer_alpha(leaves, ok):
+    """Two leaves swapped in for their center of weight 9, weighed in
+    w**(1/2): leaves of weight 4 gain 2 + 2 - 3 = 1, though they lose in
+    w**2, and leaves of weight 1 lose 1 + 1 - 3 = -1."""
+    g = ConflictGraph.from_edges(3, [(0, 1), (0, 2)], [9, *leaves])
+    a = Solution.of(g, [0])
+    imp = Improvement(frozenset({1, 2}), frozenset({0}), Generic(Fraction(1, 2)))
+    assert validate_improvement(a, imp) is ok
+    assert not validate_improvement(a, dataclasses.replace(imp, kind=Generic(Fraction(2))))

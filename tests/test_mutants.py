@@ -24,6 +24,6 @@ def test_every_mutant_old_text_occurs_exactly_once():
 def test_an_old_text_that_does_not_occur_once_is_reported():
     mutants = load_mutants()
     missing = mutants.Mutant("instances.py", "no such text", "x", "")
-    twice = mutants.Mutant("instances.py", "raise ContractError", "x", "")
+    twice = mutants.Mutant("instances.py", "return False", "x", "")
     problems = mutants.unmatched((missing, twice))
     assert [p.split(":")[0] for p in problems] == ["0 instances.py", "1 instances.py"]

@@ -203,29 +203,56 @@ def test_parametrized_budget_aborts_with_best_so_far(monkeypatch):
     assert g.is_independent(tr.final.members)
 
 
+def scaled_squareimp(g, scaling_n, inst=None):
+    """The scaled squareimp run on `g`, and the restricted graph and
+    instance its inner run got."""
+    with mock.patch.object(solvers, "squareimp", wraps=solvers.squareimp) as inner:
+        tr = scale_truncate_run(g, SolverConfig(mode="squareimp", scaling_n=scaling_n), inst)
+    (sub, cfg, start), _ = inner.call_args
+    assert inner.call_count == 1 and start is None
+    return tr, sub
+
+
 def test_scale_truncate_arithmetic_example():
     g = ConflictGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)], [5, 3, 2, 1], d=4)
-    captured = {}
-
-    def inner(sub, cfg, inst):
-        captured["weights"] = sub.weights
-        return squareimp(sub, cfg)
-
-    tr = scale_truncate_run(g, SolverConfig(mode="squareimp", scaling_n=Fraction(2)), inner)
-    assert captured["weights"] == (8, 4, 3, 1)
+    tr, sub = scaled_squareimp(g, Fraction(2))
+    assert sub.weights == (8, 4, 3, 1)
     assert tr.scaled
     assert tr.iteration_bound == (4 - 1) ** 2 * 4 * 16
 
 
 def test_scale_truncate_uniform_weights_lossless():
     g = ConflictGraph.from_edges(4, [(0, 1), (2, 3)], [3, 3, 3, 3], d=3)
-
-    def inner(sub, cfg, inst):
-        assert len(set(sub.weights)) == 1
-        return squareimp(sub, cfg)
-
-    tr = scale_truncate_run(g, SolverConfig(mode="squareimp", scaling_n=Fraction(2)), inner)
+    tr, sub = scaled_squareimp(g, Fraction(2))
+    assert len(set(sub.weights)) == 1
     assert tr.final.total_w == 6
+
+
+def test_scale_truncate_restricts_to_the_induced_subgraph():
+    """The kept vertices, renumbered in id order, with the edges of `g`
+    between them and their sets: what the checked constructors build from
+    the kept edges and sets. The final maps back to the ids of `g`."""
+    inst = gen_random_packing(60, 3, 40, weight_dist=("uniform", 50), seed=3)
+    g = build_conflict_graph(inst)
+    with mock.patch.object(solvers, "logimp", wraps=solvers.logimp) as inner:
+        tr = scale_truncate_run(g, SolverConfig(mode="logimp", scaling_n=Fraction(3, 2)), inst)
+    sub, _, _, sub_inst = inner.call_args.args
+    factor = Fraction(3, 2) * g.n / greedy(g).total_w
+    keep = [v for v in range(g.n) if g.weights[v] * factor >= 1]
+    assert 0 < len(keep) < g.n
+    fwd = {v: i for i, v in enumerate(keep)}
+    edges = [(fwd[u], fwd[v]) for u, v in g.edges() if u in fwd and v in fwd]
+    assert sub == ConflictGraph.from_edges(len(keep), edges, sub.weights, d=g.d)
+    assert sub_inst == PackingInstance.build(inst.universe_size, [inst.sets[v] for v in keep], sub.weights, inst.k)
+    assert build_conflict_graph(sub_inst) == sub
+    assert tr.final.g is g and verify_solution(g, tr.final)
+    inner_final = solvers.logimp(sub, SolverConfig(mode="logimp"), None, sub_inst).final
+    assert tr.final.members == {keep[i] for i in inner_final.members}
+
+
+def test_scaled_run_on_the_empty_graph_records_a_zero_bound():
+    tr = solve(ConflictGraph(0, (), (), d=3), SolverConfig(mode="squareimp", scaling_n=Fraction(2)))
+    assert tr.scaled and tr.iteration_bound == 0 and tr.iterations == 0 and not tr.final.members
 
 
 def test_scaled_ratio_within_factor():
