@@ -20,6 +20,9 @@ with the logimp final, past the sizes clawbench runs it at (see
 `oracle_curve`), and under `large` one timing of each layer from generating
 a random packing to logimp, at sizes past the scale curve, with the peak
 RSS of the process that ran it, in all and per set (see `large_curve`).
+Under `probe` it gives, per curve, the mean sample of clawbench's machine
+probe around that curve and its rescaling factor to the probe's reference
+host (see `probed`), so curves recorded on two hosts can be compared.
 It exits 1, naming the runs, if any run failed or reported `correct: false`,
 if squareimp at the smallest `large` point took more than
 `LARGE_SQUAREIMP_GATE_S`, or if logimp at any `large` point raised or its
@@ -36,7 +39,10 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT, os.path.join(ROOT, "clawbench")]
+
+from probe import PROBE_REF_S, Probe  # noqa: E402  (as clawbench/run.py imports it)
+
 WORKLOADS = ("rand-k3", "tight-union", "small-exact")
 # The scale curve: unions of this many shuffled tight copies
 # (`clawbench.workloads.tight_union`), and random k=3 packings of n sets.
@@ -286,6 +292,21 @@ def large_curve() -> list[dict]:
     return points
 
 
+def probed(curve) -> tuple[list[dict], dict]:
+    """curve()'s points, and the mean of the samples clawbench's machine
+    probe (`clawbench/probe.py`) takes just before and just after the curve,
+    while nothing else runs, with its factor, `PROBE_REF_S` over that mean.
+    The probe does not sample during the curve, so it neither stops the
+    in-process curves nor runs beside the large curve's child processes."""
+    with Probe() as before:
+        pass
+    points = curve()
+    with Probe() as after:
+        pass
+    mean = statistics.fmean(before.samples + after.samples)
+    return points, {"mean_sample_s": round(mean, 6), "factor": round(PROBE_REF_S / mean, 4)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True, help="file name suffix: BENCH_<tag>.json")
@@ -295,11 +316,11 @@ def main() -> int:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "runs": runs,
-        "scale": scale_curve(),
-        "input": input_curve(),
-        "oracle": oracle_curve(),
-        "large": large_curve(),
+        "probe": {},
     }
+    for name, curve in (("scale", scale_curve), ("input", input_curve), ("oracle", oracle_curve),
+                        ("large", large_curve)):
+        doc[name], doc["probe"][name] = probed(curve)
     path = os.path.join(ROOT, f"BENCH_{opts.tag}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -125,6 +125,23 @@ MUTANTS = (
            " (test_solvers.py::test_scale_truncate_restricts_to_the_induced_subgraph)"),
     Mutant("solvers.py", "blocked.update(g.adj[v])", "pass",
            "a pick of the greedy pass no longer blocks its neighbors (test_solvers.py::test_greedy_path)"),
+    # a logimp run continuing a squareimp run, the bench rows that share one, and the certificate's copies
+    Mutant("solvers.py", "a = Solution(g, set(claw_run.final.members))", "a = claw_run.final",
+           "logimp continues on the squareimp final itself, not a copy"
+           " (test_solvers.py::test_logimp_continues_a_claw_run_as_it_would_run_it)"),
+    Mutant("solvers.py", " or claw_run.final.g is not g", "",
+           "solve lets logimp continue a claw run over another graph"
+           " (test_solvers.py::test_solve_refuses_a_claw_run_it_cannot_continue[another graph])"),
+    Mutant("bench.py", "key = (pos, None if start is None else frozenset(start.members), cfg.d)",
+           "key = (pos, cfg.d)",
+           "a logimp row continues the squareimp row of its instance from another start"
+           " (test_bench_cli.py::test_bench_continued_logimp_rows_equal_fresh_rows[squareimp first])"),
+    Mutant("bench.py", "frozenset(start.members), cfg.d)", "frozenset(start.members))",
+           "a logimp row continues the squareimp row of its instance at another claw bound override"
+           " (test_bench_cli.py::test_bench_continued_logimp_rows_equal_fresh_rows[squareimp first])"),
+    Mutant("certify.py", "members = frozenset(a.members)", "members = a.members",
+           "the certificate's per-vertex fields read the live solution"
+           " (test_certify.py::test_certificate_reports_the_certified_solution_after_a_swap)"),
     # the strict comparisons, the charges and the cycle-length bounds
     Mutant("oracle.py", "improves = r < x_p[k]", "improves = r <= x_p[k]",
            "a swap of equal weight counts as an improvement"),
@@ -194,9 +211,9 @@ MUTANTS = (
            "root_floor takes the root of a radicand one too large"),
     Mutant("instances.py", "min(imp.x) < 0 or ", "", "validate_improvement indexes a negative vertex id"),
     Mutant("instances.py", "max(imp.x) >= g.n or ", "", "validate_improvement indexes a vertex id past n - 1"),
-    Mutant("certify.py", "all(pos[v] <= w[v] for v in a.members)", "all(pos[v] < w[v] for v in a.members)",
+    Mutant("certify.py", "all(pos[v] <= w[v] for v in members)", "all(pos[v] < w[v] for v in members)",
            "the certificate fails a charge sum that meets its bound"),
-    Mutant("certify.py", "all(contr[v] <= w2[v] for v in a.members)", "all(contr[v] < w2[v] for v in a.members)",
+    Mutant("certify.py", "all(contr[v] <= w2[v] for v in members)", "all(contr[v] < w2[v] for v in members)",
            "the certificate fails a contribution sum that meets its bound"),
     Mutant("circular.py", "if len(eseq) + 1 >= max_len:", "if len(eseq) + 1 > max_len:",
            "the DFS emits cycles one edge past its bound"),

@@ -120,24 +120,37 @@ def _solve_row(
     algo_spec: dict,
     seed: int,
     start_members: Optional[list[int]],
+    pos: int,
+    claw_runs: dict,
 ) -> tuple[BenchRow, Optional[set[int]]]:
     """One row without its optimum and certificate, and its final member set
     (None when the row failed). Only the members go back: a worker's final
-    solution holds the worker's copy of the graph and its N(u, A) table."""
+    solution holds the worker's copy of the graph and its N(u, A) table.
+
+    An unscaled squareimp row keeps its run and its time in `claw_runs`
+    under (pos, start, d override), and an unscaled logimp row with that
+    key continues the run it finds there (`solve`'s `claw_run`), adding its
+    time to its own. squareimp reads no seed, so the seed is not part of
+    the key."""
     row = BenchRow(instance=name, algo=algo_spec["algo"], seed=seed)
-    final = None
+    final, claw_run, claw_s = None, None, 0.0
     t0 = time.perf_counter()
     try:
         cfg = config_from_algo_spec(algo_spec, seed)
         start = None if start_members is None else Solution.of(g, start_members)
-        trace = solve(g, cfg, inst=inst, start=start)
+        key = (pos, None if start is None else frozenset(start.members), cfg.d)
+        if cfg.mode == "logimp" and cfg.scaling_n is None and key in claw_runs:
+            claw_run, claw_s = claw_runs[key]
+        trace = solve(g, cfg, inst=inst, start=start, claw_run=claw_run)
+        if cfg.mode == "squareimp" and cfg.scaling_n is None:
+            claw_runs[key] = (trace, time.perf_counter() - t0)
         row.final_w = trace.final.total_w
         row.iters = trace.iterations
         final = trace.final.members
     except Exception as exc:  # per-row failures recorded, run continues
         row.error = f"{type(exc).__name__}: {exc}"
         row.cert = "error"
-    row.time_ms = int((time.perf_counter() - t0) * 1000)
+    row.time_ms = int((time.perf_counter() - t0 + claw_s) * 1000)
     return row, final
 
 
@@ -164,13 +177,20 @@ def _run_phases(instances: list, algos: list[dict], seeds: list[int], oracle_lim
     is keyed by its instance's position, not its user-supplied id, and its
     certificate time is added to the first row that ends at it. An
     optimum is certified as its members over the final's graph.
+
+    Every row task holds one dict, which lives for this call: an unscaled
+    logimp row continues the squareimp run of the same instance position,
+    start and claw bound override that ran before it in the same process
+    (see `_solve_row`), and adds that run's time to its `time_ms`. Tasks
+    stay one per row; under a process pool the tasks of one chunk share
+    the dict through the chunk's one pickle, and each chunk has its own.
     """
-    tasks, positions = [], []
+    tasks, positions, claw_runs = [], [], {}
     for pos, (name, g, inst, inst_spec) in enumerate(instances):
         for algo_spec in algos:
             start = algo_spec.get("start", inst_spec.get("start"))
             for seed in seeds:
-                tasks.append((name, g, inst, algo_spec, seed, start))
+                tasks.append((name, g, inst, algo_spec, seed, start, pos, claw_runs))
                 positions.append(pos)
     # each final over the parent's graph, so a later task pickles one graph
     solved = [(row, None if final is None else Solution(instances[pos][1], final))

@@ -13,19 +13,21 @@ each bound is checked exactly on the integer-scaled weights `w_int` and
 `w2_int`, cross-multiplied where a bound divides. The vertex
 classification behind the improved guarantee is evaluated with exact
 integer surd sign tests and reported informationally below its huge d
-threshold. `Fraction`s are built only for the values a `CertReport` holds.
+threshold. `Fraction`s are built only for the values a `CertReport` holds,
+when its per-vertex fields are first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, NamedTuple, Optional
 
 from .circular import build_anchor_maps
 from .exactnum import surd_sign
-from .instances import ContractError, InputError, Solution, fmt_fraction
+from .instances import ConflictGraph, ContractError, InputError, Solution, fmt_fraction
 
 
 @dataclass(frozen=True)
@@ -62,23 +64,111 @@ class AnalysisParams:
 
 
 
-@dataclass
 class CertReport:
-    charges: dict[int, tuple[int, Fraction]] = field(default_factory=dict)
-    charge_sum_pos: dict[int, Fraction] = field(default_factory=dict)
-    t_sets: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    contributions: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-    contr_sum: dict[int, Fraction] = field(default_factory=dict)
-    classes: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    unclassified: tuple[int, ...] = ()
-    charge_bound_ok: Optional[bool] = None
-    contribution_bound_ok: Optional[bool] = None
-    pointwise_ok: Optional[bool] = None
-    identity_ok: Optional[bool] = None
-    neighborhood_bound_ok: Optional[bool] = None
-    ratio_ok: Optional[bool] = None
-    classification_ok: Optional[bool] = None
-    classification_hypothesis_met: Optional[bool] = None
+    """A certificate: its verdict flags, computed when it is made, and its
+    per-vertex report, built on first read.
+
+    The flags are None where they do not apply (no claw bound on the
+    graph). The per-vertex fields are `charges` (u in A* -> its anchor and
+    charge), `charge_sum_pos` and `t_sets` (per member of A: its positive
+    charges' sum and their vertices), `contributions` ((u, v) -> each
+    positive contr(u, v)), `contr_sum`, `classes` (u -> its class tags),
+    `unclassified` and `classification_ok`. Reading any of them builds them
+    all, from the report's own copies of the two member sets and its
+    integer sums, so a swap applied to the incumbent after certifying
+    changes none of them.
+    """
+
+    def __init__(
+        self,
+        g: ConflictGraph,
+        members: frozenset[int],
+        ref_members: frozenset[int],
+        eps: tuple[int, int],
+        sums: tuple[dict[int, int], dict[int, int]],
+        *,
+        charge_bound_ok: bool,
+        contribution_bound_ok: bool,
+        pointwise_ok: bool,
+        identity_ok: bool,
+        neighborhood_bound_ok: Optional[bool] = None,
+        ratio_ok: Optional[bool] = None,
+        classification_hypothesis_met: Optional[bool] = None,
+    ):
+        self._g, self._members, self._ref_members, self._eps, self._sums = g, members, ref_members, eps, sums
+        self.charge_bound_ok = charge_bound_ok
+        self.contribution_bound_ok = contribution_bound_ok
+        self.pointwise_ok = pointwise_ok
+        self.identity_ok = identity_ok
+        self.neighborhood_bound_ok = neighborhood_bound_ok
+        self.ratio_ok = ratio_ok
+        self.classification_hypothesis_met = classification_hypothesis_met
+
+    @property
+    def charges(self) -> dict[int, tuple[int, Fraction]]:
+        return self._per_vertex.charges
+
+    @property
+    def charge_sum_pos(self) -> dict[int, Fraction]:
+        return self._per_vertex.charge_sum_pos
+
+    @property
+    def t_sets(self) -> dict[int, tuple[int, ...]]:
+        return self._per_vertex.t_sets
+
+    @property
+    def contributions(self) -> dict[tuple[int, int], Fraction]:
+        return self._per_vertex.contributions
+
+    @property
+    def contr_sum(self) -> dict[int, Fraction]:
+        return self._per_vertex.contr_sum
+
+    @property
+    def classes(self) -> dict[int, tuple[str, ...]]:
+        return self._per_vertex.classes
+
+    @property
+    def unclassified(self) -> tuple[int, ...]:
+        return self._per_vertex.unclassified
+
+    @property
+    def classification_ok(self) -> bool:
+        return not self._per_vertex.unclassified
+
+    @cached_property
+    def _per_vertex(self) -> "_PerVertex":
+        """The per-vertex fields, in one pass over A* in id order, with
+        N(u, A) from a solution over the report's copy of A. The integer
+        sums come from the pass that computed the flags."""
+        g, eps, (pos, contr) = self._g, self._eps, self._sums
+        w, w2, lcm = g.w_int, g.w2_int, g.w_lcm
+        charges: dict[int, tuple[int, Fraction]] = {}
+        contributions: dict[tuple[int, int], Fraction] = {}
+        classes: dict[int, tuple[str, ...]] = {}
+        t_sets: dict[int, list[int]] = {v: [] for v in self._members}
+        unclassified = []
+        a_nbrs = Solution(g, set(self._members)).a_nbrs
+        for u, nbrs, v1, v2, wn, charge, rest in _walk(g, self._members, a_nbrs, self._ref_members):
+            charges[u] = (v1, Fraction(charge, 2 * lcm))
+            if charge > 0:
+                t_sets[v1].append(u)
+            for v in nbrs:
+                c = rest + w2[v]
+                if c > 0:
+                    contributions[(u, v)] = Fraction(c, lcm * w[v])
+            tags = classes[u] = _class_tags(w, eps, u, v1, v2, wn, charge, rest + w2[v1])
+            if not tags:
+                unclassified.append(u)
+        return _PerVertex(
+            charges=charges,
+            charge_sum_pos={v: Fraction(c, 2 * lcm) for v, c in pos.items()},
+            t_sets={v: tuple(t) for v, t in t_sets.items()},
+            contributions=contributions,
+            contr_sum={v: Fraction(c, lcm * w[v]) for v, c in contr.items()},
+            classes=classes,
+            unclassified=tuple(unclassified),
+        )
 
     def all_bounds_ok(self) -> bool:
         return bool(
@@ -107,6 +197,31 @@ class CertReport:
                 "classification_hypothesis_met": self.classification_hypothesis_met,
             },
         }
+
+
+class _PerVertex(NamedTuple):
+    charges: dict[int, tuple[int, Fraction]]
+    charge_sum_pos: dict[int, Fraction]
+    t_sets: dict[int, tuple[int, ...]]
+    contributions: dict[tuple[int, int], Fraction]
+    contr_sum: dict[int, Fraction]
+    classes: dict[int, tuple[str, ...]]
+    unclassified: tuple[int, ...]
+
+
+def _walk(g: ConflictGraph, members, a_nbrs, ref_members) -> Iterator[tuple]:
+    """Per u in A*, in id order: u, N(u, A) (or (u,) for u in A), u's
+    anchor and second anchor (or None), wn = w_int(N(u, A)), 2L times the
+    charge, and L**2 times w2(u) - w2(N(u, A))."""
+    w, w2 = g.w_int, g.w2_int
+    for u in sorted(ref_members):
+        if u in members:
+            nbrs, v1, v2 = (u,), u, None
+        else:
+            nbrs = a_nbrs[u]
+            v1, v2 = nbrs[0], (nbrs[1] if len(nbrs) > 1 else None)
+        wn = sum(w[x] for x in nbrs)
+        yield u, nbrs, v1, v2, wn, 2 * w[u] - wn, w2[u] - sum(w2[x] for x in nbrs)
 
 
 def _class_tags(
@@ -168,16 +283,18 @@ def _class_tags(
 
 
 def certify_local_optimum(a: Solution, astar: Solution, params: AnalysisParams) -> CertReport:
-    """Full certificate for an incumbent claw fixed point against a reference.
+    """Certificate for an incumbent claw fixed point against a reference.
 
-    One pass over A* computes the charges, contributions and class tags.
-    Exact checks: per-vertex positive charges sum to at most w(v)/2,
-    contributions to at most w(v), w(N(u,A))/2 + charge(u) summed over A*
-    equals w(A*), every positive charge satisfies the pointwise
+    It checks that `a` is maximal, and then one integer pass over A*
+    computes every verdict flag. Exact checks: per-vertex positive charges sum to at most
+    w(v)/2, contributions to at most w(v), w(N(u,A))/2 + charge(u) summed
+    over A* equals w(A*), every positive charge satisfies the pointwise
     w2(u) - w2(N(u,A) - anchor) >= 2 charge(u) w(anchor), and (when the
     graph's claw bound g.d is set) the neighborhood bound and the d/2 ratio. A
     contribution sum above w(v) certifies a residual claw improvement and is
-    reported, never thrown. The classes, at the derived thresholds, are
+    reported, never thrown. The charges, contributions and class tags are
+    built only when the report's per-vertex fields are read (see
+    `CertReport`). The classes, at the derived thresholds, are
     sqrt(eps')-single and -double (positive charge required), eps'-payback,
     sqrt(2 eps')-good and eps'/2-contributive; `unclassified` collects the
     vertices matching none. They are only guaranteed exhaustive at claw
@@ -189,58 +306,35 @@ def certify_local_optimum(a: Solution, astar: Solution, params: AnalysisParams) 
     if astar.g is not g:
         raise ContractError("the reference solution is over another graph")
     a_nbrs = build_anchor_maps(a)
-    w, w2, lcm = g.w_int, g.w2_int, g.w_lcm
-    eps = (params.eps_prime.numerator, params.eps_prime.denominator)
-    report = CertReport()
-    pos = {v: 0 for v in a.members}  # 2L times the positive charge sums
-    contr = {v: 0 for v in a.members}  # L * w_int(v) times contr_sum(v)
-    t_sets: dict[int, list[int]] = {v: [] for v in a.members}
+    w, w2 = g.w_int, g.w2_int
+    members = frozenset(a.members)
+    pos = {v: 0 for v in members}  # 2L times the positive charge sums
+    contr = {v: 0 for v in members}  # L * w_int(v) times contr_sum(v)
     pointwise = True
     nb = 0  # L times the sum of w(N(u,A))
     total = 0  # 2L times the sum of w(N(u,A))/2 + charge(u)
-    unclassified = []
-    for u in sorted(astar.members):
-        if u in a.members:
-            nbrs, v1, v2 = (u,), u, None
-        else:
-            nbrs = a_nbrs[u]
-            v1, v2 = nbrs[0], (nbrs[1] if len(nbrs) > 1 else None)
-        wn = sum(w[x] for x in nbrs)
-        charge = 2 * w[u] - wn  # 2L times the charge
-        rest = w2[u] - sum(w2[x] for x in nbrs)
-        gap = rest + w2[v1]  # L**2 times w2(u) - w2(N(u,A) - anchor)
-        report.charges[u] = (v1, Fraction(charge, 2 * lcm))
+    for _, nbrs, v1, _, wn, charge, rest in _walk(g, members, a_nbrs, astar.members):
         nb += wn
         total += wn + charge
         if charge > 0:
             pos[v1] += charge
-            t_sets[v1].append(u)
-            if gap < charge * w[v1]:  # the pointwise inequality, times L**2
+            if rest + w2[v1] < charge * w[v1]:  # the pointwise inequality, times L**2
                 pointwise = False
         for v in nbrs:
             c = rest + w2[v]
             if c > 0:
-                report.contributions[(u, v)] = Fraction(c, lcm * w[v])
                 contr[v] += c
-        tags = _class_tags(w, eps, u, v1, v2, wn, charge, gap)
-        report.classes[u] = tags
-        if not tags:
-            unclassified.append(u)
-    report.charge_sum_pos = {v: Fraction(c, 2 * lcm) for v, c in pos.items()}
-    report.t_sets = {v: tuple(t) for v, t in t_sets.items()}
-    report.contr_sum = {v: Fraction(c, lcm * w[v]) for v, c in contr.items()}
-    report.unclassified = tuple(unclassified)
-    report.charge_bound_ok = all(pos[v] <= w[v] for v in a.members)
-    report.contribution_bound_ok = all(contr[v] <= w2[v] for v in a.members)
-    report.pointwise_ok = pointwise
-    report.classification_ok = not unclassified
-    s_a = sum(w[v] for v in a.members)  # L times w(A)
+    s_a = sum(w[v] for v in members)  # L times w(A)
     s_astar = sum(w[u] for u in astar.members)  # L times w(A*)
-    report.identity_ok = total == 2 * s_astar
     d = g.d
-    if d is not None:
+    return CertReport(
+        g, members, frozenset(astar.members), (params.eps_prime.numerator, params.eps_prime.denominator), (pos, contr),
+        charge_bound_ok=all(pos[v] <= w[v] for v in members),
+        contribution_bound_ok=all(contr[v] <= w2[v] for v in members),
+        pointwise_ok=pointwise,
+        identity_ok=total == 2 * s_astar,
         # sum of w(N(u,A))/2 <= (d-1)/2 w(A) and w(A*) <= d/2 w(A), times 2L
-        report.neighborhood_bound_ok = nb <= (d - 1) * s_a
-        report.ratio_ok = 2 * s_astar <= d * s_a
-        report.classification_hypothesis_met = d >= params.d_delta
-    return report
+        neighborhood_bound_ok=None if d is None else nb <= (d - 1) * s_a,
+        ratio_ok=None if d is None else 2 * s_astar <= d * s_a,
+        classification_hypothesis_met=None if d is None else d >= params.d_delta,
+    )

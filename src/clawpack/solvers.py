@@ -39,6 +39,7 @@ from .instances import (
     BudgetExceededError,
     ClawShaped,
     ConflictGraph,
+    ContractError,
     Generic,
     Improvement,
     InputError,
@@ -174,18 +175,24 @@ class ClawSearchState:
     `settled`; `update` keeps them valid after each applied swap, touching
     only N(x) and N(removed). A heap holds every unsettled center (and
     stale entries, dropped when they surface), so the lowest id is found
-    without a scan or a sort.
+    without a scan or a sort. A state built `at_fixed_point`, for an A the
+    claw search has finished on, starts with every member settled and no
+    vertex free, as the finished search left them.
     """
 
     __slots__ = ("a", "max_talons", "free", "settled", "_center_heap")
 
-    def __init__(self, a: Solution, d: int):
+    def __init__(self, a: Solution, d: int, at_fixed_point: bool = False):
         self.a = a
         self.max_talons = d - 1
-        members, a_nbrs = a.members, a.a_nbrs
-        self.free = {v for v in range(a.g.n) if not a_nbrs[v] and v not in members}
-        self.settled: set[int] = set()
-        self._center_heap = sorted(members)
+        members = a.members
+        if at_fixed_point:
+            self.free, self.settled, self._center_heap = set(), set(members), []
+        else:
+            a_nbrs = a.a_nbrs
+            self.free = {v for v in range(a.g.n) if not a_nbrs[v] and v not in members}
+            self.settled = set()
+            self._center_heap = sorted(members)
 
     def lowest_open_center(self) -> Optional[int]:
         """The lowest-id center in A that is not settled, or None."""
@@ -341,28 +348,43 @@ def logimp(
     cfg: SolverConfig,
     start: Optional[Solution] = None,
     inst: Optional[PackingInstance] = None,
+    claw_run: Optional[RunTrace] = None,
 ) -> RunTrace:
-    """Claw search first; at claw fixed points, search for a circular
-    improvement and continue until neither kind exists.
+    """The squareimp run, then, from its claw fixed point, circular
+    improvements and claw improvements until neither kind exists.
 
-    The run keeps one `ClawSearchState` and one `CircularState`, and the
-    loop hands each applied swap, of either kind, to both. So each fixed
-    point recomputes only the anchor maps and aux-graph blocks that the
-    swaps since the last one touched."""
+    `claw_run` is that squareimp run (from `start`, which is then not
+    read), made by the caller; without it, it is made here. The cycle phase
+    continues on a copy of its final, so the run it continues keeps its
+    final and its records, which come first in the trace. At a claw fixed
+    point every member is settled and no vertex is free, so the claw state
+    starts so, and the phase's first step goes straight to the circular
+    search. The phase keeps one `ClawSearchState` and one `CircularState`,
+    and the loop hands each applied swap, of either kind, to both; the
+    circular state re-anchors every vertex at its first call, and each later
+    fixed point recomputes only the anchor maps and aux-graph blocks that
+    the swaps since the last one touched."""
     d = _resolve_d(g, cfg.d)
     params = cfg.circular if cfg.circular is not None else ColorCodingParams.defaults(g, inst)
-    a = Solution.of(g, start.members if start else ())
+    if claw_run is None:
+        claw_run = squareimp(g, cfg, start)
+    records = claw_run.improvements
+    a = Solution(g, set(claw_run.final.members))
+    del claw_run  # a run made here goes, with its N(u, A) table, before the copy builds its own
     circ = CircularState(a, params, d, inst, random.Random(cfg.rng_seed))
-    claw = ClawSearchState(a, d)
+    claw = ClawSearchState(a, d, at_fixed_point=True)
+    after_swap = False  # the claw run ended with a claw search that found nothing
 
     def step() -> Optional[Improvement]:
-        imp = find_claw_improvement(claw)
-        if imp is not None:
+        nonlocal after_swap
+        if after_swap and (imp := find_claw_improvement(claw)) is not None:
             return imp
+        after_swap = True  # the circular search ends the run or makes a swap
         build_anchor_maps(a, circ)
         return find_circular_improvement(circ)
 
     trace = _loop(a, step, [claw, circ])
+    trace.improvements[:0] = records
     if circ.y_cap < d - 1:
         trace.notes = (f"aux companion sets capped at {circ.y_cap} (claw bound allows {d - 1})",)
     return trace
@@ -421,14 +443,20 @@ def scale_truncate_run(g: ConflictGraph, cfg: SolverConfig, inst: Optional[Packi
     )
 
 
-def _run(g: ConflictGraph, cfg: SolverConfig, inst: Optional[PackingInstance], start: Optional[Solution]) -> RunTrace:
+def _run(
+    g: ConflictGraph,
+    cfg: SolverConfig,
+    inst: Optional[PackingInstance],
+    start: Optional[Solution],
+    claw_run: Optional[RunTrace] = None,
+) -> RunTrace:
     """The unscaled run of cfg.mode on `g`. Greedy ignores the start."""
     if cfg.mode == "greedy":
         return RunTrace([], greedy(g))
     if cfg.mode == "squareimp":
         return squareimp(g, cfg, start)
     if cfg.mode == "logimp":
-        return logimp(g, cfg, start, inst)
+        return logimp(g, cfg, start, inst, claw_run=claw_run)
     return parametrized_local_search(g, cfg, start)
 
 
@@ -437,15 +465,26 @@ def solve(
     cfg: SolverConfig,
     inst: Optional[PackingInstance] = None,
     start: Optional[Solution] = None,
+    claw_run: Optional[RunTrace] = None,
 ) -> RunTrace:
     """Dispatch on cfg.mode, wrapping in scaling/truncation when configured.
 
     Start-solution injection is a test hook for unscaled runs only: a
     local search given both a start and cfg.scaling_n is an InputError.
     Greedy ignores the start.
+
+    `claw_run` is an unscaled squareimp run over `g`, from the same start
+    and at the same claw bound, that an unscaled logimp run continues
+    instead of running it again (see `logimp`); the caller vouches for its
+    start and bound. Given with another graph, another mode or scaling, it
+    is a `ContractError`.
     """
+    if claw_run is not None and (
+        cfg.mode != "logimp" or cfg.scaling_n is not None or claw_run.scaled or claw_run.final.g is not g
+    ):
+        raise ContractError("only an unscaled logimp run over the claw run's graph continues it")
     if cfg.scaling_n is not None and cfg.mode != "greedy":
         if start is not None:
             raise InputError("a start solution cannot be combined with scaling")
         return scale_truncate_run(g, cfg, inst)
-    return _run(g, cfg, inst, start)
+    return _run(g, cfg, inst, start, claw_run)

@@ -253,6 +253,113 @@ def test_bench_parallel_tasks_are_rows():
     assert emit_report(bench.BenchReport(rows)) == emit_report(run_bench(config, jobs=2))
 
 
+# logimp rows continue the squareimp row of their instance, start and d
+# override; the scaled rows and the rows started from empty on b5 do not
+CONTINUE_SUITE = {
+    "instances": [
+        {"id": "b5", "gen": {"family": "berman", "d": 5}, "start": [0, 1, 2, 3]},
+        # squareimp ends elsewhere at d = 2, and logimp continued from there ends elsewhere too
+        {"id": "r7", "gen": {"family": "random", "sets": 12, "k": 3, "universe": 9, "seed": 7}},
+    ],
+    "algorithms": [
+        {"algo": "squareimp"},
+        {"algo": "squareimp", "start": []},
+        {"algo": "squareimp", "d": 2},
+        {"algo": "squareimp", "scale_n": "2", "start": None},
+        {"algo": "logimp"},
+        {"algo": "logimp", "d": 2},
+        {"algo": "logimp", "scale_n": "2", "start": None},
+    ],
+    "seeds": [0, 1],
+}
+
+
+def spy_claw_runs(monkeypatch, fresh=False):
+    """Wrap `bench.solve`: record each call's mode and whether it continued
+    a claw run, and with `fresh` drop the claw run, so every logimp row
+    runs its squareimp part again."""
+    import clawpack.bench as bench
+
+    calls, real = [], bench.solve
+
+    def solve(g, cfg, claw_run=None, **kwargs):
+        calls.append((cfg.mode, claw_run is not None))
+        return real(g, cfg, claw_run=None if fresh else claw_run, **kwargs)
+
+    monkeypatch.setattr(bench, "solve", solve)
+    return calls
+
+
+@pytest.mark.parametrize("order", ["squareimp first", "logimp first"])
+def test_bench_continued_logimp_rows_equal_fresh_rows(order, monkeypatch):
+    """The report bytes with logimp rows continuing their squareimp rows
+    equal those of fresh `solve` calls, over starts, d overrides, scaled
+    rows and two seeds. A logimp row continues only a squareimp row that
+    ran before it with its instance, start and d override: none when
+    logimp is listed first, and never a scaled row."""
+    config = dict(CONTINUE_SUITE)
+    if order == "logimp first":
+        config["algorithms"] = CONTINUE_SUITE["algorithms"][4:] + CONTINUE_SUITE["algorithms"][:4]
+    fresh_calls = spy_claw_runs(monkeypatch, fresh=True)
+    fresh = run_bench(config)
+    monkeypatch.undo()
+    calls = spy_claw_runs(monkeypatch)
+    report = run_bench(config)
+    assert calls == fresh_calls and len(calls) == 28
+    continued = [mode for mode, cont in calls if cont]
+    # per instance and seed: the plain and the d = 2 logimp rows
+    assert continued == (["logimp"] * 8 if order == "squareimp first" else [])
+    for fmt in ("csv", "json"):
+        assert emit_report(report, fmt=fmt) == emit_report(fresh, fmt=fmt)
+    assert not any(r.error for r in report.rows)
+
+
+def test_bench_continued_squareimp_row_keeps_its_final_and_records(monkeypatch):
+    """A logimp row that continues a squareimp row and applies swaps of its
+    own leaves that row's final member set and its records as they were."""
+    import clawpack.bench as bench
+
+    real, runs = bench.solve, []
+
+    def solve(g, cfg, **kwargs):
+        trace = real(g, cfg, **kwargs)
+        runs.append((cfg.mode, trace, frozenset(trace.final.members), list(trace.improvements)))
+        return trace
+
+    monkeypatch.setattr(bench, "solve", solve)
+    config = {"instances": CONTINUE_SUITE["instances"][:1],
+              "algorithms": [{"algo": "squareimp"}, {"algo": "logimp"}], "seeds": [0, 1]}
+    report = run_bench(config)
+    assert [mode for mode, *_ in runs] == ["squareimp"] * 2 + ["logimp"] * 2
+    for (_, sq, members, records), (_, lg, _, _) in zip(runs[:2], runs[2:]):
+        assert lg.iterations > sq.iterations and lg.final.members != members
+        assert sq.final.members == members and sq.improvements == records
+    assert [r.iters for r in report.rows] == [0, 0, 4, 4]
+
+
+def test_bench_continued_row_time_includes_the_squareimp_run(monkeypatch):
+    """With times shown, a continued logimp row's `time_ms` is its own run
+    plus the squareimp run it continued; a logimp row that continues
+    nothing has its own time only."""
+    import types
+
+    import clawpack.bench as bench
+
+    clock, real = [0.0], bench.solve
+
+    def solve(g, cfg, **kwargs):
+        clock[0] += 0.5 if cfg.mode == "squareimp" else 0.25
+        return real(g, cfg, **kwargs)
+
+    monkeypatch.setattr(bench, "solve", solve)
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    config = {"instances": CONTINUE_SUITE["instances"][:1],
+              "algorithms": [{"algo": "squareimp"}, {"algo": "logimp"}, {"algo": "logimp", "d": 6}],
+              "seeds": [0]}
+    csv = emit_report(run_bench(config), times=True)
+    assert [line.split(",")[7] for line in csv.splitlines()[1:]] == ["500", "750", "250"]
+
+
 
 def test_bench_parallel_finals_hold_the_parents_graph():
     """Under a `pmap` that pickles each task and its result, as a process
@@ -700,6 +807,52 @@ def load_bench_record():
     return module
 
 
+class FakeProbe:
+    """A stand-in for clawbench's machine probe: one sample of 14 ms per
+    use, counted in `uses`."""
+
+    uses = 0
+
+    def __enter__(self):
+        FakeProbe.uses += 1
+        self.samples = [0.014]
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+def test_bench_record_records_the_probe_beside_each_curve(tmp_path, monkeypatch):
+    """The file's `probe` key gives, per curve, the mean of the probe's
+    samples just before and just after it, 0.014 s, and its factor,
+    0.007 / 0.014 = 0.5; the probe is not running while the curve runs."""
+    br = load_bench_record()
+    running = {}
+
+    def curve(name):
+        def run():
+            running[name] = FakeProbe.uses
+            return [{"curve": name}]
+        return run
+
+    for name in ("scale", "input", "oracle", "large"):
+        monkeypatch.setattr(br, f"{name}_curve", curve(name))
+    monkeypatch.setattr(br, "run_one", lambda workload, trace: {
+        "workload": workload, "trace": trace, "args": [], "exit_code": 0,
+        "result": {"correct": True, "metrics": {}}})
+    monkeypatch.setattr(FakeProbe, "uses", 0)
+    monkeypatch.setattr(br, "Probe", FakeProbe)
+    monkeypatch.setattr(br, "ROOT", str(tmp_path))
+    monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
+    br.main()  # exits 1: the stub large curve has no squareimp time
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["probe"] == {name: {"mean_sample_s": 0.014, "factor": 0.5}
+                            for name in ("scale", "input", "oracle", "large")}
+    assert all(doc[name] == [{"curve": name}] for name in doc["probe"])
+    # each curve runs after its own sample before it, and before its sample after it
+    assert running == {"scale": 1, "input": 3, "oracle": 5, "large": 7} and FakeProbe.uses == 8
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -736,6 +889,7 @@ def test_bench_record_exits_1_on_an_incorrect_run(bad, message, tmp_path, monkey
     elif bad == "crashed":
         last = {"n": 409600, "exit_code": -9, "stderr_tail": []}
     monkeypatch.setattr(br, "large_curve", lambda: [{"n": 102400, "squareimp_s": 1.5 if bad == "slow" else 0.5}, last])
+    monkeypatch.setattr(br, "Probe", FakeProbe)
     monkeypatch.setattr(br, "ROOT", str(tmp_path))
     monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
     code = br.main()
@@ -785,6 +939,7 @@ def test_bench_record_times_the_scale_curve(tmp_path, monkeypatch):
     monkeypatch.setattr(br, "run_one", lambda workload, trace: {
         "workload": workload, "trace": trace, "args": [], "exit_code": 0,
         "result": {"correct": True, "metrics": {}}})
+    monkeypatch.setattr(br, "Probe", FakeProbe)
     monkeypatch.setattr(br, "ROOT", str(tmp_path))
     monkeypatch.setattr("sys.argv", ["bench_record.py", "--tag", "t"])
     assert br.main() == 0

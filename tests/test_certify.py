@@ -15,7 +15,7 @@ from clawpack.certify import AnalysisParams, CertReport, certify_local_optimum
 from clawpack.circular import build_anchor_maps
 from clawpack.exactnum import surd_sign
 from clawpack.generators import berman_tight_instance, gen_random_packing
-from clawpack.instances import ConflictGraph, ContractError, InputError, Solution, build_conflict_graph
+from clawpack.instances import ConflictGraph, ContractError, Improvement, InputError, Solution, build_conflict_graph
 from clawpack.oracle import exact_mwis
 from clawpack.solvers import SolverConfig, squareimp
 
@@ -282,8 +282,33 @@ def ref_surd_cmp(a: Fraction, b: Fraction, q: Fraction, x: Fraction) -> int:
     return _ref_sign(t * t - b * b * q)
 
 
+@dataclasses.dataclass
+class RefReport:
+    """The Fraction reference's report, filled in place: the fields a
+    `CertReport` reports, written with its own `to_json_obj`."""
+
+    charges: dict = dataclasses.field(default_factory=dict)
+    charge_sum_pos: dict = dataclasses.field(default_factory=dict)
+    t_sets: dict = dataclasses.field(default_factory=dict)
+    contributions: dict = dataclasses.field(default_factory=dict)
+    contr_sum: dict = dataclasses.field(default_factory=dict)
+    classes: dict = dataclasses.field(default_factory=dict)
+    unclassified: tuple = ()
+    charge_bound_ok: bool = None
+    contribution_bound_ok: bool = None
+    pointwise_ok: bool = None
+    identity_ok: bool = None
+    neighborhood_bound_ok: bool = None
+    ratio_ok: bool = None
+    classification_ok: bool = None
+    classification_hypothesis_met: bool = None
+
+    all_bounds_ok = CertReport.all_bounds_ok
+    to_json_obj = CertReport.to_json_obj
+
+
 def ref_compute_charges(g, a, astar, maps):
-    report = CertReport()
+    report = RefReport()
     for v in a.members:
         report.charge_sum_pos[v] = Fraction(0)
     pointwise = True
@@ -315,7 +340,7 @@ def ref_compute_charges(g, a, astar, maps):
 
 
 def ref_compute_contributions(g, a, astar, maps):
-    report = CertReport()
+    report = RefReport()
     for v in a.members:
         report.contr_sum[v] = Fraction(0)
     for u in sorted(astar.members):
@@ -594,6 +619,9 @@ def test_surd_sign_matches_fraction_surd_cmp():
 
 
 def test_certificate_layers_build_fractions_only_for_report_fields():
+    """The certificate's call builds no `Fraction`; the first read of its
+    per-vertex fields builds one per value they hold, and a second read
+    builds none."""
     rng = random.Random(3)
     pw = PrimeWeights(rng)
     weights = [pw.magnitude(rng.randint(-60, 60)) for _ in range(12)]
@@ -603,6 +631,7 @@ def test_certificate_layers_build_fractions_only_for_report_fields():
     g.w2_int  # built outside the profiled call
     layers = {
         certify.certify_local_optimum.__code__: "certify_local_optimum",
+        certify.CertReport._per_vertex.func.__code__: "_per_vertex",
         certify._class_tags.__code__: "_class_tags",
         # d_delta's own rational arithmetic is not the certificate's
         AnalysisParams.d_delta.fget.__code__: None,
@@ -618,16 +647,23 @@ def test_certificate_layers_build_fractions_only_for_report_fields():
         if caller is not None and layers[caller.f_code] is not None:
             calls[(layers[caller.f_code], frame.f_code.co_name)] += 1
 
-    sys.setprofile(profile)
-    try:
-        rep = certify_local_optimum(a, astar, PARAMS)
-    finally:
-        sys.setprofile(None)
+    def profiled(run):
+        sys.setprofile(profile)
+        try:
+            return run()
+        finally:
+            sys.setprofile(None)
+
+    rep = profiled(lambda: certify_local_optimum(a, astar, PARAMS))
     assert rep.all_bounds_ok()
-    fields = (rep.charges, rep.charge_sum_pos, rep.contributions, rep.contr_sum)
-    assert calls.pop(("certify_local_optimum", "__new__")) == sum(map(len, fields))
     # numerator and denominator are read once each, of eps'
     assert calls == {("certify_local_optimum", "numerator"): 1, ("certify_local_optimum", "denominator"): 1}
+    calls.clear()
+    fields = profiled(lambda: (rep.charges, rep.charge_sum_pos, rep.contributions, rep.contr_sum))
+    assert calls == {("_per_vertex", "__new__"): sum(map(len, fields))}
+    calls.clear()
+    assert profiled(lambda: (rep.charges, rep.charge_sum_pos, rep.contributions, rep.contr_sum)) == fields
+    assert not calls
 
 
 # --- Berman's d/2 guarantee at squareimp fixed points ---------------------
@@ -656,6 +692,23 @@ def test_squareimp_meets_d_over_2_on_random_k3(seed):
     rep = certify_local_optimum(final, opt.best, PARAMS)
     assert rep.ratio_ok and rep.neighborhood_bound_ok
     assert opt.optimum_w <= 2 * final.total_w
+
+
+def test_certificate_reports_the_certified_solution_after_a_swap():
+    """The per-vertex report, built on first read, is that of the solution
+    as certified: a swap applied to the incumbent afterwards changes
+    neither it nor the flags."""
+    inst = gen_random_packing(18, 3, 12, seed=301)
+    g = build_conflict_graph(inst)
+    a = squareimp(g, SolverConfig(mode="squareimp")).final
+    astar = exact_mwis(g).best
+    want = certify_local_optimum(Solution(g, set(a.members)), astar, PARAMS).to_json_obj()
+    rep = certify_local_optimum(a, astar, PARAMS)
+    u = min(astar.members - a.members)
+    a.apply(Improvement(frozenset({u}), frozenset(a.a_nbrs[u])))
+    assert u in a.members
+    assert rep.to_json_obj() == want
+    assert rep.charges[u][0] != u
 
 
 def test_certify_rejects_a_reference_over_another_graph():

@@ -13,6 +13,7 @@ from clawpack.generators import (
 from clawpack.instances import (
     ClawShaped,
     ConflictGraph,
+    ContractError,
     Improvement,
     InputError,
     PackingInstance,
@@ -140,6 +141,42 @@ def test_logimp_beats_tight_instance(d):
     assert opt.optimum_w / tr.final.total_w < Fraction(d, 2)
     if d == 4:
         assert tr.final.total_w == 6
+
+
+def test_logimp_continues_a_claw_run_as_it_would_run_it():
+    """Given the squareimp run from its start, logimp gives the trace it
+    gives without it, and leaves that run's final and records as they
+    were."""
+    inst, small = tight_copies(5, 3, seed=1)
+    g = build_conflict_graph(inst)
+    start = Solution.of(g, small)
+    cfg = SolverConfig(mode="logimp")
+    claw_run = squareimp(g, SolverConfig(mode="squareimp"), start)
+    members, records = set(claw_run.final.members), list(claw_run.improvements)
+    got = solve(g, cfg, inst=inst, claw_run=claw_run)
+    assert got.to_json_obj() == solve(g, cfg, inst=inst, start=start).to_json_obj()
+    assert got.iterations > claw_run.iterations and got.final.members != members
+    assert claw_run.final.members == members and claw_run.improvements == records
+
+
+@pytest.mark.parametrize("case", ["another graph", "squareimp", "greedy", "parametrized", "scaled config", "scaled run"])
+def test_solve_refuses_a_claw_run_it_cannot_continue(case):
+    inst = gen_random_packing(12, 3, 9, seed=3)
+    g = build_conflict_graph(inst)
+    claw_run = squareimp(g, SolverConfig(mode="squareimp"))
+    cfg = SolverConfig(mode="logimp")
+    if case == "another graph":
+        g = build_conflict_graph(inst)  # equal, but not the run's graph
+    elif case in ("squareimp", "greedy"):
+        cfg = SolverConfig(mode=case)
+    elif case == "parametrized":
+        cfg = SolverConfig(mode=case, alpha=Fraction(2))
+    elif case == "scaled config":
+        cfg = SolverConfig(mode="logimp", scaling_n=Fraction(2))
+    else:
+        claw_run = solve(g, SolverConfig(mode="squareimp", scaling_n=Fraction(2)))
+    with pytest.raises(ContractError, match="continues it"):
+        solve(g, cfg, inst=inst, claw_run=claw_run)
 
 
 def test_logimp_ratio_bound_random():
