@@ -9,10 +9,11 @@ key. It covers the `gen` file of every family over a fixed grid (the
 lower-bound family at d 4-8, girth 3-6, alpha in {1, 2, 1/2, 3/2}, with and
 without `--eps-d 1/100`), the `solve` trace of each algorithm (and
 `--exact`) on five inputs, the default JSON report of one `bench` suite,
-`verify` of a logimp trace, `constants`, and the four runs from tight d=5's
-small side, which no CLI flag starts, through `solve()`. A command that
-fails prints `error` in place of the digest. Only `clawpack` is imported,
-from the repository's `src/`.
+`verify` of a logimp trace and of the greedy and squareimp finals of the
+five `solve` inputs and the eight small random inputs, `constants`, and
+the four runs from tight d=5's small side, which no CLI flag starts,
+through `solve()`. A command that fails prints `error` in place of the
+digest. Only `clawpack` is imported, from the repository's `src/`.
 """
 
 import hashlib
@@ -65,6 +66,8 @@ SOLVE = {
     "scale-n2": ["--algo", "squareimp", "--scale-n", "2"],
     "exact": ["--exact"],
 }
+# the inputs whose greedy and squareimp finals `verify` certifies
+VERIFY_INPUTS = list(SOLVE_INPUTS) + [name for name in GEN if name.startswith(("r12-", "r30-"))]
 SUITE = {
     "instances": [
         {"id": "b4", "gen": {"family": "berman", "d": 4}, "start": [0, 1, 2]},
@@ -130,6 +133,12 @@ def digests() -> dict[str, str]:
             out["verify/b4.ksp"] = digest(
                 ["verify", "--in", "b4.ksp", "--solution", "b4-logimp.json", "--delta", "1/2"], "verify.json"
             )
+            for name in VERIFY_INPUTS:
+                for algo in ("greedy", "squareimp"):
+                    digest(["solve", "--in", name, "--algo", algo] + SOLVE_INPUTS.get(name, []), "final.json")
+                    out[f"verify/{name}/{algo}"] = digest(
+                        ["verify", "--in", name, "--solution", "final.json", "--delta", "1/2"], "verify.json"
+                    )
             out["constants/1_2"] = digest(["constants", "--delta", "1/2"], "constants.json")
             out.update(small_side_digests("b5.ksp"))
         finally:

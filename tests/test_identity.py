@@ -2,8 +2,9 @@
 
 `scripts/identity_digests.py` holds the one table of commands: the `gen`
 file of every family over a grid, the `solve` trace of each algorithm on
-five inputs, `solve --exact`, one `bench` report, `verify`, `constants` and
-the runs from tight d=5's small side. `tests/identity_digests.txt` pins its
+five inputs, `solve --exact`, one `bench` report, `verify` of a logimp trace
+and of thirteen inputs' greedy and squareimp finals, `constants` and the
+runs from tight d=5's small side. `tests/identity_digests.txt` pins its
 output; a refactoring must leave every digest unchanged.
 """
 
