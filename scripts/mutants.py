@@ -139,8 +139,9 @@ MUTANTS = (
     Mutant("bench.py", "frozenset(start.members), cfg.d)", "frozenset(start.members))",
            "a logimp row continues the squareimp row of its instance at another claw bound override"
            " (test_bench_cli.py::test_bench_continued_logimp_rows_equal_fresh_rows[squareimp first])"),
-    Mutant("certify.py", "members = frozenset(a.members)", "members = a.members",
-           "the certificate's per-vertex fields read the live solution"
+    Mutant("certify.py", "nbrs = (u,) if u in members else tuple(a_nbrs[u])",
+           "nbrs = (u,) if u in members else a_nbrs[u]",
+           "a certificate's rows keep the live N(u, A) lists, so its details read the solution after a swap"
            " (test_certify.py::test_certificate_reports_the_certified_solution_after_a_swap)"),
     # the strict comparisons, the charges and the cycle-length bounds
     Mutant("oracle.py", "improves = r < x_p[k]", "improves = r <= x_p[k]",

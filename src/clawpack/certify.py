@@ -13,21 +13,21 @@ each bound is checked exactly on the integer-scaled weights `w_int` and
 `w2_int`, cross-multiplied where a bound divides. The vertex
 classification behind the improved guarantee is evaluated with exact
 integer surd sign tests and reported informationally below its huge d
-threshold. `Fraction`s are built only for the values a `CertReport` holds,
-when its per-vertex fields are first read.
+threshold. `Fraction`s are built only for the values a `CertReport`'s
+`details` hold, when they are first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .circular import build_anchor_maps
 from .exactnum import surd_sign
-from .instances import ConflictGraph, ContractError, InputError, Solution, fmt_fraction
+from .instances import ContractError, InputError, Solution, fmt_fraction
 
 
 @dataclass(frozen=True)
@@ -63,93 +63,55 @@ class AnalysisParams:
         return math.ceil(Fraction(200000) / self.delta ** 3 + 1)
 
 
+class CertDetails(NamedTuple):
+    """A certificate's per-vertex report: `charges` (u in A* -> its anchor
+    and charge), `charge_sum_pos` and `t_sets` (per member of A: its
+    positive charges' sum and their vertices), `contributions` ((u, v) ->
+    each positive contr(u, v)), `contr_sum`, `classes` (u -> its class
+    tags) and `unclassified` (the u with none)."""
 
+    charges: dict[int, tuple[int, Fraction]]
+    charge_sum_pos: dict[int, Fraction]
+    t_sets: dict[int, tuple[int, ...]]
+    contributions: dict[tuple[int, int], Fraction]
+    contr_sum: dict[int, Fraction]
+    classes: dict[int, tuple[str, ...]]
+    unclassified: tuple[int, ...]
+
+
+@dataclass
 class CertReport:
     """A certificate: its verdict flags, computed when it is made, and its
-    per-vertex report, built on first read.
+    per-vertex report `details`, built on first read.
 
     The flags are None where they do not apply (no claw bound on the
-    graph). The per-vertex fields are `charges` (u in A* -> its anchor and
-    charge), `charge_sum_pos` and `t_sets` (per member of A: its positive
-    charges' sum and their vertices), `contributions` ((u, v) -> each
-    positive contr(u, v)), `contr_sum`, `classes` (u -> its class tags),
-    `unclassified` and `classification_ok`. Reading any of them builds them
-    all, from the report's own copies of the two member sets and its
-    integer sums, so a swap applied to the incumbent after certifying
-    changes none of them.
+    graph). `details` is built from the rows and integer sums of the pass
+    that computed the flags, which hold their own copies of each N(u, A),
+    so a swap applied to the incumbent after certifying changes nothing.
     """
 
-    def __init__(
-        self,
-        g: ConflictGraph,
-        members: frozenset[int],
-        ref_members: frozenset[int],
-        eps: tuple[int, int],
-        sums: tuple[dict[int, int], dict[int, int]],
-        *,
-        charge_bound_ok: bool,
-        contribution_bound_ok: bool,
-        pointwise_ok: bool,
-        identity_ok: bool,
-        neighborhood_bound_ok: Optional[bool] = None,
-        ratio_ok: Optional[bool] = None,
-        classification_hypothesis_met: Optional[bool] = None,
-    ):
-        self._g, self._members, self._ref_members, self._eps, self._sums = g, members, ref_members, eps, sums
-        self.charge_bound_ok = charge_bound_ok
-        self.contribution_bound_ok = contribution_bound_ok
-        self.pointwise_ok = pointwise_ok
-        self.identity_ok = identity_ok
-        self.neighborhood_bound_ok = neighborhood_bound_ok
-        self.ratio_ok = ratio_ok
-        self.classification_hypothesis_met = classification_hypothesis_met
-
-    @property
-    def charges(self) -> dict[int, tuple[int, Fraction]]:
-        return self._per_vertex.charges
-
-    @property
-    def charge_sum_pos(self) -> dict[int, Fraction]:
-        return self._per_vertex.charge_sum_pos
-
-    @property
-    def t_sets(self) -> dict[int, tuple[int, ...]]:
-        return self._per_vertex.t_sets
-
-    @property
-    def contributions(self) -> dict[tuple[int, int], Fraction]:
-        return self._per_vertex.contributions
-
-    @property
-    def contr_sum(self) -> dict[int, Fraction]:
-        return self._per_vertex.contr_sum
-
-    @property
-    def classes(self) -> dict[int, tuple[str, ...]]:
-        return self._per_vertex.classes
-
-    @property
-    def unclassified(self) -> tuple[int, ...]:
-        return self._per_vertex.unclassified
-
-    @property
-    def classification_ok(self) -> bool:
-        return not self._per_vertex.unclassified
+    charge_bound_ok: bool
+    contribution_bound_ok: bool
+    pointwise_ok: bool
+    identity_ok: bool
+    neighborhood_bound_ok: Optional[bool]
+    ratio_ok: Optional[bool]
+    classification_hypothesis_met: Optional[bool]
+    # (g, eps' as (numerator, denominator), the pass's rows, pos, contr)
+    _pass: tuple = field(repr=False, compare=False)
 
     @cached_property
-    def _per_vertex(self) -> "_PerVertex":
-        """The per-vertex fields, in one pass over A* in id order, with
-        N(u, A) from a solution over the report's copy of A. The integer
-        sums come from the pass that computed the flags."""
-        g, eps, (pos, contr) = self._g, self._eps, self._sums
+    def details(self) -> CertDetails:
+        """Per row, in id order: u's anchor and charge, its positive
+        contributions and its class tags; then the Fractions of the sums."""
+        g, eps, rows, pos, contr = self._pass
         w, w2, lcm = g.w_int, g.w2_int, g.w_lcm
         charges: dict[int, tuple[int, Fraction]] = {}
         contributions: dict[tuple[int, int], Fraction] = {}
         classes: dict[int, tuple[str, ...]] = {}
-        t_sets: dict[int, list[int]] = {v: [] for v in self._members}
+        t_sets: dict[int, list[int]] = {v: [] for v in pos}
         unclassified = []
-        a_nbrs = Solution(g, set(self._members)).a_nbrs
-        for u, nbrs, v1, v2, wn, charge, rest in _walk(g, self._members, a_nbrs, self._ref_members):
+        for u, nbrs, v1, v2, wn, charge, rest in rows:
             charges[u] = (v1, Fraction(charge, 2 * lcm))
             if charge > 0:
                 t_sets[v1].append(u)
@@ -160,7 +122,7 @@ class CertReport:
             tags = classes[u] = _class_tags(w, eps, u, v1, v2, wn, charge, rest + w2[v1])
             if not tags:
                 unclassified.append(u)
-        return _PerVertex(
+        return CertDetails(
             charges=charges,
             charge_sum_pos={v: Fraction(c, 2 * lcm) for v, c in pos.items()},
             t_sets={v: tuple(t) for v, t in t_sets.items()},
@@ -169,6 +131,10 @@ class CertReport:
             classes=classes,
             unclassified=tuple(unclassified),
         )
+
+    @property
+    def classification_ok(self) -> bool:
+        return not self.details.unclassified
 
     def all_bounds_ok(self) -> bool:
         return bool(
@@ -180,12 +146,13 @@ class CertReport:
         )
 
     def to_json_obj(self) -> dict:
+        det = self.details
         return {
-            "charge_sum_pos": {str(v): fmt_fraction(s) for v, s in sorted(self.charge_sum_pos.items())},
-            "contr_sum": {str(v): fmt_fraction(s) for v, s in sorted(self.contr_sum.items())},
-            "t_sets": {str(v): list(t) for v, t in sorted(self.t_sets.items())},
-            "classes": {str(u): list(tags) for u, tags in sorted(self.classes.items())},
-            "unclassified": list(self.unclassified),
+            "charge_sum_pos": {str(v): fmt_fraction(s) for v, s in sorted(det.charge_sum_pos.items())},
+            "contr_sum": {str(v): fmt_fraction(s) for v, s in sorted(det.contr_sum.items())},
+            "t_sets": {str(v): list(t) for v, t in sorted(det.t_sets.items())},
+            "classes": {str(u): list(tags) for u, tags in sorted(det.classes.items())},
+            "unclassified": list(det.unclassified),
             "flags": {
                 "charge_bound_ok": self.charge_bound_ok,
                 "contribution_bound_ok": self.contribution_bound_ok,
@@ -197,31 +164,6 @@ class CertReport:
                 "classification_hypothesis_met": self.classification_hypothesis_met,
             },
         }
-
-
-class _PerVertex(NamedTuple):
-    charges: dict[int, tuple[int, Fraction]]
-    charge_sum_pos: dict[int, Fraction]
-    t_sets: dict[int, tuple[int, ...]]
-    contributions: dict[tuple[int, int], Fraction]
-    contr_sum: dict[int, Fraction]
-    classes: dict[int, tuple[str, ...]]
-    unclassified: tuple[int, ...]
-
-
-def _walk(g: ConflictGraph, members, a_nbrs, ref_members) -> Iterator[tuple]:
-    """Per u in A*, in id order: u, N(u, A) (or (u,) for u in A), u's
-    anchor and second anchor (or None), wn = w_int(N(u, A)), 2L times the
-    charge, and L**2 times w2(u) - w2(N(u, A))."""
-    w, w2 = g.w_int, g.w2_int
-    for u in sorted(ref_members):
-        if u in members:
-            nbrs, v1, v2 = (u,), u, None
-        else:
-            nbrs = a_nbrs[u]
-            v1, v2 = nbrs[0], (nbrs[1] if len(nbrs) > 1 else None)
-        wn = sum(w[x] for x in nbrs)
-        yield u, nbrs, v1, v2, wn, 2 * w[u] - wn, w2[u] - sum(w2[x] for x in nbrs)
 
 
 def _class_tags(
@@ -286,15 +228,16 @@ def certify_local_optimum(a: Solution, astar: Solution, params: AnalysisParams) 
     """Certificate for an incumbent claw fixed point against a reference.
 
     It checks that `a` is maximal, and then one integer pass over A*
-    computes every verdict flag. Exact checks: per-vertex positive charges sum to at most
-    w(v)/2, contributions to at most w(v), w(N(u,A))/2 + charge(u) summed
-    over A* equals w(A*), every positive charge satisfies the pointwise
+    computes every verdict flag and keeps one row per u for the report.
+    Exact checks: per-vertex positive charges sum to at most w(v)/2,
+    contributions to at most w(v), w(N(u,A))/2 + charge(u) summed over A*
+    equals w(A*), every positive charge satisfies the pointwise
     w2(u) - w2(N(u,A) - anchor) >= 2 charge(u) w(anchor), and (when the
-    graph's claw bound g.d is set) the neighborhood bound and the d/2 ratio. A
-    contribution sum above w(v) certifies a residual claw improvement and is
-    reported, never thrown. The charges, contributions and class tags are
-    built only when the report's per-vertex fields are read (see
-    `CertReport`). The classes, at the derived thresholds, are
+    graph's claw bound g.d is set) the neighborhood bound and the d/2
+    ratio. A contribution sum above w(v) certifies a residual claw
+    improvement and is reported, never thrown. The charges, contributions
+    and class tags are built from the rows only when the report's
+    `details` are read. The classes, at the derived thresholds, are
     sqrt(eps')-single and -double (positive charge required), eps'-payback,
     sqrt(2 eps')-good and eps'/2-contributive; `unclassified` collects the
     vertices matching none. They are only guaranteed exhaustive at claw
@@ -307,13 +250,22 @@ def certify_local_optimum(a: Solution, astar: Solution, params: AnalysisParams) 
         raise ContractError("the reference solution is over another graph")
     a_nbrs = build_anchor_maps(a)
     w, w2 = g.w_int, g.w2_int
-    members = frozenset(a.members)
+    members = a.members
     pos = {v: 0 for v in members}  # 2L times the positive charge sums
     contr = {v: 0 for v in members}  # L * w_int(v) times contr_sum(v)
+    rows = []
     pointwise = True
     nb = 0  # L times the sum of w(N(u,A))
     total = 0  # 2L times the sum of w(N(u,A))/2 + charge(u)
-    for _, nbrs, v1, _, wn, charge, rest in _walk(g, members, a_nbrs, astar.members):
+    for u in sorted(astar.members):
+        # N(u, A), u's anchor and second anchor (or None), wn = w_int(N(u, A)),
+        # 2L times the charge, and L**2 times w2(u) - w2(N(u, A))
+        nbrs = (u,) if u in members else tuple(a_nbrs[u])
+        v1, v2 = nbrs[0], (nbrs[1] if len(nbrs) > 1 else None)
+        wn = sum(w[x] for x in nbrs)
+        charge = 2 * w[u] - wn
+        rest = w2[u] - sum(w2[x] for x in nbrs)
+        rows.append((u, nbrs, v1, v2, wn, charge, rest))
         nb += wn
         total += wn + charge
         if charge > 0:
@@ -328,7 +280,6 @@ def certify_local_optimum(a: Solution, astar: Solution, params: AnalysisParams) 
     s_astar = sum(w[u] for u in astar.members)  # L times w(A*)
     d = g.d
     return CertReport(
-        g, members, frozenset(astar.members), (params.eps_prime.numerator, params.eps_prime.denominator), (pos, contr),
         charge_bound_ok=all(pos[v] <= w[v] for v in members),
         contribution_bound_ok=all(contr[v] <= w2[v] for v in members),
         pointwise_ok=pointwise,
@@ -337,4 +288,5 @@ def certify_local_optimum(a: Solution, astar: Solution, params: AnalysisParams) 
         neighborhood_bound_ok=None if d is None else nb <= (d - 1) * s_a,
         ratio_ok=None if d is None else 2 * s_astar <= d * s_a,
         classification_hypothesis_met=None if d is None else d >= params.d_delta,
+        _pass=(g, (params.eps_prime.numerator, params.eps_prime.denominator), rows, pos, contr),
     )

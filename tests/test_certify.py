@@ -30,8 +30,8 @@ def two_vertex_case(w_u, w_v):
 def test_charge_simple_value():
     g, a, astar = two_vertex_case(w_u=3, w_v=2)
     rep = certify_local_optimum(a, astar, PARAMS)
-    assert rep.charges[1] == (0, Fraction(2))
-    assert rep.charge_sum_pos[0] == 2
+    assert rep.details.charges[1] == (0, Fraction(2))
+    assert rep.details.charge_sum_pos[0] == 2
     assert rep.pointwise_ok and rep.identity_ok
     # this is not a claw fixed point, and the charge bound says so
     assert not rep.charge_bound_ok
@@ -42,7 +42,7 @@ def test_self_charge_half_weight():
     a = Solution.of(g, {0})
     astar = Solution.of(g, {0})
     rep = certify_local_optimum(a, astar, PARAMS)
-    assert rep.charges[0] == (0, Fraction(2))
+    assert rep.details.charges[0] == (0, Fraction(2))
 
 
 def test_charge_zero_when_neighborhood_heavy():
@@ -50,8 +50,8 @@ def test_charge_zero_when_neighborhood_heavy():
     a = Solution.of(g, {0, 1})
     astar = Solution.of(g, {2})
     rep = certify_local_optimum(a, astar, PARAMS)
-    assert rep.charges[2] == (0, Fraction(0))
-    assert rep.charge_sum_pos[0] == 0
+    assert rep.details.charges[2] == (0, Fraction(0))
+    assert rep.details.charge_sum_pos[0] == 0
 
 
 def test_charges_need_maximal_incumbent():
@@ -65,7 +65,7 @@ def test_charges_need_maximal_incumbent():
 def test_contribution_simple_value():
     g, a, astar = two_vertex_case(w_u=3, w_v=2)
     rep = certify_local_optimum(a, astar, PARAMS)
-    assert rep.contributions[(1, 0)] == Fraction(9, 2)
+    assert rep.details.contributions[(1, 0)] == Fraction(9, 2)
     assert not rep.contribution_bound_ok
 
 
@@ -74,17 +74,17 @@ def test_contribution_zero_case():
     a = Solution.of(g, {0, 1})
     astar = Solution.of(g, {2})
     rep = certify_local_optimum(a, astar, PARAMS)
-    assert rep.contr_sum[0] == 0 and rep.contr_sum[1] == 0
+    assert rep.details.contr_sum[0] == 0 and rep.details.contr_sum[1] == 0
 
 
 def test_contribution_berman_boundary():
     g, a, b = gen_berman_tight(4)
     rep = certify_local_optimum(a, b, PARAMS)
     for v in a.members:
-        assert rep.contr_sum[v] == g.weights[v]
+        assert rep.details.contr_sum[v] == g.weights[v]
     # singleton contributes its full squared weight; pair-sets contribute zero
-    assert rep.contributions[(3, 0)] == 1
-    assert (6, 0) not in rep.contributions
+    assert rep.details.contributions[(3, 0)] == 1
+    assert (6, 0) not in rep.details.contributions
 
 
 def test_self_contribution_is_own_weight():
@@ -92,7 +92,7 @@ def test_self_contribution_is_own_weight():
     a = Solution.of(g, {0})
     astar = Solution.of(g, {0})
     rep = certify_local_optimum(a, astar, PARAMS)
-    assert rep.contributions[(0, 0)] == 4
+    assert rep.details.contributions[(0, 0)] == 4
 
 
 def classify_pair(w_u, nbr_weights):
@@ -101,7 +101,7 @@ def classify_pair(w_u, nbr_weights):
     g = ConflictGraph.from_edges(n, edges, [w_u] + list(nbr_weights), d=6)
     a = Solution.of(g, set(range(1, n)))
     astar = Solution.of(g, {0})
-    return certify_local_optimum(a, astar, PARAMS).classes[0]
+    return certify_local_optimum(a, astar, PARAMS).details.classes[0]
 
 
 def test_classify_single():
@@ -148,7 +148,7 @@ def test_certify_optimum_as_incumbent():
     rep = certify_local_optimum(b, b, PARAMS)
     assert rep.ratio_ok
     for u in b.members:
-        assert rep.charges[u] == (u, g.weights[u] / 2)
+        assert rep.details.charges[u] == (u, g.weights[u] / 2)
 
 
 def test_certify_random_fixed_points():
@@ -171,8 +171,8 @@ def test_classification_lemma_shape_on_fixed_points():
     a = squareimp(g, SolverConfig(mode="squareimp")).final
     opt = exact_mwis(g)
     rep = certify_local_optimum(a, opt.best, PARAMS)
-    assert set(rep.classes) == set(opt.best.members)
-    for tags in rep.classes.values():
+    assert set(rep.details.classes) == set(opt.best.members)
+    for tags in rep.details.classes.values():
         assert set(tags) <= {"single", "double", "payback", "good", "contributive"}
 
 
@@ -285,7 +285,8 @@ def ref_surd_cmp(a: Fraction, b: Fraction, q: Fraction, x: Fraction) -> int:
 @dataclasses.dataclass
 class RefReport:
     """The Fraction reference's report, filled in place: the fields a
-    `CertReport` reports, written with its own `to_json_obj`."""
+    `CertReport` and its `details` report, flat, with `details` a view of
+    itself, written with `CertReport`'s own `to_json_obj`."""
 
     charges: dict = dataclasses.field(default_factory=dict)
     charge_sum_pos: dict = dataclasses.field(default_factory=dict)
@@ -303,6 +304,7 @@ class RefReport:
     classification_ok: bool = None
     classification_hypothesis_met: bool = None
 
+    details = property(lambda self: self)
     all_bounds_ok = CertReport.all_bounds_ok
     to_json_obj = CertReport.to_json_obj
 
@@ -468,13 +470,13 @@ def assert_same_certificate(g, a, astar, params, d=None):
         a, astar = Solution(g, a.members), Solution(g, astar.members)
     got = certify_local_optimum(a, astar, params)
     ref = ref_certify(g, a, astar, params)
-    assert got.charges == ref.charges
-    assert got.charge_sum_pos == ref.charge_sum_pos
-    assert got.t_sets == ref.t_sets
-    assert got.contributions == ref.contributions
-    assert got.contr_sum == ref.contr_sum
-    assert got.classes == ref.classes
-    assert got.unclassified == ref.unclassified
+    assert got.details.charges == ref.details.charges
+    assert got.details.charge_sum_pos == ref.details.charge_sum_pos
+    assert got.details.t_sets == ref.details.t_sets
+    assert got.details.contributions == ref.details.contributions
+    assert got.details.contr_sum == ref.details.contr_sum
+    assert got.details.classes == ref.details.classes
+    assert got.details.unclassified == ref.details.unclassified
     for flag in FLAGS:
         assert getattr(got, flag) == getattr(ref, flag), flag
     assert json.dumps(got.to_json_obj()) == json.dumps(ref.to_json_obj())
@@ -579,23 +581,23 @@ def test_planted_threshold_ties(w_u, nbrs, params, tag, expect):
     for scale in (1, Fraction(2**61 + 1, 2**61 - 1)):
         g, a, astar = star(w_u, nbrs, scale)
         rep = assert_same_certificate(g, a, astar, params)
-        assert (tag in rep.classes[0]) == expect
+        assert (tag in rep.details.classes[0]) == expect
 
 
 def test_planted_charge_and_bound_ties():
     # charge exactly 0: w(N(u,A)) = 2 w(u)
     g, a, astar = star(Fraction(3, 7), [Fraction(4, 7), Fraction(2, 7)])
     rep = assert_same_certificate(g, a, astar, PARAMS)
-    assert rep.charges[0] == (1, 0) and rep.t_sets[1] == ()
+    assert rep.details.charges[0] == (1, 0) and rep.details.t_sets[1] == ()
     # gap exactly 2 charge w(anchor): one neighbor of equal weight
     g, a, astar = star(Fraction(5, 11), [Fraction(5, 11)])
     rep = assert_same_certificate(g, a, astar, PARAMS)
-    assert rep.charges[0] == (1, Fraction(5, 22)) and rep.pointwise_ok
+    assert rep.details.charges[0] == (1, Fraction(5, 22)) and rep.pointwise_ok
     # contr_sum exactly w(v) and charge sums exactly w(v)/2 at the tight family
     for d in (3, 4, 5):
         g, a, b = gen_berman_tight(d)
         rep = assert_same_certificate(g, a, b, PARAMS)
-        assert all(rep.contr_sum[v] == g.weights[v] for v in a.members)
+        assert all(rep.details.contr_sum[v] == g.weights[v] for v in a.members)
         assert rep.contribution_bound_ok and rep.ratio_ok
 
 
@@ -620,8 +622,8 @@ def test_surd_sign_matches_fraction_surd_cmp():
 
 def test_certificate_layers_build_fractions_only_for_report_fields():
     """The certificate's call builds no `Fraction`; the first read of its
-    per-vertex fields builds one per value they hold, and a second read
-    builds none."""
+    `details` builds one per value they hold, and a second read builds
+    none."""
     rng = random.Random(3)
     pw = PrimeWeights(rng)
     weights = [pw.magnitude(rng.randint(-60, 60)) for _ in range(12)]
@@ -631,7 +633,7 @@ def test_certificate_layers_build_fractions_only_for_report_fields():
     g.w2_int  # built outside the profiled call
     layers = {
         certify.certify_local_optimum.__code__: "certify_local_optimum",
-        certify.CertReport._per_vertex.func.__code__: "_per_vertex",
+        certify.CertReport.details.func.__code__: "details",
         certify._class_tags.__code__: "_class_tags",
         # d_delta's own rational arithmetic is not the certificate's
         AnalysisParams.d_delta.fget.__code__: None,
@@ -659,10 +661,11 @@ def test_certificate_layers_build_fractions_only_for_report_fields():
     # numerator and denominator are read once each, of eps'
     assert calls == {("certify_local_optimum", "numerator"): 1, ("certify_local_optimum", "denominator"): 1}
     calls.clear()
-    fields = profiled(lambda: (rep.charges, rep.charge_sum_pos, rep.contributions, rep.contr_sum))
-    assert calls == {("_per_vertex", "__new__"): sum(map(len, fields))}
+    det = profiled(lambda: rep.details)
+    fields = (det.charges, det.charge_sum_pos, det.contributions, det.contr_sum)
+    assert calls == {("details", "__new__"): sum(map(len, fields))}
     calls.clear()
-    assert profiled(lambda: (rep.charges, rep.charge_sum_pos, rep.contributions, rep.contr_sum)) == fields
+    assert profiled(lambda: rep.details) is det
     assert not calls
 
 
@@ -702,13 +705,14 @@ def test_certificate_reports_the_certified_solution_after_a_swap():
     g = build_conflict_graph(inst)
     a = squareimp(g, SolverConfig(mode="squareimp")).final
     astar = exact_mwis(g).best
-    want = certify_local_optimum(Solution(g, set(a.members)), astar, PARAMS).to_json_obj()
+    fresh = certify_local_optimum(Solution(g, set(a.members)), astar, PARAMS)
     rep = certify_local_optimum(a, astar, PARAMS)
     u = min(astar.members - a.members)
     a.apply(Improvement(frozenset({u}), frozenset(a.a_nbrs[u])))
     assert u in a.members
-    assert rep.to_json_obj() == want
-    assert rep.charges[u][0] != u
+    assert rep.to_json_obj() == fresh.to_json_obj()
+    assert rep.details == fresh.details
+    assert rep.details.charges[u][0] != u
 
 
 def test_certify_rejects_a_reference_over_another_graph():
